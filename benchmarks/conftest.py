@@ -26,24 +26,21 @@ import pathlib
 
 import pytest
 
-from repro.engine import ArtifactCache, ProfilingSession, set_default_session
+from repro.engine import ArtifactCache, ProfilingSession
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 
 @pytest.fixture(scope="session")
 def profiling_session():
-    """One cached engine session shared by every benchmark."""
-    session = ProfilingSession(
+    """One cached engine session shared by every benchmark (pass it to
+    each study so they all hit the same cache)."""
+    return ProfilingSession(
         cache=ArtifactCache(disk_dir=os.environ.get("REPRO_CACHE_DIR")
                             or None),
         jobs=int(os.environ.get("REPRO_JOBS", "1") or "1"),
         backend=os.environ.get("REPRO_BACKEND") or None,
     )
-    # Studies called without an explicit session (e.g. through helper
-    # wrappers) should hit the same cache rather than a cold default.
-    set_default_session(session)
-    return session
 
 
 @pytest.fixture(scope="session")

@@ -14,14 +14,17 @@ from repro.harness.ablation import TECHNIQUE_LABELS
 from conftest import mean, save_rendering
 
 
-def test_figure13_regeneration(suite_results, benchmark):
+def test_figure13_regeneration(suite_results, profiling_session,
+                               benchmark):
+    session = profiling_session
     chosen = select_benchmarks(suite_results)
     assert chosen, "some benchmark must show PPP > 5% better than TPP"
     rows = benchmark(lambda: leave_one_out(suite_results,
-                                           benchmarks=chosen[:3]))
-    save_rendering("figure13", figure13(suite_results))
+                                           benchmarks=chosen[:3],
+                                           session=session))
+    save_rendering("figure13", figure13(suite_results, session=session))
 
-    full_rows = leave_one_out(suite_results)
+    full_rows = leave_one_out(suite_results, session=session)
     # Full PPP beats TPP on every selected benchmark by construction.
     for row in full_rows:
         assert row.ppp_overhead < row.tpp_overhead
@@ -34,10 +37,13 @@ def test_figure13_regeneration(suite_results, benchmark):
         assert ablated_avg >= full_avg - 0.01, technique
 
 
-def test_one_at_a_time_regeneration(suite_results, benchmark):
+def test_one_at_a_time_regeneration(suite_results, profiling_session,
+                                    benchmark):
+    session = profiling_session
     chosen = select_benchmarks(suite_results)
     text = benchmark(lambda: one_at_a_time(suite_results,
-                                           benchmarks=chosen[:1]))
-    full = one_at_a_time(suite_results)
+                                           benchmarks=chosen[:1],
+                                           session=session))
+    full = one_at_a_time(suite_results, session=session)
     save_rendering("one_at_a_time", full)
     assert "LC" in full and "SPN" in full

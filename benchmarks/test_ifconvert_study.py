@@ -12,15 +12,18 @@ from repro.workloads import INT
 from conftest import mean, save_rendering
 
 
-def test_ifconvert_reshapes_profiles(suite_results, benchmark):
+def test_ifconvert_reshapes_profiles(suite_results, profiling_session,
+                                    benchmark):
+    session = profiling_session
     sample = suite_results["vpr"]
-    benchmark(lambda: compare_ifconvert(sample))
+    benchmark(lambda: compare_ifconvert(sample, session))
 
     subset = {name: r for name, r in suite_results.items()
               if name in ("vpr", "crafty", "twolf", "perlbmk", "gap",
                           "mesa")}
-    rows = {name: compare_ifconvert(r) for name, r in subset.items()}
-    save_rendering("ifconvert", ifconvert_table(subset))
+    rows = {name: compare_ifconvert(r, session)
+            for name, r in subset.items()}
+    save_rendering("ifconvert", ifconvert_table(subset, session))
 
     converted = [c for c in rows.values() if c.diamonds_converted > 0]
     assert converted, "some branchy workload must have candidates"

@@ -34,10 +34,11 @@ def test_net_vs_ppp(suite_results, benchmark):
         mean(c.net_hot_flow_captured for c in warm)
 
 
-def test_staleness(benchmark):
+def test_staleness(profiling_session, benchmark):
+    session = profiling_session
     workloads = [get_workload(n) for n in ("twolf", "mcf", "bzip2")]
-    row = benchmark(lambda: staleness_study(workloads[0]))
-    save_rendering("staleness", staleness_table(workloads))
+    row = benchmark(lambda: staleness_study(workloads[0], session=session))
+    save_rendering("staleness", staleness_table(workloads, session))
 
     # Scale-invariant deterministic workloads: stale advice stays close
     # to fresh advice (documented as an honest robustness result).

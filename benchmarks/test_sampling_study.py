@@ -11,16 +11,20 @@ from repro.harness import sampling_study, sampling_table
 from conftest import mean, save_rendering
 
 
-def test_sampled_profile_robustness(suite_results, benchmark):
+def test_sampled_profile_robustness(suite_results, profiling_session,
+                                    benchmark):
+    session = profiling_session
     sample = suite_results["twolf"]
-    rows = benchmark(lambda: sampling_study(sample, rates=(0.1,)))
+    rows = benchmark(lambda: sampling_study(sample, rates=(0.1,),
+                                            session=session))
 
     subset = {name: suite_results[name]
               for name in ("vpr", "twolf", "bzip2", "mesa", "equake")}
-    save_rendering("sampling", sampling_table(subset))
+    save_rendering("sampling", sampling_table(subset, session=session))
 
     for name, result in subset.items():
-        by_rate = {r.rate: r for r in sampling_study(result)}
+        by_rate = {r.rate: r for r in sampling_study(result,
+                                                     session=session)}
         full, tenth, hundredth = (by_rate[1.0], by_rate[0.1],
                                   by_rate[0.01])
         # 1/10 sampling is essentially free.

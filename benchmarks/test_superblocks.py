@@ -14,13 +14,15 @@ from repro.harness import compare_superblocks, superblock_table
 from conftest import mean, save_rendering
 
 
-def test_superblock_payoff(suite_results, benchmark):
+def test_superblock_payoff(suite_results, profiling_session, benchmark):
+    session = profiling_session
     sample = suite_results["twolf"]
-    benchmark(lambda: compare_superblocks(sample))
+    benchmark(lambda: compare_superblocks(sample, session=session))
 
-    rows = {name: compare_superblocks(r)
+    rows = {name: compare_superblocks(r, session=session)
             for name, r in suite_results.items()}
-    save_rendering("superblocks", superblock_table(suite_results))
+    save_rendering("superblocks",
+                   superblock_table(suite_results, session=session))
 
     # PPP-guided formation is at least as good as edge-guided on nearly
     # every benchmark (ties happen when the edge estimate is accurate,

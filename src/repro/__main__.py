@@ -98,18 +98,18 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from .core import (build_estimated_profile, evaluate_accuracy,
                    measured_paths, plan_pp, plan_ppp, plan_tpp,
                    run_with_plan)
 from .harness import ground_truth
+from .harness.__main__ import (CliError, _add_fault_options,
+                               _chosen_workloads, _install_chaos,
+                               build_session)
 from .interp import run_module
 from .lang import compile_source
 from .profiles import save_edge_profile
-
-
-class CliError(Exception):
-    """A user-facing error (bad file, syntax error, ...)."""
 
 
 def _load(path: str):
@@ -375,53 +375,62 @@ def _parse_techniques(spec: str) -> tuple[str, ...]:
     return techs
 
 
-def _suite_session(cache_dir: str, args=None):
-    from .engine import ArtifactCache, ProfilingSession
-    cache = (ArtifactCache(disk_dir=cache_dir) if cache_dir
-             else ArtifactCache())
-    timeout = getattr(args, "timeout", None)
-    retries = getattr(args, "retries", 2)
-    chaos = getattr(args, "chaos", "")
-    if chaos:
-        # Validate up front, then publish through the environment so
-        # forked worker processes observe the same fault plan.
-        import os
-        from .engine import faults
-        try:
-            plan = faults.FaultPlan.from_spec(chaos)
-        except faults.FaultSpecError as exc:
-            raise CliError(f"--chaos: {exc}") from exc
-        os.environ[faults.ENV_VAR] = plan.to_spec()
-        faults.install_plan(plan)
-    return ProfilingSession(cache=cache, timeout=timeout, retries=retries)
+def _report(args, command: str, noun: str, compute) -> int:
+    """Run ``compute`` and print its proof reports as one JSON document
+    or as text; exit status 1 when any report failed.
 
-
-def _chosen_workloads(spec: str):
-    from .workloads import SUITE, get_workload
-    if not spec:
-        return list(SUITE)
-    try:
-        return [get_workload(n.strip()) for n in spec.split(",")
-                if n.strip()]
-    except KeyError as exc:
-        raise CliError(f"unknown benchmark {exc.args[0]!r}") from exc
+    ``compute`` returns reports, or ``(label, report, record)`` triples
+    whose label heads each line of the report and whose record is its
+    JSON entry.
+    """
+    start = time.time()
+    entries = [item if isinstance(item, tuple)
+               else (item.title, item, item.to_dict())
+               for item in compute()]
+    count = len(entries)
+    failed = sum(1 for _label, report, _record in entries
+                 if not report.ok)
+    if args.json:
+        import json
+        print(json.dumps({
+            "command": command, "ok": not failed,
+            f"{noun}s": count, "failed": failed,
+            "elapsed_s": round(time.time() - start, 3),
+            "reports": [record for _label, _report, record in entries],
+        }, indent=2, sort_keys=True))
+        return 1 if failed else 0
+    from .analysis import Severity
+    for label, report, _record in entries:
+        for diag in report:
+            if diag.severity >= Severity.WARNING or args.verbose:
+                print(f"{label}: {diag.format()}")
+        if not args.quiet:
+            status = "FAIL" if not report.ok else "ok"
+            # A label other than the report's title heads its status too.
+            head = "" if label == report.title else f"{label}: "
+            print(f"[{status}] {head}{report.summary()}")
+    lead = "verified" if command == "verify" else f"{command}:"
+    print(f"{lead} {count} {noun}{'s' if count != 1 else ''}: "
+          f"{count - failed} ok, {failed} failed "
+          f"({time.time() - start:.1f}s)")
+    return 1 if failed else 0
 
 
 def cmd_verify(args) -> int:
-    import time
+    from .analysis import DEFAULT_PATH_CAP, verify_module_plan, verify_suite
 
-    from .analysis import (DEFAULT_PATH_CAP, Severity, verify_module_plan,
-                           verify_suite)
+    path_cap = DEFAULT_PATH_CAP if args.path_cap is None else args.path_cap
 
-    if args.path_cap is None:
-        args.path_cap = DEFAULT_PATH_CAP
-    start = time.time()
-    if args.suite or args.benchmarks:
-        session = _suite_session(args.cache_dir, args)
-        reports = verify_suite(session, _chosen_workloads(args.benchmarks),
-                               techniques=_parse_techniques(args.techniques),
-                               path_cap=args.path_cap)
-    elif args.file:
+    def compute():
+        if args.suite or args.benchmarks:
+            session = build_session(cache_dir=args.cache_dir,
+                                    timeout=args.timeout,
+                                    retries=args.retries, chaos=args.chaos)
+            return verify_suite(session, _chosen_workloads(args.benchmarks),
+                                techniques=_parse_techniques(args.techniques),
+                                path_cap=path_cap)
+        if not args.file:
+            raise CliError("verify needs a FILE or --suite")
         module = _load(args.file)
         _actual, edge_profile, _rv = ground_truth(module)
         planner = {"pp": lambda: plan_pp(module),
@@ -429,42 +438,21 @@ def cmd_verify(args) -> int:
                    "ppp": lambda: plan_ppp(module, edge_profile)}
         reports = []
         for tech in _parse_techniques(args.techniques):
-            report = verify_module_plan(planner[tech](),
-                                        path_cap=args.path_cap)
+            report = verify_module_plan(planner[tech](), path_cap=path_cap)
             report.title = f"{args.file}/{tech}"
             reports.append(report)
-    else:
-        raise CliError("verify needs a FILE or --suite")
+        return reports
 
-    failed = sum(1 for report in reports if not report.ok)
-    if args.json:
-        import json
-        print(json.dumps({
-            "command": "verify", "ok": not failed,
-            "plans": len(reports), "failed": failed,
-            "elapsed_s": round(time.time() - start, 3),
-            "reports": [r.to_dict() for r in reports],
-        }, indent=2, sort_keys=True))
-        return 1 if failed else 0
-    for report in reports:
-        for diag in report:
-            if diag.severity >= Severity.WARNING or args.verbose:
-                print(f"{report.title}: {diag.format()}")
-        if not args.quiet:
-            status = "FAIL" if not report.ok else "ok"
-            print(f"[{status}] {report.summary()}")
-    plans = len(reports)
-    print(f"verified {plans} plan{'s' if plans != 1 else ''}: "
-          f"{plans - failed} ok, {failed} failed "
-          f"({time.time() - start:.1f}s)")
-    return 1 if failed else 0
+    return _report(args, "verify", "plan", compute)
 
 
 def cmd_lint(args) -> int:
     from .analysis import Severity, lint_module
 
     if args.suite or args.benchmarks:
-        session = _suite_session(args.cache_dir, args)
+        session = build_session(cache_dir=args.cache_dir,
+                                timeout=args.timeout, retries=args.retries,
+                                chaos=args.chaos)
         modules = [(w.name, session.expand(w).module)
                    for w in _chosen_workloads(args.benchmarks)]
     elif args.file:
@@ -515,131 +503,73 @@ def _parse_passes(spec: str) -> tuple[str, ...]:
 
 
 def cmd_equiv(args) -> int:
-    import time
-
-    from .analysis import PASS_NAMES, Severity, equiv_module, equiv_suite
+    from .analysis import PASS_NAMES, equiv_module, equiv_suite
 
     passes = _parse_passes(args.passes) if args.passes else PASS_NAMES
-    start = time.time()
-    if args.suite or args.benchmarks:
-        session = _suite_session(args.cache_dir, args)
-        results = equiv_suite(session, _chosen_workloads(args.benchmarks),
-                              passes=passes, tier2=args.tier2)
-    elif args.file:
-        module = _load(args.file)
-        results = [(args.file, label, report)
-                   for label, report in equiv_module(module, passes=passes,
-                                                     tier2=args.tier2)]
-    else:
-        raise CliError("equiv needs a FILE or --suite")
 
-    failed = sum(1 for _n, _l, report in results if not report.ok)
-    if args.json:
-        import json
-        print(json.dumps({
-            "command": "equiv", "ok": not failed,
-            "checks": len(results), "failed": failed,
-            "elapsed_s": round(time.time() - start, 3),
-            "reports": [dict(report.to_dict(), module=name, check=label)
-                        for name, label, report in results],
-        }, indent=2, sort_keys=True))
-        return 1 if failed else 0
-    for name, label, report in results:
-        for diag in report:
-            if diag.severity >= Severity.WARNING or args.verbose:
-                print(f"{name}/{label}: {diag.format()}")
-        if not args.quiet:
-            status = "FAIL" if not report.ok else "ok"
-            print(f"[{status}] {name}/{label}: {report.summary()}")
-    checks = len(results)
-    print(f"equiv: {checks} check{'s' if checks != 1 else ''}: "
-          f"{checks - failed} ok, {failed} failed "
-          f"({time.time() - start:.1f}s)")
-    return 1 if failed else 0
+    def compute():
+        if args.suite or args.benchmarks:
+            session = build_session(cache_dir=args.cache_dir,
+                                    timeout=args.timeout,
+                                    retries=args.retries, chaos=args.chaos)
+            results = equiv_suite(session,
+                                  _chosen_workloads(args.benchmarks),
+                                  passes=passes, tier2=args.tier2)
+        elif args.file:
+            module = _load(args.file)
+            results = [(args.file, label, report)
+                       for label, report in equiv_module(
+                           module, passes=passes, tier2=args.tier2)]
+        else:
+            raise CliError("equiv needs a FILE or --suite")
+        return [(f"{name}/{label}", report,
+                 dict(report.to_dict(), module=name, check=label))
+                for name, label, report in results]
+
+    return _report(args, "equiv", "check", compute)
 
 
 def cmd_conserve(args) -> int:
-    import time
-
-    from .analysis import Severity, conserve_suite, verify_conservation
+    from .analysis import conserve_suite, verify_conservation
     from .analysis.conservation import DEFAULT_WALK_CAP
 
-    if args.walk_cap is None:
-        args.walk_cap = DEFAULT_WALK_CAP
-    start = time.time()
-    if args.suite or args.benchmarks:
-        session = _suite_session(args.cache_dir, args)
-        reports = conserve_suite(session, _chosen_workloads(args.benchmarks),
-                                 walk_cap=args.walk_cap)
-    elif args.file:
+    walk_cap = DEFAULT_WALK_CAP if args.walk_cap is None else args.walk_cap
+
+    def compute():
+        if args.suite or args.benchmarks:
+            session = build_session(cache_dir=args.cache_dir,
+                                    timeout=args.timeout,
+                                    retries=args.retries, chaos=args.chaos)
+            return conserve_suite(session,
+                                  _chosen_workloads(args.benchmarks),
+                                  walk_cap=walk_cap)
+        if not args.file:
+            raise CliError("conserve needs a FILE or --suite")
         module = _load(args.file)
         _actual, edge_profile, _rv = ground_truth(module)
-        report = verify_conservation(module,
-                                     profiles=edge_profile.functions,
-                                     walk_cap=args.walk_cap)
+        report = verify_conservation(module, profiles=edge_profile.functions,
+                                     walk_cap=walk_cap)
         report.title = args.file
-        reports = [report]
-    else:
-        raise CliError("conserve needs a FILE or --suite")
+        return [report]
 
-    failed = sum(1 for report in reports if not report.ok)
-    if args.json:
-        import json
-        print(json.dumps({
-            "command": "conserve", "ok": not failed,
-            "modules": len(reports), "failed": failed,
-            "elapsed_s": round(time.time() - start, 3),
-            "reports": [r.to_dict() for r in reports],
-        }, indent=2, sort_keys=True))
-        return 1 if failed else 0
-    for report in reports:
-        for diag in report:
-            if diag.severity >= Severity.WARNING or args.verbose:
-                print(f"{report.title}: {diag.format()}")
-        if not args.quiet:
-            status = "FAIL" if not report.ok else "ok"
-            print(f"[{status}] {report.summary()}")
-    modules = len(reports)
-    print(f"conserve: {modules} module{'s' if modules != 1 else ''}: "
-          f"{modules - failed} ok, {failed} failed "
-          f"({time.time() - start:.1f}s)")
-    return 1 if failed else 0
+    return _report(args, "conserve", "module", compute)
 
 
 def cmd_match(args) -> int:
-    import time
-
     from .analysis import Severity
 
-    start = time.time()
     if args.suite or args.benchmarks:
         from .analysis import match_suite
 
-        session = _suite_session(args.cache_dir, args)
-        reports = match_suite(session, _chosen_workloads(args.benchmarks))
-        failed = sum(1 for report in reports if not report.ok)
-        if args.json:
-            import json
-            print(json.dumps({
-                "command": "match", "ok": not failed,
-                "checks": len(reports), "failed": failed,
-                "elapsed_s": round(time.time() - start, 3),
-                "reports": [r.to_dict() for r in reports],
-            }, indent=2, sort_keys=True))
-            return 1 if failed else 0
-        for report in reports:
-            for diag in report:
-                if diag.severity >= Severity.WARNING or args.verbose:
-                    print(f"{report.title}: {diag.format()}")
-            if not args.quiet:
-                status = "FAIL" if not report.ok else "ok"
-                print(f"[{status}] {report.summary()}")
-        checks = len(reports)
-        print(f"match: {checks} check{'s' if checks != 1 else ''}: "
-              f"{checks - failed} ok, {failed} failed "
-              f"({time.time() - start:.1f}s)")
-        return 1 if failed else 0
+        def compute():
+            session = build_session(cache_dir=args.cache_dir,
+                                    timeout=args.timeout,
+                                    retries=args.retries, chaos=args.chaos)
+            return match_suite(session, _chosen_workloads(args.benchmarks))
 
+        return _report(args, "match", "check", compute)
+
+    start = time.time()
     if not (args.old and args.new):
         raise CliError("match needs OLD and NEW files, or --suite")
     from .analysis import verify_match, verify_transfer
@@ -775,15 +705,7 @@ def cmd_serve(args) -> int:
     from .service import ProfilingServer, ProfilingService
 
     if args.chaos:
-        import os
-
-        from .engine import faults
-        try:
-            plan = faults.FaultPlan.from_spec(args.chaos)
-        except faults.FaultSpecError as exc:
-            raise CliError(f"--chaos: {exc}") from exc
-        os.environ[faults.ENV_VAR] = plan.to_spec()
-        faults.install_plan(plan)
+        _install_chaos(args.chaos)
 
     async def run() -> int:
         service = ProfilingService(
@@ -816,21 +738,6 @@ def cmd_serve(args) -> int:
     except KeyboardInterrupt:
         print("profiling service stopped")
         return 0
-
-
-def _add_fault_options(parser: argparse.ArgumentParser) -> None:
-    """The fault-tolerance knobs shared by the suite-driving commands."""
-    parser.add_argument("--timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="wall-clock limit per workload task when the "
-                             "session fans out; timed-out tasks retry")
-    parser.add_argument("--retries", type=int, default=2, metavar="N",
-                        help="retry budget per task before inline "
-                             "fallback (default 2)")
-    parser.add_argument("--chaos", metavar="SPEC", default="",
-                        help="deterministic fault-injection plan (or set "
-                             "REPRO_FAULTS), e.g. "
-                             "'seed=7,corrupt-write=trace:0'")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -900,11 +900,11 @@ def verify_suite(session: "ProfilingSession",
     fingerprint, making a warm suite re-run a pure cache read.
     """
     from ..engine.fingerprint import fingerprint_text
+    from ..engine.results import TECHNIQUES
     from ..workloads import SUITE
 
     chosen = list(workloads) if workloads is not None else list(SUITE)
-    techs = tuple(techniques) if techniques is not None \
-        else tuple(session.techniques)
+    techs = tuple(techniques) if techniques is not None else TECHNIQUES
     reports: list[Report] = []
     for workload in chosen:
         module = session.expand(workload, scale).module

@@ -7,8 +7,7 @@ content-addressed :class:`~repro.engine.cache.ArtifactCache` (optional
 on-disk layer for cross-process warmth) and a
 :class:`~repro.engine.parallel.ParallelRunner` that fans independent
 workloads over a process pool.  ``repro.harness`` drives everything
-through a session; the old :func:`repro.harness.run_workload` /
-:func:`repro.harness.run_suite` entry points remain as thin shims.
+through an explicit session.
 """
 
 from .cache import ArtifactCache, CacheStats, KindStats
@@ -21,7 +20,7 @@ from .parallel import (ParallelRunner, SuiteExecutionError, WorkloadTask,
                        execute_task, run_task, task_name)
 from .results import (ExecutionRecord, SuiteExecutionReport, TECHNIQUES,
                       TaskFailure, TechniqueResult, WorkloadResult)
-from .session import ProfilingSession, default_session, set_default_session
+from .session import ProfilingSession
 from .stages import (assemble_workload_result, compile_stage, expand_stage,
                      ground_truth, plan_stage, profile_stage,
                      score_technique)
@@ -35,7 +34,7 @@ __all__ = [
     "execute_task", "run_task", "task_name",
     "ExecutionRecord", "SuiteExecutionReport", "TECHNIQUES",
     "TaskFailure", "TechniqueResult", "WorkloadResult",
-    "ProfilingSession", "default_session", "set_default_session",
+    "ProfilingSession",
     "assemble_workload_result", "compile_stage", "expand_stage",
     "ground_truth", "plan_stage", "profile_stage", "score_technique",
 ]

@@ -3,7 +3,7 @@
 These are the per-benchmark dataclasses the tables and figures consume.
 They live in the engine (below the harness) so the cache, the parallel
 runner, and the study drivers can all exchange them without import
-cycles; :mod:`repro.harness.runner` re-exports them unchanged.
+cycles; :mod:`repro.harness` re-exports them unchanged.
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@ from . import faults, stages
 if TYPE_CHECKING:
     from ..analysis.transfer import TransferResult
 
-__all__ = ["ProfilingSession", "default_session", "set_default_session"]
+__all__ = ["ProfilingSession"]
 
 
 class ProfilingSession:
@@ -54,8 +54,6 @@ class ProfilingSession:
         The artifact cache; a fresh in-memory cache by default.
     jobs:
         Default process count for :meth:`run_suite` (1 = serial).
-    config / techniques / hot_threshold:
-        Session-wide defaults, overridable per call.
     backend:
         Execution backend for every machine the session's stages build
         (``None`` resolves ``REPRO_BACKEND`` / the default once, at
@@ -95,9 +93,6 @@ class ProfilingSession:
     """
 
     def __init__(self, cache: Optional[ArtifactCache] = None, jobs: int = 1,
-                 config: ProfilerConfig = DEFAULT_CONFIG,
-                 techniques: Iterable[str] = TECHNIQUES,
-                 hot_threshold: float = HOT_THRESHOLD,
                  backend: Optional[str] = None,
                  verify_plans: Optional[bool] = None,
                  timeout: Optional[float] = None, retries: int = 2,
@@ -107,9 +102,6 @@ class ProfilingSession:
 
         self.cache = cache if cache is not None else ArtifactCache()
         self.jobs = max(1, int(jobs))
-        self.config = config
-        self.techniques = tuple(techniques)
-        self.hot_threshold = hot_threshold
         self.backend = resolve_backend(backend)
         self.profilers = parse_profiler_names(tuple(profilers))
         self.profile_guided = bool(profile_guided)
@@ -266,7 +258,7 @@ class ProfilingSession:
                  config: Optional[ProfilerConfig] = None) -> str:
         """The cache fingerprint of a plan; everything derived from a
         plan (the plan itself, verifier verdicts) is keyed off this."""
-        cfg = self.config if config is None else config
+        cfg = DEFAULT_CONFIG if config is None else config
         return fingerprint_text("plan", technique,
                                 fingerprint_module(module),
                                 fingerprint_edge_profile(edge_profile),
@@ -276,7 +268,7 @@ class ProfilingSession:
              edge_profile: Optional[EdgeProfile] = None,
              config: Optional[ProfilerConfig] = None) -> ModulePlan:
         """A cached PP/TPP/PPP instrumentation plan."""
-        cfg = self.config if config is None else config
+        cfg = DEFAULT_CONFIG if config is None else config
         key = self.plan_key(technique, module, edge_profile, cfg)
         plan = self.cache.get_or_compute(
             "plan", key,
@@ -325,8 +317,8 @@ class ProfilingSession:
         """
         from ..interp import fingerprint_layouts
 
-        cfg = self.config if config is None else config
-        hot = self.hot_threshold if hot_threshold is None else hot_threshold
+        cfg = DEFAULT_CONFIG if config is None else config
+        hot = HOT_THRESHOLD if hot_threshold is None else hot_threshold
         name = label if label is not None else technique
         score_fp = (fingerprint_edge_profile(score_profile)
                     if score_profile is not None else "same")
@@ -373,9 +365,9 @@ class ProfilingSession:
                      ) -> WorkloadResult:
         """The full per-benchmark methodology, assembled from cached
         stages (and itself cached as a single artifact)."""
-        cfg = self.config if config is None else config
-        techs = self.techniques if techniques is None else tuple(techniques)
-        hot = self.hot_threshold if hot_threshold is None else hot_threshold
+        cfg = DEFAULT_CONFIG if config is None else config
+        techs = TECHNIQUES if techniques is None else tuple(techniques)
+        hot = HOT_THRESHOLD if hot_threshold is None else hot_threshold
         key = self._workload_key(workload, scale, cfg, techs, hot)
         return self.cache.get_or_compute(
             "workload", key,
@@ -426,8 +418,8 @@ class ProfilingSession:
         """Run every workload; results keyed by benchmark name, in input
         order regardless of completion order."""
         chosen = list(workloads) if workloads is not None else list(SUITE)
-        cfg = self.config if config is None else config
-        techs = self.techniques if techniques is None else tuple(techniques)
+        cfg = DEFAULT_CONFIG if config is None else config
+        techs = TECHNIQUES if techniques is None else tuple(techniques)
         jobs = self.jobs if jobs is None else max(1, int(jobs))
 
         if jobs > 1 and len(chosen) > 1:
@@ -453,9 +445,8 @@ class ProfilingSession:
 
         # Serve warm workloads from the cache first; only cold ones are
         # worth a worker process.
-        hot = self.hot_threshold
         keys = {w.name: self._workload_key(w, scale, config, techniques,
-                                           hot) for w in chosen}
+                                           HOT_THRESHOLD) for w in chosen}
         cold = [w for w in chosen
                 if not self.cache.contains("workload", keys[w.name])]
         if cold and verbose:
@@ -463,7 +454,7 @@ class ProfilingSession:
                   f"processes ...", flush=True)
         runner = ParallelRunner(jobs=jobs, disk_dir=self.cache.disk_dir,
                                 timeout=self.timeout, retries=self.retries)
-        tasks = [WorkloadTask(w, scale, config, techniques, hot,
+        tasks = [WorkloadTask(w, scale, config, techniques, HOT_THRESHOLD,
                               self.backend, self.verify_plans,
                               self.profilers, self.profile_guided)
                  for w in cold]
@@ -490,28 +481,3 @@ class ProfilingSession:
         report.cache_quarantined = self.cache.stats.corrupt
         self.last_run_report = report
         return out
-
-
-# ----------------------------------------------------------------------
-# The process-wide default session (behind the compatibility shims)
-# ----------------------------------------------------------------------
-
-_default: Optional[ProfilingSession] = None
-
-
-def default_session() -> ProfilingSession:
-    """The session the module-level compatibility shims share."""
-    global _default
-    if _default is None:
-        _default = ProfilingSession()
-    return _default
-
-
-def set_default_session(session: Optional[ProfilingSession]
-                        ) -> Optional[ProfilingSession]:
-    """Replace the default session (pass ``None`` to reset); returns the
-    previous one so callers can restore it."""
-    global _default
-    previous = _default
-    _default = session
-    return previous

@@ -1,9 +1,8 @@
 """Experiment harness: regenerates every table and figure of the paper."""
 
-from ..engine import (ArtifactCache, ParallelRunner, ProfilingSession,
-                      default_session, set_default_session)
-from .runner import (TECHNIQUES, TechniqueResult, WorkloadResult,
-                     ground_truth, run_suite, run_workload, score_technique)
+from ..engine import (TECHNIQUES, ArtifactCache, ParallelRunner,
+                      ProfilingSession, TechniqueResult, WorkloadResult,
+                      ground_truth, score_technique)
 from .tables import Table1Row, Table2Row, table1, table1_row, table2, table2_row
 from .figures import figure9, figure10, figure11, figure12
 from .ablation import (AblationRow, figure13, leave_one_out, one_at_a_time,
@@ -27,9 +26,8 @@ from .report import mean, pct, render_table
 
 __all__ = [
     "ArtifactCache", "ParallelRunner", "ProfilingSession",
-    "default_session", "set_default_session",
     "TECHNIQUES", "TechniqueResult", "WorkloadResult", "ground_truth",
-    "run_suite", "run_workload", "score_technique",
+    "score_technique",
     "Table1Row", "Table2Row", "table1", "table1_row", "table2", "table2_row",
     "figure9", "figure10", "figure11", "figure12",
     "AblationRow", "figure13", "leave_one_out", "one_at_a_time",

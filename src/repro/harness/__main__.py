@@ -13,11 +13,12 @@ cache layers; ``python -m repro cache`` manages the on-disk layer.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
-from ..engine import ArtifactCache, ProfilingSession
-from ..workloads import SUITE, get_workload
+from ..engine import ArtifactCache, ProfilingSession, faults
+from ..workloads import SUITE, Workload, get_workload
 from . import (figure9, figure10, figure11, figure12, figure13,
                hpt_table, ifconvert_table, matching_table, metrics_table,
                net_table, one_at_a_time, profiler_table, sampling_table,
@@ -31,6 +32,49 @@ EXPERIMENTS = ("table1", "table2", "fig9", "fig10", "fig11", "fig12",
 DEFAULT_CACHE_DIR = "results/.cache"
 
 
+class CliError(Exception):
+    """A user-facing error: printed as ``error: ...`` with exit status 1."""
+
+
+def _add_fault_options(parser: argparse.ArgumentParser) -> None:
+    """The fault-tolerance knobs shared by the suite-driving commands."""
+    parser.add_argument("--timeout", type=float, default=None,
+                        metavar="SECONDS",
+                        help="wall-clock limit per workload task when the "
+                             "session fans out; timed-out tasks retry")
+    parser.add_argument("--retries", type=int, default=2, metavar="N",
+                        help="retry budget per task before inline "
+                             "fallback (default 2)")
+    parser.add_argument("--chaos", metavar="SPEC", default="",
+                        help="deterministic fault-injection plan (or set "
+                             "REPRO_FAULTS), e.g. "
+                             "'seed=7,corrupt-write=trace:0'; see "
+                             "repro.engine.faults")
+
+
+def _install_chaos(spec: str) -> None:
+    """Validate a ``--chaos`` plan up front (a typo fails before any
+    work), then publish it through the environment so forked worker
+    processes observe the same plan."""
+    try:
+        plan = faults.FaultPlan.from_spec(spec)
+    except faults.FaultSpecError as exc:
+        raise CliError(f"--chaos: {exc}") from exc
+    os.environ[faults.ENV_VAR] = plan.to_spec()
+    faults.install_plan(plan)
+
+
+def _chosen_workloads(spec: str) -> list[Workload]:
+    """The ``--benchmarks`` subset (comma-separated), or the whole suite."""
+    if not spec:
+        return list(SUITE)
+    try:
+        return [get_workload(n.strip()) for n in spec.split(",")
+                if n.strip()]
+    except KeyError as exc:
+        raise CliError(exc.args[0]) from exc
+
+
 def build_session(jobs: int = 1, no_cache: bool = False,
                   cache_dir: str = DEFAULT_CACHE_DIR,
                   backend: str | None = None,
@@ -38,8 +82,12 @@ def build_session(jobs: int = 1, no_cache: bool = False,
                   timeout: float | None = None,
                   retries: int = 2,
                   profilers: tuple[str, ...] = (),
-                  profile_guided: bool = False) -> ProfilingSession:
-    """The session a CLI invocation drives everything through."""
+                  profile_guided: bool = False,
+                  chaos: str = "") -> ProfilingSession:
+    """The session a CLI invocation drives everything through; a
+    ``chaos`` spec is validated and installed first."""
+    if chaos:
+        _install_chaos(chaos)
     if no_cache:
         cache = ArtifactCache(memory=False)
     else:
@@ -90,20 +138,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="translation-validate every piece of "
                              "generated code before executing it (or set "
                              "REPRO_EQUIV=1); fails fast on a mismatch")
-    parser.add_argument("--timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="wall-clock limit per workload task under "
-                             "--jobs; timed-out tasks are retried "
-                             "(default: none)")
-    parser.add_argument("--retries", type=int, default=2, metavar="N",
-                        help="retry budget per task for timeouts, "
-                             "worker crashes, and transient errors "
-                             "(default 2); exhausted tasks run inline")
-    parser.add_argument("--chaos", metavar="SPEC", default="",
-                        help="deterministic fault-injection plan, e.g. "
-                             "'seed=7,kill-task=1,corrupt-write=trace:0' "
-                             "(or set REPRO_FAULTS); see "
-                             "repro.engine.faults")
+    _add_fault_options(parser)
     parser.add_argument("--cache-dir", metavar="DIR",
                         default=DEFAULT_CACHE_DIR,
                         help="on-disk cache directory (default "
@@ -116,38 +151,28 @@ def main(argv: list[str] | None = None) -> int:
                         help="dump all per-benchmark metrics as JSON")
     args = parser.parse_args(argv)
 
-    if args.benchmarks:
-        workloads = [get_workload(n.strip())
-                     for n in args.benchmarks.split(",") if n.strip()]
-    else:
-        workloads = SUITE
-
     if args.equiv:
         # Resolved by every Machine (including the ones worker
         # processes build), exactly like REPRO_VERIFY.
-        import os
         os.environ["REPRO_EQUIV"] = "1"
-
-    if args.chaos:
-        # Validate eagerly (a typo should fail before any work), then
-        # publish through the environment so forked worker processes
-        # observe the same plan.
-        import os
-        from ..engine import faults
-        plan = faults.FaultPlan.from_spec(args.chaos)
-        os.environ[faults.ENV_VAR] = plan.to_spec()
-        faults.install_plan(plan)
 
     from ..profilers import parse_profiler_names
     profiler_names = parse_profiler_names(args.profilers)
     if args.sparse_edges and "edges-sparse" not in profiler_names:
         profiler_names += ("edges-sparse",)
-    session = build_session(jobs=args.jobs, no_cache=args.no_cache,
-                            cache_dir=args.cache_dir, backend=args.backend,
-                            verify=True if args.verify else None,
-                            timeout=args.timeout, retries=args.retries,
-                            profilers=profiler_names,
-                            profile_guided=args.tier2)
+    try:
+        workloads = _chosen_workloads(args.benchmarks)
+        session = build_session(jobs=args.jobs, no_cache=args.no_cache,
+                                cache_dir=args.cache_dir,
+                                backend=args.backend,
+                                verify=True if args.verify else None,
+                                timeout=args.timeout, retries=args.retries,
+                                profilers=profiler_names,
+                                profile_guided=args.tier2,
+                                chaos=args.chaos)
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     start = time.time()
     if not args.quiet:

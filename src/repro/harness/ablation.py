@@ -13,13 +13,10 @@ techniques the leave-one-out view undervalues.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 from ..core import (DEFAULT_CONFIG, ProfilerConfig, ppp_config_only,
                     ppp_config_without)
-from ..engine import ProfilingSession, default_session
+from ..engine import ProfilingSession, WorkloadResult
 from .report import render_table
-from .runner import WorkloadResult
 
 TECHNIQUE_LABELS = ("SAC", "FP", "Push", "SPN", "LC")
 IMPROVEMENT_GATE = 0.05  # Section 8.3: benchmarks where PPP wins by > 5%
@@ -57,15 +54,13 @@ def select_benchmarks(results: dict[str, WorkloadResult],
 def leave_one_out(results: dict[str, WorkloadResult],
                   base: ProfilerConfig = DEFAULT_CONFIG,
                   benchmarks: list[str] | None = None,
-                  session: Optional[ProfilingSession] = None
-                  ) -> list[AblationRow]:
+                  *, session: ProfilingSession) -> list[AblationRow]:
     """Re-plan and re-run PPP with each technique disabled.
 
     Planning and scored execution go through the session: the variant
     configs key separate cache entries, while ground truth and the edge
     profile come from the shared suite artifacts.
     """
-    session = session if session is not None else default_session()
     chosen = benchmarks if benchmarks is not None \
         else select_benchmarks(results)
     rows: list[AblationRow] = []
@@ -90,7 +85,7 @@ def leave_one_out(results: dict[str, WorkloadResult],
 
 def figure13(results: dict[str, WorkloadResult],
              base: ProfilerConfig = DEFAULT_CONFIG,
-             session: Optional[ProfilingSession] = None) -> str:
+             *, session: ProfilingSession) -> str:
     rows = leave_one_out(results, base, session=session)
     headers = (["Benchmark", "PPP"]
                + [f"no {t}" for t in TECHNIQUE_LABELS])
@@ -115,10 +110,9 @@ def one_at_a_time(results: dict[str, WorkloadResult],
                   base: ProfilerConfig = DEFAULT_CONFIG,
                   techniques: tuple[str, ...] = ("LC", "SPN"),
                   benchmarks: list[str] | None = None,
-                  session: Optional[ProfilingSession] = None) -> str:
+                  *, session: ProfilingSession) -> str:
     """Section 8.3's alternative view: TPP-equivalent PPP plus exactly one
     technique, reported as overhead relative to the none-enabled config."""
-    session = session if session is not None else default_session()
     chosen = benchmarks if benchmarks is not None \
         else select_benchmarks(results)
     headers = ["Benchmark", "none"] + list(techniques)

@@ -12,9 +12,9 @@ overhead in this reproduction).
 
 from __future__ import annotations
 
+from ..engine import WorkloadResult
 from ..workloads import FP, INT
 from .report import mean, render_table
-from .runner import WorkloadResult
 
 
 def _ordered(results: dict[str, WorkloadResult]) -> list[WorkloadResult]:

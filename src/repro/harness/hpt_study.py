@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from ..core import evaluate_accuracy
 from ..core.hpt import run_hpt
+from ..engine import WorkloadResult
 from .report import render_table
-from .runner import WorkloadResult
 
 DEFAULT_GEOMETRIES = ((16, 2), (64, 4), (256, 4))  # (sets, ways)
 

@@ -13,12 +13,9 @@ executing both arms.  This study reports both sides per workload:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-from ..engine import ProfilingSession, default_session
+from ..engine import ProfilingSession, WorkloadResult
 from ..opt.ifconvert import if_convert_module
 from .report import render_table
-from .runner import WorkloadResult
 
 
 @dataclass
@@ -34,9 +31,7 @@ class IfConvertComparison:
 
 
 def compare_ifconvert(result: WorkloadResult,
-                      session: Optional[ProfilingSession] = None
-                      ) -> IfConvertComparison:
-    session = session if session is not None else default_session()
+                      session: ProfilingSession) -> IfConvertComparison:
     module = result.expanded
     converted, stats = if_convert_module(module, result.edge_profile)
     actual_after, profile_after, rv = session.trace(converted)
@@ -61,7 +56,7 @@ def compare_ifconvert(result: WorkloadResult,
 
 
 def ifconvert_table(results: dict[str, WorkloadResult],
-                    session: Optional[ProfilingSession] = None) -> str:
+                    session: ProfilingSession) -> str:
     rows = []
     for name, result in results.items():
         cmp = compare_ifconvert(result, session=session)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from typing import TextIO
 
-from .runner import WorkloadResult
+from ..engine import WorkloadResult
 from .tables import table1_row, table2_row
 
 EXPORT_VERSION = 1

@@ -32,7 +32,7 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from ..engine import ProfilingSession, default_session
+from ..engine import ProfilingSession
 from ..ir.function import Function, Module
 from ..ir.instructions import Branch, Jump
 from ..opt import cleanup_module
@@ -224,7 +224,7 @@ def _ops_per_sec(module: Module, layouts, repeats: int) -> float:
 
 
 def matching_study(workload: Workload, scale: int = 1, seed: int = 1,
-                   session: Optional[ProfilingSession] = None,
+                   *, session: ProfilingSession,
                    repeats: int = 0) -> MatchingRow:
     """Remap one workload's profile across a seeded edit and measure.
 
@@ -235,7 +235,6 @@ def matching_study(workload: Workload, scale: int = 1, seed: int = 1,
     """
     from ..interp import derive_module_layouts
 
-    session = session if session is not None else default_session()
     base = session.expand(workload, scale).baseline_module
     # Two builds of the same program under different edit seeds: blocks
     # inserted for the old build are deletions from the new build's
@@ -284,7 +283,7 @@ def matching_study(workload: Workload, scale: int = 1, seed: int = 1,
 
 
 def matching_table(workloads: list[Workload],
-                   session: Optional[ProfilingSession] = None,
+                   session: ProfilingSession,
                    scale: int = 1, seed: int = 1,
                    repeats: int = 0) -> str:
     """Render the study as the harness table."""

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..engine import WorkloadResult
 from ..profiles.metrics import HOT_THRESHOLD
 from .report import render_table
-from .runner import WorkloadResult
 
 
 @dataclass

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 from ..core import build_estimated_profile
 from ..core.net import NET_HOT_THRESHOLD, run_net
+from ..engine import WorkloadResult
 from ..profiles.metrics import HOT_THRESHOLD, actual_hot_paths
 from .report import render_table
-from .runner import WorkloadResult
 
 
 @dataclass

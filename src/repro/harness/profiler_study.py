@@ -15,9 +15,9 @@ through the session's cached profile stage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, cast
+from typing import Dict, List, cast
 
-from ..engine import ProfilingSession, WorkloadResult, default_session
+from ..engine import ProfilingSession, WorkloadResult
 from ..profilers.tripcount import Histogram, TripProfile, mean_trips
 from ..profilers.value_profile import ValueProfile, top_values
 from .report import render_table
@@ -72,10 +72,8 @@ def _trip_stats(trips: TripProfile) -> tuple[int, int, float]:
 
 
 def profiler_study(result: WorkloadResult,
-                   session: Optional[ProfilingSession] = None
-                   ) -> ProfilerStudyRow:
+                   session: ProfilingSession) -> ProfilerStudyRow:
     """Summarise one workload's value and trip-count profiles."""
-    session = session if session is not None else default_session()
     profiles = result.profiles
     if not all(name in profiles for name in STUDY_PROFILERS):
         profiles = session.profile_module(result.expanded, STUDY_PROFILERS)
@@ -90,7 +88,7 @@ def profiler_study(result: WorkloadResult,
 
 
 def profiler_table(results: Dict[str, WorkloadResult],
-                   session: Optional[ProfilingSession] = None) -> str:
+                   session: ProfilingSession) -> str:
     rows: List[List[str]] = []
     for result in results.values():
         r = profiler_study(result, session=session)

@@ -12,12 +12,9 @@ deployable in the setting the paper targets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-from ..engine import ProfilingSession, default_session
+from ..engine import ProfilingSession, WorkloadResult
 from ..profiles.sampling import sample_edge_profile
 from .report import render_table
-from .runner import WorkloadResult
 
 DEFAULT_RATES = (1.0, 0.1, 0.01)
 
@@ -34,9 +31,7 @@ class SamplingRow:
 def sampling_study(result: WorkloadResult,
                    rates: tuple[float, ...] = DEFAULT_RATES,
                    seed: int = 1,
-                   session: Optional[ProfilingSession] = None
-                   ) -> list[SamplingRow]:
-    session = session if session is not None else default_session()
+                   *, session: ProfilingSession) -> list[SamplingRow]:
     rows = []
     for rate in rates:
         profile = (result.edge_profile if rate >= 1.0
@@ -61,7 +56,7 @@ def sampling_study(result: WorkloadResult,
 
 def sampling_table(results: dict[str, WorkloadResult],
                    rates: tuple[float, ...] = DEFAULT_RATES,
-                   session: Optional[ProfilingSession] = None) -> str:
+                   *, session: ProfilingSession) -> str:
     cells = []
     for name, result in results.items():
         for row in sampling_study(result, rates, session=session):

@@ -15,9 +15,7 @@ have identical CFGs (only loop-bound constants differ).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-from ..engine import ProfilingSession, default_session
+from ..engine import ProfilingSession
 from ..profiles.serialize import (edge_profile_from_dict,
                                   edge_profile_to_dict)
 from .report import render_table
@@ -37,8 +35,7 @@ class StalenessRow:
 
 def staleness_study(workload: Workload, small_scale: int = 1,
                     big_scale: int = 2,
-                    session: Optional[ProfilingSession] = None
-                    ) -> StalenessRow:
+                    *, session: ProfilingSession) -> StalenessRow:
     """Fresh (self) advice vs stale (small-run) advice on one workload.
 
     Works on the unexpanded modules: inlining/unrolling decisions depend
@@ -46,7 +43,6 @@ def staleness_study(workload: Workload, small_scale: int = 1,
     and the profile could not transfer.  (Scale only changes loop-bound
     constants, so the unexpanded CFGs are identical.)
     """
-    session = session if session is not None else default_session()
     small_module = session.compile(workload, small_scale)
     big_module = session.compile(workload, big_scale)
     _sa, small_profile, _sr = session.trace(small_module)
@@ -74,7 +70,7 @@ def staleness_study(workload: Workload, small_scale: int = 1,
 
 
 def staleness_table(workloads: list[Workload],
-                    session: Optional[ProfilingSession] = None) -> str:
+                    session: ProfilingSession) -> str:
     rows = []
     for workload in workloads:
         r = staleness_study(workload, session=session)

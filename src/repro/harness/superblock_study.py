@@ -15,13 +15,10 @@ hot paths, so the superblocks they seed straighten the wrong code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 from ..core import build_estimated_profile, edge_profile_estimate
-from ..engine import ProfilingSession, default_session
+from ..engine import ProfilingSession, WorkloadResult
 from ..opt.superblock import form_superblocks, merge_crossings
 from .report import render_table
-from .runner import WorkloadResult
 
 
 @dataclass
@@ -48,9 +45,8 @@ class SuperblockComparison:
 
 def compare_superblocks(result: WorkloadResult, top_n: int = 12,
                         growth_budget: float = 0.5,
-                        session: Optional[ProfilingSession] = None
+                        *, session: ProfilingSession
                         ) -> SuperblockComparison:
-    session = session if session is not None else default_session()
     module = result.expanded
     baseline = merge_crossings(module, result.edge_profile)
 
@@ -92,7 +88,7 @@ def compare_superblocks(result: WorkloadResult, top_n: int = 12,
 
 def superblock_table(results: dict[str, WorkloadResult],
                      top_n: int = 12,
-                     session: Optional[ProfilingSession] = None) -> str:
+                     *, session: ProfilingSession) -> str:
     rows = []
     for name, result in results.items():
         cmp = compare_superblocks(result, top_n, session=session)

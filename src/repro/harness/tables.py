@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..engine import WorkloadResult
 from ..profiles.metrics import HOT_THRESHOLD, HOT_THRESHOLD_STRICT
 from ..workloads import FP, INT
 from .report import mean, render_table
-from .runner import WorkloadResult
 
 
 @dataclass

@@ -107,3 +107,11 @@ def small_module():
 @pytest.fixture(scope="session")
 def small_truth(small_module):
     return trace_module(small_module)
+
+
+@pytest.fixture(scope="session")
+def profiling_session():
+    """One in-memory engine session the harness and study tests share,
+    so a workload traced by one test module is a cache hit in the next."""
+    from repro.engine import ProfilingSession
+    return ProfilingSession()

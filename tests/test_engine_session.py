@@ -14,9 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine import (ArtifactCache, ParallelRunner, ProfilingSession,
-                          WorkloadTask)
-from repro.harness import figure9, run_workload, table2
+from repro.engine import (TECHNIQUES, ArtifactCache, ParallelRunner,
+                          ProfilingSession, WorkloadTask)
+from repro.harness import figure9, table2
 from repro.harness.json_export import workload_result_to_dict
 from repro.workloads import get_workload
 
@@ -34,8 +34,9 @@ def as_dict(result):
 
 @pytest.fixture(scope="module")
 def serial_baseline():
-    """Cold serial runs through the compatibility shim."""
-    return {name: run_workload(get_workload(name)) for name in NAMES}
+    """Cold serial runs through a fresh session."""
+    session = ProfilingSession()
+    return {name: session.run_workload(get_workload(name)) for name in NAMES}
 
 
 def test_warm_session_matches_cold_serial(serial_baseline):
@@ -117,7 +118,7 @@ def test_variant_config_does_not_hit_base_entries(serial_baseline):
     # The variant planned fresh (different config fingerprint) but reused
     # the module and profiles without re-tracing anything.
     assert session.cache.stats.of("technique").misses == \
-        len(session.techniques) + 1
+        len(TECHNIQUES) + 1
     assert session.cache.stats.of("trace").misses == 2  # baseline + expanded
 
 

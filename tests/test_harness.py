@@ -1,19 +1,24 @@
 """Tests for the experiment harness (runner, tables, figures, ablation)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.harness import (figure9, figure10, figure11, figure12, figure13,
-                           one_at_a_time, run_workload, select_benchmarks,
-                           table1, table1_row, table2, table2_row)
+                           one_at_a_time, select_benchmarks, table1,
+                           table1_row, table2, table2_row)
 from repro.workloads import get_workload
 
 
 @pytest.fixture(scope="module")
-def two_results():
+def two_results(profiling_session):
     """Two cheap, contrasting workloads: branchy INT + loopy FP."""
     return {
-        "twolf": run_workload(get_workload("twolf")),
-        "swim": run_workload(get_workload("swim")),
+        "twolf": profiling_session.run_workload(get_workload("twolf")),
+        "swim": profiling_session.run_workload(get_workload("swim")),
     }
 
 
@@ -83,12 +88,12 @@ class TestAblation:
         # swim has zero TPP overhead; it can never be selected.
         assert "swim" not in chosen
 
-    def test_figure13_renders(self, two_results):
-        text = figure13(two_results)
+    def test_figure13_renders(self, two_results, profiling_session):
+        text = figure13(two_results, session=profiling_session)
         assert "no SAC" in text and "no FP" in text
 
-    def test_one_at_a_time_renders(self, two_results):
-        text = one_at_a_time(two_results)
+    def test_one_at_a_time_renders(self, two_results, profiling_session):
+        text = one_at_a_time(two_results, session=profiling_session)
         assert "LC" in text and "SPN" in text
 
 
@@ -100,15 +105,45 @@ class TestCli:
         out = capsys.readouterr().out
         assert "swim" in out and "Table 2" in out
 
+    def test_unknown_benchmark_is_a_clean_error(self, capsys):
+        from repro.harness.__main__ import main
+        assert main(["table2", "--benchmarks", "nosuch", "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown workload 'nosuch'")
+        assert "Traceback" not in err
+
+    def test_bad_chaos_spec_is_a_clean_error(self, capsys):
+        from repro.harness.__main__ import main
+        assert main(["table2", "--chaos", "bogus=1", "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --chaos:") and "bogus" in err
+
+
+class TestDeterminism:
+    def test_fig12_identical_across_hash_seeds(self, tmp_path):
+        """Edge uids are assigned in creation order, so iterating a set
+        while building blocks/edges would leak hash order into plan
+        tie-breaks and overhead numbers."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        outputs = []
+        for seed in ("0", "7"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.harness", "fig12", "--quiet",
+                 "--no-cache", "--benchmarks", "mcf"],
+                cwd=tmp_path, env=env, capture_output=True, text=True,
+                check=True)
+            outputs.append(proc.stdout)
+        assert "mcf" in outputs[0]
+        assert outputs[0] == outputs[1]
+
 
 class TestScaleRobustness:
     """The headline shapes must not depend on the default workload size."""
 
-    def test_shapes_hold_at_scale_two(self):
-        from repro.harness import run_workload
-        from repro.workloads import get_workload
+    def test_shapes_hold_at_scale_two(self, profiling_session):
         for name in ("twolf", "sixtrack"):
-            r = run_workload(get_workload(name), scale=2)
+            r = profiling_session.run_workload(get_workload(name), scale=2)
             pp = r.techniques["pp"]
             tpp = r.techniques["tpp"]
             ppp = r.techniques["ppp"]

@@ -5,16 +5,16 @@ import pytest
 
 from repro.harness import (compare_net, matching_rows_to_dict,
                            matching_study, matching_table, net_table,
-                           run_workload, staleness_study,
-                           staleness_table)
+                           staleness_study, staleness_table)
 from repro.workloads import get_workload
 
 
 @pytest.fixture(scope="module")
-def contrasting():
+def contrasting(profiling_session):
+    run = profiling_session.run_workload
     return {
-        "mcf": run_workload(get_workload("mcf")),      # dominant paths
-        "crafty": run_workload(get_workload("crafty")),  # many warm paths
+        "mcf": run(get_workload("mcf")),        # dominant paths
+        "crafty": run(get_workload("crafty")),  # many warm paths
     }
 
 
@@ -36,8 +36,9 @@ class TestNetStudy:
 
 
 class TestStaleness:
-    def test_stale_advice_still_safe(self):
-        row = staleness_study(get_workload("twolf"))
+    def test_stale_advice_still_safe(self, profiling_session):
+        row = staleness_study(get_workload("twolf"),
+                              session=profiling_session)
         # Deterministic workloads with scale-invariant distributions:
         # stale advice plans nearly as well as self advice (an honest
         # robustness result, recorded in EXPERIMENTS.md).
@@ -45,15 +46,16 @@ class TestStaleness:
         assert row.stale_coverage >= row.fresh_coverage - 0.10
         assert row.stale_overhead <= row.fresh_overhead + 0.05
 
-    def test_staleness_table_renders(self):
-        text = staleness_table([get_workload("mcf")])
+    def test_staleness_table_renders(self, profiling_session):
+        text = staleness_table([get_workload("mcf")], profiling_session)
         assert "Acc stale" in text and "mcf" in text
 
 
 class TestMatchingStudy:
     @pytest.fixture(scope="class")
-    def row(self):
-        return matching_study(get_workload("mcf"))
+    def row(self, profiling_session):
+        return matching_study(get_workload("mcf"),
+                              session=profiling_session)
 
     def test_remap_recovers_most_of_the_profile(self, row):
         # The PR acceptance bar: the matcher carries >= 80% of the old
@@ -69,8 +71,8 @@ class TestMatchingStudy:
         assert row.discard_mops is None
         assert row.recovered_speedup is None
 
-    def test_table_and_json_render(self, row):
-        text = matching_table([get_workload("mcf")])
+    def test_table_and_json_render(self, row, profiling_session):
+        text = matching_table([get_workload("mcf")], profiling_session)
         assert "Retained" in text and "mcf" in text
         data = matching_rows_to_dict([row])
         assert data["schema"] == 1
@@ -127,3 +129,11 @@ class TestCli:
     def test_dot_unknown_function(self, program, capsys):
         from repro.__main__ import main
         assert main(["dot", program, "ghost"]) == 1
+
+    def test_unknown_benchmark_message_is_not_nested(self, capsys):
+        from repro.__main__ import main
+        assert main(["verify", "--benchmarks", "nosuch",
+                     "--cache-dir", ""]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown workload 'nosuch'; known: ")
+        assert err.count("unknown") == 1

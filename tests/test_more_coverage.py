@@ -116,20 +116,22 @@ class TestDiffFormatting:
 
 
 class TestHarnessVerbose:
-    def test_run_suite_verbose_prints_progress(self, capsys):
-        from repro.harness import run_suite
+    def test_run_suite_verbose_prints_progress(self, capsys,
+                                               profiling_session):
         from repro.workloads import get_workload
-        run_suite([get_workload("sixtrack")], verbose=True)
+        profiling_session.run_suite([get_workload("sixtrack")],
+                                    verbose=True)
         out = capsys.readouterr().out
         assert "running sixtrack" in out
 
 
 class TestJsonExport:
-    def test_suite_export_round_trips_through_json(self):
+    def test_suite_export_round_trips_through_json(self, profiling_session):
         import json
-        from repro.harness import run_workload, suite_to_dict
+        from repro.harness import suite_to_dict
         from repro.workloads import get_workload
-        results = {"sixtrack": run_workload(get_workload("sixtrack"))}
+        results = {"sixtrack": profiling_session.run_workload(
+            get_workload("sixtrack"))}
         data = json.loads(json.dumps(suite_to_dict(results)))
         assert data["kind"] == "ppp-repro-suite-results"
         bench = data["benchmarks"][0]
