@@ -8,7 +8,7 @@ Drives the same multi-tenant request schedule through an in-process
    payload;
 2. a **seeded chaos run** under a service-scoped
    :class:`repro.engine.faults.FaultPlan` that kills a pool worker
-   mid-job, stalls another past the supervisor's timeout, drops a
+   mid-job, stalls another past the service's task timeout, drops a
    dispatch outright, and latently corrupts a write-ahead journal
    record; and
 3. a **crash-replay run** that starts a fresh service on a journal
@@ -84,7 +84,7 @@ async def drive(journal: Path | None,
     """Run the schedule sequentially (deterministic admission ordinals)."""
     service = ProfilingService(
         jobs=jobs, shards=2, retries=3, backoff_s=0.05,
-        task_timeout=0.75, pool_retries=2, breaker_reset_s=0.5,
+        task_timeout=0.75, breaker_reset_s=0.5,
         journal_path=journal, seed=7)
     await service.start()
     responses: dict[str, ServiceResponse] = {}
@@ -240,8 +240,8 @@ def main() -> int:
                         default=REPO / "results" / "service_chaos.json",
                         help="metrics snapshot artifact path")
     parser.add_argument("--jobs", type=int, default=2,
-                        help="pool processes per dispatch (needs >= 2 "
-                             "for the kill-worker fault to bite)")
+                        help="worker processes in the service's pool "
+                             "(default 2)")
     args = parser.parse_args()
     return asyncio.run(main_async(args.out, args.jobs))
 

@@ -104,9 +104,9 @@ from .core import (build_estimated_profile, evaluate_accuracy,
                    measured_paths, plan_pp, plan_ppp, plan_tpp,
                    run_with_plan)
 from .harness import ground_truth
-from .harness.__main__ import (CliError, _add_fault_options,
-                               _chosen_workloads, _install_chaos,
-                               build_session)
+from .harness.__main__ import (DEFAULT_CACHE_DIR, CliError,
+                               _add_fault_options, _chosen_workloads,
+                               _install_chaos, build_session)
 from .interp import run_module
 from .lang import compile_source
 from .profiles import save_edge_profile
@@ -740,6 +740,18 @@ def cmd_serve(args) -> int:
         return 0
 
 
+def _add_suite_options(parser: argparse.ArgumentParser) -> None:
+    """The options every proof command shares, fault options included."""
+    parser.add_argument("--benchmarks", default="",
+                        help="comma-separated benchmark subset")
+    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
+                        help="artifact cache directory for --suite "
+                             "(empty = memory only)")
+    parser.add_argument("--json", action="store_true",
+                        help="emit one structured JSON report on stdout")
+    _add_fault_options(parser)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -801,8 +813,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="inspect or clear the artifact cache")
     p_cache.add_argument("action",
                          choices=("info", "verify", "gc", "clear"))
-    p_cache.add_argument("--dir", default="results/.cache",
-                         help="cache directory (default results/.cache)")
+    p_cache.add_argument("--dir", default=DEFAULT_CACHE_DIR,
+                         help=f"cache directory (default {DEFAULT_CACHE_DIR})")
     p_cache.set_defaults(fn=cmd_cache)
 
     p_verify = sub.add_parser(
@@ -811,23 +823,16 @@ def build_parser() -> argparse.ArgumentParser:
                           help="a MiniC file (omit with --suite)")
     p_verify.add_argument("--suite", action="store_true",
                           help="verify every workload-suite plan")
-    p_verify.add_argument("--benchmarks", default="",
-                          help="comma-separated benchmark subset")
     p_verify.add_argument("--techniques", default="pp,tpp,ppp",
                           help="comma-separated subset of pp,tpp,ppp")
     p_verify.add_argument("--path-cap", type=int, metavar="N",
                           default=None,
                           help="enumeration cap before id sampling")
-    p_verify.add_argument("--cache-dir", default="results/.cache",
-                          help="artifact cache directory for --suite "
-                               "(empty = memory only)")
-    p_verify.add_argument("--json", action="store_true",
-                          help="emit one structured JSON report on stdout")
     p_verify.add_argument("--verbose", action="store_true",
                           help="also print informational findings")
     p_verify.add_argument("--quiet", action="store_true",
                           help="only print failures and the final line")
-    _add_fault_options(p_verify)
+    _add_suite_options(p_verify)
     p_verify.set_defaults(fn=cmd_verify)
 
     p_lint = sub.add_parser(
@@ -836,23 +841,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="a MiniC file (omit with --suite)")
     p_lint.add_argument("--suite", action="store_true",
                         help="lint every expanded suite module")
-    p_lint.add_argument("--benchmarks", default="",
-                        help="comma-separated benchmark subset")
     p_lint.add_argument("--warn-synthetic", action="store_true",
                         help="keep warnings in optimizer-inserted blocks "
                              "at full severity")
     p_lint.add_argument("--strict", action="store_true",
                         help="exit nonzero on warnings, not just errors")
-    p_lint.add_argument("--cache-dir", default="results/.cache",
-                        help="artifact cache directory for --suite "
-                             "(empty = memory only)")
-    p_lint.add_argument("--json", action="store_true",
-                        help="emit one structured JSON report on stdout")
     p_lint.add_argument("--verbose", action="store_true",
                         help="also print informational findings")
     p_lint.add_argument("--quiet", action="store_true",
                         help="only print findings and the final line")
-    _add_fault_options(p_lint)
+    _add_suite_options(p_lint)
     p_lint.set_defaults(fn=cmd_lint)
 
     p_equiv = sub.add_parser(
@@ -861,8 +859,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="a MiniC file (omit with --suite)")
     p_equiv.add_argument("--suite", action="store_true",
                          help="validate every workload-suite module")
-    p_equiv.add_argument("--benchmarks", default="",
-                         help="comma-separated benchmark subset")
     p_equiv.add_argument("--passes", default="",
                          help="comma-separated subset of the optimizer "
                               "passes to validate (default: all six)")
@@ -870,16 +866,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also validate profile-guided tier-2 "
                               "codegen (layouts derived from a tier-1 "
                               "profiling pass)")
-    p_equiv.add_argument("--cache-dir", default="results/.cache",
-                         help="artifact cache directory for --suite "
-                              "(empty = memory only)")
-    p_equiv.add_argument("--json", action="store_true",
-                         help="emit one structured JSON report on stdout")
     p_equiv.add_argument("--verbose", action="store_true",
                          help="also print informational findings")
     p_equiv.add_argument("--quiet", action="store_true",
                          help="only print failures and the final line")
-    _add_fault_options(p_equiv)
+    _add_suite_options(p_equiv)
     p_equiv.set_defaults(fn=cmd_equiv)
 
     p_cons = sub.add_parser(
@@ -889,22 +880,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="a MiniC file (omit with --suite)")
     p_cons.add_argument("--suite", action="store_true",
                         help="prove a placement for every suite function")
-    p_cons.add_argument("--benchmarks", default="",
-                        help="comma-separated benchmark subset")
     p_cons.add_argument("--walk-cap", type=int, metavar="N", default=None,
                         help="entry-to-exit walk enumeration cap for the "
                              "round-trip proof (default 256)")
-    p_cons.add_argument("--cache-dir", default="results/.cache",
-                        help="artifact cache directory for --suite "
-                             "(empty = memory only)")
-    p_cons.add_argument("--json", action="store_true",
-                        help="emit one structured JSON report on stdout")
     p_cons.add_argument("--verbose", action="store_true",
                         help="also print informational findings "
                              "(per-function probe statistics)")
     p_cons.add_argument("--quiet", action="store_true",
                         help="only print failures and the final line")
-    _add_fault_options(p_cons)
+    _add_suite_options(p_cons)
     p_cons.set_defaults(fn=cmd_conserve)
 
     p_match = sub.add_parser(
@@ -917,20 +901,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_match.add_argument("--suite", action="store_true",
                          help="prove the V7xx match/transfer checks over "
                               "every suite workload")
-    p_match.add_argument("--benchmarks", default="",
-                         help="comma-separated benchmark subset")
     p_match.add_argument("--backend", **backend_kwargs)
-    p_match.add_argument("--cache-dir", default="results/.cache",
-                         help="artifact cache directory for --suite "
-                              "(empty = memory only)")
-    p_match.add_argument("--json", action="store_true",
-                         help="emit one structured JSON report on stdout")
     p_match.add_argument("--verbose", action="store_true",
                          help="also print per-block anchors and "
                               "informational findings")
     p_match.add_argument("--quiet", action="store_true",
                          help="only print failures and the final line")
-    _add_fault_options(p_match)
+    _add_suite_options(p_match)
     p_match.set_defaults(fn=cmd_match)
 
     p_serve = sub.add_parser(
@@ -941,8 +918,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="TCP port (default: an ephemeral port, "
                               "printed at startup)")
     p_serve.add_argument("--jobs", type=int, default=2,
-                         help="worker-pool processes per dispatch "
-                              "(default 2; 1 runs jobs in-process)")
+                         help="worker processes in the service's one "
+                              "long-lived pool (default 2)")
     p_serve.add_argument("--shards", type=int, default=2,
                          help="concurrent dispatcher shards (default 2)")
     p_serve.add_argument("--queue-capacity", type=int, default=64,
@@ -955,7 +932,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--journal", default="",
                          help="write-ahead journal path; replayed on "
                               "restart (default: no journal)")
-    p_serve.add_argument("--cache-dir", default="results/.cache",
+    p_serve.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                          help="artifact cache directory for workers "
                               "(empty = memory only)")
     p_serve.add_argument("--backend", **backend_kwargs)

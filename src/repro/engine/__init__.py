@@ -17,7 +17,7 @@ from .fingerprint import (CACHE_SCHEMA_VERSION, fingerprint_config,
                           fingerprint_edge_profile, fingerprint_module,
                           fingerprint_text)
 from .parallel import (ParallelRunner, SuiteExecutionError, WorkloadTask,
-                       execute_task, run_task, task_name)
+                       run_task)
 from .results import (ExecutionRecord, SuiteExecutionReport, TECHNIQUES,
                       TaskFailure, TechniqueResult, WorkloadResult)
 from .session import ProfilingSession
@@ -30,8 +30,7 @@ __all__ = [
     "CodegenFault", "DegradationEvent", "FaultPlan", "FaultSpecError",
     "CACHE_SCHEMA_VERSION", "fingerprint_config",
     "fingerprint_edge_profile", "fingerprint_module", "fingerprint_text",
-    "ParallelRunner", "SuiteExecutionError", "WorkloadTask",
-    "execute_task", "run_task", "task_name",
+    "ParallelRunner", "SuiteExecutionError", "WorkloadTask", "run_task",
     "ExecutionRecord", "SuiteExecutionReport", "TECHNIQUES",
     "TaskFailure", "TechniqueResult", "WorkloadResult",
     "ProfilingSession",

@@ -24,12 +24,13 @@ index):
 * **drop-request** -- the dispatcher silently loses the named request's
   first dispatch (a vanished work item); the service's own retry ladder
   must recover it;
-* **stall-worker** -- the named request's job sleeps past its deadline
-  the first time any process attempts it, exercising the
-  timeout-abandon-retry path;
+* **stall-worker** -- the named request's job sleeps on its first
+  attempt, past the service's ``task_timeout``, exercising the
+  timeout, replace-the-pool and retry path;
 * **kill-worker** -- the worker process executing the named request's
   first attempt dies with ``os._exit`` (pool collapse); the trigger is
-  inert outside a pool worker so an inline fallback can still complete;
+  inert outside a pool worker, so it never kills the service process
+  itself when no pool can start and jobs run in a thread;
 * **journal-corrupt** -- the Nth write-ahead journal record has its
   payload scrambled *after* the checksum is computed, so the corruption
   is latent until the journal is scanned or replayed.
@@ -264,9 +265,9 @@ def on_job_start(ordinal: int, attempt: int) -> None:
     """Service-job hook, called before a profiling job's body runs.
 
     ``ordinal`` is the request's service-wide admission ordinal and
-    ``attempt`` the supervisor's attempt number for this execution.  The
-    ``kill-worker`` trigger is inert outside a pool worker process so an
-    inline (in-parent) fallback attempt can still complete the job.
+    ``attempt`` the number of earlier service dispatches of it.  The
+    ``kill-worker`` trigger is inert outside a pool worker process, so
+    it never kills the service process itself.
     """
     import multiprocessing
 

@@ -46,11 +46,11 @@ from ..core import DEFAULT_CONFIG, ProfilerConfig
 from ..profiles.metrics import HOT_THRESHOLD
 from ..workloads import Workload
 from . import faults
-from .results import (SuiteExecutionReport, TECHNIQUES, TaskFailure,
-                      WorkloadResult)
+from .results import (ExecutionRecord, SuiteExecutionReport, TECHNIQUES,
+                      TaskFailure, WorkloadResult)
 
 __all__ = ["ParallelRunner", "SuiteExecutionError", "WorkloadTask",
-           "execute_task", "run_task", "task_name"]
+           "new_pool", "run_task"]
 
 
 class SuiteExecutionError(RuntimeError):
@@ -107,40 +107,29 @@ def run_task(task: WorkloadTask,
                                 hot_threshold=task.hot_threshold)
 
 
-def task_name(task) -> str:
-    """The display/report name of a supervised task.
-
-    :class:`WorkloadTask` is named by its workload; any other task (the
-    profiling service's jobs, test stand-ins) must carry a ``name``
-    attribute of its own.
-    """
-    workload = getattr(task, "workload", None)
-    if workload is not None:
-        return workload.name
-    return task.name
-
-
-def execute_task(task, disk_dir: Optional[str], attempt: int = 0):
-    """Run one supervised task in this process.
-
-    The supervisor accepts two task shapes: a :class:`WorkloadTask`
-    (dispatched through the module-level :func:`run_task`, which tests
-    monkeypatch) and any object with ``name`` plus
-    ``run(disk_dir, attempt) -> result`` where the result carries an
-    ``execution`` :class:`~repro.engine.results.ExecutionRecord` -- the
-    contract the profiling service's jobs implement.
-    """
-    runner = getattr(task, "run", None)
-    if runner is not None and not isinstance(task, WorkloadTask):
-        return runner(disk_dir, attempt)
-    return run_task(task, disk_dir)
-
-
 def _run_task_payload(payload: tuple[WorkloadTask, Optional[str], int, int]
                       ) -> WorkloadResult:
     task, disk_dir, index, attempt = payload
     faults.on_task_start(index, attempt)
-    return execute_task(task, disk_dir, attempt)
+    return run_task(task, disk_dir)
+
+
+def new_pool(max_workers: int) -> Optional[ProcessPoolExecutor]:
+    """A started process pool, or ``None`` when none can run here.
+
+    Probes the pool with one trivial task so sandboxes where pool
+    creation succeeds but worker spawning cannot (broken semaphores)
+    fail fast instead of on the first real task.
+    """
+    pool = None
+    try:
+        pool = ProcessPoolExecutor(max_workers=max_workers)
+        pool.submit(int).result(timeout=60)
+        return pool
+    except Exception:
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
+        return None
 
 
 class _TaskState:
@@ -157,7 +146,7 @@ class _TaskState:
 
     @property
     def name(self) -> str:
-        return task_name(self.task)
+        return self.task.workload.name
 
 
 class ParallelRunner:
@@ -178,13 +167,11 @@ class ParallelRunner:
         final inline fallback is not counted here).
     backoff:
         Base backoff delay; attempt ``n`` waits ``backoff * 2**(n-1)``.
-    always_supervise:
-        By default a single-task run with ``jobs > 1`` short-circuits to
-        the serial path (no pool is worth spawning for a suite of one).
-        The profiling service dispatches one request at a time but still
-        needs the full supervision ladder -- timeout, retries, crash
-        isolation, inline fallback -- so it sets this flag to keep even
-        singleton batches on the pool.
+
+    A single-task run short-circuits to the serial path: no pool is
+    worth spawning for a suite of one.  Only suite runs use the
+    supervisor; the profiling service keeps its own long-lived pool
+    and retry policy (:mod:`repro.service.service`).
     """
 
     _TICK = 0.05  # supervisor poll granularity (seconds)
@@ -192,13 +179,12 @@ class ParallelRunner:
     def __init__(self, jobs: int = 1,
                  disk_dir: Optional[Path | str] = None,
                  timeout: Optional[float] = None, retries: int = 2,
-                 backoff: float = 0.25, always_supervise: bool = False):
+                 backoff: float = 0.25):
         self.jobs = max(1, int(jobs))
         self.disk_dir = str(disk_dir) if disk_dir is not None else None
         self.timeout = timeout
         self.retries = max(0, int(retries))
         self.backoff = backoff
-        self.always_supervise = bool(always_supervise)
         self.report = SuiteExecutionReport()
 
     # ------------------------------------------------------------------
@@ -212,11 +198,10 @@ class ParallelRunner:
         if not tasks:
             return []
         results: dict[int, WorkloadResult] = {}
-        if self.jobs <= 1 or (len(tasks) == 1
-                              and not self.always_supervise):
+        if self.jobs <= 1 or len(tasks) == 1:
             for i, task in enumerate(tasks):
                 results[i] = self._finish(
-                    i, task, execute_task(task, self.disk_dir),
+                    i, task, run_task(task, self.disk_dir),
                     attempts=1, where="serial")
             return [results[i] for i in range(len(tasks))]
 
@@ -243,23 +228,20 @@ class ParallelRunner:
                 inline.append(i)
                 record = self._record(task)
                 record.failures.append(TaskFailure(
-                    "unpicklable", task_name(task), i, 0,
+                    "unpicklable", task.workload.name, i, 0,
                     "ad-hoc workload cannot cross a process boundary"))
                 record.degradations.append(faults.DegradationEvent(
-                    "inline-fallback", task_name(task),
+                    "inline-fallback", task.workload.name,
                     "unpicklable task runs in the parent process"))
         return pooled, inline
 
     def _run_inline(self, index: int, task: WorkloadTask,
                     attempts: int = 1) -> WorkloadResult:
-        return self._finish(
-            index, task,
-            execute_task(task, self.disk_dir, max(0, attempts - 1)),
-            attempts=attempts, where="inline")
+        return self._finish(index, task, run_task(task, self.disk_dir),
+                            attempts=attempts, where="inline")
 
-    def _record(self, task: WorkloadTask):
-        from .results import ExecutionRecord
-        name = task_name(task)
+    def _record(self, task: WorkloadTask) -> ExecutionRecord:
+        name = task.workload.name
         record = self.report.records.get(name)
         if record is None:
             record = ExecutionRecord()
@@ -283,7 +265,7 @@ class ParallelRunner:
         result.execution.where = where
         result.execution.failures = list(record.failures)
         result.execution.degradations = list(record.degradations)
-        self.report.records[task_name(task)] = result.execution
+        self.report.records[task.workload.name] = result.execution
         return result
 
     # ------------------------------------------------------------------
@@ -294,7 +276,7 @@ class ParallelRunner:
                   results: dict[int, WorkloadResult]) -> None:
         states = {i: _TaskState(i, tasks[i]) for i in pooled}
         max_workers = min(self.jobs, len(pooled))
-        pool = self._new_pool(max_workers)
+        pool = new_pool(max_workers)
         if pool is None:
             # No usable pool at all (sandbox without semaphores, fd
             # exhaustion, ...): everything runs inline, recorded.
@@ -347,19 +329,6 @@ class ParallelRunner:
             if pool is not None:
                 # Never wait on abandoned (possibly hung) attempts.
                 pool.shutdown(wait=not abandoned, cancel_futures=True)
-
-    def _new_pool(self, max_workers: int) -> Optional[ProcessPoolExecutor]:
-        pool = None
-        try:
-            pool = ProcessPoolExecutor(max_workers=max_workers)
-            # Fail fast on sandboxes where pool creation succeeds but
-            # worker spawning cannot (broken semaphores surface here).
-            pool.submit(int).result(timeout=60)
-            return pool
-        except Exception:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
-            return None
 
     def _submit_ready(self, pool: ProcessPoolExecutor,
                       states: dict[int, _TaskState], queue: list[int],
@@ -484,7 +453,7 @@ class ParallelRunner:
             if index not in queue and index not in results:
                 queue.append(index)
         pool.shutdown(wait=False, cancel_futures=True)
-        fresh = self._new_pool(max_workers)
+        fresh = new_pool(max_workers)
         if fresh is None:
             for index in list(queue):
                 state = states[index]

@@ -6,18 +6,12 @@ optimizer (Section 7.2).  This study quantifies the other direction: plan
 PPP from an edge profile collected on a *smaller* run of the same program
 (a stale profile, as an offline-advice system would have), then profile
 the full-size run with it.
-
-Profiles transfer between the two compiles through the serialization
-layer, which keys edges by block names rather than uids; the two modules
-have identical CFGs (only loop-bound constants differ).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from ..engine import ProfilingSession
-from ..profiles.serialize import (edge_profile_from_dict,
-                                  edge_profile_to_dict)
 from .report import render_table
 from ..workloads import Workload
 
@@ -49,8 +43,7 @@ def staleness_study(workload: Workload, small_scale: int = 1,
     actual, fresh_profile, _rv = session.trace(big_module)
 
     # Transfer the small run's edge profile onto the big module.
-    stale_profile = edge_profile_from_dict(
-        edge_profile_to_dict(small_profile), big_module)
+    stale_profile = session.remap_profile(small_profile, big_module).profile
 
     rows = {}
     for label, profile in (("fresh", fresh_profile),

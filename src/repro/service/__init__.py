@@ -3,7 +3,7 @@
 A long-lived, fault-tolerant, multi-tenant ingestion front-end over the
 profiling engine: bounded admission with per-tenant quotas and explicit
 backpressure, a crash-safe write-ahead journal, a circuit breaker
-around the supervised worker pool, deadline-aware retries with jittered
+around its long-lived worker pool, deadline-aware retries with jittered
 exponential backoff, and graceful degradation to conservation-repaired
 stale remaps when fresh profiling is unavailable.
 

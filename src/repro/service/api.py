@@ -3,12 +3,9 @@
 A :class:`ProfileRequest` names a tenant plus one target to profile --
 a suite workload by name, ad-hoc MiniC source, or (in-process only) an
 already-built IR :class:`~repro.ir.function.Module` -- and optionally a
-deadline.  The service turns each accepted request into a
-:class:`ProfileJob`, the picklable unit the supervised
-:class:`~repro.engine.parallel.ParallelRunner` pool executes; the job's
-:meth:`~ProfileJob.run` method implements the generic supervised-task
-contract (``name`` + ``run(disk_dir, attempt)``) that PR 5's supervisor
-dispatches alongside :class:`~repro.engine.parallel.WorkloadTask`.
+deadline.  The service turns each dispatch of an accepted request into
+a :class:`ProfileJob`, the picklable unit its worker pool executes
+through :meth:`~ProfileJob.run`.
 
 Every terminal answer is a :class:`ServiceResponse` whose ``status`` is
 one of:
@@ -28,7 +25,7 @@ in-process clients -- the rich profile objects themselves.
 from __future__ import annotations
 
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
 from ..engine import faults
@@ -106,12 +103,7 @@ class ProfileRequest:
         """A copy with a request id assigned (no-op when one is set)."""
         if self.request_id:
             return self
-        return ProfileRequest(
-            tenant=self.tenant, workload=self.workload, source=self.source,
-            module=self.module, scale=self.scale, technique=self.technique,
-            kind=self.kind, stale_profile=self.stale_profile,
-            deadline_s=self.deadline_s, allow_stale=self.allow_stale,
-            label=self.label, request_id=uuid.uuid4().hex[:12])
+        return replace(self, request_id=uuid.uuid4().hex[:12])
 
 
 @dataclass
@@ -134,19 +126,15 @@ class JobOutcome:
 
 @dataclass(frozen=True)
 class ProfileJob:
-    """The supervised-pool unit of service work (one request dispatch).
+    """The service's unit of pool work (one request dispatch).
 
-    ``ordinal`` is the request's service-wide admission ordinal (the key
-    the service-scoped chaos faults trigger on) and ``base_attempt`` the
-    number of service-level dispatches that preceded this one, so
-    first-attempt-only faults fire exactly once per request even when
-    the retry crosses dispatches rather than pool attempts.
+    ``ordinal`` is the request's service-wide admission ordinal, the key
+    the service-scoped chaos faults trigger on.
     """
 
     request: ProfileRequest
     ordinal: int
     backend: Optional[str] = None
-    base_attempt: int = 0
 
     @property
     def name(self) -> str:
@@ -169,8 +157,12 @@ class ProfileJob:
 
     def run(self, disk_dir: Optional[str],
             attempt: int = 0) -> JobOutcome:
-        """Execute the job in this process (pool worker or inline)."""
-        faults.on_job_start(self.ordinal, self.base_attempt + attempt)
+        """Execute the job in this process (pool worker or thread).
+
+        ``attempt`` counts the service's earlier dispatches of the same
+        request, so first-attempt-only faults fire once per request.
+        """
+        faults.on_job_start(self.ordinal, attempt)
         module = self.resolve_module()
         if self.request.kind == "remap":
             outcome = self._run_remap(module)

@@ -9,7 +9,7 @@ without dragging in a metrics library.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
 __all__ = ["ServiceMetrics", "TenantCounters"]
@@ -34,13 +34,7 @@ class TenantCounters:
         return self.fresh + self.degraded + self.failed
 
     def to_dict(self) -> dict[str, int]:
-        return {
-            "accepted": self.accepted, "rejected": self.rejected,
-            "fresh": self.fresh, "degraded": self.degraded,
-            "failed": self.failed, "retries": self.retries,
-            "deadline_misses": self.deadline_misses,
-            "completed": self.completed,
-        }
+        return {**asdict(self), "completed": self.completed}
 
 
 class ServiceMetrics:
@@ -76,12 +70,8 @@ class ServiceMetrics:
         return self._latency_ewma
 
     def _total(self, field: str) -> int:
-        total = 0
-        for counters in self._tenants.values():
-            value = getattr(counters, field)
-            assert isinstance(value, int)
-            total += value
-        return total
+        return sum(int(getattr(counters, field))
+                   for counters in self._tenants.values())
 
     def snapshot(self) -> dict[str, Any]:
         """The ``metrics`` endpoint's payload (JSON-able)."""

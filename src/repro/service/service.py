@@ -2,10 +2,10 @@
 
 :class:`ProfilingService` is the in-process object behind ``repro
 serve``: an asyncio ingestion front-end whose dispatcher shards pull
-admitted requests off a bounded queue and execute them on the PR 5
-supervised :class:`~repro.engine.parallel.ParallelRunner` pool.  Tests
-and embedded clients drive it directly (no sockets); the TCP JSON-lines
-wrapper lives in :mod:`repro.service.server`.
+admitted requests off a bounded queue and execute them on one
+long-lived process pool that the service owns from ``start()`` to
+``stop()``.  Tests and embedded clients drive it directly (no sockets);
+the TCP JSON-lines wrapper lives in :mod:`repro.service.server`.
 
 A request's life:
 
@@ -15,10 +15,12 @@ A request's life:
    record *before* the request is queued, so a crash cannot lose
    accepted work.
 2. **Dispatch** -- a shard pops the request and runs it on the worker
-   pool under the circuit breaker, with the request's deadline as a
-   hard wall-clock bound.  Dispatch failures (crash, timeout, chaos
-   drop) retry with seeded, jittered exponential backoff while budget
-   remains.
+   pool under the circuit breaker, bounded by the smaller of
+   ``task_timeout`` and the request's remaining deadline.  Failures
+   (worker crash, timeout, exception, chaos drop) retry with seeded,
+   jittered exponential backoff while budget remains; a crash or
+   timeout first retires the pool, so no dead or hung worker keeps a
+   slot, and the next dispatch builds a fresh one.
 3. **Degrade** -- when fresh profiling is unavailable (breaker open,
    deadline too tight or expired, retries exhausted) and the tenant has
    a previously-fresh profile for the same key, the service answers
@@ -38,16 +40,19 @@ accepted.
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 import random
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (Any, AsyncIterator, Callable, Iterable, Optional,
                     Union)
 
 from ..engine.faults import DegradationEvent
-from ..engine.parallel import ParallelRunner
+from ..engine.parallel import new_pool
 from ..engine.results import ExecutionRecord, TaskFailure
 from ..engine import faults
 from ..ir.function import Module
@@ -82,19 +87,19 @@ class _Entry:
 class ProfilingService:
     """Long-lived multi-tenant profiling front-end (see module docs).
 
-    ``executor`` lets tests substitute the whole pool layer with a
-    plain callable ``ProfileJob -> JobOutcome``; by default each
-    dispatch builds a fresh supervised :class:`ParallelRunner` (fresh so
-    an abandoned, deadline-expired dispatch can never race a later one
-    on shared supervisor state) with ``always_supervise=True`` so even
-    a single-job batch gets the full timeout/retry/rebuild ladder.
+    Every dispatch runs :meth:`ProfileJob.run` on one process pool of
+    ``jobs`` workers, built in :meth:`start` and shut down in
+    :meth:`stop`; ``task_timeout`` counts from submission to it.  When
+    no pool can start, jobs run in a thread, flagged ``pool-degraded``,
+    and a new pool is tried at most once per ``breaker_reset_s``.
+    ``executor`` lets tests replace the pool with a plain callable
+    ``ProfileJob -> JobOutcome`` (run in a thread).
     """
 
     def __init__(self, jobs: int = 2, shards: int = 2,
                  queue_capacity: int = 64, tenant_quota: int = 8,
                  retries: int = 2, backoff_s: float = 0.1,
                  task_timeout: Optional[float] = None,
-                 pool_retries: int = 1,
                  breaker_threshold: int = 3,
                  breaker_reset_s: float = 1.0,
                  min_fresh_s: float = 0.0,
@@ -110,7 +115,6 @@ class ProfilingService:
         self.retries = max(0, retries)
         self.backoff_s = backoff_s
         self.task_timeout = task_timeout
-        self.pool_retries = max(0, pool_retries)
         self.min_fresh_s = min_fresh_s
         self.journal_path = Path(journal_path) if journal_path else None
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
@@ -133,6 +137,9 @@ class ProfilingService:
         self._stale: dict[tuple[str, str], _StaleEntry] = {}
         self._ordinals = itertools.count()
         self._journal: Optional[WriteAheadJournal] = None
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool_lock = asyncio.Lock()
+        self._pool_retry_at = 0.0
         self._workers: list["asyncio.Task[None]"] = []
         self._started = False
         self._closing = False
@@ -142,11 +149,13 @@ class ProfilingService:
     # ------------------------------------------------------------------
 
     async def start(self) -> "ProfilingService":
-        """Replay the journal (if any), then start dispatcher shards."""
+        """Build the pool, replay the journal (if any), start shards."""
         if self._started:
             return self
         self._started = True
         self._closing = False
+        if self._executor is None:
+            await self._live_pool()
         if self.journal_path is not None:
             await self._replay_journal()
         self._workers = [asyncio.create_task(self._worker(),
@@ -182,6 +191,9 @@ class ProfilingService:
             worker.cancel()
         await asyncio.gather(*self._workers, return_exceptions=True)
         self._workers = []
+        if self._pool is not None:
+            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool = None
         if self._journal is not None:
             self._journal.close()
         self._started = False
@@ -215,6 +227,13 @@ class ProfilingService:
         except AdmissionError:
             self.metrics.tenant(request.tenant).rejected += 1
             raise
+        if self._journal is not None:
+            try:
+                self._journal.accept(request.request_id,
+                                     {"request": request})
+            except Exception as exc:
+                self._admission.release(request.tenant)
+                raise ServiceError(f"journal append failed: {exc}") from exc
         self.metrics.tenant(request.tenant).accepted += 1
         now = self._clock()
         future: "asyncio.Future[ServiceResponse]" = \
@@ -224,8 +243,6 @@ class ProfilingService:
             admitted_at=now, replayed=_replayed,
             deadline_at=(now + request.deadline_s
                          if request.deadline_s is not None else None))
-        if self._journal is not None:
-            self._journal.accept(request.request_id, {"request": request})
         await self._admission.push(entry)
         return future
 
@@ -290,54 +307,87 @@ class ProfilingService:
         entry.attempts += 1
         if faults.should_drop_request(entry.ordinal, attempt):
             self.breaker.record_failure()
-            entry.failures.append(TaskFailure(
-                kind="drop", task=self._subject(entry),
-                index=entry.ordinal, attempt=attempt,
-                detail="chaos: dispatch dropped"))
+            self._fail(entry, "drop", attempt, "chaos: dispatch dropped")
             await self._retry_or_degrade(entry, "dropped",
                                          "dispatch lost (chaos drop)")
             return
         job = ProfileJob(request=request, ordinal=entry.ordinal,
-                         backend=self.backend, base_attempt=attempt)
+                         backend=self.backend)
+        call = (functools.partial(self._executor, job)
+                if self._executor is not None
+                else functools.partial(job.run, self.cache_dir, attempt))
+        # Nothing awaits between fetching the pool and submitting to it.
+        pool = await self._live_pool() if self._executor is None else None
         started = self._clock()
+        if entry.deadline_at is not None:
+            remaining = entry.deadline_at - started
+        limits = [t for t in (self.task_timeout, remaining) if t is not None]
         try:
             outcome = await asyncio.wait_for(
-                asyncio.to_thread(self._execute, job), timeout=remaining)
-        except asyncio.TimeoutError:
-            self.breaker.record_failure()
-            self.metrics.tenant(request.tenant).deadline_misses += 1
-            entry.failures.append(TaskFailure(
-                kind="timeout", task=self._subject(entry),
-                index=entry.ordinal, attempt=attempt,
-                detail="request deadline elapsed mid-dispatch",
-                elapsed_s=self._clock() - started))
-            await self._finish_degraded(entry, "deadline",
-                                        "deadline elapsed mid-dispatch")
+                asyncio.get_running_loop().run_in_executor(pool, call),
+                timeout=min(limits) if limits else None)
+        except asyncio.CancelledError:
+            task = asyncio.current_task()
+            if task is None or task.cancelling():
+                raise
+            # Another attempt retired ``pool`` before this job started
+            # on it: dispatch again, spending no attempt.
+            entry.attempts -= 1
+            await self._admission.push(entry)
+            return
         except Exception as exc:
             self.breaker.record_failure()
-            entry.failures.append(TaskFailure(
-                kind="exception", task=self._subject(entry),
-                index=entry.ordinal, attempt=attempt,
-                detail=f"{type(exc).__name__}: {exc}",
-                elapsed_s=self._clock() - started))
-            await self._retry_or_degrade(
-                entry, "dispatch-failed", f"{type(exc).__name__}: {exc}")
-        else:
-            self.breaker.record_success()
-            self._finish_fresh(entry, outcome)
+            elapsed = self._clock() - started
+            timed_out = isinstance(exc, asyncio.TimeoutError)
+            if pool is not None and pool is self._pool and (
+                    timed_out or isinstance(exc, BrokenProcessPool)):
+                # A crashed pool is dead and a timed-out job may hang on
+                # to its worker: retire it, so no later job queues behind
+                # either; the next dispatch builds a fresh pool.
+                pool.shutdown(wait=False, cancel_futures=True)
+                self._pool = None
+            if timed_out and remaining == min(limits):  # the deadline's
+                self.metrics.tenant(request.tenant).deadline_misses += 1
+                detail = "deadline elapsed mid-dispatch"
+                self._fail(entry, "timeout", attempt, f"request {detail}",
+                           elapsed)
+                await self._finish_degraded(entry, "deadline", detail)
+                return
+            if timed_out:
+                kind = "timeout"
+                detail = f"exceeded task_timeout={self.task_timeout}s"
+            elif isinstance(exc, BrokenProcessPool):
+                kind, detail = "worker-crash", str(exc) or "pool collapsed"
+            else:
+                kind, detail = "exception", f"{type(exc).__name__}: {exc}"
+            self._fail(entry, kind, attempt, detail, elapsed)
+            await self._retry_or_degrade(entry, kind, detail)
+            return
+        self.breaker.record_success()
+        if self._executor is None and pool is not None:
+            outcome.execution.where = "pool"
+        elif self._executor is None:
+            outcome.execution.where = "inline"
+            outcome.execution.degradations.insert(0, DegradationEvent(
+                "pool-degraded", job.name,
+                "process pool unavailable; ran in a thread"))
+        self._finish_fresh(entry, outcome)
 
-    def _execute(self, job: ProfileJob) -> JobOutcome:
-        """Run one job to completion (called in a worker thread)."""
-        if self._executor is not None:
-            return self._executor(job)
-        runner = ParallelRunner(jobs=self.jobs, disk_dir=self.cache_dir,
-                                timeout=self.task_timeout,
-                                retries=self.pool_retries,
-                                backoff=self.backoff_s,
-                                always_supervise=True)
-        outcome = runner.run([job])[0]
-        assert isinstance(outcome, JobOutcome)
-        return outcome
+    async def _live_pool(self) -> Optional[ProcessPoolExecutor]:
+        """The current pool, built first when there is none."""
+        async with self._pool_lock:
+            if self._pool is None and self._clock() >= self._pool_retry_at:
+                self._pool = await asyncio.to_thread(new_pool, self.jobs)
+                if self._pool is None:
+                    self._pool_retry_at = (self._clock()
+                                           + self.breaker.reset_after_s)
+            return self._pool
+
+    def _fail(self, entry: _Entry, kind: str, attempt: int, detail: str,
+              elapsed_s: float = 0.0) -> None:
+        entry.failures.append(TaskFailure(
+            kind=kind, task=self._subject(entry), index=entry.ordinal,
+            attempt=attempt, detail=detail, elapsed_s=elapsed_s))
 
     async def _retry_or_degrade(self, entry: _Entry, reason: str,
                                 detail: str) -> None:
@@ -371,6 +421,7 @@ class ProfilingService:
             self._stale[(request.tenant, request.key)] = (
                 outcome.module, outcome.profile, outcome.paths)
         execution = outcome.execution
+        execution.attempts = max(1, entry.attempts)
         execution.failures = entry.failures + execution.failures
         self._annotate_replay(entry, execution)
         self.metrics.tenant(request.tenant).fresh += 1
@@ -477,17 +528,11 @@ class ProfilingService:
 
     def readyz(self) -> dict[str, Any]:
         """Readiness: will a new request be admitted right now?"""
-        ready = (self._started and not self._closing
-                 and self._admission.outstanding()
-                 < self._admission.limits.capacity)
-        reason = ""
-        if not self._started:
-            reason = "not started"
-        elif self._closing:
-            reason = "draining"
-        elif not ready:
-            reason = "at capacity"
-        return {"ready": ready, "reason": reason,
+        reason = ("not started" if not self._started
+                  else "draining" if self._closing
+                  else "at capacity" if self._admission.outstanding()
+                  >= self._admission.limits.capacity else "")
+        return {"ready": not reason, "reason": reason,
                 "outstanding": self._admission.outstanding(),
                 "capacity": self._admission.limits.capacity}
 

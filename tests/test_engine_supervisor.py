@@ -248,35 +248,9 @@ def test_late_pool_crash_preserves_completed_results(tmp_path, monkeypatch):
     assert runner.report.records["bzip2"].attempts == 1
 
 
-class GenericTask:
-    """A supervised task using the generic name+run protocol (the shape
-    the profiling service's ProfileJob uses)."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def run(self, disk_dir, attempt=0):
-        result = FakeResult(self.name, os.getpid())
-        result.attempt_seen = attempt
-        return result
-
-
-def test_generic_task_protocol_runs_supervised():
+def test_singleton_batch_runs_serially(monkeypatch):
+    # No pool is worth spawning for a suite of one.
+    _patch(monkeypatch, fake_run_task)
     runner = ParallelRunner(jobs=2, backoff=0.01)
-    out = runner.run([GenericTask("alpha"), GenericTask("beta")])
-    assert [r.name for r in out] == ["alpha", "beta"]
-    assert set(runner.report.records) == {"alpha", "beta"}
-    assert all(r.pid != os.getpid() for r in out)
-
-
-def test_always_supervise_pools_singleton_batches():
-    # The service dispatches one request at a time but still needs the
-    # full supervision ladder; without the flag a singleton short-cuts
-    # to the serial path.
-    plain = ParallelRunner(jobs=2, backoff=0.01)
-    assert plain.run([GenericTask("solo")])[0].pid == os.getpid()
-    assert plain.report.records["solo"].where == "serial"
-    supervised = ParallelRunner(jobs=2, backoff=0.01,
-                                always_supervise=True)
-    assert supervised.run([GenericTask("solo")])[0].pid != os.getpid()
-    assert supervised.report.records["solo"].where == "pool"
+    assert runner.run(_tasks("mcf"))[0].pid == os.getpid()
+    assert runner.report.records["mcf"].where == "serial"

@@ -10,15 +10,18 @@ module is shared by the whole file; the stub hands it back instantly.
 import asyncio
 import json
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.engine import faults
+from repro.engine import faults, fingerprint_module
 from repro.engine.faults import FaultPlan
 from repro.engine.results import ExecutionRecord
 from repro.harness import ground_truth
 from repro.lang import compile_source
 from repro.profiles import edge_profile_to_dict
+import repro.engine.parallel as parallel_mod
+import repro.service.service as service_mod
 from repro.service import (AdmissionError, AdmissionLimits, AdmissionQueue,
                            CircuitBreaker, JobOutcome, ProfileRequest,
                            ProfilingServer, ProfilingService, ServiceError,
@@ -526,6 +529,147 @@ class TestJournalReplay:
         assert scan.records[1].doc() == {"id": "r1", "status": "fresh"}
         assert not scan.pending()
 
+    def test_failed_journal_append_releases_the_slot(self, corpus,
+                                                     tmp_path):
+        def broken_accept(request_id, doc):
+            raise OSError("disk full")
+
+        async def scenario():
+            async with make_service(corpus, journal_path=tmp_path / "j",
+                                    queue_capacity=1) as service:
+                service._journal.accept = broken_accept
+                for rid in ("a", "b"):
+                    with pytest.raises(ServiceError,
+                                       match="journal append failed"):
+                        await service.submit(svc_request(
+                            corpus[0], request_id=rid))
+                assert service.readyz()["outstanding"] == 0
+                assert service.metrics_snapshot()["accepted"] == 0
+        asyncio.run(scenario())
+
+
+class TestServicePool:
+    """The service's one long-lived process pool, for real."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every process pool constructed while the test runs."""
+        pools = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", CountingPool)
+        return pools
+
+    def test_one_pool_replaced_once_per_fault(self, built):
+        async def run(ids):
+            async with ProfilingService(jobs=2, shards=2, executor=None,
+                                        task_timeout=1.5, backoff_s=0.01,
+                                        seed=3) as service:
+                return [await service.request(ProfileRequest(
+                    tenant="acme", workload="mcf", request_id=rid))
+                    for rid in ids]
+
+        clean = asyncio.run(run(["c0", "c1", "c2"]))
+        assert len(built) == 1
+        assert {r.status for r in clean} == {"fresh"}
+        assert {r.execution.where for r in clean} == {"pool"}
+
+        built.clear()
+        faults.install_plan(FaultPlan.from_spec(
+            "kill-worker=0,stall-worker=1:3.0"))
+        crashed, stalled = asyncio.run(run(["k0", "s1"]))
+        for response in (crashed, stalled):
+            assert response.status == "fresh" and response.attempts == 2
+            assert response.payload == clean[0].payload
+        assert [f.kind for f in crashed.execution.failures] \
+            == ["worker-crash"]
+        assert [f.kind for f in stalled.execution.failures] == ["timeout"]
+        assert len(built) == 3  # the first pool plus one per fault
+
+    def test_replacing_the_pool_requeues_other_shards_jobs(self, built):
+        # One worker, more shards than its call queue holds: retiring the
+        # stalled pool cancels the jobs still queued on it, which must be
+        # dispatched again rather than lost.
+        faults.install_plan(FaultPlan.from_spec("stall-worker=0:3.0"))
+
+        async def scenario():
+            async with ProfilingService(jobs=1, shards=5, executor=None,
+                                        task_timeout=1.0, backoff_s=0.01,
+                                        seed=3) as service:
+                stalled = await service.submit(ProfileRequest(
+                    tenant="acme", workload="mcf", request_id="r0"))
+                await asyncio.sleep(0.5)  # r0 holds the worker
+                queued = [await service.submit(ProfileRequest(
+                    tenant="acme", workload="mcf", request_id=f"r{i}"))
+                    for i in range(1, 5)]
+                return await asyncio.wait_for(
+                    asyncio.gather(stalled, *queued), 30)
+
+        responses = asyncio.run(scenario())
+        assert {r.status for r in responses} == {"fresh"}
+        assert all(r.payload == responses[0].payload for r in responses)
+        assert [f.kind for f in responses[0].execution.failures] \
+            == ["timeout"]
+
+    def test_deadline_bounded_stall_frees_the_pool(self, built):
+        # No task_timeout: only the first request's deadline bounds its
+        # stalled job, which must not keep the only worker from the next.
+        faults.install_plan(FaultPlan.from_spec("stall-worker=0:3.0"))
+
+        async def scenario():
+            async with ProfilingService(jobs=1, shards=1, executor=None,
+                                        seed=3) as service:
+                stalled = await service.request(ProfileRequest(
+                    tenant="acme", workload="mcf", request_id="s0",
+                    deadline_s=0.5))
+                started = time.monotonic()
+                after = await asyncio.wait_for(service.request(
+                    ProfileRequest(tenant="acme", workload="mcf",
+                                   request_id="n1")), 60)
+                return stalled, after, time.monotonic() - started
+
+        stalled, after, elapsed = asyncio.run(scenario())
+        assert stalled.status == "failed"
+        assert [f.kind for f in stalled.execution.failures] == ["timeout"]
+        assert after.status == "fresh" and after.execution.where == "pool"
+        assert elapsed < 2.5  # did not wait out the 3 s stall
+        assert len(built) == 2
+
+    def test_unavailable_pool_is_retried(self, monkeypatch):
+        probes = []
+
+        def flaky_new_pool(max_workers):
+            probes.append(max_workers)
+            if len(probes) == 1:
+                return None
+            return parallel_mod.new_pool(max_workers)
+
+        monkeypatch.setattr(service_mod, "new_pool", flaky_new_pool)
+
+        async def scenario():
+            async with ProfilingService(jobs=1, shards=1, executor=None,
+                                        breaker_reset_s=0.5,
+                                        seed=3) as service:
+                threaded = await service.request(ProfileRequest(
+                    tenant="acme", workload="mcf", request_id="t0"))
+                await asyncio.sleep(0.6)
+                pooled = await service.request(ProfileRequest(
+                    tenant="acme", workload="mcf", request_id="p1"))
+                return threaded, pooled
+
+        threaded, pooled = asyncio.run(scenario())
+        assert threaded.status == pooled.status == "fresh"
+        assert threaded.execution.where == "inline"
+        assert [d.kind for d in threaded.execution.degradations][0] \
+            == "pool-degraded"
+        assert pooled.execution.where == "pool"
+        assert threaded.payload == pooled.payload
+        assert len(probes) == 2
+
 
 class TestFaultSpecs:
     def test_service_fault_spec_round_trip(self):
@@ -622,7 +766,9 @@ class TestRemapRequests:
                     tenant="acme", module=edited, kind="remap",
                     stale_profile=saved, request_id="stale"))
                 assert stale.status == "fresh"
-                assert stale.profile.module is edited
+                # The pool hands back a copy of the edited module.
+                assert fingerprint_module(stale.profile.module) \
+                    == fingerprint_module(edited)
                 assert [d.kind for d in stale.execution.degradations] \
                     == ["stale-remap"]
         asyncio.run(scenario())
