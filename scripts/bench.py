@@ -13,25 +13,17 @@ the codegen cache), and writes ``BENCH_interp.json``:
       "mode": "plain",
       "workloads": {
         "mcf": {"instructions": ..., "tuple_ops_per_sec": ...,
-                 "compiled_ops_per_sec": ..., "speedup": ...,
-                 "tier2_ops_per_sec": ..., "tier2_speedup": ...,
-                 "tier2_vs_tier1": ...},          # --tier2 only
+                 "compiled_ops_per_sec": ..., "speedup": ...},
         ...
       },
       "geomean_speedup": ...,
-      "min_speedup": ...,
-      "tier2_geomean_speedup": ...,               # --tier2 only
-      "tier2_min_speedup": ...,
-      "tier2_vs_tier1_geomean": ...
+      "min_speedup": ...
     }
 
 Subsequent PRs diff this file to track the perf trajectory; CI runs
 ``--smoke --min-speedup 1.0`` as a regression gate (fail if the compiled
-backend is ever slower than the reference interpreter).  ``--tier2``
-additionally measures profile-guided tier-2 codegen (one edge-profiling
-pass plans the layouts, then the same module is re-benchmarked under
-them) and gates the tier-2/tier-1 geomean ratio at ``--tier2-min-ratio``
-(default 1.0).  ``--compare OLD.json`` diffs this run against a saved
+backend is ever slower than the reference interpreter).
+``--compare OLD.json`` diffs this run against a saved
 report and exits non-zero on any per-workload speedup regression beyond
 ``--compare-tolerance`` percent.
 
@@ -81,14 +73,12 @@ SMOKE_WORKLOADS = ("vpr", "mcf", "parser", "swim")
 
 
 def ops_per_sec(module, backend: str, repeats: int, profile: bool,
-                trace: bool, layouts: dict | None = None
-                ) -> tuple[float, int]:
+                trace: bool) -> tuple[float, int]:
     """Best-of-N interpreted ops/sec for one module on one backend."""
 
     def once() -> tuple[float, int]:
         machine = Machine(module, collect_edge_profile=profile,
-                          trace_paths=trace, backend=backend,
-                          layouts=layouts)
+                          trace_paths=trace, backend=backend)
         start = time.perf_counter()
         result = machine.run()
         elapsed = time.perf_counter() - start
@@ -104,12 +94,9 @@ def _geomean(values: list[float]) -> float:
 
 
 def run_bench(names: list[str], scale: int, repeats: int, profile: bool,
-              trace: bool, tier2: bool = False) -> dict:
-    from repro.interp import profile_and_plan
-
+              trace: bool) -> dict:
     workloads: dict[str, dict] = {}
     speedups: list[float] = []
-    tier2_speedups: list[float] = []
     for name in names:
         module = get_workload(name).compile(scale)
         rates = {backend: ops_per_sec(module, backend, repeats, profile,
@@ -123,25 +110,10 @@ def run_bench(names: list[str], scale: int, repeats: int, profile: bool,
             "compiled_ops_per_sec": round(rates["compiled"][0], 1),
             "speedup": round(speedup, 3),
         }
-        line = (f"  {name:10s} tuple {rates['tuple'][0] / 1e6:7.2f} Mops/s"
-                f"   compiled {rates['compiled'][0] / 1e6:7.2f} Mops/s   "
-                f"{speedup:5.2f}x")
-        if tier2:
-            # The self-optimization loop: one edge-profiling pass plans
-            # the layouts, then the same module runs at tier 2.
-            layouts = profile_and_plan(module, backend="compiled")
-            t2_rate, _ = ops_per_sec(module, "compiled", repeats, profile,
-                                     trace, layouts=layouts)
-            t2_speedup = t2_rate / rates["tuple"][0]
-            tier2_speedups.append(t2_speedup)
-            workloads[name]["tier2_ops_per_sec"] = round(t2_rate, 1)
-            workloads[name]["tier2_speedup"] = round(t2_speedup, 3)
-            workloads[name]["tier2_vs_tier1"] = round(
-                t2_rate / rates["compiled"][0], 3)
-            line += (f"   tier2 {t2_rate / 1e6:7.2f} Mops/s   "
-                     f"{t2_speedup:5.2f}x")
-        print(line, flush=True)
-    report = {
+        print(f"  {name:10s} tuple {rates['tuple'][0] / 1e6:7.2f} Mops/s"
+              f"   compiled {rates['compiled'][0] / 1e6:7.2f} Mops/s   "
+              f"{speedup:5.2f}x", flush=True)
+    return {
         "schema": 2,
         "scale": scale,
         "repeats": repeats,
@@ -151,12 +123,6 @@ def run_bench(names: list[str], scale: int, repeats: int, profile: bool,
         "geomean_speedup": round(_geomean(speedups), 3),
         "min_speedup": round(min(speedups), 3),
     }
-    if tier2:
-        report["tier2_geomean_speedup"] = round(_geomean(tier2_speedups), 3)
-        report["tier2_min_speedup"] = round(min(tier2_speedups), 3)
-        report["tier2_vs_tier1_geomean"] = round(
-            _geomean(tier2_speedups) / _geomean(speedups), 3)
-    return report
 
 
 def compare_reports(old: dict, new: dict, tolerance_pct: float
@@ -172,20 +138,16 @@ def compare_reports(old: dict, new: dict, tolerance_pct: float
             f"{new.get('mode')}/{new.get('scale')}")
         return problems
     floor = 1.0 - tolerance_pct / 100.0
-    keys = ("speedup", "tier2_speedup")
     for name, old_row in sorted(old.get("workloads", {}).items()):
         new_row = new.get("workloads", {}).get(name)
         if new_row is None:
             continue  # workload dropped from this run's selection
-        for key in keys:
-            if key not in old_row or key not in new_row:
-                continue
-            was, now = old_row[key], new_row[key]
-            if was > 0 and now < was * floor:
-                problems.append(
-                    f"{name}: {key} regressed {was:.3f}x -> {now:.3f}x "
-                    f"({(now / was - 1.0) * 100.0:+.1f}%, tolerance "
-                    f"-{tolerance_pct:.0f}%)")
+        was, now = old_row["speedup"], new_row["speedup"]
+        if was > 0 and now < was * floor:
+            problems.append(
+                f"{name}: speedup regressed {was:.3f}x -> {now:.3f}x "
+                f"({(now / was - 1.0) * 100.0:+.1f}%, tolerance "
+                f"-{tolerance_pct:.0f}%)")
     return problems
 
 
@@ -279,15 +241,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="with --profilers: exit non-zero unless the "
                              "edges-sparse plugin's average overhead is "
                              "strictly below dense edges counting")
-    parser.add_argument("--tier2", action="store_true",
-                        help="also benchmark profile-guided tier-2 "
-                             "codegen (layouts from a profiling pass) "
-                             "and gate tier-2 geomean >= tier-1 geomean")
-    parser.add_argument("--tier2-min-ratio", type=float, default=1.0,
-                        metavar="R",
-                        help="with --tier2: exit non-zero if the tier-2/"
-                             "tier-1 geomean ratio falls below R "
-                             "(default 1.0)")
     parser.add_argument("--compare", metavar="OLD.json", default=None,
                         help="compare this run against a previous "
                              "BENCH_interp.json; exit non-zero on any "
@@ -334,15 +287,11 @@ def main(argv: list[str] | None = None) -> int:
         old_report = json.loads(Path(args.compare).read_text())
 
     report = run_bench(names, args.scale, args.repeats,
-                       profile=args.profiled, trace=args.profiled,
-                       tier2=args.tier2)
+                       profile=args.profiled, trace=args.profiled)
     args.out = args.out or "BENCH_interp.json"
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     print(f"geomean speedup: {report['geomean_speedup']:.2f}x   "
           f"min: {report['min_speedup']:.2f}x")
-    if args.tier2:
-        print(f"tier-2 geomean: {report['tier2_geomean_speedup']:.2f}x   "
-              f"vs tier-1: {report['tier2_vs_tier1_geomean']:.3f}x")
     print(f"[written to {args.out}]")
 
     failed = False
@@ -350,12 +299,6 @@ def main(argv: list[str] | None = None) -> int:
             and report["min_speedup"] < args.min_speedup:
         print(f"FAIL: min speedup {report['min_speedup']:.2f}x is below "
               f"the required {args.min_speedup:.2f}x", file=sys.stderr)
-        failed = True
-    if args.tier2 \
-            and report["tier2_vs_tier1_geomean"] < args.tier2_min_ratio:
-        print(f"FAIL: tier-2/tier-1 geomean ratio "
-              f"{report['tier2_vs_tier1_geomean']:.3f}x is below the "
-              f"required {args.tier2_min_ratio:.2f}x", file=sys.stderr)
         failed = True
     if old_report is not None:
         problems = compare_reports(old_report, report,

@@ -11,9 +11,7 @@ profile onto the "new" build -- then writes ``BENCH_matching.json``:
       "workloads": {
         "vpr": {"block_coverage": ..., "edge_coverage": ...,
                  "retained": ..., "edge_accuracy": ...,
-                 "layout_agreement": ...,
-                 "discard_mops": ..., "remap_mops": ...,
-                 "fresh_mops": ..., "recovered_speedup": ...},
+                 "layout_agreement": ...},
         ...
       },
       "min_retained": ..., "mean_retained": ..., "mean_accuracy": ...
@@ -26,13 +24,9 @@ Gates (both default on, tunable):
 * ``--min-accuracy`` -- mean edge-flow accuracy of the remapped profile
   against the new build's own ground truth (default 0.95).
 
-Wall-clock tier-2 timing is off by default (CI runners are noisy);
-``--repeats N`` adds the discard/remap/fresh timing columns.
-
 Usage::
 
     PYTHONPATH=src python scripts/staleness_matching.py --smoke
-    PYTHONPATH=src python scripts/staleness_matching.py --repeats 3
 """
 
 from __future__ import annotations
@@ -61,8 +55,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--scale", type=int, default=1)
     parser.add_argument("--seed", type=int, default=1,
                         help="seeded-edit seed (default 1)")
-    parser.add_argument("--repeats", type=int, default=0,
-                        help="timed tier-2 runs per arm (0 = untimed)")
     parser.add_argument("--min-retained", type=float, default=0.8,
                         help="gate on mean retained fraction (default 0.8)")
     parser.add_argument("--min-accuracy", type=float, default=0.95,
@@ -84,15 +76,10 @@ def main(argv: list[str] | None = None) -> int:
     rows = []
     for name in names:
         row = matching_study(get_workload(name), scale=args.scale,
-                             seed=args.seed, session=session,
-                             repeats=args.repeats)
-        line = (f"  {name:10s} retained {row.retained * 100:5.1f}%   "
-                f"accuracy {row.edge_accuracy * 100:5.1f}%   "
-                f"layouts {row.layout_agreement * 100:3.0f}%")
-        recovered = row.recovered_speedup
-        if recovered is not None:
-            line += f"   speedup recovered {recovered * 100:.0f}%"
-        print(line, flush=True)
+                             seed=args.seed, session=session)
+        print(f"  {name:10s} retained {row.retained * 100:5.1f}%   "
+              f"accuracy {row.edge_accuracy * 100:5.1f}%   "
+              f"layouts {row.layout_agreement * 100:3.0f}%", flush=True)
         rows.append(row)
 
     report = matching_rows_to_dict(rows)

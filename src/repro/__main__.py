@@ -105,8 +105,9 @@ from .core import (build_estimated_profile, evaluate_accuracy,
                    run_with_plan)
 from .harness import ground_truth
 from .harness.__main__ import (DEFAULT_CACHE_DIR, CliError,
-                               _add_fault_options, _chosen_workloads,
-                               _install_chaos, build_session)
+                               _add_backend_option, _add_fault_options,
+                               _chosen_workloads, _install_chaos,
+                               build_session)
 from .interp import run_module
 from .lang import compile_source
 from .profiles import save_edge_profile
@@ -129,19 +130,13 @@ def _load(path: str):
 
 def cmd_run(args) -> int:
     module = _load(args.file)
-    layouts = None
-    if args.tier2:
-        from .interp import profile_and_plan
-
-        layouts = profile_and_plan(module, backend=args.backend,
-                                   max_instructions=args.max_instructions)
     if args.sparse_edges:
         from .analysis.conservation import static_placement
         from .profilers import create_profilers
         from .profilers.drive import execute_profilers
         run = execute_profilers(module, create_profilers(["edges-sparse"]),
                                 max_instructions=args.max_instructions,
-                                backend=args.backend, layouts=layouts)
+                                backend=args.backend)
         result = run.result
         counts = run.profiles["edges-sparse"]
         placements = [static_placement(func)
@@ -154,12 +149,9 @@ def cmd_run(args) -> int:
               f"{events} edge events reconstructed")
     else:
         result = run_module(module, max_instructions=args.max_instructions,
-                            backend=args.backend, layouts=layouts)
+                            backend=args.backend)
     print(f"return value: {result.return_value}")
     print(f"instructions: {result.instructions_executed}")
-    if layouts is not None:
-        promoted = ", ".join(sorted(layouts)) or "(none)"
-        print(f"tier-2 functions: {promoted}")
     return 0
 
 
@@ -514,12 +506,12 @@ def cmd_equiv(args) -> int:
                                     retries=args.retries, chaos=args.chaos)
             results = equiv_suite(session,
                                   _chosen_workloads(args.benchmarks),
-                                  passes=passes, tier2=args.tier2)
+                                  passes=passes)
         elif args.file:
             module = _load(args.file)
             results = [(args.file, label, report)
-                       for label, report in equiv_module(
-                           module, passes=passes, tier2=args.tier2)]
+                       for label, report in equiv_module(module,
+                                                         passes=passes)]
         else:
             raise CliError("equiv needs a FILE or --suite")
         return [(f"{name}/{label}", report,
@@ -758,17 +750,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Path profiling for MiniC programs (PPP / TPP / PP).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    backend_kwargs = dict(
-        choices=("compiled", "tuple"), default=None,
-        help="interpreter backend (default: $REPRO_BACKEND or compiled)")
-
     p_run = sub.add_parser("run", help="compile and execute a program")
     p_run.add_argument("file")
     p_run.add_argument("--max-instructions", type=int, default=500_000_000)
-    p_run.add_argument("--backend", **backend_kwargs)
-    p_run.add_argument("--tier2", action="store_true",
-                       help="profile first, then re-run with profile-"
-                            "guided tier-2 codegen for hot functions")
+    _add_backend_option(p_run)
     p_run.add_argument("--sparse-edges", action="store_true",
                        help="count edges only on conservation probes and "
                             "reconstruct the full edge profile afterward")
@@ -776,7 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prof = sub.add_parser("profile", help="path-profile a program")
     p_prof.add_argument("file")
-    p_prof.add_argument("--backend", **backend_kwargs)
+    _add_backend_option(p_prof)
     p_prof.add_argument("--technique", choices=("pp", "tpp", "ppp"),
                         default="ppp")
     p_prof.add_argument("--top", type=int, default=10,
@@ -862,10 +847,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_equiv.add_argument("--passes", default="",
                          help="comma-separated subset of the optimizer "
                               "passes to validate (default: all six)")
-    p_equiv.add_argument("--tier2", action="store_true",
-                         help="also validate profile-guided tier-2 "
-                              "codegen (layouts derived from a tier-1 "
-                              "profiling pass)")
     p_equiv.add_argument("--verbose", action="store_true",
                          help="also print informational findings")
     p_equiv.add_argument("--quiet", action="store_true",
@@ -901,7 +882,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_match.add_argument("--suite", action="store_true",
                          help="prove the V7xx match/transfer checks over "
                               "every suite workload")
-    p_match.add_argument("--backend", **backend_kwargs)
+    _add_backend_option(p_match)
     p_match.add_argument("--verbose", action="store_true",
                          help="also print per-block anchors and "
                               "informational findings")
@@ -935,7 +916,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                          help="artifact cache directory for workers "
                               "(empty = memory only)")
-    p_serve.add_argument("--backend", **backend_kwargs)
+    _add_backend_option(p_serve)
     _add_fault_options(p_serve)
     p_serve.set_defaults(fn=cmd_serve)
 

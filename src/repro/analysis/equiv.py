@@ -4,8 +4,8 @@ Two clients sit on top of the symbolic executor in
 :mod:`repro.analysis.symexec`:
 
 **Codegen validation** (:func:`check_function_codegen`,
-:func:`check_generated`) proves, per sealed function x observation mode
-x layout plan, that the Python source
+:func:`check_generated`) proves, per sealed function x observation mode,
+that the Python source
 :func:`repro.interp.codegen.generate_source` emitted is equivalent to
 the IR it was generated from.  The generated module is parsed back (via
 :mod:`ast`) into per-segment *leaf paths* -- one per branch combination
@@ -18,17 +18,8 @@ edge counts, hooks, path-trace events), the final register state, every
 branch decision's condition term, the billed cost, and the terminal
 (trampoline bounce, native ``continue``, call tuple, or frame return).
 
-Tier-2 layouts are covered by the same proof: inverted hot-arm branches
-(``if not <cond>:``) unwrap to the identical condition term with the
-decision negated, cold-block bounces are just trampoline gotos, and
-register localization is modelled with a separate symbolic environment
-for the ``_rK`` locals -- at every ``return`` exit the *slot* state
-(``frame.regs`` after the write-back block) must match the IR, so a
-missing or wrong write-back is an E104, while at a native ``continue``
-the locals-over-slots merged view must match (locals legitimately stay
-ahead of ``frame.regs`` across iterations).  A hook call fused into a
-localized segment is rejected outright (E101): hooks observe
-``frame.regs`` mid-segment, which localization would show stale.
+Registers appear only as ``regs[K]`` subscripts and branches only as
+``if regs[K]:``; any other register or branch shape is an E101.
 
 **Pass validation** (:func:`check_pass`, :func:`apply_pass`) checks a
 per-pass simulation relation between the pre- and post-transform CFGs of
@@ -64,7 +55,6 @@ E207  ERROR    pass dropped a function from the module
 from __future__ import annotations
 
 import ast
-import re
 import weakref
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
@@ -213,9 +203,6 @@ class _GenPath:
     cost: int
     terminal: tuple[object, ...]
     regs: dict[int, Term]
-    # Localized `_rK` locals at path end (tier-2 segments only); None
-    # when the segment is not localized.
-    locals: Optional[dict[int, Term]] = None
 
 
 _AST_BIN = {
@@ -244,20 +231,6 @@ def _reg_slot(node: ast.expr) -> Optional[int]:
             and isinstance(node.slice, ast.Constant)
             and isinstance(node.slice.value, int)):
         return node.slice.value
-    return None
-
-
-# Localized register locals are exactly `_r<slot>`; the pattern is
-# anchored so `_rv` (the traced return value) never matches.
-_LOCAL_RE = re.compile(r"_r(\d+)\Z")
-
-
-def _local_slot(node: ast.expr) -> Optional[int]:
-    """The K of a localized ``_rK`` name, else None."""
-    if isinstance(node, ast.Name):
-        match = _LOCAL_RE.fullmatch(node.id)
-        if match is not None:
-            return int(match.group(1))
     return None
 
 
@@ -309,23 +282,13 @@ class _SegmentParser:
 
     def __init__(self, func: Function, module: Module, spec: ModeSpec,
                  result: CodegenResult, factory: TermFactory,
-                 local_arrays: dict[str, str],
-                 localized: Optional[set[int]] = None,
-                 dirty: Optional[set[int]] = None):
+                 local_arrays: dict[str, str]):
         self.func = func
         self.module = module
         self.spec = spec
         self.result = result
         self.factory = factory
         self.local_arrays = local_arrays  # mangled _lK -> IR array name
-        # Slots this segment promoted to `_rK` locals (tier-2), or None.
-        self.localized = localized
-        # Localized slots assigned on *some* leaf path of the segment:
-        # after a native `continue` their local may legitimately be
-        # ahead of `frame.regs`, so their local and slot start from
-        # *distinct* symbolic inputs -- only an explicit write-back can
-        # reconcile them, which is exactly the proof obligation.
-        self.dirty = dirty or set()
 
     def _fresh_state(self) -> SymState:
         fact = self.factory
@@ -335,17 +298,6 @@ class _SegmentParser:
                  ) -> _GenPath:
         fact = self.factory
         state = self._fresh_state()
-        # Localized locals start at their prologue-loaded slot values --
-        # except dirty slots, whose local is an independent input (the
-        # slot may be stale after a continue; see __init__).  Body
-        # reads/writes of `_rK` go through this env while the slot env
-        # only changes at explicit `regs[K] = ...` write-backs.
-        local_env: dict[int, Term] = {}
-        if self.localized:
-            for slot in self.localized:
-                local_env[slot] = (fact.input(("lreg", slot))
-                                   if slot in self.dirty
-                                   else state.get(slot))
         ops: list[tuple[object, ...]] = []
         decisions: list[tuple[Term, bool]] = []
         cost = 0
@@ -357,12 +309,6 @@ class _SegmentParser:
             slot = _reg_slot(node)
             if slot is not None:
                 return state.get(slot)
-            lslot = _local_slot(node)
-            if lslot is not None:
-                if lslot not in local_env:
-                    raise _Unrecognized(
-                        f"read of _r{lslot} without a prologue load")
-                return local_env[lslot]
             if isinstance(node, ast.Constant):
                 if isinstance(node.value, (int, float)):
                     return fact.const(node.value)
@@ -484,13 +430,6 @@ class _SegmentParser:
                 if isinstance(target, ast.Subscript):
                     do_store(target, node.value)
                     return
-                lslot = _local_slot(target)
-                if lslot is not None:
-                    if not self.localized or lslot not in self.localized:
-                        raise _Unrecognized(
-                            f"write to _r{lslot} without a prologue load")
-                    local_env[lslot] = eval_expr(node.value)
-                    return
                 if isinstance(target, ast.Name) and target.id == "_p":
                     pending_flush = True
                     return
@@ -524,14 +463,6 @@ class _SegmentParser:
                 if isinstance(call.func, ast.Name):
                     name = call.func.id
                     if name.startswith("_h"):
-                        if self.localized:
-                            # Hooks observe frame.regs mid-segment;
-                            # a localized segment would show them stale
-                            # locals.  The emitter must re-emit such
-                            # segments slot-in-place.
-                            raise _Unrecognized(
-                                "edge hook fused into a localized "
-                                "segment")
                         ops.append(("hook", int(name[2:])))
                         return
                     if name == "_pl":
@@ -582,31 +513,17 @@ class _SegmentParser:
 
         for event in events:
             if event[0] == "decision":
-                test, taken = event[1], bool(event[2])
-                if (isinstance(test, ast.UnaryOp)
-                        and isinstance(test.op, ast.Not)):
-                    # Tier-2 hot-arm inversion: `if not <cond>:` decides
-                    # the same condition with the arms swapped.
-                    test, taken = test.operand, not taken
-                slot = _reg_slot(test)
-                if slot is not None:
-                    term = state.get(slot)
-                else:
-                    lslot = _local_slot(test)
-                    if lslot is None or lslot not in local_env:
-                        raise _Unrecognized(
-                            "branch on a non-register test")
-                    term = local_env[lslot]
-                decisions.append((term, taken))
+                slot = _reg_slot(event[1])
+                if slot is None:
+                    raise _Unrecognized("branch on a non-register test")
+                decisions.append((state.get(slot), bool(event[2])))
             else:
                 do_stmt(event[1])
 
         if terminal is None:
             raise _Unrecognized("leaf path without terminal")
         return _GenPath(ops=ops, decisions=decisions, cost=cost,
-                        terminal=terminal, regs=dict(state.regs),
-                        locals=(dict(local_env)
-                                if self.localized else None))
+                        terminal=terminal, regs=dict(state.regs))
 
 
 class _CodegenChecker:
@@ -647,7 +564,7 @@ class _CodegenChecker:
                 + (f" probes={len(self.spec.probes)}"
                    if self.spec.probes is not None else ""))
         try:
-            seg_defs, local_maps, localized_sets = self._parse_module()
+            seg_defs, local_maps = self._parse_module()
         except _Unrecognized as exc:
             self.context = f"[{mode}]"
             self.fail("E101", str(exc))
@@ -658,18 +575,17 @@ class _CodegenChecker:
                               f"call boundaries imply "
                               f"{len(self.segments)}")
             return
-        for seg_id, (body, local_map, localized) in enumerate(
-                zip(seg_defs, local_maps, localized_sets)):
+        for seg_id, (body, local_map) in enumerate(zip(seg_defs,
+                                                       local_maps)):
             bname, start = self.segments[seg_id]
             self.context = f"[{mode}] _seg_{seg_id} ({bname!r}+{start})"
             try:
-                self._check_segment(seg_id, body, local_map, localized)
+                self._check_segment(seg_id, body, local_map)
             except _Unrecognized as exc:
                 self.fail("E101", str(exc))
 
     def _parse_module(self) -> tuple[list[list[ast.stmt]],
-                                     list[dict[str, str]],
-                                     list[Optional[set[int]]]]:
+                                     list[dict[str, str]]]:
         tree = ast.parse(self.result.source)
         if (len(tree.body) != 1
                 or not isinstance(tree.body[0], ast.FunctionDef)):
@@ -677,31 +593,18 @@ class _CodegenChecker:
         make = tree.body[0]
         bodies: list[list[ast.stmt]] = []
         local_maps: list[dict[str, str]] = []
-        localized_sets: list[Optional[set[int]]] = []
         for node in make.body:
             if not isinstance(node, ast.FunctionDef):
                 continue
             if node.name != f"_seg_{len(bodies)}":
                 raise _Unrecognized(f"unexpected segment {node.name!r}")
             local_map: dict[str, str] = {}
-            localized: Optional[set[int]] = None
             loop: Optional[ast.While] = None
             for stmt in node.body:
                 if (isinstance(stmt, ast.Assign)
                         and len(stmt.targets) == 1
                         and isinstance(stmt.targets[0], ast.Name)
                         and isinstance(stmt.value, ast.Subscript)):
-                    reg = _reg_slot(stmt.value)
-                    if reg is not None:
-                        # `_rN = regs[N]` -- the localization prologue.
-                        if stmt.targets[0].id != f"_r{reg}":
-                            raise _Unrecognized(
-                                f"prologue loads regs[{reg}] into "
-                                f"{stmt.targets[0].id!r}")
-                        if localized is None:
-                            localized = set()
-                        localized.add(reg)
-                        continue
                     # `_lK = frame.arrays['name']`
                     key = stmt.value.slice
                     if not (isinstance(key, ast.Constant)
@@ -716,41 +619,22 @@ class _CodegenChecker:
                 raise _Unrecognized("segment without while-loop wrapper")
             bodies.append(list(loop.body))
             local_maps.append(local_map)
-            localized_sets.append(localized)
-        return bodies, local_maps, localized_sets
+        return bodies, local_maps
 
     # -- one segment ----------------------------------------------------
 
     def _check_segment(self, seg_id: int, body: list[ast.stmt],
-                       local_map: dict[str, str],
-                       localized: Optional[set[int]]) -> None:
-        dirty: set[int] = set()
-        if localized:
-            for stmt in body:
-                for node in ast.walk(stmt):
-                    if (isinstance(node, ast.Assign)
-                            and len(node.targets) == 1):
-                        slot = _local_slot(node.targets[0])
-                        if slot is not None:
-                            dirty.add(slot)
+                       local_map: dict[str, str]) -> None:
         parser = _SegmentParser(self.func, self.module, self.spec,
-                                self.result, self.factory, local_map,
-                                localized, dirty)
+                                self.result, self.factory, local_map)
         for events in _leaf_paths(body, ()):
-            gen = parser.evaluate(events)
-            self._replay(seg_id, gen, dirty)
+            self._replay(seg_id, parser.evaluate(events))
 
-    def _replay(self, seg_id: int, gen: _GenPath,
-                dirty: Optional[set[int]] = None) -> None:
+    def _replay(self, seg_id: int, gen: _GenPath) -> None:
         """Symbolically execute the IR along ``gen``'s decisions, driven
         by its billed cost, and compare every channel."""
         fact = self.factory
-        dirty_set = dirty or set()
-        # The IR executes over the *effective* register state: for a
-        # dirty localized slot that is the local's input, not the
-        # (possibly stale) frame slot.
-        state = SymState(fact, lambda key: fact.input(
-            ("lreg", key) if key in dirty_set else ("slot", key)))
+        state = SymState(fact, lambda key: fact.input(("slot", key)))
         ops: list[tuple[object, ...]] = []
         executor = IRSymbolicExecutor(
             self.func, self.module, state, ops,
@@ -786,8 +670,7 @@ class _CodegenChecker:
                 dst = slots[instr.dst] if instr.dst is not None else None
                 expected = ("call", instr.func, args, dst,
                             self.range_seg[(block, idx + 1)])
-                self._finish(gen, ops, state, expected, taken_decisions,
-                             dirty_set)
+                self._finish(gen, ops, state, expected, taken_decisions)
                 return
             if isinstance(instr, Ret):
                 if remaining:
@@ -803,7 +686,7 @@ class _CodegenChecker:
                     if spec.listener:
                         ops.append(("listener", self.func.name))
                 self._finish(gen, ops, state, ("ret", value),
-                             taken_decisions, dirty_set)
+                             taken_decisions)
                 return
             if isinstance(instr, Jump):
                 target = instr.target
@@ -861,13 +744,13 @@ class _CodegenChecker:
                                       f"ends with {gen.terminal[0]!r}")
                     return
                 self._finish(gen, ops, state, gen.terminal,
-                             taken_decisions, dirty_set)
+                             taken_decisions)
                 return
             block, idx = target, 0
 
     def _finish(self, gen: _GenPath, ops: list[tuple[object, ...]], state: SymState,
-                expected_terminal: tuple[object, ...], used_decisions: int,
-                dirty: frozenset[int] | set[int] = frozenset()) -> None:
+                expected_terminal: tuple[object, ...],
+                used_decisions: int) -> None:
         if used_decisions != len(gen.decisions):
             self.fail("E103", f"generated path decides "
                               f"{len(gen.decisions)} branches, IR path "
@@ -886,24 +769,9 @@ class _CodegenChecker:
                               f"generated [{_fmt_ops(gen.ops)}], IR "
                               f"[{_fmt_ops(ops)}]")
             return
-        gen_regs = gen.regs
-        if gen.locals is not None and gen.terminal == ("continue",):
-            # The segment spins without writing back: going forward the
-            # locals *are* the localized slots' state, so the IR must
-            # match the locals-over-slots merged view.  At every other
-            # terminal frame.regs is handed back to the trampoline and
-            # the slot state alone must match -- a dropped write-back
-            # leaves the slot at its stale input and fails here.
-            gen_regs = dict(gen.regs)
-            gen_regs.update(gen.locals)
-        # Dirty (localized-and-written) slots are compared even when
-        # neither side's map mentions them on this leaf path: a dropped
-        # write-back leaves the frame slot at its stale input while the
-        # IR sees the local's value, and that divergence must surface
-        # even on paths that never touch the slot themselves.
-        for key in set(gen_regs) | set(state.regs) | set(dirty):
+        for key in set(gen.regs) | set(state.regs):
             mine = state.get(key)
-            theirs = gen_regs.get(key)
+            theirs = gen.regs.get(key)
             if theirs is None:
                 theirs = state.factory.input(("slot", key))
             if mine is not theirs:
@@ -929,11 +797,9 @@ def _fmt_terminal(terminal: tuple[object, ...]) -> str:
 
 def check_function_codegen(func: Function, module: Module,
                            modes: Optional[Sequence[ModeSpec]] = None,
-                           report: Optional[Report] = None,
-                           layout: Optional[object] = None) -> Report:
+                           report: Optional[Report] = None) -> Report:
     """Validate one sealed function's generated code under ``modes``
-    (default: the :func:`standard_modes` lattice), optionally at tier 2
-    under ``layout``."""
+    (default: the :func:`standard_modes` lattice)."""
     if report is None:
         report = Report(title=f"codegen equivalence: {func.name}")
     if _is_irreducible(func.cfg):
@@ -943,23 +809,19 @@ def check_function_codegen(func: Function, module: Module,
                     "skipped", function=func.name))
         return report
     for spec in (modes if modes is not None else standard_modes(func)):
-        result = generate_source(func, module, spec, layout)
+        result = generate_source(func, module, spec)
         _CodegenChecker(func, module, spec, result, report).run()
     return report
 
 
 def check_module_codegen(module: Module,
-                         modes: Optional[Sequence[ModeSpec]] = None,
-                         layouts: Optional[dict] = None) -> Report:
-    """Validate every sealed function of ``module`` (at tier 2 for
-    functions with an entry in ``layouts``)."""
-    tier = " [tier2]" if layouts else ""
-    report = Report(title=f"codegen equivalence: {module.name}{tier}")
-    for name, func in module.functions.items():
+                         modes: Optional[Sequence[ModeSpec]] = None
+                         ) -> Report:
+    """Validate every sealed function of ``module``."""
+    report = Report(title=f"codegen equivalence: {module.name}")
+    for func in module.functions.values():
         if func.sealed:
-            check_function_codegen(
-                func, module, modes, report,
-                layout=layouts.get(name) if layouts else None)
+            check_function_codegen(func, module, modes, report)
     return report
 
 
@@ -1023,22 +885,19 @@ def check_profiler_codegen(module: Module, profilers: Sequence[object]
 
 
 # The runtime fail-fast hook: Machine(validate_codegen=True) routes every
-# compiled (function, mode, layout) through here exactly once per process.
+# compiled (function, mode) through here exactly once per process.
 _VALIDATED: "weakref.WeakKeyDictionary[Function, set]" = \
     weakref.WeakKeyDictionary()
 
 
 def check_generated(func: Function, module: Module, spec: ModeSpec,
-                    result: CodegenResult,
-                    layout: Optional[object] = None) -> None:
-    """Validate ``result`` (already generated for ``func`` x ``spec``
-    x ``layout``) and raise :class:`CodegenValidationError` on any
-    error.  Verdicts are cached per function x mode x layout, so
-    steady-state reruns are free."""
+                    result: CodegenResult) -> None:
+    """Validate ``result`` (already generated for ``func`` x ``spec``)
+    and raise :class:`CodegenValidationError` on any error.  Verdicts
+    are cached per function x mode, so steady-state reruns are free."""
     key = (spec.profile, spec.trace, spec.listener,
            tuple(sorted(spec.hook_edges)),
-           None if spec.probes is None else tuple(sorted(spec.probes)),
-           layout)
+           None if spec.probes is None else tuple(sorted(spec.probes)))
     done = _VALIDATED.setdefault(func, set())
     if key in done:
         return
@@ -1460,24 +1319,17 @@ def _check_pass_function(pass_name: str, pre_func: Function,
 def equiv_module(module: Module,
                  passes: Sequence[str] = PASS_NAMES,
                  limits: ExploreLimits = DEFAULT_LIMITS,
-                 codegen: bool = True,
-                 tier2: bool = False
+                 codegen: bool = True
                  ) -> list[tuple[str, Report]]:
-    """Run both clients over one module: the codegen lattice (tier 1,
-    plus the profile-guided tier 2 when ``tier2``) and the requested
-    optimizer passes (fed by a tuple-backend ground-truth trace).
+    """Run both clients over one module: the codegen lattice and the
+    requested optimizer passes (fed by a tuple-backend ground-truth
+    trace).
     Returns ``[(label, report), ...]``."""
     from ..engine.stages import ground_truth
 
     reports: list[tuple[str, Report]] = []
     if codegen:
         reports.append(("codegen", check_module_codegen(module)))
-    if tier2:
-        from ..interp.profile_guided import profile_and_plan
-
-        layouts = profile_and_plan(module, backend="tuple")
-        reports.append(("codegen-tier2",
-                        check_module_codegen(module, layouts=layouts)))
     if passes:
         path_profile, edge_profile, _rv = ground_truth(module,
                                                        backend="tuple")
@@ -1492,12 +1344,11 @@ def equiv_module(module: Module,
 def equiv_suite(session: "ProfilingSession",
                 workloads: Iterable["Workload"],
                 passes: Sequence[str] = PASS_NAMES,
-                limits: ExploreLimits = DEFAULT_LIMITS,
-                tier2: bool = False
+                limits: ExploreLimits = DEFAULT_LIMITS
                 ) -> list[tuple[str, str, Report]]:
     """Run :func:`equiv_module` over a workload suite, caching each
     workload's verdicts in the session's artifact cache (keyed by module
-    fingerprint, pass list, budget, and tier selection)."""
+    fingerprint, pass list, and budget)."""
     from ..engine.fingerprint import fingerprint_module, fingerprint_text
 
     out: list[tuple[str, str, Report]] = []
@@ -1505,10 +1356,10 @@ def equiv_suite(session: "ProfilingSession",
         module = session.compile(workload)
         key = fingerprint_text(
             "equiv", fingerprint_module(module), ",".join(passes),
-            repr(limits), "tier2" if tier2 else "tier1")
+            repr(limits))
         reports = session.cache.get_or_compute(
             "equiv", key,
-            lambda m=module: equiv_module(m, passes, limits, tier2=tier2))
+            lambda m=module: equiv_module(m, passes, limits))
         for label, report in reports:
             out.append((workload.name, label, report))
     return out

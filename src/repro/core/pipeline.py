@@ -329,15 +329,13 @@ def run_with_plan(plan: ModulePlan, args: tuple = (),
                   cost_model: CostModel = DEFAULT_COSTS,
                   max_instructions: int = 500_000_000,
                   backend: str | None = None,
-                  profilers: tuple[str, ...] = (),
-                  layouts: dict | None = None) -> ProfileRun:
+                  profilers: tuple[str, ...] = ()) -> ProfileRun:
     """Execute the module's main with the plan's instrumentation attached.
 
     The plan's path counters run as the plan-bound ``path`` plugin;
     ``profilers`` names any extra registered profilers to fuse into the
     same execution (their ops share edge hooks with the plan's and bill
     the same cost counter, so overhead measured here includes them).
-    ``layouts`` selects profile-guided tier-2 codegen per function.
     """
     # Imported lazily: repro.profilers imports this module for the plan
     # types, so a top-level import would be circular.
@@ -348,7 +346,7 @@ def run_with_plan(plan: ModulePlan, args: tuple = (),
     run = execute_profilers(
         plan.module, [path, *create_profilers(profilers)], args=args,
         cost_model=cost_model, max_instructions=max_instructions,
-        backend=backend, layouts=layouts)
+        backend=backend)
     stores = dict(run.profiles.pop(PathPlanProfiler.name))
     return ProfileRun(plan, run.result, stores, profiles=run.profiles)
 

@@ -13,9 +13,7 @@ engine's components check for at well-defined points:
   so the corruption is latent until the entry is read back;
 * **codegen-fail** -- generating compiled-backend code for the named IR
   function raises :class:`CodegenFault`, forcing the per-function
-  tuple-loop fallback.  ``codegen-fail=NAME@2`` scopes the fault to the
-  profile-guided tier only, which forces a tier-2 -> tier-1 demotion
-  instead (the next rung of the degradation ladder).
+  tuple-loop fallback.
 
 Service-scoped faults (consumed by :mod:`repro.service`, keyed by a
 request's service-wide admission ordinal rather than a batch-local task
@@ -81,9 +79,8 @@ class DegradationEvent:
     """One graceful-degradation decision taken instead of crashing.
 
     Kinds: ``codegen-fallback`` (a function runs on the tuple loop),
-    ``tier2-fallback`` (a function's profile-guided codegen failed and
-    it was regenerated at tier 1), ``inline-fallback`` (a task ran in
-    the parent after pool retries or because it cannot be pickled),
+    ``inline-fallback`` (a task ran in the parent after pool retries or
+    because it cannot be pickled),
     ``pool-degraded`` (the pool itself was unusable),
     ``cache-quarantine`` (a corrupt cache entry was renamed aside and
     recomputed), ``stale-remap`` (the profiling service answered with a
@@ -118,7 +115,6 @@ class FaultPlan:
     corrupt_kind: Optional[str] = None   # artifact kind to corrupt
     corrupt_nth: int = 0                 # which write of that kind
     codegen_fail: Optional[str] = None   # IR function name
-    codegen_fail_tier: Optional[int] = None  # restrict to one tier (2)
     # Service-scoped faults, keyed by a request's admission ordinal.
     drop_request: Optional[int] = None   # dispatch silently lost once
     stall_job: Optional[int] = None      # job sleeps on its first attempt
@@ -156,10 +152,11 @@ class FaultPlan:
                     kwargs["corrupt_kind"] = kind
                     kwargs["corrupt_nth"] = int(nth) if nth else 0
                 elif key == "codegen-fail":
-                    name, _, tier = value.partition("@")
-                    kwargs["codegen_fail"] = name
-                    if tier:
-                        kwargs["codegen_fail_tier"] = int(tier)
+                    if "@" in value:
+                        raise FaultSpecError(
+                            "codegen-fail takes a bare function name, "
+                            f"got {value!r}")
+                    kwargs["codegen_fail"] = value
                 elif key == "drop-request":
                     kwargs["drop_request"] = int(value)
                 elif key == "stall-worker":
@@ -192,9 +189,7 @@ class FaultPlan:
             parts.append(f"corrupt-write={self.corrupt_kind}:"
                          f"{self.corrupt_nth}")
         if self.codegen_fail is not None:
-            suffix = (f"@{self.codegen_fail_tier}"
-                      if self.codegen_fail_tier is not None else "")
-            parts.append(f"codegen-fail={self.codegen_fail}{suffix}")
+            parts.append(f"codegen-fail={self.codegen_fail}")
         if self.drop_request is not None:
             parts.append(f"drop-request={self.drop_request}")
         if self.stall_job is not None:
@@ -334,17 +329,12 @@ def corrupt_cache_payload(kind: str, payload: bytes) -> bytes:
     return payload[:start] + flipped + payload[start + len(window):]
 
 
-def maybe_fail_codegen(func_name: str, tier: int = 1) -> None:
-    """Raise :class:`CodegenFault` when the plan names this function
-    (and, for a tier-scoped fault, this generation tier)."""
+def maybe_fail_codegen(func_name: str) -> None:
+    """Raise :class:`CodegenFault` when the plan names this function."""
     plan = current_plan()
     if plan is not None and plan.codegen_fail == func_name:
-        if (plan.codegen_fail_tier is not None
-                and plan.codegen_fail_tier != tier):
-            return
         raise CodegenFault(
-            f"injected codegen failure for function {func_name!r} "
-            f"at tier {tier}")
+            f"injected codegen failure for function {func_name!r}")
 
 
 # ----------------------------------------------------------------------

@@ -81,8 +81,6 @@ class WorkloadTask:
     verify_plans: bool = False
     # Extra registry profilers to run alongside the pipeline (names).
     profilers: tuple[str, ...] = ()
-    # Tier-2 self-optimization (profile-guided codegen) in the worker.
-    profile_guided: bool = False
 
 
 def run_task(task: WorkloadTask,
@@ -99,8 +97,7 @@ def run_task(task: WorkloadTask,
     session = ProfilingSession(cache=ArtifactCache(disk_dir=disk_dir),
                                backend=task.backend,
                                verify_plans=task.verify_plans,
-                               profilers=task.profilers,
-                               profile_guided=task.profile_guided)
+                               profilers=task.profilers)
     return session.run_workload(task.workload, task.scale,
                                 config=task.config,
                                 techniques=task.techniques,

@@ -81,30 +81,19 @@ class ProfilingSession:
         module into :attr:`WorkloadResult.profiles`.  Part of every
         execution-stage cache key; the default (none) is byte-identical
         to the pre-plugin pipeline.
-    profile_guided:
-        Enable the tier-2 self-optimization loop (``--tier2``): each
-        workload's ground-truth edge profile is fed back into
-        :func:`repro.interp.derive_module_layouts`, and the resulting
-        layout plans drive profile-guided codegen for every subsequent
-        instrumented execution of that module.  Ground truth itself
-        always runs at tier 1, so the profile the loop consumes is
-        never produced by the code it shapes.  Results are bit-identical
-        either way; only execution cost changes.
     """
 
     def __init__(self, cache: Optional[ArtifactCache] = None, jobs: int = 1,
                  backend: Optional[str] = None,
                  verify_plans: Optional[bool] = None,
                  timeout: Optional[float] = None, retries: int = 2,
-                 profilers: Iterable[str] = (),
-                 profile_guided: bool = False):
+                 profilers: Iterable[str] = ()):
         from ..profilers import parse_profiler_names
 
         self.cache = cache if cache is not None else ArtifactCache()
         self.jobs = max(1, int(jobs))
         self.backend = resolve_backend(backend)
         self.profilers = parse_profiler_names(tuple(profilers))
-        self.profile_guided = bool(profile_guided)
         if verify_plans is None:
             verify_plans = os.environ.get(
                 "REPRO_VERIFY", "").strip().lower() in ("1", "true", "yes",
@@ -202,12 +191,10 @@ class ProfilingSession:
         return None
 
     def profile_module(self, module: Module,
-                       profilers: Optional[Iterable[str]] = None,
-                       layouts: Optional[dict] = None
+                       profilers: Optional[Iterable[str]] = None
                        ) -> dict[str, object]:
         """Run registry profilers over a module once (cached); defaults
         to the session's own ``profilers`` selection."""
-        from ..interp import fingerprint_layouts
         from ..profilers import parse_profiler_names
 
         names = (self.profilers if profilers is None
@@ -215,39 +202,11 @@ class ProfilingSession:
         if not names:
             return {}
         key = fingerprint_text("profiles", fingerprint_module(module),
-                               ",".join(names), self.backend,
-                               fingerprint_layouts(layouts))
+                               ",".join(names), self.backend)
         return self.cache.get_or_compute(
             "profiles", key,
             lambda: stages.profile_stage(module, names,
-                                         backend=self.backend,
-                                         layouts=layouts))
-
-    def module_layouts(self, module: Module,
-                       edge_profile: Optional[EdgeProfile] = None
-                       ) -> dict:
-        """Tier-2 layout plans for a module (cached ``layout`` stage).
-
-        Empty unless the session is ``profile_guided``.  With an
-        ``edge_profile`` (normally the workload's ground truth) layouts
-        are derived directly from it; without one, a dedicated tier-1
-        edge-profiling pass runs first (:func:`repro.interp.profile_and_plan`).
-        """
-        if not self.profile_guided:
-            return {}
-        if edge_profile is not None:
-            key = fingerprint_text("layout", fingerprint_module(module),
-                                   fingerprint_edge_profile(edge_profile))
-            return self.cache.get_or_compute(
-                "layout", key,
-                lambda: stages.layout_stage(module, edge_profile))
-        from ..interp import profile_and_plan
-
-        key = fingerprint_text("layout", fingerprint_module(module),
-                               "self-profiled", self.backend)
-        return self.cache.get_or_compute(
-            "layout", key,
-            lambda: profile_and_plan(module, backend=self.backend))
+                                         backend=self.backend))
 
     # ------------------------------------------------------------------
     # Back-half stages
@@ -303,20 +262,15 @@ class ProfilingSession:
                        config: Optional[ProfilerConfig] = None,
                        label: Optional[str] = None,
                        hot_threshold: Optional[float] = None,
-                       expected_return: object = None,
-                       layouts: Optional[dict] = None) -> TechniqueResult:
+                       expected_return: object = None) -> TechniqueResult:
         """Plan, execute, and score one technique (the cached unit the
         studies share).
 
         ``actual`` must be the ground truth of ``module`` (it is derived
         state, so it does not contribute to the key).  ``score_profile``
         defaults to ``plan_profile``; the sampling study passes the true
-        profile there while planning from a degraded one.  ``layouts``
-        (tier-2 plans) shape the instrumented execution's codegen; they
-        are part of the key because they change measured cost.
+        profile there while planning from a degraded one.
         """
-        from ..interp import fingerprint_layouts
-
         cfg = DEFAULT_CONFIG if config is None else config
         hot = HOT_THRESHOLD if hot_threshold is None else hot_threshold
         name = label if label is not None else technique
@@ -330,16 +284,14 @@ class ProfilingSession:
                                fingerprint_edge_profile(plan_profile),
                                score_fp, fingerprint_config(cfg),
                                repr(hot), repr(expected_return),
-                               self.backend, ",".join(self.profilers),
-                               fingerprint_layouts(layouts))
+                               self.backend, ",".join(self.profilers))
 
         def compute() -> TechniqueResult:
             plan = self.plan(technique, module, plan_profile, cfg)
             return stages.score_technique(name, plan, actual, scoring,
                                           hot, expected_return,
                                           backend=self.backend,
-                                          profilers=self.profilers,
-                                          layouts=layouts)
+                                          profilers=self.profilers)
 
         return self.cache.get_or_compute("technique", key, compute)
 
@@ -355,8 +307,7 @@ class ProfilingSession:
                                 workload.source(scale),
                                 fingerprint_config(config),
                                 ",".join(techniques), repr(hot_threshold),
-                                self.backend, ",".join(self.profilers),
-                                "tier2" if self.profile_guided else "tier1")
+                                self.backend, ",".join(self.profilers))
 
     def run_workload(self, workload: Workload, scale: int = 1,
                      config: Optional[ProfilerConfig] = None,
@@ -384,23 +335,18 @@ class ProfilingSession:
         # Table 1's "original code": scalar-optimized, not inlined/unrolled.
         actual_original, _profile0, _rv0 = self.trace(opt.baseline_module)
         actual, edge_profile, return_value = self.trace(expanded)
-        # The self-optimization loop: the ground-truth edge profile just
-        # collected at tier 1 plans tier-2 layouts for every subsequent
-        # execution of this module (empty unless profile_guided).
-        layouts = self.module_layouts(expanded, edge_profile) or None
         results: dict[str, TechniqueResult] = {}
         for name in techniques:
             results[name] = self.plan_and_score(
                 name, expanded,
                 None if name == "pp" else edge_profile,
                 actual, score_profile=edge_profile, config=config,
-                hot_threshold=hot_threshold, expected_return=return_value,
-                layouts=layouts)
+                hot_threshold=hot_threshold, expected_return=return_value)
         result = stages.assemble_workload_result(
             workload, original, opt, actual_original, actual, edge_profile,
             return_value, results, hot_threshold)
         if self.profilers:
-            result.profiles = self.profile_module(expanded, layouts=layouts)
+            result.profiles = self.profile_module(expanded)
         # Degradations the stages logged while building this result
         # (codegen fallbacks, cache quarantines) travel with it.
         result.execution.degradations.extend(faults.drain_degradations())
@@ -456,7 +402,7 @@ class ProfilingSession:
                                 timeout=self.timeout, retries=self.retries)
         tasks = [WorkloadTask(w, scale, config, techniques, HOT_THRESHOLD,
                               self.backend, self.verify_plans,
-                              self.profilers, self.profile_guided)
+                              self.profilers)
                  for w in cold]
         fresh = dict(zip((w.name for w in cold), runner.run(tasks)))
 

@@ -69,8 +69,7 @@ def ground_truth(module: Module,
 
 
 def profile_stage(module: Module, profilers: tuple[str, ...],
-                  backend: str | None = None,
-                  layouts: dict | None = None) -> dict[str, object]:
+                  backend: str | None = None) -> dict[str, object]:
     """Run the named extra registry profilers over the module once and
     return their collected results (profiler name -> result)."""
     from ..profilers import create_profilers, execute_profilers
@@ -78,22 +77,8 @@ def profile_stage(module: Module, profilers: tuple[str, ...],
     if not profilers:
         return {}
     run = execute_profilers(module, create_profilers(profilers),
-                            backend=backend, layouts=layouts)
+                            backend=backend)
     return run.profiles
-
-
-# ----------------------------------------------------------------------
-# Stage: layout (profile-guided tier-2 planning)
-# ----------------------------------------------------------------------
-
-def layout_stage(module: Module, edge_profile: EdgeProfile) -> dict:
-    """Derive per-function tier-2 :class:`~repro.interp.LayoutPlan`\\ s
-    from an already-collected edge profile (the session feeds it the
-    ground-truth profile, closing the self-optimization loop without an
-    extra profiling pass)."""
-    from ..interp import derive_module_layouts
-
-    return derive_module_layouts(module, edge_profile)
 
 
 # ----------------------------------------------------------------------
@@ -126,17 +111,14 @@ def score_technique(name: str, plan: ModulePlan, actual: PathProfile,
                     hot_threshold: float = HOT_THRESHOLD,
                     expected_return: object = None,
                     backend: str | None = None,
-                    profilers: tuple[str, ...] = (),
-                    layouts: dict | None = None) -> TechniqueResult:
+                    profilers: tuple[str, ...] = ()) -> TechniqueResult:
     """Execute a plan and compute every per-technique metric.
 
     ``profilers`` names extra registry profilers fused into the same
     instrumented execution; their cost is billed through the shared
     counter, so the technique's measured overhead includes them.
-    ``layouts`` selects tier-2 codegen for the instrumented run.
     """
-    run = run_with_plan(plan, backend=backend, profilers=profilers,
-                        layouts=layouts)
+    run = run_with_plan(plan, backend=backend, profilers=profilers)
     if expected_return is not None \
             and run.run.return_value != expected_return:
         raise AssertionError(

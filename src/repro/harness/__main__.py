@@ -18,6 +18,7 @@ import sys
 import time
 
 from ..engine import ArtifactCache, ProfilingSession, faults
+from ..interp import VALID_BACKENDS
 from ..workloads import SUITE, Workload, get_workload
 from . import (figure9, figure10, figure11, figure12, figure13,
                hpt_table, ifconvert_table, matching_table, metrics_table,
@@ -52,6 +53,13 @@ def _add_fault_options(parser: argparse.ArgumentParser) -> None:
                              "repro.engine.faults")
 
 
+def _add_backend_option(parser: argparse.ArgumentParser) -> None:
+    """``--backend``, shared by every command that executes IR."""
+    parser.add_argument("--backend", choices=VALID_BACKENDS, default=None,
+                        help="interpreter backend (default: $REPRO_BACKEND "
+                             "or compiled)")
+
+
 def _install_chaos(spec: str) -> None:
     """Validate a ``--chaos`` plan up front (a typo fails before any
     work), then publish it through the environment so forked worker
@@ -82,7 +90,6 @@ def build_session(jobs: int = 1, no_cache: bool = False,
                   timeout: float | None = None,
                   retries: int = 2,
                   profilers: tuple[str, ...] = (),
-                  profile_guided: bool = False,
                   chaos: str = "") -> ProfilingSession:
     """The session a CLI invocation drives everything through; a
     ``chaos`` spec is validated and installed first."""
@@ -94,8 +101,7 @@ def build_session(jobs: int = 1, no_cache: bool = False,
         cache = ArtifactCache(disk_dir=cache_dir or None)
     return ProfilingSession(cache=cache, jobs=jobs, backend=backend,
                             verify_plans=verify, timeout=timeout,
-                            retries=retries, profilers=profilers,
-                            profile_guided=profile_guided)
+                            retries=retries, profilers=profilers)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -112,10 +118,7 @@ def main(argv: list[str] | None = None) -> int:
                              "(default 1 = serial)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the artifact cache (memory and disk)")
-    parser.add_argument("--backend", choices=("compiled", "tuple"),
-                        default=None,
-                        help="interpreter backend (default: $REPRO_BACKEND "
-                             "or compiled)")
+    _add_backend_option(parser)
     parser.add_argument("--profilers", metavar="NAMES", default="",
                         help="comma-separated extra registry profilers "
                              "fused into every instrumented run (see "
@@ -129,11 +132,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="statically verify every instrumentation "
                              "plan before running it (or set "
                              "REPRO_VERIFY=1); fails fast on a bad plan")
-    parser.add_argument("--tier2", action="store_true",
-                        help="profile-guided tier-2 codegen: feed each "
-                             "workload's ground-truth edge profile back "
-                             "into the compiled backend (results are "
-                             "bit-identical; execution gets faster)")
     parser.add_argument("--equiv", action="store_true",
                         help="translation-validate every piece of "
                              "generated code before executing it (or set "
@@ -168,7 +166,6 @@ def main(argv: list[str] | None = None) -> int:
                                 verify=True if args.verify else None,
                                 timeout=args.timeout, retries=args.retries,
                                 profilers=profiler_names,
-                                profile_guided=args.tier2,
                                 chaos=args.chaos)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

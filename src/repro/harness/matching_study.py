@@ -13,22 +13,20 @@ recovers on the new build, against two baselines:
 
 * **fresh** -- re-profile the edited module from scratch (upper bound);
 * **discard** -- what a fingerprint-keyed cache does today: the stale
-  profile is thrown away and tier-2 layout planning gets nothing.
+  profile is thrown away and a profile consumer gets nothing.
 
 Reported per workload: block/edge match coverage, the fraction of edge
 counts carried over matched edges, the edge-flow accuracy of the
 remapped profile against the edited module's own ground truth, how many
-Ball-Larus paths survived renaming, and tier-2 layout agreement (do the
-remapped counts derive the *same* layout plans as fresh counts?).  With
-``repeats > 0`` the study also times the edited module on the compiled
-backend under discard/remap/fresh layouts and reports the fraction of
-the fresh tier-2 speedup the remap recovers.
+Ball-Larus paths survived renaming, and layout agreement: do the
+remapped counts derive the *same* layout plans (:class:`LayoutPlan`:
+the superblock layout a dynamic optimizer would build from the profile)
+as fresh counts?
 """
 
 from __future__ import annotations
 
 import copy
-import time
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -37,11 +35,14 @@ from ..ir.function import Function, Module
 from ..ir.instructions import Branch, Jump
 from ..opt import cleanup_module
 from ..opt.rebuild import rebuild_function
+from ..profiles.definite import definite_flow_paths
+from ..profiles.edge_profile import EdgeProfile, FunctionEdgeProfile
 from ..workloads import Workload
 from .report import render_table
 
 __all__ = [
-    "EDIT_KINDS", "MatchingRow", "seeded_edit", "matching_study",
+    "EDIT_KINDS", "LayoutPlan", "MatchingRow", "derive_layout",
+    "derive_module_layouts", "seeded_edit", "matching_study",
     "matching_table", "matching_rows_to_dict",
 ]
 
@@ -133,6 +134,129 @@ def seeded_edit(module: Module, seed: int = 1,
 
 
 # ----------------------------------------------------------------------
+# Layout planning: what a dynamic optimizer derives from a profile
+# ----------------------------------------------------------------------
+
+#: A function is planned when invoked at least this many times ...
+MIN_INVOCATIONS = 32
+#: ... or when its executed-instruction estimate clears this bar.
+MIN_INSTRUCTIONS = 4096
+#: Reconstructed paths below this fraction of the routine's branch flow
+#: are not worth a superblock chain.
+PATH_CUTOFF_FRACTION = 0.05
+#: Keep at most this many chains per function.
+MAX_CHAINS = 8
+#: A block is *hot* at >= this fraction of the function's peak block
+#: frequency.
+HOT_FRACTION = 1 / 16
+
+
+@dataclass(frozen=True)
+class LayoutPlan:
+    """One function's profile-derived superblock layout."""
+
+    #: Superblock chains, hottest first; each is a reconstructed hot
+    #: path's block sequence.
+    chains: tuple = ()
+    #: Blocks on the hot chains / above the hot-fraction bar.
+    hot_blocks: frozenset = frozenset()
+    #: Blocks the profile never saw execute.
+    cold_blocks: frozenset = frozenset()
+    #: ``(block, hot successor)`` for biased branches whose hot arm is
+    #: the *then* target.
+    preferred: tuple = ()
+
+
+def _hot_chains(func: Function, fprofile: FunctionEdgeProfile) -> tuple:
+    """Reconstruct the function's hottest paths into superblock chains
+    (definite flow under the branch metric -- Figures 14/16)."""
+    total = fprofile.branch_flow()
+    if total <= 0:
+        return ()
+    try:
+        paths = definite_flow_paths(
+            func, fprofile, cutoff=PATH_CUTOFF_FRACTION * total)
+    except Exception:
+        # Irreducible or otherwise un-DAG-able control flow: the plan
+        # still carries freq-based layout, just without chains.
+        return ()
+    ranked = sorted(paths, key=lambda p: (-p.freq, p.blocks))
+    chains: list = []
+    heads: set = set()
+    for path in ranked:
+        if len(chains) >= MAX_CHAINS:
+            break
+        blocks = tuple(path.blocks)
+        if not blocks or blocks[0] in heads:
+            continue
+        heads.add(blocks[0])
+        chains.append(blocks)
+    return tuple(chains)
+
+
+def derive_layout(func: Function,
+                  fprofile: Optional[FunctionEdgeProfile]
+                  ) -> Optional[LayoutPlan]:
+    """A :class:`LayoutPlan` for one function, or ``None`` when the
+    profile says it is not hot enough to plan."""
+    if fprofile is None or not fprofile.executed():
+        return None
+    # Remapped stale profiles can carry locally inconsistent transferred
+    # counts whose conservation repair infers a negative flow on an
+    # unmatched edge; layout derivation treats those blocks as unexecuted.
+    freqs = {name: max(0, fprofile.block_freq(name))
+             for name in func.cfg.blocks}
+    instructions = sum(
+        freqs[name] * len(block.instructions)
+        for name, block in func.cfg.blocks.items())
+    if (fprofile.entry_count < MIN_INVOCATIONS
+            and instructions < MIN_INSTRUCTIONS):
+        return None
+    peak = max(freqs.values(), default=0)
+    if peak <= 0:
+        return None
+
+    chains = _hot_chains(func, fprofile)
+    hot = {b for chain in chains for b in chain}
+    hot_cut = max(1, int(peak * HOT_FRACTION))
+    hot.update(b for b, f in freqs.items() if f >= hot_cut)
+    cold = {b for b, f in freqs.items() if f < 1} - hot
+
+    preferred: list = []
+    for bname in func.cfg.blocks:
+        term = func.cfg.blocks[bname].instructions[-1]
+        if not isinstance(term, Branch):
+            continue
+        then_t, else_t = term.then_target, term.else_target
+        if then_t == else_t:
+            continue
+        edges = func.edge_by_target[bname]
+        f_then = fprofile.edge_freq.get(edges[then_t].uid, 0)
+        f_else = fprofile.edge_freq.get(edges[else_t].uid, 0)
+        if f_then > f_else:
+            preferred.append((bname, then_t))
+    return LayoutPlan(chains=chains, hot_blocks=frozenset(hot),
+                      cold_blocks=frozenset(cold),
+                      preferred=tuple(sorted(preferred)))
+
+
+def derive_module_layouts(module: Module, edge_profile: EdgeProfile
+                          ) -> dict[str, LayoutPlan]:
+    """Per-function layout plans for every hot function."""
+    layouts: dict[str, LayoutPlan] = {}
+    for name, func in module.functions.items():
+        if not func.sealed:
+            continue
+        fprofile = edge_profile.functions.get(name)
+        if fprofile is None:
+            continue
+        plan = derive_layout(func, fprofile)
+        if plan is not None:
+            layouts[name] = plan
+    return layouts
+
+
+# ----------------------------------------------------------------------
 # The study
 # ----------------------------------------------------------------------
 
@@ -150,22 +274,6 @@ class MatchingRow:
     paths_kept: int
     paths_dropped: int
     layout_agreement: float
-    discard_mops: Optional[float] = None
-    remap_mops: Optional[float] = None
-    fresh_mops: Optional[float] = None
-
-    @property
-    def recovered_speedup(self) -> Optional[float]:
-        """Fraction of the fresh tier-2 speedup the remap recovers
-        (1.0 = as fast as fresh advice; None when untimed or when
-        tier 2 bought nothing to recover)."""
-        if self.fresh_mops is None or self.discard_mops is None \
-                or self.remap_mops is None:
-            return None
-        gain = self.fresh_mops - self.discard_mops
-        if gain <= 0:
-            return None
-        return (self.remap_mops - self.discard_mops) / gain
 
 
 def _edge_accuracy(remapped, fresh) -> float:
@@ -192,49 +300,20 @@ def _edge_accuracy(remapped, fresh) -> float:
 
 
 def _layout_agreement(new_module: Module, remapped, fresh) -> float:
-    """Do remapped counts plan the same tier-2 layouts as fresh ones?"""
-    from ..interp import derive_module_layouts
-
+    """Do remapped counts plan the same layouts as fresh ones?"""
     fresh_plans = derive_module_layouts(new_module, fresh)
     remap_plans = derive_module_layouts(new_module, remapped)
     names = set(fresh_plans) | set(remap_plans)
     if not names:
         return 1.0
     same = sum(1 for n in names
-               if n in fresh_plans and n in remap_plans
-               and fresh_plans[n].fingerprint()
-               == remap_plans[n].fingerprint())
+               if n in fresh_plans and fresh_plans[n] == remap_plans.get(n))
     return same / len(names)
 
 
-def _ops_per_sec(module: Module, layouts, repeats: int) -> float:
-    """Best-of-N compiled-backend ops/sec (the bench.py measurement)."""
-    from ..interp import Machine
-
-    def once() -> tuple[float, int]:
-        machine = Machine(module, backend="compiled",
-                          layouts=layouts or None)
-        start = time.perf_counter()
-        result = machine.run()
-        return time.perf_counter() - start, result.instructions_executed
-
-    once()  # warm-up populates the codegen cache
-    best, instructions = min(once() for _ in range(max(1, repeats)))
-    return instructions / best
-
-
 def matching_study(workload: Workload, scale: int = 1, seed: int = 1,
-                   *, session: ProfilingSession,
-                   repeats: int = 0) -> MatchingRow:
-    """Remap one workload's profile across a seeded edit and measure.
-
-    With ``repeats == 0`` the study reports only the deterministic
-    metrics (coverage, retention, accuracy, layout agreement); with
-    ``repeats > 0`` it also wall-clock-times the edited module under
-    discard/remap/fresh tier-2 layouts.
-    """
-    from ..interp import derive_module_layouts
-
+                   *, session: ProfilingSession) -> MatchingRow:
+    """Remap one workload's profile across a seeded edit and measure."""
     base = session.expand(workload, scale).baseline_module
     # Two builds of the same program under different edit seeds: blocks
     # inserted for the old build are deletions from the new build's
@@ -260,7 +339,7 @@ def matching_study(workload: Workload, scale: int = 1, seed: int = 1,
     matched_edges = sum(len(fm.edges) for fm in match.functions)
     old_edges = sum(fm.old_edges for fm in match.functions) or 1
 
-    row = MatchingRow(
+    return MatchingRow(
         benchmark=workload.name,
         old_blocks=old_blocks, new_blocks=new_blocks,
         block_coverage=matched_blocks / (old_blocks or 1),
@@ -271,42 +350,25 @@ def matching_study(workload: Workload, scale: int = 1, seed: int = 1,
         paths_dropped=result.stats.dropped_paths,
         layout_agreement=_layout_agreement(new_module, result.profile,
                                            fresh_profile))
-    if repeats > 0:
-        fresh_layouts = derive_module_layouts(new_module, fresh_profile)
-        remap_layouts = derive_module_layouts(new_module, result.profile)
-        row.discard_mops = _ops_per_sec(new_module, None, repeats) / 1e6
-        row.remap_mops = _ops_per_sec(new_module, remap_layouts,
-                                      repeats) / 1e6
-        row.fresh_mops = _ops_per_sec(new_module, fresh_layouts,
-                                      repeats) / 1e6
-    return row
 
 
 def matching_table(workloads: list[Workload],
                    session: ProfilingSession,
-                   scale: int = 1, seed: int = 1,
-                   repeats: int = 0) -> str:
+                   scale: int = 1, seed: int = 1) -> str:
     """Render the study as the harness table."""
     rows = []
-    timed = repeats > 0
     for workload in workloads:
         r = matching_study(workload, scale=scale, seed=seed,
-                           session=session, repeats=repeats)
+                           session=session)
         cells = [r.benchmark, f"{r.old_blocks}->{r.new_blocks}",
                  f"{r.block_coverage * 100:.0f}%",
                  f"{r.edge_coverage * 100:.0f}%",
                  f"{r.retained * 100:.0f}%",
                  f"{r.edge_accuracy * 100:.0f}%",
                  f"{r.layout_agreement * 100:.0f}%"]
-        if timed:
-            recovered = r.recovered_speedup
-            cells.append("n/a" if recovered is None
-                         else f"{recovered * 100:.0f}%")
         rows.append(cells)
     headers = ["Benchmark", "Blocks", "Blk match", "Edge match",
                "Retained", "Accuracy", "Layouts"]
-    if timed:
-        headers.append("Speedup rec.")
     return render_table(
         headers, rows,
         title=("Stale-profile matching: profile remapped across seeded "
@@ -317,12 +379,8 @@ def matching_rows_to_dict(rows: list[MatchingRow]) -> dict:
     """A JSON-safe report (the CI staleness artifact)."""
     payload = {row.benchmark: {
         key: value for key, value in asdict(row).items()
-        if key != "benchmark" and value is not None}
+        if key != "benchmark"}
         for row in rows}
-    for row in rows:
-        recovered = row.recovered_speedup
-        if recovered is not None:
-            payload[row.benchmark]["recovered_speedup"] = recovered
     retained = [row.retained for row in rows]
     accuracy = [row.edge_accuracy for row in rows]
     return {

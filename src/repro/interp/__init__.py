@@ -3,29 +3,18 @@
 Two execution backends share identical semantics: the generated-Python
 ``"compiled"`` backend (default; see :mod:`repro.interp.codegen`) and
 the reference ``"tuple"`` interpreter.  Select per machine with
-``Machine(..., backend=...)`` or globally with ``REPRO_BACKEND``.
-
-The compiled backend is itself tiered: tier 1 is the static layout,
-tier 2 the profile-guided layout planned by
-:mod:`repro.interp.profile_guided` (superblock chains, hot-successor
-fall-through, register localization) and selected per function via
-``Machine(..., layouts=...)``.  All tiers are observationally identical.
+``Machine(..., backend=...)`` or globally with ``REPRO_BACKEND``.  The
+compiled backend falls back to the tuple loop, per function, when code
+generation fails.
 """
 
 from .costs import DEFAULT_COSTS, CostCounter, CostModel
 from .machine import (DEFAULT_BACKEND, VALID_BACKENDS, EdgeHook, Frame,
                       Machine, MachineError, RunResult, resolve_backend,
                       run_module)
-from .profile_guided import (DEFAULT_POLICY, LayoutPlan, PromotionPolicy,
-                             derive_layout, derive_module_layouts,
-                             fingerprint_layouts, layouts_from_run,
-                             profile_and_plan)
 
 __all__ = [
     "DEFAULT_BACKEND", "VALID_BACKENDS", "resolve_backend",
     "DEFAULT_COSTS", "CostCounter", "CostModel",
     "EdgeHook", "Frame", "Machine", "MachineError", "RunResult", "run_module",
-    "DEFAULT_POLICY", "LayoutPlan", "PromotionPolicy", "derive_layout",
-    "derive_module_layouts", "fingerprint_layouts", "layouts_from_run",
-    "profile_and_plan",
 ]

@@ -24,24 +24,6 @@ trampoline, the emitter then chases the CFG from each segment's exit:
 * calls, cycles through other blocks, and budget exhaustion fall back to
   returning a precomputed integer segment id to the trampoline.
 
-**Tier 2**: when a :class:`~repro.interp.profile_guided.LayoutPlan` is
-supplied, the same emitter becomes profile-guided:
-
-* biased branches whose hot arm is the *then* target are emitted with an
-  inverted test (``if not <cond>:``), so the hot successor is always the
-  fall-through/inline arm -- superblock-style layout;
-* transfers into profile-cold blocks bounce to the trampoline instead of
-  inlining, which both shrinks the generated code and reserves the whole
-  ``INLINE_BUDGET`` for the hot chains seeded at superblock heads;
-* segments that start in a hot block promote the register slots they
-  touch into Python locals (``_rK``), loaded once in the segment
-  prologue and written back to ``frame.regs`` on every *exit* return --
-  never on a native ``continue``, so a spinning loop iteration touches
-  no list at all.  Localization is abandoned (the segment is re-emitted
-  slot-in-place) whenever the segment fuses an edge hook, because hooks
-  receive the frame and must observe ``frame.regs`` exactly as the tuple
-  interpreter would show it.
-
 Instruction accounting lives in the generated code: every exit path adds
 its exact instruction count (a compile-time constant) to the shared
 ``_ic`` cell and re-checks the ``max_instructions`` limit, matching the
@@ -56,27 +38,23 @@ trampoline):
 
 Semantics are byte-identical to the tuple interpreter (same C-style
 division, index wrapping, 0/1 comparisons, instruction counting, and
-traversal order of profile count -> hook -> tracer) under *any* layout
-plan; the differential tests in ``tests/test_interp_backends.py`` and
-``tests/test_interp_tier2.py`` hold all tiers to that contract across
-the whole workload suite, and :mod:`repro.analysis.equiv` proves each
-generated module equivalent to its IR.
+traversal order of profile count -> hook -> tracer); the differential
+tests in ``tests/test_interp_backends.py`` hold the backend to that
+contract across the whole workload suite, and :mod:`repro.analysis.equiv`
+proves each generated module equivalent to its IR.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from ..cfg.loops import find_back_edges
 from ..ir.function import Function, Module
 from ..ir.instructions import (BinOp, Branch, Call, Const, GlobalLoad,
                                GlobalStore, Jump, Load, Mov, Ret, Select,
                                Store, UnOp)
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .profile_guided import LayoutPlan
 
 __all__ = ["ModeSpec", "CodegenResult", "generate_source", "INLINE_BUDGET"]
 
@@ -119,9 +97,8 @@ class CodegenResult:
     block_entry_seg: dict = field(default_factory=dict)
 
 
-# Straight-line templates; {d}/{a}/{b}/{c} are pre-rendered register
-# operands -- ``regs[K]`` subscripts, or ``_rK`` locals in a localized
-# tier-2 segment.
+# Straight-line templates; {d}/{a}/{b} are pre-rendered ``regs[K]``
+# register operands.
 _BIN_TEMPLATES = {
     "+": "{d} = {a} + {b}",
     "-": "{d} = {a} - {b}",
@@ -149,11 +126,6 @@ _UN_TEMPLATES = {
 
 _LIMIT_CHECK = ("if _ic[0] > _lim[0]: "
                 "raise _err('instruction limit exceeded (%d)' % _lim[0])")
-
-# Sentinel placed in the line stream wherever a localized segment must
-# write its promoted slots back to ``frame.regs``; expanded at assembly
-# time, once the full written-slot set is known.
-_WRITEBACK = "writeback"
 
 
 class _Namer:
@@ -204,8 +176,8 @@ def _segment_ranges(func: Function) -> tuple[list[tuple[str, int]],
 class _Geometry:
     """The per-function emission geometry: segment table, dense edge
     index, and back-edge keys.  Depends only on the sealed IR, so it is
-    computed once per function and shared by every (mode, layout)
-    specialization the emitter is asked for."""
+    computed once per function and shared by every mode specialization
+    the emitter is asked for."""
 
     __slots__ = ("segments", "block_entry", "range_seg", "edge_index",
                  "back_keys")
@@ -248,16 +220,13 @@ def function_geometry(func: Function) -> _Geometry:
 
 
 class _FunctionEmitter:
-    """Emits the generated module for one function under one mode and
-    (optionally) one tier-2 layout plan."""
+    """Emits the generated module for one function under one mode."""
 
-    def __init__(self, func: Function, module: Module, spec: ModeSpec,
-                 layout: Optional["LayoutPlan"] = None):
+    def __init__(self, func: Function, module: Module, spec: ModeSpec):
         self.func = func
         self.module = module
         self.spec = spec
-        self.layout = layout
-        self.s = func.register_slots.__getitem__
+        self.slot = func.register_slots.__getitem__
         self.blocks = func.cfg.blocks
         geo = function_geometry(func)
         self.segments = geo.segments
@@ -267,16 +236,6 @@ class _FunctionEmitter:
         self.back_keys = geo.back_keys
         self.local_names = _Namer("_l")
         self.global_names = _Namer("_g")
-
-        if layout is not None:
-            self.preferred = layout.preferred_map()
-            self.cold_blocks = layout.cold_blocks
-            self.hot_blocks = layout.hot_blocks if layout.localize \
-                else frozenset()
-        else:
-            self.preferred = {}
-            self.cold_blocks = frozenset()
-            self.hot_blocks = frozenset()
 
         self.hook_order: dict[tuple[str, str], int] = {}
         for key in sorted(spec.hook_edges, key=self.edge_index.__getitem__):
@@ -288,36 +247,15 @@ class _FunctionEmitter:
         self.budget = 0
         self.start_block = ""
         self.at_block_start = False
-        self.localize = False
-        self.reg_reads: set[int] = set()
-        self.reg_writes: set[int] = set()
-        self.had_hook = False
-        self.had_continue = False
 
     # -- low-level writers ---------------------------------------------
 
     def w(self, indent: int, text: str) -> None:
         self.lines.append("    " * indent + text)
 
-    def rd(self, slot: int) -> str:
-        """A register read operand."""
-        if self.localize:
-            self.reg_reads.add(slot)
-            return f"_r{slot}"
-        return f"regs[{slot}]"
-
-    def wr(self, slot: int) -> str:
-        """A register write target."""
-        if self.localize:
-            self.reg_writes.add(slot)
-            return f"_r{slot}"
-        return f"regs[{slot}]"
-
-    def emit_writeback(self, indent: int) -> None:
-        """Mark a localized segment's exit point: expanded at assembly
-        into ``regs[K] = _rK`` for every slot the segment writes."""
-        if self.localize:
-            self.lines.append((_WRITEBACK, indent))  # type: ignore[arg-type]
+    def r(self, reg: str) -> str:
+        """The ``regs[K]`` operand of an IR register."""
+        return f"regs[{self.slot(reg)}]"
 
     def array_ref(self, name: str) -> tuple[str, int]:
         """(python name, length) for an array operand; records local
@@ -330,32 +268,32 @@ class _FunctionEmitter:
     # -- instruction and edge emission ---------------------------------
 
     def emit_instr(self, instr, indent: int) -> None:
-        s, w, rd, wr = self.s, self.w, self.rd, self.wr
+        w, r = self.w, self.r
         if isinstance(instr, Const):
-            w(indent, f"{wr(s(instr.dst))} = {instr.value!r}")
+            w(indent, f"{r(instr.dst)} = {instr.value!r}")
         elif isinstance(instr, Mov):
-            w(indent, f"{wr(s(instr.dst))} = {rd(s(instr.src))}")
+            w(indent, f"{r(instr.dst)} = {r(instr.src)}")
         elif isinstance(instr, BinOp):
             w(indent, _BIN_TEMPLATES[instr.op].format(
-                d=wr(s(instr.dst)), a=rd(s(instr.a)), b=rd(s(instr.b))))
+                d=r(instr.dst), a=r(instr.a), b=r(instr.b)))
         elif isinstance(instr, UnOp):
             w(indent, _UN_TEMPLATES[instr.op].format(
-                d=wr(s(instr.dst)), a=rd(s(instr.a))))
+                d=r(instr.dst), a=r(instr.a)))
         elif isinstance(instr, Select):
-            w(indent, f"{wr(s(instr.dst))} = {rd(s(instr.a))} "
-                      f"if {rd(s(instr.cond))} else {rd(s(instr.b))}")
+            w(indent, f"{r(instr.dst)} = {r(instr.a)} "
+                      f"if {r(instr.cond)} else {r(instr.b)}")
         elif isinstance(instr, Load):
             name, length = self.array_ref(instr.array)
-            w(indent, f"{wr(s(instr.dst))} = "
-                      f"{name}[int({rd(s(instr.idx))}) % {length}]")
+            w(indent, f"{r(instr.dst)} = "
+                      f"{name}[int({r(instr.idx)}) % {length}]")
         elif isinstance(instr, Store):
             name, length = self.array_ref(instr.array)
-            w(indent, f"{name}[int({rd(s(instr.idx))}) % {length}] = "
-                      f"{rd(s(instr.src))}")
+            w(indent, f"{name}[int({r(instr.idx)}) % {length}] = "
+                      f"{r(instr.src)}")
         elif isinstance(instr, GlobalLoad):
-            w(indent, f"{wr(s(instr.dst))} = _gs[{instr.name!r}]")
+            w(indent, f"{r(instr.dst)} = _gs[{instr.name!r}]")
         elif isinstance(instr, GlobalStore):
-            w(indent, f"_gs[{instr.name!r}] = {rd(s(instr.src))}")
+            w(indent, f"_gs[{instr.name!r}] = {r(instr.src)}")
         else:  # pragma: no cover - terminators/calls handled by caller
             raise TypeError(f"cannot generate code for {instr!r}")
 
@@ -366,9 +304,6 @@ class _FunctionEmitter:
         if spec.profile and (spec.probes is None or key in spec.probes):
             w(indent, f"_ec[{self.edge_index[key]}] += 1")
         if key in self.hook_order:
-            # Hooks observe frame.regs: a localized segment must be
-            # re-emitted slot-in-place (see emit_segment).
-            self.had_hook = True
             w(indent, f"_h{self.hook_order[key]}(frame)")
         if spec.trace:
             target = key[1]
@@ -403,10 +338,9 @@ class _FunctionEmitter:
         cost += i - start + 1
         self.budget -= i - start + 1
         if isinstance(instr, Call):
-            args = "".join(f"{self.rd(self.s(a))}, " for a in instr.args)
-            dst = self.s(instr.dst) if instr.dst is not None else None
+            args = "".join(f"{self.r(a)}, " for a in instr.args)
+            dst = self.slot(instr.dst) if instr.dst is not None else None
             self.emit_cost(cost, indent)
-            self.emit_writeback(indent)
             self.w(indent, f"return ({instr.func!r}, ({args}), {dst}, "
                            f"{self.range_seg[(bname, i + 1)]})")
         elif isinstance(instr, Ret):
@@ -415,22 +349,12 @@ class _FunctionEmitter:
             self.emit_edge((bname, instr.target), indent)
             self.emit_goto(instr.target, cost, indent, chain)
         elif isinstance(instr, Branch):
-            cond = self.rd(self.s(instr.cond))
             then_t, else_t = instr.then_target, instr.else_target
-            if then_t != else_t and self.preferred.get(bname) == then_t:
-                # Hot arm is the then target: invert the test so the hot
-                # successor is the fall-through (and inline-chased) arm.
-                self.w(indent, f"if not {cond}:")
-                self.emit_edge((bname, else_t), indent + 1)
-                self.emit_goto(else_t, cost, indent + 1, chain)
-                self.emit_edge((bname, then_t), indent)
-                self.emit_goto(then_t, cost, indent, chain)
-            else:
-                self.w(indent, f"if {cond}:")
-                self.emit_edge((bname, then_t), indent + 1)
-                self.emit_goto(then_t, cost, indent + 1, chain)
-                self.emit_edge((bname, else_t), indent)
-                self.emit_goto(else_t, cost, indent, chain)
+            self.w(indent, f"if {self.r(instr.cond)}:")
+            self.emit_edge((bname, then_t), indent + 1)
+            self.emit_goto(then_t, cost, indent + 1, chain)
+            self.emit_edge((bname, else_t), indent)
+            self.emit_goto(else_t, cost, indent, chain)
         else:  # pragma: no cover - sealed IR always terminates blocks
             raise TypeError(f"block {bname!r} ends with {instr!r}")
 
@@ -439,26 +363,19 @@ class _FunctionEmitter:
         """Transfer to ``target``: native loop continue, trampoline
         bounce, or inline the target block."""
         if target == self.start_block and self.at_block_start:
-            # Back to this segment's own top: spin natively.  Localized
-            # slots stay live across the continue -- no write-back.
-            self.had_continue = True
+            # Back to this segment's own top: spin natively.
             self.emit_cost(cost, indent)
             self.w(indent, "continue")
-        elif (target in chain or self.budget <= 0
-              or target in self.cold_blocks):
-            # Cycle, budget exhausted, or a profile-cold block: hand the
-            # transfer back to the trampoline (cold blocks are not worth
-            # the code bloat, and skipping them keeps the budget for the
-            # hot chain).
+        elif target in chain or self.budget <= 0:
+            # Cycle or budget exhausted: hand the transfer back to the
+            # trampoline.
             self.emit_cost(cost, indent)
-            self.emit_writeback(indent)
             self.w(indent, f"return {self.block_entry[target]}")
         else:
             self.emit_range(target, 0, cost, indent, chain | {target})
 
     def emit_ret(self, instr: Ret, cost: int, indent: int) -> None:
-        value = (self.rd(self.s(instr.src))
-                 if instr.src is not None else "0")
+        value = self.r(instr.src) if instr.src is not None else "0"
         self.emit_cost(cost, indent)
         if self.spec.trace:
             # Read the return value before the flush: a path listener
@@ -469,53 +386,26 @@ class _FunctionEmitter:
             self.w(indent, "_pc[_p] = _pc.get(_p, 0) + 1")
             if self.spec.listener:
                 self.w(indent, f"_pl({self.func.name!r}, _p)")
-            self.emit_writeback(indent)
             self.w(indent, "return (_rv,)")
         else:
-            self.emit_writeback(indent)
             self.w(indent, f"return ({value},)")
 
     # -- assembly ------------------------------------------------------
 
-    def _emit_body(self, seg_id: int, localize: bool) -> None:
+    def emit_segment(self, seg_id: int) -> list[str]:
         bname, start = self.segments[seg_id]
         self.lines = []
         self.used_locals = {}
         self.budget = INLINE_BUDGET
         self.start_block = bname
         self.at_block_start = (start == 0)
-        self.localize = localize
-        self.reg_reads = set()
-        self.reg_writes = set()
-        self.had_hook = False
-        self.had_continue = False
         self.emit_range(bname, start, 0, 3, frozenset({bname}))
-
-    def emit_segment(self, seg_id: int) -> list[str]:
-        bname, _start = self.segments[seg_id]
-        self._emit_body(seg_id, localize=bname in self.hot_blocks)
-        if self.localize and (self.had_hook or not self.had_continue):
-            # Localization only pays when the prologue load and exit
-            # write-back amortize over a native loop; a segment with no
-            # ``continue`` would pay them on every single entry.  And a
-            # fused hook observes frame.regs mid-segment, so promotion
-            # would show it stale locals.  Re-emit slot-in-place.
-            self._emit_body(seg_id, localize=False)
         out = [f"    def _seg_{seg_id}(frame, regs):"]
         out.extend(
             f"        {self.local_names.get(name)} = "
             f"frame.arrays[{name!r}]" for name in self.used_locals)
-        if self.localize:
-            out.extend(f"        _r{slot} = regs[{slot}]"
-                       for slot in sorted(self.reg_reads | self.reg_writes))
         out.append("        while True:")
-        writeback = [f"regs[{slot}] = _r{slot}"
-                     for slot in sorted(self.reg_writes)]
-        for line in self.lines:
-            if isinstance(line, tuple):  # (_WRITEBACK, indent) sentinel
-                out.extend("    " * line[1] + text for text in writeback)
-            else:
-                out.append(line)
+        out.extend(self.lines)
         return out
 
     def emit_module(self) -> str:
@@ -533,16 +423,10 @@ class _FunctionEmitter:
         return "\n".join([header, *body, footer, ""])
 
 
-def generate_source(func: Function, module: Module, spec: ModeSpec,
-                    layout: Optional["LayoutPlan"] = None) -> CodegenResult:
-    """Translate one sealed function into a compilable Python module.
-
-    ``layout`` selects the profile-guided tier-2 emission (superblock
-    fall-through, cold-block bouncing, register localization); ``None``
-    is the tier-1 static layout.  Both tiers generate observationally
-    identical code.
-    """
-    emitter = _FunctionEmitter(func, module, spec, layout)
+def generate_source(func: Function, module: Module,
+                    spec: ModeSpec) -> CodegenResult:
+    """Translate one sealed function into a compilable Python module."""
+    emitter = _FunctionEmitter(func, module, spec)
     source = emitter.emit_module()
     hook_keys = tuple(sorted(emitter.hook_order,
                              key=emitter.hook_order.__getitem__))

@@ -257,21 +257,12 @@ class Machine:
         :class:`~repro.analysis.equiv.CodegenValidationError` on any
         mismatch.  ``None`` consults the ``REPRO_EQUIV`` environment
         variable.  Only meaningful for the compiled backend; verdicts
-        are cached per function x mode x layout, so steady state is free.
-    layouts:
-        Optional ``{func name: LayoutPlan}`` from
-        :mod:`repro.interp.profile_guided`: functions with a plan are
-        generated at **tier 2** (profile-guided layout) by the compiled
-        backend; everything else stays at tier 1.  :attr:`tiers` records
-        the tier each function actually ran at (2, 1, or 0 for the tuple
-        fallback) -- tier-2 codegen failures demote that function to
-        tier 1, and tier-1 failures degrade it to the tuple loop, so a
-        bad layout can never take a run down.
+        are cached per function x mode, so steady state is free.
     edge_probes:
         Optional ``{func name: frozenset of (block, target)}`` sparse
         counter placement from :mod:`repro.analysis.conservation`: with
         ``collect_edge_profile`` on, only the listed edges are counted
-        (in both backends and all tiers); every other count is provably
+        (in both backends); every other count is provably
         recoverable by flow-conservation reconstruction plus the
         always-on invocation counter.  ``None`` (or a missing function)
         means dense counting for that function.
@@ -285,7 +276,6 @@ class Machine:
                      Callable[[str, tuple[str, ...]], None]] = None,
                  backend: Optional[str] = None,
                  validate_codegen: Optional[bool] = None,
-                 layouts: Optional[dict] = None,
                  edge_probes: Optional[dict] = None):
         self.module = module
         self.backend = resolve_backend(backend)
@@ -294,12 +284,6 @@ class Machine:
                 "REPRO_EQUIV", "") not in ("", "0")
         self.validate_codegen = validate_codegen
         self._backend_impl = None  # lazily-built CompiledBackend
-        # func name -> LayoutPlan for tier-2 generation (compiled backend).
-        self.layouts: dict = dict(layouts) if layouts else {}
-        # func name -> tier it actually ran at: 2 (profile-guided), 1
-        # (static compiled), 0 (tuple fallback).  Filled lazily as
-        # functions are first generated/executed.
-        self.tiers: dict[str, int] = {}
         # DegradationEvents recorded when a function's codegen failed and
         # execution fell back to the tuple loop for it (compiled backend).
         self.degradations: list = []
@@ -531,11 +515,9 @@ def run_module(module: Module, func: Optional[str] = None, args: tuple = (),
                collect_edge_profile: bool = False, trace_paths: bool = False,
                cost_model: CostModel = DEFAULT_COSTS,
                max_instructions: int = 500_000_000,
-               backend: Optional[str] = None,
-               layouts: Optional[dict] = None) -> RunResult:
+               backend: Optional[str] = None) -> RunResult:
     """One-shot convenience wrapper around :class:`Machine`."""
     machine = Machine(module, collect_edge_profile=collect_edge_profile,
                       trace_paths=trace_paths, cost_model=cost_model,
-                      max_instructions=max_instructions, backend=backend,
-                      layouts=layouts)
+                      max_instructions=max_instructions, backend=backend)
     return machine.run(func, args)

@@ -71,13 +71,11 @@ def fused_edge_probes(module: Module, profilers: Sequence[Profiler]
 def build_machine(module: Module, profilers: Sequence[Profiler],
                   cost_model: CostModel = DEFAULT_COSTS,
                   max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-                  backend: Optional[str] = None,
-                  layouts: Optional[dict] = None
+                  backend: Optional[str] = None
                   ) -> Tuple[Machine, Attached]:
     """A machine with every profiler's channels enabled and observations
     attached (ops fused per edge, in profiler order), plus the per-
     profiler observation records needed to collect results later.
-    ``layouts`` selects tier-2 codegen per function (compiled backend).
     When every edge-profile consumer declares a sparse placement
     (:func:`fused_edge_probes`) the machine counts only the probe edges."""
     names = [p.name for p in profilers]
@@ -88,7 +86,7 @@ def build_machine(module: Module, profilers: Sequence[Profiler],
         collect_edge_profile=any(p.channels.edge_profile for p in profilers),
         trace_paths=any(p.channels.trace_paths for p in profilers),
         cost_model=cost_model, max_instructions=max_instructions,
-        backend=backend, layouts=layouts,
+        backend=backend,
         edge_probes=fused_edge_probes(module, profilers))
     attached: Attached = []
     per_func: dict[str, list[Tuple[FunctionObservations, Profiler]]] = {}
@@ -115,12 +113,10 @@ def execute_profilers(module: Module, profilers: Sequence[Profiler],
                       args: Tuple[object, ...] = (),
                       cost_model: CostModel = DEFAULT_COSTS,
                       max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-                      backend: Optional[str] = None,
-                      layouts: Optional[dict] = None) -> ProfilersRun:
+                      backend: Optional[str] = None) -> ProfilersRun:
     """Run the module's main once under ``profilers``."""
     machine, attached = build_machine(
         module, profilers, cost_model=cost_model,
-        max_instructions=max_instructions, backend=backend,
-        layouts=layouts)
+        max_instructions=max_instructions, backend=backend)
     result = machine.run(args=args)
     return ProfilersRun(result, collect_profiles(machine, attached))

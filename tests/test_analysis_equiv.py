@@ -6,7 +6,9 @@ real pipeline produces (pristine generated code, pristine pass output),
 and every seeded corruption from ``analysis.mutate`` detected.
 """
 
+import ast
 import dataclasses
+import re
 
 import pytest
 
@@ -22,7 +24,7 @@ from repro.analysis.mutate import (CODEGEN_MUTATIONS, PASS_MUTATIONS,
                                    mutate_module, mutate_source)
 from repro.engine import ArtifactCache, ProfilingSession
 from repro.engine.stages import ground_truth
-from repro.interp.codegen import generate_source
+from repro.interp.codegen import ModeSpec, generate_source
 from repro.interp.machine import Machine
 from repro.lang import compile_source
 from repro.workloads import get_workload
@@ -104,13 +106,102 @@ class TestCodegenMutations:
     def test_specific_codes(self, vpr_module):
         # Spot-check that corruption families land in their namespaces.
         assert "E107" in _detect_codegen(vpr_module, "cg-drop-cost")[2]
-        # An inverted test parses (tier 2 emits ``if not ...`` on
-        # purpose) but decides the branch on the wrong polarity.
-        assert "E103" in _detect_codegen(vpr_module, "cg-flip-branch")[2]
+        # The emitter never writes ``if not ...``, so an inverted test
+        # is an unrecognized shape.
+        assert "E101" in _detect_codegen(vpr_module, "cg-flip-branch")[2]
+
+    def test_branch_on_wrong_register_caught(self):
+        # A well-shaped ``if regs[K]:`` on the wrong slot parses but
+        # decides the branch on the wrong condition.
+        module = compile_source(_LOOP_PROGRAM)
+        func = module.functions["main"]
+        spec = ModeSpec()
+        result = generate_source(func, module, spec)
+        match = re.search(r"^(\s*)if regs\[(\d+)\]:$", result.source, re.M)
+        wrong = int(match.group(2)) + 1
+        source = (result.source[:match.start()]
+                  + f"{match.group(1)}if regs[{wrong}]:"
+                  + result.source[match.end():])
+        assert "E103" in _hand_edit_codes(func, module, spec, result, source)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown codegen mutation"):
             mutate_source("", "cg-bogus")
+
+
+_LOOP_PROGRAM = """
+    func main() { s = 0;
+        for (i = 0; i < 50; i = i + 1) { if (i % 3 == 0) { s = s + i; } }
+        return s; }"""
+
+
+def _hand_edit_codes(func, module, spec, result, source):
+    """Error codes the codegen checker reports for edited source."""
+    report = Report(title="hand-edited")
+    _CodegenChecker(func, module, spec,
+                    dataclasses.replace(result, source=source),
+                    report).run()
+    return [d.code for d in report.errors()]
+
+
+def _localize_looping_slot(source):
+    """Promote a slot that a looping segment writes to a ``_rK`` local:
+    loaded in the prologue, kept live across ``continue``, written back
+    before every ``return``."""
+    loop = next(m for m in re.finditer(
+        r"^    def _seg_\d+\(frame, regs\):\n", source, re.M)
+        if "continue" in source[m.end():].split("    def ")[0])
+    end = source.find("    def ", loop.end())
+    slot = re.search(r"regs\[(\d+)\] = regs\[\d+\] \+",
+                     source[loop.end():end]).group(1)
+    body = source[loop.end():end].replace(f"regs[{slot}]", f"_r{slot}")
+    body = re.sub(r"^(\s*)(return .*)$",
+                  rf"\1regs[{slot}] = _r{slot}\n\1\2", body, flags=re.M)
+    return (source[:loop.end()] + f"        _r{slot} = regs[{slot}]\n"
+            + body + source[end:])
+
+
+def _invert_first_branch(source):
+    """Rewrite the first ``if regs[K]: A`` / ``B`` into the equivalent
+    ``if not regs[K]: B`` / ``A`` (arms swapped, same semantics)."""
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        for field in ("body", "orelse"):
+            stmts = getattr(node, field, None)
+            if not isinstance(stmts, list):
+                continue
+            for i, stmt in enumerate(stmts):
+                if (isinstance(stmt, ast.If)
+                        and isinstance(stmt.test, ast.Subscript)):
+                    inverted = ast.If(
+                        test=ast.UnaryOp(op=ast.Not(), operand=stmt.test),
+                        body=stmts[i + 1:], orelse=[])
+                    stmts[i:] = [inverted, *stmt.body]
+                    return ast.unparse(ast.fix_missing_locations(tree))
+    raise AssertionError("no branch to invert")
+
+
+class TestUnmodelledShapes:
+    """The checker models exactly the shapes the emitter produces.
+    Register locals and inverted branch tests are rejected as E101,
+    even where the edited code would compute the same thing."""
+
+    @pytest.mark.parametrize("shape", ["localized-registers",
+                                       "inverted-branch"])
+    def test_unmodelled_shape_rejected(self, shape):
+        module = compile_source(_LOOP_PROGRAM)
+        func = module.functions["main"]
+        spec = ModeSpec()
+        result = generate_source(func, module, spec)
+        source = result.source
+        assert _hand_edit_codes(func, module, spec, result, source) == []
+        if shape == "localized-registers":
+            edited = _localize_looping_slot(source)
+            assert re.search(r"^\s*_r\d+ = regs\[\d+\]$", edited, re.M)
+        else:
+            edited = _invert_first_branch(source)
+            assert re.search(r"^\s*if not regs\[\d+\]:$", edited, re.M)
+        assert "E101" in _hand_edit_codes(func, module, spec, result, edited)
 
 
 class TestPassMutations:
@@ -219,8 +310,8 @@ class TestRuntimeHook:
                 return s; }""")
         real = compiled._compiled_code
 
-        def corrupting(func, mod, spec, layout=None):
-            code, result = real(func, mod, spec, layout)
+        def corrupting(func, mod, spec):
+            code, result = real(func, mod, spec)
             source = mutate_source(result.source, "cg-swap-arith")
             assert source is not None
             bad = dataclasses.replace(result, source=source)

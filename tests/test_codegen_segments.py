@@ -4,7 +4,7 @@ The emitter splits every block at call boundaries into *segments* (the
 trampoline's goto targets); the segment table, dense edge index, and
 back-edge keys depend only on the sealed IR, so they are computed once
 per function (:func:`repro.interp.codegen.function_geometry`) and shared
-by every (mode, layout) specialization.  These tests pin the boundary
+by every mode specialization.  These tests pin the boundary
 rules and the memoisation contract.
 """
 
@@ -103,7 +103,7 @@ class TestFunctionGeometry:
         assert geo.back_keys <= set(geo.edge_index)
         assert geo.back_keys
 
-    def test_shared_across_mode_and_layout_specializations(self):
+    def test_shared_across_mode_specializations(self):
         from repro.interp.codegen import ModeSpec, generate_source
 
         module = compile_source("""

@@ -52,6 +52,13 @@ def test_spec_errors(bad):
         FaultPlan.from_spec(bad)
 
 
+def test_codegen_fail_rejects_tier_suffix():
+    # There is one codegen tier; "main@2" is not a function name that
+    # could ever fire, so the spec is refused instead of going inert.
+    with pytest.raises(FaultSpecError, match="'main@2'"):
+        FaultPlan.from_spec("codegen-fail=main@2")
+
+
 # ----------------------------------------------------------------------
 # Activation: programmatic and environment
 # ----------------------------------------------------------------------

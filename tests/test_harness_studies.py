@@ -3,9 +3,13 @@ the CLI."""
 
 import pytest
 
+from repro.engine import ProfilingSession
 from repro.harness import (compare_net, matching_rows_to_dict,
                            matching_study, matching_table, net_table,
                            staleness_study, staleness_table)
+from repro.harness.matching_study import (derive_layout,
+                                          derive_module_layouts)
+from repro.lang import compile_source
 from repro.workloads import get_workload
 
 
@@ -60,16 +64,12 @@ class TestMatchingStudy:
     def test_remap_recovers_most_of_the_profile(self, row):
         # The PR acceptance bar: the matcher carries >= 80% of the old
         # edge counts across a structural edit, the repaired profile's
-        # flow distribution tracks fresh ground truth, and tier-2
+        # flow distribution tracks fresh ground truth, and layout
         # planning derives the same layouts it would from fresh counts.
         assert row.retained >= 0.8
         assert row.edge_accuracy >= 0.95
         assert row.layout_agreement >= 0.99
         assert row.block_coverage >= 0.8
-
-    def test_untimed_row_has_no_speedup(self, row):
-        assert row.discard_mops is None
-        assert row.recovered_speedup is None
 
     def test_table_and_json_render(self, row, profiling_session):
         text = matching_table([get_workload("mcf")], profiling_session)
@@ -78,6 +78,43 @@ class TestMatchingStudy:
         assert data["schema"] == 1
         assert data["workloads"]["mcf"]["retained"] == row.retained
         assert data["mean_retained"] == pytest.approx(row.retained)
+
+
+class TestLayoutPlanning:
+    @pytest.fixture(scope="class")
+    def mcf(self, profiling_session):
+        module = profiling_session.compile(get_workload("mcf"))
+        _paths, profile, _rv = profiling_session.trace(module)
+        return module, profile
+
+    def test_hot_functions_are_planned(self, mcf):
+        module, profile = mcf
+        layouts = derive_module_layouts(module, profile)
+        assert layouts  # something in mcf is hot
+        for name, plan in layouts.items():
+            blocks = set(module.functions[name].cfg.blocks)
+            assert plan.hot_blocks <= blocks
+            assert plan.cold_blocks <= blocks
+            assert not (plan.hot_blocks & plan.cold_blocks)
+
+    def test_function_that_never_ran_is_not_planned(self,
+                                                    profiling_session):
+        module = compile_source("""
+            func dead(x) { return x + 1; }
+            func main() { s = 0;
+                for (i = 0; i < 2000; i = i + 1) { s = s + i; }
+                return s; }""")
+        _paths, profile, _rv = profiling_session.trace(module)
+        assert derive_layout(module.functions["dead"],
+                             profile.functions.get("dead")) is None
+        assert set(derive_module_layouts(module, profile)) == {"main"}
+
+    def test_plans_are_deterministic(self, mcf):
+        module, profile = mcf
+        _paths, again, _rv = ProfilingSession().trace(module)
+        assert again is not profile
+        assert derive_module_layouts(module, again) == \
+            derive_module_layouts(module, profile)
 
 
 class TestCli:

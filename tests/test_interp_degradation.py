@@ -74,10 +74,10 @@ def test_real_codegen_defect_degrades_not_crashes(monkeypatch):
     _machine, want = _run(module, "tuple")
     real = compiled_mod.generate_source
 
-    def broken_generate(func, mod, spec, layout=None):
+    def broken_generate(func, mod, spec):
         if func.name == module.main:
             raise RuntimeError("synthetic codegen defect")
-        return real(func, mod, spec, layout)
+        return real(func, mod, spec)
 
     monkeypatch.setattr(compiled_mod, "generate_source", broken_generate)
     machine, got = _run(module, "compiled")
