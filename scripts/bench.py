@@ -4,7 +4,9 @@
 Runs every workload in the stock suite on the tuple and compiled
 backends, measures interpreted IR instructions per second (best of
 ``--repeats`` timed runs, after an untimed warm-up that also populates
-the codegen cache), and writes ``BENCH_interp.json``:
+the codegen cache), and writes ``BENCH_interp.json``.  The process pins
+itself to one CPU, and each workload's tuple and compiled runs
+alternate, so both sides of a speedup ratio see the same host speed:
 
     {
       "schema": 2,
@@ -59,6 +61,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -72,21 +75,38 @@ from repro.workloads import SUITE, get_workload  # noqa: E402
 SMOKE_WORKLOADS = ("vpr", "mcf", "parser", "swim")
 
 
-def ops_per_sec(module, backend: str, repeats: int, profile: bool,
-                trace: bool) -> tuple[float, int]:
-    """Best-of-N interpreted ops/sec for one module on one backend."""
+def pin_to_one_cpu() -> None:
+    """Pin this process to the lowest CPU it may run on (where the OS
+    supports affinity), so the scheduler never migrates a timed run."""
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
-    def once() -> tuple[float, int]:
-        machine = Machine(module, collect_edge_profile=profile,
-                          trace_paths=trace, backend=backend)
-        start = time.perf_counter()
-        result = machine.run()
-        elapsed = time.perf_counter() - start
-        return elapsed, result.instructions_executed
 
-    once()  # warm-up: codegen cache, branch predictors, allocator
-    best, instructions = min(once() for _ in range(max(1, repeats)))
-    return instructions / best, instructions
+def timed_run(module, backend: str, profile: bool,
+              trace: bool) -> tuple[float, int]:
+    """(seconds, instructions executed) of one run of ``module``."""
+    machine = Machine(module, collect_edge_profile=profile,
+                      trace_paths=trace, backend=backend)
+    start = time.perf_counter()
+    result = machine.run()
+    elapsed = time.perf_counter() - start
+    return elapsed, result.instructions_executed
+
+
+def ops_per_sec(module, repeats: int, profile: bool,
+                trace: bool) -> dict[str, tuple[float, int]]:
+    """Best-of-N interpreted (ops/sec, instructions) per backend for one
+    module, the backends' repeats interleaved."""
+    for backend in VALID_BACKENDS:
+        # Warm-up: codegen cache, branch predictors, allocator.
+        timed_run(module, backend, profile, trace)
+    best = {backend: (math.inf, 0) for backend in VALID_BACKENDS}
+    for _ in range(max(1, repeats)):
+        for backend in VALID_BACKENDS:
+            best[backend] = min(best[backend],
+                                timed_run(module, backend, profile, trace))
+    return {backend: (instructions / seconds, instructions)
+            for backend, (seconds, instructions) in best.items()}
 
 
 def _geomean(values: list[float]) -> float:
@@ -99,9 +119,7 @@ def run_bench(names: list[str], scale: int, repeats: int, profile: bool,
     speedups: list[float] = []
     for name in names:
         module = get_workload(name).compile(scale)
-        rates = {backend: ops_per_sec(module, backend, repeats, profile,
-                                      trace)
-                 for backend in VALID_BACKENDS}
+        rates = ops_per_sec(module, repeats, profile, trace)
         speedup = rates["compiled"][0] / rates["tuple"][0]
         speedups.append(speedup)
         workloads[name] = {
@@ -261,6 +279,7 @@ def main(argv: list[str] | None = None) -> int:
 
     names = (list(SMOKE_WORKLOADS) if args.smoke
              else [w.name for w in SUITE])
+    pin_to_one_cpu()
     print(f"benchmarking {len(names)} workloads at scale {args.scale} "
           f"({args.repeats} repeats) ...", flush=True)
 

@@ -107,10 +107,11 @@ class HotPathTable:
 
 def run_hpt(module: Module, args: tuple = (), sets: int = DEFAULT_SETS,
             ways: int = DEFAULT_WAYS,
-            max_instructions: int = 500_000_000) -> HptResult:
+            max_instructions: int = 500_000_000,
+            backend: str | None = None) -> HptResult:
     """Execute the module with the hardware hot-path table recording."""
     table = HotPathTable(sets, ways)
     machine = Machine(module, path_listener=table,
-                      max_instructions=max_instructions)
+                      max_instructions=max_instructions, backend=backend)
     result = machine.run(args=args)
     return table.result(result.return_value)

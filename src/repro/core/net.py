@@ -99,11 +99,12 @@ class NetSelector:
 def run_net(module: Module, args: tuple = (),
             threshold: int = NET_HOT_THRESHOLD,
             cost_model: CostModel = DEFAULT_COSTS,
-            max_instructions: int = 500_000_000) -> NetResult:
+            max_instructions: int = 500_000_000,
+            backend: Optional[str] = None) -> NetResult:
     """Execute the module with NET trace selection active."""
     selector = NetSelector(threshold)
     machine = Machine(module, path_listener=selector,
                       cost_model=cost_model,
-                      max_instructions=max_instructions)
+                      max_instructions=max_instructions, backend=backend)
     result = machine.run(args=args)
     return selector.result(result.return_value)

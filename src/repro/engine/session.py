@@ -128,11 +128,12 @@ class ProfilingSession:
         """Edge-profile-guided expansion of a workload's module."""
         bloat = workload.code_bloat if code_bloat is None else code_bloat
         key = fingerprint_text("expand", workload.name, str(scale),
-                               repr(bloat), workload.source(scale))
+                               repr(bloat), workload.source(scale),
+                               self.backend)
         return self.cache.get_or_compute(
             "expand", key,
             lambda: stages.expand_stage(self.compile(workload, scale),
-                                        bloat))
+                                        bloat, self.backend))
 
     def trace(self, module: Module) -> tuple[PathProfile, EdgeProfile,
                                              object]:

@@ -37,9 +37,10 @@ def compile_stage(workload: Workload, scale: int = 1) -> Module:
 # Stage: optimize (edge-profile-guided expansion, Section 7.3)
 # ----------------------------------------------------------------------
 
-def expand_stage(module: Module, code_bloat: float) -> OptimizationResult:
+def expand_stage(module: Module, code_bloat: float,
+                 backend: str | None = None) -> OptimizationResult:
     """Scalar cleanup + profile-guided inlining and unrolling."""
-    return expand_module(module, code_bloat=code_bloat)
+    return expand_module(module, code_bloat=code_bloat, backend=backend)
 
 
 # ----------------------------------------------------------------------

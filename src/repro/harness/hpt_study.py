@@ -29,11 +29,12 @@ class HptRow:
     pressure: float  # evictions per recorded path
 
 
-def hpt_study(result: WorkloadResult,
-              geometries=DEFAULT_GEOMETRIES) -> list[HptRow]:
+def hpt_study(result: WorkloadResult, geometries=DEFAULT_GEOMETRIES,
+              backend: str | None = None) -> list[HptRow]:
     rows = []
     for sets, ways in geometries:
-        hpt = run_hpt(result.expanded, sets=sets, ways=ways)
+        hpt = run_hpt(result.expanded, sets=sets, ways=ways,
+                      backend=backend)
         assert hpt.return_value == result.return_value
         flows = hpt.estimated_flows(result.expanded)
         rows.append(HptRow(
@@ -46,10 +47,11 @@ def hpt_study(result: WorkloadResult,
 
 
 def hpt_table(results: dict[str, WorkloadResult],
-              geometries=DEFAULT_GEOMETRIES) -> str:
+              geometries=DEFAULT_GEOMETRIES,
+              backend: str | None = None) -> str:
     cells = []
     for name, result in results.items():
-        for row in hpt_study(result, geometries):
+        for row in hpt_study(result, geometries, backend):
             cells.append([row.benchmark, f"{row.sets}x{row.ways}",
                           f"{row.accuracy * 100:.0f}%",
                           f"{row.pressure * 100:.1f}%"])

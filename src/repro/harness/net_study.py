@@ -38,9 +38,10 @@ def _captured(hot: dict, selected: set) -> float:
 
 def compare_net(result: WorkloadResult,
                 threshold: int = NET_HOT_THRESHOLD,
-                hot_threshold: float = HOT_THRESHOLD) -> NetComparison:
+                hot_threshold: float = HOT_THRESHOLD,
+                backend: str | None = None) -> NetComparison:
     """One benchmark's NET-vs-PPP hot-flow capture numbers."""
-    net = run_net(result.expanded, threshold=threshold)
+    net = run_net(result.expanded, threshold=threshold, backend=backend)
     assert net.return_value == result.return_value, \
         "NET selection must not perturb execution"
     hot = actual_hot_paths(result.actual, hot_threshold)
@@ -63,10 +64,11 @@ def compare_net(result: WorkloadResult,
 
 
 def net_table(results: dict[str, WorkloadResult],
-              threshold: int = NET_HOT_THRESHOLD) -> str:
+              threshold: int = NET_HOT_THRESHOLD,
+              backend: str | None = None) -> str:
     rows = []
     for name, result in results.items():
-        cmp = compare_net(result, threshold)
+        cmp = compare_net(result, threshold, backend=backend)
         rows.append([cmp.benchmark, cmp.traces_selected,
                      cmp.actual_hot_paths,
                      f"{cmp.net_hot_flow_captured * 100:.0f}%",

@@ -12,17 +12,22 @@ zero per-instruction or per-edge conditionals.
 
 The unit of generation is the *segment*: the run of instructions from a
 block start (or from a call-return point inside a block) up to the next
-call or the block terminator.  To keep control transfers off the
+call or the block terminator.  To keep hot control transfers off the
 trampoline, the emitter then chases the CFG from each segment's exit:
 
-* jump/branch targets are **inlined** (code duplication, bounded by a
-  per-segment instruction budget) so a whole loop iteration -- including
-  internal if/else diamonds -- usually becomes straight-line Python;
+* a jump/branch target is **inlined** (copied into the segment) only
+  when it has exactly one CFG predecessor, or when the segment starts
+  at a loop header and the target lies in that header's natural loop;
+  a per-segment instruction budget caps the copying.  A whole loop
+  iteration -- internal if/else diamonds included -- thus becomes
+  straight-line Python, while a join block outside the segment's own
+  loop is never duplicated, so generated source grows with the IR;
 * an edge back to the segment's own start block compiles to a native
   ``continue`` of the segment's ``while True:`` wrapper, so hot loops
   spin entirely inside one generated function;
-* calls, cycles through other blocks, and budget exhaustion fall back to
-  returning a precomputed integer segment id to the trampoline.
+* calls, joins outside the segment's own loop, cycles through other
+  blocks, and budget exhaustion fall back to returning a precomputed
+  integer segment id to the trampoline.
 
 Instruction accounting lives in the generated code: every exit path adds
 its exact instruction count (a compile-time constant) to the shared
@@ -50,7 +55,8 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..cfg.loops import find_back_edges
+from ..cfg.dominators import compute_dominators
+from ..cfg.loops import find_back_edges, find_loops
 from ..ir.function import Function, Module
 from ..ir.instructions import (BinOp, Branch, Call, Const, GlobalLoad,
                                GlobalStore, Jump, Load, Mov, Ret, Select,
@@ -59,9 +65,11 @@ from ..ir.instructions import (BinOp, Branch, Call, Const, GlobalLoad,
 __all__ = ["ModeSpec", "CodegenResult", "generate_source", "INLINE_BUDGET"]
 
 # Extra instructions one segment may inline from successor blocks before
-# falling back to the trampoline.  Bounds generated-code size (inlined
-# diamonds duplicate their join blocks) while letting typical loop bodies
-# compile into a single native loop.
+# falling back to the trampoline.  Only single-predecessor blocks and
+# blocks of the loop the segment heads are ever inlined, so joins
+# outside that loop are emitted once; inside it, the budget bounds the
+# join copies diamonds make while letting typical loop bodies compile
+# into a single native loop.
 INLINE_BUDGET = 400
 
 
@@ -175,12 +183,13 @@ def _segment_ranges(func: Function) -> tuple[list[tuple[str, int]],
 
 class _Geometry:
     """The per-function emission geometry: segment table, dense edge
-    index, and back-edge keys.  Depends only on the sealed IR, so it is
-    computed once per function and shared by every mode specialization
-    the emitter is asked for."""
+    index, back-edge keys, and the inlining facts (predecessor counts and
+    natural-loop bodies by header).  Depends only on the sealed IR, so it
+    is computed once per function and shared by every mode
+    specialization the emitter is asked for."""
 
     __slots__ = ("segments", "block_entry", "range_seg", "edge_index",
-                 "back_keys")
+                 "back_keys", "single_pred", "loop_body")
 
     def __init__(self, func: Function):
         self.segments, self.block_entry = _segment_ranges(func)
@@ -201,10 +210,19 @@ class _Geometry:
                 targets = ()
             for target in targets:
                 self.edge_index[(bname, target)] = len(self.edge_index)
-        back_uids = {e.uid for e in find_back_edges(func.cfg)}
+        dom = compute_dominators(func.cfg)
+        back_uids = {e.uid for e in find_back_edges(func.cfg, dom)}
         self.back_keys = {
             key for key in self.edge_index
             if func.edge_by_target[key[0]][key[1]].uid in back_uids}
+        # Blocks with exactly one incoming CFG edge: inlining one into its
+        # sole predecessor duplicates no join.
+        self.single_pred = frozenset(
+            name for name, block in func.cfg.blocks.items()
+            if len(block.pred_edges) == 1)
+        # Loop header -> its natural loop's blocks.
+        self.loop_body = {loop.header: frozenset(loop.body)
+                          for loop in find_loops(func.cfg, dom)}
 
 
 _GEOMETRY: "weakref.WeakKeyDictionary[Function, _Geometry]" = \
@@ -234,6 +252,8 @@ class _FunctionEmitter:
         self.range_seg = geo.range_seg
         self.edge_index = geo.edge_index
         self.back_keys = geo.back_keys
+        self.single_pred = geo.single_pred
+        self.loop_body = geo.loop_body
         self.local_names = _Namer("_l")
         self.global_names = _Namer("_g")
 
@@ -247,6 +267,9 @@ class _FunctionEmitter:
         self.budget = 0
         self.start_block = ""
         self.at_block_start = False
+        # Blocks of the loop this segment heads (empty unless it starts
+        # at a loop header).
+        self.own_loop: frozenset = frozenset()
 
     # -- low-level writers ---------------------------------------------
 
@@ -360,19 +383,20 @@ class _FunctionEmitter:
 
     def emit_goto(self, target: str, cost: int, indent: int,
                   chain: frozenset) -> None:
-        """Transfer to ``target``: native loop continue, trampoline
-        bounce, or inline the target block."""
+        """Transfer to ``target``: native loop continue, inline the
+        target block, or trampoline bounce."""
         if target == self.start_block and self.at_block_start:
             # Back to this segment's own top: spin natively.
             self.emit_cost(cost, indent)
             self.w(indent, "continue")
-        elif target in chain or self.budget <= 0:
-            # Cycle or budget exhausted: hand the transfer back to the
-            # trampoline.
+        elif (target not in chain and self.budget > 0
+              and (target in self.single_pred or target in self.own_loop)):
+            self.emit_range(target, 0, cost, indent, chain | {target})
+        else:
+            # A join outside this segment's own loop, a cycle, or budget
+            # exhausted: hand the transfer back to the trampoline.
             self.emit_cost(cost, indent)
             self.w(indent, f"return {self.block_entry[target]}")
-        else:
-            self.emit_range(target, 0, cost, indent, chain | {target})
 
     def emit_ret(self, instr: Ret, cost: int, indent: int) -> None:
         value = self.r(instr.src) if instr.src is not None else "0"
@@ -399,6 +423,8 @@ class _FunctionEmitter:
         self.budget = INLINE_BUDGET
         self.start_block = bname
         self.at_block_start = (start == 0)
+        self.own_loop = (self.loop_body.get(bname, frozenset())
+                         if self.at_block_start else frozenset())
         self.emit_range(bname, start, 0, 3, frozenset({bname}))
         out = [f"    def _seg_{seg_id}(frame, regs):"]
         out.extend(

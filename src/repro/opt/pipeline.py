@@ -56,9 +56,10 @@ class OptimizationResult:
         return self.baseline_cost / self.optimized_cost
 
 
-def collect_edge_profile(module: Module, args: tuple = ()) -> EdgeProfile:
+def collect_edge_profile(module: Module, args: tuple = (),
+                         backend: str | None = None) -> EdgeProfile:
     """Run the module once with edge profiling enabled."""
-    machine = Machine(module, collect_edge_profile=True)
+    machine = Machine(module, collect_edge_profile=True, backend=backend)
     result = machine.run(args=args)
     assert result.edge_counts is not None and result.invocations is not None
     return EdgeProfile.from_run(module, result.edge_counts,
@@ -70,7 +71,8 @@ def expand_module(module: Module, args: tuple = (),
                   max_callee_size: int = MAX_CALLEE_SIZE,
                   unroll_factor: int = UNROLL_FACTOR,
                   scalar_cleanup: bool = True,
-                  check_behaviour: bool = True) -> OptimizationResult:
+                  check_behaviour: bool = True,
+                  backend: str | None = None) -> OptimizationResult:
     """Inline and unroll under edge-profile guidance.
 
     Per the paper's Table 1 methodology, standard scalar optimizations
@@ -78,19 +80,20 @@ def expand_module(module: Module, args: tuple = (),
     and the expanded module gets one more scalar pass after inlining and
     unrolling.  When ``check_behaviour`` is set, the expanded module is
     verified to produce the same return value as the original (profiling
-    transformations must never change semantics).
+    transformations must never change semantics).  ``backend`` selects
+    the interpreter backend of every machine the expansion runs.
     """
     if scalar_cleanup:
         baseline, cleanup_stats = _scalar_opts(module)
     else:
         baseline, cleanup_stats = module, CleanupStats()
-    base_machine = Machine(baseline)
+    base_machine = Machine(baseline, backend=backend)
     base_result = base_machine.run(args=args)
-    profile = collect_edge_profile(baseline, args)
+    profile = collect_edge_profile(baseline, args, backend)
     inlined, inline_stats = inline_module(
         baseline, profile, code_bloat=code_bloat,
         max_callee_size=max_callee_size)
-    profile2 = collect_edge_profile(inlined, args)
+    profile2 = collect_edge_profile(inlined, args, backend)
     unrolled, unroll_stats = unroll_module(inlined, profile2,
                                            factor=unroll_factor)
     if scalar_cleanup:
@@ -100,7 +103,7 @@ def expand_module(module: Module, args: tuple = (),
         cleanup_stats.dead_removed += more_stats.dead_removed
         cleanup_stats.branches_resolved += more_stats.branches_resolved
         cleanup_stats.blocks_threaded += more_stats.blocks_threaded
-    opt_machine = Machine(unrolled)
+    opt_machine = Machine(unrolled, backend=backend)
     opt_result = opt_machine.run(args=args)
     if check_behaviour and opt_result.return_value != base_result.return_value:
         raise AssertionError(

@@ -56,7 +56,10 @@ def sample_edge_profile(profile: EdgeProfile, rate: float,
     functions: dict[str, FunctionEdgeProfile] = {}
     for name, fp in profile.functions.items():
         thinned = {}
-        for uid, count in fp.edge_freq.items():
+        # Draw in uid order: ``edge_freq``'s insertion order is the order
+        # a backend first folded each edge, which differs between the
+        # tuple and compiled backends.
+        for uid, count in sorted(fp.edge_freq.items()):
             kept = _thin(count, rate, rng)
             if kept:
                 thinned[uid] = max(1, int(round(kept / rate)))

@@ -120,3 +120,57 @@ class TestFunctionGeometry:
         generate_source(func, module, prof)
         # Emission reused (not rebuilt) the memoised geometry.
         assert function_geometry(func) is geo
+
+
+def _diamonds(n: int) -> str:
+    """``f(x)`` with ``n`` sequential if/else diamonds and no loop."""
+    body = "".join(f"if (x < {k}) {{ s = s + {k}; }} "
+                   f"else {{ s = s - x; }} " for k in range(n))
+    return (f"func f(x) {{ s = 0; {body}return s; }} "
+            "func main() { return f(3); }")
+
+
+def _segment_sources(source: str) -> dict[int, str]:
+    """Generated source of each ``_seg_<id>`` function, by id."""
+    out = {}
+    for chunk in source.split("    def _seg_")[1:]:
+        seg_id, _, text = chunk.partition("(")
+        out[int(seg_id)] = text
+    return out
+
+
+class TestSourceSize:
+    """Inlining copies a successor only when it has one predecessor or
+    lies in the loop the segment heads, so source grows with the IR."""
+
+    def _size(self, source: str) -> int:
+        from repro.interp.codegen import ModeSpec, generate_source
+
+        module = compile_source(source)
+        func = module.functions["f"]
+        return len(generate_source(func, module, ModeSpec()).source)
+
+    def test_straight_line_diamonds_grow_linearly(self):
+        n = 10
+        assert self._size(_diamonds(2 * n)) < 2.2 * self._size(_diamonds(n))
+
+    def test_loop_with_diamond_spins_natively(self):
+        from repro.cfg.loops import find_loops
+        from repro.interp.codegen import ModeSpec, generate_source
+
+        module = compile_source("""
+            func f(n) { s = 0;
+                for (i = 0; i < n; i = i + 1) {
+                    if (i % 3 == 0) { s = s + i; } else { s = s - 1; } }
+                return s; }
+            func main() { return f(9); }""")
+        func = module.functions["f"]
+        (loop,) = find_loops(func.cfg)
+        geo = function_geometry(func)
+        text = _segment_sources(
+            generate_source(func, module, ModeSpec()).source)[
+                geo.block_entry[loop.header]]
+        assert "continue" in text
+        # No transfer inside the loop goes through the trampoline.
+        for bname in loop.body:
+            assert f"return {geo.block_entry[bname]}\n" not in text, bname

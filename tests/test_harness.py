@@ -138,6 +138,26 @@ class TestDeterminism:
         assert outputs[0] == outputs[1]
 
 
+class TestCrossBackend:
+    def test_all_identical_on_both_backends(self, tmp_path):
+        """Every study prints the same numbers on the tuple and compiled
+        backends: no study may depend on the order in which a backend
+        folds its edge counts."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        outputs = []
+        for backend in ("tuple", "compiled"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.harness", "all", "--quiet",
+                 "--no-cache", "--benchmarks", "twolf",
+                 "--backend", backend],
+                cwd=tmp_path, env=env, capture_output=True, text=True,
+                check=True)
+            outputs.append(proc.stdout)
+        assert "twolf" in outputs[0]
+        assert outputs[0] == outputs[1]
+
+
 class TestScaleRobustness:
     """The headline shapes must not depend on the default workload size."""
 

@@ -58,6 +58,22 @@ class TestSampling:
                     for fp in profile.functions.values())
         assert kept <= total
 
+    def test_independent_of_edge_order(self, env):
+        """The two backends fold edge counts in different orders; the
+        sampled profile must not depend on it."""
+        from repro.profiles import EdgeProfile, FunctionEdgeProfile
+        _m, profile = env
+        reversed_profile = EdgeProfile(profile.module, {
+            name: FunctionEdgeProfile(
+                fp.func, dict(reversed(list(fp.edge_freq.items()))),
+                fp.entry_count)
+            for name, fp in profile.functions.items()})
+        a = sample_edge_profile(profile, 0.1, seed=4)
+        b = sample_edge_profile(reversed_profile, 0.1, seed=4)
+        for name in profile.functions:
+            assert a[name].edge_freq == b[name].edge_freq
+            assert a[name].entry_count == b[name].entry_count
+
     def test_invalid_rate_rejected(self, env):
         _m, profile = env
         with pytest.raises(ValueError):
