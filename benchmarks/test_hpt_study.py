@@ -13,18 +13,20 @@ from conftest import mean, save_rendering
 GEOMETRIES = ((16, 2), (64, 4), (256, 4))
 
 
-def test_hpt_capacity_cliff(suite_results, benchmark):
+def test_hpt_capacity_cliff(suite_results, profiling_session, benchmark):
+    session = profiling_session
     sample = suite_results["vpr"]
-    benchmark(lambda: hpt_study(sample, geometries=((64, 4),)))
+    benchmark(lambda: hpt_study(sample, geometries=((64, 4),),
+                                session=session))
 
     subset = {name: suite_results[name]
               for name in ("vpr", "mcf", "crafty", "twolf", "gap",
                            "swim")}
-    save_rendering("hpt", hpt_table(subset, GEOMETRIES))
+    save_rendering("hpt", hpt_table(subset, GEOMETRIES, session=session))
 
     by_geometry = {g: [] for g in GEOMETRIES}
     for result in subset.values():
-        for row in hpt_study(result, GEOMETRIES):
+        for row in hpt_study(result, GEOMETRIES, session=session):
             by_geometry[(row.sets, row.ways)].append(row)
 
     small = by_geometry[(16, 2)]

@@ -14,12 +14,14 @@ from repro.workloads import get_workload
 from conftest import mean, save_rendering
 
 
-def test_net_vs_ppp(suite_results, benchmark):
+def test_net_vs_ppp(suite_results, profiling_session, benchmark):
+    session = profiling_session
     sample = suite_results["mcf"]
-    benchmark(lambda: compare_net(sample))
+    benchmark(lambda: compare_net(sample, session=session))
 
-    rows = {name: compare_net(r) for name, r in suite_results.items()}
-    save_rendering("net_vs_ppp", net_table(suite_results))
+    rows = {name: compare_net(r, session=session)
+            for name, r in suite_results.items()}
+    save_rendering("net_vs_ppp", net_table(suite_results, session=session))
 
     # PPP captures at least as much hot flow as NET on every benchmark.
     for name, cmp in rows.items():

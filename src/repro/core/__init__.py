@@ -29,6 +29,7 @@ from .pipeline import (DEFAULT_CONFIG, FunctionPlan, ModulePlan,
                        ProfileRun, ProfilerConfig, plan_pp, plan_ppp,
                        plan_tpp, ppp_config_only, ppp_config_without,
                        run_with_plan)
+from .stream import PathStream, record_path_stream
 from .net import (NET_HOT_THRESHOLD, NetResult, NetSelector, NetTrace,
                   run_net)
 from .hpt import HotPathTable, HptEntry, HptResult, run_hpt
@@ -55,6 +56,7 @@ __all__ = [
     "DEFAULT_CONFIG", "FunctionPlan", "ModulePlan", "ProfileRun",
     "ProfilerConfig", "plan_pp", "plan_ppp", "plan_tpp", "ppp_config_only",
     "ppp_config_without", "run_with_plan",
+    "PathStream", "record_path_stream",
     "NET_HOT_THRESHOLD", "NetResult", "NetSelector", "NetTrace", "run_net",
     "HotPathTable", "HptEntry", "HptResult", "run_hpt",
     "format_function_plan", "format_plan",

@@ -9,11 +9,13 @@ reproduction can chart accuracy against HPT capacity and compare the
 hardware approach's failure mode (capacity evictions on warm-path
 programs) with PPP's.
 
-Each completed Ball-Larus path (delivered by the interpreter's path
-listener, standing in for the hardware's branch-outcome shifter) indexes
-a set by a hash of (function, path); ways within a set are managed with
-smallest-count eviction, the policy the hardware uses to keep hot
-entries resident.
+Each completed Ball-Larus path (standing in for the hardware's
+branch-outcome shifter) indexes a set by a hash of (function, path);
+ways within a set are managed with smallest-count eviction, the policy
+the hardware uses to keep hot entries resident.  The paths arrive as a
+recorded :class:`~repro.core.stream.PathStream` that is replayed into
+the table, so one execution serves every table geometry; the table can
+equally be attached as a machine's path listener.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field
 
-from ..interp.machine import Machine
 from ..ir.function import Module
 from ..profiles.flow import Metric, path_branches
 from ..profiles.metrics import EstimatedFlows
 from ..profiles.path_profile import PathKey
+from .stream import PathStream, record_path_stream
 
 DEFAULT_SETS = 64
 DEFAULT_WAYS = 4
@@ -66,7 +68,7 @@ class HptResult:
 
 
 class HotPathTable:
-    """The set-associative table; acts as the machine's path listener."""
+    """The set-associative table; a path listener, or fed by replay."""
 
     def __init__(self, sets: int = DEFAULT_SETS, ways: int = DEFAULT_WAYS):
         if sets <= 0 or ways <= 0:
@@ -79,9 +81,16 @@ class HotPathTable:
         self.evictions = 0
 
     def __call__(self, function: str, blocks: PathKey) -> None:
+        self.insert(self.set_index(function, blocks), function, blocks)
+
+    def set_index(self, function: str, blocks: PathKey) -> int:
+        """The set a path maps to."""
         # Deterministic across processes (Python's str hash is salted).
         key = "\x00".join((function,) + blocks).encode()
-        index = zlib.crc32(key) % self.sets
+        return zlib.crc32(key) % self.sets
+
+    def insert(self, index: int, function: str, blocks: PathKey) -> None:
+        """Record one completed path in set ``index``."""
         bucket = self.table[index]
         for entry in bucket:
             if entry.function == function and entry.blocks == blocks:
@@ -97,6 +106,16 @@ class HotPathTable:
         bucket[victim] = HptEntry(function, blocks, 1)
         self.evictions += 1
 
+    def replay(self, stream: PathStream) -> HptResult:
+        """Feed every path of ``stream`` through the table, in order,
+        hashing each distinct path once; the table's result."""
+        indices = [self.set_index(f, b) for f, b in stream.paths]
+        insert = self.insert
+        paths = stream.paths
+        for event in stream.events:
+            insert(indices[event], *paths[event])
+        return self.result(stream.return_value)
+
     def result(self, return_value: object = None) -> HptResult:
         entries = [entry for bucket in self.table for entry in bucket]
         entries.sort(key=lambda e: -e.count)
@@ -109,9 +128,6 @@ def run_hpt(module: Module, args: tuple = (), sets: int = DEFAULT_SETS,
             ways: int = DEFAULT_WAYS,
             max_instructions: int = 500_000_000,
             backend: str | None = None) -> HptResult:
-    """Execute the module with the hardware hot-path table recording."""
-    table = HotPathTable(sets, ways)
-    machine = Machine(module, path_listener=table,
-                      max_instructions=max_instructions, backend=backend)
-    result = machine.run(args=args)
-    return table.result(result.return_value)
+    """Execute the module and replay its paths into a hot-path table."""
+    stream = record_path_stream(module, args, max_instructions, backend)
+    return HotPathTable(sets, ways).replay(stream)

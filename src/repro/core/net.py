@@ -12,6 +12,9 @@ per hot head while a path profile sees the whole distribution.
 This module implements NET faithfully enough to quantify that claim
 (:mod:`repro.harness.net_study`): per (function, path head) counters,
 one captured trace per head, first-execution-after-threshold semantics.
+The paths arrive as a recorded :class:`~repro.core.stream.PathStream`
+that is replayed into the selector, in the order the interpreter's path
+listener would have delivered them.
 """
 
 from __future__ import annotations
@@ -19,12 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..interp.costs import CostModel, DEFAULT_COSTS
-from ..interp.machine import Machine
 from ..ir.function import Module
 from ..profiles.flow import Metric, path_branches
 from ..profiles.metrics import EstimatedFlows
 from ..profiles.path_profile import PathKey
+from .stream import PathStream, record_path_stream
 
 NET_HOT_THRESHOLD = 50  # Dynamo's published trace-head threshold
 
@@ -63,7 +65,7 @@ class NetResult:
 
 
 class NetSelector:
-    """The online mechanism, fed by the interpreter's path listener."""
+    """The online mechanism; a path listener, or fed by replay."""
 
     def __init__(self, threshold: int = NET_HOT_THRESHOLD):
         self.threshold = threshold
@@ -86,6 +88,14 @@ class NetSelector:
         if count == self.threshold and key not in self.traces:
             self.pending.add(key)
 
+    def replay(self, stream: PathStream) -> NetResult:
+        """Feed every path of ``stream`` to the selector, in order; the
+        selector's result."""
+        paths = stream.paths
+        for event in stream.events:
+            self(*paths[event])
+        return self.result(stream.return_value)
+
     def result(self, return_value: object = None) -> NetResult:
         traces = sorted(self.traces.values(),
                         key=lambda t: t.selection_order)
@@ -98,13 +108,8 @@ class NetSelector:
 
 def run_net(module: Module, args: tuple = (),
             threshold: int = NET_HOT_THRESHOLD,
-            cost_model: CostModel = DEFAULT_COSTS,
             max_instructions: int = 500_000_000,
             backend: Optional[str] = None) -> NetResult:
-    """Execute the module with NET trace selection active."""
-    selector = NetSelector(threshold)
-    machine = Machine(module, path_listener=selector,
-                      cost_model=cost_model,
-                      max_instructions=max_instructions, backend=backend)
-    result = machine.run(args=args)
-    return selector.result(result.return_value)
+    """Execute the module and replay its paths into NET selection."""
+    stream = record_path_stream(module, args, max_instructions, backend)
+    return NetSelector(threshold).replay(stream)

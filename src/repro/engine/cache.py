@@ -1,9 +1,10 @@
 """The content-addressed artifact cache behind :class:`ProfilingSession`.
 
 Artifacts are stored under a ``(kind, key)`` address where ``kind`` names
-the pipeline stage ("compile", "expand", "trace", "plan", "technique",
-"workload") and ``key`` is a content hash from
-:mod:`repro.engine.fingerprint`.  Two layers:
+the pipeline stage ("compile", "expand", "trace", "stream", "profiles",
+"remap", "plan", "verify", "technique", "workload"; the proof passes add
+"verifyreport", "conservereport", "matchreport" and "equiv") and ``key``
+is a content hash from :mod:`repro.engine.fingerprint`.  Two layers:
 
 * an **in-memory** dict, always consulted first;
 * an optional **on-disk** layer (one checksummed pickle file per

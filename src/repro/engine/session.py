@@ -4,9 +4,9 @@ A session owns an :class:`~repro.engine.cache.ArtifactCache` and a jobs
 setting, and exposes the per-stage entry points the harness and the
 study drivers use:
 
-* :meth:`compile` / :meth:`expand` / :meth:`trace` -- the front half,
-  each content-addressed on the MiniC source (plus optimizer settings)
-  or the canonical IR text;
+* :meth:`compile` / :meth:`expand` / :meth:`trace` /
+  :meth:`path_stream` -- the front half, each content-addressed on the
+  MiniC source (plus optimizer settings) or the canonical IR text;
 * :meth:`plan` / :meth:`plan_and_score` -- instrumentation planning and
   scored execution, keyed additionally on the planning profile and the
   :class:`~repro.core.ProfilerConfig`, which is what lets the ablation /
@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from ..core import DEFAULT_CONFIG, ModulePlan, ProfilerConfig
+from ..core import DEFAULT_CONFIG, ModulePlan, PathStream, ProfilerConfig
 from ..interp import resolve_backend
 from ..ir.function import Module
 from ..opt import OptimizationResult
@@ -146,6 +146,15 @@ class ProfilingSession:
         self._traced.pop(fp, None)  # re-insert to keep recency order
         self._traced[fp] = (module, paths, edge_profile)
         return paths, edge_profile, rv
+
+    def path_stream(self, module: Module) -> PathStream:
+        """A module's completed paths in listener order (cached), for
+        the online path consumers (hot-path table, NET) to replay."""
+        key = fingerprint_text("stream", fingerprint_module(module),
+                               self.backend)
+        return self.cache.get_or_compute(
+            "stream", key,
+            lambda: stages.stream_stage(module, backend=self.backend))
 
     def remap_profile(self, old: EdgeProfile, new_module: Module,
                       paths: Optional[PathProfile] = None

@@ -11,11 +11,11 @@ flow :func:`repro.harness.run_workload` used to run inline.
 
 from __future__ import annotations
 
-from ..core import (DEFAULT_CONFIG, ModulePlan, ProfilerConfig,
+from ..core import (DEFAULT_CONFIG, ModulePlan, PathStream, ProfilerConfig,
                     build_estimated_profile, edge_profile_estimate,
                     evaluate_accuracy, evaluate_coverage,
                     evaluate_edge_coverage, instrumented_fraction, plan_pp,
-                    plan_ppp, plan_tpp, run_with_plan)
+                    plan_ppp, plan_tpp, record_path_stream, run_with_plan)
 from ..ir.function import Module
 from ..opt import OptimizationResult, expand_module
 from ..profiles import EdgeProfile, PathProfile
@@ -67,6 +67,12 @@ def ground_truth(module: Module,
     profile = EdgeProfile.from_run(module, run.profiles["edges"],
                                    run.profiles["calls"])
     return actual, profile, run.result.return_value
+
+
+def stream_stage(module: Module, backend: str | None = None) -> PathStream:
+    """Run the module once, recording its completed paths in order: the
+    input the HPT and NET studies replay."""
+    return record_path_stream(module, backend=backend)
 
 
 def profile_stage(module: Module, profilers: tuple[str, ...],

@@ -192,12 +192,12 @@ def main(argv: list[str] | None = None) -> int:
         "fig12": figure12,
         "fig13": lambda r: figure13(r, session=session),
         "oaat": lambda r: one_at_a_time(r, session=session),
-        "net": lambda r: net_table(r, backend=session.backend),
+        "net": lambda r: net_table(r, session=session),
         "superblocks": lambda r: superblock_table(r, session=session),
         "ifconvert": lambda r: ifconvert_table(r, session=session),
         "metrics": metrics_table,
         "sampling": lambda r: sampling_table(r, session=session),
-        "hpt": lambda r: hpt_table(r, backend=session.backend),
+        "hpt": lambda r: hpt_table(r, session=session),
         "profilers": lambda r: profiler_table(r, session=session),
         "matching": lambda r: matching_table(
             [get_workload(n) for n in r], session=session,

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core import evaluate_accuracy
-from ..core.hpt import run_hpt
-from ..engine import WorkloadResult
+from ..core import HotPathTable, evaluate_accuracy
+from ..engine import ProfilingSession, WorkloadResult
 from .report import render_table
 
 DEFAULT_GEOMETRIES = ((16, 2), (64, 4), (256, 4))  # (sets, ways)
@@ -29,13 +28,15 @@ class HptRow:
     pressure: float  # evictions per recorded path
 
 
-def hpt_study(result: WorkloadResult, geometries=DEFAULT_GEOMETRIES,
-              backend: str | None = None) -> list[HptRow]:
+def hpt_study(result: WorkloadResult, geometries=DEFAULT_GEOMETRIES, *,
+              session: ProfilingSession) -> list[HptRow]:
+    """One table per geometry, each fed the expanded module's cached
+    path stream."""
+    stream = session.path_stream(result.expanded)
+    assert stream.return_value == result.return_value
     rows = []
     for sets, ways in geometries:
-        hpt = run_hpt(result.expanded, sets=sets, ways=ways,
-                      backend=backend)
-        assert hpt.return_value == result.return_value
+        hpt = HotPathTable(sets, ways).replay(stream)
         flows = hpt.estimated_flows(result.expanded)
         rows.append(HptRow(
             benchmark=result.workload.name,
@@ -47,11 +48,11 @@ def hpt_study(result: WorkloadResult, geometries=DEFAULT_GEOMETRIES,
 
 
 def hpt_table(results: dict[str, WorkloadResult],
-              geometries=DEFAULT_GEOMETRIES,
-              backend: str | None = None) -> str:
+              geometries=DEFAULT_GEOMETRIES, *,
+              session: ProfilingSession) -> str:
     cells = []
     for name, result in results.items():
-        for row in hpt_study(result, geometries, backend):
+        for row in hpt_study(result, geometries, session=session):
             cells.append([row.benchmark, f"{row.sets}x{row.ways}",
                           f"{row.accuracy * 100:.0f}%",
                           f"{row.pressure * 100:.1f}%"])

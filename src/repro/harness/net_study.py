@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core import build_estimated_profile
-from ..core.net import NET_HOT_THRESHOLD, run_net
-from ..engine import WorkloadResult
+from ..core.net import NET_HOT_THRESHOLD, NetSelector
+from ..engine import ProfilingSession, WorkloadResult
 from ..profiles.metrics import HOT_THRESHOLD, actual_hot_paths
 from .report import render_table
 
@@ -38,10 +38,12 @@ def _captured(hot: dict, selected: set) -> float:
 
 def compare_net(result: WorkloadResult,
                 threshold: int = NET_HOT_THRESHOLD,
-                hot_threshold: float = HOT_THRESHOLD,
-                backend: str | None = None) -> NetComparison:
-    """One benchmark's NET-vs-PPP hot-flow capture numbers."""
-    net = run_net(result.expanded, threshold=threshold, backend=backend)
+                hot_threshold: float = HOT_THRESHOLD, *,
+                session: ProfilingSession) -> NetComparison:
+    """One benchmark's NET-vs-PPP hot-flow capture numbers, NET fed the
+    expanded module's cached path stream."""
+    stream = session.path_stream(result.expanded)
+    net = NetSelector(threshold).replay(stream)
     assert net.return_value == result.return_value, \
         "NET selection must not perturb execution"
     hot = actual_hot_paths(result.actual, hot_threshold)
@@ -64,11 +66,11 @@ def compare_net(result: WorkloadResult,
 
 
 def net_table(results: dict[str, WorkloadResult],
-              threshold: int = NET_HOT_THRESHOLD,
-              backend: str | None = None) -> str:
+              threshold: int = NET_HOT_THRESHOLD, *,
+              session: ProfilingSession) -> str:
     rows = []
     for name, result in results.items():
-        cmp = compare_net(result, threshold, backend=backend)
+        cmp = compare_net(result, threshold, session=session)
         rows.append([cmp.benchmark, cmp.traces_selected,
                      cmp.actual_hot_paths,
                      f"{cmp.net_hot_flow_captured * 100:.0f}%",

@@ -51,8 +51,9 @@ def _c_mod(a, b):
     if b == 0:
         return 0
     if isinstance(a, int) and isinstance(b, int):
-        return a - _c_div(a, b) * b
-    return a - b * int(a / b) if b else 0
+        r = abs(a) % abs(b)
+        return r if a >= 0 else -r
+    return a - b * int(a / b)
 
 
 _BIN_FNS: dict[str, Callable] = {

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..interp.machine import Machine
+from ..interp.machine import Machine, RunResult
 from ..ir.function import Module
 from ..profiles.edge_profile import EdgeProfile
 from .cleanup import CleanupStats, cleanup_module
@@ -56,14 +56,21 @@ class OptimizationResult:
         return self.baseline_cost / self.optimized_cost
 
 
-def collect_edge_profile(module: Module, args: tuple = (),
-                         backend: str | None = None) -> EdgeProfile:
-    """Run the module once with edge profiling enabled."""
+def _edge_profiled_run(module: Module, args: tuple,
+                       backend: str | None) -> tuple[EdgeProfile, RunResult]:
+    """Run the module once with edge profiling enabled.  Edge counting
+    is not billed, so the run's cost is the plain run's cost."""
     machine = Machine(module, collect_edge_profile=True, backend=backend)
     result = machine.run(args=args)
     assert result.edge_counts is not None and result.invocations is not None
     return EdgeProfile.from_run(module, result.edge_counts,
-                                result.invocations)
+                                result.invocations), result
+
+
+def collect_edge_profile(module: Module, args: tuple = (),
+                         backend: str | None = None) -> EdgeProfile:
+    """Run the module once with edge profiling enabled."""
+    return _edge_profiled_run(module, args, backend)[0]
 
 
 def expand_module(module: Module, args: tuple = (),
@@ -87,9 +94,7 @@ def expand_module(module: Module, args: tuple = (),
         baseline, cleanup_stats = _scalar_opts(module)
     else:
         baseline, cleanup_stats = module, CleanupStats()
-    base_machine = Machine(baseline, backend=backend)
-    base_result = base_machine.run(args=args)
-    profile = collect_edge_profile(baseline, args, backend)
+    profile, base_result = _edge_profiled_run(baseline, args, backend)
     inlined, inline_stats = inline_module(
         baseline, profile, code_bloat=code_bloat,
         max_callee_size=max_callee_size)

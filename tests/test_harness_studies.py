@@ -3,12 +3,13 @@ the CLI."""
 
 import pytest
 
-from repro.engine import ProfilingSession
-from repro.harness import (compare_net, matching_rows_to_dict,
+from repro.engine import ArtifactCache, ProfilingSession
+from repro.harness import (compare_net, hpt_table, matching_rows_to_dict,
                            matching_study, matching_table, net_table,
                            staleness_study, staleness_table)
 from repro.harness.matching_study import (derive_layout,
                                           derive_module_layouts)
+from repro.interp import Machine
 from repro.lang import compile_source
 from repro.workloads import get_workload
 
@@ -23,9 +24,11 @@ def contrasting(profiling_session):
 
 
 class TestNetStudy:
-    def test_paper_claim_dominant_vs_warm(self, contrasting):
-        skewed = compare_net(contrasting["mcf"])
-        warm = compare_net(contrasting["crafty"])
+    def test_paper_claim_dominant_vs_warm(self, contrasting,
+                                          profiling_session):
+        skewed = compare_net(contrasting["mcf"], session=profiling_session)
+        warm = compare_net(contrasting["crafty"],
+                           session=profiling_session)
         # NET does far better where a few paths dominate ...
         assert skewed.net_hot_flow_captured > warm.net_hot_flow_captured
         # ... and PPP beats NET in both regimes.
@@ -34,9 +37,32 @@ class TestNetStudy:
         assert warm.ppp_hot_flow_captured > \
             warm.net_hot_flow_captured + 0.3
 
-    def test_net_table_renders(self, contrasting):
-        text = net_table(contrasting)
+    def test_net_table_renders(self, contrasting, profiling_session):
+        text = net_table(contrasting, session=profiling_session)
         assert "NET capture" in text and "mcf" in text
+
+
+class TestWarmPathStreams:
+    def test_warm_hpt_and_net_run_no_interpreter(self, tmp_path,
+                                                 monkeypatch):
+        workloads = [get_workload(n) for n in ("twolf", "applu")]
+
+        def render(session):
+            results = session.run_suite(workloads)
+            return (hpt_table(results, session=session),
+                    net_table(results, session=session))
+
+        cold = render(ProfilingSession(ArtifactCache(disk_dir=tmp_path)))
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a warm pass ran the interpreter")
+
+        monkeypatch.setattr(Machine, "run", refuse)
+        warm_session = ProfilingSession(ArtifactCache(disk_dir=tmp_path))
+        assert render(warm_session) == cold
+        stream = warm_session.stats.of("stream")
+        assert stream.misses == 0
+        assert stream.disk_hits == len(workloads)
 
 
 class TestStaleness:

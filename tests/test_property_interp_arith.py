@@ -63,3 +63,34 @@ def test_matches_python_on_sign_agreeing_operands(a, b):
     if (a >= 0) == (b > 0):
         assert _c_div(a, b) == a // b
         assert _c_mod(a, b) == a % b
+
+
+def _reference_mod(a, b):
+    """The remainder as the interpreter used to compute it: through the
+    truncating quotient for ints, ``fmod``-style for floats."""
+    if b == 0:
+        return 0
+    if isinstance(a, int) and isinstance(b, int):
+        return a - _c_div(a, b) * b
+    return a - b * int(a / b)
+
+
+# The workloads' LCGs reach ~2.4e18 before taking a remainder.
+big_ints = st.integers(min_value=-10**19, max_value=10**19)
+# Divisors far below 1 overflow int(a / b) on both implementations.
+floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False).filter(
+    lambda v: v == 0 or abs(v) >= 1e-3)
+
+
+@settings(**_SETTINGS)
+@given(a=big_ints, b=st.one_of(big_ints, ints))
+def test_mod_matches_reference_on_large_ints(a, b):
+    assert _c_mod(a, b) == _reference_mod(a, b)
+    if b != 0:
+        assert _c_div(a, b) * b + _c_mod(a, b) == a
+
+
+@settings(**_SETTINGS)
+@given(a=st.one_of(floats, ints), b=st.one_of(floats, ints))
+def test_mod_matches_reference_on_floats(a, b):
+    assert _c_mod(a, b) == _reference_mod(a, b)
