@@ -20,8 +20,9 @@ Subcommands
 ``cache {info,verify,gc,clear}``
     Inspect or empty the on-disk artifact cache the experiment harness
     keeps under ``results/.cache`` (see ``repro.engine``).  ``info``
-    and ``verify`` report the cache schema version and flag entries
-    written under an older schema; ``gc`` deletes them.
+    and ``verify`` report the cache salt (a hash of the package source)
+    and flag entries written under another salt, i.e. by other code;
+    ``gc`` deletes them.
 ``profilers``
     List the registered profiler plugins (name, description, machine
     channels).  Any non-plan profiler can be fused into an instrumented
@@ -106,7 +107,9 @@ from .core import (build_estimated_profile, evaluate_accuracy,
 from .harness import ground_truth
 from .harness.__main__ import (DEFAULT_CACHE_DIR, CliError,
                                _add_backend_option, _add_fault_options,
-                               _chosen_workloads, _install_chaos,
+                               _add_profilers_option,
+                               _add_sparse_edges_option, _chosen_workloads,
+                               _install_chaos, _selected_profilers,
                                build_session)
 from .interp import run_module
 from .lang import compile_source
@@ -130,11 +133,12 @@ def _load(path: str):
 
 def cmd_run(args) -> int:
     module = _load(args.file)
-    if args.sparse_edges:
+    profilers = _selected_profilers(args)
+    if profilers:  # ``run`` declares only --sparse-edges
         from .analysis.conservation import static_placement
         from .profilers import create_profilers
         from .profilers.drive import execute_profilers
-        run = execute_profilers(module, create_profilers(["edges-sparse"]),
+        run = execute_profilers(module, create_profilers(profilers),
                                 max_instructions=args.max_instructions,
                                 backend=args.backend)
         result = run.result
@@ -185,7 +189,7 @@ def cmd_profile(args) -> int:
             save_edge_profile(fresh_profile, handle, embed_sketch=True)
         print(f"saved edge profile to {args.save_edge_profile}")
 
-    extra = _parse_profilers(getattr(args, "profilers", ""))
+    extra = _selected_profilers(args)
     planner = {"pp": lambda: plan_pp(module),
                "tpp": lambda: plan_tpp(module, edge_profile),
                "ppp": lambda: plan_ppp(module, edge_profile)}
@@ -226,16 +230,6 @@ def cmd_profile(args) -> int:
         print()
         _print_extra_profiles(run.profiles)
     return 0
-
-
-def _parse_profilers(spec: str) -> tuple[str, ...]:
-    if not spec:
-        return ()
-    from .profilers import parse_profiler_names
-    try:
-        return parse_profiler_names(spec)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
 
 
 def _print_extra_profiles(profiles: dict) -> None:
@@ -309,7 +303,7 @@ def cmd_dot(args) -> int:
 
 
 def cmd_cache(args) -> int:
-    from .engine import CACHE_SCHEMA_VERSION, ArtifactCache
+    from .engine import CACHE_SALT, ArtifactCache
 
     cache = ArtifactCache(disk_dir=args.dir)
     files = cache.disk_files()
@@ -319,19 +313,16 @@ def cmd_cache(args) -> int:
             kind = path.name.split("-", 1)[0]
             by_kind[kind] = by_kind.get(kind, 0) + 1
         print(f"cache directory: {args.dir}")
-        print(f"cache schema: v{CACHE_SCHEMA_VERSION}")
+        print(f"cache salt: {CACHE_SALT:08x}")
         print(f"artifacts: {len(files)} "
               f"({cache.disk_size_bytes() / 1024:.1f} KB)")
         for kind in sorted(by_kind):
             print(f"  {kind}: {by_kind[kind]}")
-        census = cache.schema_census()
-        stale = sum(n for v, n in census.items()
-                    if v and v != CACHE_SCHEMA_VERSION)
+        stale = {salt: n for salt, n in sorted(cache.schema_census().items())
+                 if salt and salt != CACHE_SALT}
         if stale:
-            versions = ", ".join(f"v{v}: {n}" for v, n in
-                                 sorted(census.items())
-                                 if v and v != CACHE_SCHEMA_VERSION)
-            print(f"  stale schema: {stale} ({versions}) -- run "
+            salts = ", ".join(f"{salt:08x}: {n}" for salt, n in stale.items())
+            print(f"  stale: {sum(stale.values())} ({salts}) -- run "
                   f"'repro cache gc' to remove stale entries")
         quarantined = cache.quarantined_files()
         if quarantined:
@@ -340,11 +331,11 @@ def cmd_cache(args) -> int:
         return 0
     if args.action == "verify":
         ok, quarantined, stale = cache.verify_disk()
-        print(f"cache schema: v{CACHE_SCHEMA_VERSION}")
+        print(f"cache salt: {CACHE_SALT:08x}")
         print(f"verified {ok + quarantined + stale} artifacts: {ok} ok, "
-              f"{quarantined} corrupt (quarantined), {stale} stale schema")
+              f"{quarantined} corrupt (quarantined), {stale} stale")
         if stale:
-            print("stale entries predate the current cache schema; "
+            print("stale entries were written by other code; "
                   "run 'repro cache gc' to remove stale entries")
         return 1 if quarantined else 0
     if args.action == "gc":
@@ -754,9 +745,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("file")
     p_run.add_argument("--max-instructions", type=int, default=500_000_000)
     _add_backend_option(p_run)
-    p_run.add_argument("--sparse-edges", action="store_true",
-                       help="count edges only on conservation probes and "
-                            "reconstruct the full edge profile afterward")
+    _add_sparse_edges_option(p_run)
     p_run.set_defaults(fn=cmd_run)
 
     p_prof = sub.add_parser("profile", help="path-profile a program")
@@ -772,9 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="plan from a saved edge profile (JSON)")
     p_prof.add_argument("--save-edge-profile", metavar="OUT",
                         help="save this run's edge profile (JSON)")
-    p_prof.add_argument("--profilers", metavar="NAMES", default="",
-                        help="comma-separated extra registry profilers to "
-                             "fuse into the run (see 'repro profilers')")
+    _add_profilers_option(p_prof)
     p_prof.set_defaults(fn=cmd_profile)
 
     p_plist = sub.add_parser(

@@ -13,7 +13,7 @@ through an explicit session.
 from .cache import ArtifactCache, CacheStats, KindStats
 from .faults import (CodegenFault, DegradationEvent, FaultPlan,
                      FaultSpecError)
-from .fingerprint import (CACHE_SCHEMA_VERSION, fingerprint_config,
+from .fingerprint import (CACHE_SALT, fingerprint_config,
                           fingerprint_edge_profile, fingerprint_module,
                           fingerprint_text)
 from .parallel import (ParallelRunner, SuiteExecutionError, WorkloadTask,
@@ -28,7 +28,7 @@ from .stages import (assemble_workload_result, compile_stage, expand_stage,
 __all__ = [
     "ArtifactCache", "CacheStats", "KindStats",
     "CodegenFault", "DegradationEvent", "FaultPlan", "FaultSpecError",
-    "CACHE_SCHEMA_VERSION", "fingerprint_config",
+    "CACHE_SALT", "fingerprint_config",
     "fingerprint_edge_profile", "fingerprint_module", "fingerprint_text",
     "ParallelRunner", "SuiteExecutionError", "WorkloadTask", "run_task",
     "ExecutionRecord", "SuiteExecutionReport", "TECHNIQUES",

@@ -2,9 +2,10 @@
 
 Artifacts are stored under a ``(kind, key)`` address where ``kind`` names
 the pipeline stage ("compile", "expand", "trace", "stream", "profiles",
-"remap", "plan", "verify", "technique", "workload"; the proof passes add
-"verifyreport", "conservereport", "matchreport" and "equiv") and ``key``
-is a content hash from :mod:`repro.engine.fingerprint`.  Two layers:
+"remap", "plan", "verify", "technique", "workload", and "table" for a
+rendered harness table; the proof passes add "verifyreport",
+"conservereport", "matchreport" and "equiv") and ``key`` is a content
+hash from :mod:`repro.engine.fingerprint`.  Two layers:
 
 * an **in-memory** dict, always consulted first;
 * an optional **on-disk** layer (one checksummed pickle file per
@@ -40,24 +41,25 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from . import faults
-from .fingerprint import CACHE_SCHEMA_VERSION
+from .fingerprint import CACHE_SALT
 
 __all__ = ["ArtifactCache", "CacheStats", "KindStats"]
 
 log = logging.getLogger(__name__)
 
-# On-disk envelope v2: MAGIC + 4-byte big-endian schema version +
+# On-disk envelope v2: MAGIC + 4-byte big-endian cache salt +
 # sha256(payload) + payload.  The magic names the envelope format;
-# semantic changes are handled by CACHE_SCHEMA_VERSION, which both salts
-# every key (so stale entries stop matching lookups) and is embedded in
-# the envelope (so sweeps can *identify* stale entries instead of merely
-# never hitting them).  Legacy v1 envelopes (no embedded version) were
-# last written at schema 5.
+# semantic changes are handled by CACHE_SALT (a hash of the package
+# source), which both salts every key (so stale entries stop matching
+# lookups) and is embedded in the envelope (so sweeps can *identify*
+# stale entries instead of merely never hitting them).  Older entries
+# carry a hand-bumped schema version there instead (at most 9); legacy
+# v1 envelopes (no embedded field) were last written at schema 5.
 _MAGIC = b"RPROCAV2"
 _MAGIC_V1 = b"RPROCAV1"
 _V1_SCHEMA = 5  # the schema version when the v1 envelope was retired
 _DIGEST_LEN = 32
-_SCHEMA_LEN = 4
+_SALT_LEN = 4
 QUARANTINE_SUFFIX = ".corrupt"
 
 
@@ -70,7 +72,7 @@ class KindStats:
     stores: int = 0
     disk_hits: int = 0  # subset of ``hits`` served from the disk layer
     corrupt: int = 0    # disk entries that failed verification
-    stale: int = 0      # intact entries written under an older schema
+    stale: int = 0      # intact entries written under another salt
     remapped: int = 0   # stale profiles recovered by profile matching
 
 
@@ -211,16 +213,16 @@ class ArtifactCache:
             return _MISSING
         except OSError:
             return _MISSING
-        payload, schema = self._parse_envelope(raw)
+        payload, salt = self._parse_envelope(raw)
         if payload is None:
             self._quarantine(path, kind, "checksum mismatch")
             return _MISSING
-        if schema != CACHE_SCHEMA_VERSION:
-            # Intact but written under an older schema.  Keys are salted
-            # by the schema version, so this address should never have
-            # matched -- still, never unpickle across schemas: count it,
-            # report a miss, and leave the file for ``repro cache gc``.
-            self._mark_stale(path, kind, schema)
+        if salt != CACHE_SALT:
+            # Intact but written by other code.  Keys are salted too, so
+            # this address should never have matched -- still, never
+            # unpickle across salts: count it, report a miss, and leave
+            # the file for ``repro cache gc``.
+            self._mark_stale(path, kind, salt)
             return _MISSING
         try:
             return pickle.loads(payload)
@@ -232,39 +234,39 @@ class ArtifactCache:
 
     @staticmethod
     def _parse_envelope(raw: bytes) -> tuple[Optional[bytes], int]:
-        """``(payload, schema version)``; payload is ``None`` when the
-        envelope is malformed or fails its checksum."""
+        """``(payload, salt)``; payload is ``None`` when the envelope is
+        malformed or fails its checksum."""
         if raw.startswith(_MAGIC):
-            header = len(_MAGIC) + _SCHEMA_LEN + _DIGEST_LEN
+            header = len(_MAGIC) + _SALT_LEN + _DIGEST_LEN
             if len(raw) < header:
                 return None, 0
-            schema = int.from_bytes(
-                raw[len(_MAGIC):len(_MAGIC) + _SCHEMA_LEN], "big")
-            digest = raw[len(_MAGIC) + _SCHEMA_LEN:header]
+            salt = int.from_bytes(
+                raw[len(_MAGIC):len(_MAGIC) + _SALT_LEN], "big")
+            digest = raw[len(_MAGIC) + _SALT_LEN:header]
         elif raw.startswith(_MAGIC_V1):
             header = len(_MAGIC_V1) + _DIGEST_LEN
             if len(raw) < header:
                 return None, 0
-            schema = _V1_SCHEMA
+            salt = _V1_SCHEMA
             digest = raw[len(_MAGIC_V1):header]
         else:
             return None, 0
         payload = raw[header:]
         if hashlib.sha256(payload).digest() != digest:
             return None, 0
-        return payload, schema
+        return payload, salt
 
     @classmethod
     def _verified_payload(cls, raw: bytes) -> Optional[bytes]:
         """The payload bytes, or ``None`` when the envelope fails."""
         return cls._parse_envelope(raw)[0]
 
-    def _mark_stale(self, path: Path, kind: str, schema: int) -> None:
+    def _mark_stale(self, path: Path, kind: str, salt: int) -> None:
         self.stats.of(kind).stale += 1
         log.warning(
-            "cache entry %s has stale schema v%d (current v%d); "
+            "cache entry %s is stale (salt %08x, current %08x); "
             "run `repro cache gc` to remove stale entries",
-            path.name, schema, CACHE_SCHEMA_VERSION)
+            path.name, salt, CACHE_SALT)
 
     def _quarantine(self, path: Path, kind: str, reason: str) -> None:
         """Rename a corrupt entry aside; it will be recomputed."""
@@ -295,8 +297,7 @@ class ArtifactCache:
             try:
                 with os.fdopen(fd, "wb") as handle:
                     handle.write(_MAGIC)
-                    handle.write(CACHE_SCHEMA_VERSION.to_bytes(
-                        _SCHEMA_LEN, "big"))
+                    handle.write(CACHE_SALT.to_bytes(_SALT_LEN, "big"))
                     handle.write(digest)
                     handle.write(payload)
                 os.replace(tmp, self._disk_path(kind, key))
@@ -334,7 +335,7 @@ class ArtifactCache:
         """Checksum every disk entry; quarantine failures.
 
         Returns ``(ok, quarantined, stale)`` -- stale entries are intact
-        files written under an older schema version; they are counted
+        files written under another cache salt; they are counted
         (and logged with a "run gc" hint) but left in place for
         :meth:`gc_disk`.  Verification reads the envelope only --
         payloads are never unpickled, so a hostile or stale file cannot
@@ -347,47 +348,48 @@ class ArtifactCache:
                 raw = path.read_bytes()
             except OSError:
                 continue
-            payload, schema = self._parse_envelope(raw)
+            payload, salt = self._parse_envelope(raw)
             if payload is None:
                 self._quarantine(path, kind, "checksum mismatch")
                 quarantined += 1
-            elif schema != CACHE_SCHEMA_VERSION:
-                self._mark_stale(path, kind, schema)
+            elif salt != CACHE_SALT:
+                self._mark_stale(path, kind, salt)
                 stale += 1
             else:
                 ok += 1
         return ok, quarantined, stale
 
     def stale_files(self) -> list[Path]:
-        """Intact disk entries written under an older schema version."""
+        """Intact disk entries written under another cache salt."""
         out: list[Path] = []
         for path in self.disk_files():
             try:
                 raw = path.read_bytes()
             except OSError:
                 continue
-            payload, schema = self._parse_envelope(raw)
-            if payload is not None and schema != CACHE_SCHEMA_VERSION:
+            payload, salt = self._parse_envelope(raw)
+            if payload is not None and salt != CACHE_SALT:
                 out.append(path)
         return out
 
     def schema_census(self) -> dict[int, int]:
-        """Schema version -> number of intact disk entries carrying it
-        (0 stands for malformed/corrupt envelopes)."""
+        """Salt (or legacy schema version) -> number of intact disk
+        entries carrying it (0 stands for malformed/corrupt envelopes)."""
         census: dict[int, int] = {}
         for path in self.disk_files():
             try:
                 raw = path.read_bytes()
             except OSError:
                 continue
-            payload, schema = self._parse_envelope(raw)
-            version = schema if payload is not None else 0
-            census[version] = census.get(version, 0) + 1
+            payload, salt = self._parse_envelope(raw)
+            if payload is None:
+                salt = 0
+            census[salt] = census.get(salt, 0) + 1
         return census
 
     def gc_disk(self) -> tuple[int, int]:
-        """Delete quarantined entries, stale-schema entries, and
-        orphaned temp files.
+        """Delete quarantined entries, stale entries, and orphaned temp
+        files.
 
         Returns ``(files_removed, bytes_reclaimed)``.
         """

@@ -9,13 +9,15 @@ that profile the same program under the same configuration therefore
 produce the same keys, which is what makes the on-disk cache layer warm
 across CLI and benchmark runs.  Keying by content rather than compile
 identity follows the stale-profile-matching argument of Ayupov et al.:
-an artifact stays valid for as long as the text it was derived from does.
+an artifact stays valid for as long as the text it was derived from, and
+the code that derived it, stay unchanged.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 from typing import Optional
 
 from ..ir.function import Module
@@ -23,32 +25,37 @@ from ..ir.printer import format_module
 from ..profiles.edge_profile import EdgeProfile
 from ..profiles.serialize import edge_profile_to_dict
 
-# Bump whenever the meaning of any cached artifact changes (planner
-# semantics, result dataclass layout, ...); it salts every key, so old
-# on-disk entries simply stop matching instead of being misread.
-# 2: execution-stage keys carry the interpreter backend.
-# 3: synthetic-block tags threaded through optimizer rebuilds.
-# 4: cached verifier/equivalence Reports (verifyreport/equiv kinds).
-# 5: checksummed disk envelope; WorkloadResult carries an ExecutionRecord.
-# 6: profiler plugin framework -- execution-stage keys carry the session's
-#    profiler selection; ProfileRun/WorkloadResult carry profiles;
-#    disk envelope v2 embeds this schema version.
-# 7: tiered codegen -- execution-stage keys carry the session's layout
-#    selection (tier-2 layout fingerprints); new "layout" stage kind.
-# 8: sparse edge probing -- conservation placements change edge-count
-#    codegen (the edges-sparse profiler reconstructs dense counts from
-#    cotree probes); new "conservereport" stage kind.
-# 9: stale-profile matching -- stale cached profiles are remapped onto
-#    the recompiled module instead of discarded; new "remap" and
-#    "matchreport" stage kinds.
-CACHE_SCHEMA_VERSION = 9
+# Every key is salted with a hash of the package's own source, so any
+# edit to the code that derives an artifact retires every cached entry
+# at once; no version number has to be bumped by hand.
+PACKAGE_ROOT = Path(__file__).resolve().parents[1]
+
+
+def source_salt(root: Path = PACKAGE_ROOT) -> int:
+    """A 32-bit digest of every ``.py`` file under ``root``: relative
+    path and bytes, in sorted path order, so editing any byte or
+    renaming any file changes it.  The top bit is always set, so a salt
+    can never equal a legacy schema version (at most 9) or the 0
+    :meth:`~repro.engine.cache.ArtifactCache.schema_census` uses for
+    corrupt entries."""
+    files = sorted((p.relative_to(root).as_posix(), p)
+                   for p in root.rglob("*.py"))
+    digest = hashlib.sha256()
+    for rel, path in files:
+        data = path.read_bytes()
+        digest.update(rel.encode("utf-8") + b"\0")
+        digest.update(len(data).to_bytes(8, "big") + data)
+    return int.from_bytes(digest.digest()[:4], "big") | 0x8000_0000
+
+
+CACHE_SALT = source_salt()
 
 _SEP = "\x1f"  # unit separator: cannot appear in the joined parts
 
 
 def fingerprint_text(*parts: str) -> str:
     """SHA-256 over the joined parts (with an unambiguous separator)."""
-    material = _SEP.join([str(CACHE_SCHEMA_VERSION), *parts])
+    material = _SEP.join([str(CACHE_SALT), *parts])
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 

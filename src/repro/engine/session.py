@@ -319,6 +319,14 @@ class ProfilingSession:
                                 ",".join(techniques), repr(hot_threshold),
                                 self.backend, ",".join(self.profilers))
 
+    def suite_key(self, workloads: Iterable[Workload], scale: int = 1) -> str:
+        """The fingerprint of what :meth:`run_suite` computes for these
+        workloads, in this order, at this scale (default methodology):
+        everything a rendered table over those results depends on."""
+        return fingerprint_text("suite", *(
+            self._workload_key(w, scale, DEFAULT_CONFIG, TECHNIQUES,
+                               HOT_THRESHOLD) for w in workloads))
+
     def run_workload(self, workload: Workload, scale: int = 1,
                      config: Optional[ProfilerConfig] = None,
                      techniques: Optional[Iterable[str]] = None,

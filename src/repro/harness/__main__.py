@@ -2,12 +2,18 @@
 
 Experiments: ``table1``, ``table2``, ``fig9``, ``fig10``, ``fig11``,
 ``fig12``, ``fig13``, ``oaat`` (the Section 8.3 one-at-a-time study),
-``matching`` (the stale-profile matching study), or ``all``.  ``--scale`` stretches every workload's driver loops;
+the extension studies (``net``, ``superblocks``, ``ifconvert``,
+``metrics``, ``sampling``, ``hpt``, ``profilers``, ``matching``), or
+``all``.  ``--scale`` stretches every workload's driver loops;
 ``--benchmarks`` restricts the suite.  ``--jobs N`` fans cold workloads
-over N worker processes; results are cached content-addressed under
-``results/.cache/`` (see ``--cache-dir``), so re-running an experiment
-recompiles and re-interprets nothing.  ``--no-cache`` disables both
-cache layers; ``python -m repro cache`` manages the on-disk layer.
+over N worker processes.  Every artifact, down to each rendered table,
+is cached content-addressed under ``results/.cache/`` (see
+``--cache-dir``): a table's key is the session's
+:meth:`~repro.engine.ProfilingSession.suite_key` for the chosen
+workloads, and every key is salted with a hash of the package source,
+so re-running an experiment renders nothing until the inputs or the
+code change.  ``--no-cache`` disables both cache layers; ``python -m
+repro cache`` manages the on-disk layer.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import os
 import sys
 import time
 
-from ..engine import ArtifactCache, ProfilingSession, faults
+from ..engine import ArtifactCache, ProfilingSession, faults, fingerprint_text
 from ..interp import VALID_BACKENDS
 from ..workloads import SUITE, Workload, get_workload
 from . import (figure9, figure10, figure11, figure12, figure13,
@@ -58,6 +64,37 @@ def _add_backend_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", choices=VALID_BACKENDS, default=None,
                         help="interpreter backend (default: $REPRO_BACKEND "
                              "or compiled)")
+
+
+def _add_profilers_option(parser: argparse.ArgumentParser) -> None:
+    """``--profilers``, shared by every command that fuses extra
+    registry profilers into its runs."""
+    parser.add_argument("--profilers", metavar="NAMES", default="",
+                        help="comma-separated extra registry profilers "
+                             "fused into every instrumented run (see "
+                             "'python -m repro profilers')")
+
+
+def _add_sparse_edges_option(parser: argparse.ArgumentParser) -> None:
+    """``--sparse-edges``, shared by every command that counts edges."""
+    parser.add_argument("--sparse-edges", action="store_true",
+                        help="count edges only on flow-conservation "
+                             "probes (the edges-sparse profiler rides on "
+                             "every run and reconstructs full profiles)")
+
+
+def _selected_profilers(args: argparse.Namespace) -> tuple[str, ...]:
+    """The ``--profilers`` names plus ``edges-sparse`` under
+    ``--sparse-edges`` (a command may declare either option or both);
+    an unknown name is a :class:`CliError`."""
+    from ..profilers import parse_profiler_names
+    try:
+        names = parse_profiler_names(getattr(args, "profilers", ""))
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+    if getattr(args, "sparse_edges", False) and "edges-sparse" not in names:
+        names += ("edges-sparse",)
+    return names
 
 
 def _install_chaos(spec: str) -> None:
@@ -119,15 +156,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the artifact cache (memory and disk)")
     _add_backend_option(parser)
-    parser.add_argument("--profilers", metavar="NAMES", default="",
-                        help="comma-separated extra registry profilers "
-                             "fused into every instrumented run (see "
-                             "'python -m repro profilers'); their results "
-                             "ride on each workload's record")
-    parser.add_argument("--sparse-edges", action="store_true",
-                        help="count edges only on flow-conservation "
-                             "probes (the edges-sparse profiler rides on "
-                             "every run and reconstructs full profiles)")
+    _add_profilers_option(parser)
+    _add_sparse_edges_option(parser)
     parser.add_argument("--verify", action="store_true",
                         help="statically verify every instrumentation "
                              "plan before running it (or set "
@@ -154,10 +184,6 @@ def main(argv: list[str] | None = None) -> int:
         # processes build), exactly like REPRO_VERIFY.
         os.environ["REPRO_EQUIV"] = "1"
 
-    from ..profilers import parse_profiler_names
-    profiler_names = parse_profiler_names(args.profilers)
-    if args.sparse_edges and "edges-sparse" not in profiler_names:
-        profiler_names += ("edges-sparse",)
     try:
         workloads = _chosen_workloads(args.benchmarks)
         session = build_session(jobs=args.jobs, no_cache=args.no_cache,
@@ -165,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
                                 backend=args.backend,
                                 verify=True if args.verify else None,
                                 timeout=args.timeout, retries=args.retries,
-                                profilers=profiler_names,
+                                profilers=_selected_profilers(args),
                                 chaos=args.chaos)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -203,8 +229,13 @@ def main(argv: list[str] | None = None) -> int:
             [get_workload(n) for n in r], session=session,
             scale=args.scale),
     }
+    # A table depends on nothing but the suite's results (and the code,
+    # which salts every key), so a warm pass renders nothing.
+    suite_key = session.suite_key(workloads, args.scale)
     for name in wanted:
-        text = renderers[name](results)
+        text = session.cache.get_or_compute(
+            "table", fingerprint_text("table", name, suite_key),
+            lambda: renderers[name](results))
         print()
         print(text)
         if args.save_dir:

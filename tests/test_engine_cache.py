@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.engine import (ArtifactCache, CACHE_SCHEMA_VERSION,
+from repro.engine import (ArtifactCache, CACHE_SALT,
                           fingerprint_config, fingerprint_edge_profile,
                           fingerprint_module, fingerprint_text, ground_truth)
 from repro.engine.faults import drain_degradations
@@ -20,7 +20,7 @@ def test_fingerprint_text_deterministic_and_part_sensitive():
     assert fingerprint_text("a", "b") == fingerprint_text("a", "b")
     assert fingerprint_text("a", "b") != fingerprint_text("ab")
     assert fingerprint_text("a", "b") != fingerprint_text("b", "a")
-    assert str(CACHE_SCHEMA_VERSION)  # version participates in every key
+    assert str(CACHE_SALT)  # the source salt participates in every key
 
 
 def test_fingerprint_module_tracks_content():
@@ -213,6 +213,17 @@ def _write_v1_entry(tmp_path, name, value):
     return path
 
 
+def _write_salted_entry(tmp_path, name, value, salt):
+    """A well-formed v2 envelope written under ``salt``."""
+    import hashlib
+    payload = pickle.dumps(value)
+    digest = hashlib.sha256(payload).digest()
+    path = tmp_path / name
+    path.write_bytes(b"RPROCAV2" + salt.to_bytes(4, "big") + digest
+                     + payload)
+    return path
+
+
 def test_stale_schema_entry_is_a_miss_not_quarantined(tmp_path, caplog):
     # An intact entry written under the previous schema is stale, not
     # corrupt: it reads as a miss with a "run gc" hint and stays on disk.
@@ -234,7 +245,7 @@ def test_verify_disk_counts_stale_entries(tmp_path):
     cache.store("trace", "fresh", [1])
     _write_v1_entry(tmp_path, "trace-old.pkl", [2])
     assert cache.verify_disk() == (1, 0, 1)
-    assert cache.schema_census() == {CACHE_SCHEMA_VERSION: 1, 5: 1}
+    assert cache.schema_census() == {CACHE_SALT: 1, 5: 1}
     drain_degradations()
 
 
@@ -247,6 +258,57 @@ def test_gc_disk_removes_stale_schema_entries(tmp_path):
     assert not old.exists()
     fresh = ArtifactCache(disk_dir=tmp_path)
     assert fresh.lookup("trace", "fresh") == [1]
+
+
+# ----------------------------------------------------------------------
+# The source-derived cache salt
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def package_copy(tmp_path):
+    """A private copy of the ``repro`` package's ``.py`` files."""
+    import shutil
+    from repro.engine.fingerprint import PACKAGE_ROOT
+    root = tmp_path / "repro"
+    shutil.copytree(PACKAGE_ROOT, root,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return root
+
+
+def test_source_salt_follows_the_source(package_copy):
+    from repro.engine.fingerprint import source_salt
+    # The salt depends on the files, not on where the package lives.
+    assert source_salt(package_copy) == CACHE_SALT
+    # The top bit keeps it clear of the legacy versions (5, 9) and the
+    # census's 0 for corrupt entries.
+    assert CACHE_SALT & 0x8000_0000
+
+    target = package_copy / "engine" / "cache.py"
+    original = target.read_bytes()
+    target.write_bytes(original[:-1] + bytes([original[-1] ^ 1]))
+    edited = source_salt(package_copy)
+    assert edited != CACHE_SALT
+    target.write_bytes(original)
+    assert source_salt(package_copy) == CACHE_SALT
+
+    target.rename(target.with_name("cache_renamed.py"))
+    assert source_salt(package_copy) not in (CACHE_SALT, edited)
+
+
+def test_entry_under_another_salt_is_stale(tmp_path):
+    other = CACHE_SALT ^ 1
+    cache = ArtifactCache(disk_dir=tmp_path)
+    cache.store("table", "fresh", "text")
+    old = _write_salted_entry(tmp_path, "table-old.pkl", "old text", other)
+    assert cache.verify_disk() == (1, 0, 1)
+    assert cache.schema_census() == {CACHE_SALT: 1, other: 1}
+    reader = ArtifactCache(disk_dir=tmp_path)
+    assert reader.lookup("table", "old") is None
+    assert reader.stats.of("table").stale == 1
+    removed, _reclaimed = cache.gc_disk()
+    assert removed == 1 and not old.exists()
+    assert ArtifactCache(disk_dir=tmp_path).lookup("table",
+                                                   "fresh") == "text"
 
 
 def test_gc_disk_removes_quarantined_and_temp_files(tmp_path):

@@ -118,6 +118,88 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: --chaos:") and "bogus" in err
 
+    def test_unknown_profiler_is_a_clean_error(self, capsys):
+        from repro.harness.__main__ import main
+        assert main(["table2", "--profilers", "bogus", "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown profiler 'bogus'")
+        assert "Traceback" not in err
+
+
+# Every table/figure renderer ``harness all`` calls, by its name in
+# ``repro.harness.__main__``.
+RENDERERS = ("table1", "table2", "figure9", "figure10", "figure11",
+             "figure12", "figure13", "one_at_a_time", "net_table",
+             "superblock_table", "ifconvert_table", "metrics_table",
+             "sampling_table", "hpt_table", "profiler_table",
+             "matching_table")
+WARM_ARGS = ["--quiet", "--benchmarks", "applu,swim"]
+
+
+def _run_harness(argv, monkeypatch, capsys):
+    """``harness.main(argv)``'s stdout and the session it drove."""
+    import repro.harness.__main__ as cli
+    build, sessions = cli.build_session, []
+
+    def capture(*args, **kwargs):
+        sessions.append(build(*args, **kwargs))
+        return sessions[-1]
+
+    capsys.readouterr()
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_session", capture)
+        assert cli.main(argv) == 0
+    return capsys.readouterr().out, sessions[0]
+
+
+@pytest.fixture(scope="module")
+def cold_all(tmp_path_factory):
+    """A cold ``harness all`` over two small workloads: its stdout and
+    the cache directory it filled."""
+    import contextlib
+    import io
+    from repro.harness.__main__ import main
+    cache_dir = str(tmp_path_factory.mktemp("table-cache"))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["all", *WARM_ARGS, "--cache-dir", cache_dir]) == 0
+    return out.getvalue(), cache_dir
+
+
+class TestWarmTables:
+    def test_warm_pass_renders_nothing(self, cold_all, monkeypatch,
+                                       capsys):
+        import repro.harness.__main__ as cli
+        cold, cache_dir = cold_all
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a warm pass rendered a table")
+
+        for name in RENDERERS:
+            monkeypatch.setattr(cli, name, refuse)
+        warm, session = _run_harness(
+            ["all", *WARM_ARGS, "--cache-dir", cache_dir], monkeypatch,
+            capsys)
+        assert warm == cold
+        assert session.stats.of("table").disk_hits == len(RENDERERS)
+        assert session.stats.misses == 0
+
+    @pytest.mark.parametrize("change", [
+        ["--benchmarks", "swim,applu"],
+        ["--benchmarks", "applu"],
+        ["--benchmarks", "applu,swim", "--scale", "2"],
+        ["--benchmarks", "applu,swim", "--backend", "tuple"],
+        ["--benchmarks", "applu,swim", "--profilers", "calls"],
+    ], ids=["order", "subset", "scale", "backend", "profilers"])
+    def test_changed_suite_misses_the_table(self, cold_all, change,
+                                            monkeypatch, capsys):
+        _cold, cache_dir = cold_all
+        _out, session = _run_harness(
+            ["table2", "--quiet", *change, "--cache-dir", cache_dir],
+            monkeypatch, capsys)
+        table = session.stats.of("table")
+        assert (table.hits, table.misses) == (0, 1)
+
 
 class TestDeterminism:
     def test_fig12_identical_across_hash_seeds(self, tmp_path):

@@ -481,7 +481,6 @@ class TestCli:
 
     def test_cache_info_prints_schema_version(self, tmp_path, capsys):
         from repro.__main__ import main as repro_main
-        from repro.engine import CACHE_SCHEMA_VERSION
+        from repro.engine import CACHE_SALT
         assert repro_main(["cache", "info", "--dir", str(tmp_path)]) == 0
-        assert f"cache schema: v{CACHE_SCHEMA_VERSION}" in \
-            capsys.readouterr().out
+        assert f"cache salt: {CACHE_SALT:08x}" in capsys.readouterr().out
