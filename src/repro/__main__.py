@@ -106,8 +106,8 @@ from .core import (build_estimated_profile, evaluate_accuracy,
                    run_with_plan)
 from .harness import ground_truth
 from .harness.__main__ import (DEFAULT_CACHE_DIR, CliError,
-                               _add_backend_option, _add_fault_options,
-                               _add_profilers_option,
+                               _add_backend_option, _add_chaos_option,
+                               _add_fault_options, _add_profilers_option,
                                _add_sparse_edges_option, _chosen_workloads,
                                _install_chaos, _selected_profilers,
                                build_session)
@@ -407,8 +407,7 @@ def cmd_verify(args) -> int:
     def compute():
         if args.suite or args.benchmarks:
             session = build_session(cache_dir=args.cache_dir,
-                                    timeout=args.timeout,
-                                    retries=args.retries, chaos=args.chaos)
+                                    chaos=args.chaos)
             return verify_suite(session, _chosen_workloads(args.benchmarks),
                                 techniques=_parse_techniques(args.techniques),
                                 path_cap=path_cap)
@@ -433,9 +432,7 @@ def cmd_lint(args) -> int:
     from .analysis import Severity, lint_module
 
     if args.suite or args.benchmarks:
-        session = build_session(cache_dir=args.cache_dir,
-                                timeout=args.timeout, retries=args.retries,
-                                chaos=args.chaos)
+        session = build_session(cache_dir=args.cache_dir, chaos=args.chaos)
         modules = [(w.name, session.expand(w).module)
                    for w in _chosen_workloads(args.benchmarks)]
     elif args.file:
@@ -493,8 +490,7 @@ def cmd_equiv(args) -> int:
     def compute():
         if args.suite or args.benchmarks:
             session = build_session(cache_dir=args.cache_dir,
-                                    timeout=args.timeout,
-                                    retries=args.retries, chaos=args.chaos)
+                                    chaos=args.chaos)
             results = equiv_suite(session,
                                   _chosen_workloads(args.benchmarks),
                                   passes=passes)
@@ -521,8 +517,7 @@ def cmd_conserve(args) -> int:
     def compute():
         if args.suite or args.benchmarks:
             session = build_session(cache_dir=args.cache_dir,
-                                    timeout=args.timeout,
-                                    retries=args.retries, chaos=args.chaos)
+                                    chaos=args.chaos)
             return conserve_suite(session,
                                   _chosen_workloads(args.benchmarks),
                                   walk_cap=walk_cap)
@@ -546,8 +541,7 @@ def cmd_match(args) -> int:
 
         def compute():
             session = build_session(cache_dir=args.cache_dir,
-                                    timeout=args.timeout,
-                                    retries=args.retries, chaos=args.chaos)
+                                    chaos=args.chaos)
             return match_suite(session, _chosen_workloads(args.benchmarks))
 
         return _report(args, "match", "check", compute)
@@ -724,7 +718,8 @@ def cmd_serve(args) -> int:
 
 
 def _add_suite_options(parser: argparse.ArgumentParser) -> None:
-    """The options every proof command shares, fault options included."""
+    """The options every proof command shares; of the fault options only
+    ``--chaos`` applies, since no proof suite fans tasks out."""
     parser.add_argument("--benchmarks", default="",
                         help="comma-separated benchmark subset")
     parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
@@ -732,7 +727,7 @@ def _add_suite_options(parser: argparse.ArgumentParser) -> None:
                              "(empty = memory only)")
     parser.add_argument("--json", action="store_true",
                         help="emit one structured JSON report on stdout")
-    _add_fault_options(parser)
+    _add_chaos_option(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -41,9 +41,8 @@ from .dataflow import (DataflowProblem, DataflowResult, Def,
 from .diagnostics import Diagnostic, Report, Severity
 from .equiv import (PASS_NAMES, CodegenValidationError, ExploreLimits,
                     apply_pass, check_function_codegen, check_generated,
-                    check_module_codegen, check_pass,
-                    check_profiler_codegen, equiv_module, equiv_suite,
-                    standard_modes)
+                    check_module_codegen, check_pass, equiv_module,
+                    equiv_suite, standard_modes)
 from .lint import lint_function, lint_module
 from .match import (BlockMatch, BlockSketch, EdgeMatch, FunctionMatch,
                     FunctionSketch, ModuleMatch, ModuleSketch,
@@ -80,8 +79,7 @@ __all__ = [
     "Diagnostic", "Report", "Severity",
     "PASS_NAMES", "CodegenValidationError", "ExploreLimits", "apply_pass",
     "check_function_codegen", "check_generated", "check_module_codegen",
-    "check_pass", "check_profiler_codegen", "equiv_module", "equiv_suite",
-    "standard_modes",
+    "check_pass", "equiv_module", "equiv_suite", "standard_modes",
     "lint_function", "lint_module",
     "BlockMatch", "BlockSketch", "EdgeMatch", "FunctionMatch",
     "FunctionSketch", "ModuleMatch", "ModuleSketch", "clear_match_memo",

@@ -55,6 +55,7 @@ E207  ERROR    pass dropped a function from the module
 from __future__ import annotations
 
 import ast
+import functools
 import weakref
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
@@ -78,7 +79,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "PASS_NAMES", "ExploreLimits", "CodegenValidationError",
     "standard_modes", "check_function_codegen", "check_module_codegen",
-    "check_profiler_codegen", "check_generated", "apply_pass",
+    "check_generated", "apply_pass",
     "check_pass", "equiv_module", "equiv_suite",
 ]
 
@@ -168,22 +169,23 @@ def _back_keys(func: Function) -> set[tuple[str, str]]:
 
 def standard_modes(func: Function) -> tuple[ModeSpec, ...]:
     """The observation-mode lattice every function is validated under:
-    plain, profiling, sparse (conservation-probe) profiling, tracing,
-    tracing+listener, and everything at once with a hook on every
-    edge."""
+    every channel combination the program can request.  Profiler
+    selections turn on edge counting (dense, or sparse on the
+    conservation probes) and path tracing in any combination, plan and
+    profiler edge ops add hooks to any of those, and the path stream
+    runs the listener alone.  Hooked code does not depend on the plan,
+    so one hooked mode per combination proves every plan's code."""
     from .conservation import static_placement
 
-    all_edges = frozenset(_edge_index(func))
     sparse = static_placement(func).probe_keys
-    return (
-        ModeSpec(),
-        ModeSpec(profile=True),
-        ModeSpec(profile=True, probes=sparse),
-        ModeSpec(trace=True),
-        ModeSpec(trace=True, listener=True),
-        ModeSpec(profile=True, trace=True, listener=True,
-                 hook_edges=all_edges),
-    )
+    counting: tuple[tuple[bool, Optional[frozenset[tuple[str, str]]]],
+                    ...] = ((False, None), (True, None), (True, sparse))
+    return tuple(
+        ModeSpec(profile=profile, probes=probes, trace=trace, hooks=hooks)
+        for hooks in (False, True)
+        for trace in (False, True)
+        for profile, probes in counting
+    ) + (ModeSpec(trace=True, listener=True),)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +236,32 @@ def _reg_slot(node: ast.expr) -> Optional[int]:
     return None
 
 
+@functools.lru_cache(maxsize=None)
+def _hook_call_dump(slot: int) -> str:
+    """The AST dump of edge ``slot``'s hook call, the one shape hooked
+    code may use."""
+    source = f"if _hk[{slot}] is not None: _hk[{slot}](frame)"
+    return ast.dump(ast.parse(source).body[0])
+
+
+def _hook_slot(node: ast.stmt) -> Optional[int]:
+    """The K of a hook slot call ``if _hk[K] is not None: _hk[K](frame)``
+    -- an observation, not a branch -- else None.  An If testing a
+    ``_hk`` slot in any other shape is unrecognized."""
+    if not (isinstance(node, ast.If)
+            and isinstance(node.test, ast.Compare)):
+        return None
+    left = node.test.left
+    if not (isinstance(left, ast.Subscript)
+            and isinstance(left.value, ast.Name)
+            and left.value.id == "_hk"):
+        return None
+    slot = _const_int(left.slice, "hook slot")
+    if ast.dump(node) != _hook_call_dump(slot):
+        raise _Unrecognized("hook slot call shape")
+    return slot
+
+
 def _is_limit_check(node: ast.stmt) -> bool:
     """``if _ic[0] > _lim[0]: raise ...`` -- accounting, not control."""
     return (isinstance(node, ast.If)
@@ -254,14 +282,18 @@ def _leaf_paths(stmts: Sequence[ast.stmt],
     Every generated ``if regs[K]:`` has an empty ``orelse`` and a
     then-arm that always terminates, so the statements *after* the If
     form the else arm.  Returns lists of ``('stmt', node)`` /
-    ``('decision', test_node, taken)`` events, each ending at a
-    ``return``/``continue`` terminal.
+    ``('decision', test_node, taken)`` / ``('hook', slot)`` events, each
+    ending at a ``return``/``continue`` terminal.
     """
     out: list[list[tuple[object, ...]]] = []
     events = list(prefix)
     for i, node in enumerate(stmts):
         if _is_limit_check(node):
             continue  # accounting guard; the cost itself is the event
+        slot = _hook_slot(node)
+        if slot is not None:
+            events.append(("hook", slot))
+            continue
         if isinstance(node, ast.If):
             if node.orelse:
                 raise _Unrecognized("generated If with an else arm")
@@ -460,15 +492,11 @@ class _SegmentParser:
             if isinstance(node, ast.Expr) and isinstance(node.value,
                                                          ast.Call):
                 call = node.value
-                if isinstance(call.func, ast.Name):
-                    name = call.func.id
-                    if name.startswith("_h"):
-                        ops.append(("hook", int(name[2:])))
-                        return
-                    if name == "_pl":
-                        fname = call.args[0].value  # type: ignore
-                        ops.append(("listener", fname))
-                        return
+                if (isinstance(call.func, ast.Name)
+                        and call.func.id == "_pl"):
+                    fname = call.args[0].value  # type: ignore
+                    ops.append(("listener", fname))
+                    return
                 if (isinstance(call.func, ast.Attribute)
                         and call.func.attr == "append"):
                     # `frame.path_blocks.append('target')`
@@ -517,6 +545,8 @@ class _SegmentParser:
                 if slot is None:
                     raise _Unrecognized("branch on a non-register test")
                 decisions.append((state.get(slot), bool(event[2])))
+            elif event[0] == "hook":
+                ops.append(event)
             else:
                 do_stmt(event[1])
 
@@ -541,10 +571,6 @@ class _CodegenChecker:
         self.range_seg = {key: i for i, key in enumerate(self.segments)}
         self.edge_index = _edge_index(func)
         self.back = _back_keys(func)
-        self.hook_order = {
-            key: i for i, key in enumerate(
-                sorted(spec.hook_edges,
-                       key=self.edge_index.__getitem__))}
         self.context = ""
 
     def fail(self, code: str, message: str, hint: str = "") -> None:
@@ -560,7 +586,7 @@ class _CodegenChecker:
         mode = (f"profile={int(self.spec.profile)} "
                 f"trace={int(self.spec.trace)} "
                 f"listener={int(self.spec.listener)} "
-                f"hooks={len(self.spec.hook_edges)}"
+                f"hooks={int(self.spec.hooks)}"
                 + (f" probes={len(self.spec.probes)}"
                    if self.spec.probes is not None else ""))
         try:
@@ -713,8 +739,8 @@ class _CodegenChecker:
             if spec.profile and (spec.probes is None
                                  or key in spec.probes):
                 ops.append(("count", self.edge_index[key]))
-            if key in self.hook_order:
-                ops.append(("hook", self.hook_order[key]))
+            if spec.hooks:
+                ops.append(("hook", self.edge_index[key]))
             if spec.trace:
                 if key in self.back:
                     ops.append(("flush",))
@@ -825,65 +851,6 @@ def check_module_codegen(module: Module,
     return report
 
 
-def check_profiler_codegen(module: Module, profilers: Sequence[object]
-                           ) -> Report:
-    """Validate generated code under the observation modes a profiler
-    selection actually induces.
-
-    Each profiler's :meth:`instrument` placement yields a per-function
-    hook-edge set; the function is validated under every profiler's own
-    set and under the fused union with the profilers' native machine
-    channels ORed in -- exactly the :class:`ModeSpec` the machine would
-    compile for that selection, so this proves the *fusion* path, not
-    just the standard lattice.
-    """
-    from ..interp.costs import DEFAULT_COSTS
-    from ..profilers.drive import fused_edge_probes
-
-    report = Report(title=f"codegen equivalence: {module.name} "
-                          f"[profilers]")
-    contributions = [(p, p.instrument(module, DEFAULT_COSTS))
-                     for p in profilers]
-    # The sparse probe map the machine would run under (None when any
-    # edge-profile consumer needs dense counts).
-    probe_map = fused_edge_probes(module, profilers)
-    for fname, func in module.functions.items():
-        if not func.sealed:
-            continue
-        uid_key = {e.uid: (e.src, e.dst) for e in func.cfg.edges()}
-        profile = trace = False
-        per_profiler: list[frozenset] = []
-        union: set = set()
-        for profiler, obs in contributions:
-            channels = getattr(profiler, "channels", None)
-            if channels is not None:
-                profile = profile or channels.edge_profile
-                trace = trace or channels.trace_paths
-            fobs = obs.functions.get(fname)
-            if fobs is None:
-                per_profiler.append(frozenset())
-                continue
-            keys = frozenset(uid_key[uid]
-                             for uid, ops in fobs.edge_ops.items()
-                             if ops and uid in uid_key)
-            per_profiler.append(keys)
-            union |= keys
-        modes: list[ModeSpec] = [ModeSpec(hook_edges=keys)
-                                 for keys in per_profiler if keys]
-        probes = (probe_map.get(fname)
-                  if profile and probe_map is not None else None)
-        modes.append(ModeSpec(profile=profile, trace=trace,
-                              hook_edges=frozenset(union),
-                              probes=probes))
-        seen: set = set()
-        unique = [m for m in modes
-                  if (key := (m.profile, m.trace, m.listener,
-                              m.hook_edges, m.probes)) not in seen
-                  and not seen.add(key)]
-        check_function_codegen(func, module, unique, report)
-    return report
-
-
 # The runtime fail-fast hook: Machine(validate_codegen=True) routes every
 # compiled (function, mode) through here exactly once per process.
 _VALIDATED: "weakref.WeakKeyDictionary[Function, set]" = \
@@ -895,20 +862,17 @@ def check_generated(func: Function, module: Module, spec: ModeSpec,
     """Validate ``result`` (already generated for ``func`` x ``spec``)
     and raise :class:`CodegenValidationError` on any error.  Verdicts
     are cached per function x mode, so steady-state reruns are free."""
-    key = (spec.profile, spec.trace, spec.listener,
-           tuple(sorted(spec.hook_edges)),
-           None if spec.probes is None else tuple(sorted(spec.probes)))
     done = _VALIDATED.setdefault(func, set())
-    if key in done:
+    if spec in done:
         return
     report = Report(title=f"codegen equivalence: {func.name}")
     if _is_irreducible(func.cfg):
-        done.add(key)
+        done.add(spec)
         return
     _CodegenChecker(func, module, spec, result, report).run()
     if not report.ok:
         raise CodegenValidationError(report)
-    done.add(key)
+    done.add(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -261,8 +261,19 @@ def _cg_drop_count(source: str) -> Optional[str]:
 
 
 def _cg_drop_hook(source: str) -> Optional[str]:
-    """Drop one fused edge-hook invocation."""
-    return _sub_first(r"^\s*_h\d+\(frame\)\n", "", source)
+    """Drop one edge's hook slot call."""
+    return _sub_first(
+        r"^\s*if _hk\[\d+\] is not None: _hk\[\d+\]\(frame\)\n", "",
+        source)
+
+
+def _cg_wrong_hook_slot(source: str) -> Optional[str]:
+    """Call the hook in the next edge's slot instead of this edge's."""
+    return _sub_first(
+        r"^(\s*)if _hk\[(\d+)\] is not None: _hk\[\d+\]\(frame\)$",
+        lambda m: f"{m.group(1)}if _hk[{int(m.group(2)) + 1}] is not "
+                  f"None: _hk[{int(m.group(2)) + 1}](frame)",
+        source)
 
 
 def _cg_drop_append(source: str) -> Optional[str]:
@@ -301,6 +312,7 @@ _CODEGEN_MUTATORS: dict[str, Callable[[str], Optional[str]]] = {
     "cg-wrong-goto": _cg_wrong_goto,
     "cg-drop-count": _cg_drop_count,
     "cg-drop-hook": _cg_drop_hook,
+    "cg-wrong-hook-slot": _cg_wrong_hook_slot,
     "cg-drop-append": _cg_drop_append,
     "cg-drop-cost": _cg_drop_cost,
     "cg-swap-arith": _cg_swap_arith,

@@ -44,7 +44,7 @@ class CliError(Exception):
 
 
 def _add_fault_options(parser: argparse.ArgumentParser) -> None:
-    """The fault-tolerance knobs shared by the suite-driving commands."""
+    """The fault-tolerance knobs of the commands that fan tasks out."""
     parser.add_argument("--timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="wall-clock limit per workload task when the "
@@ -52,6 +52,10 @@ def _add_fault_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--retries", type=int, default=2, metavar="N",
                         help="retry budget per task before inline "
                              "fallback (default 2)")
+    _add_chaos_option(parser)
+
+
+def _add_chaos_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--chaos", metavar="SPEC", default="",
                         help="deterministic fault-injection plan (or set "
                              "REPRO_FAULTS), e.g. "
@@ -178,12 +182,22 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--json", metavar="FILE", default="",
                         help="dump all per-benchmark metrics as JSON")
     args = parser.parse_args(argv)
-
+    # REPRO_EQUIV is resolved by every Machine (including the ones worker
+    # processes build), exactly like REPRO_VERIFY; it is restored on
+    # return so an in-process caller's later machines are not validated.
+    previous = os.environ.get("REPRO_EQUIV")
     if args.equiv:
-        # Resolved by every Machine (including the ones worker
-        # processes build), exactly like REPRO_VERIFY.
         os.environ["REPRO_EQUIV"] = "1"
+    try:
+        return _run(args)
+    finally:
+        if previous is None:
+            os.environ.pop("REPRO_EQUIV", None)
+        else:
+            os.environ["REPRO_EQUIV"] = previous
 
+
+def _run(args: argparse.Namespace) -> int:
     try:
         workloads = _chosen_workloads(args.benchmarks)
         session = build_session(jobs=args.jobs, no_cache=args.no_cache,

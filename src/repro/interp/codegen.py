@@ -80,8 +80,11 @@ class ModeSpec:
     profile: bool = False
     trace: bool = False
     listener: bool = False
-    # (block, target) keys of edges that have a hook attached.
-    hook_edges: frozenset = frozenset()
+    # Edge hooks: every edge calls the hook in its slot of the per-
+    # function ``_hk`` list (indexed like ``edge_keys``) when one is set.
+    # The code does not depend on which edges carry hooks, so attaching,
+    # replacing or clearing a hook writes a slot and regenerates nothing.
+    hooks: bool = False
     # Sparse edge counting: when not None, only these (block, target)
     # keys get a counter increment; the rest are statically proven
     # recoverable by flow-conservation reconstruction
@@ -95,12 +98,10 @@ class CodegenResult:
 
     source: str
     # Dense edge order: edge_keys[i] is the (block, target) counted by
-    # slot i of the edge-counter list.
+    # slot i of the edge-counter list and hooked by slot i of ``_hk``.
     edge_keys: tuple[tuple[str, str], ...] = ()
     # Global array names in ``_g{i}`` parameter order.
     global_arrays: tuple[str, ...] = ()
-    # Hooked edge keys in ``_h{i}`` parameter order.
-    hook_edges: tuple[tuple[str, str], ...] = ()
     num_segments: int = 0
     block_entry_seg: dict = field(default_factory=dict)
 
@@ -257,10 +258,6 @@ class _FunctionEmitter:
         self.local_names = _Namer("_l")
         self.global_names = _Namer("_g")
 
-        self.hook_order: dict[tuple[str, str], int] = {}
-        for key in sorted(spec.hook_edges, key=self.edge_index.__getitem__):
-            self.hook_order[key] = len(self.hook_order)
-
         # Per-segment emission state.
         self.lines: list[str] = []
         self.used_locals: dict[str, None] = {}
@@ -322,12 +319,15 @@ class _FunctionEmitter:
 
     def emit_edge(self, key: tuple[str, str], indent: int) -> None:
         """The fused block-exit work for traversing one CFG edge, in the
-        tuple interpreter's order: profile count, hook, tracer."""
+        tuple interpreter's order: profile count, hook, tracer.  The
+        hook is read from the edge's ``_hk`` slot at traversal time, so
+        one hooked code object serves every hook placement."""
         spec, w = self.spec, self.w
         if spec.profile and (spec.probes is None or key in spec.probes):
             w(indent, f"_ec[{self.edge_index[key]}] += 1")
-        if key in self.hook_order:
-            w(indent, f"_h{self.hook_order[key]}(frame)")
+        if spec.hooks:
+            slot = self.edge_index[key]
+            w(indent, f"if _hk[{slot}] is not None: _hk[{slot}](frame)")
         if spec.trace:
             target = key[1]
             if key in self.back_keys:
@@ -438,12 +438,11 @@ class _FunctionEmitter:
         body: list[str] = []
         for seg_id in range(len(self.segments)):
             body.extend(self.emit_segment(seg_id))
-        hook_params = "".join(f", _h{i}" for i in range(len(self.hook_order)))
         global_params = "".join(
             f", {self.global_names.names[n]}"
             for n in self.global_names.ordered())
         header = (f"def _make(_div, _mod, _err, _ic, _lim, _gs, _pc, _pl, "
-                  f"_ec{global_params}{hook_params}):")
+                  f"_ec, _hk{global_params}):")
         footer = "    return ({})".format(
             "".join(f"_seg_{i}, " for i in range(len(self.segments))))
         return "\n".join([header, *body, footer, ""])
@@ -454,13 +453,10 @@ def generate_source(func: Function, module: Module,
     """Translate one sealed function into a compilable Python module."""
     emitter = _FunctionEmitter(func, module, spec)
     source = emitter.emit_module()
-    hook_keys = tuple(sorted(emitter.hook_order,
-                             key=emitter.hook_order.__getitem__))
     return CodegenResult(
         source=source,
         edge_keys=tuple(emitter.edge_index),
         global_arrays=emitter.global_names.ordered(),
-        hook_edges=hook_keys,
         num_segments=len(emitter.segments),
         block_entry_seg=emitter.block_entry,
     )

@@ -133,7 +133,8 @@ class _CompiledFunction:
 
     __slots__ = ("func", "blocks", "entry", "exit", "param_slots",
                  "num_slots", "array_sizes", "edge_uid", "uid_edge",
-                 "is_back", "hooks", "hooks_version", "probe_keys")
+                 "is_back", "hooks", "edge_counters", "counter_uids",
+                 "hook_slots", "slot_index", "probe_keys")
 
     def __init__(self, func: Function, module: Module):
         if not func.sealed:
@@ -164,9 +165,15 @@ class _CompiledFunction:
                 self.uid_edge[edge.uid] = (bname, target)
                 self.is_back[(bname, target)] = edge.uid in back_uids
         self.hooks: dict[tuple[str, str], EdgeHook] = {}
-        # Bumped on every hook mutation; the compiled backend fuses hooks
-        # into generated code, so a version change forces regeneration.
-        self.hooks_version = 0
+        # Compiled backend only, built when the function is first
+        # generated: the dense edge counters (``_ec``) and their uids,
+        # and -- once generated with the hooks channel -- ``hooks`` as
+        # the slot list the code reads (``_hk``), both indexed by the
+        # codegen's dense edge order (``slot_index``).
+        self.edge_counters: Optional[list] = None
+        self.counter_uids: tuple[int, ...] = ()
+        self.hook_slots: Optional[list] = None
+        self.slot_index: dict[tuple[str, str], int] = {}
         # Sparse edge counting: the (block, target) keys that carry a
         # counter, or None for dense (count every edge).  Set by the
         # Machine from its ``edge_probes`` map; the unprobed counts are
@@ -329,13 +336,17 @@ class Machine:
             raise MachineError(
                 f"no edge with uid {edge_uid} in function {func_name!r}")
         cf.hooks[key] = hook
-        cf.hooks_version += 1
+        if cf.hook_slots is not None:
+            cf.hook_slots[cf.slot_index[key]] = hook
+        elif self._backend_impl is not None:
+            # Code generated without the hooks channel cannot see it.
+            self._backend_impl.functions.pop(func_name, None)
 
     def clear_hooks(self) -> None:
         for cf in self.compiled.values():
-            if cf.hooks:
-                cf.hooks.clear()
-                cf.hooks_version += 1
+            cf.hooks.clear()
+            if cf.hook_slots is not None:
+                cf.hook_slots[:] = [None] * len(cf.hook_slots)
 
     # ------------------------------------------------------------------
     # Execution

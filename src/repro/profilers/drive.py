@@ -4,10 +4,9 @@ The driver is the composition point of the plugin framework: it ORs the
 selected profilers' native channels into the machine's constructor
 flags, fuses their per-edge ops into single hooks via
 :func:`repro.core.attach.attach_observations` (on the compiled backend
-those hooks are folded into the generated segments; the codegen cache
-keys on the resulting hook-edge set, so each distinct profiler
-selection gets its own specialisation), runs the program once, and
-harvests one result per profiler.
+those hooks fill per-edge slots of the generated code, which every
+profiler selection shares), runs the program once, and harvests one
+result per profiler.
 """
 
 from __future__ import annotations

@@ -287,8 +287,9 @@ def test_sparse_mode_in_standard_lattice(small_module):
     func, _spec, _result = _sparse_spec_and_result(small_module)
     modes = standard_modes(func)
     sparse = [m for m in modes if m.probes is not None]
-    assert len(sparse) == 1
-    assert sparse[0].probes == static_placement(func).probe_keys
+    assert sparse
+    assert all(m.probes == static_placement(func).probe_keys
+               for m in sparse)
 
 
 def test_sparse_codegen_validates_clean(small_module):

@@ -204,6 +204,33 @@ class TestUnmodelledShapes:
         assert "E101" in _hand_edit_codes(func, module, spec, result, edited)
 
 
+class TestHookSlotShapes:
+    """Hooked code has one shape per edge: the checked call of the
+    edge's own slot.  Any other hook shape is E101; a well-shaped call
+    of another edge's slot is an observation-stream error."""
+
+    _HOOK = re.compile(r"if _hk\[(\d+)\] is not None: _hk\[\d+\]\(frame\)")
+
+    @pytest.mark.parametrize("edit,code", [
+        ("if _hk[{k}] is not None: _hk[{n}](frame)", "E101"),
+        ("_hk[{k}](frame)", "E101"),
+        ("_h0(frame)", "E101"),
+        ("if _hk[{n}] is not None: _hk[{n}](frame)", "E105"),
+    ], ids=["call-other-slot", "unchecked", "per-plan-param",
+            "wrong-slot"])
+    def test_hook_edit_flagged(self, edit, code):
+        module = compile_source(_LOOP_PROGRAM)
+        func = module.functions["main"]
+        spec = ModeSpec(hooks=True)
+        result = generate_source(func, module, spec)
+        assert _hand_edit_codes(func, module, spec, result,
+                                result.source) == []
+        slot = int(self._HOOK.search(result.source).group(1))
+        edited = self._HOOK.sub(
+            edit.format(k=slot, n=slot + 1), result.source, count=1)
+        assert code in _hand_edit_codes(func, module, spec, result, edited)
+
+
 class TestPassMutations:
     @pytest.mark.parametrize("kind", PASS_MUTATIONS)
     def test_detected(self, vpr_module, vpr_pass_outputs, kind):
@@ -369,3 +396,85 @@ class TestSuiteDriver:
         assert [r.title for r in again] == [r.title for r in first]
         assert warm.cache.stats.of("verifyreport").disk_hits == 1
         assert warm.cache.stats.of("plan").misses == 0
+
+
+# ----------------------------------------------------------------------
+# Lattice completeness: every mode the harness compiles is proven
+# ----------------------------------------------------------------------
+
+class TestLatticeCompleteness:
+    @pytest.fixture
+    def requested(self, monkeypatch):
+        """function -> every ModeSpec the compiled backend asks for."""
+        from repro.interp import compiled
+
+        seen: dict = {}
+        real = compiled._compiled_code
+
+        def recording(func, module, spec):
+            seen.setdefault(func, set()).add(spec)
+            return real(func, module, spec)
+
+        monkeypatch.setattr(compiled, "_compiled_code", recording)
+        return seen
+
+    @staticmethod
+    def _unproven(requested):
+        assert requested
+        return [(func.name, spec)
+                for func, specs in requested.items()
+                for spec in specs - set(standard_modes(func))]
+
+    def test_harness_modes_in_standard_lattice(self, requested, capsys):
+        from repro.harness.__main__ import main
+
+        base = ["all", "--quiet", "--no-cache", "--jobs", "1",
+                "--benchmarks", "applu,parser"]
+        for extra in ((), ("--sparse-edges",),
+                      ("--profilers", "values,tripcounts")):
+            assert main([*base, *extra]) == 0
+        capsys.readouterr()
+        assert not self._unproven(requested)
+
+    @pytest.mark.parametrize("extra", [
+        ("--profilers", "edges"),
+        ("--profilers", "path-trace"),
+        ("--profilers", "edges,path-trace,values"),
+        ("--profilers", "path-trace", "--sparse-edges"),
+    ], ids=["edges", "path-trace", "edges+path-trace+values",
+            "sparse+path-trace"])
+    def test_channel_selections_in_standard_lattice(self, requested,
+                                                    capsys, extra):
+        # The profiler selection reaches the profile and plan runs of
+        # the suite, which every table shares.
+        from repro.harness.__main__ import main
+
+        assert main(["table2", "--quiet", "--no-cache", "--jobs", "1",
+                     "--benchmarks", "applu,parser", *extra]) == 0
+        capsys.readouterr()
+        assert not self._unproven(requested)
+
+    def test_every_profiler_selection_in_standard_lattice(self, requested):
+        # Each subset of the registered (name-selectable) profilers, run
+        # as built and again with a hook attached, so a profiler with a
+        # new channel combination fails here.
+        import itertools
+
+        from repro.profilers import (build_machine, create_profilers,
+                                     registered_profilers)
+
+        module = compile_source(_LOOP_PROGRAM)
+        names = sorted(name for name, cls in registered_profilers().items()
+                       if not cls.requires_plan)
+        for n in range(len(names) + 1):
+            for subset in itertools.combinations(names, n):
+                for hooked in (False, True):
+                    machine, _attached = build_machine(
+                        module, create_profilers(subset),
+                        backend="compiled")
+                    if hooked:
+                        uid = next(iter(machine.compiled["main"].uid_edge))
+                        machine.set_edge_hook("main", uid,
+                                              lambda frame: None)
+                    machine.run()
+        assert not self._unproven(requested)

@@ -113,9 +113,9 @@ class TestFunctionGeometry:
         func = module.functions["main"]
         geo = function_geometry(func)
         plain = ModeSpec(profile=False, trace=False, listener=False,
-                         hook_edges=frozenset())
+                         hooks=False)
         prof = ModeSpec(profile=True, trace=True, listener=False,
-                        hook_edges=frozenset())
+                        hooks=True)
         generate_source(func, module, plain)
         generate_source(func, module, prof)
         # Emission reused (not rebuilt) the memoised geometry.

@@ -126,6 +126,35 @@ class TestCli:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("command", ("verify", "lint", "equiv",
+                                         "conserve", "match"))
+    def test_proof_commands_reject_fan_out_options(self, command, capsys):
+        from repro.__main__ import main as repro_main
+        with pytest.raises(SystemExit) as excinfo:
+            repro_main([command, "--suite", "--timeout", "1"])
+        assert excinfo.value.code == 2
+        assert "--timeout" in capsys.readouterr().err
+
+    def test_harness_keeps_fan_out_options(self, capsys):
+        from repro.harness.__main__ import main
+        # Parses (a parse error would exit 2), then fails cleanly on the
+        # unknown workload.
+        assert main(["table2", "--timeout", "1", "--retries", "0",
+                     "--benchmarks", "nosuch", "--quiet"]) == 1
+        capsys.readouterr()
+
+    def test_equiv_flag_leaves_environment_as_found(self, capsys,
+                                                    monkeypatch):
+        from repro.harness.__main__ import main
+        monkeypatch.delenv("REPRO_EQUIV", raising=False)
+        argv = ["table2", "--no-cache", "--quiet", "--benchmarks", "applu"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main([*argv, "--equiv"]) == 0
+        assert capsys.readouterr().out == plain
+        assert "REPRO_EQUIV" not in os.environ
+
+
 # Every table/figure renderer ``harness all`` calls, by its name in
 # ``repro.harness.__main__``.
 RENDERERS = ("table1", "table2", "figure9", "figure10", "figure11",

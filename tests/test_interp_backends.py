@@ -8,7 +8,10 @@ counts, invocation counts, and listener event streams.
 
 import pytest
 
-from repro.core import plan_ppp, run_with_plan
+from collections import Counter
+
+from repro.core import plan_pp, plan_ppp, plan_tpp, run_with_plan
+from repro.interp import compiled
 from repro.interp import (DEFAULT_BACKEND, VALID_BACKENDS, Machine,
                           MachineError, resolve_backend, run_module)
 from repro.interp.codegen import ModeSpec, generate_source
@@ -179,6 +182,68 @@ def test_hooks_attached_after_a_run_still_fire(small_module):
 
 
 # ----------------------------------------------------------------------
+# Plan independence: hooked code is generated once per (function,
+# channels) and hook mutations only write slots
+# ----------------------------------------------------------------------
+
+@pytest.fixture()
+def codegen_misses(monkeypatch):
+    """Every ``_compiled_code`` miss as a (function, spec) pair."""
+    misses = []
+    real = compiled.generate_source
+
+    def recording(func, module, spec):
+        misses.append((func, spec))
+        return real(func, module, spec)
+
+    monkeypatch.setattr(compiled, "generate_source", recording)
+    return misses
+
+
+def test_hooked_code_shared_across_plans(codegen_misses):
+    from repro.opt.pipeline import expand_module
+
+    module = expand_module(compile_source(SMALL_PROGRAM,
+                                          name="plans")).module
+    _actual, profile, _res = trace_module(module)
+    plans = (plan_pp(module), plan_tpp(module, profile),
+             plan_ppp(module, profile))
+    values = {run_with_plan(plan, backend="compiled").run.return_value
+              for plan in plans}
+    assert len(values) == 1
+    hooked = Counter(func for func, spec in codegen_misses if spec.hooks)
+    assert hooked, "the plans must instrument something"
+    assert max(hooked.values()) == 1
+
+
+def test_hook_mutations_need_no_codegen(small_module, codegen_misses):
+    machine = Machine(small_module, backend="compiled")
+    cf = machine.compiled["helper"]
+    first, second = list(cf.uid_edge)[:2]
+    fired = []
+    machine.set_edge_hook("helper", first, lambda f: fired.append(1))
+    machine.run()
+    assert fired
+    generated = len(codegen_misses)
+
+    fired.clear()
+    machine.set_edge_hook("helper", first, lambda f: fired.append(2))
+    machine.set_edge_hook("helper", second, lambda f: fired.append(3))
+    machine.run()
+    assert set(fired) == {2, 3}
+
+    fired.clear()
+    machine.clear_hooks()
+    machine.run()
+    assert not fired
+
+    machine.set_edge_hook("helper", second, lambda f: fired.append(4))
+    machine.run()
+    assert set(fired) == {4}
+    assert len(codegen_misses) == generated
+
+
+# ----------------------------------------------------------------------
 # Machine fixes (satellites): per-instance _last_return, O(1) hook attach
 # ----------------------------------------------------------------------
 
@@ -217,7 +282,7 @@ class TestModeFusion:
         src = generate_source(func, module, ModeSpec()).source
         assert "_ec[" not in src
         assert "path_blocks" not in src
-        assert "_h0" not in src
+        assert "_hk[" not in src
         assert "_pl(" not in src
 
     def test_profile_mode_counts_edges_densely(self, helper):
@@ -241,10 +306,7 @@ class TestModeFusion:
 
     def test_hooks_fused_per_edge(self, helper):
         func, module = helper
-        edge = next(iter(func.edge_by_target.items()))
-        bname, table = edge
-        target = next(iter(table))
-        spec = ModeSpec(hook_edges=frozenset({(bname, target)}))
-        result = generate_source(func, module, spec)
-        assert "_h0(frame)" in result.source
-        assert result.hook_edges == ((bname, target),)
+        result = generate_source(func, module, ModeSpec(hooks=True))
+        for slot in range(len(result.edge_keys)):
+            assert (f"if _hk[{slot}] is not None: _hk[{slot}](frame)"
+                    in result.source)

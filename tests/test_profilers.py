@@ -407,12 +407,15 @@ class TestObservationVerification:
         assert "V501" in codes  # unknown edge uid
         assert "V502" in codes  # op's own contract violated
 
-    def test_profiler_codegen_fusion_validates(self):
-        from repro.analysis import check_profiler_codegen
+    def test_profiler_codegen_fusion_validates(self, monkeypatch):
+        # The hooked code a fused selection runs is translation-
+        # validated before it executes; a mismatch would raise.
+        monkeypatch.setenv("REPRO_EQUIV", "1")
         module = compile_source(LOOPY)
-        report = check_profiler_codegen(
-            module, create_profilers(("values", "tripcounts")))
-        assert report.ok, report.format()
+        run = execute_profilers(
+            module, create_profilers(("values", "tripcounts")),
+            backend="compiled")
+        assert set(run.profiles) == {"values", "tripcounts"}
 
 
 # ----------------------------------------------------------------------
