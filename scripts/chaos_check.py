@@ -15,8 +15,8 @@ then asserts:
   byte-identical (fault tolerance may never change results);
 * the chaos run's execution report shows the faults actually fired
   (nonzero retries or worker-crash failures, nonzero degradations);
-* a follow-up fault-free run over the chaos run's cache directory
-  quarantines the corrupt entry and still matches, and
+* a follow-up fault-free ``--jobs`` run over the chaos run's cache
+  directory quarantines the corrupt entry and still matches, and
   ``repro cache verify`` then reports a clean directory.
 
 Usage::
@@ -107,7 +107,10 @@ def main() -> int:
 
         # The corrupt-write fault is latent: this fault-free run reads
         # the scrambled entry, quarantines it, recomputes, and matches.
-        after = run([*common, "--cache-dir", str(cache_dir),
+        # It takes the parallel path, whose warm/cold split must treat
+        # the quarantined entry as a miss.
+        after = run([*common, "--jobs", str(args.jobs),
+                     "--cache-dir", str(cache_dir),
                      "--json", str(after_json)])
         if after.returncode != 0:
             return fail("post-chaos cached run failed", after)

@@ -107,13 +107,6 @@ class ProbePlacement:
             return 0.0
         return 1.0 - self.num_probes / self.num_edges
 
-    def key_of(self, uid: int) -> tuple[str, str]:
-        """The ``(src, dst)`` block pair of a real edge."""
-        for euid, src, dst in self.edge_keys:
-            if euid == uid:
-                return (src, dst)
-        raise KeyError(uid)
-
     @property
     def probe_keys(self) -> frozenset[tuple[str, str]]:
         """``(block, target)`` pairs of the probe edges, as the code

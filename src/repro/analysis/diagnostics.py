@@ -101,11 +101,6 @@ class Report:
         """True when the report carries no errors (warnings allowed)."""
         return not self.errors()
 
-    def max_severity(self) -> Optional[Severity]:
-        if not self.diagnostics:
-            return None
-        return max(d.severity for d in self.diagnostics)
-
     def summary(self) -> str:
         n_err = len(self.errors())
         n_warn = len(self.warnings())

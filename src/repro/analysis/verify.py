@@ -896,10 +896,9 @@ def verify_suite(session: "ProfilingSession",
 
     Plans (and the traces TPP/PPP plan from) come through the session,
     so repeated runs are served from its artifact cache — and so are the
-    verdicts themselves: each :class:`Report` is cached under the plan's
-    fingerprint, making a warm suite re-run a pure cache read.
+    verdicts themselves (:meth:`ProfilingSession.verify_report`), making
+    a warm suite re-run a pure cache read.
     """
-    from ..engine.fingerprint import fingerprint_text
     from ..engine.results import TECHNIQUES
     from ..workloads import SUITE
 
@@ -913,16 +912,10 @@ def verify_suite(session: "ProfilingSession",
             _actual, edge_profile, _rv = session.trace(module)
         for technique in techs:
             profile = None if technique == "pp" else edge_profile
-            plan_key = session.plan_key(technique, module, profile, config)
-            key = fingerprint_text("verify-report", plan_key,
-                                   str(path_cap))
-
-            def compute() -> Report:
-                plan = session.plan(technique, module, profile, config)
-                return verify_module_plan(plan, path_cap)
-
-            report = session.cache.get_or_compute("verifyreport", key,
-                                                  compute)
+            report = session.verify_report(
+                session.plan_key(technique, module, profile, config),
+                lambda: session.plan(technique, module, profile, config),
+                path_cap)
             report.title = f"{workload.name}/{technique}"
             reports.append(report)
     return reports

@@ -118,9 +118,6 @@ class PathNumbering:
         """The path number of a DAG edge sequence (sum of edge values)."""
         return sum(self.val[e.uid] for e in path)
 
-    def is_live(self, edge: Edge) -> bool:
-        return edge.uid in self.live
-
 
 def number_paths(dag: ProfilingDag, live: Optional[set[int]] = None,
                  order: Order = "ballarus",

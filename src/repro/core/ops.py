@@ -24,7 +24,7 @@ variant is selected per plan, not per op, and is handled by the runtime.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards (typing only)
     from ..cfg.graph import Edge
@@ -57,14 +57,6 @@ class ObservationOp:
         when the placement is legal); used by the plan verifier's
         generic observation checks."""
         return []
-
-    def describe_state(self) -> dict[str, Any]:
-        """Structured rendering for reports/JSON (op name + fields)."""
-        out: dict[str, Any] = {"op": type(self).__name__}
-        fields = getattr(self, "__dataclass_fields__", {})
-        for name in fields:
-            out[name] = getattr(self, name)
-        return out
 
 
 class InstrOp(ObservationOp):

@@ -2,8 +2,9 @@
 
 Artifacts are stored under a ``(kind, key)`` address where ``kind`` names
 the pipeline stage ("compile", "expand", "trace", "stream", "profiles",
-"remap", "plan", "verify", "technique", "workload", and "table" for a
-rendered harness table; the proof passes add "verifyreport",
+"remap", "plan", "technique", "workload", and "table" for a rendered
+harness table; "verifyreport" holds a plan's verifier report, shared by
+the session's ``verify_plans`` check and the proof passes, which add
 "conservereport", "matchreport" and "equiv") and ``key`` is a content
 hash from :mod:`repro.engine.fingerprint`.  Two layers:
 
@@ -171,13 +172,6 @@ class ArtifactCache:
         if self.disk_dir is not None:
             self._disk_store(kind, key, value)
 
-    def contains(self, kind: str, key: str) -> bool:
-        """Uncounted peek (used to partition warm/cold work up front)."""
-        if self.memory and (kind, key) in self._mem:
-            return True
-        return self._disk_path(kind, key).is_file() \
-            if self.disk_dir is not None else False
-
     def _probe(self, kind: str, key: str) -> tuple[bool, object]:
         ks = self.stats.of(kind)
         if self.memory:
@@ -255,11 +249,6 @@ class ArtifactCache:
         if hashlib.sha256(payload).digest() != digest:
             return None, 0
         return payload, salt
-
-    @classmethod
-    def _verified_payload(cls, raw: bytes) -> Optional[bytes]:
-        """The payload bytes, or ``None`` when the envelope fails."""
-        return cls._parse_envelope(raw)[0]
 
     def _mark_stale(self, path: Path, kind: str, salt: int) -> None:
         self.stats.of(kind).stale += 1

@@ -1,34 +1,26 @@
 """Fault-tolerant process-pool fan-out for independent workloads.
 
 Every workload in a suite run is independent (the methodology is
-per-benchmark), so cold workloads fan out over a
-:mod:`concurrent.futures` process pool -- but under a **supervisor**
-rather than a bare ``pool.map``:
+per-benchmark), so cold workloads fan out over a process pool under a
+small supervisor:
 
-* every task is submitted as its own future, and results are reassembled
-  in task-index order, so suite output is deterministic regardless of
-  which worker finishes first;
-* each task gets an optional wall-clock **timeout** (measured from when
-  its future is first observed running) and bounded, deterministic
-  **retries** with exponential backoff;
-* a **worker crash** (``BrokenProcessPool``) replaces only the broken
-  pool and reschedules only the unfinished tasks -- results that already
-  came back are never discarded and never recomputed;
-* a task that exhausts its pool retries falls back to running **inline**
-  in the parent (recorded as a degradation event), so one pathological
-  task cannot sink the suite; a task that fails inline too raises
-  :class:`SuiteExecutionError` carrying the full failure taxonomy;
-* tasks are checked for picklability **individually**: one ad-hoc
-  unpicklable workload runs inline while every other task stays on the
-  pool.
+* results are reassembled in task order, so suite output does not
+  depend on which worker finishes first;
+* at most ``jobs`` attempts are in flight, so an attempt starts when it
+  is submitted and its optional **timeout** counts from there; failed
+  attempts get bounded **retries** with exponential backoff;
+* the pool-failure rule the profiling service also follows: a **worker
+  crash** or a **timeout** retires the pool.  Attempts still running on
+  it are collected, never re-run; attempts it never started are
+  resubmitted uncharged; the next submission builds a fresh pool;
+* a task that exhausts its retries, or cannot be pickled, runs
+  **inline** in the parent (a degradation event); failing there after
+  its retries raises :class:`SuiteExecutionError`.
 
-Everything the supervisor observed -- attempts, :class:`TaskFailure`\\ s,
-:class:`~repro.engine.faults.DegradationEvent`\\ s, pool rebuilds -- is
-collected in a :class:`~repro.engine.results.SuiteExecutionReport`
-(``runner.report``) and merged into each result's ``execution`` record.
-Workers share the parent's on-disk cache directory when one is
-configured; writes are atomic and checksummed, so concurrent stores of
-the same artifact are harmless.
+Attempts, failures, degradations and pool retirements land in
+``runner.report`` (a :class:`~repro.engine.results.SuiteExecutionReport`)
+and in each result's ``execution`` record.  Workers share the parent's
+on-disk cache directory, whose writes are atomic and checksummed.
 """
 
 from __future__ import annotations
@@ -129,23 +121,6 @@ def new_pool(max_workers: int) -> Optional[ProcessPoolExecutor]:
         return None
 
 
-class _TaskState:
-    """Supervisor-side bookkeeping for one task."""
-
-    __slots__ = ("index", "task", "attempts", "started_at", "ready_at")
-
-    def __init__(self, index: int, task: WorkloadTask):
-        self.index = index
-        self.task = task
-        self.attempts = 0            # attempts actually begun
-        self.started_at: Optional[float] = None  # running-observed time
-        self.ready_at = 0.0          # backoff gate for the next submit
-
-    @property
-    def name(self) -> str:
-        return self.task.workload.name
-
-
 class ParallelRunner:
     """Supervised, deterministically-ordered pool map over workload tasks.
 
@@ -156,9 +131,9 @@ class ParallelRunner:
     disk_dir:
         Shared on-disk artifact cache directory for workers.
     timeout:
-        Per-task wall-clock limit in seconds (``None`` = unlimited),
-        measured from when the task is observed running.  A timed-out
-        attempt is abandoned (its eventual result ignored) and retried.
+        Per-attempt wall-clock limit in seconds (``None`` = unlimited),
+        counted from submission.  A timed-out attempt retires the pool
+        and is retried.
     retries:
         Extra attempts per task after its first (pool attempts only; the
         final inline fallback is not counted here).
@@ -166,12 +141,8 @@ class ParallelRunner:
         Base backoff delay; attempt ``n`` waits ``backoff * 2**(n-1)``.
 
     A single-task run short-circuits to the serial path: no pool is
-    worth spawning for a suite of one.  Only suite runs use the
-    supervisor; the profiling service keeps its own long-lived pool
-    and retry policy (:mod:`repro.service.service`).
+    worth spawning for a suite of one.
     """
-
-    _TICK = 0.05  # supervisor poll granularity (seconds)
 
     def __init__(self, jobs: int = 1,
                  disk_dir: Optional[Path | str] = None,
@@ -184,44 +155,32 @@ class ParallelRunner:
         self.backoff = backoff
         self.report = SuiteExecutionReport()
 
-    # ------------------------------------------------------------------
-    # Entry point
-    # ------------------------------------------------------------------
-
     def run(self, tasks: Sequence[WorkloadTask]) -> list[WorkloadResult]:
         """Results in task order; per-task status lands in ``report``."""
         tasks = list(tasks)
         self.report = SuiteExecutionReport()
         if not tasks:
             return []
-        results: dict[int, WorkloadResult] = {}
         if self.jobs <= 1 or len(tasks) == 1:
-            for i, task in enumerate(tasks):
-                results[i] = self._finish(
-                    i, task, run_task(task, self.disk_dir),
-                    attempts=1, where="serial")
-            return [results[i] for i in range(len(tasks))]
-
+            return [self._finish(task, run_task(task, self.disk_dir), 1,
+                                 "serial") for task in tasks]
+        results: dict[int, WorkloadResult] = {}
         pooled, inline = self._partition(tasks)
-        if pooled:
-            self._run_pool(tasks, pooled, results)
+        self._run_pool(tasks, pooled, results)
         for i in inline:
-            results[i] = self._run_inline(i, tasks[i])
+            results[i] = self._run_inline(tasks[i])
         return [results[i] for i in range(len(tasks))]
-
-    # ------------------------------------------------------------------
-    # Task partitioning and inline execution
-    # ------------------------------------------------------------------
 
     def _partition(self, tasks: Sequence[WorkloadTask]
                    ) -> tuple[list[int], list[int]]:
-        """Per-task picklability: only unshippable tasks leave the pool."""
+        """Per-task picklability: only unshippable tasks (ad-hoc lambda
+        sources, locally-defined factories) leave the pool."""
         pooled: list[int] = []
         inline: list[int] = []
         for i, task in enumerate(tasks):
-            if self._picklable(task):
-                pooled.append(i)
-            else:
+            try:
+                pickle.dumps(task)
+            except Exception:
                 inline.append(i)
                 record = self._record(task)
                 record.failures.append(TaskFailure(
@@ -230,245 +189,151 @@ class ParallelRunner:
                 record.degradations.append(faults.DegradationEvent(
                     "inline-fallback", task.workload.name,
                     "unpicklable task runs in the parent process"))
+                continue
+            pooled.append(i)
         return pooled, inline
 
-    def _run_inline(self, index: int, task: WorkloadTask,
+    def _run_inline(self, task: WorkloadTask,
                     attempts: int = 1) -> WorkloadResult:
-        return self._finish(index, task, run_task(task, self.disk_dir),
-                            attempts=attempts, where="inline")
+        return self._finish(task, run_task(task, self.disk_dir), attempts,
+                            "inline")
 
     def _record(self, task: WorkloadTask) -> ExecutionRecord:
-        name = task.workload.name
-        record = self.report.records.get(name)
-        if record is None:
-            record = ExecutionRecord()
-            self.report.records[name] = record
-        return record
+        return self.report.records.setdefault(task.workload.name,
+                                              ExecutionRecord())
 
-    def _finish(self, index: int, task: WorkloadTask,
-                result: WorkloadResult, attempts: int,
-                where: str) -> WorkloadResult:
+    def _finish(self, task: WorkloadTask, result: WorkloadResult,
+                attempts: int, where: str) -> WorkloadResult:
         """Merge supervisor bookkeeping into the result's record."""
         record = self._record(task)
-        record.attempts = max(attempts, 1)
-        record.where = where
+        execution = result.execution
         # Degradations the worker recorded (codegen fallback, cache
-        # quarantine) arrived on the result; keep them after the
-        # supervisor-level ones.
-        record.degradations = record.degradations + [
-            d for d in result.execution.degradations
+        # quarantine) follow the supervisor-level ones.
+        execution.degradations = record.degradations + [
+            d for d in execution.degradations
             if d not in record.degradations]
-        result.execution.attempts = record.attempts
-        result.execution.where = where
-        result.execution.failures = list(record.failures)
-        result.execution.degradations = list(record.degradations)
-        self.report.records[task.workload.name] = result.execution
+        execution.attempts = max(attempts, 1)
+        execution.where = where
+        execution.failures = list(record.failures)
+        self.report.records[task.workload.name] = execution
         return result
-
-    # ------------------------------------------------------------------
-    # The supervised pool
-    # ------------------------------------------------------------------
 
     def _run_pool(self, tasks: Sequence[WorkloadTask], pooled: list[int],
                   results: dict[int, WorkloadResult]) -> None:
-        states = {i: _TaskState(i, tasks[i]) for i in pooled}
-        max_workers = min(self.jobs, len(pooled))
-        pool = new_pool(max_workers)
-        if pool is None:
-            # No usable pool at all (sandbox without semaphores, fd
-            # exhaustion, ...): everything runs inline, recorded.
-            for i in pooled:
-                self._record(tasks[i]).degradations.append(
-                    faults.DegradationEvent(
-                        "pool-degraded", tasks[i].workload.name,
-                        "process pool unavailable; running inline"))
-                results[i] = self._run_inline(i, tasks[i])
-            return
+        """The pool-failure rule (module docstring): one ``wait`` per
+        loop, until the nearest attempt deadline or backoff gate."""
+        width = min(self.jobs, len(pooled))
+        attempts = dict.fromkeys(pooled, 0)  # pool attempts begun
+        gate = dict.fromkeys(pooled, 0.0)    # backoff: not sooner than
+        queue = list(pooled)                 # awaiting (re)submission
+        # In-flight attempt -> (task index, submit time, owning pool).
+        flight: dict[Future, tuple[int, float, ProcessPoolExecutor]] = {}
+        pool: Optional[ProcessPoolExecutor] = None
 
-        futures: dict[Future, int] = {}
-        abandoned: list[Future] = []  # timed-out attempts, result ignored
-        queue: list[int] = list(pooled)  # indexes awaiting (re)submission
+        def retire() -> None:
+            nonlocal pool
+            for future, (index, _submitted, owner) in list(flight.items()):
+                if owner is pool and future.cancel():  # never started
+                    del flight[future]
+                    attempts[index] -= 1
+                    queue.append(index)
+            pool.shutdown(wait=False, cancel_futures=True)
+            pool = None
+            self.report.pool_rebuilds += 1
+
+        def fail(index: int, kind: str, detail: str,
+                 elapsed: float) -> None:
+            task, attempt = tasks[index], attempts[index]
+            record = self._record(task)
+            record.failures.append(TaskFailure(
+                kind, task.workload.name, index, attempt - 1, detail,
+                elapsed))
+            if attempt <= self.retries:
+                delay = self.backoff * 2 ** (attempt - 1)
+                gate[index] = time.monotonic() + delay
+                queue.append(index)
+                return
+            record.degradations.append(faults.DegradationEvent(
+                "inline-fallback", task.workload.name,
+                f"{self.retries + 1} pool attempt(s) failed; "
+                "running in the parent process"))
+            try:
+                results[index] = self._run_inline(task, attempt)
+            except Exception as exc:
+                record.failures.append(TaskFailure(
+                    "exception", task.workload.name, index, attempt,
+                    f"inline fallback failed: {type(exc).__name__}: {exc}"))
+                raise SuiteExecutionError(task.workload.name,
+                                          list(record.failures)) from exc
+
+        def degrade() -> None:
+            # No usable pool (sandbox without semaphores, fd exhaustion,
+            # ...): every queued task runs inline, recorded.
+            for index in sorted(queue):
+                self._record(tasks[index]).degradations.append(
+                    faults.DegradationEvent(
+                        "pool-degraded", tasks[index].workload.name,
+                        "process pool unavailable; running inline"))
+                results[index] = self._run_inline(tasks[index],
+                                                  attempts[index] + 1)
+            queue.clear()
+
         try:
-            while queue or futures:
+            while queue or flight:
                 now = time.monotonic()
-                crashed = self._submit_ready(pool, states, queue, futures,
-                                             now)
-                if not futures and not crashed:
-                    if queue:  # everything is backoff-gated; wait it out
-                        time.sleep(self._TICK)
-                        continue
-                    break
-                done: set[Future] = set()
-                if futures:
-                    done, _ = futures_wait(set(futures), timeout=self._TICK,
-                                           return_when=FIRST_COMPLETED)
+                for index in [i for i in queue if gate[i] <= now]:
+                    if len(flight) >= width:
+                        break
+                    if pool is None and (pool := new_pool(width)) is None:
+                        degrade()
+                        break
+                    try:
+                        future = pool.submit(_run_task_payload, (
+                            tasks[index], self.disk_dir, index,
+                            attempts[index]))
+                    except BrokenProcessPool:  # broke since the last wait
+                        retire()
+                        break
+                    queue.remove(index)
+                    attempts[index] += 1
+                    flight[future] = (index, now, pool)
+                if not (queue or flight):
+                    break  # the degraded path ran the rest inline
+                wakeups = [t + self.timeout for _i, t, _p in flight.values()
+                           if self.timeout is not None]
+                if len(flight) < width:
+                    wakeups += [gate[i] for i in queue]
+                done, _ = futures_wait(
+                    list(flight), return_when=FIRST_COMPLETED,
+                    timeout=max(0.0, min(wakeups) - now) if wakeups
+                    else None)
+                # Retire before ``fail``: if its inline fallback raises, the
+                # ``finally`` must not wait on a hung worker.  A future that
+                # ``retire`` cancelled reads as done below.
+                now = time.monotonic()
                 for future in done:
-                    index = futures.pop(future)
-                    crashed |= self._collect(future, states[index], results,
-                                             queue)
-                if crashed:
-                    pool = self._rebuild_pool(pool, max_workers, states,
-                                              futures, queue, results)
-                    if pool is None:
-                        return  # everything finished inline
-                    continue
-                self._check_timeouts(states, futures, abandoned, queue,
-                                     results)
-                now = time.monotonic()
-                for future, index in futures.items():
-                    state = states[index]
-                    if state.started_at is None and future.running():
-                        state.started_at = now
-            for index in pooled:
-                assert index in results, \
-                    f"supervisor lost task {index}"  # pragma: no cover
+                    index, submitted, owner = flight.pop(future)
+                    try:
+                        result = future.result()
+                    except Exception as exc:
+                        crash = isinstance(exc, BrokenProcessPool)
+                        if crash and owner is pool:
+                            retire()
+                        fail(index, "worker-crash" if crash else "exception",
+                             f"{type(exc).__name__}: {exc}", now - submitted)
+                    else:
+                        results[index] = self._finish(
+                            tasks[index], result, attempts[index], "pool")
+                for future, (index, submitted, owner) in list(flight.items()):
+                    if self.timeout is not None and not future.done() \
+                            and now - submitted >= self.timeout:
+                        # The hung worker keeps its slot on the retired pool.
+                        del flight[future]
+                        if owner is pool:
+                            retire()
+                        fail(index, "timeout",
+                             f"exceeded {self.timeout:.1f}s wall clock",
+                             now - submitted)
         finally:
             if pool is not None:
-                # Never wait on abandoned (possibly hung) attempts.
-                pool.shutdown(wait=not abandoned, cancel_futures=True)
-
-    def _submit_ready(self, pool: ProcessPoolExecutor,
-                      states: dict[int, _TaskState], queue: list[int],
-                      futures: dict[Future, int], now: float) -> bool:
-        """Submit every queued task whose backoff gate has passed."""
-        remaining: list[int] = []
-        crashed = False
-        for index in queue:
-            state = states[index]
-            if crashed or state.ready_at > now:
-                remaining.append(index)
-                continue
-            payload = (state.task, self.disk_dir, index, state.attempts)
-            try:
-                future = pool.submit(_run_task_payload, payload)
-            except Exception:  # pool already broken
-                crashed = True
-                remaining.append(index)
-                continue
-            state.attempts += 1
-            state.started_at = None
-            futures[future] = index
-        queue[:] = remaining
-        return crashed
-
-    def _collect(self, future: Future, state: _TaskState,
-                 results: dict[int, WorkloadResult],
-                 queue: list[int]) -> bool:
-        """Fold one finished future in; True when the pool collapsed."""
-        record = self._record(state.task)
-        try:
-            result = future.result()
-        except BrokenProcessPool as exc:
-            record.failures.append(TaskFailure(
-                "worker-crash", state.name, state.index,
-                state.attempts - 1, str(exc) or "process pool collapsed",
-                self._elapsed(state)))
-            self._requeue_or_fallback(state, results, queue)
-            return True
-        except Exception as exc:
-            record.failures.append(TaskFailure(
-                "exception", state.name, state.index, state.attempts - 1,
-                f"{type(exc).__name__}: {exc}", self._elapsed(state)))
-            self._requeue_or_fallback(state, results, queue)
-            return False
-        results[state.index] = self._finish(
-            state.index, state.task, result, attempts=state.attempts,
-            where="pool")
-        return False
-
-    def _elapsed(self, state: _TaskState) -> float:
-        if state.started_at is None:
-            return 0.0
-        return time.monotonic() - state.started_at
-
-    def _requeue_or_fallback(self, state: _TaskState,
-                             results: dict[int, WorkloadResult],
-                             queue: list[int]) -> None:
-        """Bounded retry with backoff, then the inline fallback."""
-        record = self._record(state.task)
-        if state.attempts <= self.retries:
-            delay = self.backoff * (2 ** (state.attempts - 1))
-            state.ready_at = time.monotonic() + delay
-            queue.append(state.index)
-            return
-        record.degradations.append(faults.DegradationEvent(
-            "inline-fallback", state.name,
-            f"{self.retries + 1} pool attempt(s) failed; "
-            "running in the parent process"))
-        try:
-            results[state.index] = self._run_inline(
-                state.index, state.task, attempts=state.attempts)
-        except Exception as exc:
-            record.failures.append(TaskFailure(
-                "exception", state.name, state.index, state.attempts,
-                f"inline fallback failed: {type(exc).__name__}: {exc}"))
-            raise SuiteExecutionError(state.name,
-                                      list(record.failures)) from exc
-
-    def _check_timeouts(self, states: dict[int, _TaskState],
-                        futures: dict[Future, int],
-                        abandoned: list[Future], queue: list[int],
-                        results: dict[int, WorkloadResult]) -> None:
-        if self.timeout is None:
-            return
-        now = time.monotonic()
-        for future, index in list(futures.items()):
-            state = states[index]
-            if state.started_at is None \
-                    or now - state.started_at <= self.timeout:
-                continue
-            del futures[future]
-            if not future.cancel():
-                # Already running: the worker keeps chewing, but its
-                # eventual result is ignored (the retry's wins; both are
-                # deterministic, so either copy would be identical).
-                abandoned.append(future)
-            self._record(state.task).failures.append(TaskFailure(
-                "timeout", state.name, index, state.attempts - 1,
-                f"exceeded {self.timeout:.1f}s wall clock",
-                now - state.started_at))
-            self._requeue_or_fallback(state, results, queue)
-
-    def _rebuild_pool(self, pool: ProcessPoolExecutor, max_workers: int,
-                      states: dict[int, _TaskState],
-                      futures: dict[Future, int], queue: list[int],
-                      results: dict[int, WorkloadResult]
-                      ) -> Optional[ProcessPoolExecutor]:
-        """Replace a collapsed pool; only unfinished tasks reschedule.
-
-        Futures that were in flight when the pool died are all doomed
-        (``BrokenProcessPool``); their tasks go back on the queue without
-        an attempt charge -- their work never ran to completion and the
-        actual crasher was already charged by :meth:`_collect`.
-        """
-        self.report.pool_rebuilds += 1
-        for future, index in list(futures.items()):
-            del futures[future]
-            state = states[index]
-            # The attempt never finished; let the resubmission reuse it.
-            state.attempts = max(0, state.attempts - 1)
-            if index not in queue and index not in results:
-                queue.append(index)
-        pool.shutdown(wait=False, cancel_futures=True)
-        fresh = new_pool(max_workers)
-        if fresh is None:
-            for index in list(queue):
-                state = states[index]
-                self._record(state.task).degradations.append(
-                    faults.DegradationEvent(
-                        "pool-degraded", state.name,
-                        "pool could not be rebuilt; running inline"))
-                results[index] = self._run_inline(
-                    index, state.task, attempts=state.attempts + 1)
-            queue.clear()
-        return fresh
-
-    @staticmethod
-    def _picklable(task: WorkloadTask) -> bool:
-        """Ad-hoc workloads (lambda sources, locally-defined factories)
-        cannot cross a process boundary; those run inline."""
-        try:
-            pickle.dumps(task)
-            return True
-        except Exception:
-            return False
+                pool.shutdown(wait=not flight, cancel_futures=True)

@@ -23,7 +23,7 @@ path: the stages are the same code, merely memoised.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from ..core import DEFAULT_CONFIG, ModulePlan, PathStream, ProfilerConfig
 from ..interp import resolve_backend
@@ -40,6 +40,7 @@ from .results import (SuiteExecutionReport, TECHNIQUES, TechniqueResult,
 from . import faults, stages
 
 if TYPE_CHECKING:
+    from ..analysis.diagnostics import Report
     from ..analysis.transfer import TransferResult
 
 __all__ = ["ProfilingSession"]
@@ -103,9 +104,6 @@ class ProfilingSession:
         self.retries = max(0, int(retries))
         # Per-task status of the most recent run_suite call.
         self.last_run_report: Optional[SuiteExecutionReport] = None
-        # Modules traced this session, in trace order, keyed by module
-        # fingerprint: the donor pool for stale-profile remapping.
-        self._traced: dict[str, tuple[Module, PathProfile, EdgeProfile]] = {}
 
     @property
     def stats(self):
@@ -138,14 +136,11 @@ class ProfilingSession:
     def trace(self, module: Module) -> tuple[PathProfile, EdgeProfile,
                                              object]:
         """Ground truth for a module: (path profile, edge profile, rv)."""
-        fp = fingerprint_module(module)
-        key = fingerprint_text("trace", fp, self.backend)
-        paths, edge_profile, rv = self.cache.get_or_compute(
+        key = fingerprint_text("trace", fingerprint_module(module),
+                               self.backend)
+        return self.cache.get_or_compute(
             "trace", key,
             lambda: stages.ground_truth(module, backend=self.backend))
-        self._traced.pop(fp, None)  # re-insert to keep recency order
-        self._traced[fp] = (module, paths, edge_profile)
-        return paths, edge_profile, rv
 
     def path_stream(self, module: Module) -> PathStream:
         """A module's completed paths in listener order (cached), for
@@ -179,26 +174,6 @@ class ProfilingSession:
             lambda: remap_edge_profile(old, new_module, paths=paths))
         self.cache.stats.of("remap").remapped += 1
         return result
-
-    def stale_advice(self, module: Module) -> Optional["TransferResult"]:
-        """A remapped profile for ``module`` from the trace history.
-
-        Returns ``None`` when ``module`` was already traced this session
-        (fresh ground truth is cached and strictly better) or when no
-        earlier trace of a same-named module exists.  Otherwise the most
-        recently traced version of the module is matched against this
-        one and its profile transferred -- usable as planning input
-        before ground truth has been re-collected.
-        """
-        fp = fingerprint_module(module)
-        if fp in self._traced:
-            return None
-        for old_fp in reversed(self._traced):
-            old_module, old_paths, old_profile = self._traced[old_fp]
-            if old_module.name == module.name:
-                return self.remap_profile(old_profile, module,
-                                          paths=old_paths)
-        return None
 
     def profile_module(self, module: Module,
                        profilers: Optional[Iterable[str]] = None
@@ -243,27 +218,24 @@ class ProfilingSession:
             "plan", key,
             lambda: stages.plan_stage(technique, module, edge_profile, cfg))
         if self.verify_plans:
-            self._verify_plan(plan, key)
+            # Fail fast on a plan the static verifier rejects.
+            from ..analysis.verify import PlanVerificationError
+            report = self.verify_report(key, lambda: plan)
+            if not report.ok:
+                raise PlanVerificationError(report)
         return plan
 
-    def _verify_plan(self, plan: ModulePlan, plan_key: str) -> None:
-        """Fail fast on a plan the static verifier rejects.
+    def verify_report(self, plan_key: str, plan: Callable[[], ModulePlan],
+                      path_cap: Optional[int] = None) -> "Report":
+        """The static verifier's report on the plan under ``plan_key``,
+        cached per path cap; ``plan`` is only called on a miss.  The
+        ``verify_plans`` check and ``repro verify --suite`` share it."""
+        from ..analysis.verify import DEFAULT_PATH_CAP, verify_module_plan
 
-        The verdict is cached alongside the plan, so a warm session only
-        pays for verification once per distinct plan.
-        """
-        from ..analysis.verify import (PlanVerificationError,
-                                       verify_module_plan)
-
-        def compute() -> tuple[bool, str]:
-            report = verify_module_plan(plan)
-            return report.ok, report.format()
-
-        ok, _text = self.cache.get_or_compute(
-            "verify", fingerprint_text("verify", plan_key), compute)
-        if not ok:
-            report = verify_module_plan(plan)  # rebuild the rich report
-            raise PlanVerificationError(report)
+        cap = DEFAULT_PATH_CAP if path_cap is None else path_cap
+        key = fingerprint_text("verify-report", plan_key, str(cap))
+        return self.cache.get_or_compute(
+            "verifyreport", key, lambda: verify_module_plan(plan(), cap))
 
     def plan_and_score(self, technique: str, module: Module,
                        plan_profile: Optional[EdgeProfile],
@@ -407,12 +379,16 @@ class ProfilingSession:
                             jobs: int) -> dict[str, WorkloadResult]:
         from .parallel import ParallelRunner, WorkloadTask
 
-        # Serve warm workloads from the cache first; only cold ones are
-        # worth a worker process.
+        # Serve warm workloads from the cache first (one counted lookup
+        # each); every miss, corrupt entries included, goes to a worker.
         keys = {w.name: self._workload_key(w, scale, config, techniques,
                                            HOT_THRESHOLD) for w in chosen}
-        cold = [w for w in chosen
-                if not self.cache.contains("workload", keys[w.name])]
+        out: dict[str, WorkloadResult] = {}
+        quarantines: dict[str, list[faults.DegradationEvent]] = {}
+        for w in chosen:
+            out[w.name] = self.cache.lookup("workload", keys[w.name])
+            quarantines[w.name] = faults.drain_degradations()
+        cold = [w for w in chosen if out[w.name] is None]
         if cold and verbose:
             print(f"  running {len(cold)} workloads across {jobs} "
                   f"processes ...", flush=True)
@@ -422,22 +398,12 @@ class ProfilingSession:
                               self.backend, self.verify_plans,
                               self.profilers)
                  for w in cold]
-        fresh = dict(zip((w.name for w in cold), runner.run(tasks)))
-
-        out: dict[str, WorkloadResult] = {}
-        for workload in chosen:
-            if workload.name in fresh:
-                # Count the parallel build as the miss it was, and make
-                # the session warm for the next run.
-                self.cache.stats.of("workload").misses += 1
-                self.cache.store("workload", keys[workload.name],
-                                 fresh[workload.name])
-                out[workload.name] = fresh[workload.name]
-            else:
-                result = self.cache.lookup("workload", keys[workload.name])
-                assert result is not None, \
-                    f"cache entry for {workload.name} vanished"
-                out[workload.name] = result
+        for workload, result in zip(cold, runner.run(tasks)):
+            # A quarantined entry's event travels with its rebuild, as
+            # on the serial path; then the session is warm for next time.
+            result.execution.degradations[:0] = quarantines[workload.name]
+            self.cache.store("workload", keys[workload.name], result)
+            out[workload.name] = result
         # Fold the supervisor's per-task records (cold tasks) together
         # with the warm workloads' stored records, in suite order.
         report = runner.report

@@ -150,9 +150,6 @@ class Function:
         """
         return name in getattr(self, "synthetic_blocks", ())
 
-    def block_names(self) -> list[str]:
-        return list(self.cfg.blocks)
-
     def instructions(self, block: str) -> list[Instr]:
         return self.cfg.blocks[block].instructions
 

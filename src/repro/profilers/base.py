@@ -73,10 +73,6 @@ class ModuleObservations:
 
     functions: dict[str, FunctionObservations] = field(default_factory=dict)
 
-    def total_ops(self) -> int:
-        return sum(len(ops) for fobs in self.functions.values()
-                   for ops in fobs.edge_ops.values())
-
 
 class Profiler:
     """Base class every profiler plugin subclasses.

@@ -175,18 +175,6 @@ class TestSessionWiring:
         assert stats.remapped == 2  # one per serve, hit or miss
         assert stats.hits == 1 and stats.misses == 1
 
-    def test_stale_advice(self, env):
-        module, _paths, _profile = env
-        session = ProfilingSession(cache=ArtifactCache())
-        session.trace(module)
-        assert session.stale_advice(module) is None  # fresh, not stale
-        edited = seeded_edit(module, seed=4)
-        advice = session.stale_advice(edited)
-        assert advice is not None
-        assert advice.profile.module is edited
-        for fprofile in advice.profile.functions.values():
-            assert conservation_violations(fprofile) == []
-
 
 def _random_transfer(seed):
     """A pristine transfer across a seeded edit of a random module."""

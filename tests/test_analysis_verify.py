@@ -142,3 +142,19 @@ def test_session_verify_plans_rejects_bad_plan_via_env(monkeypatch,
     with pytest.raises(PlanVerificationError) as exc:
         session.plan("pp", small_module)
     assert not exc.value.report.ok
+
+
+def test_session_verify_plans_reuses_suite_verdicts(tmp_path, capsys):
+    """`repro verify --suite` and the session's verify_plans check share
+    one verdict entry per plan: the check re-verifies nothing."""
+    from repro.__main__ import main as repro_main
+
+    assert repro_main(["verify", "--suite", "--benchmarks", "mcf",
+                       "--cache-dir", str(tmp_path), "--quiet"]) == 0
+    capsys.readouterr()
+    session = ProfilingSession(cache=ArtifactCache(disk_dir=tmp_path),
+                               verify_plans=True)
+    session.run_workload(get_workload("mcf"))
+    stats = session.cache.stats.of("verifyreport")
+    assert (stats.hits, stats.misses) == (3, 0)
+    assert "verify" not in session.cache.stats.kinds

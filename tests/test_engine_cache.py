@@ -69,16 +69,13 @@ def test_memory_hit_miss_store_counters():
     assert "compile: 1 hit / 1 miss" in cache.stats.summary()
 
 
-def test_lookup_and_contains():
+def test_lookup_counts_hits_and_misses():
     cache = ArtifactCache()
     assert cache.lookup("trace", "missing") is None
     cache.store("trace", "present", 42)
     assert cache.lookup("trace", "present") == 42
-    # contains() is an uncounted peek.
-    before = cache.stats.of("trace").hits
-    assert cache.contains("trace", "present")
-    assert not cache.contains("trace", "missing")
-    assert cache.stats.of("trace").hits == before
+    ks = cache.stats.of("trace")
+    assert (ks.hits, ks.misses, ks.stores) == (1, 1, 1)
 
 
 def test_memory_disabled_is_pass_through():
@@ -109,7 +106,6 @@ def test_disk_round_trip_across_instances(tmp_path):
     assert first.disk_size_bytes() > 0
 
     second = ArtifactCache(disk_dir=tmp_path / "cache")
-    assert second.contains("expand", "deadbeef")
     assert second.lookup("expand", "deadbeef") == {"blocks": [1, 2, 3]}
     ks = second.stats.of("expand")
     assert ks.hits == 1 and ks.disk_hits == 1

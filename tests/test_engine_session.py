@@ -96,6 +96,32 @@ def test_disk_cache_warms_fresh_session(tmp_path, serial_baseline):
     assert stats.misses == 0  # nothing recomputed anywhere
 
 
+def test_parallel_suite_rebuilds_corrupt_workload_entry(tmp_path,
+                                                        serial_baseline):
+    # A corrupt workload entry reads as one counted miss and is rebuilt;
+    # it must not pass the warm/cold split and then vanish on lookup.
+    workloads = [get_workload(n) for n in NAMES[:2]]
+    first = ProfilingSession(cache=ArtifactCache(disk_dir=tmp_path))
+    first.run_suite(workloads, jobs=2)
+    victim = sorted(tmp_path.glob("workload-*.pkl"))[0]
+    raw = bytearray(victim.read_bytes())
+    raw[-1] ^= 0xFF
+    victim.write_bytes(bytes(raw))
+
+    session = ProfilingSession(cache=ArtifactCache(disk_dir=tmp_path))
+    results = session.run_suite(workloads, jobs=2)
+    for workload in workloads:
+        assert as_dict(results[workload.name]) \
+            == as_dict(serial_baseline[workload.name]), workload.name
+    stats = session.cache.stats.of("workload")
+    assert stats.corrupt == 1
+    assert (stats.hits, stats.misses) == (1, 1)
+    report = session.last_run_report
+    assert report.cache_quarantined == 1
+    assert [d.kind for r in report.records.values()
+            for d in r.degradations] == ["cache-quarantine"]
+
+
 def test_uncached_session_still_correct(serial_baseline):
     session = ProfilingSession(cache=ArtifactCache(memory=False))
     name = NAMES[0]

@@ -254,3 +254,72 @@ def test_singleton_batch_runs_serially(monkeypatch):
     runner = ParallelRunner(jobs=2, backoff=0.01)
     assert runner.run(_tasks("mcf"))[0].pid == os.getpid()
     assert runner.report.records["mcf"].where == "serial"
+
+
+class TalliesSlowPeers:
+    """Tally every task body run.  bzip2 holds its slot long enough that
+    crafty, submitted after it, is still running when mcf's hung first
+    attempt times out, yet finishes inside its own timeout."""
+
+    DELAYS = {"bzip2": 0.4, "crafty": 0.6}
+
+    def __init__(self, tally_dir: str):
+        self.tally_dir = tally_dir
+
+    def __call__(self, task, disk_dir=None):
+        import uuid
+        name = task.workload.name
+        time.sleep(self.DELAYS.get(name, 0.0))
+        open(os.path.join(self.tally_dir, f"{name}.{uuid.uuid4().hex}"),
+             "w").close()
+        return FakeResult(name, os.getpid())
+
+
+def test_timeout_retires_pool_and_collects_running_peers(tmp_path,
+                                                         monkeypatch):
+    # mcf's first attempt hangs past the timeout: that retires the pool.
+    # crafty is mid-run on the retired pool; it is collected there, not
+    # re-run, and only mcf is retried on a fresh pool.
+    _patch(monkeypatch, TalliesSlowPeers(str(tmp_path)))
+    faults.install_plan(FaultPlan(seed=3, delay_task=0, delay_seconds=3.0))
+    runner = ParallelRunner(jobs=2, timeout=0.8, retries=2, backoff=0.01)
+    out = runner.run(_tasks("mcf", "bzip2", "crafty"))
+    assert [r.name for r in out] == ["mcf", "bzip2", "crafty"]
+    # The hung attempt is still asleep, so every tally is a real run.
+    runs = {name: len(list(tmp_path.glob(f"{name}.*")))
+            for name in ("mcf", "bzip2", "crafty")}
+    assert runs == {"mcf": 1, "bzip2": 1, "crafty": 1}
+    assert runner.report.pool_rebuilds == 1
+    records = runner.report.records
+    assert [f.kind for f in records["mcf"].failures] == ["timeout"]
+    assert records["mcf"].attempts == 2 and records["mcf"].where == "pool"
+    assert records["crafty"].attempts == 1
+    assert records["crafty"].where == "pool"
+    assert records["bzip2"].attempts == 1
+
+
+def test_no_pool_runs_everything_inline(monkeypatch):
+    _patch(monkeypatch, fake_run_task)
+    monkeypatch.setattr(parallel_mod, "new_pool", lambda workers: None)
+    runner = ParallelRunner(jobs=2, backoff=0.01)
+    out = runner.run(_tasks("mcf", "bzip2", "crafty"))
+    assert [r.name for r in out] == ["mcf", "bzip2", "crafty"]
+    assert all(r.pid == os.getpid() for r in out)
+    for record in runner.report.records.values():
+        assert record.where == "inline" and record.attempts == 1
+        assert [d.kind for d in record.degradations] == ["pool-degraded"]
+
+
+def test_failed_fallback_after_timeout_does_not_wait_on_hung_worker(
+        monkeypatch):
+    # The timed-out pool is retired before the inline fallback runs, so
+    # when the fallback raises, teardown does not wait out the hang.
+    _patch(monkeypatch, RaisesFor("mcf"))
+    faults.install_plan(FaultPlan(seed=3, delay_task=0, delay_seconds=4.0))
+    runner = ParallelRunner(jobs=2, timeout=0.4, retries=0, backoff=0.01)
+    start = time.monotonic()
+    with pytest.raises(SuiteExecutionError) as info:
+        runner.run(_tasks("mcf", "bzip2", "crafty"))
+    assert time.monotonic() - start < 3.0
+    assert [f.kind for f in info.value.failures] == ["timeout", "exception"]
+    assert runner.report.pool_rebuilds == 1
