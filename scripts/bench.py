@@ -33,10 +33,7 @@ report and exits non-zero on any per-workload speedup regression beyond
 each registered (non-plan-bound) profiler plugin runs alone over the
 suite on the compiled backend, and its wall-clock slowdown and billed
 instrumentation cost relative to the no-observation baseline are
-written to ``BENCH_profilers.json``.  ``--sparse-gate`` additionally
-requires the ``edges-sparse`` profiler's average overhead to stay
-strictly below dense ``edges`` counting -- the point of deleting
-statically redundant probes:
+written to ``BENCH_profilers.json``:
 
     {
       "schema": 1,
@@ -232,12 +229,6 @@ def run_profiler_bench(names: list[str], scale: int, repeats: int) -> dict:
     }
 
 
-def average_overhead(report: dict, plugin: str) -> float:
-    """Mean wall-clock overhead_pct of one plugin across the report."""
-    rows = report["profilers"][plugin]
-    return sum(row["overhead_pct"] for row in rows.values()) / len(rows)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Benchmark interpreter backends over the workload "
@@ -255,10 +246,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="benchmark per-plugin profiler overhead vs "
                              "the no-observation baseline and write "
                              "BENCH_profilers.json instead")
-    parser.add_argument("--sparse-gate", action="store_true",
-                        help="with --profilers: exit non-zero unless the "
-                             "edges-sparse plugin's average overhead is "
-                             "strictly below dense edges counting")
     parser.add_argument("--compare", metavar="OLD.json", default=None,
                         help="compare this run against a previous "
                              "BENCH_interp.json; exit non-zero on any "
@@ -288,16 +275,6 @@ def main(argv: list[str] | None = None) -> int:
         out = args.out or "BENCH_profilers.json"
         Path(out).write_text(json.dumps(report, indent=2) + "\n")
         print(f"[written to {out}]")
-        if args.sparse_gate:
-            dense = average_overhead(report, "edges")
-            sparse = average_overhead(report, "edges-sparse")
-            print(f"edge-counting overhead: dense {dense:+.1f}% avg, "
-                  f"sparse {sparse:+.1f}% avg")
-            if sparse >= dense:
-                print(f"FAIL: sparse edge counting ({sparse:+.1f}%) is "
-                      f"not strictly cheaper than dense ({dense:+.1f}%)",
-                      file=sys.stderr)
-                return 1
         return 0
 
     # Read the comparison baseline before --out can overwrite it.

@@ -88,7 +88,6 @@ Examples::
     python -m repro lint program.minic
     python -m repro equiv --suite --json
     python -m repro conserve --suite
-    python -m repro run program.minic --sparse-edges
     python -m repro match old.minic new.minic
     python -m repro serve --port 7000 --journal results/journal.bin
     python -m repro profiles diff program.minic before.json after.json
@@ -108,9 +107,8 @@ from .harness import ground_truth
 from .harness.__main__ import (DEFAULT_CACHE_DIR, CliError,
                                _add_backend_option, _add_chaos_option,
                                _add_fault_options, _add_profilers_option,
-                               _add_sparse_edges_option, _chosen_workloads,
-                               _install_chaos, _selected_profilers,
-                               build_session)
+                               _chosen_workloads, _install_chaos,
+                               _selected_profilers, build_session)
 from .interp import run_module
 from .lang import compile_source
 from .profiles import save_edge_profile
@@ -133,27 +131,8 @@ def _load(path: str):
 
 def cmd_run(args) -> int:
     module = _load(args.file)
-    profilers = _selected_profilers(args)
-    if profilers:  # ``run`` declares only --sparse-edges
-        from .analysis.conservation import static_placement
-        from .profilers import create_profilers
-        from .profilers.drive import execute_profilers
-        run = execute_profilers(module, create_profilers(profilers),
-                                max_instructions=args.max_instructions,
-                                backend=args.backend)
-        result = run.result
-        counts = run.profiles["edges-sparse"]
-        placements = [static_placement(func)
-                      for func in module.functions.values()]
-        probes = sum(p.num_probes for p in placements)
-        edges = sum(p.num_edges for p in placements)
-        events = sum(c for per_func in counts.values()
-                     for c in per_func.values())
-        print(f"sparse edge counting: {probes}/{edges} edges probed, "
-              f"{events} edge events reconstructed")
-    else:
-        result = run_module(module, max_instructions=args.max_instructions,
-                            backend=args.backend)
+    result = run_module(module, max_instructions=args.max_instructions,
+                        backend=args.backend)
     print(f"return value: {result.return_value}")
     print(f"instructions: {result.instructions_executed}")
     return 0
@@ -740,7 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("file")
     p_run.add_argument("--max-instructions", type=int, default=500_000_000)
     _add_backend_option(p_run)
-    _add_sparse_edges_option(p_run)
     p_run.set_defaults(fn=cmd_run)
 
     p_prof = sub.add_parser("profile", help="path-profile a program")

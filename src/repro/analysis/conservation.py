@@ -184,8 +184,9 @@ def plan_function_probes(func: Function,
 
 
 # Static-weight placements are pure functions of the (sealed, immutable)
-# IR function, and both the sparse profiler and the translation validator
-# re-derive them on hot paths; memoise per function object.
+# IR function, and the machine's edge counter, the code generator and
+# the translation validator re-derive them on hot paths; memoise per
+# function object.
 _STATIC_PLACEMENTS: "weakref.WeakKeyDictionary[Function, ProbePlacement]" \
     = weakref.WeakKeyDictionary()
 

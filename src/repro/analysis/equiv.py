@@ -170,21 +170,16 @@ def _back_keys(func: Function) -> set[tuple[str, str]]:
 def standard_modes(func: Function) -> tuple[ModeSpec, ...]:
     """The observation-mode lattice every function is validated under:
     every channel combination the program can request.  Profiler
-    selections turn on edge counting (dense, or sparse on the
-    conservation probes) and path tracing in any combination, plan and
-    profiler edge ops add hooks to any of those, and the path stream
-    runs the listener alone.  Hooked code does not depend on the plan,
-    so one hooked mode per combination proves every plan's code."""
-    from .conservation import static_placement
-
-    sparse = static_placement(func).probe_keys
-    counting: tuple[tuple[bool, Optional[frozenset[tuple[str, str]]]],
-                    ...] = ((False, None), (True, None), (True, sparse))
+    selections turn on edge counting (on the conservation probes) and
+    path tracing in any combination, plan and profiler edge ops add
+    hooks to any of those, and the path stream runs the listener alone.
+    Hooked code does not depend on the plan, so one hooked mode per
+    combination proves every plan's code."""
     return tuple(
-        ModeSpec(profile=profile, probes=probes, trace=trace, hooks=hooks)
+        ModeSpec(profile=profile, trace=trace, hooks=hooks)
         for hooks in (False, True)
         for trace in (False, True)
-        for profile, probes in counting
+        for profile in (False, True)
     ) + (ModeSpec(trace=True, listener=True),)
 
 
@@ -571,6 +566,13 @@ class _CodegenChecker:
         self.range_seg = {key: i for i, key in enumerate(self.segments)}
         self.edge_index = _edge_index(func)
         self.back = _back_keys(func)
+        # The edges whose traversal the generated code must count: the
+        # function's cotree probes, derived here independently of the
+        # emitter.
+        self.probes: frozenset[tuple[str, str]] = frozenset()
+        if spec.profile:
+            from .conservation import static_placement
+            self.probes = static_placement(func).probe_keys
         self.context = ""
 
     def fail(self, code: str, message: str, hint: str = "") -> None:
@@ -586,9 +588,7 @@ class _CodegenChecker:
         mode = (f"profile={int(self.spec.profile)} "
                 f"trace={int(self.spec.trace)} "
                 f"listener={int(self.spec.listener)} "
-                f"hooks={int(self.spec.hooks)}"
-                + (f" probes={len(self.spec.probes)}"
-                   if self.spec.probes is not None else ""))
+                f"hooks={int(self.spec.hooks)}")
         try:
             seg_defs, local_maps = self._parse_module()
         except _Unrecognized as exc:
@@ -736,8 +736,7 @@ class _CodegenChecker:
                 raise _Unrecognized(f"block {block!r} terminator")
 
             key = (block, target)
-            if spec.profile and (spec.probes is None
-                                 or key in spec.probes):
+            if key in self.probes:
                 ops.append(("count", self.edge_index[key]))
             if spec.hooks:
                 ops.append(("hook", self.edge_index[key]))

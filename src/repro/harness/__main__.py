@@ -79,26 +79,14 @@ def _add_profilers_option(parser: argparse.ArgumentParser) -> None:
                              "'python -m repro profilers')")
 
 
-def _add_sparse_edges_option(parser: argparse.ArgumentParser) -> None:
-    """``--sparse-edges``, shared by every command that counts edges."""
-    parser.add_argument("--sparse-edges", action="store_true",
-                        help="count edges only on flow-conservation "
-                             "probes (the edges-sparse profiler rides on "
-                             "every run and reconstructs full profiles)")
-
-
 def _selected_profilers(args: argparse.Namespace) -> tuple[str, ...]:
-    """The ``--profilers`` names plus ``edges-sparse`` under
-    ``--sparse-edges`` (a command may declare either option or both);
-    an unknown name is a :class:`CliError`."""
+    """The ``--profilers`` names; an unknown name is a
+    :class:`CliError`."""
     from ..profilers import parse_profiler_names
     try:
-        names = parse_profiler_names(getattr(args, "profilers", ""))
+        return parse_profiler_names(args.profilers)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    if getattr(args, "sparse_edges", False) and "edges-sparse" not in names:
-        names += ("edges-sparse",)
-    return names
 
 
 def _install_chaos(spec: str) -> None:
@@ -161,7 +149,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="disable the artifact cache (memory and disk)")
     _add_backend_option(parser)
     _add_profilers_option(parser)
-    _add_sparse_edges_option(parser)
     parser.add_argument("--verify", action="store_true",
                         help="statically verify every instrumentation "
                              "plan before running it (or set "

@@ -4,9 +4,9 @@ Each sealed IR function is translated into generated Python source --
 compiled once with :func:`compile`/``exec`` -- and driven by the
 trampoline in :mod:`repro.interp.compiled`.  Register accesses become
 constant-index list subscripts, block transitions become precomputed
-integer segment ids, and the observation channels (edge-profile
-counting, path tracing, edge hooks, the path listener) are *fused into
-the block-exit code only when enabled*: a machine built without
+integer segment ids, and the observation channels (edge counting on
+the cotree probes, path tracing, edge hooks, the path listener) are
+*fused into the block-exit code only when enabled*: a machine built without
 profiling emits no counting code at all, so the common fast path carries
 zero per-instruction or per-edge conditionals.
 
@@ -43,7 +43,7 @@ trampoline):
 
 Semantics are byte-identical to the tuple interpreter (same C-style
 division, index wrapping, 0/1 comparisons, instruction counting, and
-traversal order of profile count -> hook -> tracer); the differential
+traversal order of probe count -> hook -> tracer); the differential
 tests in ``tests/test_interp_backends.py`` hold the backend to that
 contract across the whole workload suite, and :mod:`repro.analysis.equiv`
 proves each generated module equivalent to its IR.
@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..cfg.dominators import compute_dominators
 from ..cfg.loops import find_back_edges, find_loops
@@ -75,7 +74,12 @@ INLINE_BUDGET = 400
 
 @dataclass(frozen=True)
 class ModeSpec:
-    """Which observation channels the generated code must carry."""
+    """Which observation channels the generated code must carry.
+
+    ``profile`` counts edge events on the function's cotree probes
+    (:func:`~repro.analysis.conservation.static_placement`); every other
+    edge count is recovered by flow-conservation reconstruction, so the
+    probe set is a property of the function, not of the mode."""
 
     profile: bool = False
     trace: bool = False
@@ -85,11 +89,6 @@ class ModeSpec:
     # The code does not depend on which edges carry hooks, so attaching,
     # replacing or clearing a hook writes a slot and regenerates nothing.
     hooks: bool = False
-    # Sparse edge counting: when not None, only these (block, target)
-    # keys get a counter increment; the rest are statically proven
-    # recoverable by flow-conservation reconstruction
-    # (:mod:`repro.analysis.conservation`).  None means dense counting.
-    probes: Optional[frozenset] = None
 
 
 @dataclass
@@ -98,7 +97,8 @@ class CodegenResult:
 
     source: str
     # Dense edge order: edge_keys[i] is the (block, target) counted by
-    # slot i of the edge-counter list and hooked by slot i of ``_hk``.
+    # slot i of the edge-counter list (probe edges only) and hooked by
+    # slot i of ``_hk``.
     edge_keys: tuple[tuple[str, str], ...] = ()
     # Global array names in ``_g{i}`` parameter order.
     global_arrays: tuple[str, ...] = ()
@@ -255,6 +255,12 @@ class _FunctionEmitter:
         self.back_keys = geo.back_keys
         self.single_pred = geo.single_pred
         self.loop_body = geo.loop_body
+        if spec.profile:
+            # Deferred: the analysis package imports this module.
+            from ..analysis.conservation import static_placement
+            self.probes = static_placement(func).probe_keys
+        else:
+            self.probes = frozenset()
         self.local_names = _Namer("_l")
         self.global_names = _Namer("_g")
 
@@ -319,11 +325,11 @@ class _FunctionEmitter:
 
     def emit_edge(self, key: tuple[str, str], indent: int) -> None:
         """The fused block-exit work for traversing one CFG edge, in the
-        tuple interpreter's order: profile count, hook, tracer.  The
-        hook is read from the edge's ``_hk`` slot at traversal time, so
-        one hooked code object serves every hook placement."""
+        tuple interpreter's order: probe count, hook, tracer.  The hook
+        is read from the edge's ``_hk`` slot at traversal time, so one
+        hooked code object serves every hook placement."""
         spec, w = self.spec, self.w
-        if spec.profile and (spec.probes is None or key in spec.probes):
+        if key in self.probes:
             w(indent, f"_ec[{self.edge_index[key]}] += 1")
         if spec.hooks:
             slot = self.edge_index[key]

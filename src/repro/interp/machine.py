@@ -4,7 +4,10 @@ The machine executes an IR :class:`~repro.ir.function.Module` and provides
 the three observation channels the reproduction needs:
 
 * **edge profiling** -- per-function edge traversal counts plus invocation
-  counts, from which :mod:`repro.profiles` builds edge profiles;
+  counts, from which :mod:`repro.profiles` builds edge profiles.  Like
+  the paper's event counting (Section 3.1), the machine counts only the
+  cotree probes of a spanning tree and reconstructs every other edge
+  count by flow conservation (:mod:`repro.analysis.conservation`);
 * **ground-truth path tracing** -- exact Ball-Larus path counts (a back
   edge ends the current path; a call defers the caller's path; routine
   entry/exit start/end paths), the oracle all estimated profiles are
@@ -166,20 +169,17 @@ class _CompiledFunction:
                 self.is_back[(bname, target)] = edge.uid in back_uids
         self.hooks: dict[tuple[str, str], EdgeHook] = {}
         # Compiled backend only, built when the function is first
-        # generated: the dense edge counters (``_ec``) and their uids,
-        # and -- once generated with the hooks channel -- ``hooks`` as
-        # the slot list the code reads (``_hk``), both indexed by the
-        # codegen's dense edge order (``slot_index``).
+        # generated: the probe counters (``_ec``) and their uids, and --
+        # once generated with the hooks channel -- ``hooks`` as the slot
+        # list the code reads (``_hk``), both indexed by the codegen's
+        # dense edge order (``slot_index``).
         self.edge_counters: Optional[list] = None
         self.counter_uids: tuple[int, ...] = ()
         self.hook_slots: Optional[list] = None
         self.slot_index: dict[tuple[str, str], int] = {}
-        # Sparse edge counting: the (block, target) keys that carry a
-        # counter, or None for dense (count every edge).  Set by the
-        # Machine from its ``edge_probes`` map; the unprobed counts are
-        # recovered by flow-conservation reconstruction
-        # (:mod:`repro.analysis.conservation`).
-        self.probe_keys: Optional[frozenset] = None
+        # The (block, target) keys of the cotree probes, the only edges
+        # that carry a counter; empty unless the Machine counts edges.
+        self.probe_keys: frozenset = frozenset()
 
     def _compile(self, instr, slots: dict[str, int], func: Function,
                  module: Module) -> tuple:
@@ -246,7 +246,11 @@ class Machine:
     module:
         A sealed, validated IR module.
     collect_edge_profile:
-        Count every edge traversal and function invocation.
+        Count edge traversals.  Both backends count only the cotree
+        probes of each function's
+        :func:`~repro.analysis.conservation.static_placement`
+        (:attr:`probe_counts`); :attr:`edge_counts` reconstructs every
+        edge's count from them and the always-on invocation counter.
     trace_paths:
         Record exact Ball-Larus path counts (slower; used as ground truth).
     cost_model:
@@ -266,14 +270,6 @@ class Machine:
         mismatch.  ``None`` consults the ``REPRO_EQUIV`` environment
         variable.  Only meaningful for the compiled backend; verdicts
         are cached per function x mode, so steady state is free.
-    edge_probes:
-        Optional ``{func name: frozenset of (block, target)}`` sparse
-        counter placement from :mod:`repro.analysis.conservation`: with
-        ``collect_edge_profile`` on, only the listed edges are counted
-        (in both backends); every other count is provably
-        recoverable by flow-conservation reconstruction plus the
-        always-on invocation counter.  ``None`` (or a missing function)
-        means dense counting for that function.
     """
 
     def __init__(self, module: Module, collect_edge_profile: bool = False,
@@ -283,8 +279,7 @@ class Machine:
                  path_listener: Optional[
                      Callable[[str, tuple[str, ...]], None]] = None,
                  backend: Optional[str] = None,
-                 validate_codegen: Optional[bool] = None,
-                 edge_probes: Optional[dict] = None):
+                 validate_codegen: Optional[bool] = None):
         self.module = module
         self.backend = resolve_backend(backend)
         if validate_codegen is None:
@@ -303,19 +298,19 @@ class Machine:
         self.cost_model = cost_model
         self.max_instructions = max_instructions
         self.costs = CostCounter()
-        # func name -> frozenset of probed (block, target) keys; None is
-        # dense counting everywhere (see the class docstring).
-        self.edge_probes: Optional[dict] = edge_probes
-        self.compiled: dict[str, _CompiledFunction] = {}
-        for name, func in module.functions.items():
-            cf = _CompiledFunction(func, module)
-            if edge_probes is not None and name in edge_probes:
-                cf.probe_keys = frozenset(edge_probes[name])
-            self.compiled[name] = cf
+        self.compiled: dict[str, _CompiledFunction] = {
+            name: _CompiledFunction(func, module)
+            for name, func in module.functions.items()}
+        if collect_edge_profile:
+            # Deferred: the analysis package imports this module.
+            from ..analysis.conservation import static_placement
+            for cf in self.compiled.values():
+                cf.probe_keys = static_placement(cf.func).probe_keys
         self.global_scalars: dict[str, object] = dict(module.global_scalars)
         self.global_arrays: dict[str, list] = {
             name: [0] * size for name, size in module.global_arrays.items()}
-        self.edge_counts: dict[str, dict[int, int]] = {
+        # func name -> probe edge uid -> traversal count
+        self.probe_counts: dict[str, dict[int, int]] = {
             name: {} for name in module.functions}
         self.invocations: dict[str, int] = {name: 0 for name
                                             in module.functions}
@@ -361,6 +356,21 @@ class Machine:
         self._execute(name, args)
         return self.result()
 
+    @property
+    def edge_counts(self) -> dict[str, dict[int, int]]:
+        """func name -> cfg edge uid -> traversal count, reconstructed
+        from :attr:`probe_counts` and :attr:`invocations` by flow
+        conservation (never-traversed edges omitted).  Exact whenever no
+        activation is in flight, so counts accumulated over several runs
+        reconstruct as their sum."""
+        if not self.collect_edge_profile:
+            return {name: {} for name in self.compiled}
+        from ..analysis.conservation import reconstruct, static_placement
+        return {name: reconstruct(static_placement(cf.func),
+                                  self.probe_counts[name],
+                                  self.invocations[name])
+                for name, cf in self.compiled.items()}
+
     def result(self) -> RunResult:
         return RunResult(
             return_value=self._last_return,
@@ -402,7 +412,7 @@ class Machine:
         compiled = self.compiled
         cm = self.cost_model
         costs = self.costs
-        edge_counts = self.edge_counts
+        probe_counts = self.probe_counts
         path_counts = self.path_counts
         trace = self.trace_paths
         listener = self.path_listener
@@ -494,12 +504,12 @@ class Machine:
                     f"block {frame.block!r} fell through")
             if transfer == "":
                 continue  # call or return switched frames
-            # --- edge traversal: profile, hooks, tracer -----------------
+            # --- edge traversal: probe count, hooks, tracer -------------
             key = (frame.block, transfer)
-            if profile and (cf.probe_keys is None or key in cf.probe_keys):
+            if profile and key in cf.probe_keys:
                 uid = cf.edge_uid[key]
-                ec = edge_counts[cf.func.name]
-                ec[uid] = ec.get(uid, 0) + 1
+                pc = probe_counts[cf.func.name]
+                pc[uid] = pc.get(uid, 0) + 1
             hook = cf.hooks.get(key)
             if hook is not None:
                 hook(frame)

@@ -30,7 +30,7 @@ profilers byte-identical to the pre-plugin pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, ClassVar, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, ClassVar, Mapping, Sequence
 
 from ..core.attach import HookContext
 from ..core.ops import ObservationOp
@@ -111,21 +111,6 @@ class Profiler:
                 obs: ModuleObservations) -> object:
         """Harvest the result after ``machine`` finished running."""
         raise NotImplementedError
-
-    def edge_probes(self, module: "Module"
-                    ) -> Optional[dict[str, frozenset]]:
-        """The sparse counter placement this profiler can run under.
-
-        Only consulted for profilers claiming the ``edge_profile``
-        channel.  ``None`` (the default) means the profiler needs dense
-        counts on every edge; a ``{func name: frozenset of (block,
-        target)}`` map declares that counters on just those edges
-        suffice (the profiler's :meth:`collect` recovers the rest, e.g.
-        by flow-conservation reconstruction).  The driver passes a probe
-        map to the machine only when *every* edge-profile consumer
-        supplies one -- a single dense consumer keeps dense counting on.
-        """
-        return None
 
     @classmethod
     def merge(cls, results: Sequence[object]) -> object:

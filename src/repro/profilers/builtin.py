@@ -38,16 +38,18 @@ CallCounts = Dict[str, int]
 @register
 class EdgeCountProfiler(Profiler):
     """Per-function CFG edge traversal counts (the machine's native
-    edge-profile channel)."""
+    edge-profile channel): counters sit only on each function's
+    spanning-tree cotree probes, and the machine reconstructs the other
+    counts by flow conservation."""
 
     name = "edges"
-    description = "per-edge traversal counts (native edge-profile channel)"
+    description = ("per-edge traversal counts (native: cotree probes, "
+                   "conservation-reconstructed)")
     channels = MachineChannels(edge_profile=True)
 
     def collect(self, machine: "Machine",
                 obs: ModuleObservations) -> EdgeCounts:
-        return {fn: dict(counts)
-                for fn, counts in machine.edge_counts.items()}
+        return machine.edge_counts
 
     @classmethod
     def merge(cls, results: Sequence[object]) -> EdgeCounts:
@@ -58,46 +60,6 @@ class EdgeCountProfiler(Profiler):
                 for uid, count in counts.items():
                     dest[uid] = dest.get(uid, 0) + count
         return merged
-
-
-@register
-class SparseEdgeCountProfiler(EdgeCountProfiler):
-    """Edge counts from conservation probes: the ``edges`` plugin's
-    sparse mode.
-
-    :meth:`edge_probes` hands the machine a statically-proven cotree
-    placement (:mod:`repro.analysis.conservation`), so generated code
-    carries a counter only on ``E - V + C`` probe edges; :meth:`collect`
-    runs the flow-conservation reconstruction over the probe counts and
-    the native invocation counter before returning, so the result is
-    byte-identical to dense counting -- same functions, same uids, same
-    counts, zeros dropped exactly like a dense run drops never-traversed
-    edges.
-    """
-
-    name = "edges-sparse"
-    description = ("per-edge counts inferred from spanning-tree cotree "
-                   "probes by flow-conservation reconstruction")
-    channels = MachineChannels(edge_profile=True)
-
-    def edge_probes(self, module: "Module"
-                    ) -> Dict[str, frozenset]:
-        from ..analysis.conservation import static_placement
-        return {name: static_placement(func).probe_keys
-                for name, func in module.functions.items()}
-
-    def collect(self, machine: "Machine",
-                obs: ModuleObservations) -> EdgeCounts:
-        from ..analysis.conservation import reconstruct, static_placement
-        module = machine.module
-        out: EdgeCounts = {}
-        for fn, counts in machine.edge_counts.items():
-            placement = static_placement(module.functions[fn])
-            probe_counts = {uid: counts.get(uid, 0)
-                            for uid in placement.probe_uids}
-            out[fn] = reconstruct(placement, probe_counts,
-                                  machine.invocations.get(fn, 0))
-        return out
 
 
 @register

@@ -6,7 +6,9 @@ flags, fuses their per-edge ops into single hooks via
 :func:`repro.core.attach.attach_observations` (on the compiled backend
 those hooks fill per-edge slots of the generated code, which every
 profiler selection shares), runs the program once, and harvests one
-result per profiler.
+result per profiler.  Edge counting has one mechanism: when any
+profiler claims the edge-profile channel, the machine counts each
+function's cotree probes and reconstructs the full counts itself.
 """
 
 from __future__ import annotations
@@ -38,35 +40,6 @@ class ProfilersRun:
         return self.result.costs.overhead
 
 
-def fused_edge_probes(module: Module, profilers: Sequence[Profiler]
-                      ) -> Optional[dict[str, frozenset]]:
-    """The sparse probe map the machine can run under, or None.
-
-    Sparse counting is only safe when *every* profiler consuming the
-    edge-profile channel declares a placement (via
-    :meth:`~repro.profilers.base.Profiler.edge_probes`); one dense
-    consumer forces dense counting.  A function present in every
-    placement gets the union of its probe sets (dense counts subsume
-    any sparse placement, so a union is always safe for each consumer);
-    a function missing from any placement stays dense.
-    """
-    maps: list[dict[str, frozenset]] = []
-    for profiler in profilers:
-        if not profiler.channels.edge_profile:
-            continue
-        probe_map = profiler.edge_probes(module)
-        if probe_map is None:
-            return None
-        maps.append(probe_map)
-    if not maps:
-        return None
-    common = set(maps[0])
-    for probe_map in maps[1:]:
-        common &= set(probe_map)
-    return {fname: frozenset().union(*(pm[fname] for pm in maps))
-            for fname in sorted(common)}
-
-
 def build_machine(module: Module, profilers: Sequence[Profiler],
                   cost_model: CostModel = DEFAULT_COSTS,
                   max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
@@ -74,9 +47,7 @@ def build_machine(module: Module, profilers: Sequence[Profiler],
                   ) -> Tuple[Machine, Attached]:
     """A machine with every profiler's channels enabled and observations
     attached (ops fused per edge, in profiler order), plus the per-
-    profiler observation records needed to collect results later.
-    When every edge-profile consumer declares a sparse placement
-    (:func:`fused_edge_probes`) the machine counts only the probe edges."""
+    profiler observation records needed to collect results later."""
     names = [p.name for p in profilers]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate profilers selected: {names}")
@@ -85,8 +56,7 @@ def build_machine(module: Module, profilers: Sequence[Profiler],
         collect_edge_profile=any(p.channels.edge_profile for p in profilers),
         trace_paths=any(p.channels.trace_paths for p in profilers),
         cost_model=cost_model, max_instructions=max_instructions,
-        backend=backend,
-        edge_probes=fused_edge_probes(module, profilers))
+        backend=backend)
     attached: Attached = []
     per_func: dict[str, list[Tuple[FunctionObservations, Profiler]]] = {}
     for profiler in profilers:

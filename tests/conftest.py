@@ -76,6 +76,26 @@ def trace_module(module, args=(), max_instructions=50_000_000):
     return actual, profile, result
 
 
+def hook_edge_counts(module, backend=None, trace_paths=False,
+                     path_listener=None, args=(),
+                     max_instructions=500_000_000):
+    """The dense edge-count reference: a counting hook on every edge
+    uid, attached through the public hook channel, so no counter code
+    of the machine's own edge profiler takes part.  Returns ``(result,
+    counts)`` with never-traversed edges omitted, like ``edge_counts``;
+    a hook bills nothing, so ``result`` is a plain run's result."""
+    counts = {name: {} for name in module.functions}
+    machine = Machine(module, trace_paths=trace_paths,
+                      path_listener=path_listener,
+                      max_instructions=max_instructions, backend=backend)
+    for name, func in module.functions.items():
+        for edge in func.cfg.edges():
+            def hook(frame, dest=counts[name], uid=edge.uid):
+                dest[uid] = dest.get(uid, 0) + 1
+            machine.set_edge_hook(name, edge.uid, hook)
+    return machine.run(args=args), counts
+
+
 SMALL_PROGRAM = """
 global acc;
 func helper(n, mode) {

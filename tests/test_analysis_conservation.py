@@ -1,15 +1,17 @@
 """Flow-conservation counter inference: placement structure on hand
 CFGs, the V6xx proof pass (zero false positives on the suite), seeded
-placement corruptions all detected, sparse execution byte-identity on
-both backends and through the session, and the CLI entry points."""
+placement corruptions all detected, probe counting equal to a hook on
+every edge on both backends and through the session, and the CLI entry
+points."""
 
 import dataclasses
 import json
+import re
 
 import pytest
 
 from conftest import SMALL_PROGRAM, diamond_cfg, fig8_function, \
-    fig8_profile, loop_cfg, trace_module
+    fig8_profile, hook_edge_counts, loop_cfg, trace_module
 
 from repro.analysis import Severity
 from repro.analysis.conservation import (ConservationError, VIRTUAL_UID,
@@ -270,26 +272,31 @@ def test_drop_probe_inapplicable_on_tree_only_function():
 
 
 # ----------------------------------------------------------------------
-# Sparse codegen: the translation validator catches probe bugs
+# Probe codegen: the translation validator catches probe bugs
 # ----------------------------------------------------------------------
 
 def _sparse_spec_and_result(module):
     for func in module.functions.values():
-        placement = static_placement(func)
-        if not placement.num_probes:
+        if not static_placement(func).num_probes:
             continue
-        spec = ModeSpec(profile=True, probes=placement.probe_keys)
+        spec = ModeSpec(profile=True)
         return func, spec, generate_source(func, module, spec)
     raise AssertionError("no function with probes")
 
 
+def _counted_keys(result):
+    return {result.edge_keys[int(i)]
+            for i in re.findall(r"_ec\[(\d+)\] \+= 1", result.source)}
+
+
 def test_sparse_mode_in_standard_lattice(small_module):
+    # Every counting mode of the lattice counts exactly the probes.
     func, _spec, _result = _sparse_spec_and_result(small_module)
-    modes = standard_modes(func)
-    sparse = [m for m in modes if m.probes is not None]
-    assert sparse
-    assert all(m.probes == static_placement(func).probe_keys
-               for m in sparse)
+    counting = [m for m in standard_modes(func) if m.profile]
+    assert len(counting) == 4  # x trace x hooks
+    for spec in counting:
+        result = generate_source(func, small_module, spec)
+        assert _counted_keys(result) == static_placement(func).probe_keys
 
 
 def test_sparse_codegen_validates_clean(small_module):
@@ -303,7 +310,7 @@ def test_dropped_probe_counter_is_caught(small_module):
     from repro.analysis.mutate import mutate_source
     func, spec, result = _sparse_spec_and_result(small_module)
     mutated = mutate_source(result.source, "cg-drop-count")
-    assert mutated is not None  # sparse code still carries probe counters
+    assert mutated is not None  # the code carries probe counters
     report = Report(title="sparse dropped probe")
     _CodegenChecker(func, small_module, spec,
                     dataclasses.replace(result, source=mutated),
@@ -312,39 +319,34 @@ def test_dropped_probe_counter_is_caught(small_module):
 
 
 def test_misplaced_probe_set_is_caught(small_module):
-    # Code generated for the sparse probe set must not validate against
-    # a dense expectation: the missing counters are findings.
+    # Moving one probe's increment onto a spanning-tree edge's counter
+    # is a finding: the validator derives the probe set itself.
     func, spec, result = _sparse_spec_and_result(small_module)
-    dense_spec = dataclasses.replace(spec, probes=None)
-    report = Report(title="sparse vs dense expectation")
-    _CodegenChecker(func, small_module, dense_spec, result, report).run()
+    probes = static_placement(func).probe_keys
+    tree_slot = next(i for i, key in enumerate(result.edge_keys)
+                     if key not in probes)
+    source = re.sub(r"_ec\[\d+\] \+= 1", f"_ec[{tree_slot}] += 1",
+                    result.source, count=1)
+    report = Report(title="probe moved to a tree edge")
+    _CodegenChecker(func, small_module, spec,
+                    dataclasses.replace(result, source=source), report).run()
     assert "E105" in {d.code for d in report.errors()}
 
 
 # ----------------------------------------------------------------------
-# Sparse execution: byte-identical profiles
+# Probe counting: edge profiles equal a hook on every edge
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("backend", ["tuple", "compiled"])
 def test_sparse_profiler_matches_dense(backend):
     module = get_workload("vpr").compile(1)
-    dense = execute_profilers(module, create_profilers(["edges"]),
-                              backend=backend).profiles["edges"]
-    sparse = execute_profilers(module, create_profilers(["edges-sparse"]),
-                               backend=backend).profiles["edges-sparse"]
-    assert sparse == dense
+    counted = execute_profilers(module, create_profilers(["edges"]),
+                                backend=backend).profiles["edges"]
+    _result, dense = hook_edge_counts(module, backend=backend)
+    assert counted == dense
     assert json.dumps({f: sorted(c.items()) for f, c in sorted(
-        sparse.items())}) == json.dumps(
+        counted.items())}) == json.dumps(
         {f: sorted(c.items()) for f, c in sorted(dense.items())})
-
-
-def test_dense_consumer_forces_dense_counting():
-    module = get_workload("mcf").compile(1)
-    run = execute_profilers(
-        module, create_profilers(["edges", "edges-sparse"]))
-    # Mixed selection: the machine counted densely, both collectors see
-    # identical full profiles.
-    assert run.profiles["edges-sparse"] == run.profiles["edges"]
 
 
 def test_sparse_matches_dense_through_session(tmp_path):
@@ -354,18 +356,17 @@ def test_sparse_matches_dense_through_session(tmp_path):
     def check(session):
         results = session.run_suite(workloads, scale=1)
         for result in results.values():
-            assert result.profiles["edges-sparse"] == \
-                result.profiles["edges"]
+            _result, dense = hook_edge_counts(result.expanded)
+            assert result.profiles["edges"] == dense
 
     serial = ProfilingSession(
         cache=ArtifactCache(disk_dir=str(tmp_path / "c")),
-        profilers=("edges", "edges-sparse"))
+        profilers=("edges",))
     check(serial)
     # Warm re-run: served from the artifact cache.
     check(serial)
     parallel = ProfilingSession(
-        cache=ArtifactCache(), jobs=2,
-        profilers=("edges", "edges-sparse"))
+        cache=ArtifactCache(), jobs=2, profilers=("edges",))
     check(parallel)
 
 
@@ -410,18 +411,3 @@ def test_cli_conserve_suite_json(capsys):
                  "--cache-dir", "", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["command"] == "conserve" and payload["ok"]
-
-
-def test_cli_run_sparse_edges(tmp_path, capsys):
-    from repro.__main__ import main
-    path = _write_program(tmp_path)
-    assert main(["run", path, "--sparse-edges"]) == 0
-    sparse_out = capsys.readouterr().out
-    assert "edges probed" in sparse_out
-    assert main(["run", path]) == 0
-    plain_out = capsys.readouterr().out
-    # Same execution result with and without sparse counting.
-    assert [l for l in plain_out.splitlines()
-            if l.startswith("return value")] == \
-        [l for l in sparse_out.splitlines()
-         if l.startswith("return value")]

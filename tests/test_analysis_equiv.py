@@ -430,8 +430,7 @@ class TestLatticeCompleteness:
 
         base = ["all", "--quiet", "--no-cache", "--jobs", "1",
                 "--benchmarks", "applu,parser"]
-        for extra in ((), ("--sparse-edges",),
-                      ("--profilers", "values,tripcounts")):
+        for extra in ((), ("--profilers", "values,tripcounts")):
             assert main([*base, *extra]) == 0
         capsys.readouterr()
         assert not self._unproven(requested)
@@ -440,9 +439,7 @@ class TestLatticeCompleteness:
         ("--profilers", "edges"),
         ("--profilers", "path-trace"),
         ("--profilers", "edges,path-trace,values"),
-        ("--profilers", "path-trace", "--sparse-edges"),
-    ], ids=["edges", "path-trace", "edges+path-trace+values",
-            "sparse+path-trace"])
+    ], ids=["edges", "path-trace", "edges+path-trace+values"])
     def test_channel_selections_in_standard_lattice(self, requested,
                                                     capsys, extra):
         # The profiler selection reaches the profile and plan runs of

@@ -6,10 +6,12 @@ suite: same return values, instruction counts, costs, edge counts, path
 counts, invocation counts, and listener event streams.
 """
 
-import pytest
-
+import re
 from collections import Counter
 
+import pytest
+
+from repro.analysis.conservation import static_placement
 from repro.core import plan_pp, plan_ppp, plan_tpp, run_with_plan
 from repro.interp import compiled
 from repro.interp import (DEFAULT_BACKEND, VALID_BACKENDS, Machine,
@@ -285,11 +287,14 @@ class TestModeFusion:
         assert "_hk[" not in src
         assert "_pl(" not in src
 
-    def test_profile_mode_counts_edges_densely(self, helper):
+    def test_profile_mode_counts_only_probes(self, helper):
         func, module = helper
         result = generate_source(func, module, ModeSpec(profile=True))
-        assert "_ec[" in result.source
-        assert len(result.edge_keys) > 0
+        probes = static_placement(func).probe_keys
+        assert 0 < len(probes) < len(result.edge_keys)
+        counted = {result.edge_keys[int(i)] for i in
+                   re.findall(r"_ec\[(\d+)\] \+= 1", result.source)}
+        assert counted == probes
         assert "path_blocks" not in result.source
 
     def test_trace_mode_tracks_paths(self, helper):

@@ -1,17 +1,19 @@
 """Property-based flow-conservation checks over random programs.
 
-``test_analysis_conservation`` proves placements and sparse execution
+``test_analysis_conservation`` proves placements and probe counting
 correct on the stock suite; this file extends the contract to arbitrary
 generated programs: every static placement passes the V6xx proof pass,
-and counting only the cotree probes then reconstructing yields edge
-profiles identical to dense counting, on both backends and in every
-profile-bearing observation mode.
+and the machine's edge counts -- cotree probes plus reconstruction --
+equal a hook on every edge counting each traversal, on both backends
+and in every profile-bearing observation mode.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.analysis.conservation import reconstruct, static_placement
+from conftest import hook_edge_counts
+
+from repro.analysis.conservation import static_placement
 from repro.analysis.verify import verify_placement
 from repro.interp import Machine, MachineError
 from repro.workloads import random_module
@@ -48,41 +50,35 @@ def test_random_placements_prove_clean(seed):
                            [d.format() for d in errors])
 
 
+def _listener(listener):
+    return (lambda name, path: None) if listener else None
+
+
 def _dense_counts(module, backend, trace, listener):
-    machine = Machine(
-        module, collect_edge_profile=True, trace_paths=trace,
-        path_listener=(lambda name, path: None) if listener else None,
-        max_instructions=_LIMIT, backend=backend)
     try:
-        result = machine.run()
+        result, counts = hook_edge_counts(
+            module, backend=backend, trace_paths=trace,
+            path_listener=_listener(listener), max_instructions=_LIMIT)
     except MachineError:
         return None
-    return result.return_value, result.edge_counts
+    return result.return_value, counts
 
 
 def _sparse_counts(module, backend, trace, listener):
-    probe_map = {name: static_placement(func).probe_keys
-                 for name, func in module.functions.items()}
     machine = Machine(
         module, collect_edge_profile=True, trace_paths=trace,
-        path_listener=(lambda name, path: None) if listener else None,
-        max_instructions=_LIMIT, backend=backend,
-        edge_probes=probe_map)
+        path_listener=_listener(listener), max_instructions=_LIMIT,
+        backend=backend)
     try:
         result = machine.run()
     except MachineError:
         return None
-    reconstructed = {}
-    for name, counts in machine.edge_counts.items():
-        placement = static_placement(module.functions[name])
-        probes = {uid: counts.get(uid, 0)
-                  for uid in placement.probe_uids}
+    for name, counts in machine.probe_counts.items():
         # The machine must not have counted any tree edge.
-        stray = set(counts) - placement.probe_uids
+        stray = set(counts) - static_placement(
+            module.functions[name]).probe_uids
         assert not stray, (name, stray)
-        reconstructed[name] = reconstruct(
-            placement, probes, machine.invocations.get(name, 0))
-    return result.return_value, reconstructed
+    return result.return_value, result.edge_counts
 
 
 @pytest.mark.parametrize("backend", ["tuple", "compiled"])
