@@ -31,15 +31,18 @@ report and exits non-zero on any per-workload speedup regression beyond
 
 ``--profilers`` switches to the profiler-overhead benchmark instead:
 each registered (non-plan-bound) profiler plugin runs alone over the
-suite on the compiled backend, and its wall-clock slowdown and billed
-instrumentation cost relative to the no-observation baseline are
-written to ``BENCH_profilers.json``:
+suite on the compiled backend, interleaved with the no-observation
+baseline within every repeat, and its wall-clock slowdown (median and
+min-max over the repeats) and billed instrumentation cost relative to
+that baseline are written to ``BENCH_profilers.json``:
 
     {
-      "schema": 1,
+      "schema": 3,
       "baseline": {"mcf": {"ops_per_sec": ...}, ...},
       "profilers": {
         "values": {"mcf": {"ops_per_sec": ..., "overhead_pct": ...,
+                            "overhead_min_pct": ...,
+                            "overhead_max_pct": ...,
                             "billed_overhead_pct": ...}, ...},
         ...
       }
@@ -59,6 +62,7 @@ import argparse
 import json
 import math
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -166,61 +170,71 @@ def compare_reports(old: dict, new: dict, tolerance_pct: float
     return problems
 
 
-def profiler_ops_per_sec(module, profiler_names: tuple[str, ...],
-                         repeats: int) -> tuple[float, float, float]:
-    """Best-of-N ops/sec plus base and instrumentation cost for one
-    module under the named profilers (compiled backend)."""
+def _profiled_run(module, profiler_names: tuple[str, ...]
+                  ) -> tuple[float, float, float, int]:
+    """Wall seconds, base cost, instrumentation cost and instructions of
+    one run of the module under the named profilers (compiled backend)."""
     from repro.profilers import build_machine, create_profilers
 
-    def once() -> tuple[float, float, float, int]:
-        machine, _ = build_machine(module,
-                                   create_profilers(profiler_names),
-                                   backend="compiled")
-        start = time.perf_counter()
-        result = machine.run()
-        elapsed = time.perf_counter() - start
-        return (elapsed, result.costs.base, result.costs.instrumentation,
-                result.instructions_executed)
-
-    once()  # warm-up: codegen cache for this profiler selection
-    best, base, instr, instructions = min(once() for _ in range(
-        max(1, repeats)))
-    return instructions / best, base, instr
+    machine, _ = build_machine(module, create_profilers(profiler_names),
+                               backend="compiled")
+    start = time.perf_counter()
+    result = machine.run()
+    elapsed = time.perf_counter() - start
+    return (elapsed, result.costs.base, result.costs.instrumentation,
+            result.instructions_executed)
 
 
 def run_profiler_bench(names: list[str], scale: int, repeats: int) -> dict:
-    """Per-profiler overhead vs the no-observation baseline."""
+    """Per-profiler wall overhead vs the no-observation baseline.
+
+    Each repeat runs the baseline and then every plugin once, back to
+    back, and a plugin's overhead in that repeat is its time over that
+    repeat's baseline time, so both runs see the same host speed.  Each
+    cell reports the median and the min-max of those per-repeat
+    overheads, and best-of-N ops/sec.
+    """
     from repro.profilers import registered_profilers
 
     plugin_names = sorted(name for name, cls in
                           registered_profilers().items()
                           if not cls.requires_plan)
-    modules = {name: get_workload(name).compile(scale) for name in names}
+    selections = [()] + [(plugin,) for plugin in plugin_names]
     baseline: dict[str, dict] = {}
-    rates: dict[str, float] = {}
-    for name, module in modules.items():
-        rate, _base, _instr = profiler_ops_per_sec(module, (), repeats)
-        rates[name] = rate
-        baseline[name] = {"ops_per_sec": round(rate, 1)}
-    report: dict[str, dict] = {}
-    for plugin in plugin_names:
-        rows: dict[str, dict] = {}
-        for name, module in modules.items():
-            rate, base, instr = profiler_ops_per_sec(
-                module, (plugin,), repeats)
-            overhead = (rates[name] / rate - 1.0) * 100.0
+    report: dict[str, dict] = {plugin: {} for plugin in plugin_names}
+    for name in names:
+        module = get_workload(name).compile(scale)
+        for selection in selections:
+            _profiled_run(module, selection)  # warm-up: codegen cache
+        runs: dict[tuple, list] = {selection: [] for selection in selections}
+        for _ in range(max(1, repeats)):
+            for selection in selections:
+                runs[selection].append(_profiled_run(module, selection))
+        base_times = [run[0] for run in runs[()]]
+        instructions = runs[()][0][3]
+        baseline[name] = {
+            "ops_per_sec": round(instructions / min(base_times), 1)}
+        for plugin in plugin_names:
+            times = [run[0] for run in runs[(plugin,)]]
+            overheads = sorted((t / b - 1.0) * 100.0
+                               for t, b in zip(times, base_times))
+            _t, base, instr, _n = runs[(plugin,)][0]
             billed = (instr / base * 100.0) if base else 0.0
-            rows[name] = {
-                "ops_per_sec": round(rate, 1),
+            overhead = statistics.median(overheads)
+            report[plugin][name] = {
+                "ops_per_sec": round(instructions / min(times), 1),
                 "overhead_pct": round(overhead, 1),
+                "overhead_min_pct": round(overheads[0], 1),
+                "overhead_max_pct": round(overheads[-1], 1),
                 "billed_overhead_pct": round(billed, 2),
             }
-            print(f"  {plugin:12s} {name:10s} {rate / 1e6:7.2f} Mops/s   "
-                  f"wall {overhead:+6.1f}%   billed {billed:6.2f}%",
+            print(f"  {plugin:12s} {name:10s} "
+                  f"{instructions / min(times) / 1e6:7.2f} Mops/s   wall "
+                  f"{overhead:+6.1f}% [{overheads[0]:+.1f}, "
+                  f"{overheads[-1]:+.1f}]   billed {billed:6.2f}%",
                   flush=True)
-        report[plugin] = rows
     return {
-        "schema": 2,
+        "schema": 3,
         "scale": scale,
         "repeats": repeats,
         "backend": "compiled",

@@ -172,15 +172,15 @@ def standard_modes(func: Function) -> tuple[ModeSpec, ...]:
     every channel combination the program can request.  Profiler
     selections turn on edge counting (on the conservation probes) and
     path tracing in any combination, plan and profiler edge ops add
-    hooks to any of those, and the path stream runs the listener alone.
-    Hooked code does not depend on the plan, so one hooked mode per
-    combination proves every plan's code."""
+    hooks to any of those, and a recording adds the path listener to
+    edge counting and tracing.  Hooked code does not depend on the plan,
+    so one hooked mode per combination proves every plan's code."""
     return tuple(
         ModeSpec(profile=profile, trace=trace, hooks=hooks)
         for hooks in (False, True)
         for trace in (False, True)
         for profile in (False, True)
-    ) + (ModeSpec(trace=True, listener=True),)
+    ) + (ModeSpec(profile=True, trace=True, listener=True),)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,7 @@ from .parallel import (ParallelRunner, SuiteExecutionError, WorkloadTask,
 from .results import (ExecutionRecord, SuiteExecutionReport, TECHNIQUES,
                       TaskFailure, TechniqueResult, WorkloadResult)
 from .session import ProfilingSession
-from .stages import (assemble_workload_result, compile_stage, expand_stage,
-                     ground_truth, plan_stage, profile_stage,
+from .stages import (assemble_workload_result, ground_truth, plan_stage,
                      score_technique)
 
 __all__ = [
@@ -34,6 +33,6 @@ __all__ = [
     "ExecutionRecord", "SuiteExecutionReport", "TECHNIQUES",
     "TaskFailure", "TechniqueResult", "WorkloadResult",
     "ProfilingSession",
-    "assemble_workload_result", "compile_stage", "expand_stage",
-    "ground_truth", "plan_stage", "profile_stage", "score_technique",
+    "assemble_workload_result", "ground_truth", "plan_stage",
+    "score_technique",
 ]

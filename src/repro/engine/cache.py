@@ -1,12 +1,13 @@
 """The content-addressed artifact cache behind :class:`ProfilingSession`.
 
 Artifacts are stored under a ``(kind, key)`` address where ``kind`` names
-the pipeline stage ("compile", "expand", "trace", "stream", "profiles",
-"remap", "plan", "technique", "workload", and "table" for a rendered
-harness table; "verifyreport" holds a plan's verifier report, shared by
-the session's ``verify_plans`` check and the proof passes, which add
-"conservereport", "matchreport" and "equiv") and ``key`` is a content
-hash from :mod:`repro.engine.fingerprint`.  Two layers:
+the pipeline stage ("compile", "expand", "record", "profiles", "remap",
+"plan", "execution" (held in memory only), "technique", "workload",
+and "table" for a rendered harness table; "verifyreport" holds a plan's
+verifier report, shared by the session's ``verify_plans`` check and the
+proof passes, which add "conservereport", "matchreport" and "equiv")
+and ``key`` is a content hash from :mod:`repro.engine.fingerprint`.
+Two layers:
 
 * an **in-memory** dict, always consulted first;
 * an optional **on-disk** layer (one checksummed pickle file per
@@ -124,6 +125,9 @@ class CacheStats:
 
 _MISSING = object()
 
+# Memory-only kinds: a warm pass reads the technique entries instead.
+_MEMORY_ONLY = frozenset({"execution"})
+
 
 class ArtifactCache:
     """Content-addressed cache for pipeline artifacts.
@@ -169,7 +173,7 @@ class ArtifactCache:
         self.stats.of(kind).stores += 1
         if self.memory:
             self._mem[(kind, key)] = value
-        if self.disk_dir is not None:
+        if self.disk_dir is not None and kind not in _MEMORY_ONLY:
             self._disk_store(kind, key, value)
 
     def _probe(self, kind: str, key: str) -> tuple[bool, object]:
@@ -179,7 +183,7 @@ class ArtifactCache:
             if value is not _MISSING:
                 ks.hits += 1
                 return True, value
-        if self.disk_dir is not None:
+        if self.disk_dir is not None and kind not in _MEMORY_ONLY:
             value = self._disk_load(kind, key)
             if value is not _MISSING:
                 ks.hits += 1

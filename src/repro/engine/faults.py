@@ -126,7 +126,7 @@ class FaultPlan:
     @classmethod
     def from_spec(cls, spec: str) -> "FaultPlan":
         """Parse ``seed=7,kill-task=1x2,delay-task=2:6.0,``
-        ``corrupt-write=trace:0,codegen-fail=main,drop-request=1,``
+        ``corrupt-write=record:0,codegen-fail=main,drop-request=1,``
         ``stall-worker=2:1.5,kill-worker=3,journal-corrupt=0``."""
         kwargs: dict = {}
         for part in spec.split(","):

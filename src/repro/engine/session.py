@@ -4,14 +4,19 @@ A session owns an :class:`~repro.engine.cache.ArtifactCache` and a jobs
 setting, and exposes the per-stage entry points the harness and the
 study drivers use:
 
-* :meth:`compile` / :meth:`expand` / :meth:`trace` /
-  :meth:`path_stream` -- the front half, each content-addressed on the
-  MiniC source (plus optimizer settings) or the canonical IR text;
+* :meth:`compile` / :meth:`expand` / :meth:`record` -- the front half,
+  each content-addressed on the MiniC source (plus optimizer settings)
+  or the canonical IR text.  :meth:`record` runs a module once with edge
+  counting and the path listener; :meth:`expand` profiles through it,
+  and :meth:`trace` and :meth:`path_stream` are views over it, so a
+  cold pass runs each distinct module once;
 * :meth:`plan` / :meth:`plan_and_score` -- instrumentation planning and
   scored execution, keyed additionally on the planning profile and the
   :class:`~repro.core.ProfilerConfig`, which is what lets the ablation /
   staleness / sampling studies re-plan under variant configs while
-  reusing every upstream artifact;
+  reusing every upstream artifact.  Executions are keyed by the plan's
+  identity instead of its label, so labels whose plans coincide score
+  one shared run;
 * :meth:`run_workload` / :meth:`run_suite` -- the composed per-benchmark
   methodology, with :meth:`run_suite` optionally fanning cold workloads
   out over a process pool (deterministic result ordering either way).
@@ -25,10 +30,12 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
-from ..core import DEFAULT_CONFIG, ModulePlan, PathStream, ProfilerConfig
+from ..core import (DEFAULT_CONFIG, ModulePlan, PathStream, ProfileRun,
+                    ProfilerConfig, Recording, record_module,
+                    run_with_plan)
 from ..interp import resolve_backend
 from ..ir.function import Module
-from ..opt import OptimizationResult
+from ..opt import OptimizationResult, expand_module
 from ..profiles import EdgeProfile, PathProfile
 from ..profiles.metrics import HOT_THRESHOLD
 from ..workloads import SUITE, Workload
@@ -119,37 +126,45 @@ class ProfilingSession:
         key = fingerprint_text("compile", workload.name, str(scale),
                                workload.source(scale))
         return self.cache.get_or_compute(
-            "compile", key, lambda: stages.compile_stage(workload, scale))
+            "compile", key, lambda: workload.compile(scale))
 
     def expand(self, workload: Workload, scale: int = 1,
                code_bloat: Optional[float] = None) -> OptimizationResult:
-        """Edge-profile-guided expansion of a workload's module."""
+        """Edge-profile-guided expansion of a workload's module, profiled
+        through :meth:`record`."""
         bloat = workload.code_bloat if code_bloat is None else code_bloat
         key = fingerprint_text("expand", workload.name, str(scale),
                                repr(bloat), workload.source(scale),
                                self.backend)
+
+        def profile(module: Module) -> tuple[EdgeProfile, object, float]:
+            recording = self.record(module)
+            return (recording.edges, recording.return_value,
+                    recording.base_cost)
+
         return self.cache.get_or_compute(
             "expand", key,
-            lambda: stages.expand_stage(self.compile(workload, scale),
-                                        bloat, self.backend))
+            lambda: expand_module(self.compile(workload, scale),
+                                  code_bloat=bloat, backend=self.backend,
+                                  profile=profile))
+
+    def record(self, module: Module) -> Recording:
+        """One run of a module with edge counting and the path listener
+        (cached per module and backend)."""
+        key = fingerprint_text("record", fingerprint_module(module),
+                               self.backend)
+        return self.cache.get_or_compute(
+            "record", key, lambda: record_module(module, backend=self.backend))
 
     def trace(self, module: Module) -> tuple[PathProfile, EdgeProfile,
                                              object]:
         """Ground truth for a module: (path profile, edge profile, rv)."""
-        key = fingerprint_text("trace", fingerprint_module(module),
-                               self.backend)
-        return self.cache.get_or_compute(
-            "trace", key,
-            lambda: stages.ground_truth(module, backend=self.backend))
+        recording = self.record(module)
+        return recording.paths, recording.edges, recording.return_value
 
     def path_stream(self, module: Module) -> PathStream:
-        """A module's completed paths in listener order (cached), for
-        the online path consumers (hot-path table, NET) to replay."""
-        key = fingerprint_text("stream", fingerprint_module(module),
-                               self.backend)
-        return self.cache.get_or_compute(
-            "stream", key,
-            lambda: stages.stream_stage(module, backend=self.backend))
+        """A module's completed paths in listener order (HPT/NET input)."""
+        return self.record(module).stream
 
     def remap_profile(self, old: EdgeProfile, new_module: Module,
                       paths: Optional[PathProfile] = None
@@ -180,7 +195,8 @@ class ProfilingSession:
                        ) -> dict[str, object]:
         """Run registry profilers over a module once (cached); defaults
         to the session's own ``profilers`` selection."""
-        from ..profilers import parse_profiler_names
+        from ..profilers import (create_profilers, execute_profilers,
+                                 parse_profiler_names)
 
         names = (self.profilers if profilers is None
                  else parse_profiler_names(tuple(profilers)))
@@ -190,8 +206,8 @@ class ProfilingSession:
                                ",".join(names), self.backend)
         return self.cache.get_or_compute(
             "profiles", key,
-            lambda: stages.profile_stage(module, names,
-                                         backend=self.backend))
+            lambda: execute_profilers(module, create_profilers(names),
+                                      backend=self.backend).profiles)
 
     # ------------------------------------------------------------------
     # Back-half stages
@@ -261,19 +277,25 @@ class ProfilingSession:
         scoring = score_profile if score_profile is not None else plan_profile
         if scoring is None:
             raise ValueError("scoring needs an edge profile")
-        key = fingerprint_text("technique", name, technique,
-                               fingerprint_module(module),
-                               fingerprint_edge_profile(plan_profile),
-                               score_fp, fingerprint_config(cfg),
-                               repr(hot), repr(expected_return),
-                               self.backend, ",".join(self.profilers))
+        # Labels whose plans coincide share one execution.
+        run_key = fingerprint_text("execution", technique,
+                                   fingerprint_module(module),
+                                   fingerprint_edge_profile(plan_profile),
+                                   fingerprint_config(cfg), self.backend,
+                                   ",".join(self.profilers))
+        key = fingerprint_text("technique", name, run_key, score_fp,
+                               repr(hot), repr(expected_return))
+
+        def execute(plan: ModulePlan) -> ProfileRun:
+            return self.cache.get_or_compute(
+                "execution", run_key,
+                lambda: run_with_plan(plan, backend=self.backend,
+                                      profilers=self.profilers))
 
         def compute() -> TechniqueResult:
             plan = self.plan(technique, module, plan_profile, cfg)
             return stages.score_technique(name, plan, actual, scoring,
-                                          hot, expected_return,
-                                          backend=self.backend,
-                                          profilers=self.profilers)
+                                          hot, expected_return, execute)
 
         return self.cache.get_or_compute("technique", key, compute)
 

@@ -2,45 +2,32 @@
 pipeline.
 
 Each function here is one pure, independently-cacheable stage of the
-paper's per-benchmark methodology.  The stages take explicit inputs and
-return plain picklable artifacts; they never touch the cache themselves
--- :class:`~repro.engine.session.ProfilingSession` wraps each stage with
-content-addressed memoisation and composes them back into the monolithic
-flow :func:`repro.harness.run_workload` used to run inline.
+paper's per-benchmark methodology (compiling, expansion and recording
+are single calls the session makes directly: ``Workload.compile``,
+:func:`~repro.opt.expand_module`, :func:`~repro.core.record_module`).
+The stages take explicit inputs and return plain picklable artifacts;
+they never touch the cache themselves --
+:class:`~repro.engine.session.ProfilingSession` wraps each stage with
+content-addressed memoisation and composes them into the per-benchmark
+methodology.
 """
 
 from __future__ import annotations
 
-from ..core import (DEFAULT_CONFIG, ModulePlan, PathStream, ProfilerConfig,
+from typing import Callable
+
+from ..core import (DEFAULT_CONFIG, ModulePlan, ProfileRun, ProfilerConfig,
                     build_estimated_profile, edge_profile_estimate,
                     evaluate_accuracy, evaluate_coverage,
                     evaluate_edge_coverage, instrumented_fraction, plan_pp,
-                    plan_ppp, plan_tpp, record_path_stream, run_with_plan)
+                    plan_ppp, plan_tpp, run_with_plan)
+from ..interp.machine import Machine
 from ..ir.function import Module
-from ..opt import OptimizationResult, expand_module
+from ..opt import OptimizationResult
 from ..profiles import EdgeProfile, PathProfile
 from ..profiles.metrics import HOT_THRESHOLD
 from ..workloads import Workload
 from .results import TechniqueResult, WorkloadResult
-
-
-# ----------------------------------------------------------------------
-# Stage: compile
-# ----------------------------------------------------------------------
-
-def compile_stage(workload: Workload, scale: int = 1) -> Module:
-    """MiniC source → validated IR module."""
-    return workload.compile(scale)
-
-
-# ----------------------------------------------------------------------
-# Stage: optimize (edge-profile-guided expansion, Section 7.3)
-# ----------------------------------------------------------------------
-
-def expand_stage(module: Module, code_bloat: float,
-                 backend: str | None = None) -> OptimizationResult:
-    """Scalar cleanup + profile-guided inlining and unrolling."""
-    return expand_module(module, code_bloat=code_bloat, backend=backend)
 
 
 # ----------------------------------------------------------------------
@@ -51,41 +38,15 @@ def ground_truth(module: Module,
                  backend: str | None = None
                  ) -> tuple[PathProfile, EdgeProfile, object]:
     """Trace the module once: path profile, edge profile, return value.
-
-    Runs as a composition of the three builtin registry plugins
-    (``path-trace``, ``edges``, ``calls``) -- they claim the machine's
-    native channels, so this is byte-identical to constructing the
-    machine with the flags directly.
-    """
-    from ..profilers import (EdgeCountProfiler, InvocationProfiler,
-                             PathTraceProfiler, execute_profilers)
-
-    run = execute_profilers(
-        module, [PathTraceProfiler(), EdgeCountProfiler(),
-                 InvocationProfiler()], backend=backend)
-    actual = PathProfile.from_trace(module, run.profiles["path-trace"])
-    profile = EdgeProfile.from_run(module, run.profiles["edges"],
-                                   run.profiles["calls"])
-    return actual, profile, run.result.return_value
-
-
-def stream_stage(module: Module, backend: str | None = None) -> PathStream:
-    """Run the module once, recording its completed paths in order: the
-    input the HPT and NET studies replay."""
-    return record_path_stream(module, backend=backend)
-
-
-def profile_stage(module: Module, profilers: tuple[str, ...],
-                  backend: str | None = None) -> dict[str, object]:
-    """Run the named extra registry profilers over the module once and
-    return their collected results (profiler name -> result)."""
-    from ..profilers import create_profilers, execute_profilers
-
-    if not profilers:
-        return {}
-    run = execute_profilers(module, create_profilers(profilers),
-                            backend=backend)
-    return run.profiles
+    A :func:`~repro.core.record_module` run without the path listener,
+    which costs the tuple backend about 7% and serves no caller here."""
+    result = Machine(module, collect_edge_profile=True, trace_paths=True,
+                     backend=backend).run()
+    assert result.edge_counts is not None and result.path_counts is not None
+    return (PathProfile.from_trace(module, result.path_counts),
+            EdgeProfile.from_run(module, result.edge_counts,
+                                 result.invocations),
+            result.return_value)
 
 
 # ----------------------------------------------------------------------
@@ -117,15 +78,13 @@ def score_technique(name: str, plan: ModulePlan, actual: PathProfile,
                     edge_profile: EdgeProfile,
                     hot_threshold: float = HOT_THRESHOLD,
                     expected_return: object = None,
-                    backend: str | None = None,
-                    profilers: tuple[str, ...] = ()) -> TechniqueResult:
-    """Execute a plan and compute every per-technique metric.
-
-    ``profilers`` names extra registry profilers fused into the same
-    instrumented execution; their cost is billed through the shared
-    counter, so the technique's measured overhead includes them.
+                    execute: Callable[[ModulePlan], ProfileRun] = run_with_plan
+                    ) -> TechniqueResult:
+    """Execute a plan (through ``execute``) and compute every
+    per-technique metric.  The session passes its shared execution, so
+    labels whose plans coincide score one run.
     """
-    run = run_with_plan(plan, backend=backend, profilers=profilers)
+    run = execute(plan)
     if expected_return is not None \
             and run.run.return_value != expected_return:
         raise AssertionError(

@@ -59,7 +59,7 @@ def _add_chaos_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--chaos", metavar="SPEC", default="",
                         help="deterministic fault-injection plan (or set "
                              "REPRO_FAULTS), e.g. "
-                             "'seed=7,corrupt-write=trace:0'; see "
+                             "'seed=7,corrupt-write=record:0'; see "
                              "repro.engine.faults")
 
 

@@ -11,8 +11,9 @@ would.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Optional
 
-from ..interp.machine import Machine, RunResult
+from ..interp.machine import Machine
 from ..ir.function import Module
 from ..profiles.edge_profile import EdgeProfile
 from .cleanup import CleanupStats, cleanup_module
@@ -56,15 +57,20 @@ class OptimizationResult:
         return self.baseline_cost / self.optimized_cost
 
 
-def _edge_profiled_run(module: Module, args: tuple,
-                       backend: str | None) -> tuple[EdgeProfile, RunResult]:
+# module -> (edge profile, return value, unbilled base cost)
+ModuleProfiler = Callable[[Module], tuple[EdgeProfile, object, float]]
+
+
+def _edge_profiled_run(module: Module, args: tuple, backend: str | None
+                       ) -> tuple[EdgeProfile, object, float]:
     """Run the module once with edge profiling enabled.  Edge counting
     is not billed, so the run's cost is the plain run's cost."""
     machine = Machine(module, collect_edge_profile=True, backend=backend)
     result = machine.run(args=args)
     assert result.edge_counts is not None and result.invocations is not None
-    return EdgeProfile.from_run(module, result.edge_counts,
-                                result.invocations), result
+    return (EdgeProfile.from_run(module, result.edge_counts,
+                                 result.invocations),
+            result.return_value, result.costs.base)
 
 
 def collect_edge_profile(module: Module, args: tuple = (),
@@ -79,7 +85,9 @@ def expand_module(module: Module, args: tuple = (),
                   unroll_factor: int = UNROLL_FACTOR,
                   scalar_cleanup: bool = True,
                   check_behaviour: bool = True,
-                  backend: str | None = None) -> OptimizationResult:
+                  backend: str | None = None,
+                  profile: Optional[ModuleProfiler] = None
+                  ) -> OptimizationResult:
     """Inline and unroll under edge-profile guidance.
 
     Per the paper's Table 1 methodology, standard scalar optimizations
@@ -87,19 +95,20 @@ def expand_module(module: Module, args: tuple = (),
     and the expanded module gets one more scalar pass after inlining and
     unrolling.  When ``check_behaviour`` is set, the expanded module is
     verified to produce the same return value as the original (profiling
-    transformations must never change semantics).  ``backend`` selects
-    the interpreter backend of every machine the expansion runs.
+    transformations must never change semantics).  ``profile`` observes
+    the baseline, inlined and expanded modules; by default it is an
+    edge-profiled run on ``backend`` with ``args``.
     """
+    profile = profile or (lambda m: _edge_profiled_run(m, args, backend))
     if scalar_cleanup:
         baseline, cleanup_stats = _scalar_opts(module)
     else:
         baseline, cleanup_stats = module, CleanupStats()
-    profile, base_result = _edge_profiled_run(baseline, args, backend)
+    base_profile, base_return, base_cost = profile(baseline)
     inlined, inline_stats = inline_module(
-        baseline, profile, code_bloat=code_bloat,
+        baseline, base_profile, code_bloat=code_bloat,
         max_callee_size=max_callee_size)
-    profile2 = collect_edge_profile(inlined, args, backend)
-    unrolled, unroll_stats = unroll_module(inlined, profile2,
+    unrolled, unroll_stats = unroll_module(inlined, profile(inlined)[0],
                                            factor=unroll_factor)
     if scalar_cleanup:
         unrolled, more_stats = _scalar_opts(unrolled)
@@ -108,18 +117,17 @@ def expand_module(module: Module, args: tuple = (),
         cleanup_stats.dead_removed += more_stats.dead_removed
         cleanup_stats.branches_resolved += more_stats.branches_resolved
         cleanup_stats.blocks_threaded += more_stats.blocks_threaded
-    opt_machine = Machine(unrolled, backend=backend)
-    opt_result = opt_machine.run(args=args)
-    if check_behaviour and opt_result.return_value != base_result.return_value:
+    _profile, opt_return, opt_cost = profile(unrolled)
+    if check_behaviour and opt_return != base_return:
         raise AssertionError(
             f"inlining/unrolling changed behaviour of {module.name!r}: "
-            f"{base_result.return_value!r} -> {opt_result.return_value!r}")
+            f"{base_return!r} -> {opt_return!r}")
     return OptimizationResult(
         module=unrolled,
         baseline_module=baseline,
         inline_stats=inline_stats,
         unroll_stats=unroll_stats,
         cleanup_stats=cleanup_stats,
-        baseline_cost=base_result.costs.base,
-        optimized_cost=opt_result.costs.base,
+        baseline_cost=base_cost,
+        optimized_cost=opt_cost,
     )

@@ -293,7 +293,7 @@ def test_sparse_mode_in_standard_lattice(small_module):
     # Every counting mode of the lattice counts exactly the probes.
     func, _spec, _result = _sparse_spec_and_result(small_module)
     counting = [m for m in standard_modes(func) if m.profile]
-    assert len(counting) == 4  # x trace x hooks
+    assert len(counting) == 5  # x trace x hooks, plus the recording's
     for spec in counting:
         result = generate_source(func, small_module, spec)
         assert _counted_keys(result) == static_placement(func).probe_keys

@@ -6,7 +6,11 @@ counts exactly its probe edges -- a deterministic gate on how many
 counters profiled code carries.
 """
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -74,3 +78,26 @@ def test_profiled_code_counts_exactly_the_probes(profiling_session):
             probes += placement.num_probes
             edges += placement.num_edges
     assert probes < edges
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_edge_profiled_run_loads_only_conservation(backend):
+    # The analysis package re-exports lazily, so the one analysis module
+    # an edge-profiled run needs is the only one it loads.
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import sys\n"
+        "from repro.interp import Machine\n"
+        "from repro.workloads import get_workload\n"
+        "Machine(get_workload('mcf').compile(), collect_edge_profile=True,\n"
+        f"        backend={backend!r}).run()\n"
+        "print(' '.join(sorted(m for m in sys.modules\n"
+        "                      if m.startswith('repro.analysis.'))))\n")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("REPRO_EQUIV", None)  # codegen validation does load equiv
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    loaded = out.stdout.split()
+    assert "repro.analysis.conservation" in loaded
+    assert "repro.analysis.equiv" not in loaded
+    assert "repro.analysis.symexec" not in loaded

@@ -71,10 +71,10 @@ def test_memory_hit_miss_store_counters():
 
 def test_lookup_counts_hits_and_misses():
     cache = ArtifactCache()
-    assert cache.lookup("trace", "missing") is None
-    cache.store("trace", "present", 42)
-    assert cache.lookup("trace", "present") == 42
-    ks = cache.stats.of("trace")
+    assert cache.lookup("record", "missing") is None
+    cache.store("record", "present", 42)
+    assert cache.lookup("record", "present") == 42
+    ks = cache.stats.of("record")
     assert (ks.hits, ks.misses, ks.stores) == (1, 1, 1)
 
 
@@ -119,13 +119,13 @@ def test_corrupt_disk_entry_is_a_miss_and_quarantined(tmp_path, junk):
     # Any bytes that fail the envelope check (wrong magic, bad digest,
     # truncation) must read as a miss and move the file aside.
     cache = ArtifactCache(disk_dir=tmp_path)
-    cache.store("trace", "abc", [1, 2])
+    cache.store("record", "abc", [1, 2])
     path, = cache.disk_files()
     path.write_bytes(junk)
     fresh = ArtifactCache(disk_dir=tmp_path)
-    assert fresh.lookup("trace", "abc") is None
-    assert fresh.stats.of("trace").misses == 1
-    assert fresh.stats.of("trace").corrupt == 1
+    assert fresh.lookup("record", "abc") is None
+    assert fresh.stats.of("record").misses == 1
+    assert fresh.stats.of("record").corrupt == 1
     assert fresh.disk_files() == []  # renamed aside, not left in place
     assert len(fresh.quarantined_files()) == 1
     drain_degradations()
@@ -133,12 +133,12 @@ def test_corrupt_disk_entry_is_a_miss_and_quarantined(tmp_path, junk):
 
 def test_truncated_disk_entry_is_a_miss(tmp_path):
     cache = ArtifactCache(disk_dir=tmp_path)
-    cache.store("trace", "abc", list(range(100)))
+    cache.store("record", "abc", list(range(100)))
     path, = cache.disk_files()
     raw = path.read_bytes()
     path.write_bytes(raw[:len(raw) // 2])
     fresh = ArtifactCache(disk_dir=tmp_path)
-    assert fresh.lookup("trace", "abc") is None
+    assert fresh.lookup("record", "abc") is None
     assert fresh.stats.corrupt == 1
     drain_degradations()
 
@@ -147,14 +147,14 @@ def test_flipped_payload_byte_fails_checksum(tmp_path):
     # A single flipped bit deep inside an otherwise well-formed pickle
     # would unpickle into a WRONG value without the digest check.
     cache = ArtifactCache(disk_dir=tmp_path)
-    cache.store("trace", "abc", list(range(100)))
+    cache.store("record", "abc", list(range(100)))
     path, = cache.disk_files()
     raw = bytearray(path.read_bytes())
     raw[-10] ^= 0xFF
     path.write_bytes(bytes(raw))
     fresh = ArtifactCache(disk_dir=tmp_path)
-    assert fresh.lookup("trace", "abc") is None
-    assert fresh.stats.of("trace").corrupt == 1
+    assert fresh.lookup("record", "abc") is None
+    assert fresh.stats.of("record").corrupt == 1
     drain_degradations()
 
 
@@ -185,10 +185,10 @@ def test_quarantine_records_degradation_event(tmp_path):
 
 def test_verify_disk_sweeps_and_quarantines(tmp_path):
     cache = ArtifactCache(disk_dir=tmp_path)
-    cache.store("trace", "good1", [1])
-    cache.store("trace", "good2", [2])
-    cache.store("trace", "bad", [3])
-    bad = cache._disk_path("trace", "bad")
+    cache.store("record", "good1", [1])
+    cache.store("record", "good2", [2])
+    cache.store("record", "bad", [3])
+    bad = cache._disk_path("record", "bad")
     bad.write_bytes(b"scrambled")
     ok, quarantined, stale = cache.verify_disk()
     assert (ok, quarantined, stale) == (2, 1, 0)
@@ -238,7 +238,7 @@ def test_stale_schema_entry_is_a_miss_not_quarantined(tmp_path, caplog):
 
 def test_verify_disk_counts_stale_entries(tmp_path):
     cache = ArtifactCache(disk_dir=tmp_path)
-    cache.store("trace", "fresh", [1])
+    cache.store("record", "fresh", [1])
     _write_v1_entry(tmp_path, "trace-old.pkl", [2])
     assert cache.verify_disk() == (1, 0, 1)
     assert cache.schema_census() == {CACHE_SALT: 1, 5: 1}
@@ -247,13 +247,13 @@ def test_verify_disk_counts_stale_entries(tmp_path):
 
 def test_gc_disk_removes_stale_schema_entries(tmp_path):
     cache = ArtifactCache(disk_dir=tmp_path)
-    cache.store("trace", "fresh", [1])
+    cache.store("record", "fresh", [1])
     old = _write_v1_entry(tmp_path, "trace-old.pkl", [2])
     removed, reclaimed = cache.gc_disk()
     assert removed == 1 and reclaimed > 0
     assert not old.exists()
     fresh = ArtifactCache(disk_dir=tmp_path)
-    assert fresh.lookup("trace", "fresh") == [1]
+    assert fresh.lookup("record", "fresh") == [1]
 
 
 # ----------------------------------------------------------------------
@@ -330,10 +330,10 @@ def test_concurrent_writer_race_last_write_wins(tmp_path):
     # os.replace means a reader sees one complete envelope, never a mix.
     a = ArtifactCache(disk_dir=tmp_path)
     b = ArtifactCache(disk_dir=tmp_path)
-    a.store("trace", "k", {"writer": "a", "data": list(range(50))})
-    b.store("trace", "k", {"writer": "b", "data": list(range(50))})
+    a.store("record", "k", {"writer": "a", "data": list(range(50))})
+    b.store("record", "k", {"writer": "b", "data": list(range(50))})
     fresh = ArtifactCache(disk_dir=tmp_path)
-    value = fresh.lookup("trace", "k")
+    value = fresh.lookup("record", "k")
     assert value == {"writer": "b", "data": list(range(50))}
     assert fresh.stats.corrupt == 0
 
@@ -390,9 +390,9 @@ def test_cli_cache_verify_and_gc(tmp_path, capsys):
     from repro.__main__ import main as repro_main
 
     cache = ArtifactCache(disk_dir=tmp_path)
-    cache.store("trace", "good", [1])
-    cache.store("trace", "bad", [2])
-    cache._disk_path("trace", "bad").write_bytes(b"junk")
+    cache.store("record", "good", [1])
+    cache.store("record", "bad", [2])
+    cache._disk_path("record", "bad").write_bytes(b"junk")
 
     assert repro_main(["cache", "verify", "--dir", str(tmp_path)]) == 1
     out = capsys.readouterr().out

@@ -44,8 +44,8 @@ def test_warm_session_matches_cold_serial(serial_baseline):
     cold = {n: session.run_workload(get_workload(n)) for n in NAMES}
     stats = session.cache.stats
     cold_traffic = {kind: (stats.of(kind).hits, stats.of(kind).misses)
-                    for kind in ("compile", "expand", "trace", "plan",
-                                 "technique")}
+                    for kind in ("compile", "expand", "record", "plan",
+                                 "execution", "technique")}
 
     warm = {n: session.run_workload(get_workload(n)) for n in NAMES}
     for name in NAMES:
@@ -136,6 +136,7 @@ def test_variant_config_does_not_hit_base_entries(serial_baseline):
     from repro.core import ppp_config_without
     session = ProfilingSession(cache=ArtifactCache())
     base = session.run_workload(get_workload(NAMES[0]))
+    recorded = session.cache.stats.of("record").misses
     tech = session.plan_and_score(
         "ppp", base.expanded, base.edge_profile, base.actual,
         config=ppp_config_without("LC"), label="ppp-LC",
@@ -145,7 +146,10 @@ def test_variant_config_does_not_hit_base_entries(serial_baseline):
     # the module and profiles without re-tracing anything.
     assert session.cache.stats.of("technique").misses == \
         len(TECHNIQUES) + 1
-    assert session.cache.stats.of("trace").misses == 2  # baseline + expanded
+    # Expansion recorded the baseline, inlined and expanded modules; the
+    # variant recorded none.
+    assert recorded == 3
+    assert session.cache.stats.of("record").misses == recorded
 
 
 # ----------------------------------------------------------------------

@@ -60,9 +60,9 @@ class TestWarmPathStreams:
         monkeypatch.setattr(Machine, "run", refuse)
         warm_session = ProfilingSession(ArtifactCache(disk_dir=tmp_path))
         assert render(warm_session) == cold
-        stream = warm_session.stats.of("stream")
-        assert stream.misses == 0
-        assert stream.disk_hits == len(workloads)
+        record = warm_session.stats.of("record")
+        assert record.misses == 0
+        assert record.disk_hits == len(workloads)
 
 
 class TestStaleness:
