@@ -5,7 +5,8 @@ Runs the harness twice over the same benchmark subset:
 
 1. a fault-free baseline, and
 2. a chaos run under a seeded :class:`repro.engine.faults.FaultPlan`
-   that kills a worker, injects a codegen failure, and corrupts a cache
+   that kills a worker, stalls another job for far longer than the
+   run's ``--timeout``, injects a codegen failure, and corrupts a cache
    entry on write,
 
 then asserts:
@@ -14,7 +15,9 @@ then asserts:
 * the ``benchmarks`` subtree of the two ``--json`` exports is
   byte-identical (fault tolerance may never change results);
 * the chaos run's execution report shows the faults actually fired
-  (nonzero retries or worker-crash failures, nonzero degradations);
+  (worker-crash and timeout failures, nonzero degradations);
+* the chaos process's wall time stays below the stall: the timed-out
+  worker is killed, so exiting never waits on it;
 * a follow-up fault-free ``--jobs`` run over the chaos run's cache
   directory quarantines the corrupt entry and still matches, and
   ``repro cache verify`` then reports a clean directory.
@@ -33,12 +36,18 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 
-CHAOS_SPEC = "seed=7,kill-task=1,codegen-fail=main,corrupt-write=workload:0"
+# Task 1's worker dies on its first attempt; task 2's first attempt
+# stalls STALL_S seconds, far past the chaos run's TIMEOUT_S.
+STALL_S = 120.0
+TIMEOUT_S = 20.0
+CHAOS_SPEC = (f"seed=7,kill-job=1,stall-job=2:{STALL_S},codegen-fail=main,"
+              "corrupt-write=workload:0")
 
 
 def run(argv: list[str], **extra_env) -> subprocess.CompletedProcess:
@@ -78,12 +87,19 @@ def main() -> int:
         if baseline.returncode != 0:
             return fail("baseline run failed", baseline)
 
+        started = time.monotonic()
         chaos = run([*common, "--jobs", str(args.jobs),
                      "--retries", str(args.retries),
+                     "--timeout", str(TIMEOUT_S),
                      "--cache-dir", str(cache_dir),
                      "--chaos", CHAOS_SPEC, "--json", str(chaos_json)])
+        chaos_s = time.monotonic() - started
         if chaos.returncode != 0:
             return fail(f"chaos run (spec {CHAOS_SPEC!r}) failed", chaos)
+        if chaos_s >= STALL_S:
+            return fail(f"chaos run took {chaos_s:.1f}s, not below the "
+                        f"{STALL_S:.0f}s stall: its exit waited on the "
+                        "timed-out worker", chaos)
 
         base_doc = json.loads(base_json.read_text())
         chaos_doc = json.loads(chaos_json.read_text())
@@ -91,19 +107,21 @@ def main() -> int:
             return fail("chaos run changed benchmark results", chaos)
 
         execution = chaos_doc.get("execution") or {}
-        crashes = sum(
-            1 for task in execution.get("tasks", {}).values()
-            for failure in task.get("failures", [])
-            if failure.get("kind") == "worker-crash")
-        if not (execution.get("retries", 0) or crashes):
-            return fail("chaos run shows no retries or worker crashes; "
-                        "the kill-task fault never fired", chaos)
+        kinds = {failure.get("kind")
+                 for task in execution.get("tasks", {}).values()
+                 for failure in task.get("failures", [])}
+        for kind, fault in (("worker-crash", "kill-job"),
+                            ("timeout", "stall-job")):
+            if kind not in kinds:
+                return fail(f"chaos run shows no {kind} failure; the "
+                            f"{fault} fault never fired", chaos)
         if not execution.get("degradations", 0):
             return fail("chaos run shows no degradation events; the "
                         "codegen-fail fault never fired", chaos)
         print(f"chaos execution report: retries={execution['retries']} "
               f"degradations={execution['degradations']} "
-              f"pool_rebuilds={execution['pool_rebuilds']}")
+              f"pool_rebuilds={execution['pool_rebuilds']} "
+              f"wall={chaos_s:.1f}s (stall {STALL_S:.0f}s)")
 
         # The corrupt-write fault is latent: this fault-free run reads
         # the scrambled entry, quarantines it, recomputes, and matches.

@@ -55,10 +55,10 @@ from repro.service import (ProfileRequest, ProfilingService,  # noqa: E402
 
 # Ordinals are admission order, so with the sequential schedule below:
 # journal-corrupt=0 scrambles request r0's accept record (latently),
-# kill-worker=1 crashes r1's pool worker, drop-request=2 loses r2's
-# first dispatch, stall-worker=3:2.0 stalls r3 past the 0.75s timeout.
-CHAOS_SPEC = ("seed=7,journal-corrupt=0,kill-worker=1,drop-request=2,"
-              "stall-worker=3:2.0")
+# kill-job=1 crashes r1's pool worker, drop-request=2 loses r2's
+# first dispatch, stall-job=3:2.0 stalls r3 past the 0.75s timeout.
+CHAOS_SPEC = ("seed=7,journal-corrupt=0,kill-job=1,drop-request=2,"
+              "stall-job=3:2.0")
 
 # (request_id, tenant, workload) -- two tenants, three workloads, plus a
 # deliberately impossible deadline that must degrade to a stale remap.

@@ -61,9 +61,9 @@ Subcommands
     and remap requests, with bounded admission, per-tenant quotas, a
     crash-safe write-ahead journal, a circuit breaker around the worker
     pool, and degradation to conservation-repaired stale remaps (see
-    ``repro.service``).  ``--chaos`` accepts the service-scoped fault
-    specs (``drop-request=N``, ``stall-worker=N:SECS``,
-    ``kill-worker=N``, ``journal-corrupt=N``).
+    ``repro.service``).  ``--chaos`` accepts fault specs keyed by a
+    request's admission ordinal (``drop-request=N``,
+    ``stall-job=N:SECS``, ``kill-job=N``, ``journal-corrupt=N``).
 ``profiles {diff,merge} FILE ...``
     Operate on saved edge profiles against FILE's module: ``diff``
     classifies every CFG edge of two profiles by flow-share shift;

@@ -390,8 +390,9 @@ class _Matcher:
     def __init__(self, old: FunctionSketch, new: FunctionSketch):
         self.old = old
         self.new = new
-        self.old_pool = {b.name: b for b in old.blocks}
-        self.new_pool = {b.name: b for b in new.blocks}
+        # Blocks left to match, by name.
+        self.old_left = {b.name: b for b in old.blocks}
+        self.new_left = {b.name: b for b in new.blocks}
         self.matches: list[BlockMatch] = []
         #: Shared synthetic label per matched pair, for neighbourhood
         #: hashing: both sides of pair *i* carry label ``m<i>``.
@@ -404,20 +405,20 @@ class _Matcher:
             confidence=ANCHOR_CONFIDENCE[anchor]))
         self.pair_label[f"old:{old_name}"] = label
         self.pair_label[f"new:{new_name}"] = label
-        del self.old_pool[old_name]
-        del self.new_pool[new_name]
+        del self.old_left[old_name]
+        del self.new_left[new_name]
 
     def take_unique(self, old_keys: Mapping[str, Optional[str]],
                     new_keys: Mapping[str, Optional[str]],
                     anchor: str) -> bool:
         """Pair every key that is unique on both sides; True on progress."""
         by_old: dict[str, list[str]] = {}
-        for name in sorted(self.old_pool):
+        for name in sorted(self.old_left):
             key = old_keys.get(name)
             if key is not None:
                 by_old.setdefault(key, []).append(name)
         by_new: dict[str, list[str]] = {}
-        for name in sorted(self.new_pool):
+        for name in sorted(self.new_left):
             key = new_keys.get(name)
             if key is not None:
                 by_new.setdefault(key, []).append(name)
@@ -433,16 +434,16 @@ class _Matcher:
     # -- cascade stages -------------------------------------------------
 
     def pin_boundaries(self) -> None:
-        if self.old.entry in self.old_pool and \
-                self.new.entry in self.new_pool:
+        if self.old.entry in self.old_left and \
+                self.new.entry in self.new_left:
             self.bind(self.old.entry, self.new.entry, "entry")
-        if self.old.exit in self.old_pool and \
-                self.new.exit in self.new_pool:
+        if self.old.exit in self.old_left and \
+                self.new.exit in self.new_left:
             self.bind(self.old.exit, self.new.exit, "exit")
 
     def content_stage(self, attr: str, anchor: str) -> None:
-        old_keys = {n: getattr(b, attr) for n, b in self.old_pool.items()}
-        new_keys = {n: getattr(b, attr) for n, b in self.new_pool.items()}
+        old_keys = {n: getattr(b, attr) for n, b in self.old_left.items()}
+        new_keys = {n: getattr(b, attr) for n, b in self.new_left.items()}
         self.take_unique({n: str(k) for n, k in old_keys.items()},
                          {n: str(k) for n, k in new_keys.items()}, anchor)
 
@@ -456,7 +457,7 @@ class _Matcher:
                 out[name] = "\x1f".join(value) if value else None
             return out
 
-        self.take_unique(keys(self.old_pool), keys(self.new_pool), anchor)
+        self.take_unique(keys(self.old_left), keys(self.new_left), anchor)
 
     def neighbourhood_stage(self) -> None:
         """Weisfeiler-Lehman refinement rounds over both graphs.
@@ -471,13 +472,13 @@ class _Matcher:
         old_adj = _adjacency(self.old)
         new_adj = _adjacency(self.new)
         for _round in range(_WL_ROUNDS):
-            if not self.old_pool or not self.new_pool:
+            if not self.old_left or not self.new_left:
                 return
             old_labels = self._wl_labels(self.old, "old", old_adj)
             new_labels = self._wl_labels(self.new, "new", new_adj)
             progress = self.take_unique(
-                {n: old_labels[n] for n in self.old_pool},
-                {n: new_labels[n] for n in self.new_pool},
+                {n: old_labels[n] for n in self.old_left},
+                {n: new_labels[n] for n in self.new_left},
                 "neighbourhood")
             if not progress:
                 return
@@ -504,11 +505,11 @@ class _Matcher:
         """Last resort: block names themselves (they survive most edits
         that do not rename), qualified by loose-content agreement first
         so a renamed-and-replaced block does not steal a name match."""
-        shared = sorted(set(self.old_pool) & set(self.new_pool))
+        shared = sorted(set(self.old_left) & set(self.new_left))
         for name in shared:
-            if self.old_pool[name].loose == self.new_pool[name].loose:
+            if self.old_left[name].loose == self.new_left[name].loose:
                 self.bind(name, name, "name-loose")
-        for name in sorted(set(self.old_pool) & set(self.new_pool)):
+        for name in sorted(set(self.old_left) & set(self.new_left)):
             self.bind(name, name, "name-only")
 
     def run(self) -> FunctionMatch:

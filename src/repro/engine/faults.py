@@ -3,32 +3,22 @@
 A :class:`FaultPlan` describes a small, seeded set of faults that the
 engine's components check for at well-defined points:
 
-* **kill-task** -- a worker process calls ``os._exit`` when it picks up
-  the named task index (first ``count`` attempts only), which collapses
-  the process pool exactly the way a segfaulting collector would;
-* **delay-task** -- the first attempt of the named task sleeps past its
-  wall-clock timeout before doing any work;
+* **kill-job** -- the pool worker running the job with the named
+  ordinal (a suite run's task index, the service's admission ordinal)
+  calls ``os._exit`` on its first ``count`` attempts;
+* **stall-job** -- that job's first attempt sleeps past its timeout.
+  Both fire only in :func:`on_job_start`, which the worker loop of
+  :class:`~repro.engine.workers.WorkerPool` calls, so jobs run inline
+  or in a thread never trigger them;
 * **corrupt-write** -- the Nth on-disk cache write of the named artifact
   kind has its payload bytes scrambled *after* the checksum is computed,
   so the corruption is latent until the entry is read back;
 * **codegen-fail** -- generating compiled-backend code for the named IR
   function raises :class:`CodegenFault`, forcing the per-function
-  tuple-loop fallback.
-
-Service-scoped faults (consumed by :mod:`repro.service`, keyed by a
-request's service-wide admission ordinal rather than a batch-local task
-index):
-
-* **drop-request** -- the dispatcher silently loses the named request's
-  first dispatch (a vanished work item); the service's own retry ladder
-  must recover it;
-* **stall-worker** -- the named request's job sleeps on its first
-  attempt, past the service's ``task_timeout``, exercising the
-  timeout, replace-the-pool and retry path;
-* **kill-worker** -- the worker process executing the named request's
-  first attempt dies with ``os._exit`` (pool collapse); the trigger is
-  inert outside a pool worker, so it never kills the service process
-  itself when no pool can start and jobs run in a thread;
+  tuple-loop fallback;
+* **drop-request** -- the service's dispatcher loses the first dispatch
+  of the request with the named admission ordinal; the service's own
+  retry ladder must recover it;
 * **journal-corrupt** -- the Nth write-ahead journal record has its
   payload scrambled *after* the checksum is computed, so the corruption
   is latent until the journal is scanned or replayed.
@@ -38,7 +28,7 @@ the ``REPRO_FAULTS`` environment variable / the CLIs' ``--chaos`` flag;
 the spec string round-trips through :meth:`FaultPlan.to_spec`.  Worker
 processes inherit the active plan both ways (module state via fork, the
 environment variable via spawn).  Every fault is a pure function of the
-plan plus its trigger context (task index, attempt number, write
+plan plus its trigger context (job ordinal, attempt number, write
 ordinal, function name), so a chaos run is exactly reproducible.
 
 This module is deliberately stdlib-only: :mod:`repro.interp.compiled`
@@ -49,7 +39,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 __all__ = [
@@ -61,8 +51,8 @@ __all__ = [
 
 ENV_VAR = "REPRO_FAULTS"
 
-# Exit status a fault-killed worker dies with (distinctive in core dumps
-# and supervisor logs; any nonzero status collapses the pool the same way).
+# Exit status a fault-killed worker dies with (distinctive in supervisor
+# logs; any exit without a reply reads as a worker crash the same way).
 KILL_STATUS = 86
 
 
@@ -81,7 +71,7 @@ class DegradationEvent:
     Kinds: ``codegen-fallback`` (a function runs on the tuple loop),
     ``inline-fallback`` (a task ran in the parent after pool retries or
     because it cannot be pickled),
-    ``pool-degraded`` (the pool itself was unusable),
+    ``pool-degraded`` (no worker process could start),
     ``cache-quarantine`` (a corrupt cache entry was renamed aside and
     recomputed), ``stale-remap`` (the profiling service answered with a
     conservation-repaired remap of an older profile instead of fresh
@@ -108,26 +98,21 @@ class FaultPlan:
     """A seeded, deterministic set of injected faults (see module doc)."""
 
     seed: int = 0
-    kill_task: Optional[int] = None      # task index whose worker dies
-    kill_count: int = 1                  # attempts 0..count-1 are killed
-    delay_task: Optional[int] = None     # task index to stall (attempt 0)
-    delay_seconds: float = 0.0
+    kill_job: Optional[int] = None       # job ordinal whose worker dies
+    kill_job_count: int = 1              # attempts 0..count-1 are killed
+    stall_job: Optional[int] = None      # job sleeps on its first attempt
+    stall_seconds: float = 0.0
     corrupt_kind: Optional[str] = None   # artifact kind to corrupt
     corrupt_nth: int = 0                 # which write of that kind
     codegen_fail: Optional[str] = None   # IR function name
-    # Service-scoped faults, keyed by a request's admission ordinal.
-    drop_request: Optional[int] = None   # dispatch silently lost once
-    stall_job: Optional[int] = None      # job sleeps on its first attempt
-    stall_seconds: float = 0.0
-    kill_job: Optional[int] = None       # pool worker dies on the job
-    kill_job_count: int = 1              # attempts 0..count-1 are killed
+    drop_request: Optional[int] = None   # admission ordinal, lost once
     journal_corrupt: Optional[int] = None  # journal record ordinal
 
     @classmethod
     def from_spec(cls, spec: str) -> "FaultPlan":
-        """Parse ``seed=7,kill-task=1x2,delay-task=2:6.0,``
+        """Parse ``seed=7,kill-job=1x2,stall-job=2:6.0,``
         ``corrupt-write=record:0,codegen-fail=main,drop-request=1,``
-        ``stall-worker=2:1.5,kill-worker=3,journal-corrupt=0``."""
+        ``journal-corrupt=0``."""
         kwargs: dict = {}
         for part in spec.split(","):
             part = part.strip()
@@ -139,14 +124,14 @@ class FaultPlan:
             try:
                 if key == "seed":
                     kwargs["seed"] = int(value)
-                elif key == "kill-task":
-                    idx, _, count = value.partition("x")
-                    kwargs["kill_task"] = int(idx)
-                    kwargs["kill_count"] = int(count) if count else 1
-                elif key == "delay-task":
-                    idx, _, secs = value.partition(":")
-                    kwargs["delay_task"] = int(idx)
-                    kwargs["delay_seconds"] = float(secs) if secs else 1.0
+                elif key == "kill-job":
+                    ordinal, _, count = value.partition("x")
+                    kwargs["kill_job"] = int(ordinal)
+                    kwargs["kill_job_count"] = int(count) if count else 1
+                elif key == "stall-job":
+                    ordinal, _, secs = value.partition(":")
+                    kwargs["stall_job"] = int(ordinal)
+                    kwargs["stall_seconds"] = float(secs) if secs else 1.0
                 elif key == "corrupt-write":
                     kind, _, nth = value.partition(":")
                     kwargs["corrupt_kind"] = kind
@@ -159,14 +144,6 @@ class FaultPlan:
                     kwargs["codegen_fail"] = value
                 elif key == "drop-request":
                     kwargs["drop_request"] = int(value)
-                elif key == "stall-worker":
-                    ordinal, _, secs = value.partition(":")
-                    kwargs["stall_job"] = int(ordinal)
-                    kwargs["stall_seconds"] = float(secs) if secs else 1.0
-                elif key == "kill-worker":
-                    ordinal, _, count = value.partition("x")
-                    kwargs["kill_job"] = int(ordinal)
-                    kwargs["kill_job_count"] = int(count) if count else 1
                 elif key == "journal-corrupt":
                     kwargs["journal_corrupt"] = int(value)
                 else:
@@ -180,11 +157,12 @@ class FaultPlan:
 
     def to_spec(self) -> str:
         parts = [f"seed={self.seed}"]
-        if self.kill_task is not None:
-            suffix = f"x{self.kill_count}" if self.kill_count != 1 else ""
-            parts.append(f"kill-task={self.kill_task}{suffix}")
-        if self.delay_task is not None:
-            parts.append(f"delay-task={self.delay_task}:{self.delay_seconds}")
+        if self.kill_job is not None:
+            suffix = (f"x{self.kill_job_count}"
+                      if self.kill_job_count != 1 else "")
+            parts.append(f"kill-job={self.kill_job}{suffix}")
+        if self.stall_job is not None:
+            parts.append(f"stall-job={self.stall_job}:{self.stall_seconds}")
         if self.corrupt_kind is not None:
             parts.append(f"corrupt-write={self.corrupt_kind}:"
                          f"{self.corrupt_nth}")
@@ -192,13 +170,6 @@ class FaultPlan:
             parts.append(f"codegen-fail={self.codegen_fail}")
         if self.drop_request is not None:
             parts.append(f"drop-request={self.drop_request}")
-        if self.stall_job is not None:
-            parts.append(f"stall-worker={self.stall_job}:"
-                         f"{self.stall_seconds}")
-        if self.kill_job is not None:
-            suffix = (f"x{self.kill_job_count}"
-                      if self.kill_job_count != 1 else "")
-            parts.append(f"kill-worker={self.kill_job}{suffix}")
         if self.journal_corrupt is not None:
             parts.append(f"journal-corrupt={self.journal_corrupt}")
         return ",".join(parts)
@@ -245,36 +216,16 @@ def current_plan() -> Optional[FaultPlan]:
 # Trigger points
 # ----------------------------------------------------------------------
 
-def on_task_start(index: int, attempt: int) -> None:
-    """Worker-side hook, called before a pooled task's body runs."""
-    plan = current_plan()
-    if plan is None:
-        return
-    if plan.kill_task == index and attempt < plan.kill_count:
-        os._exit(KILL_STATUS)  # simulate a hard worker crash
-    if plan.delay_task == index and attempt == 0 and plan.delay_seconds > 0:
-        time.sleep(plan.delay_seconds)
-
-
 def on_job_start(ordinal: int, attempt: int) -> None:
-    """Service-job hook, called before a profiling job's body runs.
-
-    ``ordinal`` is the request's service-wide admission ordinal and
-    ``attempt`` the number of earlier service dispatches of it.  The
-    ``kill-worker`` trigger is inert outside a pool worker process, so
-    it never kills the service process itself.
-    """
-    import multiprocessing
-
+    """Pool-worker hook, called before job ``ordinal``'s attempt
+    ``attempt`` (0 is the first) runs its body."""
     plan = current_plan()
     if plan is None:
         return
-    if plan.stall_job == ordinal and attempt == 0 \
-            and plan.stall_seconds > 0:
-        time.sleep(plan.stall_seconds)
-    if plan.kill_job == ordinal and attempt < plan.kill_job_count \
-            and multiprocessing.current_process().name != "MainProcess":
+    if plan.kill_job == ordinal and attempt < plan.kill_job_count:
         os._exit(KILL_STATUS)  # simulate a hard worker crash
+    if plan.stall_job == ordinal and attempt == 0 and plan.stall_seconds > 0:
+        time.sleep(plan.stall_seconds)
 
 
 def should_drop_request(ordinal: int, attempt: int) -> bool:

@@ -1,23 +1,17 @@
-"""Fault-tolerant process-pool fan-out for independent workloads.
+"""Fault-tolerant worker-pool fan-out for independent workloads.
 
 Every workload in a suite run is independent (the methodology is
-per-benchmark), so cold workloads fan out over a process pool under a
-small supervisor:
+per-benchmark), so cold workloads fan out over one
+:class:`~repro.engine.workers.WorkerPool`.  Results are reassembled in
+task order, so suite output does not depend on which worker finishes
+first.  Each pooled task runs its retry ladder in one of
+``min(jobs, tasks)`` threads: attempts in a worker, each bounded by the
+optional **timeout**, with :func:`~repro.engine.workers.backoff_delay`
+between them, up to **retries** more.  A task that exhausts its retries,
+or cannot be pickled, runs **inline** in the parent (a degradation
+event); failing there raises :class:`SuiteExecutionError`.
 
-* results are reassembled in task order, so suite output does not
-  depend on which worker finishes first;
-* at most ``jobs`` attempts are in flight, so an attempt starts when it
-  is submitted and its optional **timeout** counts from there; failed
-  attempts get bounded **retries** with exponential backoff;
-* the pool-failure rule the profiling service also follows: a **worker
-  crash** or a **timeout** retires the pool.  Attempts still running on
-  it are collected, never re-run; attempts it never started are
-  resubmitted uncharged; the next submission builds a fresh pool;
-* a task that exhausts its retries, or cannot be pickled, runs
-  **inline** in the parent (a degradation event); failing there after
-  its retries raises :class:`SuiteExecutionError`.
-
-Attempts, failures, degradations and pool retirements land in
+Attempts, failures, degradations and replaced workers land in
 ``runner.report`` (a :class:`~repro.engine.results.SuiteExecutionReport`)
 and in each result's ``execution`` record.  Workers share the parent's
 on-disk cache directory, whose writes are atomic and checksummed.
@@ -26,10 +20,8 @@ on-disk cache directory, whose writes are atomic and checksummed.
 from __future__ import annotations
 
 import pickle
+import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
-from concurrent.futures import wait as futures_wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -40,9 +32,10 @@ from ..workloads import Workload
 from . import faults
 from .results import (ExecutionRecord, SuiteExecutionReport, TECHNIQUES,
                       TaskFailure, WorkloadResult)
+from .workers import PoolUnavailable, WorkerFault, WorkerPool, backoff_delay
 
 __all__ = ["ParallelRunner", "SuiteExecutionError", "WorkloadTask",
-           "new_pool", "run_task"]
+           "run_task"]
 
 
 class SuiteExecutionError(RuntimeError):
@@ -96,31 +89,6 @@ def run_task(task: WorkloadTask,
                                 hot_threshold=task.hot_threshold)
 
 
-def _run_task_payload(payload: tuple[WorkloadTask, Optional[str], int, int]
-                      ) -> WorkloadResult:
-    task, disk_dir, index, attempt = payload
-    faults.on_task_start(index, attempt)
-    return run_task(task, disk_dir)
-
-
-def new_pool(max_workers: int) -> Optional[ProcessPoolExecutor]:
-    """A started process pool, or ``None`` when none can run here.
-
-    Probes the pool with one trivial task so sandboxes where pool
-    creation succeeds but worker spawning cannot (broken semaphores)
-    fail fast instead of on the first real task.
-    """
-    pool = None
-    try:
-        pool = ProcessPoolExecutor(max_workers=max_workers)
-        pool.submit(int).result(timeout=60)
-        return pool
-    except Exception:
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-        return None
-
-
 class ParallelRunner:
     """Supervised, deterministically-ordered pool map over workload tasks.
 
@@ -131,14 +99,13 @@ class ParallelRunner:
     disk_dir:
         Shared on-disk artifact cache directory for workers.
     timeout:
-        Per-attempt wall-clock limit in seconds (``None`` = unlimited),
-        counted from submission.  A timed-out attempt retires the pool
-        and is retried.
+        Per-attempt wall-clock limit in seconds (``None`` = unlimited).
+        A timed-out attempt kills its worker and is retried.
     retries:
         Extra attempts per task after its first (pool attempts only; the
         final inline fallback is not counted here).
     backoff:
-        Base backoff delay; attempt ``n`` waits ``backoff * 2**(n-1)``.
+        Base of the :func:`~repro.engine.workers.backoff_delay` ladder.
 
     A single-task run short-circuits to the serial path: no pool is
     worth spawning for a suite of one.
@@ -154,6 +121,7 @@ class ParallelRunner:
         self.retries = max(0, int(retries))
         self.backoff = backoff
         self.report = SuiteExecutionReport()
+        self._inline = threading.Lock()  # one parent-process run at a time
 
     def run(self, tasks: Sequence[WorkloadTask]) -> list[WorkloadResult]:
         """Results in task order; per-task status lands in ``report``."""
@@ -166,7 +134,18 @@ class ParallelRunner:
                                  "serial") for task in tasks]
         results: dict[int, WorkloadResult] = {}
         pooled, inline = self._partition(tasks)
-        self._run_pool(tasks, pooled, results)
+        if pooled:
+            from concurrent.futures import ThreadPoolExecutor
+
+            pool = WorkerPool(min(self.jobs, len(pooled)))
+            try:
+                with ThreadPoolExecutor(pool.jobs) as threads:
+                    results.update(zip(pooled, threads.map(
+                        lambda i: self._run_pooled(pool, tasks[i], i),
+                        pooled)))
+            finally:
+                pool.close()
+                self.report.pool_rebuilds = pool.replaced
         for i in inline:
             results[i] = self._run_inline(tasks[i])
         return [results[i] for i in range(len(tasks))]
@@ -195,8 +174,9 @@ class ParallelRunner:
 
     def _run_inline(self, task: WorkloadTask,
                     attempts: int = 1) -> WorkloadResult:
-        return self._finish(task, run_task(task, self.disk_dir), attempts,
-                            "inline")
+        with self._inline:
+            return self._finish(task, run_task(task, self.disk_dir),
+                                attempts, "inline")
 
     def _record(self, task: WorkloadTask) -> ExecutionRecord:
         return self.report.records.setdefault(task.workload.name,
@@ -218,122 +198,43 @@ class ParallelRunner:
         self.report.records[task.workload.name] = execution
         return result
 
-    def _run_pool(self, tasks: Sequence[WorkloadTask], pooled: list[int],
-                  results: dict[int, WorkloadResult]) -> None:
-        """The pool-failure rule (module docstring): one ``wait`` per
-        loop, until the nearest attempt deadline or backoff gate."""
-        width = min(self.jobs, len(pooled))
-        attempts = dict.fromkeys(pooled, 0)  # pool attempts begun
-        gate = dict.fromkeys(pooled, 0.0)    # backoff: not sooner than
-        queue = list(pooled)                 # awaiting (re)submission
-        # In-flight attempt -> (task index, submit time, owning pool).
-        flight: dict[Future, tuple[int, float, ProcessPoolExecutor]] = {}
-        pool: Optional[ProcessPoolExecutor] = None
-
-        def retire() -> None:
-            nonlocal pool
-            for future, (index, _submitted, owner) in list(flight.items()):
-                if owner is pool and future.cancel():  # never started
-                    del flight[future]
-                    attempts[index] -= 1
-                    queue.append(index)
-            pool.shutdown(wait=False, cancel_futures=True)
-            pool = None
-            self.report.pool_rebuilds += 1
-
-        def fail(index: int, kind: str, detail: str,
-                 elapsed: float) -> None:
-            task, attempt = tasks[index], attempts[index]
-            record = self._record(task)
-            record.failures.append(TaskFailure(
-                kind, task.workload.name, index, attempt - 1, detail,
-                elapsed))
-            if attempt <= self.retries:
-                delay = self.backoff * 2 ** (attempt - 1)
-                gate[index] = time.monotonic() + delay
-                queue.append(index)
-                return
-            record.degradations.append(faults.DegradationEvent(
-                "inline-fallback", task.workload.name,
-                f"{self.retries + 1} pool attempt(s) failed; "
-                "running in the parent process"))
+    def _run_pooled(self, pool: WorkerPool, task: WorkloadTask,
+                    index: int) -> WorkloadResult:
+        """One task's retry ladder (module docstring)."""
+        record = self._record(task)
+        for attempt in range(self.retries + 1):
+            if attempt:
+                time.sleep(backoff_delay(self.backoff, attempt,
+                                         ordinal=index))
+            started = time.monotonic()
             try:
-                results[index] = self._run_inline(task, attempt)
+                result = pool.call(run_task, (task, self.disk_dir),
+                                   ordinal=index, attempt=attempt,
+                                   timeout=self.timeout)
+            except PoolUnavailable:
+                # No worker can start here (no fork, fd exhaustion, ...).
+                record.degradations.append(faults.DegradationEvent(
+                    "pool-degraded", task.workload.name,
+                    "no worker process could start; running inline"))
+                return self._run_inline(task, attempt + 1)
             except Exception as exc:
+                kind, detail = ((exc.kind, str(exc))
+                                if isinstance(exc, WorkerFault) else
+                                ("exception", f"{type(exc).__name__}: {exc}"))
                 record.failures.append(TaskFailure(
-                    "exception", task.workload.name, index, attempt,
-                    f"inline fallback failed: {type(exc).__name__}: {exc}"))
-                raise SuiteExecutionError(task.workload.name,
-                                          list(record.failures)) from exc
-
-        def degrade() -> None:
-            # No usable pool (sandbox without semaphores, fd exhaustion,
-            # ...): every queued task runs inline, recorded.
-            for index in sorted(queue):
-                self._record(tasks[index]).degradations.append(
-                    faults.DegradationEvent(
-                        "pool-degraded", tasks[index].workload.name,
-                        "process pool unavailable; running inline"))
-                results[index] = self._run_inline(tasks[index],
-                                                  attempts[index] + 1)
-            queue.clear()
-
+                    kind, task.workload.name, index, attempt, detail,
+                    time.monotonic() - started))
+                continue
+            return self._finish(task, result, attempt + 1, "pool")
+        record.degradations.append(faults.DegradationEvent(
+            "inline-fallback", task.workload.name,
+            f"{self.retries + 1} pool attempt(s) failed; "
+            "running in the parent process"))
         try:
-            while queue or flight:
-                now = time.monotonic()
-                for index in [i for i in queue if gate[i] <= now]:
-                    if len(flight) >= width:
-                        break
-                    if pool is None and (pool := new_pool(width)) is None:
-                        degrade()
-                        break
-                    try:
-                        future = pool.submit(_run_task_payload, (
-                            tasks[index], self.disk_dir, index,
-                            attempts[index]))
-                    except BrokenProcessPool:  # broke since the last wait
-                        retire()
-                        break
-                    queue.remove(index)
-                    attempts[index] += 1
-                    flight[future] = (index, now, pool)
-                if not (queue or flight):
-                    break  # the degraded path ran the rest inline
-                wakeups = [t + self.timeout for _i, t, _p in flight.values()
-                           if self.timeout is not None]
-                if len(flight) < width:
-                    wakeups += [gate[i] for i in queue]
-                done, _ = futures_wait(
-                    list(flight), return_when=FIRST_COMPLETED,
-                    timeout=max(0.0, min(wakeups) - now) if wakeups
-                    else None)
-                # Retire before ``fail``: if its inline fallback raises, the
-                # ``finally`` must not wait on a hung worker.  A future that
-                # ``retire`` cancelled reads as done below.
-                now = time.monotonic()
-                for future in done:
-                    index, submitted, owner = flight.pop(future)
-                    try:
-                        result = future.result()
-                    except Exception as exc:
-                        crash = isinstance(exc, BrokenProcessPool)
-                        if crash and owner is pool:
-                            retire()
-                        fail(index, "worker-crash" if crash else "exception",
-                             f"{type(exc).__name__}: {exc}", now - submitted)
-                    else:
-                        results[index] = self._finish(
-                            tasks[index], result, attempts[index], "pool")
-                for future, (index, submitted, owner) in list(flight.items()):
-                    if self.timeout is not None and not future.done() \
-                            and now - submitted >= self.timeout:
-                        # The hung worker keeps its slot on the retired pool.
-                        del flight[future]
-                        if owner is pool:
-                            retire()
-                        fail(index, "timeout",
-                             f"exceeded {self.timeout:.1f}s wall clock",
-                             now - submitted)
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=not flight, cancel_futures=True)
+            return self._run_inline(task, self.retries + 1)
+        except Exception as exc:
+            record.failures.append(TaskFailure(
+                "exception", task.workload.name, index, self.retries + 1,
+                f"inline fallback failed: {type(exc).__name__}: {exc}"))
+            raise SuiteExecutionError(task.workload.name,
+                                      list(record.failures)) from exc

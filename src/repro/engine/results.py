@@ -26,7 +26,7 @@ class TaskFailure:
     """One failed attempt at a suite task, as seen by the supervisor.
 
     Kinds: ``timeout`` (wall-clock deadline passed), ``worker-crash``
-    (the process pool collapsed under the task), ``exception`` (the task
+    (the task's worker exited without replying), ``exception`` (the task
     body raised), ``unpicklable`` (the task cannot cross a process
     boundary at all).
     """
@@ -104,7 +104,7 @@ class SuiteExecutionReport:
     """
 
     records: dict[str, ExecutionRecord] = field(default_factory=dict)
-    pool_rebuilds: int = 0
+    pool_rebuilds: int = 0  # workers lost to a timeout or a crash
     cache_quarantined: int = 0
 
     @property

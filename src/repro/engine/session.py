@@ -85,8 +85,8 @@ class ProfilingSession:
         Names of extra registry profilers (see ``repro profilers``) the
         session runs alongside the pipeline: they are fused into every
         technique's instrumented execution (so measured overhead
-        includes them) and collected once per workload over the expanded
-        module into :attr:`WorkloadResult.profiles`.  Part of every
+        includes them), and the first technique's collection over the
+        expanded module is :attr:`WorkloadResult.profiles`.  Part of every
         execution-stage cache key; the default (none) is byte-identical
         to the pre-plugin pipeline.
     """
@@ -357,8 +357,9 @@ class ProfilingSession:
         result = stages.assemble_workload_result(
             workload, original, opt, actual_original, actual, edge_profile,
             return_value, results, hot_threshold)
-        if self.profilers:
-            result.profiles = self.profile_module(expanded)
+        if self.profilers and results:
+            # Every technique's execution fused the same profilers.
+            result.profiles = next(iter(results.values())).run.profiles
         # Degradations the stages logged while building this result
         # (codegen fallbacks, cache quarantines) travel with it.
         result.execution.degradations.extend(faults.drain_degradations())

@@ -129,7 +129,8 @@ class ProfileJob:
     """The service's unit of pool work (one request dispatch).
 
     ``ordinal`` is the request's service-wide admission ordinal, the key
-    the service-scoped chaos faults trigger on.
+    its chaos faults (``drop-request``, ``kill-job``, ``stall-job``)
+    trigger on.
     """
 
     request: ProfileRequest
@@ -155,14 +156,8 @@ class ProfileJob:
         assert request.workload is not None
         return get_workload(request.workload).compile(request.scale)
 
-    def run(self, disk_dir: Optional[str],
-            attempt: int = 0) -> JobOutcome:
-        """Execute the job in this process (pool worker or thread).
-
-        ``attempt`` counts the service's earlier dispatches of the same
-        request, so first-attempt-only faults fire once per request.
-        """
-        faults.on_job_start(self.ordinal, attempt)
+    def run(self, disk_dir: Optional[str]) -> JobOutcome:
+        """Execute the job in this process (pool worker or thread)."""
         module = self.resolve_module()
         if self.request.kind == "remap":
             outcome = self._run_remap(module)

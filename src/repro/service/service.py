@@ -3,9 +3,10 @@
 :class:`ProfilingService` is the in-process object behind ``repro
 serve``: an asyncio ingestion front-end whose dispatcher shards pull
 admitted requests off a bounded queue and execute them on one
-long-lived process pool that the service owns from ``start()`` to
-``stop()``.  Tests and embedded clients drive it directly (no sockets);
-the TCP JSON-lines wrapper lives in :mod:`repro.service.server`.
+:class:`~repro.engine.workers.WorkerPool` that the service owns from
+``start()`` to ``stop()``.  Tests and embedded clients drive it
+directly (no sockets); the TCP JSON-lines wrapper lives in
+:mod:`repro.service.server`.
 
 A request's life:
 
@@ -16,11 +17,12 @@ A request's life:
    accepted work.
 2. **Dispatch** -- a shard pops the request and runs it on the worker
    pool under the circuit breaker, bounded by the smaller of
-   ``task_timeout`` and the request's remaining deadline.  Failures
-   (worker crash, timeout, exception, chaos drop) retry with seeded,
-   jittered exponential backoff while budget remains; a crash or
-   timeout first retires the pool, so no dead or hung worker keeps a
-   slot, and the next dispatch builds a fresh one.
+   ``task_timeout`` and the request's remaining deadline.  A timeout
+   kills that one worker and a crash loses only its own; either way
+   the slot respawns on next use while peers keep running.  Failures
+   (worker crash, timeout, exception, chaos drop) retry on the
+   :func:`~repro.engine.workers.backoff_delay` ladder, keyed by the
+   service's ``seed`` and the request's ordinal, while budget remains.
 3. **Degrade** -- when fresh profiling is unavailable (breaker open,
    deadline too tight or expired, retries exhausted) and the tenant has
    a previously-fresh profile for the same key, the service answers
@@ -42,18 +44,16 @@ from __future__ import annotations
 import asyncio
 import functools
 import itertools
-import random
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (Any, AsyncIterator, Callable, Iterable, Optional,
                     Union)
 
 from ..engine.faults import DegradationEvent
-from ..engine.parallel import new_pool
 from ..engine.results import ExecutionRecord, TaskFailure
+from ..engine.workers import (PoolUnavailable, WorkerFault, WorkerPool,
+                              backoff_delay)
 from ..engine import faults
 from ..ir.function import Module
 from ..profiles import EdgeProfile, PathProfile
@@ -87,13 +87,13 @@ class _Entry:
 class ProfilingService:
     """Long-lived multi-tenant profiling front-end (see module docs).
 
-    Every dispatch runs :meth:`ProfileJob.run` on one process pool of
-    ``jobs`` workers, built in :meth:`start` and shut down in
-    :meth:`stop`; ``task_timeout`` counts from submission to it.  When
-    no pool can start, jobs run in a thread, flagged ``pool-degraded``,
-    and a new pool is tried at most once per ``breaker_reset_s``.
-    ``executor`` lets tests replace the pool with a plain callable
-    ``ProfileJob -> JobOutcome`` (run in a thread).
+    Every dispatch runs :meth:`ProfileJob.run` on one worker pool of
+    ``jobs`` workers, made in :meth:`start` and closed in :meth:`stop`;
+    ``task_timeout`` counts from the dispatch, waiting for a free worker
+    included.  When no worker can start, jobs run in a thread, flagged
+    ``pool-degraded``, and the pool is tried again at most once per
+    ``breaker_reset_s``.  ``executor`` lets tests replace the pool with a
+    plain callable ``ProfileJob -> JobOutcome`` (run in a thread).
     """
 
     def __init__(self, jobs: int = 2, shards: int = 2,
@@ -124,7 +124,7 @@ class ProfilingService:
         # including replayed requests whose original submitter is gone.
         self._on_response = on_response
         self._clock = clock
-        self._rng = random.Random(seed)
+        self.seed = seed
         self.metrics = ServiceMetrics(clock=clock)
         self.breaker = CircuitBreaker(fail_threshold=breaker_threshold,
                                       reset_after_s=breaker_reset_s,
@@ -137,8 +137,7 @@ class ProfilingService:
         self._stale: dict[tuple[str, str], _StaleEntry] = {}
         self._ordinals = itertools.count()
         self._journal: Optional[WriteAheadJournal] = None
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_lock = asyncio.Lock()
+        self._pool: Optional[WorkerPool] = None
         self._pool_retry_at = 0.0
         self._workers: list["asyncio.Task[None]"] = []
         self._started = False
@@ -149,13 +148,13 @@ class ProfilingService:
     # ------------------------------------------------------------------
 
     async def start(self) -> "ProfilingService":
-        """Build the pool, replay the journal (if any), start shards."""
+        """Make the pool, replay the journal (if any), start shards."""
         if self._started:
             return self
         self._started = True
         self._closing = False
         if self._executor is None:
-            await self._live_pool()
+            self._pool = WorkerPool(self.jobs)
         if self.journal_path is not None:
             await self._replay_journal()
         self._workers = [asyncio.create_task(self._worker(),
@@ -192,7 +191,7 @@ class ProfilingService:
         await asyncio.gather(*self._workers, return_exceptions=True)
         self._workers = []
         if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool.close()
             self._pool = None
         if self._journal is not None:
             self._journal.close()
@@ -313,75 +312,61 @@ class ProfilingService:
             return
         job = ProfileJob(request=request, ordinal=entry.ordinal,
                          backend=self.backend)
-        call = (functools.partial(self._executor, job)
-                if self._executor is not None
-                else functools.partial(job.run, self.cache_dir, attempt))
-        # Nothing awaits between fetching the pool and submitting to it.
-        pool = await self._live_pool() if self._executor is None else None
         started = self._clock()
         if entry.deadline_at is not None:
             remaining = entry.deadline_at - started
         limits = [t for t in (self.task_timeout, remaining) if t is not None]
+        timeout = min(limits) if limits else None
         try:
-            outcome = await asyncio.wait_for(
-                asyncio.get_running_loop().run_in_executor(pool, call),
-                timeout=min(limits) if limits else None)
-        except asyncio.CancelledError:
-            task = asyncio.current_task()
-            if task is None or task.cancelling():
-                raise
-            # Another attempt retired ``pool`` before this job started
-            # on it: dispatch again, spending no attempt.
-            entry.attempts -= 1
-            await self._admission.push(entry)
-            return
+            outcome = await self._dispatch(job, attempt, timeout)
         except Exception as exc:
             self.breaker.record_failure()
             elapsed = self._clock() - started
-            timed_out = isinstance(exc, asyncio.TimeoutError)
-            if pool is not None and pool is self._pool and (
-                    timed_out or isinstance(exc, BrokenProcessPool)):
-                # A crashed pool is dead and a timed-out job may hang on
-                # to its worker: retire it, so no later job queues behind
-                # either; the next dispatch builds a fresh pool.
-                pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = None
-            if timed_out and remaining == min(limits):  # the deadline's
+            kind = exc.kind if isinstance(exc, WorkerFault) else "exception"
+            if kind == "timeout" and remaining == timeout:  # the deadline's
                 self.metrics.tenant(request.tenant).deadline_misses += 1
                 detail = "deadline elapsed mid-dispatch"
                 self._fail(entry, "timeout", attempt, f"request {detail}",
                            elapsed)
                 await self._finish_degraded(entry, "deadline", detail)
                 return
-            if timed_out:
-                kind = "timeout"
-                detail = f"exceeded task_timeout={self.task_timeout}s"
-            elif isinstance(exc, BrokenProcessPool):
-                kind, detail = "worker-crash", str(exc) or "pool collapsed"
-            else:
-                kind, detail = "exception", f"{type(exc).__name__}: {exc}"
+            detail = (f"exceeded task_timeout={self.task_timeout}s"
+                      if kind == "timeout" else str(exc)
+                      if kind == "worker-crash"
+                      else f"{type(exc).__name__}: {exc}")
             self._fail(entry, kind, attempt, detail, elapsed)
             await self._retry_or_degrade(entry, kind, detail)
             return
         self.breaker.record_success()
-        if self._executor is None and pool is not None:
-            outcome.execution.where = "pool"
-        elif self._executor is None:
+        self._finish_fresh(entry, outcome)
+
+    async def _dispatch(self, job: ProfileJob, attempt: int,
+                        timeout: Optional[float]) -> JobOutcome:
+        """One attempt of ``job`` on the pool; in a thread when no worker
+        can start (flagged ``pool-degraded``) or under ``executor``."""
+        if self._pool is not None and self._clock() >= self._pool_retry_at:
+            try:
+                outcome: JobOutcome = await asyncio.to_thread(
+                    self._pool.call, job.run, (self.cache_dir,),
+                    ordinal=job.ordinal, attempt=attempt, timeout=timeout)
+                outcome.execution.where = "pool"
+                return outcome
+            except PoolUnavailable:
+                self._pool_retry_at = (self._clock()
+                                       + self.breaker.reset_after_s)
+        call = (functools.partial(self._executor, job)
+                if self._executor is not None
+                else functools.partial(job.run, self.cache_dir))
+        try:
+            outcome = await asyncio.wait_for(asyncio.to_thread(call), timeout)
+        except asyncio.TimeoutError:
+            raise WorkerFault("timeout", f"exceeded {timeout}s") from None
+        if self._executor is None:
             outcome.execution.where = "inline"
             outcome.execution.degradations.insert(0, DegradationEvent(
                 "pool-degraded", job.name,
-                "process pool unavailable; ran in a thread"))
-        self._finish_fresh(entry, outcome)
-
-    async def _live_pool(self) -> Optional[ProcessPoolExecutor]:
-        """The current pool, built first when there is none."""
-        async with self._pool_lock:
-            if self._pool is None and self._clock() >= self._pool_retry_at:
-                self._pool = await asyncio.to_thread(new_pool, self.jobs)
-                if self._pool is None:
-                    self._pool_retry_at = (self._clock()
-                                           + self.breaker.reset_after_s)
-            return self._pool
+                "no worker process could start; ran in a thread"))
+        return outcome
 
     def _fail(self, entry: _Entry, kind: str, attempt: int, detail: str,
               elapsed_s: float = 0.0) -> None:
@@ -393,16 +378,13 @@ class ProfilingService:
                                 detail: str) -> None:
         now = self._clock()
         if entry.attempts <= self.retries:
-            delay = self._backoff_delay(entry.attempts)
+            delay = backoff_delay(self.backoff_s, entry.attempts,
+                                  self.seed, entry.ordinal)
             if entry.deadline_at is None or now + delay < entry.deadline_at:
                 self.metrics.tenant(entry.request.tenant).retries += 1
                 await self._admission.push(entry, ready_at=now + delay)
                 return
         await self._finish_degraded(entry, reason, detail)
-
-    def _backoff_delay(self, attempt: int) -> float:
-        base = self.backoff_s * (2 ** max(0, attempt - 1))
-        return base * (1.0 + self._rng.uniform(0.0, 0.5))
 
     # ------------------------------------------------------------------
     # Resolution

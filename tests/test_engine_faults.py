@@ -23,28 +23,28 @@ def _no_leaked_plan(monkeypatch):
 # ----------------------------------------------------------------------
 
 def test_spec_round_trip_all_faults():
-    spec = ("seed=7,kill-task=1x2,delay-task=2:6.0,"
+    spec = ("seed=7,kill-job=1x2,stall-job=2:6.0,"
             "corrupt-write=trace:3,codegen-fail=main")
     plan = FaultPlan.from_spec(spec)
-    assert plan == FaultPlan(seed=7, kill_task=1, kill_count=2,
-                             delay_task=2, delay_seconds=6.0,
+    assert plan == FaultPlan(seed=7, kill_job=1, kill_job_count=2,
+                             stall_job=2, stall_seconds=6.0,
                              corrupt_kind="trace", corrupt_nth=3,
                              codegen_fail="main")
     assert FaultPlan.from_spec(plan.to_spec()) == plan
 
 
 def test_spec_defaults():
-    plan = FaultPlan.from_spec("kill-task=0,corrupt-write=plan")
-    assert plan.kill_count == 1 and plan.corrupt_nth == 0
+    plan = FaultPlan.from_spec("kill-job=0,corrupt-write=plan")
+    assert plan.kill_job_count == 1 and plan.corrupt_nth == 0
     assert plan.seed == 0
     assert FaultPlan.from_spec("") == FaultPlan()
 
 
 @pytest.mark.parametrize("bad", [
-    "kill-task",            # not key=value
+    "kill-job",             # not key=value
     "unknown-fault=1",      # unknown key
-    "kill-task=abc",        # non-integer index
-    "delay-task=1:xx",      # non-float seconds
+    "kill-job=abc",         # non-integer ordinal
+    "stall-job=1:xx",       # non-float seconds
     "seed=1.5",             # non-integer seed
 ])
 def test_spec_errors(bad):
@@ -117,21 +117,21 @@ def test_maybe_fail_codegen_targets_one_function():
 def test_delay_task_sleeps_only_first_attempt(monkeypatch):
     slept = []
     monkeypatch.setattr(faults.time, "sleep", slept.append)
-    faults.install_plan(FaultPlan(delay_task=2, delay_seconds=1.5))
-    faults.on_task_start(1, 0)   # wrong index: no sleep
-    faults.on_task_start(2, 1)   # retry attempt: no sleep
-    faults.on_task_start(2, 0)   # the injected stall
+    faults.install_plan(FaultPlan(stall_job=2, stall_seconds=1.5))
+    faults.on_job_start(1, 0)    # wrong ordinal: no sleep
+    faults.on_job_start(2, 1)    # retry attempt: no sleep
+    faults.on_job_start(2, 0)    # the injected stall
     assert slept == [1.5]
 
 
 def test_kill_task_exits_only_for_budgeted_attempts(monkeypatch):
     exited = []
     monkeypatch.setattr(faults.os, "_exit", exited.append)
-    faults.install_plan(FaultPlan(kill_task=0, kill_count=2))
-    faults.on_task_start(0, 0)
-    faults.on_task_start(0, 1)
-    faults.on_task_start(0, 2)   # budget spent: survives
-    faults.on_task_start(1, 0)   # other tasks never die
+    faults.install_plan(FaultPlan(kill_job=0, kill_job_count=2))
+    faults.on_job_start(0, 0)
+    faults.on_job_start(0, 1)
+    faults.on_job_start(0, 2)    # budget spent: survives
+    faults.on_job_start(1, 0)    # other jobs never die
     assert exited == [faults.KILL_STATUS, faults.KILL_STATUS]
 
 

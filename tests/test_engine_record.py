@@ -84,6 +84,51 @@ def test_cold_harness_runs_each_execution_once(tmp_path, monkeypatch,
     assert not repeated, repeated
 
 
+def test_profilers_ride_on_the_technique_executions(monkeypatch, capsys):
+    # --profilers fuses the plugins into every pp/tpp/ppp execution, and
+    # the workload's profiles come from the first: mcf's expanded module
+    # runs under profilers once per technique, with no extra run.
+    import pickle
+
+    from repro.engine import ProfilingSession
+    from repro.harness.__main__ import main
+    from repro.profilers import create_profilers
+
+    mcf = get_workload("mcf")
+    expanded = fingerprint_module(ProfilingSession().expand(mcf).module)
+    hooked: list[str] = []
+    depth = [0]
+    real_execute = drive.execute_profilers
+    real_run = Machine.run
+
+    def execute_profilers(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return real_execute(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def run(machine, *args, **kwargs):
+        if depth[0]:
+            hooked.append(fingerprint_module(machine.module))
+        return real_run(machine, *args, **kwargs)
+
+    for home in (drive, repro.profilers):
+        monkeypatch.setattr(home, "execute_profilers", execute_profilers)
+    monkeypatch.setattr(Machine, "run", run)
+    assert main(["table2", "--quiet", "--benchmarks", "mcf",
+                 "--profilers", "values", "--no-cache"]) == 0
+    capsys.readouterr()
+    assert hooked.count(expanded) == 3
+    monkeypatch.undo()
+
+    session = ProfilingSession(profilers=("values",))
+    result = session.run_workload(mcf)
+    alone = execute_profilers(result.expanded, create_profilers(["values"]),
+                              backend=session.backend).profiles
+    assert pickle.dumps(result.profiles) == pickle.dumps(alone)
+
+
 # ----------------------------------------------------------------------
 # A recording equals each single-purpose run
 # ----------------------------------------------------------------------

@@ -1,12 +1,13 @@
-"""Tests for the fault-tolerant suite supervisor in ``engine.parallel``.
+"""Tests for the fault-tolerant suite runner in ``engine.parallel``.
 
 The real ``run_task`` runs a full per-benchmark methodology (seconds per
 task), so these tests monkeypatch it with cheap stand-ins; worker
-processes inherit the patch through ``fork``.  The supervisor's control
+processes inherit the patch through ``fork``.  The runner's control
 flow -- ordering, retries, timeouts, crash recovery, inline fallback --
 is exactly what is under test and is exercised for real.
 """
 
+import multiprocessing
 import os
 import time
 
@@ -108,7 +109,7 @@ def test_pool_results_reassemble_in_task_order(monkeypatch):
 
 def test_worker_crash_recovery_keeps_completed_results(monkeypatch):
     _patch(monkeypatch, fake_run_task)
-    faults.install_plan(FaultPlan(seed=7, kill_task=1))
+    faults.install_plan(FaultPlan(seed=7, kill_job=1))
     runner = ParallelRunner(jobs=2, retries=2, backoff=0.01)
     out = runner.run(_tasks("mcf", "bzip2", "crafty"))
     assert [r.name for r in out] == ["mcf", "bzip2", "crafty"]
@@ -120,7 +121,7 @@ def test_worker_crash_recovery_keeps_completed_results(monkeypatch):
 
 def test_timeout_abandons_and_retries(monkeypatch):
     _patch(monkeypatch, fake_run_task)
-    faults.install_plan(FaultPlan(seed=3, delay_task=0, delay_seconds=2.0))
+    faults.install_plan(FaultPlan(seed=3, stall_job=0, stall_seconds=2.0))
     runner = ParallelRunner(jobs=2, timeout=0.4, retries=2, backoff=0.01)
     out = runner.run(_tasks("mcf", "bzip2", "crafty"))
     assert [r.name for r in out] == ["mcf", "bzip2", "crafty"]
@@ -182,10 +183,10 @@ def test_empty_task_list():
 
 def test_zero_retries_with_timeout_falls_back_inline(monkeypatch):
     # --retries 0 must not strand a timing-out task: the single pool
-    # attempt times out and the supervisor goes straight to the inline
-    # fallback (where the delay fault no longer fires: attempt != 0).
+    # attempt times out and the runner goes straight to the inline
+    # fallback (where the stall fault never fires: it is no pool job).
     _patch(monkeypatch, fake_run_task)
-    faults.install_plan(FaultPlan(seed=3, delay_task=0, delay_seconds=2.0))
+    faults.install_plan(FaultPlan(seed=3, stall_job=0, stall_seconds=2.0))
     runner = ParallelRunner(jobs=2, timeout=0.4, retries=0, backoff=0.01)
     out = runner.run(_tasks("mcf", "bzip2", "crafty"))
     assert [r.name for r in out] == ["mcf", "bzip2", "crafty"]
@@ -201,8 +202,8 @@ def test_zero_retries_with_timeout_falls_back_inline(monkeypatch):
 
 class CountsRunsThenKillsLast:
     """Tally every execution; the victim dies once, after the others
-    have finished, so the pool collapse arrives with their results
-    already collected."""
+    have finished, so the crash arrives with their results already
+    collected."""
 
     def __init__(self, tally_dir: str, victim: str):
         self.tally_dir = tally_dir
@@ -230,8 +231,8 @@ class CountsRunsThenKillsLast:
 
 
 def test_late_pool_crash_preserves_completed_results(tmp_path, monkeypatch):
-    # A BrokenProcessPool arriving after the other tasks completed must
-    # not throw their results away: only the victim is re-run.
+    # A worker crash arriving after the other tasks completed must not
+    # throw their results away: only the victim is re-run.
     _patch(monkeypatch,
            CountsRunsThenKillsLast(str(tmp_path), victim="crafty"))
     runner = ParallelRunner(jobs=3, retries=2, backoff=0.01)
@@ -239,7 +240,7 @@ def test_late_pool_crash_preserves_completed_results(tmp_path, monkeypatch):
     assert [r.name for r in out] == ["mcf", "bzip2", "crafty"]
     runs = {name: len(list(tmp_path.glob(f"{name}.*")))
             for name in ("mcf", "bzip2", "crafty")}
-    # Completed results were preserved across the rebuild, not re-run.
+    # Completed results were preserved across the crash, not re-run.
     assert runs == {"mcf": 1, "bzip2": 1, "crafty": 1}
     assert runner.report.pool_rebuilds >= 1
     assert runner.report.failures("worker-crash")
@@ -257,9 +258,9 @@ def test_singleton_batch_runs_serially(monkeypatch):
 
 
 class TalliesSlowPeers:
-    """Tally every task body run.  bzip2 holds its slot long enough that
-    crafty, submitted after it, is still running when mcf's hung first
-    attempt times out, yet finishes inside its own timeout."""
+    """Tally every task body run.  bzip2 holds its worker long enough
+    that crafty, started after it, is still running when mcf's hung
+    first attempt times out, yet finishes inside its own timeout."""
 
     DELAYS = {"bzip2": 0.4, "crafty": 0.6}
 
@@ -277,11 +278,11 @@ class TalliesSlowPeers:
 
 def test_timeout_retires_pool_and_collects_running_peers(tmp_path,
                                                          monkeypatch):
-    # mcf's first attempt hangs past the timeout: that retires the pool.
-    # crafty is mid-run on the retired pool; it is collected there, not
-    # re-run, and only mcf is retried on a fresh pool.
+    # mcf's first attempt hangs past the timeout: that kills its one
+    # worker.  crafty is mid-run on a peer; it finishes there, not
+    # re-run, and only mcf is retried, on a replacement worker.
     _patch(monkeypatch, TalliesSlowPeers(str(tmp_path)))
-    faults.install_plan(FaultPlan(seed=3, delay_task=0, delay_seconds=3.0))
+    faults.install_plan(FaultPlan(seed=3, stall_job=0, stall_seconds=3.0))
     runner = ParallelRunner(jobs=2, timeout=0.8, retries=2, backoff=0.01)
     out = runner.run(_tasks("mcf", "bzip2", "crafty"))
     assert [r.name for r in out] == ["mcf", "bzip2", "crafty"]
@@ -299,8 +300,11 @@ def test_timeout_retires_pool_and_collects_running_peers(tmp_path,
 
 
 def test_no_pool_runs_everything_inline(monkeypatch):
+    def no_fork(process):
+        raise OSError("no processes here")
+
     _patch(monkeypatch, fake_run_task)
-    monkeypatch.setattr(parallel_mod, "new_pool", lambda workers: None)
+    monkeypatch.setattr(multiprocessing.Process, "start", no_fork)
     runner = ParallelRunner(jobs=2, backoff=0.01)
     out = runner.run(_tasks("mcf", "bzip2", "crafty"))
     assert [r.name for r in out] == ["mcf", "bzip2", "crafty"]
@@ -312,10 +316,10 @@ def test_no_pool_runs_everything_inline(monkeypatch):
 
 def test_failed_fallback_after_timeout_does_not_wait_on_hung_worker(
         monkeypatch):
-    # The timed-out pool is retired before the inline fallback runs, so
+    # The timed-out worker is killed before the inline fallback runs, so
     # when the fallback raises, teardown does not wait out the hang.
     _patch(monkeypatch, RaisesFor("mcf"))
-    faults.install_plan(FaultPlan(seed=3, delay_task=0, delay_seconds=4.0))
+    faults.install_plan(FaultPlan(seed=3, stall_job=0, stall_seconds=4.0))
     runner = ParallelRunner(jobs=2, timeout=0.4, retries=0, backoff=0.01)
     start = time.monotonic()
     with pytest.raises(SuiteExecutionError) as info:

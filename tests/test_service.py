@@ -9,8 +9,8 @@ module is shared by the whole file; the stub hands it back instantly.
 
 import asyncio
 import json
+import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -20,8 +20,6 @@ from repro.engine.results import ExecutionRecord
 from repro.harness import ground_truth
 from repro.lang import compile_source
 from repro.profiles import edge_profile_to_dict
-import repro.engine.parallel as parallel_mod
-import repro.service.service as service_mod
 from repro.service import (AdmissionError, AdmissionLimits, AdmissionQueue,
                            CircuitBreaker, JobOutcome, ProfileRequest,
                            ProfilingServer, ProfilingService, ServiceError,
@@ -549,20 +547,20 @@ class TestJournalReplay:
 
 
 class TestServicePool:
-    """The service's one long-lived process pool, for real."""
+    """The service's one long-lived worker pool, for real."""
 
     @pytest.fixture
     def built(self, monkeypatch):
-        """Every process pool constructed while the test runs."""
-        pools = []
+        """Every worker process started while the test runs."""
+        started = []
+        start = multiprocessing.Process.start
 
-        class CountingPool(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                pools.append(self)
+        def counting_start(process):
+            started.append(process)
+            start(process)
 
-        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", CountingPool)
-        return pools
+        monkeypatch.setattr(multiprocessing.Process, "start", counting_start)
+        return started
 
     def test_one_pool_replaced_once_per_fault(self, built):
         async def run(ids):
@@ -574,13 +572,13 @@ class TestServicePool:
                     for rid in ids]
 
         clean = asyncio.run(run(["c0", "c1", "c2"]))
-        assert len(built) == 1
+        assert len(built) == 1  # one request at a time reuses one worker
         assert {r.status for r in clean} == {"fresh"}
         assert {r.execution.where for r in clean} == {"pool"}
 
         built.clear()
         faults.install_plan(FaultPlan.from_spec(
-            "kill-worker=0,stall-worker=1:3.0"))
+            "kill-job=0,stall-job=1:3.0"))
         crashed, stalled = asyncio.run(run(["k0", "s1"]))
         for response in (crashed, stalled):
             assert response.status == "fresh" and response.attempts == 2
@@ -588,37 +586,41 @@ class TestServicePool:
         assert [f.kind for f in crashed.execution.failures] \
             == ["worker-crash"]
         assert [f.kind for f in stalled.execution.failures] == ["timeout"]
-        assert len(built) == 3  # the first pool plus one per fault
+        assert len(built) == 3  # the first worker plus one per fault
 
-    def test_replacing_the_pool_requeues_other_shards_jobs(self, built):
-        # One worker, more shards than its call queue holds: retiring the
-        # stalled pool cancels the jobs still queued on it, which must be
-        # dispatched again rather than lost.
-        faults.install_plan(FaultPlan.from_spec("stall-worker=0:3.0"))
+    def test_a_timeout_replaces_one_worker_and_spares_its_peer(self):
+        # r0 stalls past the task timeout while r1 runs on the other
+        # worker: only r0's worker is killed and replaced, and r1 is
+        # answered on its first attempt, before r0's retry.
+        faults.install_plan(FaultPlan.from_spec("stall-job=0:3.0"))
 
         async def scenario():
-            async with ProfilingService(jobs=1, shards=5, executor=None,
+            async with ProfilingService(jobs=2, shards=2, executor=None,
                                         task_timeout=1.0, backoff_s=0.01,
                                         seed=3) as service:
                 stalled = await service.submit(ProfileRequest(
                     tenant="acme", workload="mcf", request_id="r0"))
-                await asyncio.sleep(0.5)  # r0 holds the worker
-                queued = [await service.submit(ProfileRequest(
-                    tenant="acme", workload="mcf", request_id=f"r{i}"))
-                    for i in range(1, 5)]
-                return await asyncio.wait_for(
-                    asyncio.gather(stalled, *queued), 30)
+                peer = await service.submit(ProfileRequest(
+                    tenant="acme", workload="mcf", request_id="r1"))
+                done, _ = await asyncio.wait(
+                    [stalled, peer], return_when=asyncio.FIRST_COMPLETED)
+                await stalled
+                return done, stalled.result(), peer.result(), \
+                    service._pool.replaced
 
-        responses = asyncio.run(scenario())
-        assert {r.status for r in responses} == {"fresh"}
-        assert all(r.payload == responses[0].payload for r in responses)
-        assert [f.kind for f in responses[0].execution.failures] \
-            == ["timeout"]
+        done, stalled, peer, replaced = asyncio.run(scenario())
+        assert {f.result().request_id for f in done} == {"r1"}
+        assert peer.status == "fresh" and peer.attempts == 1
+        assert peer.execution.failures == []
+        assert stalled.status == "fresh" and stalled.attempts == 2
+        assert [f.kind for f in stalled.execution.failures] == ["timeout"]
+        assert stalled.payload == peer.payload
+        assert replaced == 1
 
     def test_deadline_bounded_stall_frees_the_pool(self, built):
         # No task_timeout: only the first request's deadline bounds its
         # stalled job, which must not keep the only worker from the next.
-        faults.install_plan(FaultPlan.from_spec("stall-worker=0:3.0"))
+        faults.install_plan(FaultPlan.from_spec("stall-job=0:3.0"))
 
         async def scenario():
             async with ProfilingService(jobs=1, shards=1, executor=None,
@@ -641,14 +643,15 @@ class TestServicePool:
 
     def test_unavailable_pool_is_retried(self, monkeypatch):
         probes = []
+        start = multiprocessing.Process.start
 
-        def flaky_new_pool(max_workers):
-            probes.append(max_workers)
+        def flaky_start(process):
+            probes.append(process)
             if len(probes) == 1:
-                return None
-            return parallel_mod.new_pool(max_workers)
+                raise OSError("no processes here")
+            start(process)
 
-        monkeypatch.setattr(service_mod, "new_pool", flaky_new_pool)
+        monkeypatch.setattr(multiprocessing.Process, "start", flaky_start)
 
         async def scenario():
             async with ProfilingService(jobs=1, shards=1, executor=None,
@@ -673,8 +676,8 @@ class TestServicePool:
 
 class TestFaultSpecs:
     def test_service_fault_spec_round_trip(self):
-        spec = ("seed=5,drop-request=2,stall-worker=3:1.5,"
-                "kill-worker=1x2,journal-corrupt=0")
+        spec = ("seed=5,drop-request=2,stall-job=3:1.5,"
+                "kill-job=1x2,journal-corrupt=0")
         plan = FaultPlan.from_spec(spec)
         assert plan.drop_request == 2
         assert plan.stall_job == 3 and plan.stall_seconds == 1.5
@@ -683,7 +686,7 @@ class TestFaultSpecs:
         assert FaultPlan.from_spec(plan.to_spec()) == plan
 
     def test_stall_worker_defaults_one_second(self):
-        plan = FaultPlan.from_spec("stall-worker=4")
+        plan = FaultPlan.from_spec("stall-job=4")
         assert plan.stall_job == 4 and plan.stall_seconds == 1.0
 
     def test_drop_request_triggers_once(self):
