@@ -20,7 +20,9 @@ then asserts:
   worker is killed, so exiting never waits on it;
 * a follow-up fault-free ``--jobs`` run over the chaos run's cache
   directory quarantines the corrupt entry and still matches, and
-  ``repro cache verify`` then reports a clean directory.
+  ``repro cache verify`` then reports a clean directory;
+* the source under ``src/repro`` -- which salts every cache key -- did
+  not change between the chaos run and the follow-up run.
 
 Usage::
 
@@ -41,6 +43,9 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
+sys.path.insert(0, str(SRC))
+
+from repro.engine.fingerprint import source_salt  # noqa: E402
 
 # Task 1's worker dies on its first attempt; task 2's first attempt
 # stalls STALL_S seconds, far past the chaos run's TIMEOUT_S.
@@ -87,6 +92,10 @@ def main() -> int:
         if baseline.returncode != 0:
             return fail("baseline run failed", baseline)
 
+        # Every cache key is salted with a hash of the source, so an
+        # edit between the chaos run and the follow-up run sends the
+        # follow-up to other keys, past the corrupted entry.
+        salt_before = source_salt()
         started = time.monotonic()
         chaos = run([*common, "--jobs", str(args.jobs),
                      "--retries", str(args.retries),
@@ -130,6 +139,11 @@ def main() -> int:
         after = run([*common, "--jobs", str(args.jobs),
                      "--cache-dir", str(cache_dir),
                      "--json", str(after_json)])
+        salt_after = source_salt()
+        if salt_after != salt_before:
+            return fail(f"source under src/repro changed during the check "
+                        f"(salt {salt_before:08x} -> {salt_after:08x}); "
+                        "rerun on a quiet tree", after)
         if after.returncode != 0:
             return fail("post-chaos cached run failed", after)
         after_doc = json.loads(after_json.read_text())

@@ -29,7 +29,11 @@ on symbolic branches) are replayed over the post-function under the same
 assumptions, and must produce the identical return term, the identical
 ordered effect stream, and -- up to the pass's declared block mapping,
 via :mod:`repro.opt.rebuild`'s synthetic-name tags -- the same root
-block trace that the edge-profile estimator consumes.
+block trace that the edge-profile estimator consumes.  Every pass reads
+the same unchanged pre-module, so :func:`equiv_module` explores each
+pre-function once, in one :class:`~repro.analysis.symexec.TermFactory`,
+and replays those paths against all six passes (a :data:`PathMemo`
+passed to :func:`check_pass`).
 
 Diagnostic codes (``Exxx`` namespace):
 
@@ -80,7 +84,7 @@ __all__ = [
     "PASS_NAMES", "ExploreLimits", "CodegenValidationError",
     "standard_modes", "check_function_codegen", "check_module_codegen",
     "check_generated", "apply_pass",
-    "check_pass", "equiv_module", "equiv_suite",
+    "PathMemo", "check_pass", "equiv_module", "equiv_suite",
 ]
 
 #: The optimizer passes the simulation checker knows how to drive, in
@@ -994,6 +998,9 @@ def _advance(run: _PathRun, module: Module, limits: ExploreLimits,
     """
     state = run.state
     fact = state.factory
+    # One executor per activation: the run's state and effect list stay
+    # the same objects for the whole call.
+    executors: dict[tuple[object, ...], IRSymbolicExecutor] = {}
     while True:
         if run.steps >= limits.max_steps:
             return ("steps", None)
@@ -1070,10 +1077,12 @@ def _advance(run: _PathRun, module: Module, limits: ExploreLimits,
                 explorer.visit(frame.func, target)
             continue
 
-        IRSymbolicExecutor(
-            frame.func, module, state, run.ops,
-            reg_key=lambda name, _t=token: (_t, name),
-            frame=token).step(instr)
+        executor = executors.get(token)
+        if executor is None:
+            executor = executors[token] = IRSymbolicExecutor(
+                frame.func, module, state, run.ops,
+                reg_key=lambda name, _t=token: (_t, name), frame=token)
+        executor.step(instr)
         frame.idx += 1
 
 
@@ -1170,12 +1179,26 @@ def apply_pass(pass_name: str, module: Module,
     raise ValueError(f"unknown pass {pass_name!r}")
 
 
+#: Per pre-function, the factory its symbolic paths were built in and
+#: the completed paths.  One memo serves every pass checked against the
+#: same pre-module under the same limits: the passes build new modules
+#: and leave the pre-module unchanged.
+PathMemo = dict[Function, tuple[TermFactory, list[tuple[_PathRun, Term]]]]
+
+
 def check_pass(pass_name: str, pre_module: Module, post_module: Module,
                limits: ExploreLimits = DEFAULT_LIMITS,
-               report: Optional[Report] = None) -> Report:
-    """Check the simulation relation for one pass over every function."""
+               report: Optional[Report] = None, *,
+               memo: Optional[PathMemo] = None) -> Report:
+    """Check the simulation relation for one pass over every function.
+
+    ``memo`` shares each pre-function's exploration across calls with
+    the same ``pre_module`` and ``limits``; without it every call
+    explores afresh."""
     if report is None:
         report = Report(title=f"pass equivalence: {pass_name}")
+    if memo is None:
+        memo = {}
     for fname, pre_func in pre_module.functions.items():
         post_func = post_module.functions.get(fname)
         if post_func is None:
@@ -1185,14 +1208,14 @@ def check_pass(pass_name: str, pre_module: Module, post_module: Module,
                 function=fname))
             continue
         _check_pass_function(pass_name, pre_func, pre_module, post_func,
-                             post_module, limits, report)
+                             post_module, limits, report, memo)
     return report
 
 
 def _check_pass_function(pass_name: str, pre_func: Function,
                          pre_module: Module, post_func: Function,
                          post_module: Module, limits: ExploreLimits,
-                         report: Report) -> None:
+                         report: Report, memo: PathMemo) -> None:
     fname = pre_func.name
     if _is_irreducible(pre_func.cfg) or _is_irreducible(post_func.cfg):
         report.add(Diagnostic(
@@ -1200,8 +1223,12 @@ def _check_pass_function(pass_name: str, pre_func: Function,
             message="irreducible control flow; pass validation skipped",
             function=fname))
         return
-    fact = TermFactory()
-    completed, _abandoned = _explore(pre_func, pre_module, fact, limits)
+    explored = memo.get(pre_func)
+    if explored is None:
+        fact = TermFactory()
+        explored = memo[pre_func] = (
+            fact, _explore(pre_func, pre_module, fact, limits)[0])
+    fact, completed = explored
     if not completed:
         report.add(Diagnostic(
             severity=Severity.INFO, code="E206",
@@ -1296,11 +1323,13 @@ def equiv_module(module: Module,
     if passes:
         path_profile, edge_profile, _rv = ground_truth(module,
                                                        backend="tuple")
+        memo: PathMemo = {}
         for pass_name in passes:
             post = apply_pass(pass_name, module, edge_profile,
                               path_profile)
             reports.append((f"pass:{pass_name}",
-                            check_pass(pass_name, module, post, limits)))
+                            check_pass(pass_name, module, post, limits,
+                                       memo=memo)))
     return reports
 
 

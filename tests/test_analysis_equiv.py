@@ -13,6 +13,7 @@ import re
 import pytest
 
 from repro.analysis import Severity
+from repro.analysis import equiv as equiv_impl
 from repro.analysis.diagnostics import Report
 from repro.analysis.equiv import (PASS_NAMES, CodegenValidationError,
                                   _CodegenChecker, apply_pass,
@@ -23,6 +24,7 @@ from repro.analysis.equiv import (PASS_NAMES, CodegenValidationError,
 from repro.analysis.mutate import (CODEGEN_MUTATIONS, PASS_MUTATIONS,
                                    mutate_module, mutate_source)
 from repro.engine import ArtifactCache, ProfilingSession
+from repro.engine.fingerprint import fingerprint_module
 from repro.engine.stages import ground_truth
 from repro.interp.codegen import ModeSpec, generate_source
 from repro.interp.machine import Machine
@@ -261,6 +263,106 @@ class TestPassMutations:
     def test_unknown_kind_rejected(self, vpr_module):
         with pytest.raises(ValueError, match="unknown pass mutation"):
             mutate_module(vpr_module, "opt-bogus")
+
+
+# ----------------------------------------------------------------------
+# One exploration per pre-function, replayed against every pass
+# ----------------------------------------------------------------------
+
+def _diagnostics(report):
+    return [(d.severity, d.code, d.function, d.message) for d in report]
+
+
+@pytest.fixture(scope="module")
+def counted_equiv():
+    """``name -> (module, equiv_module pass reports, explored function
+    names)``, computed once per workload."""
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            module = get_workload(name).compile(scale=1)
+            explored = []
+            real = equiv_impl._explore
+
+            def counting(func, *args, **kwargs):
+                explored.append(func.name)
+                return real(func, *args, **kwargs)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(equiv_impl, "_explore", counting)
+                reports = equiv_module(module, codegen=False)
+            runs[name] = (module, reports, explored)
+        return runs[name]
+
+    return run
+
+
+@pytest.fixture(scope="module")
+def vpr_warm_memo(vpr_module, vpr_pass_outputs):
+    """A path memo already used by the six pristine vpr passes."""
+    memo = {}
+    for name, post in vpr_pass_outputs.items():
+        assert check_pass(name, vpr_module, post, memo=memo).ok, name
+    return memo
+
+
+class TestSharedExploration:
+    @pytest.mark.parametrize("name,functions", [
+        ("vpr", 4), ("applu", 3), ("parser", 7), ("apsi", 3)])
+    def test_explores_each_function_once(self, counted_equiv, name,
+                                         functions):
+        module, _reports, explored = counted_equiv(name)
+        reducible = [fname for fname, func in module.functions.items()
+                     if not equiv_impl._is_irreducible(func.cfg)]
+        assert len(reducible) == functions
+        assert sorted(explored) == sorted(reducible)
+
+    @pytest.mark.parametrize("name", ["vpr", "applu", "parser"])
+    def test_sharing_changes_no_verdict(self, counted_equiv, name):
+        module, reports, _explored = counted_equiv(name)
+        path_profile, edge_profile, _rv = ground_truth(module,
+                                                       backend="tuple")
+        assert [label for label, _ in reports] == \
+            [f"pass:{p}" for p in PASS_NAMES]
+        for pass_name, (_label, shared) in zip(PASS_NAMES, reports):
+            post = apply_pass(pass_name, module, edge_profile,
+                              path_profile)
+            fresh = check_pass(pass_name, module, post)
+            assert _diagnostics(shared) == _diagnostics(fresh), pass_name
+
+    @pytest.mark.parametrize("kind", PASS_MUTATIONS)
+    def test_mutation_detected_through_warm_memo(
+            self, vpr_module, vpr_pass_outputs, vpr_warm_memo, kind):
+        # A memo that kept post-side state in its pre-paths would let a
+        # corruption replay against what the previous passes left there.
+        applied = False
+        for name in PASS_NAMES:
+            mutated = mutate_module(vpr_pass_outputs[name], kind)
+            if mutated is None:
+                continue
+            applied = True
+            shared = check_pass(name, vpr_module, mutated,
+                                memo=vpr_warm_memo)
+            if not shared.ok:
+                fresh = check_pass(name, vpr_module, mutated)
+                assert _diagnostics(shared) == _diagnostics(fresh)
+                break
+        else:
+            pytest.fail(f"{kind}: corruption not detected"
+                        if applied else f"{kind}: no site in any pass "
+                                        f"output")
+
+    def test_passes_leave_the_pre_module_unchanged(self, vpr_module,
+                                                   vpr_profiles):
+        # Passes share Instr objects between the pre- and post-module;
+        # one exploration serves all six only while none of them edits
+        # the pre-module.
+        path_profile, edge_profile = vpr_profiles
+        before = fingerprint_module(vpr_module)
+        for name in PASS_NAMES:
+            apply_pass(name, vpr_module, edge_profile, path_profile)
+            assert fingerprint_module(vpr_module) == before, name
 
 
 # ----------------------------------------------------------------------
