@@ -33,7 +33,9 @@ block trace that the edge-profile estimator consumes.  Every pass reads
 the same unchanged pre-module, so :func:`equiv_module` explores each
 pre-function once, in one :class:`~repro.analysis.symexec.TermFactory`,
 and replays those paths against all six passes (a :data:`PathMemo`
-passed to :func:`check_pass`).
+passed to :func:`check_pass`).  A function that a pass left as it was,
+callees and globals included, is not replayed: the replay would be the
+pre-run itself, so only its block-trace mapping is checked.
 
 Diagnostic codes (``Exxx`` namespace):
 
@@ -70,6 +72,7 @@ from ..cfg.loops import find_back_edges
 from ..interp.codegen import CodegenResult, ModeSpec, generate_source
 from ..ir.function import Function, Module
 from ..ir.instructions import Branch, Call, Instr, Jump, Ret
+from ..ir.printer import format_function
 from .diagnostics import Diagnostic, Report, Severity
 from .symexec import (IRSymbolicExecutor, SymState, Term, TermFactory,
                       format_op, format_term, ops_equal)
@@ -1151,6 +1154,21 @@ def _mapped_traces(pass_name: str, pre: list[str], post: list[str],
     return None
 
 
+def _check_trace(pass_name: str, pre: list[str], post: list[str],
+                 post_func: Function, report: Report) -> bool:
+    """Hold two root block traces to the pass's mapping; False after
+    reporting an E205."""
+    mapped = _mapped_traces(pass_name, pre, post, post_func)
+    if mapped is not None and mapped[0] != mapped[1]:
+        report.add(Diagnostic(
+            severity=Severity.ERROR, code="E205",
+            message=f"{pass_name} broke the block-trace mapping: "
+                    f"{' '.join(mapped[0])} vs "
+                    f"{' '.join(mapped[1])}", function=post_func.name))
+        return False
+    return True
+
+
 def apply_pass(pass_name: str, module: Module,
                edge_profile: "EdgeProfile",
                path_profile: "PathProfile") -> Module:
@@ -1179,11 +1197,69 @@ def apply_pass(pass_name: str, module: Module,
     raise ValueError(f"unknown pass {pass_name!r}")
 
 
-#: Per pre-function, the factory its symbolic paths were built in and
-#: the completed paths.  One memo serves every pass checked against the
-#: same pre-module under the same limits: the passes build new modules
-#: and leave the pre-module unchanged.
-PathMemo = dict[Function, tuple[TermFactory, list[tuple[_PathRun, Term]]]]
+class _PreFunction:
+    """What holds for one pre-function under every pass checked against
+    the same pre-module: its printed text, its transitive call closure
+    (itself first) and, once explored, the factory its symbolic paths
+    were built in plus the completed paths."""
+
+    def __init__(self, func: Function, module: Module):
+        self.func = func
+        self.module = module
+        self.explored: Optional[
+            tuple[TermFactory, list[tuple[_PathRun, Term]]]] = None
+
+    @functools.cached_property
+    def text(self) -> str:
+        return format_function(self.func)
+
+    @functools.cached_property
+    def closure(self) -> tuple[Function, ...]:
+        functions = self.module.functions
+        closure = [self.func]
+        names = {self.func.name}
+        for func in closure:  # grows while it is walked
+            for block in func.cfg.blocks.values():
+                for instr in block.instructions:
+                    if (isinstance(instr, Call) and instr.func in functions
+                            and instr.func not in names):
+                        names.add(instr.func)
+                        closure.append(functions[instr.func])
+        return tuple(closure)
+
+
+#: Per pre-function, its :class:`_PreFunction`.  One memo serves every
+#: pass checked against the same pre-module under the same limits: the
+#: passes build new modules and leave the pre-module unchanged.
+PathMemo = dict[Function, _PreFunction]
+
+
+def _pre(memo: PathMemo, func: Function, module: Module) -> _PreFunction:
+    entry = memo.get(func)
+    if entry is None:
+        entry = memo[func] = _PreFunction(func, module)
+    return entry
+
+
+def _unchanged(pre_func: Function, pre_module: Module, post_module: Module,
+               memo: PathMemo) -> bool:
+    """Whether a replay of ``pre_func``'s paths over ``post_module`` must
+    reproduce them: the globals are equal, and every function in
+    ``pre_func``'s call closure is in the post-module as the same object
+    or one that prints identically.  Replays are deterministic under a
+    pre-path's assumptions and run in its factory, so they would return
+    the pre-run's very terms, effects and trace."""
+    if (post_module.global_scalars != pre_module.global_scalars
+            or post_module.global_arrays != pre_module.global_arrays):
+        return False
+    for pre in _pre(memo, pre_func, pre_module).closure:
+        post = post_module.functions.get(pre.name)
+        if post is None:
+            return False
+        if post is not pre and (format_function(post)
+                                != _pre(memo, pre, pre_module).text):
+            return False
+    return True
 
 
 def check_pass(pass_name: str, pre_module: Module, post_module: Module,
@@ -1223,17 +1299,25 @@ def _check_pass_function(pass_name: str, pre_func: Function,
             message="irreducible control flow; pass validation skipped",
             function=fname))
         return
-    explored = memo.get(pre_func)
-    if explored is None:
+    entry = _pre(memo, pre_func, pre_module)
+    if entry.explored is None:
         fact = TermFactory()
-        explored = memo[pre_func] = (
-            fact, _explore(pre_func, pre_module, fact, limits)[0])
-    fact, completed = explored
+        entry.explored = (fact,
+                          _explore(pre_func, pre_module, fact, limits)[0])
+    fact, completed = entry.explored
     if not completed:
         report.add(Diagnostic(
             severity=Severity.INFO, code="E206",
             message="no complete symbolic path within budget; pass "
                     "validation skipped", function=fname))
+        return
+    if _unchanged(pre_func, pre_module, post_module, memo):
+        # Each replay would be its pre-run; only the trace mapping,
+        # which reads the post-function's blocks, is left to check.
+        for pre_run, _value in completed:
+            if not _check_trace(pass_name, pre_run.trace, pre_run.trace,
+                                post_func, report):
+                break
         return
     unaligned = 0
     for pre_run, pre_value in completed:
@@ -1285,14 +1369,8 @@ def _check_pass_function(pass_name: str, pre_func: Function,
                         f"[{_fmt_ops(pre_run.ops)}] -> "
                         f"[{_fmt_ops(post_run.ops)}]", function=fname))
             return
-        mapped = _mapped_traces(pass_name, pre_run.trace, post_run.trace,
-                                post_func)
-        if mapped is not None and mapped[0] != mapped[1]:
-            report.add(Diagnostic(
-                severity=Severity.ERROR, code="E205",
-                message=f"{pass_name} broke the block-trace mapping: "
-                        f"{' '.join(mapped[0])} vs "
-                        f"{' '.join(mapped[1])}", function=fname))
+        if not _check_trace(pass_name, pre_run.trace, post_run.trace,
+                            post_func, report):
             return
     if unaligned == len(completed):
         report.add(Diagnostic(
@@ -1309,20 +1387,24 @@ def _check_pass_function(pass_name: str, pre_func: Function,
 def equiv_module(module: Module,
                  passes: Sequence[str] = PASS_NAMES,
                  limits: ExploreLimits = DEFAULT_LIMITS,
-                 codegen: bool = True
+                 codegen: bool = True,
+                 trace: Optional[Callable[[Module], tuple[
+                     "PathProfile", "EdgeProfile", object]]] = None
                  ) -> list[tuple[str, Report]]:
     """Run both clients over one module: the codegen lattice and the
-    requested optimizer passes (fed by a tuple-backend ground-truth
-    trace).
+    requested optimizer passes, guided by the module's ground-truth
+    profiles from ``trace`` (a session's :meth:`~repro.engine.session.
+    ProfilingSession.trace` reads its recording; without one, a
+    tuple-backend :func:`~repro.engine.stages.ground_truth` run).
     Returns ``[(label, report), ...]``."""
-    from ..engine.stages import ground_truth
-
     reports: list[tuple[str, Report]] = []
     if codegen:
         reports.append(("codegen", check_module_codegen(module)))
     if passes:
-        path_profile, edge_profile, _rv = ground_truth(module,
-                                                       backend="tuple")
+        if trace is None:
+            from ..engine.stages import ground_truth
+            trace = functools.partial(ground_truth, backend="tuple")
+        path_profile, edge_profile, _rv = trace(module)
         memo: PathMemo = {}
         for pass_name in passes:
             post = apply_pass(pass_name, module, edge_profile,
@@ -1340,7 +1422,8 @@ def equiv_suite(session: "ProfilingSession",
                 ) -> list[tuple[str, str, Report]]:
     """Run :func:`equiv_module` over a workload suite, caching each
     workload's verdicts in the session's artifact cache (keyed by module
-    fingerprint, pass list, and budget)."""
+    fingerprint, pass list, and budget).  The passes read the session's
+    recording of each module, which both backends fill identically."""
     from ..engine.fingerprint import fingerprint_module, fingerprint_text
 
     out: list[tuple[str, str, Report]] = []
@@ -1351,7 +1434,8 @@ def equiv_suite(session: "ProfilingSession",
             repr(limits))
         reports = session.cache.get_or_compute(
             "equiv", key,
-            lambda m=module: equiv_module(m, passes, limits))
+            lambda m=module: equiv_module(m, passes, limits,
+                                          trace=session.trace))
         for label, report in reports:
             out.append((workload.name, label, report))
     return out

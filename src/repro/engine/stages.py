@@ -39,7 +39,9 @@ def ground_truth(module: Module,
                  ) -> tuple[PathProfile, EdgeProfile, object]:
     """Trace the module once: path profile, edge profile, return value.
     A :func:`~repro.core.record_module` run without the path listener,
-    which costs the tuple backend about 7% and serves no caller here."""
+    which costs the tuple backend about 7%, for callers that hold no
+    session (single-file CLI commands, ``repro equiv FILE``); a session's
+    ``trace`` reads the same profiles from its recording."""
     result = Machine(module, collect_edge_profile=True, trace_paths=True,
                      backend=backend).run()
     assert result.edge_counts is not None and result.path_counts is not None

@@ -23,11 +23,12 @@ from repro.analysis.equiv import (PASS_NAMES, CodegenValidationError,
                                   standard_modes)
 from repro.analysis.mutate import (CODEGEN_MUTATIONS, PASS_MUTATIONS,
                                    mutate_module, mutate_source)
-from repro.engine import ArtifactCache, ProfilingSession
+from repro.engine import ArtifactCache, ProfilingSession, stages
 from repro.engine.fingerprint import fingerprint_module
 from repro.engine.stages import ground_truth
 from repro.interp.codegen import ModeSpec, generate_source
 from repro.interp.machine import Machine
+from repro.ir.function import Module
 from repro.lang import compile_source
 from repro.workloads import get_workload
 
@@ -276,23 +277,30 @@ def _diagnostics(report):
 @pytest.fixture(scope="module")
 def counted_equiv():
     """``name -> (module, equiv_module pass reports, explored function
-    names)``, computed once per workload."""
+    names, replayed function names)``, computed once per workload."""
     runs = {}
 
     def run(name):
         if name not in runs:
             module = get_workload(name).compile(scale=1)
             explored = []
-            real = equiv_impl._explore
+            replayed = []
+            real_explore = equiv_impl._explore
+            real_replay = equiv_impl._replay
 
             def counting(func, *args, **kwargs):
                 explored.append(func.name)
-                return real(func, *args, **kwargs)
+                return real_explore(func, *args, **kwargs)
+
+            def replaying(func, *args, **kwargs):
+                replayed.append(func.name)
+                return real_replay(func, *args, **kwargs)
 
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(equiv_impl, "_explore", counting)
+                patch.setattr(equiv_impl, "_replay", replaying)
                 reports = equiv_module(module, codegen=False)
-            runs[name] = (module, reports, explored)
+            runs[name] = (module, reports, explored, replayed)
         return runs[name]
 
     return run
@@ -312,7 +320,7 @@ class TestSharedExploration:
         ("vpr", 4), ("applu", 3), ("parser", 7), ("apsi", 3)])
     def test_explores_each_function_once(self, counted_equiv, name,
                                          functions):
-        module, _reports, explored = counted_equiv(name)
+        module, _reports, explored, _replayed = counted_equiv(name)
         reducible = [fname for fname, func in module.functions.items()
                      if not equiv_impl._is_irreducible(func.cfg)]
         assert len(reducible) == functions
@@ -320,7 +328,7 @@ class TestSharedExploration:
 
     @pytest.mark.parametrize("name", ["vpr", "applu", "parser"])
     def test_sharing_changes_no_verdict(self, counted_equiv, name):
-        module, reports, _explored = counted_equiv(name)
+        module, reports, _explored, _replayed = counted_equiv(name)
         path_profile, edge_profile, _rv = ground_truth(module,
                                                        backend="tuple")
         assert [label for label, _ in reports] == \
@@ -363,6 +371,119 @@ class TestSharedExploration:
         for name in PASS_NAMES:
             apply_pass(name, vpr_module, edge_profile, path_profile)
             assert fingerprint_module(vpr_module) == before, name
+
+
+# ----------------------------------------------------------------------
+# Pairs a pass left unchanged are not replayed
+# ----------------------------------------------------------------------
+
+_CALL_CHAIN = """
+    global g;
+    global buf[8];
+    func leaf(x) {{ return x * 3 + {k}; }}
+    func mid(x) {{ g = g + 1; return leaf(x) + 2; }}
+    func main() {{ s = 0;
+        for (i = 0; i < 5; i = i + 1) {{ s = s + mid(i); }}
+        return s; }}"""
+
+
+def _with_functions(module, **functions):
+    """A module with ``module``'s globals and function objects, except
+    those named in ``functions`` (``None`` drops one)."""
+    out = Module(module.name)
+    out.global_scalars = dict(module.global_scalars)
+    out.global_arrays = dict(module.global_arrays)
+    for fname, func in module.functions.items():
+        func = functions.get(fname, func)
+        if func is not None:
+            out.functions[fname] = func
+    return out
+
+
+@pytest.fixture(scope="module")
+def pass_outputs():
+    """``name -> (module, {pass: post-module})``, once per workload."""
+    outputs = {}
+
+    def get(name):
+        if name not in outputs:
+            module = get_workload(name).compile(scale=1)
+            path_profile, edge_profile, _rv = ground_truth(module,
+                                                           backend="tuple")
+            outputs[name] = (module, {
+                pass_name: apply_pass(pass_name, module, edge_profile,
+                                      path_profile)
+                for pass_name in PASS_NAMES})
+        return outputs[name]
+
+    return get
+
+
+class TestUnchangedPairs:
+    @pytest.mark.parametrize("name", ["vpr", "applu", "parser"])
+    def test_skip_changes_no_verdict(self, pass_outputs, name):
+        module, posts = pass_outputs(name)
+        skipped = 0
+        for pass_name, post in posts.items():
+            memo = {}
+            skipped += sum(equiv_impl._unchanged(func, module, post, memo)
+                           for func in module.functions.values())
+            fast = check_pass(pass_name, module, post, memo=memo)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(equiv_impl, "_unchanged",
+                              lambda *args: False)
+                full = check_pass(pass_name, module, post)
+            # Equal reports include the unchanged pairs' diagnostics.
+            assert _diagnostics(fast) == _diagnostics(full), pass_name
+        assert skipped, f"{name}: no pass left a function unchanged"
+
+    @pytest.mark.parametrize("name,replays", [
+        ("vpr", 193), ("applu", 97), ("parser", 154)])
+    def test_replays_only_changed_pairs(self, counted_equiv, name,
+                                        replays):
+        _module, _reports, _explored, replayed = counted_equiv(name)
+        assert len(replayed) == replays
+
+    def test_same_or_identically_printed_functions_are_unchanged(self):
+        pre = compile_source(_CALL_CHAIN.format(k=1))
+        reprinted = compile_source(_CALL_CHAIN.format(k=1))
+        assert reprinted.functions["leaf"] is not pre.functions["leaf"]
+        for post in (_with_functions(pre), reprinted):
+            memo = {}
+            assert all(equiv_impl._unchanged(func, pre, post, memo)
+                       for func in pre.functions.values())
+
+    def test_changed_callee_body_is_a_change(self):
+        pre = compile_source(_CALL_CHAIN.format(k=1))
+        leaf = compile_source(_CALL_CHAIN.format(k=2)).functions["leaf"]
+        post = _with_functions(pre, leaf=leaf)
+        for fname in ("leaf", "mid", "main"):
+            assert not equiv_impl._unchanged(pre.functions[fname], pre,
+                                             post, {}), fname
+        # ``mid`` is the very same object, yet its callee's new return
+        # value reaches it.
+        report = check_pass("cleanup", pre, post)
+        assert ("E201", "mid") in {(d.code, d.function)
+                                   for d in report.errors()}
+
+    @pytest.mark.parametrize("edit", ["scalar", "array"])
+    def test_changed_global_is_a_change(self, edit):
+        pre = compile_source(_CALL_CHAIN.format(k=1))
+        post = _with_functions(pre)
+        if edit == "scalar":
+            post.global_scalars["g"] = 1
+        else:
+            post.global_arrays["buf"] = 16
+        for func in pre.functions.values():
+            assert not equiv_impl._unchanged(func, pre, post, {}), \
+                func.name
+
+    def test_missing_callee_is_a_change(self):
+        pre = compile_source(_CALL_CHAIN.format(k=1))
+        post = _with_functions(pre, leaf=None)
+        for fname in ("mid", "main"):
+            assert not equiv_impl._unchanged(pre.functions[fname], pre,
+                                             post, {}), fname
 
 
 # ----------------------------------------------------------------------
@@ -483,6 +604,34 @@ class TestSuiteDriver:
         assert session.cache.stats.of("equiv").hits == 1
         assert [(w, label) for w, label, _ in second] == \
                [(w, label) for w, label, _ in first]
+
+    def test_equiv_suite_reads_the_session_recording(self, monkeypatch):
+        # The passes take their profiles from the recording the session
+        # already holds: no ground-truth run, no execution at all.
+        workloads = [get_workload("applu"), get_workload("vpr")]
+        session = ProfilingSession(cache=ArtifactCache())
+        for workload in workloads:
+            session.record(session.compile(workload))
+        runs = []
+        real_run = Machine.run
+
+        def run(machine, *args, **kwargs):
+            runs.append(machine.backend)
+            return real_run(machine, *args, **kwargs)
+
+        def no_ground_truth(*args, **kwargs):
+            raise AssertionError("equiv_suite ran ground_truth")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Machine, "run", run)
+            patch.setattr(stages, "ground_truth", no_ground_truth)
+            shared = equiv_suite(session, workloads)
+        assert runs == []
+        tuple_session = ProfilingSession(cache=ArtifactCache(),
+                                         backend="tuple")
+        fresh = equiv_suite(tuple_session, workloads)
+        assert [(w, label, _diagnostics(r)) for w, label, r in shared] \
+            == [(w, label, _diagnostics(r)) for w, label, r in fresh]
 
     def test_verify_reports_cached_on_disk(self, tmp_path):
         from repro.analysis import verify_suite
