@@ -48,6 +48,7 @@ from typing import Mapping, Optional
 
 from ..cfg.graph import ControlFlowGraph, Edge
 from ..cfg.loops import find_back_edges
+from ..core.events import max_weight_spanning_tree
 from ..core.heuristics import static_edge_weights
 from ..ir.function import Function
 from ..profiles.edge_profile import FunctionEdgeProfile
@@ -136,27 +137,9 @@ def plan_probes(cfg: ControlFlowGraph,
         weights = static_edge_weights(cfg)
 
     edges = sorted(cfg.edges(), key=lambda e: e.uid)
-
-    # Kruskal maximum-weight spanning forest over the undirected graph.
-    parent = {b: b for b in cfg.blocks}
-
-    def find(block: str) -> str:
-        root = block
-        while parent[root] != root:
-            root = parent[root]
-        while parent[block] != root:
-            parent[block], block = root, parent[block]
-        return root
-
-    tree_uids: set[int] = set()
-    for e in sorted(edges, key=lambda e: (-weights.get(e.uid, 0.0), e.uid)):
-        if e.src == e.dst:
-            continue  # self-loops cancel out of conservation: always probed
-        ra, rb = find(e.src), find(e.dst)
-        if ra != rb:
-            parent[ra] = rb
-            tree_uids.add(e.uid)
-
+    # Self-loops cancel out of conservation; Kruskal never takes one, so
+    # they are always probed.
+    tree_uids = max_weight_spanning_tree(edges, weights)
     probe_uids = frozenset(e.uid for e in edges if e.uid not in tree_uids)
     steps = _derive_steps(cfg, tree_uids)
     return ProbePlacement(

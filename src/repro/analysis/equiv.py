@@ -54,7 +54,7 @@ E203  INFO     post-path took a branch the pre-path never decided
 E204  ERROR    post-path overran the simulation step budget
 E205  ERROR    pass broke the block-trace mapping
 E206  INFO     no complete symbolic path within budget -- skipped
-E207  ERROR    pass dropped a function from the module
+E207  ERROR    pass dropped a function, or one a caller still calls
 ====  =======  =====================================================
 """
 
@@ -995,9 +995,11 @@ def _advance(run: _PathRun, module: Module, limits: ExploreLimits,
 
     ``fork_sink`` collects forked twins at symbolic branches (explore
     mode); when it is None the run is a *replay* -- a symbolic branch
-    whose condition carries no assumption aborts with ``"unaligned"``.
-    Returns ``(outcome, return_term)`` with outcome one of ``done`` /
-    ``steps`` / ``decisions`` / ``unaligned``.
+    whose condition carries no assumption aborts with ``"unaligned"``,
+    and a call to a function ``module`` lacks stops it at that call with
+    ``"missing"``.  Returns ``(outcome, return_term)`` with outcome one
+    of ``done`` / ``steps`` / ``decisions`` / ``unaligned`` /
+    ``missing``.
     """
     state = run.state
     fact = state.factory
@@ -1014,7 +1016,9 @@ def _advance(run: _PathRun, module: Module, limits: ExploreLimits,
         token = frame.token
 
         if isinstance(instr, Call):
-            callee = module.functions[instr.func]
+            callee = module.functions.get(instr.func)
+            if callee is None:
+                return ("missing", None)
             args = [state.get((token, a)) for a in instr.args]
             ret_key = ((token, instr.dst)
                        if instr.dst is not None else None)
@@ -1345,6 +1349,15 @@ def _check_pass_function(pass_name: str, pre_func: Function,
                 return
             unaligned += 1
             continue
+        if outcome == "missing":
+            frame = post_run.frames[-1]
+            call = frame.func.cfg.blocks[frame.block].instructions[frame.idx]
+            assert isinstance(call, Call)
+            report.add(Diagnostic(
+                severity=Severity.ERROR, code="E207",
+                message=f"pass {pass_name} dropped function {call.func!r}, "
+                        f"which {fname!r} still calls", function=fname))
+            return
         if outcome != "done":
             report.add(Diagnostic(
                 severity=Severity.ERROR, code="E204",

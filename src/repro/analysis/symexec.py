@@ -24,9 +24,9 @@ Design points:
   ``int(inf)``, huge shifts, ...) fall back to a symbolic node on *both*
   sides, keeping the relation total.
 * **Memory versioning** -- loads carry a per-location version that
-  advances on every store (and on every opaque call), so two executions
-  that perform the same stores in the same order read equal terms, while
-  a dropped/duplicated/reordered store perturbs every later load.
+  advances on every store, so two executions that perform the same
+  stores in the same order read equal terms, while a
+  dropped/duplicated/reordered store perturbs every later load.
 * **Path assumptions** -- a branch on a symbolic condition records the
   taken direction against the condition term; :class:`Select` terms
   whose condition is an assumed term resolve to the chosen arm, which is
@@ -217,10 +217,6 @@ class TermFactory:
     def gload(self, name: str, version: int) -> Term:
         return self._mk("gload", (name, version))
 
-    def callres(self, func: str, seq: int, args: tuple[Term, ...]) -> Term:
-        """The opaque result of the ``seq``-th un-descended call."""
-        return self._mk("call", (func, seq), args)
-
 
 # ---------------------------------------------------------------------------
 # The canonical instruction recipes (shared by the IR executor and, by
@@ -279,13 +275,10 @@ class SymState:
         self.init_reg = init_reg
         self.regs: dict[object, Term] = {}
         # Memory versioning: a single clock, advanced by every store; a
-        # location's version is its last write (or the last global
-        # clobber, whichever is later).
+        # location's version is its last write.
         self.mem_clock = 0
         self.last_write: dict[object, int] = {}
-        self.global_clobber = 0
-        # Opaque-call sequencing and per-callee activation ordinals.
-        self.call_seq = 0
+        # Per-callee activation ordinals.
         self.activations: dict[str, int] = {}
         # Branch assumptions: condition-term uid -> assumed truth.
         self.assumptions: dict[int, bool] = {}
@@ -305,16 +298,11 @@ class SymState:
     # -- memory --------------------------------------------------------
 
     def version(self, location: object) -> int:
-        return max(self.last_write.get(location, 0), self.global_clobber)
+        return self.last_write.get(location, 0)
 
     def write_mem(self, location: object) -> None:
         self.mem_clock += 1
         self.last_write[location] = self.mem_clock
-
-    def clobber_memory(self) -> None:
-        """An opaque call may have written anything."""
-        self.mem_clock += 1
-        self.global_clobber = self.mem_clock
 
     # -- activations ---------------------------------------------------
 
@@ -347,8 +335,6 @@ class SymState:
         twin.regs = dict(self.regs)
         twin.mem_clock = self.mem_clock
         twin.last_write = dict(self.last_write)
-        twin.global_clobber = self.global_clobber
-        twin.call_seq = self.call_seq
         twin.activations = dict(self.activations)
         twin.assumptions = dict(self.assumptions)
         return twin
@@ -358,11 +344,11 @@ class IRSymbolicExecutor:
     """Steps the straight-line IR instructions of one activation.
 
     ``reg_key`` maps an IR register name to its state key; ``frame``
-    tokens distinguish local arrays of different activations.  Stores,
-    global stores, and (when the client chooses not to descend) opaque
-    calls are appended to ``ops`` -- an ordered effect stream shared with
-    the client's observation events.  Control flow (``Jump``/``Branch``/
-    ``Call``/``Ret``) stays with the client: it owns path selection.
+    tokens distinguish local arrays of different activations.  Stores and
+    global stores are appended to ``ops`` -- an ordered effect stream
+    shared with the client's observation events.  Control flow
+    (``Jump``/``Branch``/``Call``/``Ret``) stays with the client: it owns
+    path selection.
     """
 
     def __init__(self, func: Function, module: Module, state: SymState,
@@ -431,16 +417,6 @@ class IRSymbolicExecutor:
         else:
             raise TypeError(f"not a straight-line instruction: {instr!r}")
 
-    def opaque_call(self, func_name: str, args: tuple[Term, ...],
-                    has_dst: bool) -> Term:
-        """Record an un-descended call: an ordered effect, a memory
-        clobber, and an opaque result term."""
-        seq = self.state.call_seq
-        self.state.call_seq = seq + 1
-        self.ops.append(("call", func_name, args, has_dst))
-        self.state.clobber_memory()
-        return self.state.factory.callres(func_name, seq, args)
-
 
 # ---------------------------------------------------------------------------
 # Rendering (for diagnostics)
@@ -481,10 +457,6 @@ def format_term(term: Term, depth: int = 4) -> str:
     if term.kind == "gload":
         name, version = term.payload  # type: ignore[misc]
         return f"{name}@v{version}"
-    if term.kind == "call":
-        func, seq = term.payload  # type: ignore[misc]
-        inner = ", ".join(format_term(a, depth - 1) for a in args)
-        return f"{func}#{seq}({inner})"
     return f"<{term.kind}>"  # pragma: no cover - defensive
 
 
@@ -506,11 +478,6 @@ def format_op(op: tuple[object, ...]) -> str:
         _tag, name, val = op
         assert isinstance(val, Term)
         return f"gstore {name} = {format_term(val)}"
-    if tag == "call":
-        _tag, name, args, _has_dst = op
-        assert isinstance(args, tuple)
-        inner = ", ".join(format_term(a) for a in args)
-        return f"call {name}({inner})"
     parts = [str(tag)]
     for extra in op[1:]:
         parts.append(format_term(extra) if isinstance(extra, Term)

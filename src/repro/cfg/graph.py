@@ -186,14 +186,6 @@ class ControlFlowGraph:
     def has_edge(self, src: str, dst: str) -> bool:
         return bool(self.edges_between(src, dst))
 
-    def is_branch_edge(self, edge: Edge) -> bool:
-        """True when the edge's source has at least one other outgoing edge.
-
-        This is the paper's definition of a *branch* (Section 5.1), used by
-        the branch-flow metric.
-        """
-        return len(self.blocks[edge.src].succ_edges) > 1
-
     # ------------------------------------------------------------------
     # Validation & misc
     # ------------------------------------------------------------------

@@ -83,27 +83,6 @@ def reachable(cfg: ControlFlowGraph, root: Optional[str] = None,
     return set(depth_first_order(cfg, root, edge_filter))
 
 
-def reachable_backward(cfg: ControlFlowGraph, root: Optional[str] = None,
-                       edge_filter: Optional[EdgeFilter] = None) -> set[str]:
-    """Blocks that can reach ``root`` (default: exit)."""
-    start = root if root is not None else cfg.exit
-    if start is None:
-        raise CFGError("graph has no exit block")
-    seen: set[str] = set()
-    stack = [start]
-    while stack:
-        name = stack.pop()
-        if name in seen:
-            continue
-        seen.add(name)
-        for edge in cfg.blocks[name].pred_edges:
-            if edge_filter is not None and not edge_filter(edge):
-                continue
-            if edge.src not in seen:
-                stack.append(edge.src)
-    return seen
-
-
 def topological_order(cfg: ControlFlowGraph,
                       edge_filter: Optional[EdgeFilter] = None) -> list[str]:
     """Topological order of an acyclic graph via Kahn's algorithm.

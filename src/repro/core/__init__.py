@@ -24,7 +24,7 @@ from .placement import (CHECK_POISON_VALUE, PlacementResult,
                         place_instrumentation)
 from .runtime import (HASH_SLOTS, HASH_THRESHOLD, HASH_TRIES, ArrayStore,
                       CounterStore, HashStore, make_store)
-from .attach import attach_function, compile_edge_hook
+from .attach import attach_function
 from .pipeline import (DEFAULT_CONFIG, FunctionPlan, ModulePlan,
                        ProfileRun, ProfilerConfig, plan_pp, plan_ppp,
                        plan_tpp, ppp_config_only, ppp_config_without,
@@ -52,7 +52,7 @@ __all__ = [
     "CHECK_POISON_VALUE", "PlacementResult", "place_instrumentation",
     "HASH_SLOTS", "HASH_THRESHOLD", "HASH_TRIES", "ArrayStore",
     "CounterStore", "HashStore", "make_store",
-    "attach_function", "compile_edge_hook",
+    "attach_function",
     "DEFAULT_CONFIG", "FunctionPlan", "ModulePlan", "ProfileRun",
     "ProfilerConfig", "plan_pp", "plan_ppp", "plan_tpp", "ppp_config_only",
     "ppp_config_without", "run_with_plan",

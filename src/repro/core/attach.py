@@ -162,15 +162,6 @@ def make_hook(steps: tuple[Step, ...], total_cost: float,
     return hook_multi
 
 
-def compile_edge_hook(ops: Sequence[ObservationOp], store: CounterStore,
-                      checked: bool, cost_model: CostModel,
-                      costs: CostCounter) -> Callable[[Frame], None]:
-    """Build the hook executing ``ops`` on each traversal of one edge."""
-    ctx = HookContext(cost_model, store=store, checked=checked)
-    steps, total_cost = StepCompiler(ctx).compile(ops)
-    return make_hook(steps, total_cost, costs)
-
-
 def _is_hash(store: CounterStore) -> bool:
     from .runtime import HashStore
     return isinstance(store, HashStore)

@@ -22,16 +22,27 @@ edges rather than predicted ones.
 
 from __future__ import annotations
 
+from typing import Iterable, Mapping, Optional
+
 from ..cfg.dag import ProfilingDag
 from ..cfg.graph import Edge
 
 
-class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: dict[str, str] = {}
+def max_weight_spanning_tree(edges: Iterable[Edge],
+                             weights: Mapping[int, float],
+                             joined: Optional[tuple[str, str]] = None
+                             ) -> set[int]:
+    """Kruskal over ``edges`` taken as undirected, heaviest first (ties
+    on uid).
 
-    def find(self, x: str) -> str:
-        parent = self.parent
+    ``joined`` is a block pair merged before the first edge -- event
+    counting's virtual exit->entry edge, which is always in the tree.
+    An edge whose ends are already connected, a self-loop included,
+    stays out.  Returns the uids of the tree edges.
+    """
+    parent: dict[str, str] = {}
+
+    def find(x: str) -> str:
         root = parent.setdefault(x, x)
         while root != parent[root]:
             root = parent[root]
@@ -39,30 +50,18 @@ class _UnionFind:
             parent[x], x = root, parent[x]
         return root
 
-    def union(self, a: str, b: str) -> bool:
-        ra, rb = self.find(a), self.find(b)
+    def union(a: str, b: str) -> bool:
+        ra, rb = find(a), find(b)
         if ra == rb:
             return False
-        self.parent[ra] = rb
+        parent[ra] = rb
         return True
 
-
-def max_weight_spanning_tree(dag: ProfilingDag, live: set[int],
-                             weights: dict[int, float]) -> set[int]:
-    """Kruskal over the live DAG edges, heaviest first.
-
-    The virtual exit->entry edge is pre-merged (it is always in the tree).
-    Returns the uids of the tree edges.
-    """
-    graph = dag.dag
-    assert graph.entry is not None and graph.exit is not None
-    uf = _UnionFind()
-    uf.union(graph.exit, graph.entry)  # the virtual edge
-    edges = [e for e in graph.edges() if e.uid in live]
-    edges.sort(key=lambda e: (-weights.get(e.uid, 0.0), e.uid))
+    if joined is not None:
+        union(*joined)
     tree: set[int] = set()
-    for e in edges:
-        if uf.union(e.src, e.dst):
+    for e in sorted(edges, key=lambda e: (-weights.get(e.uid, 0.0), e.uid)):
+        if union(e.src, e.dst):
             tree.add(e.uid)
     return tree
 
@@ -108,7 +107,11 @@ def event_count(dag: ProfilingDag, live: set[int], vals: dict[int, int],
     measured edge frequencies.  The returned increments preserve every
     path's number.
     """
-    tree = max_weight_spanning_tree(dag, live, weights)
+    graph = dag.dag
+    assert graph.entry is not None and graph.exit is not None
+    tree = max_weight_spanning_tree(
+        [e for e in graph.edges() if e.uid in live], weights,
+        joined=(graph.exit, graph.entry))
     phi = _potentials(dag, tree, live, vals)
     new_vals: dict[int, int] = {}
     for e in dag.dag.edges():

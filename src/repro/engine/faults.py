@@ -87,11 +87,6 @@ class DegradationEvent:
         return {"kind": self.kind, "subject": self.subject,
                 "detail": self.detail}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "DegradationEvent":
-        return cls(kind=data["kind"], subject=data["subject"],
-                   detail=data.get("detail", ""))
-
 
 @dataclass(frozen=True)
 class FaultPlan:

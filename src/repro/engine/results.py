@@ -43,13 +43,6 @@ class TaskFailure:
                 "attempt": self.attempt, "detail": self.detail,
                 "elapsed_s": round(self.elapsed_s, 3)}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TaskFailure":
-        return cls(kind=data["kind"], task=data["task"],
-                   index=data["index"], attempt=data["attempt"],
-                   detail=data.get("detail", ""),
-                   elapsed_s=data.get("elapsed_s", 0.0))
-
 
 @dataclass
 class ExecutionRecord:
@@ -59,10 +52,8 @@ class ExecutionRecord:
     the metric payload the tables/JSON export compare, so a chaos run's
     results stay byte-identical to a fault-free run's.
 
-    :meth:`to_dict` / :meth:`from_dict` are an exact JSON round-trip
-    (``from_dict(to_dict(r)) == r`` once elapsed times are rounded to
-    the serialized ms precision), so the profiling service can ship
-    execution records over the wire alongside each response.
+    :meth:`to_dict` is the JSON form the profiling service and
+    ``--json`` reports write alongside each response.
     """
 
     attempts: int = 1
@@ -82,25 +73,13 @@ class ExecutionRecord:
             "degradations": [d.to_dict() for d in self.degradations],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExecutionRecord":
-        return cls(
-            attempts=data.get("attempts", 1),
-            where=data.get("where", "serial"),
-            failures=[TaskFailure.from_dict(f)
-                      for f in data.get("failures", [])],
-            degradations=[DegradationEvent.from_dict(d)
-                          for d in data.get("degradations", [])],
-        )
-
 
 @dataclass
 class SuiteExecutionReport:
     """Per-task execution records plus supervisor-level aggregates.
 
-    Round-trips through JSON via :meth:`to_dict` / :meth:`from_dict`
-    (the ``retries`` / ``degradations`` keys in the serialized form are
-    derived aggregates and are recomputed, not stored).
+    :meth:`to_dict` writes it as JSON; its ``retries`` /
+    ``degradations`` keys are aggregates derived from the records.
     """
 
     records: dict[str, ExecutionRecord] = field(default_factory=dict)
@@ -137,15 +116,6 @@ class SuiteExecutionReport:
             "tasks": {name: record.to_dict()
                       for name, record in self.records.items()},
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SuiteExecutionReport":
-        return cls(
-            records={name: ExecutionRecord.from_dict(record)
-                     for name, record in data.get("tasks", {}).items()},
-            pool_rebuilds=data.get("pool_rebuilds", 0),
-            cache_quarantined=data.get("cache_quarantined", 0),
-        )
 
 
 @dataclass

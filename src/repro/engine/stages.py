@@ -20,8 +20,7 @@ from ..core import (DEFAULT_CONFIG, ModulePlan, ProfileRun, ProfilerConfig,
                     build_estimated_profile, edge_profile_estimate,
                     evaluate_accuracy, evaluate_coverage,
                     evaluate_edge_coverage, instrumented_fraction, plan_pp,
-                    plan_ppp, plan_tpp, run_with_plan)
-from ..interp.machine import Machine
+                    plan_ppp, plan_tpp, record_module, run_with_plan)
 from ..ir.function import Module
 from ..opt import OptimizationResult
 from ..profiles import EdgeProfile, PathProfile
@@ -37,18 +36,13 @@ from .results import TechniqueResult, WorkloadResult
 def ground_truth(module: Module,
                  backend: str | None = None
                  ) -> tuple[PathProfile, EdgeProfile, object]:
-    """Trace the module once: path profile, edge profile, return value.
-    A :func:`~repro.core.record_module` run without the path listener,
-    which costs the tuple backend about 7%, for callers that hold no
-    session (single-file CLI commands, ``repro equiv FILE``); a session's
-    ``trace`` reads the same profiles from its recording."""
-    result = Machine(module, collect_edge_profile=True, trace_paths=True,
-                     backend=backend).run()
-    assert result.edge_counts is not None and result.path_counts is not None
-    return (PathProfile.from_trace(module, result.path_counts),
-            EdgeProfile.from_run(module, result.edge_counts,
-                                 result.invocations),
-            result.return_value)
+    """Trace the module once: path profile, edge profile, return value,
+    read off one :func:`~repro.core.record_module` run.  For callers
+    that hold no session (single-file CLI commands, ``repro equiv
+    FILE``); a session's ``trace`` reads the same profiles from its
+    cached recording."""
+    recording = record_module(module, backend=backend)
+    return recording.paths, recording.edges, recording.return_value
 
 
 # ----------------------------------------------------------------------

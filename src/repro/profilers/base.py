@@ -2,12 +2,12 @@
 
 A :class:`Profiler` packages one kind of dynamic observation -- what to
 watch (declared as observation ops on CFG edges, or as native machine
-channels), how to harvest the result after a run, and how to merge
-results from independent runs.  The engine composes any number of
-profilers over one execution: their ops are fused into single per-edge
-hooks by :func:`repro.core.attach.attach_observations`, billed through
-the shared cost model, and -- on the compiled backend -- folded into the
-generated segments exactly like the Ball-Larus instrumentation.
+channels) and how to harvest the result after a run.  The engine
+composes any number of profilers over one execution: their ops are
+fused into single per-edge hooks by
+:func:`repro.core.attach.attach_observations`, billed through the shared
+cost model, and -- on the compiled backend -- folded into the generated
+segments exactly like the Ball-Larus instrumentation.
 
 Observation kinds map onto the machine like this:
 
@@ -77,7 +77,7 @@ class ModuleObservations:
 class Profiler:
     """Base class every profiler plugin subclasses.
 
-    Class attributes identify the plugin in the registry; the three
+    Class attributes identify the plugin in the registry; the two
     methods are the whole runtime contract:
 
     * :meth:`instrument` decides *what to observe* -- pure planning, no
@@ -86,8 +86,6 @@ class Profiler:
     * :meth:`collect` harvests *this profiler's* result after a run.
       The returned value must be plain picklable data (it travels
       through the artifact cache and across worker processes).
-    * :meth:`merge` combines results from independent runs of the same
-      program (parallel shards, repeated runs).
 
     Profilers holding collection state (tables their ops write into)
     allocate it in :meth:`instrument` and reach it again in
@@ -110,11 +108,6 @@ class Profiler:
     def collect(self, machine: "Machine",
                 obs: ModuleObservations) -> object:
         """Harvest the result after ``machine`` finished running."""
-        raise NotImplementedError
-
-    @classmethod
-    def merge(cls, results: Sequence[object]) -> object:
-        """Combine results from independent runs of the same program."""
         raise NotImplementedError
 
 

@@ -16,7 +16,7 @@ plans through the same driver as every other profiler.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Mapping, Sequence, Tuple, cast
+from typing import TYPE_CHECKING, Dict, Mapping, Tuple
 
 from ..core.attach import HookContext
 from ..core.runtime import CounterStore, make_store
@@ -51,16 +51,6 @@ class EdgeCountProfiler(Profiler):
                 obs: ModuleObservations) -> EdgeCounts:
         return machine.edge_counts
 
-    @classmethod
-    def merge(cls, results: Sequence[object]) -> EdgeCounts:
-        merged: EdgeCounts = {}
-        for result in results:
-            for fn, counts in cast(EdgeCounts, result).items():
-                dest = merged.setdefault(fn, {})
-                for uid, count in counts.items():
-                    dest[uid] = dest.get(uid, 0) + count
-        return merged
-
 
 @register
 class PathTraceProfiler(Profiler):
@@ -76,16 +66,6 @@ class PathTraceProfiler(Profiler):
         return {fn: dict(counts)
                 for fn, counts in machine.path_counts.items()}
 
-    @classmethod
-    def merge(cls, results: Sequence[object]) -> PathCounts:
-        merged: PathCounts = {}
-        for result in results:
-            for fn, counts in cast(PathCounts, result).items():
-                dest = merged.setdefault(fn, {})
-                for path, count in counts.items():
-                    dest[path] = dest.get(path, 0) + count
-        return merged
-
 
 @register
 class InvocationProfiler(Profiler):
@@ -98,14 +78,6 @@ class InvocationProfiler(Profiler):
     def collect(self, machine: "Machine",
                 obs: ModuleObservations) -> CallCounts:
         return dict(machine.invocations)
-
-    @classmethod
-    def merge(cls, results: Sequence[object]) -> CallCounts:
-        merged: CallCounts = {}
-        for result in results:
-            for fn, count in cast(CallCounts, result).items():
-                merged[fn] = merged.get(fn, 0) + count
-        return merged
 
 
 @register
@@ -145,9 +117,3 @@ class PathPlanProfiler(Profiler):
     def collect(self, machine: "Machine",
                 obs: ModuleObservations) -> Mapping[str, CounterStore]:
         return dict(self._stores)
-
-    @classmethod
-    def merge(cls, results: Sequence[object]) -> Mapping[str, CounterStore]:
-        raise NotImplementedError(
-            "counter stores merge at the profile level, not the store "
-            "level; merge ProfileRun-derived path profiles instead")

@@ -62,12 +62,9 @@ def conformance_errors(cls: Type[Profiler]) -> list[str]:
         errors.append("requires_plan is not a bool")
     if not isinstance(getattr(cls, "channels", None), MachineChannels):
         errors.append("channels is not a MachineChannels")
-    for method in ("instrument", "collect", "merge"):
+    for method in ("instrument", "collect"):
         if not callable(getattr(cls, method, None)):
             errors.append(f"{method} is not callable")
-    merge = getattr(cls, "merge", None)
-    if getattr(merge, "__func__", merge) is Profiler.merge.__func__:
-        errors.append("merge is not implemented")
     if cls.collect is Profiler.collect:
         errors.append("collect is not implemented")
     return errors

@@ -19,7 +19,7 @@ mid-loop (instruction budget) leave episodes unrecorded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple, cast
+from typing import TYPE_CHECKING, Callable, Dict, List, Tuple, cast
 
 from ..cfg.loops import find_back_edges, find_loops
 from ..core.attach import HookContext
@@ -159,18 +159,6 @@ class TripCountProfiler(Profiler):
             out[fname] = {header: dict(hist)
                           for header, hist in sorted(state.items())}
         return out
-
-    @classmethod
-    def merge(cls, results: Sequence[object]) -> TripProfile:
-        merged: TripProfile = {}
-        for result in results:
-            for fname, loops in cast(TripProfile, result).items():
-                dest_loops = merged.setdefault(fname, {})
-                for header, hist in loops.items():
-                    dest = dest_loops.setdefault(header, {})
-                    for trips, count in hist.items():
-                        dest[trips] = dest.get(trips, 0) + count
-        return merged
 
 
 def mean_trips(hist: Histogram) -> float:

@@ -18,7 +18,7 @@ computed at reporting time from the exact table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple, cast
+from typing import TYPE_CHECKING, Callable, Dict, List, Tuple, cast
 
 from ..core.attach import HookContext
 from ..core.ops import ObservationOp
@@ -147,23 +147,6 @@ class ValueProfiler(Profiler):
             out[fname] = {site: table.result()
                           for site, table in sorted(state.items())}
         return out
-
-    @classmethod
-    def merge(cls, results: Sequence[object]) -> ValueProfile:
-        merged: ValueProfile = {}
-        for result in results:
-            for fname, sites in cast(ValueProfile, result).items():
-                dest_sites = merged.setdefault(fname, {})
-                for site, data in sites.items():
-                    dest = dest_sites.setdefault(
-                        site, {"values": {}, "lost": 0})
-                    dvalues = cast(Dict[object, int], dest["values"])
-                    for value, count in cast(
-                            Dict[object, int], data["values"]).items():
-                        dvalues[value] = dvalues.get(value, 0) + count
-                    dest["lost"] = (cast(int, dest["lost"])
-                                    + cast(int, data["lost"]))
-        return merged
 
 
 def top_values(site: SiteResult, n: int = TOP_N

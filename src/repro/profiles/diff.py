@@ -1,13 +1,11 @@
 """Profile diffs: what changed between two runs.
 
 A dynamic optimizer that profiles continuously needs to know when the
-flow distribution *shifts* -- new hot paths appearing (recompile), old
-ones cooling (deoptimize or evict traces).  This module compares two
-profiles of the same module: :func:`diff_profiles` classifies every
-Ball-Larus path by how its share of program flow moved, and
-:func:`diff_edge_profiles` does the same per CFG edge (the granularity
-``repro profiles diff`` reports, since edge profiles are what the CLI
-persists).
+flow distribution *shifts* -- new hot edges appearing (recompile), old
+ones cooling (deoptimize or evict traces).  :func:`diff_edge_profiles`
+compares two edge profiles of the same module and ranks every CFG edge
+by how its share of program flow moved; ``repro profiles diff`` reports
+it, since edge profiles are what the CLI persists.
 """
 
 from __future__ import annotations
@@ -15,102 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .edge_profile import EdgeProfile
-from .flow import Metric
-from .path_profile import PathKey, PathProfile
 
-
-@dataclass
-class PathDelta:
-    function: str
-    blocks: PathKey
-    before_share: float  # fraction of total flow in the old profile
-    after_share: float
-
-    @property
-    def shift(self) -> float:
-        return self.after_share - self.before_share
-
-
-@dataclass
-class ProfileDiff:
-    """All paths whose flow share moved by at least ``threshold``."""
-
-    appeared: list[PathDelta] = field(default_factory=list)
-    vanished: list[PathDelta] = field(default_factory=list)
-    hotter: list[PathDelta] = field(default_factory=list)
-    colder: list[PathDelta] = field(default_factory=list)
-
-    @property
-    def total_shift(self) -> float:
-        """Total flow-share movement (0 = identical distributions, up to
-        1.0 = completely disjoint); half the L1 distance."""
-        deltas = (self.appeared + self.vanished + self.hotter
-                  + self.colder + self._stable)
-        return sum(abs(d.shift) for d in deltas) / 2
-
-    _stable: list[PathDelta] = field(default_factory=list, repr=False)
-
-    def is_significant(self, cutoff: float = 0.05) -> bool:
-        """Did enough flow move that re-optimization is warranted?"""
-        return self.total_shift >= cutoff
-
-
-def diff_profiles(before: PathProfile, after: PathProfile,
-                  threshold: float = 0.001,
-                  metric: Metric = "branch") -> ProfileDiff:
-    """Classify every path of two same-module profiles by flow shift.
-
-    ``threshold`` is the minimum share movement to report (paths below it
-    still contribute to :attr:`ProfileDiff.total_shift`).
-    """
-    if before.module is not after.module:
-        raise ValueError("can only diff profiles of the same module")
-    total_before = before.total_flow(metric) or 1.0
-    total_after = after.total_flow(metric) or 1.0
-    keys = ({(n, p) for n, p, _c in before.items()}
-            | {(n, p) for n, p, _c in after.items()})
-    diff = ProfileDiff()
-    for name, blocks in sorted(keys):
-        share_before = before.flow_of(name, blocks, metric) / total_before
-        share_after = after.flow_of(name, blocks, metric) / total_after
-        delta = PathDelta(name, blocks, share_before, share_after)
-        if abs(delta.shift) < threshold:
-            diff._stable.append(delta)
-            continue
-        if share_before == 0:
-            diff.appeared.append(delta)
-        elif share_after == 0:
-            diff.vanished.append(delta)
-        elif delta.shift > 0:
-            diff.hotter.append(delta)
-        else:
-            diff.colder.append(delta)
-    for bucket in (diff.appeared, diff.vanished, diff.hotter, diff.colder):
-        bucket.sort(key=lambda d: -abs(d.shift))
-    return diff
-
-
-def format_diff(diff: ProfileDiff, limit: int = 5) -> str:
-    """A short human-readable report of the biggest movers."""
-    lines = [f"total flow shift: {diff.total_shift * 100:.1f}%"]
-    for label, bucket in (("appeared", diff.appeared),
-                          ("vanished", diff.vanished),
-                          ("hotter", diff.hotter),
-                          ("colder", diff.colder)):
-        if not bucket:
-            continue
-        lines.append(f"{label} ({len(bucket)}):")
-        for delta in bucket[:limit]:
-            lines.append(
-                f"  {delta.shift * 100:+5.1f}%  {delta.function}: "
-                f"{' -> '.join(delta.blocks[:5])}"
-                f"{' ...' if len(delta.blocks) > 5 else ''}")
-    return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Edge-profile diffs (the serialized-profile granularity)
-# ----------------------------------------------------------------------
 
 @dataclass
 class EdgeDelta:

@@ -99,11 +99,3 @@ def coverage(total_actual_flow: float,
         return 1.0
     numerator = sum(p.numerator for p in parts)
     return max(0.0, min(1.0, numerator / total_actual_flow))
-
-
-def edge_profile_coverage(total_actual_flow: float,
-                          definite_flows: list[float]) -> float:
-    """Edge-profile coverage: attribution of definite flow, DF(P)/F(P)."""
-    if total_actual_flow <= 0:
-        return 1.0
-    return max(0.0, min(1.0, sum(definite_flows) / total_actual_flow))

@@ -126,14 +126,6 @@ class PathProfile:
         hot.sort(key=lambda item: (-item[2], item[0], item[1]))
         return hot
 
-    def top_paths(self, n: int, metric: Metric = "branch"
-                  ) -> list[tuple[str, PathKey, float]]:
-        """The n hottest paths (used to build H_estimated in Section 6.1)."""
-        ranked = [(name, path, self.flow_of(name, path, metric))
-                  for name, path, _count in self.items()]
-        ranked.sort(key=lambda item: (-item[2], item[0], item[1]))
-        return ranked[:n]
-
     def average_path_stats(self) -> tuple[float, float]:
         """(average branches, average block count) per dynamic path.
 

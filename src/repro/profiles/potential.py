@@ -16,7 +16,6 @@ from ..ir.function import Function
 from .edge_profile import FunctionEdgeProfile
 from .flow import Metric
 from .flowsets import FlowSets, compute_flow_sets
-from .reconstruct import ReconstructedPath, reconstruct_hot_paths
 
 
 def potential_flow_sets(func: Function, profile: FunctionEdgeProfile,
@@ -28,13 +27,3 @@ def potential_flow_sets(func: Function, profile: FunctionEdgeProfile,
         dag = build_profiling_dag(func.cfg)
     return compute_flow_sets(dag, profile, "potential", metric=metric,
                              cap=cap)
-
-
-def potential_flow_paths(func: Function, profile: FunctionEdgeProfile,
-                         cutoff: float, metric: Metric = "branch",
-                         max_paths: int = 5000,
-                         cap: Optional[int] = 50_000
-                         ) -> list[ReconstructedPath]:
-    """Paths with potential flow above ``cutoff`` with their flows."""
-    sets = potential_flow_sets(func, profile, metric, cap=cap)
-    return reconstruct_hot_paths(sets, cutoff, max_paths=max_paths)

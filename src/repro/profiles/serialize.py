@@ -1,4 +1,4 @@
-"""Profile serialization: save and load edge/path profiles as JSON.
+"""Profile serialization: save and load edge profiles as JSON.
 
 A dynamic optimizer persists profiles across runs ("offline advice"); the
 staleness study (:mod:`repro.harness.staleness`) and the CLI use this to
@@ -24,7 +24,6 @@ from typing import TextIO
 
 from ..ir.function import Module
 from .edge_profile import EdgeProfile, FunctionEdgeProfile
-from .path_profile import FunctionPathProfile, PathProfile
 
 FORMAT_VERSION = 1
 
@@ -43,10 +42,6 @@ def _edge_key_table(func) -> dict[int, list]:
 def _edge_uid_table(func) -> dict[tuple[str, str, int], int]:
     return {tuple(v): uid for uid, v in _edge_key_table(func).items()}
 
-
-# ----------------------------------------------------------------------
-# Edge profiles
-# ----------------------------------------------------------------------
 
 def edge_profile_to_dict(profile: EdgeProfile,
                          embed_sketch: bool = False) -> dict:
@@ -135,43 +130,3 @@ def save_edge_profile(profile: EdgeProfile, fp: TextIO,
 
 def load_edge_profile(fp: TextIO, module: Module) -> EdgeProfile:
     return edge_profile_from_dict(json.load(fp), module)
-
-
-# ----------------------------------------------------------------------
-# Path profiles
-# ----------------------------------------------------------------------
-
-def path_profile_to_dict(profile: PathProfile) -> dict:
-    out = {"version": FORMAT_VERSION, "kind": "path-profile",
-           "module": profile.module.name, "functions": {}}
-    for name, fp in profile.functions.items():
-        out["functions"][name] = [[list(path), count]
-                                  for path, count in sorted(fp.counts.items())]
-    return out
-
-
-def path_profile_from_dict(data: dict, module: Module) -> PathProfile:
-    if data.get("kind") != "path-profile":
-        raise ValueError("not a serialized path profile")
-    if data.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported version {data.get('version')!r}")
-    functions = {}
-    for name, func in module.functions.items():
-        raw = data["functions"].get(name, [])
-        counts = {}
-        for blocks, count in raw:
-            for b in blocks:
-                if b not in func.cfg.blocks:
-                    raise ValueError(
-                        f"path block {b!r} not in function {name!r}")
-            counts[tuple(blocks)] = count
-        functions[name] = FunctionPathProfile(func, counts)
-    return PathProfile(module, functions)
-
-
-def save_path_profile(profile: PathProfile, fp: TextIO) -> None:
-    json.dump(path_profile_to_dict(profile), fp, indent=1)
-
-
-def load_path_profile(fp: TextIO, module: Module) -> PathProfile:
-    return path_profile_from_dict(json.load(fp), module)

@@ -485,6 +485,16 @@ class TestUnchangedPairs:
             assert not equiv_impl._unchanged(pre.functions[fname], pre,
                                              post, {}), fname
 
+    def test_dropped_callee_is_reported_on_its_callers(self):
+        pre = compile_source(_CALL_CHAIN.format(k=1))
+        post = _with_functions(pre, leaf=None)
+        report = check_pass("cleanup", pre, post)
+        found = {(d.code, d.function): d.message for d in report.errors()}
+        assert set(found) == {("E207", "leaf"), ("E207", "mid"),
+                              ("E207", "main")}
+        for caller in ("mid", "main"):
+            assert "'leaf'" in found[("E207", caller)], caller
+
 
 # ----------------------------------------------------------------------
 # Degenerate CFGs: skip with INFO, never crash or false-positive

@@ -143,16 +143,6 @@ class TestMemoryVersioning:
         ex.step(Load("y", "a", "i"))
         assert ex.read("x") is ex.read("y")
 
-    def test_opaque_call_clobbers_memory(self):
-        ex, ops, _fact = self._executor()
-        ex.step(Const("i", 0))
-        ex.step(Load("x", "a", "i"))
-        result = ex.opaque_call("helper", (), has_dst=True)
-        ex.step(Load("y", "a", "i"))
-        assert ex.read("x") is not ex.read("y")
-        assert result.kind == "call"
-        assert [op[0] for op in ops] == ["call"]
-
     def test_zero_fill_via_init_reg(self):
         module = compile_source("func main() { return 0; }")
         fact = TermFactory()

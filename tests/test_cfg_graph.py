@@ -66,12 +66,6 @@ class TestBasicConstruction:
 
 
 class TestQueries:
-    def test_is_branch_edge(self):
-        cfg = diamond_cfg()
-        assert cfg.is_branch_edge(cfg.edge("A", "B"))
-        assert cfg.is_branch_edge(cfg.edge("A", "C"))
-        assert not cfg.is_branch_edge(cfg.edge("B", "D"))
-
     def test_in_out_edges(self):
         cfg = diamond_cfg()
         assert len(cfg.out_edges("A")) == 2

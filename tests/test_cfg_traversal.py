@@ -3,9 +3,8 @@
 import pytest
 
 from repro.cfg import (CFGError, build_cfg, depth_first_order, is_acyclic,
-                       postorder, reachable, reachable_backward,
-                       reverse_postorder, reverse_topological_order,
-                       topological_order)
+                       postorder, reachable, reverse_postorder,
+                       reverse_topological_order, topological_order)
 
 from conftest import diamond_cfg, loop_cfg
 
@@ -43,14 +42,6 @@ class TestReachability:
         cfg = diamond_cfg()
         cfg.add_block("orphan")
         assert "orphan" not in reachable(cfg)
-
-    def test_reachable_backward(self):
-        cfg = diamond_cfg()
-        cfg.add_block("dead_end")
-        cfg.add_edge("A", "dead_end")
-        back = reachable_backward(cfg)
-        assert "dead_end" not in back
-        assert back == {"A", "B", "C", "D"}
 
     def test_edge_filter_limits_reach(self):
         cfg = diamond_cfg()

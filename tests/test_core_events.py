@@ -27,6 +27,15 @@ def _all_dag_paths(dag):
     return out
 
 
+def _tree(dag, live, weights):
+    """The tree event counting builds: the live DAG edges, with the
+    virtual exit->entry edge pre-joined."""
+    graph = dag.dag
+    return max_weight_spanning_tree(
+        [e for e in graph.edges() if e.uid in live], weights,
+        joined=(graph.exit, graph.entry))
+
+
 def _setup(func, profile=None):
     dag = build_profiling_dag(func.cfg)
     live = {e.uid for e in dag.dag.edges()}
@@ -70,7 +79,7 @@ class TestSpanningTree:
         dag = build_profiling_dag(func.cfg)
         live = {e.uid for e in dag.dag.edges()}
         weights = {uid: 1.0 for uid in live}
-        tree = max_weight_spanning_tree(dag, live, weights)
+        tree = _tree(dag, live, weights)
         # |V| blocks, virtual exit->entry edge pre-merged: |V| - 2 tree
         # edges span the rest.
         assert len(tree) == len(dag.dag.blocks) - 2
@@ -79,7 +88,7 @@ class TestSpanningTree:
         func = fig8_function()
         profile = fig8_profile(func)
         dag, live, numbering, weights, increments = _setup(func, profile)
-        tree = max_weight_spanning_tree(dag, live, weights)
+        tree = _tree(dag, live, weights)
         for uid in tree:
             assert increments[uid] == 0
 

@@ -7,6 +7,7 @@ flow -- ordering, retries, timeouts, crash recovery, inline fallback --
 is exactly what is under test and is exercised for real.
 """
 
+import json
 import multiprocessing
 import os
 import time
@@ -15,10 +16,11 @@ import pytest
 
 from repro.engine import faults
 from repro.engine import parallel as parallel_mod
-from repro.engine.faults import FaultPlan
+from repro.engine.faults import DegradationEvent, FaultPlan
 from repro.engine.parallel import (ParallelRunner, SuiteExecutionError,
                                    WorkloadTask)
-from repro.engine.results import ExecutionRecord
+from repro.engine.results import (ExecutionRecord, SuiteExecutionReport,
+                                  TaskFailure)
 from repro.workloads import get_workload
 
 
@@ -327,3 +329,22 @@ def test_failed_fallback_after_timeout_does_not_wait_on_hung_worker(
     assert time.monotonic() - start < 3.0
     assert [f.kind for f in info.value.failures] == ["timeout", "exception"]
     assert runner.report.pool_rebuilds == 1
+
+
+def test_report_json_form():
+    """What the service and ``--json`` write: elapsed times rounded to
+    the millisecond, retries and degradations derived from the records."""
+    record = ExecutionRecord(
+        attempts=3, where="pool",
+        failures=[TaskFailure(kind="timeout", task="mcf", index=0,
+                              attempt=0, elapsed_s=0.123456789)],
+        degradations=[DegradationEvent("inline-fallback", "mcf", "why")])
+    report = SuiteExecutionReport(
+        records={"mcf": record, "bzip2": ExecutionRecord()},
+        pool_rebuilds=2, cache_quarantined=1)
+    doc = json.loads(json.dumps(report.to_dict()))
+    assert (doc["pool_rebuilds"], doc["cache_quarantined"]) == (2, 1)
+    assert (doc["retries"], doc["degradations"]) == (2, 1)
+    assert doc["tasks"]["mcf"]["failures"][0]["elapsed_s"] == 0.123
+    assert doc["tasks"]["bzip2"] == {"attempts": 1, "where": "serial",
+                                     "failures": [], "degradations": []}

@@ -91,30 +91,6 @@ class TestPlanReportHash:
         assert "8192 possible paths" in text
 
 
-class TestDiffFormatting:
-    def test_limit_truncates_buckets(self):
-        from repro.profiles import PathProfile
-        from repro.profiles.diff import diff_profiles, format_diff
-        m = compile_source("""
-            func main() {
-                s = 0;
-                for (i = 0; i < 100; i = i + 1) {
-                    if (i % 2 == 0) { s = s + 1; }
-                    if (i % 3 == 0) { s = s + 2; }
-                    if (i % 5 == 0) { s = s + 3; }
-                }
-                return s;
-            }""")
-        actual, _p, _r = trace_module(m)
-        empty = PathProfile.empty(m)
-        diff = diff_profiles(actual, empty, threshold=0.0001)
-        text = format_diff(diff, limit=2)
-        # Many vanished paths, but at most 2 printed per bucket.
-        assert len(diff.vanished) > 2
-        printed = [ln for ln in text.splitlines() if ln.startswith("  ")]
-        assert len(printed) <= 2 * 4
-
-
 class TestHarnessVerbose:
     def test_run_suite_verbose_prints_progress(self, capsys,
                                                profiling_session):

@@ -2,7 +2,7 @@
 
 Covers the registry and its conformance contract, the builtin plugins'
 identity with the machine's native channels, the value and trip-count
-profilers (correctness, merge, tuple-vs-compiled parity), multi-profiler
+profilers (correctness, tuple-vs-compiled parity), multi-profiler
 fusion with a Ball-Larus plan, HashStore collision/lost accounting
 through both backends, the generic observation verifier and the
 profiler-fusion codegen client, and a hypothesis property test that any
@@ -79,7 +79,6 @@ class TestRegistry:
         assert any("kebab" in e for e in errors)
         assert any("description" in e for e in errors)
         assert any("channels" in e for e in errors)
-        assert any("merge" in e for e in errors)
         assert any("collect" in e for e in errors)
 
     def test_registered_plugins_all_conform(self):
@@ -96,10 +95,6 @@ class TestRegistry:
             channels = MachineChannels()
 
             def collect(self, machine, obs):
-                return {}
-
-            @classmethod
-            def merge(cls, results):
                 return {}
 
         with pytest.raises(ValueError, match="duplicate"):
@@ -130,14 +125,6 @@ class TestBuiltinIdentity:
         assert run.profiles["calls"] == dict(native.invocations)
         # Channel-only profilers place no ops: nothing billed.
         assert run.result.costs.instrumentation == 0.0
-
-    def test_builtin_merge_sums(self):
-        a = {"main": {(0,): 2}}
-        b = {"main": {(0,): 3}, "f": {(1,): 1}}
-        merged = PathTraceProfiler.merge([a, b])
-        assert merged == {"main": {(0,): 5}, "f": {(1,): 1}}
-        assert InvocationProfiler.merge([{"main": 1}, {"main": 2}]) == \
-            {"main": 3}
 
     def test_duplicate_selection_rejected(self, module):
         with pytest.raises(ValueError, match="duplicate"):
@@ -190,13 +177,6 @@ class TestValueProfiler:
         for v in s_sites:
             assert sum(v["values"].values()) + v["lost"] == distinct
 
-    def test_merge_sums_values_and_lost(self):
-        a = {"main": {"b:x": {"values": {1: 2}, "lost": 1}}}
-        b = {"main": {"b:x": {"values": {1: 1, 2: 4}, "lost": 2}}}
-        merged = ValueProfiler.merge([a, b])
-        assert merged == {"main": {"b:x": {"values": {1: 3, 2: 4},
-                                           "lost": 3}}}
-
     def test_backend_parity(self):
         module = compile_source(LOOPY)
         runs = {backend: execute_profilers(module, [ValueProfiler()],
@@ -246,12 +226,6 @@ class TestTripCountProfiler:
     def test_mean_trips(self):
         assert mean_trips({}) == 0.0
         assert mean_trips({2: 1, 4: 1}) == 3.0
-
-    def test_merge_sums_histograms(self):
-        a = {"main": {"for0": {3: 1}}}
-        b = {"main": {"for0": {3: 2, 5: 1}}}
-        assert TripCountProfiler.merge([a, b]) == \
-            {"main": {"for0": {3: 3, 5: 1}}}
 
     def test_backend_parity(self):
         module = compile_source(LOOPY)

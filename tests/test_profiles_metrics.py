@@ -4,8 +4,7 @@ import pytest
 
 from repro.lang import compile_source
 from repro.profiles import (FunctionCoverage, PathProfile, accuracy,
-                            actual_hot_paths, coverage,
-                            edge_profile_coverage, select_top)
+                            actual_hot_paths, coverage, select_top)
 
 from conftest import trace_module
 
@@ -35,10 +34,6 @@ class TestPathProfile:
         hot = actual.hot_paths(0.00125)
         flows = [f for _, _, f in hot]
         assert flows == sorted(flows, reverse=True)
-
-    def test_top_paths_limits(self, traced):
-        _m, actual, _p, _r = traced
-        assert len(actual.top_paths(2)) == 2
 
     def test_total_flow_positive(self, traced):
         _m, actual, _p, _r = traced
@@ -116,7 +111,3 @@ class TestCoverage:
         parts = [FunctionCoverage(actual_instr_flow=200, measured_flow=200)]
         assert coverage(100, parts) == 1.0
         assert coverage(0, parts) == 1.0
-
-    def test_edge_profile_coverage(self):
-        assert edge_profile_coverage(160, [80]) == 0.5
-        assert edge_profile_coverage(0, []) == 1.0

@@ -7,10 +7,8 @@ import json
 import pytest
 
 from repro.lang import compile_source
-from repro.profiles import (load_edge_profile, load_path_profile,
-                            save_edge_profile, save_path_profile,
-                            edge_profile_from_dict, edge_profile_to_dict,
-                            path_profile_from_dict, path_profile_to_dict)
+from repro.profiles import (load_edge_profile, save_edge_profile,
+                            edge_profile_from_dict, edge_profile_to_dict)
 
 from conftest import SMALL_PROGRAM, trace_module
 
@@ -78,35 +76,3 @@ class TestEdgeProfileRoundTrip:
         _m, _a, profile = env
         text = json.dumps(edge_profile_to_dict(profile))
         assert json.loads(text)["kind"] == "edge-profile"
-
-
-class TestPathProfileRoundTrip:
-    def test_round_trip_preserves_counts(self, env):
-        m, actual, _p = env
-        buf = io.StringIO()
-        save_path_profile(actual, buf)
-        buf.seek(0)
-        loaded = load_path_profile(buf, m)
-        for name in m.functions:
-            assert loaded[name].counts == actual[name].counts
-
-    def test_flows_survive(self, env):
-        m, actual, _p = env
-        data = path_profile_to_dict(actual)
-        loaded = path_profile_from_dict(data, m)
-        assert loaded.total_flow("branch") == actual.total_flow("branch")
-        assert loaded.distinct_paths() == actual.distinct_paths()
-
-    def test_unknown_block_rejected(self, env):
-        m, actual, _p = env
-        data = path_profile_to_dict(actual)
-        data["functions"]["main"].append([["no_such_block"], 3])
-        with pytest.raises(ValueError):
-            path_profile_from_dict(data, m)
-
-    def test_wrong_kind_rejected(self, env):
-        m, actual, _p = env
-        data = path_profile_to_dict(actual)
-        data["kind"] = "edge-profile"
-        with pytest.raises(ValueError):
-            path_profile_from_dict(data, m)

@@ -15,8 +15,7 @@ from repro.core import event_count, number_paths, place_instrumentation
 from repro.interp import Machine, MachineError, run_module
 from repro.opt import cleanup_module
 from repro.profiles import (EdgeProfile, PathProfile,
-                            edge_profile_from_dict, edge_profile_to_dict,
-                            path_profile_from_dict, path_profile_to_dict)
+                            edge_profile_from_dict, edge_profile_to_dict)
 from repro.workloads import random_module
 
 _SETTINGS = dict(
@@ -153,7 +152,7 @@ def test_cleanup_preserves_behaviour(seed):
 @settings(**_SETTINGS)
 def test_serialization_round_trips(seed):
     module = random_module(seed)
-    machine = Machine(module, collect_edge_profile=True, trace_paths=True,
+    machine = Machine(module, collect_edge_profile=True,
                       max_instructions=300_000)
     try:
         result = machine.run()
@@ -161,14 +160,10 @@ def test_serialization_round_trips(seed):
         return
     edge = EdgeProfile.from_run(module, result.edge_counts,
                                 result.invocations)
-    paths = PathProfile.from_trace(module, result.path_counts)
     edge2 = edge_profile_from_dict(edge_profile_to_dict(edge), module)
     for name, fp in edge.functions.items():
         assert edge2[name].edge_freq == fp.edge_freq
         assert edge2[name].entry_count == fp.entry_count
-    paths2 = path_profile_from_dict(path_profile_to_dict(paths), module)
-    for name, fp in paths.functions.items():
-        assert paths2[name].counts == fp.counts
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
