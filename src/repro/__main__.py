@@ -101,8 +101,8 @@ import sys
 import time
 
 from .core import (build_estimated_profile, evaluate_accuracy,
-                   measured_paths, plan_pp, plan_ppp, plan_tpp,
-                   run_with_plan)
+                   measured_paths, run_with_plan)
+from .engine.stages import plan_stage
 from .harness import ground_truth
 from .harness.__main__ import (DEFAULT_CACHE_DIR, CliError,
                                _add_backend_option, _add_chaos_option,
@@ -169,10 +169,7 @@ def cmd_profile(args) -> int:
         print(f"saved edge profile to {args.save_edge_profile}")
 
     extra = _selected_profilers(args)
-    planner = {"pp": lambda: plan_pp(module),
-               "tpp": lambda: plan_tpp(module, edge_profile),
-               "ppp": lambda: plan_ppp(module, edge_profile)}
-    plan = planner[args.technique]()
+    plan = plan_stage(args.technique, module, edge_profile)
     run = run_with_plan(plan, backend=args.backend, profilers=extra)
 
     print(f"\ntechnique: {args.technique.upper()}   "
@@ -394,12 +391,11 @@ def cmd_verify(args) -> int:
             raise CliError("verify needs a FILE or --suite")
         module = _load(args.file)
         _actual, edge_profile, _rv = ground_truth(module)
-        planner = {"pp": lambda: plan_pp(module),
-                   "tpp": lambda: plan_tpp(module, edge_profile),
-                   "ppp": lambda: plan_ppp(module, edge_profile)}
         reports = []
         for tech in _parse_techniques(args.techniques):
-            report = verify_module_plan(planner[tech](), path_cap=path_cap)
+            report = verify_module_plan(plan_stage(tech, module,
+                                                   edge_profile),
+                                        path_cap=path_cap)
             report.title = f"{args.file}/{tech}"
             reports.append(report)
         return reports
@@ -502,10 +498,7 @@ def cmd_conserve(args) -> int:
                                   walk_cap=walk_cap)
         if not args.file:
             raise CliError("conserve needs a FILE or --suite")
-        module = _load(args.file)
-        _actual, edge_profile, _rv = ground_truth(module)
-        report = verify_conservation(module, profiles=edge_profile.functions,
-                                     walk_cap=walk_cap)
+        report = verify_conservation(_load(args.file), walk_cap=walk_cap)
         report.title = args.file
         return [report]
 

@@ -31,11 +31,10 @@ import importlib
 # exported name -> its submodule, in ``__all__`` order
 _HOME = {name: module for module, names in (
     ("conservation", "ConservationError ProbePlacement ReconStep VIRTUAL_UID "
-     "basis_flows block_counts enumerate_walk_flows measured_edge_weights "
-     "plan_function_probes plan_probes reconstruct static_placement"),
+     "basis_flows enumerate_walk_flows plan_function_probes plan_probes "
+     "reconstruct static_placement"),
     ("dataflow", "DataflowProblem DataflowResult Def DefiniteAssignment "
-     "DominatorSets LiveRegisters ReachingDefinitions dominance_frontiers "
-     "solve"),
+     "DominatorSets LiveRegisters ReachingDefinitions solve"),
     ("diagnostics", "Diagnostic Report Severity"),
     ("equiv", "PASS_NAMES CodegenValidationError ExploreLimits apply_pass "
      "check_function_codegen check_generated check_module_codegen check_pass "
@@ -46,7 +45,7 @@ _HOME = {name: module for module, names in (
      "match_modules match_sketches sketch_from_dict sketch_function "
      "sketch_module sketch_to_dict"),
     ("mutate", "CODEGEN_MUTATIONS CONSERVATION_MUTATIONS MATCH_MUTATIONS "
-     "MUTATIONS PASS_MUTATIONS applicable_mutations mutate_module "
+     "MUTATIONS PASS_MUTATIONS mutate_module "
      "mutate_placement mutate_plan mutate_source mutate_transfer"),
     ("sampling", "SAMPLE_TARGET sample_ids sample_stride"),
     ("symexec", "IRSymbolicExecutor SymState Term TermFactory format_term "

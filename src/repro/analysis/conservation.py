@@ -12,8 +12,10 @@ paper's event counting picks its increment placement (Section 3.1).
 This module implements the placement and the inference:
 
 * :func:`plan_probes` — maximum-weight spanning tree (Kruskal over the
-  undirected real-edge multigraph) weighted by a measured edge profile or
-  the paper's static estimator; the cotree edges are the probes.  The
+  undirected real-edge multigraph) weighted by a given edge-weight map or
+  the paper's static estimator; the cotree edges are the probes.
+  :func:`static_placement` is the static-weight placement every counter
+  (interpreter, code generator, translation validator) uses.  The
   virtual edge is *excluded* from the tree: the Machine counts
   invocations natively and unconditionally, so its count is known for
   free and the placement needs only ``E - V + C`` real probes
@@ -51,7 +53,6 @@ from ..cfg.loops import find_back_edges
 from ..core.events import max_weight_spanning_tree
 from ..core.heuristics import static_edge_weights
 from ..ir.function import Function
-from ..profiles.edge_profile import FunctionEdgeProfile
 
 #: Term id standing for the virtual exit->entry edge, whose count is the
 #: invocation count (always measured natively by the Machine).
@@ -117,11 +118,6 @@ class ProbePlacement:
                          if uid in self.probe_uids)
 
 
-def measured_edge_weights(profile: FunctionEdgeProfile) -> dict[int, float]:
-    """Edge weights from a measured profile (PPP-style, Section 4.5)."""
-    return {e.uid: float(profile.freq(e)) for e in profile.func.cfg.edges()}
-
-
 def plan_probes(cfg: ControlFlowGraph,
                 weights: Optional[Mapping[int, float]] = None,
                 name: str = "") -> ProbePlacement:
@@ -153,17 +149,10 @@ def plan_probes(cfg: ControlFlowGraph,
     )
 
 
-def plan_function_probes(func: Function,
-                         profile: Optional[FunctionEdgeProfile] = None,
-                         ) -> ProbePlacement:
-    """Plan probes for a sealed IR function.
-
-    With a measured profile the hottest edges go probe-free (PPP's
-    weighting); without one the static loop-depth estimator stands in,
-    exactly as TPP keeps the static heuristics.
-    """
-    weights = measured_edge_weights(profile) if profile is not None else None
-    return plan_probes(func.cfg, weights=weights, name=func.name)
+def plan_function_probes(func: Function) -> ProbePlacement:
+    """Plan probes for a sealed IR function under the static loop-depth
+    estimator's weights, exactly as TPP keeps the static heuristics."""
+    return plan_probes(func.cfg, name=func.name)
 
 
 # Static-weight placements are pure functions of the (sealed, immutable)
@@ -258,18 +247,6 @@ def reconstruct(placement: ProbePlacement,
     return {uid: c for uid, c in sorted(counts.items()) if c != 0}
 
 
-def block_counts(cfg: ControlFlowGraph, edge_counts: Mapping[int, int],
-                 entry_count: int) -> dict[str, int]:
-    """Block execution counts from full edge counts (+ invocations)."""
-    freq: dict[str, int] = {}
-    for name in cfg.blocks:
-        total = sum(edge_counts.get(e.uid, 0) for e in cfg.in_edges(name))
-        if name == cfg.entry:
-            total += entry_count
-        freq[name] = total
-    return freq
-
-
 # ---------------------------------------------------------------------------
 # Proof obligations (consumed by the V6xx checks in analysis/verify.py)
 # ---------------------------------------------------------------------------
@@ -341,13 +318,12 @@ def basis_flows(cfg: ControlFlowGraph, placement: ProbePlacement,
 
 def enumerate_walk_flows(cfg: ControlFlowGraph,
                          max_walks: int = DEFAULT_WALK_CAP,
-                         back_edge_budget: int = 2,
                          ) -> tuple[list[dict[int, int]], bool]:
     """Bounded deterministic enumeration of entry->exit execution flows.
 
     Each walk is a single activation (N = 1); every back/retreating edge
-    may be taken at most ``back_edge_budget`` times, which bounds the
-    enumeration because every CFG cycle contains such an edge.  Returns
+    may be taken at most twice, which bounds the enumeration because
+    every CFG cycle contains such an edge.  Returns
     the walks' edge-count vectors plus an ``exhausted`` flag: False when
     the ``max_walks`` cap truncated the space.
     """
@@ -357,7 +333,7 @@ def enumerate_walk_flows(cfg: ControlFlowGraph,
     walks: list[dict[int, int]] = []
     exhausted = True
     counts: dict[int, int] = {}
-    budget: dict[int, int] = {uid: back_edge_budget for uid in budgeted}
+    budget: dict[int, int] = {uid: 2 for uid in budgeted}
     exit_block = cfg.exit
 
     def dfs(block: str) -> None:

@@ -17,16 +17,13 @@ Shipped clients:
   boundary).  The use-before-def lint is built on this.
 * :class:`LiveRegisters` — backward/may; register liveness, equivalent
   to :class:`repro.opt.liveness.Liveness` but expressed on the framework.
-* :func:`dominance_frontiers` — Cytron-style frontiers computed from the
-  existing :class:`repro.cfg.dominators.DominatorTree`.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Generic, NamedTuple, Optional, TypeVar
+from typing import Generic, NamedTuple, TypeVar
 
-from ..cfg.dominators import DominatorTree
 from ..cfg.graph import ControlFlowGraph
 from ..cfg.traversal import postorder, reverse_postorder
 from ..ir.function import Function
@@ -300,27 +297,3 @@ class DominatorSets(DataflowProblem[frozenset]):
 
     def dominators_of(self, block: str) -> frozenset:
         return self.result.out_of(block)
-
-
-def dominance_frontiers(
-        cfg: ControlFlowGraph,
-        tree: Optional[DominatorTree] = None) -> dict[str, set[str]]:
-    """Cytron-style dominance frontiers from immediate dominators.
-
-    ``DF[b]`` is the set of blocks where ``b``'s dominance ends — the
-    classic phi-placement / control-dependence frontier.
-    """
-    if tree is None:
-        tree = DominatorTree(cfg)
-    frontiers: dict[str, set[str]] = {name: set() for name in cfg.blocks}
-    idom = tree.idom
-    for name in cfg.blocks:
-        preds = [p for p in cfg.preds(name) if p in idom or p == cfg.entry]
-        if len(preds) < 2:
-            continue
-        for pred in preds:
-            runner: Optional[str] = pred
-            while runner is not None and runner != idom.get(name):
-                frontiers[runner].add(name)
-                runner = idom.get(runner)
-    return frontiers

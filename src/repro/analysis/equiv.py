@@ -828,10 +828,9 @@ def _fmt_terminal(terminal: tuple[object, ...]) -> str:
 
 
 def check_function_codegen(func: Function, module: Module,
-                           modes: Optional[Sequence[ModeSpec]] = None,
                            report: Optional[Report] = None) -> Report:
-    """Validate one sealed function's generated code under ``modes``
-    (default: the :func:`standard_modes` lattice)."""
+    """Validate one sealed function's generated code under every mode of
+    the :func:`standard_modes` lattice."""
     if report is None:
         report = Report(title=f"codegen equivalence: {func.name}")
     if _is_irreducible(func.cfg):
@@ -840,20 +839,18 @@ def check_function_codegen(func: Function, module: Module,
             message="irreducible control flow; codegen validation "
                     "skipped", function=func.name))
         return report
-    for spec in (modes if modes is not None else standard_modes(func)):
+    for spec in standard_modes(func):
         result = generate_source(func, module, spec)
         _CodegenChecker(func, module, spec, result, report).run()
     return report
 
 
-def check_module_codegen(module: Module,
-                         modes: Optional[Sequence[ModeSpec]] = None
-                         ) -> Report:
+def check_module_codegen(module: Module) -> Report:
     """Validate every sealed function of ``module``."""
     report = Report(title=f"codegen equivalence: {module.name}")
     for func in module.functions.values():
         if func.sealed:
-            check_function_codegen(func, module, modes, report)
+            check_function_codegen(func, module, report)
     return report
 
 
@@ -1093,8 +1090,7 @@ def _advance(run: _PathRun, module: Module, limits: ExploreLimits,
         frame.idx += 1
 
 
-def _explore(func: Function, module: Module, fact: TermFactory,
-             limits: ExploreLimits
+def _explore(func: Function, module: Module, fact: TermFactory
              ) -> tuple[list[tuple[_PathRun, Term]], int]:
     """Enumerate complete symbolic paths through ``func`` (descending
     into callees).  Returns (completed runs, abandoned count)."""
@@ -1102,6 +1098,7 @@ def _explore(func: Function, module: Module, fact: TermFactory,
     abandoned = 0
     explorer = _Explorer()
     stack = [_root_run(func, fact)]
+    limits = DEFAULT_LIMITS
     live_budget = limits.max_live
     while stack and len(completed) < limits.max_paths and live_budget:
         live_budget -= 1
@@ -1233,8 +1230,8 @@ class _PreFunction:
 
 
 #: Per pre-function, its :class:`_PreFunction`.  One memo serves every
-#: pass checked against the same pre-module under the same limits: the
-#: passes build new modules and leave the pre-module unchanged.
+#: pass checked against the same pre-module: the passes build new
+#: modules and leave the pre-module unchanged.
 PathMemo = dict[Function, _PreFunction]
 
 
@@ -1266,17 +1263,13 @@ def _unchanged(pre_func: Function, pre_module: Module, post_module: Module,
     return True
 
 
-def check_pass(pass_name: str, pre_module: Module, post_module: Module,
-               limits: ExploreLimits = DEFAULT_LIMITS,
-               report: Optional[Report] = None, *,
+def check_pass(pass_name: str, pre_module: Module, post_module: Module, *,
                memo: Optional[PathMemo] = None) -> Report:
     """Check the simulation relation for one pass over every function.
 
     ``memo`` shares each pre-function's exploration across calls with
-    the same ``pre_module`` and ``limits``; without it every call
-    explores afresh."""
-    if report is None:
-        report = Report(title=f"pass equivalence: {pass_name}")
+    the same ``pre_module``; without it every call explores afresh."""
+    report = Report(title=f"pass equivalence: {pass_name}")
     if memo is None:
         memo = {}
     for fname, pre_func in pre_module.functions.items():
@@ -1288,14 +1281,14 @@ def check_pass(pass_name: str, pre_module: Module, post_module: Module,
                 function=fname))
             continue
         _check_pass_function(pass_name, pre_func, pre_module, post_func,
-                             post_module, limits, report, memo)
+                             post_module, report, memo)
     return report
 
 
 def _check_pass_function(pass_name: str, pre_func: Function,
                          pre_module: Module, post_func: Function,
-                         post_module: Module, limits: ExploreLimits,
-                         report: Report, memo: PathMemo) -> None:
+                         post_module: Module, report: Report,
+                         memo: PathMemo) -> None:
     fname = pre_func.name
     if _is_irreducible(pre_func.cfg) or _is_irreducible(post_func.cfg):
         report.add(Diagnostic(
@@ -1307,7 +1300,7 @@ def _check_pass_function(pass_name: str, pre_func: Function,
     if entry.explored is None:
         fact = TermFactory()
         entry.explored = (fact,
-                          _explore(pre_func, pre_module, fact, limits)[0])
+                          _explore(pre_func, pre_module, fact)[0])
     fact, completed = entry.explored
     if not completed:
         report.add(Diagnostic(
@@ -1399,7 +1392,6 @@ def _check_pass_function(pass_name: str, pre_func: Function,
 
 def equiv_module(module: Module,
                  passes: Sequence[str] = PASS_NAMES,
-                 limits: ExploreLimits = DEFAULT_LIMITS,
                  codegen: bool = True,
                  trace: Optional[Callable[[Module], tuple[
                      "PathProfile", "EdgeProfile", object]]] = None
@@ -1423,19 +1415,18 @@ def equiv_module(module: Module,
             post = apply_pass(pass_name, module, edge_profile,
                               path_profile)
             reports.append((f"pass:{pass_name}",
-                            check_pass(pass_name, module, post, limits,
+                            check_pass(pass_name, module, post,
                                        memo=memo)))
     return reports
 
 
 def equiv_suite(session: "ProfilingSession",
                 workloads: Iterable["Workload"],
-                passes: Sequence[str] = PASS_NAMES,
-                limits: ExploreLimits = DEFAULT_LIMITS
+                passes: Sequence[str] = PASS_NAMES
                 ) -> list[tuple[str, str, Report]]:
     """Run :func:`equiv_module` over a workload suite, caching each
     workload's verdicts in the session's artifact cache (keyed by module
-    fingerprint, pass list, and budget).  The passes read the session's
+    fingerprint and pass list).  The passes read the session's
     recording of each module, which both backends fill identically."""
     from ..engine.fingerprint import fingerprint_module, fingerprint_text
 
@@ -1443,12 +1434,10 @@ def equiv_suite(session: "ProfilingSession",
     for workload in workloads:
         module = session.compile(workload)
         key = fingerprint_text(
-            "equiv", fingerprint_module(module), ",".join(passes),
-            repr(limits))
+            "equiv", fingerprint_module(module), ",".join(passes))
         reports = session.cache.get_or_compute(
             "equiv", key,
-            lambda m=module: equiv_module(m, passes, limits,
-                                          trace=session.trace))
+            lambda m=module: equiv_module(m, passes, trace=session.trace))
         for label, report in reports:
             out.append((workload.name, label, report))
     return out

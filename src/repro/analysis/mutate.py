@@ -225,12 +225,6 @@ def mutate_plan(mplan: ModulePlan, kind: str) -> Optional[ModulePlan]:
     return mutated
 
 
-def applicable_mutations(mplan: ModulePlan) -> list[str]:
-    """The mutation kinds that have at least one site in this plan."""
-    return [kind for kind in MUTATIONS
-            if mutate_plan(mplan, kind) is not None]
-
-
 # ----------------------------------------------------------------------
 # Codegen mutations: corrupting generated Python source
 # ----------------------------------------------------------------------

@@ -28,10 +28,11 @@ def sample_stride(total: int, target: int = SAMPLE_TARGET) -> int:
     return max(1, total // target)
 
 
-def sample_ids(total: int, target: int = SAMPLE_TARGET) -> range:
-    """Deterministic spread of about ``target`` ids from ``range(total)``.
+def sample_ids(total: int) -> range:
+    """Deterministic spread of about :data:`SAMPLE_TARGET` ids from
+    ``range(total)``.
 
-    When ``total <= target`` every id is produced, so callers need no
+    When ``total <= SAMPLE_TARGET`` every id is produced, so callers need no
     separate exhaustive/sampled code paths.
     """
-    return range(0, total, sample_stride(total, target))
+    return range(0, total, sample_stride(total))

@@ -70,11 +70,10 @@ from ..core.ops import AddReg, CountConst, CountReg, InstrOp, SetReg
 from ..core.pipeline import FunctionPlan, ModulePlan, ProfilerConfig
 from ..ir.function import Function, Module
 from ..ir.validate import validate_module
-from ..profiles.edge_profile import FunctionEdgeProfile
 from ..workloads import Workload
 from .conservation import (DEFAULT_WALK_CAP, VIRTUAL_UID, ProbePlacement,
                            basis_flows, enumerate_walk_flows,
-                           plan_function_probes, reconstruct)
+                           reconstruct, static_placement)
 from .diagnostics import Diagnostic, Report, Severity
 from .sampling import SAMPLE_TARGET, sample_ids
 
@@ -822,18 +821,16 @@ def verify_placement(func: Function, placement: ProbePlacement,
 
 
 def verify_conservation_function(func: Function,
-                                 profile: Optional[FunctionEdgeProfile]
-                                 = None,
                                  walk_cap: int = DEFAULT_WALK_CAP
                                  ) -> list[Diagnostic]:
-    """Plan a probe placement for ``func`` and prove it (V600-V604)."""
-    placement = plan_function_probes(func, profile)
+    """Prove the static probe placement the counters use for ``func``
+    (V600-V604)."""
+    placement = static_placement(func)
     diags = verify_placement(func, placement, walk_cap)
-    weighted = "measured" if profile is not None else "static"
     diags.insert(0, Diagnostic(
         severity=Severity.INFO, code="V600",
         message=f"{placement.num_edges} edges, {placement.num_probes} "
-                f"probes ({weighted} weights): "
+                f"probes (static weights): "
                 f"{placement.dropped_fraction:.0%} of edge counters "
                 f"proven redundant",
         function=func.name))
@@ -841,28 +838,22 @@ def verify_conservation_function(func: Function,
 
 
 def verify_conservation(module: Module,
-                        profiles: Optional[dict[str, FunctionEdgeProfile]]
-                        = None,
                         walk_cap: int = DEFAULT_WALK_CAP) -> Report:
-    """Prove a conservation probe placement for every function."""
+    """Prove the static probe placement for every function."""
     report = Report(title=f"conserve {module.name}")
-    for name, func in module.functions.items():
-        profile = profiles.get(name) if profiles else None
-        report.extend(verify_conservation_function(func, profile,
-                                                   walk_cap))
+    for func in module.functions.values():
+        report.extend(verify_conservation_function(func, walk_cap))
     return report
 
 
 def conserve_suite(session: "ProfilingSession",
                    workloads: Optional[list[Workload]] = None,
-                   scale: int = 1,
                    walk_cap: int = DEFAULT_WALK_CAP) -> list[Report]:
-    """Prove conservation placements for every workload in the suite.
+    """Prove the static conservation placements for every workload in
+    the suite.
 
-    Placements are weighted by each workload's measured ground-truth
-    edge profile (the PPP setting); modules and traces come through the
-    session, and the proof reports themselves are cached under the
-    module fingerprint.
+    Modules come through the session, and the proof reports themselves
+    are cached under the module fingerprint.
     """
     from ..engine.fingerprint import fingerprint_module, fingerprint_text
     from ..workloads import SUITE
@@ -870,17 +861,12 @@ def conserve_suite(session: "ProfilingSession",
     chosen = list(workloads) if workloads is not None else list(SUITE)
     reports: list[Report] = []
     for workload in chosen:
-        module = session.expand(workload, scale).module
-        _actual, edge_profile, _rv = session.trace(module)
+        module = session.expand(workload).module
         key = fingerprint_text("conserve-report",
                                fingerprint_module(module), str(walk_cap))
-        profiles = edge_profile.functions
-
-        def compute() -> Report:
-            return verify_conservation(module, profiles, walk_cap)
-
-        report = session.cache.get_or_compute("conservereport", key,
-                                              compute)
+        report = session.cache.get_or_compute(
+            "conservereport", key,
+            lambda: verify_conservation(module, walk_cap))
         report.title = workload.name
         reports.append(report)
     return reports
@@ -889,9 +875,7 @@ def conserve_suite(session: "ProfilingSession",
 def verify_suite(session: "ProfilingSession",
                  workloads: Optional[list[Workload]] = None,
                  techniques: Optional[Iterable[str]] = None,
-                 config: Optional[ProfilerConfig] = None,
-                 path_cap: int = DEFAULT_PATH_CAP,
-                 scale: int = 1) -> list[Report]:
+                 path_cap: int = DEFAULT_PATH_CAP) -> list[Report]:
     """Verify the PP/TPP/PPP plans for every workload in the suite.
 
     Plans (and the traces TPP/PPP plan from) come through the session,
@@ -906,15 +890,15 @@ def verify_suite(session: "ProfilingSession",
     techs = tuple(techniques) if techniques is not None else TECHNIQUES
     reports: list[Report] = []
     for workload in chosen:
-        module = session.expand(workload, scale).module
+        module = session.expand(workload).module
         edge_profile = None
         if any(t != "pp" for t in techs):
             _actual, edge_profile, _rv = session.trace(module)
         for technique in techs:
             profile = None if technique == "pp" else edge_profile
             report = session.verify_report(
-                session.plan_key(technique, module, profile, config),
-                lambda: session.plan(technique, module, profile, config),
+                session.plan_key(technique, module, profile),
+                lambda: session.plan(technique, module, profile),
                 path_cap)
             report.title = f"{workload.name}/{technique}"
             reports.append(report)
@@ -1105,8 +1089,7 @@ def verify_transfer(transfer: "TransferResult",
 
 
 def match_suite(session: "ProfilingSession",
-                workloads: Optional[list[Workload]] = None,
-                scale: int = 1) -> list[Report]:
+                workloads: Optional[list[Workload]] = None) -> list[Report]:
     """Prove stale-profile matching over the workload suite.
 
     Two reports per workload: ``<name>/self`` matches the expanded
@@ -1125,8 +1108,8 @@ def match_suite(session: "ProfilingSession",
     chosen = list(workloads) if workloads is not None else list(SUITE)
     reports: list[Report] = []
     for workload in chosen:
-        old_module = session.compile(workload, scale)
-        new_module = session.expand(workload, scale).module
+        old_module = session.compile(workload)
+        new_module = session.expand(workload).module
         old_paths, old_edge, _rv = session.trace(old_module)
         new_paths, new_edge, _rv2 = session.trace(new_module)
         old_fp = fingerprint_module(old_module)

@@ -46,13 +46,11 @@ class ProfilingDag:
         back-edge source name -> the dummy DAG edge ``tail -> exit``.
     """
 
-    def __init__(self, cfg: ControlFlowGraph,
-                 back_edges: Optional[list[Edge]] = None):
+    def __init__(self, cfg: ControlFlowGraph):
         if cfg.entry is None or cfg.exit is None:
             raise CFGError("profiling DAG requires entry and exit blocks")
         self.cfg = cfg
-        self.back_edges = (find_back_edges(cfg) if back_edges is None
-                           else list(back_edges))
+        self.back_edges = find_back_edges(cfg)
         self.dag = ControlFlowGraph(cfg.name + ".dag")
         self.entry_dummies: dict[str, Edge] = {}
         self.exit_dummies: dict[str, Edge] = {}

@@ -52,8 +52,7 @@ def cfg_to_dot(cfg: ControlFlowGraph,
 
 
 def dag_to_dot(dag: ProfilingDag,
-               values: Optional[dict[int, int]] = None,
-               cold_edges: Optional[set[int]] = None) -> str:
+               values: Optional[dict[int, int]] = None) -> str:
     """Render a profiling DAG, labelling edges with numbering values."""
 
     def label(edge: Edge) -> str:
@@ -66,5 +65,5 @@ def dag_to_dot(dag: ProfilingDag,
             parts.append("exit-dummy")
         return ", ".join(parts)
 
-    return cfg_to_dot(dag.dag, edge_label=label, cold_edges=cold_edges,
+    return cfg_to_dot(dag.dag, edge_label=label,
                       title=dag.cfg.name + " (DAG)")

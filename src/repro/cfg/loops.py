@@ -29,11 +29,6 @@ class Loop:
         self.children: list["Loop"] = []
 
     @property
-    def tails(self) -> list[str]:
-        """Sources of the loop's back edges."""
-        return [e.src for e in self.back_edges]
-
-    @property
     def depth(self) -> int:
         """Nesting depth; outermost loops have depth 1."""
         d = 1

@@ -21,10 +21,10 @@ def _succ_edges(cfg: ControlFlowGraph, name: str,
     return [e for e in edges if edge_filter(e)]
 
 
-def depth_first_order(cfg: ControlFlowGraph, root: Optional[str] = None,
+def depth_first_order(cfg: ControlFlowGraph,
                       edge_filter: Optional[EdgeFilter] = None) -> list[str]:
-    """Blocks in depth-first preorder from ``root`` (default: entry)."""
-    start = root if root is not None else cfg.entry
+    """Blocks in depth-first preorder from the entry."""
+    start = cfg.entry
     if start is None:
         raise CFGError("graph has no entry block")
     seen: set[str] = set()
@@ -42,10 +42,9 @@ def depth_first_order(cfg: ControlFlowGraph, root: Optional[str] = None,
     return order
 
 
-def postorder(cfg: ControlFlowGraph, root: Optional[str] = None,
-              edge_filter: Optional[EdgeFilter] = None) -> list[str]:
-    """Blocks in depth-first postorder from ``root`` (default: entry)."""
-    start = root if root is not None else cfg.entry
+def postorder(cfg: ControlFlowGraph) -> list[str]:
+    """Blocks in depth-first postorder from the entry."""
+    start = cfg.entry
     if start is None:
         raise CFGError("graph has no entry block")
     seen: set[str] = set()
@@ -53,7 +52,7 @@ def postorder(cfg: ControlFlowGraph, root: Optional[str] = None,
     # Stack holds (block, iterator over successor names).
     stack: list[tuple[str, list[str], int]] = []
     seen.add(start)
-    stack.append((start, [e.dst for e in _succ_edges(cfg, start, edge_filter)], 0))
+    stack.append((start, cfg.succs(start), 0))
     while stack:
         name, succs, idx = stack.pop()
         while idx < len(succs) and succs[idx] in seen:
@@ -64,23 +63,21 @@ def postorder(cfg: ControlFlowGraph, root: Optional[str] = None,
             nxt = succs[idx]
             stack.append((name, succs, idx + 1))
             seen.add(nxt)
-            stack.append(
-                (nxt, [e.dst for e in _succ_edges(cfg, nxt, edge_filter)], 0))
+            stack.append((nxt, cfg.succs(nxt), 0))
     return order
 
 
-def reverse_postorder(cfg: ControlFlowGraph, root: Optional[str] = None,
-                      edge_filter: Optional[EdgeFilter] = None) -> list[str]:
+def reverse_postorder(cfg: ControlFlowGraph) -> list[str]:
     """Blocks in reverse postorder (a topological order on acyclic graphs)."""
-    order = postorder(cfg, root, edge_filter)
+    order = postorder(cfg)
     order.reverse()
     return order
 
 
-def reachable(cfg: ControlFlowGraph, root: Optional[str] = None,
+def reachable(cfg: ControlFlowGraph,
               edge_filter: Optional[EdgeFilter] = None) -> set[str]:
-    """Blocks reachable from ``root`` (default: entry)."""
-    return set(depth_first_order(cfg, root, edge_filter))
+    """Blocks reachable from the entry."""
+    return set(depth_first_order(cfg, edge_filter))
 
 
 def topological_order(cfg: ControlFlowGraph,
@@ -117,11 +114,9 @@ def topological_order(cfg: ControlFlowGraph,
     return order
 
 
-def reverse_topological_order(
-        cfg: ControlFlowGraph,
-        edge_filter: Optional[EdgeFilter] = None) -> list[str]:
+def reverse_topological_order(cfg: ControlFlowGraph) -> list[str]:
     """Reverse topological order of an acyclic graph."""
-    order = topological_order(cfg, edge_filter)
+    order = topological_order(cfg)
     order.reverse()
     return order
 

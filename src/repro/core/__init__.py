@@ -24,15 +24,13 @@ from .placement import (CHECK_POISON_VALUE, PlacementResult,
                         place_instrumentation)
 from .runtime import (HASH_SLOTS, HASH_THRESHOLD, HASH_TRIES, ArrayStore,
                       CounterStore, HashStore, make_store)
-from .attach import attach_function
 from .pipeline import (DEFAULT_CONFIG, FunctionPlan, ModulePlan,
                        ProfileRun, ProfilerConfig, plan_pp, plan_ppp,
                        plan_tpp, ppp_config_only, ppp_config_without,
                        run_with_plan)
 from .stream import PathStream, Recording, record_module, record_path_stream
-from .net import (NET_HOT_THRESHOLD, NetResult, NetSelector, NetTrace,
-                  run_net)
-from .hpt import HotPathTable, HptEntry, HptResult, run_hpt
+from .net import NET_HOT_THRESHOLD, NetResult, NetSelector, NetTrace
+from .hpt import HotPathTable, HptEntry, HptResult
 from .planreport import format_function_plan, format_plan
 from .estimate import (EstimatedProfile, InstrumentedFraction,
                        build_estimated_profile, edge_profile_estimate,
@@ -52,13 +50,12 @@ __all__ = [
     "CHECK_POISON_VALUE", "PlacementResult", "place_instrumentation",
     "HASH_SLOTS", "HASH_THRESHOLD", "HASH_TRIES", "ArrayStore",
     "CounterStore", "HashStore", "make_store",
-    "attach_function",
     "DEFAULT_CONFIG", "FunctionPlan", "ModulePlan", "ProfileRun",
     "ProfilerConfig", "plan_pp", "plan_ppp", "plan_tpp", "ppp_config_only",
     "ppp_config_without", "run_with_plan",
     "PathStream", "Recording", "record_module", "record_path_stream",
-    "NET_HOT_THRESHOLD", "NetResult", "NetSelector", "NetTrace", "run_net",
-    "HotPathTable", "HptEntry", "HptResult", "run_hpt",
+    "NET_HOT_THRESHOLD", "NetResult", "NetSelector", "NetTrace",
+    "HotPathTable", "HptEntry", "HptResult",
     "format_function_plan", "format_plan",
     "EstimatedProfile", "InstrumentedFraction", "build_estimated_profile",
     "edge_profile_estimate", "evaluate_accuracy", "evaluate_coverage",

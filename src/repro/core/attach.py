@@ -167,14 +167,6 @@ def _is_hash(store: CounterStore) -> bool:
     return isinstance(store, HashStore)
 
 
-def attach_function(machine: Machine, func_name: str,
-                    edge_ops: dict[int, list[InstrOp]], store: CounterStore,
-                    checked: bool) -> None:
-    """Attach one function's Ball-Larus instrumentation to a machine."""
-    ctx = HookContext(machine.cost_model, store=store, checked=checked)
-    attach_observations(machine, func_name, [(edge_ops, ctx)])
-
-
 def attach_observations(
         machine: Machine, func_name: str,
         contributions: Sequence[tuple[dict[int, list], HookContext]],

@@ -20,17 +20,18 @@ from typing import Optional
 from ..cfg.graph import Edge
 from ..profiles.definite import definite_flow_sets
 from ..profiles.edge_profile import EdgeProfile
-from ..profiles.flow import Metric, path_branches
+from ..profiles.flow import path_branches
 from ..profiles.metrics import (EstimatedFlows, FunctionCoverage,
-                                HOT_THRESHOLD, accuracy, coverage)
+                                accuracy, coverage)
 from ..profiles.path_profile import PathKey, PathProfile
 from ..profiles.potential import potential_flow_sets
 from ..profiles.reconstruct import dag_path_to_blocks, reconstruct_hot_paths
 from .pipeline import FunctionPlan, ModulePlan, ProfileRun
 
-# Reconstruction extends the estimate well below the 0.125% hot threshold.
-DEFAULT_RECONSTRUCT_FRACTION = 0.0002
-DEFAULT_MAX_PATHS_PER_FUNCTION = 4000
+# Flows are branch flows (Section 5.1).  Reconstruction extends the
+# estimate well below the 0.125% hot threshold.
+RECONSTRUCT_FRACTION = 0.0002
+MAX_PATHS_PER_FUNCTION = 4000
 
 
 def path_dag_edges(plan: FunctionPlan,
@@ -111,18 +112,14 @@ class EstimatedProfile:
     source: str                                # "instrumentation"/"potential"
 
 
-def _reconstruction_cutoff(edge_profile: EdgeProfile,
-                           fraction: float) -> float:
+def _reconstruction_cutoff(edge_profile: EdgeProfile) -> float:
     program_flow = sum(fp.branch_flow()
                        for fp in edge_profile.functions.values())
-    return fraction * program_flow
+    return RECONSTRUCT_FRACTION * program_flow
 
 
-def build_estimated_profile(
-        run: ProfileRun, edge_profile: EdgeProfile,
-        metric: Metric = "branch",
-        reconstruct_fraction: float = DEFAULT_RECONSTRUCT_FRACTION,
-        max_paths: int = DEFAULT_MAX_PATHS_PER_FUNCTION) -> EstimatedProfile:
+def build_estimated_profile(run: ProfileRun, edge_profile: EdgeProfile
+                            ) -> EstimatedProfile:
     """Measured flow for P_instr plus definite flow for P_uninstr.
 
     Falls back to potential flow when the plan instrumented nothing
@@ -130,10 +127,9 @@ def build_estimated_profile(
     """
     plan = run.plan
     if not plan.any_instrumented():
-        flows = edge_profile_estimate(plan.module, edge_profile, metric,
-                                      reconstruct_fraction, max_paths)
+        flows = edge_profile_estimate(plan.module, edge_profile)
         return EstimatedProfile(flows, {}, "potential")
-    cutoff = _reconstruction_cutoff(edge_profile, reconstruct_fraction)
+    cutoff = _reconstruction_cutoff(edge_profile)
     flows: EstimatedFlows = {}
     measured: dict[str, dict[PathKey, float]] = {}
     for name, fplan in plan.functions.items():
@@ -143,35 +139,33 @@ def build_estimated_profile(
         seen = measured_paths(run, name)
         measured[name] = seen
         for blocks, count in seen.items():
-            branches = path_branches(fplan.func, blocks)
-            flow = count * branches if metric == "branch" else count
-            flows[(name, blocks)] = flow
+            flows[(name, blocks)] = count * path_branches(fplan.func, blocks)
         # Definite flow fills in everything the instrumentation missed:
         # skipped routines, obvious paths and loops, and cold paths.
-        sets = definite_flow_sets(fplan.func, profile, metric)
-        for rec in reconstruct_hot_paths(sets, cutoff, max_paths=max_paths):
+        sets = definite_flow_sets(fplan.func, profile)
+        for rec in reconstruct_hot_paths(sets, cutoff,
+                                         MAX_PATHS_PER_FUNCTION):
             key = (name, rec.blocks)
             if key not in flows:
-                flows[key] = rec.flow(metric)
+                flows[key] = rec.flow()
     return EstimatedProfile(flows, measured, "instrumentation")
 
 
-def edge_profile_estimate(
-        module, edge_profile: EdgeProfile, metric: Metric = "branch",
-        reconstruct_fraction: float = DEFAULT_RECONSTRUCT_FRACTION,
-        max_paths: int = DEFAULT_MAX_PATHS_PER_FUNCTION) -> EstimatedFlows:
+def edge_profile_estimate(module, edge_profile: EdgeProfile
+                          ) -> EstimatedFlows:
     """The pure edge-profiling estimate: potential-flow reconstruction
     (Ball et al. found it predicts hot paths best; Section 6.1)."""
-    cutoff = _reconstruction_cutoff(edge_profile, reconstruct_fraction)
+    cutoff = _reconstruction_cutoff(edge_profile)
     flows: EstimatedFlows = {}
     for name, func in module.functions.items():
         profile = edge_profile[name]
         if not profile.executed():
             continue
-        sets = potential_flow_sets(func, profile, metric)
-        for rec in reconstruct_hot_paths(sets, cutoff, max_paths=max_paths):
+        sets = potential_flow_sets(func, profile)
+        for rec in reconstruct_hot_paths(sets, cutoff,
+                                         MAX_PATHS_PER_FUNCTION):
             key = (name, rec.blocks)
-            flow = rec.flow(metric)
+            flow = rec.flow()
             if flow > flows.get(key, 0.0):
                 flows[key] = flow
     return flows
@@ -181,22 +175,17 @@ def edge_profile_estimate(
 # Scoring
 # ----------------------------------------------------------------------
 
-def evaluate_accuracy(actual: PathProfile, estimated: EstimatedFlows,
-                      threshold: float = HOT_THRESHOLD,
-                      metric: Metric = "branch") -> float:
+def evaluate_accuracy(actual: PathProfile, estimated: EstimatedFlows
+                      ) -> float:
     """Figure 9's quantity for one technique on one program."""
-    return accuracy(actual, estimated, threshold, metric)
+    return accuracy(actual, estimated)
 
 
 def evaluate_coverage(run: ProfileRun, actual: PathProfile,
-                      edge_profile: EdgeProfile,
-                      metric: Metric = "branch",
-                      reconstruct_fraction: float = DEFAULT_RECONSTRUCT_FRACTION,
-                      max_paths: int = DEFAULT_MAX_PATHS_PER_FUNCTION
-                      ) -> float:
+                      edge_profile: EdgeProfile) -> float:
     """Figure 10's quantity: instrumented + definite - overcount, over F(P)."""
     plan = run.plan
-    cutoff = _reconstruction_cutoff(edge_profile, reconstruct_fraction)
+    cutoff = _reconstruction_cutoff(edge_profile)
     parts: list[FunctionCoverage] = []
     for name, fplan in plan.functions.items():
         fp_actual = actual[name]
@@ -205,34 +194,32 @@ def evaluate_coverage(run: ProfileRun, actual: PathProfile,
         if fplan.instrumented:
             for blocks, count in fp_actual.counts.items():
                 if path_is_instrumented(fplan, blocks):
-                    part.actual_instr_flow += fp_actual.flow(blocks, metric)
+                    part.actual_instr_flow += fp_actual.flow(blocks)
             for blocks, count in measured_paths(run, name).items():
-                branches = fp_actual.branches(blocks)
-                part.measured_flow += (count * branches
-                                       if metric == "branch" else count)
+                part.measured_flow += count * fp_actual.branches(blocks)
             # Definite flow of what the instrumentation cannot see.
-            sets = definite_flow_sets(fplan.func, profile, metric)
+            sets = definite_flow_sets(fplan.func, profile)
             for rec in reconstruct_hot_paths(sets, cutoff,
-                                             max_paths=max_paths):
+                                             MAX_PATHS_PER_FUNCTION):
                 if not path_is_instrumented(fplan, rec.blocks):
-                    part.definite_uninstr_flow += rec.flow(metric)
+                    part.definite_uninstr_flow += rec.flow()
         elif profile.executed():
-            sets = definite_flow_sets(fplan.func, profile, metric)
+            sets = definite_flow_sets(fplan.func, profile)
             part.definite_uninstr_flow = sets.total_flow()
         parts.append(part)
-    return coverage(actual.total_flow(metric), parts)
+    return coverage(actual.total_flow(), parts)
 
 
-def evaluate_edge_coverage(actual: PathProfile, edge_profile: EdgeProfile,
-                           metric: Metric = "branch") -> float:
+def evaluate_edge_coverage(actual: PathProfile,
+                           edge_profile: EdgeProfile) -> float:
     """Edge-profile coverage DF(P)/F(P) (the Figure 10 baseline)."""
     total_df = 0.0
     for name, func in actual.module.functions.items():
         profile = edge_profile[name]
         if not profile.executed():
             continue
-        total_df += definite_flow_sets(func, profile, metric).total_flow()
-    total = actual.total_flow(metric)
+        total_df += definite_flow_sets(func, profile).total_flow()
+    total = actual.total_flow()
     if total <= 0:
         return 1.0
     return max(0.0, min(1.0, total_df / total))

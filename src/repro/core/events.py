@@ -121,14 +121,12 @@ def event_count(dag: ProfilingDag, live: set[int], vals: dict[int, int],
     return new_vals
 
 
-def dag_edge_weights(dag: ProfilingDag, cfg_weights: dict[int, float],
-                     back_weight: dict[str, float] | None = None
+def dag_edge_weights(dag: ProfilingDag, cfg_weights: dict[int, float]
                      ) -> dict[int, float]:
     """Lift CFG edge weights onto DAG edges.
 
-    Real edges take their CFG weight; a dummy edge takes the summed weight
-    of the back edges it stands for (``back_weight`` maps header/tail block
-    names when supplied, otherwise the back edges' CFG weights are summed).
+    Real edges take their CFG weight; a dummy edge takes the summed CFG
+    weight of the back edges it stands for.
     """
     out: dict[int, float] = {}
     for e in dag.dag.edges():

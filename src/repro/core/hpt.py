@@ -27,7 +27,7 @@ from ..ir.function import Module
 from ..profiles.flow import Metric, path_branches
 from ..profiles.metrics import EstimatedFlows
 from ..profiles.path_profile import PathKey
-from .stream import PathStream, record_path_stream
+from .stream import PathStream
 
 DEFAULT_SETS = 64
 DEFAULT_WAYS = 4
@@ -122,12 +122,3 @@ class HotPathTable:
         return HptResult(entries=entries, hits=self.hits,
                          misses=self.misses, evictions=self.evictions,
                          return_value=return_value)
-
-
-def run_hpt(module: Module, args: tuple = (), sets: int = DEFAULT_SETS,
-            ways: int = DEFAULT_WAYS,
-            max_instructions: int = 500_000_000,
-            backend: str | None = None) -> HptResult:
-    """Execute the module and replay its paths into a hot-path table."""
-    stream = record_path_stream(module, args, max_instructions, backend)
-    return HotPathTable(sets, ways).replay(stream)

@@ -20,13 +20,12 @@ listener would have delivered them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..ir.function import Module
 from ..profiles.flow import Metric, path_branches
 from ..profiles.metrics import EstimatedFlows
 from ..profiles.path_profile import PathKey
-from .stream import PathStream, record_path_stream
+from .stream import PathStream
 
 NET_HOT_THRESHOLD = 50  # Dynamo's published trace-head threshold
 
@@ -104,12 +103,3 @@ class NetSelector:
                 (trace.function, trace.head)]
         return NetResult(traces=traces, head_counts=dict(self.head_counts),
                          return_value=return_value)
-
-
-def run_net(module: Module, args: tuple = (),
-            threshold: int = NET_HOT_THRESHOLD,
-            max_instructions: int = 500_000_000,
-            backend: Optional[str] = None) -> NetResult:
-    """Execute the module and replay its paths into NET selection."""
-    stream = record_path_stream(module, args, max_instructions, backend)
-    return NetSelector(threshold).replay(stream)

@@ -325,8 +325,7 @@ class ProfileRun:
         return self.run.costs.overhead
 
 
-def run_with_plan(plan: ModulePlan, args: tuple = (),
-                  cost_model: CostModel = DEFAULT_COSTS,
+def run_with_plan(plan: ModulePlan, cost_model: CostModel = DEFAULT_COSTS,
                   max_instructions: int = 500_000_000,
                   backend: str | None = None,
                   profilers: tuple[str, ...] = ()) -> ProfileRun:
@@ -344,16 +343,14 @@ def run_with_plan(plan: ModulePlan, args: tuple = (),
 
     path = PathPlanProfiler(plan)
     run = execute_profilers(
-        plan.module, [path, *create_profilers(profilers)], args=args,
+        plan.module, [path, *create_profilers(profilers)],
         cost_model=cost_model, max_instructions=max_instructions,
         backend=backend)
     stores = dict(run.profiles.pop(PathPlanProfiler.name))
     return ProfileRun(plan, run.result, stores, profiles=run.profiles)
 
 
-def ppp_config_without(technique: str,
-                       base: ProfilerConfig = DEFAULT_CONFIG
-                       ) -> ProfilerConfig:
+def ppp_config_without(technique: str) -> ProfilerConfig:
     """The leave-one-out configs of Figure 13.
 
     ``technique`` is one of ``"SAC"`` (global criterion + self-adjusting,
@@ -361,25 +358,26 @@ def ppp_config_without(technique: str,
     ``"LC"``.
     """
     if technique == "SAC":
-        return replace(base, global_criterion=False, self_adjusting=False)
+        return replace(DEFAULT_CONFIG, global_criterion=False,
+                       self_adjusting=False)
     if technique == "FP":
-        return replace(base, free_poisoning=False)
+        return replace(DEFAULT_CONFIG, free_poisoning=False)
     if technique == "Push":
-        return replace(base, push_through_cold=False)
+        return replace(DEFAULT_CONFIG, push_through_cold=False)
     if technique == "SPN":
-        return replace(base, smart_numbering=False)
+        return replace(DEFAULT_CONFIG, smart_numbering=False)
     if technique == "LC":
-        return replace(base, low_coverage_only=False)
+        return replace(DEFAULT_CONFIG, low_coverage_only=False)
     raise ValueError(f"unknown technique {technique!r}")
 
 
-def ppp_config_only(technique: str,
-                    base: ProfilerConfig = DEFAULT_CONFIG) -> ProfilerConfig:
+def ppp_config_only(technique: str) -> ProfilerConfig:
     """One-at-a-time configs (Section 8.3's alternative methodology):
     TPP-equivalent PPP plus a single technique."""
-    none = replace(base, low_coverage_only=False, global_criterion=False,
-                   self_adjusting=False, push_through_cold=False,
-                   smart_numbering=False, free_poisoning=True)
+    none = replace(DEFAULT_CONFIG, low_coverage_only=False,
+                   global_criterion=False, self_adjusting=False,
+                   push_through_cold=False, smart_numbering=False,
+                   free_poisoning=True)
     if technique == "none":
         return none
     if technique == "SAC":

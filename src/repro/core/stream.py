@@ -52,9 +52,7 @@ class Recording:
         return PathStream(self.distinct_paths, events, self.return_value)
 
 
-def record_module(module: Module, args: tuple = (),
-                  max_instructions: int = 500_000_000,
-                  backend: str | None = None) -> Recording:
+def record_module(module: Module, backend: str | None = None) -> Recording:
     """Execute the module once with edge counting and the path listener,
     recording every completed path."""
     paths: list[tuple[str, PathKey]] = []
@@ -71,8 +69,8 @@ def record_module(module: Module, args: tuple = (),
         append(index)
 
     machine = Machine(module, collect_edge_profile=True, path_listener=listen,
-                      max_instructions=max_instructions, backend=backend)
-    result = machine.run(args=args)
+                      backend=backend)
+    result = machine.run()
     assert result.edge_counts is not None and result.path_counts is not None
     return Recording(
         paths=PathProfile.from_trace(module, result.path_counts),
@@ -85,8 +83,7 @@ def record_module(module: Module, args: tuple = (),
         base_cost=result.costs.base)
 
 
-def record_path_stream(module: Module, args: tuple = (),
-                       max_instructions: int = 500_000_000,
+def record_path_stream(module: Module,
                        backend: str | None = None) -> PathStream:
     """Execute the module once; its completed paths in listener order."""
-    return record_module(module, args, max_instructions, backend).stream
+    return record_module(module, backend).stream

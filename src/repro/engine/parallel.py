@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from ..core import DEFAULT_CONFIG, ProfilerConfig
-from ..profiles.metrics import HOT_THRESHOLD
 from ..workloads import Workload
 from . import faults
 from .results import (ExecutionRecord, SuiteExecutionReport, TECHNIQUES,
@@ -57,9 +55,7 @@ class WorkloadTask:
 
     workload: Workload
     scale: int = 1
-    config: ProfilerConfig = DEFAULT_CONFIG
     techniques: tuple[str, ...] = TECHNIQUES
-    hot_threshold: float = HOT_THRESHOLD
     # None lets the worker resolve REPRO_BACKEND itself; sessions always
     # pass their already-resolved backend so parent and workers agree.
     backend: Optional[str] = None
@@ -84,9 +80,7 @@ def run_task(task: WorkloadTask,
                                verify_plans=task.verify_plans,
                                profilers=task.profilers)
     return session.run_workload(task.workload, task.scale,
-                                config=task.config,
-                                techniques=task.techniques,
-                                hot_threshold=task.hot_threshold)
+                                techniques=task.techniques)
 
 
 class ParallelRunner:

@@ -37,7 +37,6 @@ from ..interp import resolve_backend
 from ..ir.function import Module
 from ..opt import OptimizationResult, expand_module
 from ..profiles import EdgeProfile, PathProfile
-from ..profiles.metrics import HOT_THRESHOLD
 from ..workloads import SUITE, Workload
 from .cache import ArtifactCache
 from .fingerprint import (fingerprint_config, fingerprint_edge_profile,
@@ -128,14 +127,13 @@ class ProfilingSession:
         return self.cache.get_or_compute(
             "compile", key, lambda: workload.compile(scale))
 
-    def expand(self, workload: Workload, scale: int = 1,
-               code_bloat: Optional[float] = None) -> OptimizationResult:
+    def expand(self, workload: Workload, scale: int = 1
+               ) -> OptimizationResult:
         """Edge-profile-guided expansion of a workload's module, profiled
         through :meth:`record`."""
-        bloat = workload.code_bloat if code_bloat is None else code_bloat
         key = fingerprint_text("expand", workload.name, str(scale),
-                               repr(bloat), workload.source(scale),
-                               self.backend)
+                               repr(workload.code_bloat),
+                               workload.source(scale), self.backend)
 
         def profile(module: Module) -> tuple[EdgeProfile, object, float]:
             recording = self.record(module)
@@ -145,8 +143,8 @@ class ProfilingSession:
         return self.cache.get_or_compute(
             "expand", key,
             lambda: expand_module(self.compile(workload, scale),
-                                  code_bloat=bloat, backend=self.backend,
-                                  profile=profile))
+                                  code_bloat=workload.code_bloat,
+                                  backend=self.backend, profile=profile))
 
     def record(self, module: Module) -> Recording:
         """One run of a module with edge counting and the path listener
@@ -259,7 +257,6 @@ class ProfilingSession:
                        score_profile: Optional[EdgeProfile] = None,
                        config: Optional[ProfilerConfig] = None,
                        label: Optional[str] = None,
-                       hot_threshold: Optional[float] = None,
                        expected_return: object = None) -> TechniqueResult:
         """Plan, execute, and score one technique (the cached unit the
         studies share).
@@ -270,7 +267,6 @@ class ProfilingSession:
         profile there while planning from a degraded one.
         """
         cfg = DEFAULT_CONFIG if config is None else config
-        hot = HOT_THRESHOLD if hot_threshold is None else hot_threshold
         name = label if label is not None else technique
         score_fp = (fingerprint_edge_profile(score_profile)
                     if score_profile is not None else "same")
@@ -284,7 +280,7 @@ class ProfilingSession:
                                    fingerprint_config(cfg), self.backend,
                                    ",".join(self.profilers))
         key = fingerprint_text("technique", name, run_key, score_fp,
-                               repr(hot), repr(expected_return))
+                               repr(expected_return))
 
         def execute(plan: ModulePlan) -> ProfileRun:
             return self.cache.get_or_compute(
@@ -295,7 +291,7 @@ class ProfilingSession:
         def compute() -> TechniqueResult:
             plan = self.plan(technique, module, plan_profile, cfg)
             return stages.score_technique(name, plan, actual, scoring,
-                                          hot, expected_return, execute)
+                                          expected_return, execute)
 
         return self.cache.get_or_compute("technique", key, compute)
 
@@ -304,43 +300,35 @@ class ProfilingSession:
     # ------------------------------------------------------------------
 
     def _workload_key(self, workload: Workload, scale: int,
-                      config: ProfilerConfig, techniques: tuple[str, ...],
-                      hot_threshold: float) -> str:
+                      techniques: tuple[str, ...]) -> str:
         return fingerprint_text("workload", workload.name, str(scale),
                                 repr(workload.code_bloat),
                                 workload.source(scale),
-                                fingerprint_config(config),
-                                ",".join(techniques), repr(hot_threshold),
-                                self.backend, ",".join(self.profilers))
+                                ",".join(techniques), self.backend,
+                                ",".join(self.profilers))
 
     def suite_key(self, workloads: Iterable[Workload], scale: int = 1) -> str:
         """The fingerprint of what :meth:`run_suite` computes for these
         workloads, in this order, at this scale (default methodology):
         everything a rendered table over those results depends on."""
         return fingerprint_text("suite", *(
-            self._workload_key(w, scale, DEFAULT_CONFIG, TECHNIQUES,
-                               HOT_THRESHOLD) for w in workloads))
+            self._workload_key(w, scale, TECHNIQUES) for w in workloads))
 
     def run_workload(self, workload: Workload, scale: int = 1,
-                     config: Optional[ProfilerConfig] = None,
-                     techniques: Optional[Iterable[str]] = None,
-                     hot_threshold: Optional[float] = None
+                     techniques: Optional[Iterable[str]] = None
                      ) -> WorkloadResult:
-        """The full per-benchmark methodology, assembled from cached
-        stages (and itself cached as a single artifact)."""
-        cfg = DEFAULT_CONFIG if config is None else config
+        """The full per-benchmark methodology under the default config,
+        assembled from cached stages (and itself cached as a single
+        artifact)."""
         techs = TECHNIQUES if techniques is None else tuple(techniques)
-        hot = HOT_THRESHOLD if hot_threshold is None else hot_threshold
-        key = self._workload_key(workload, scale, cfg, techs, hot)
+        key = self._workload_key(workload, scale, techs)
         return self.cache.get_or_compute(
             "workload", key,
-            lambda: self._build_workload_result(workload, scale, cfg,
-                                                techs, hot))
+            lambda: self._build_workload_result(workload, scale, techs))
 
     def _build_workload_result(self, workload: Workload, scale: int,
-                               config: ProfilerConfig,
-                               techniques: tuple[str, ...],
-                               hot_threshold: float) -> WorkloadResult:
+                               techniques: tuple[str, ...]
+                               ) -> WorkloadResult:
         original = self.compile(workload, scale)
         opt = self.expand(workload, scale)
         expanded = opt.module
@@ -352,11 +340,11 @@ class ProfilingSession:
             results[name] = self.plan_and_score(
                 name, expanded,
                 None if name == "pp" else edge_profile,
-                actual, score_profile=edge_profile, config=config,
-                hot_threshold=hot_threshold, expected_return=return_value)
+                actual, score_profile=edge_profile,
+                expected_return=return_value)
         result = stages.assemble_workload_result(
             workload, original, opt, actual_original, actual, edge_profile,
-            return_value, results, hot_threshold)
+            return_value, results)
         if self.profilers and results:
             # Every technique's execution fused the same profilers.
             result.profiles = next(iter(results.values())).run.profiles
@@ -370,42 +358,36 @@ class ProfilingSession:
     # ------------------------------------------------------------------
 
     def run_suite(self, workloads: Optional[list[Workload]] = None,
-                  scale: int = 1, config: Optional[ProfilerConfig] = None,
-                  techniques: Optional[Iterable[str]] = None,
-                  verbose: bool = False, jobs: Optional[int] = None
-                  ) -> dict[str, WorkloadResult]:
-        """Run every workload; results keyed by benchmark name, in input
-        order regardless of completion order."""
+                  scale: int = 1, verbose: bool = False,
+                  jobs: Optional[int] = None) -> dict[str, WorkloadResult]:
+        """Run every workload under the default methodology; results
+        keyed by benchmark name, in input order regardless of completion
+        order."""
         chosen = list(workloads) if workloads is not None else list(SUITE)
-        cfg = DEFAULT_CONFIG if config is None else config
-        techs = TECHNIQUES if techniques is None else tuple(techniques)
         jobs = self.jobs if jobs is None else max(1, int(jobs))
 
         if jobs > 1 and len(chosen) > 1:
-            return self._run_suite_parallel(chosen, scale, cfg, techs,
-                                            verbose, jobs)
+            return self._run_suite_parallel(chosen, scale, verbose, jobs)
         out: dict[str, WorkloadResult] = {}
         report = SuiteExecutionReport()
         for workload in chosen:
             if verbose:
                 print(f"  running {workload.name} ...", flush=True)
-            out[workload.name] = self.run_workload(workload, scale, cfg,
-                                                   techs)
+            out[workload.name] = self.run_workload(workload, scale)
             report.records[workload.name] = out[workload.name].execution
         report.cache_quarantined = self.cache.stats.corrupt
         self.last_run_report = report
         return out
 
     def _run_suite_parallel(self, chosen: list[Workload], scale: int,
-                            config: ProfilerConfig,
-                            techniques: tuple[str, ...], verbose: bool,
-                            jobs: int) -> dict[str, WorkloadResult]:
+                            verbose: bool, jobs: int
+                            ) -> dict[str, WorkloadResult]:
         from .parallel import ParallelRunner, WorkloadTask
 
         # Serve warm workloads from the cache first (one counted lookup
         # each); every miss, corrupt entries included, goes to a worker.
-        keys = {w.name: self._workload_key(w, scale, config, techniques,
-                                           HOT_THRESHOLD) for w in chosen}
+        keys = {w.name: self._workload_key(w, scale, TECHNIQUES)
+                for w in chosen}
         out: dict[str, WorkloadResult] = {}
         quarantines: dict[str, list[faults.DegradationEvent]] = {}
         for w in chosen:
@@ -417,9 +399,9 @@ class ProfilingSession:
                   f"processes ...", flush=True)
         runner = ParallelRunner(jobs=jobs, disk_dir=self.cache.disk_dir,
                                 timeout=self.timeout, retries=self.retries)
-        tasks = [WorkloadTask(w, scale, config, techniques, HOT_THRESHOLD,
-                              self.backend, self.verify_plans,
-                              self.profilers)
+        tasks = [WorkloadTask(w, scale, backend=self.backend,
+                              verify_plans=self.verify_plans,
+                              profilers=self.profilers)
                  for w in cold]
         for workload, result in zip(cold, runner.run(tasks)):
             # A quarantined entry's event travels with its rebuild, as

@@ -24,7 +24,6 @@ from ..core import (DEFAULT_CONFIG, ModulePlan, ProfileRun, ProfilerConfig,
 from ..ir.function import Module
 from ..opt import OptimizationResult
 from ..profiles import EdgeProfile, PathProfile
-from ..profiles.metrics import HOT_THRESHOLD
 from ..workloads import Workload
 from .results import TechniqueResult, WorkloadResult
 
@@ -72,7 +71,6 @@ def plan_stage(technique: str, module: Module,
 
 def score_technique(name: str, plan: ModulePlan, actual: PathProfile,
                     edge_profile: EdgeProfile,
-                    hot_threshold: float = HOT_THRESHOLD,
                     expected_return: object = None,
                     execute: Callable[[ModulePlan], ProfileRun] = run_with_plan
                     ) -> TechniqueResult:
@@ -91,7 +89,7 @@ def score_technique(name: str, plan: ModulePlan, actual: PathProfile,
     return TechniqueResult(
         name=name,
         overhead=run.overhead,
-        accuracy=evaluate_accuracy(actual, estimated.flows, hot_threshold),
+        accuracy=evaluate_accuracy(actual, estimated.flows),
         coverage=evaluate_coverage(run, actual, edge_profile),
         instrumented_fraction=fraction.instrumented,
         hashed_fraction=fraction.hashed,
@@ -112,8 +110,7 @@ def assemble_workload_result(workload: Workload, original: Module,
                              actual: PathProfile,
                              edge_profile: EdgeProfile,
                              return_value: object,
-                             techniques: dict[str, TechniqueResult],
-                             hot_threshold: float = HOT_THRESHOLD
+                             techniques: dict[str, TechniqueResult]
                              ) -> WorkloadResult:
     """Fold the stage artifacts into the record the tables consume.
 
@@ -129,7 +126,7 @@ def assemble_workload_result(workload: Workload, original: Module,
         edge_profile=edge_profile,
         actual=actual,
         actual_original=actual_original,
-        edge_accuracy=evaluate_accuracy(actual, edge_est, hot_threshold),
+        edge_accuracy=evaluate_accuracy(actual, edge_est),
         edge_coverage=evaluate_edge_coverage(actual, edge_profile),
         techniques=techniques,
         return_value=return_value,

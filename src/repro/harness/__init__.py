@@ -22,7 +22,7 @@ from .profiler_study import (ProfilerStudyRow, profiler_study,
                              profiler_table)
 from .json_export import (save_suite_json, suite_to_dict,
                           workload_result_to_dict)
-from .report import mean, pct, render_table
+from .report import mean, render_table
 
 __all__ = [
     "ArtifactCache", "ParallelRunner", "ProfilingSession",
@@ -43,5 +43,5 @@ __all__ = [
     "HptRow", "hpt_study", "hpt_table",
     "ProfilerStudyRow", "profiler_study", "profiler_table",
     "save_suite_json", "suite_to_dict", "workload_result_to_dict",
-    "mean", "pct", "render_table",
+    "mean", "render_table",
 ]

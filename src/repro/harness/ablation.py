@@ -13,8 +13,7 @@ techniques the leave-one-out view undervalues.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from ..core import (DEFAULT_CONFIG, ProfilerConfig, ppp_config_only,
-                    ppp_config_without)
+from ..core import ppp_config_only, ppp_config_without
 from ..engine import ProfilingSession, WorkloadResult
 from .report import render_table
 
@@ -52,7 +51,6 @@ def select_benchmarks(results: dict[str, WorkloadResult],
 
 
 def leave_one_out(results: dict[str, WorkloadResult],
-                  base: ProfilerConfig = DEFAULT_CONFIG,
                   benchmarks: list[str] | None = None,
                   *, session: ProfilingSession) -> list[AblationRow]:
     """Re-plan and re-run PPP with each technique disabled.
@@ -68,7 +66,7 @@ def leave_one_out(results: dict[str, WorkloadResult],
         r = results[name]
         without: dict[str, float] = {}
         for technique in TECHNIQUE_LABELS:
-            config = ppp_config_without(technique, base)
+            config = ppp_config_without(technique)
             tech = session.plan_and_score(
                 "ppp", r.expanded, r.edge_profile, r.actual,
                 config=config, label=f"ppp-{technique}",
@@ -83,10 +81,9 @@ def leave_one_out(results: dict[str, WorkloadResult],
     return rows
 
 
-def figure13(results: dict[str, WorkloadResult],
-             base: ProfilerConfig = DEFAULT_CONFIG,
-             *, session: ProfilingSession) -> str:
-    rows = leave_one_out(results, base, session=session)
+def figure13(results: dict[str, WorkloadResult], *,
+             session: ProfilingSession) -> str:
+    rows = leave_one_out(results, session=session)
     headers = (["Benchmark", "PPP"]
                + [f"no {t}" for t in TECHNIQUE_LABELS])
     cells = []
@@ -107,12 +104,12 @@ def figure13(results: dict[str, WorkloadResult],
 
 
 def one_at_a_time(results: dict[str, WorkloadResult],
-                  base: ProfilerConfig = DEFAULT_CONFIG,
-                  techniques: tuple[str, ...] = ("LC", "SPN"),
                   benchmarks: list[str] | None = None,
                   *, session: ProfilingSession) -> str:
     """Section 8.3's alternative view: TPP-equivalent PPP plus exactly one
-    technique, reported as overhead relative to the none-enabled config."""
+    of LC and SPN, reported as overhead relative to the none-enabled
+    config."""
+    techniques = ("LC", "SPN")
     chosen = benchmarks if benchmarks is not None \
         else select_benchmarks(results)
     headers = ["Benchmark", "none"] + list(techniques)
@@ -122,13 +119,13 @@ def one_at_a_time(results: dict[str, WorkloadResult],
         line: list[object] = [name]
         base_tech = session.plan_and_score(
             "ppp", r.expanded, r.edge_profile, r.actual,
-            config=ppp_config_only("none", base), label="ppp-none",
+            config=ppp_config_only("none"), label="ppp-none",
             expected_return=r.return_value)
         line.append(f"{base_tech.overhead * 100:.1f}%")
         for technique in techniques:
             tech = session.plan_and_score(
                 "ppp", r.expanded, r.edge_profile, r.actual,
-                config=ppp_config_only(technique, base),
+                config=ppp_config_only(technique),
                 label=f"ppp+{technique}",
                 expected_return=r.return_value)
             line.append(f"{tech.overhead * 100:.1f}%")

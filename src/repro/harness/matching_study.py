@@ -34,7 +34,7 @@ from ..engine import ProfilingSession
 from ..ir.function import Function, Module
 from ..ir.instructions import Branch, Jump
 from ..opt import cleanup_module
-from ..opt.rebuild import rebuild_function
+from ..opt.rebuild import rebuild_function, retarget
 from ..profiles.definite import definite_flow_paths
 from ..profiles.edge_profile import EdgeProfile, FunctionEdgeProfile
 from ..workloads import Workload
@@ -57,19 +57,9 @@ EDIT_KINDS = ("rename", "delete", "insert")
 def _rename_blocks(func: Function, suffix: str) -> Function:
     """Rename every block (and rewrite branch targets to match)."""
     mapping = {b: f"{b}{suffix}" for b in func.cfg.blocks}
-    blocks: dict[str, list] = {}
-    for bname, block in func.cfg.blocks.items():
-        instrs = []
-        for ins in block.instructions:
-            if isinstance(ins, Jump):
-                ins = Jump(mapping[ins.target])
-            elif isinstance(ins, Branch):
-                ins = Branch(ins.cond, mapping[ins.then_target],
-                             mapping[ins.else_target])
-            else:
-                ins = copy.copy(ins)
-            instrs.append(ins)
-        blocks[mapping[bname]] = instrs
+    blocks = {mapping[bname]: [retarget(copy.copy(ins), mapping)
+                               for ins in block.instructions]
+              for bname, block in func.cfg.blocks.items()}
     synthetic = {mapping[b]
                  for b in getattr(func, "synthetic_blocks", ())}
     assert func.cfg.entry is not None
@@ -78,14 +68,15 @@ def _rename_blocks(func: Function, suffix: str) -> Function:
                             synthetic=synthetic)
 
 
-def _split_edges(func: Function, seed: int, cap: int = 3) -> Function:
-    """Insert forwarding blocks on a seed-chosen subset of branch arms."""
+def _split_edges(func: Function, seed: int) -> Function:
+    """Insert forwarding blocks on a seed-chosen subset of at most three
+    branch arms."""
     blocks: dict[str, list] = {}
     for bname, block in func.cfg.blocks.items():
         blocks[bname] = [copy.copy(ins) for ins in block.instructions]
     inserted = 0
     for index, bname in enumerate(sorted(blocks)):
-        if inserted >= cap:
+        if inserted >= 3:
             break
         term = blocks[bname][-1] if blocks[bname] else None
         if not isinstance(term, Branch):
@@ -353,13 +344,11 @@ def matching_study(workload: Workload, scale: int = 1, seed: int = 1,
 
 
 def matching_table(workloads: list[Workload],
-                   session: ProfilingSession,
-                   scale: int = 1, seed: int = 1) -> str:
+                   session: ProfilingSession, scale: int = 1) -> str:
     """Render the study as the harness table."""
     rows = []
     for workload in workloads:
-        r = matching_study(workload, scale=scale, seed=seed,
-                           session=session)
+        r = matching_study(workload, scale=scale, session=session)
         cells = [r.benchmark, f"{r.old_blocks}->{r.new_blocks}",
                  f"{r.block_coverage * 100:.0f}%",
                  f"{r.edge_coverage * 100:.0f}%",

@@ -37,13 +37,12 @@ class MetricComparison:
         return self.unit_flow_expanded / self.unit_flow_original - 1.0
 
 
-def compare_metrics(result: WorkloadResult,
-                    threshold: float = HOT_THRESHOLD) -> MetricComparison:
+def compare_metrics(result: WorkloadResult) -> MetricComparison:
     orig, expanded = result.actual_original, result.actual
     unit_hot = {(n, p) for n, p, _f
-                in expanded.hot_paths(threshold, "unit")}
+                in expanded.hot_paths(HOT_THRESHOLD, "unit")}
     branch_hot = {(n, p) for n, p, _f
-                  in expanded.hot_paths(threshold, "branch")}
+                  in expanded.hot_paths(HOT_THRESHOLD, "branch")}
     union = unit_hot | branch_hot
     overlap = (len(unit_hot & branch_hot) / len(union)) if union else 1.0
     return MetricComparison(

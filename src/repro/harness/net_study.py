@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core import build_estimated_profile
-from ..core.net import NET_HOT_THRESHOLD, NetSelector
+from ..core.net import NetSelector
 from ..engine import ProfilingSession, WorkloadResult
-from ..profiles.metrics import HOT_THRESHOLD, actual_hot_paths
+from ..profiles.metrics import actual_hot_paths
 from .report import render_table
 
 
@@ -36,17 +36,15 @@ def _captured(hot: dict, selected: set) -> float:
     return sum(flow for key, flow in hot.items() if key in selected) / total
 
 
-def compare_net(result: WorkloadResult,
-                threshold: int = NET_HOT_THRESHOLD,
-                hot_threshold: float = HOT_THRESHOLD, *,
+def compare_net(result: WorkloadResult, *,
                 session: ProfilingSession) -> NetComparison:
     """One benchmark's NET-vs-PPP hot-flow capture numbers, NET fed the
     expanded module's cached path stream."""
     stream = session.path_stream(result.expanded)
-    net = NetSelector(threshold).replay(stream)
+    net = NetSelector().replay(stream)
     assert net.return_value == result.return_value, \
         "NET selection must not perturb execution"
-    hot = actual_hot_paths(result.actual, hot_threshold)
+    hot = actual_hot_paths(result.actual)
     net_selected = {(t.function, t.blocks) for t in net.traces}
     ppp_run = result.techniques["ppp"].run
     estimated = build_estimated_profile(ppp_run, result.edge_profile)
@@ -65,12 +63,11 @@ def compare_net(result: WorkloadResult,
     )
 
 
-def net_table(results: dict[str, WorkloadResult],
-              threshold: int = NET_HOT_THRESHOLD, *,
+def net_table(results: dict[str, WorkloadResult], *,
               session: ProfilingSession) -> str:
     rows = []
     for name, result in results.items():
-        cmp = compare_net(result, threshold, session=session)
+        cmp = compare_net(result, session=session)
         rows.append([cmp.benchmark, cmp.traces_selected,
                      cmp.actual_hot_paths,
                      f"{cmp.net_hot_flow_captured * 100:.0f}%",

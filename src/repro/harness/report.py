@@ -29,11 +29,6 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def pct(value: float, digits: int = 1) -> str:
-    """0.0534 -> '5.3%'."""
-    return f"{value * 100:.{digits}f}%"
-
-
 def render_execution_report(report) -> str:
     """The fault-tolerance telemetry of one suite run as a table.
 

@@ -30,13 +30,12 @@ class SamplingRow:
 
 def sampling_study(result: WorkloadResult,
                    rates: tuple[float, ...] = DEFAULT_RATES,
-                   seed: int = 1,
                    *, session: ProfilingSession) -> list[SamplingRow]:
     rows = []
     for rate in rates:
         profile = (result.edge_profile if rate >= 1.0
                    else sample_edge_profile(result.edge_profile, rate,
-                                            seed))
+                                            seed=1))
         # Scoring always uses the *true* edge profile and ground truth;
         # only the planning input was degraded.
         tech = session.plan_and_score(
@@ -54,12 +53,11 @@ def sampling_study(result: WorkloadResult,
     return rows
 
 
-def sampling_table(results: dict[str, WorkloadResult],
-                   rates: tuple[float, ...] = DEFAULT_RATES,
-                   *, session: ProfilingSession) -> str:
+def sampling_table(results: dict[str, WorkloadResult], *,
+                   session: ProfilingSession) -> str:
     cells = []
     for name, result in results.items():
-        for row in sampling_study(result, rates, session=session):
+        for row in sampling_study(result, session=session):
             cells.append([row.benchmark, f"1/{int(1 / row.rate):d}",
                           f"{row.accuracy * 100:.0f}%",
                           f"{row.coverage * 100:.0f}%",

@@ -27,18 +27,18 @@ class StalenessRow:
     stale_overhead: float
 
 
-def staleness_study(workload: Workload, small_scale: int = 1,
-                    big_scale: int = 2,
-                    *, session: ProfilingSession) -> StalenessRow:
-    """Fresh (self) advice vs stale (small-run) advice on one workload.
+def staleness_study(workload: Workload, *,
+                    session: ProfilingSession) -> StalenessRow:
+    """Fresh (self) advice vs stale (scale-1 run) advice on the scale-2
+    run of one workload.
 
     Works on the unexpanded modules: inlining/unrolling decisions depend
     on the profile, so expanded CFGs would differ between the two scales
     and the profile could not transfer.  (Scale only changes loop-bound
     constants, so the unexpanded CFGs are identical.)
     """
-    small_module = session.compile(workload, small_scale)
-    big_module = session.compile(workload, big_scale)
+    small_module = session.compile(workload, 1)
+    big_module = session.compile(workload, 2)
     _sa, small_profile, _sr = session.trace(small_module)
     actual, fresh_profile, _rv = session.trace(big_module)
 

@@ -15,6 +15,7 @@ hot paths, so the superblocks they seed straighten the wrong code.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
 from ..core import build_estimated_profile, edge_profile_estimate
 from ..engine import ProfilingSession, WorkloadResult
 from ..opt.superblock import form_superblocks, merge_crossings
@@ -43,10 +44,11 @@ class SuperblockComparison:
         return 1.0 - self.edge_crossings / self.baseline_crossings
 
 
-def compare_superblocks(result: WorkloadResult, top_n: int = 12,
-                        growth_budget: float = 0.5,
-                        *, session: ProfilingSession
-                        ) -> SuperblockComparison:
+TOP_N = 12  # traces formed per guide: the hottest paths it ranks
+
+
+def compare_superblocks(result: WorkloadResult, *,
+                        session: ProfilingSession) -> SuperblockComparison:
     module = result.expanded
     baseline = merge_crossings(module, result.edge_profile)
 
@@ -54,11 +56,10 @@ def compare_superblocks(result: WorkloadResult, top_n: int = 12,
     ppp_run = result.techniques["ppp"].run
     estimated = build_estimated_profile(ppp_run, result.edge_profile)
     ppp_ranked = sorted(estimated.flows.items(),
-                        key=lambda kv: (-kv[1], kv[0]))[:top_n]
+                        key=lambda kv: (-kv[1], kv[0]))[:TOP_N]
     ppp_paths = [(name, blocks, flow)
                  for (name, blocks), flow in ppp_ranked]
-    ppp_module, ppp_stats = form_superblocks(module, ppp_paths,
-                                             growth_budget)
+    ppp_module, ppp_stats = form_superblocks(module, ppp_paths)
     _pa, ppp_profile, ppp_rv = session.trace(ppp_module)
     assert ppp_rv == result.return_value, \
         "superblock formation changed behaviour"
@@ -67,11 +68,10 @@ def compare_superblocks(result: WorkloadResult, top_n: int = 12,
     # (b) edge-profile-guided: potential-flow estimate, same budget.
     edge_flows = edge_profile_estimate(module, result.edge_profile)
     edge_ranked = sorted(edge_flows.items(),
-                         key=lambda kv: (-kv[1], kv[0]))[:top_n]
+                         key=lambda kv: (-kv[1], kv[0]))[:TOP_N]
     edge_paths = [(name, blocks, flow)
                   for (name, blocks), flow in edge_ranked]
-    edge_module, edge_stats = form_superblocks(module, edge_paths,
-                                               growth_budget)
+    edge_module, edge_stats = form_superblocks(module, edge_paths)
     _ea, edge_profile, edge_rv = session.trace(edge_module)
     assert edge_rv == result.return_value
     edge_after = merge_crossings(edge_module, edge_profile)
@@ -86,12 +86,11 @@ def compare_superblocks(result: WorkloadResult, top_n: int = 12,
     )
 
 
-def superblock_table(results: dict[str, WorkloadResult],
-                     top_n: int = 12,
-                     *, session: ProfilingSession) -> str:
+def superblock_table(results: dict[str, WorkloadResult], *,
+                     session: ProfilingSession) -> str:
     rows = []
     for name, result in results.items():
-        cmp = compare_superblocks(result, top_n, session=session)
+        cmp = compare_superblocks(result, session=session)
         rows.append([cmp.benchmark,
                      f"{cmp.baseline_crossings:.0f}",
                      f"{cmp.ppp_reduction * 100:.0f}%",

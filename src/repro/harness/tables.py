@@ -110,13 +110,12 @@ class Table2Row:
     hot_strict_flow: float
 
 
-def table2_row(result: WorkloadResult,
-               loose: float = HOT_THRESHOLD,
-               strict: float = HOT_THRESHOLD_STRICT) -> Table2Row:
+def table2_row(result: WorkloadResult) -> Table2Row:
     actual = result.actual
     total = actual.total_flow("branch")
-    hot_loose = actual.hot_paths(loose, "branch", total=total)
-    hot_strict = actual.hot_paths(strict, "branch", total=total)
+    hot_loose = actual.hot_paths(HOT_THRESHOLD, "branch", total=total)
+    hot_strict = actual.hot_paths(HOT_THRESHOLD_STRICT, "branch",
+                                  total=total)
     return Table2Row(
         name=result.workload.name,
         category=result.category,

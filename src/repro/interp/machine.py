@@ -337,12 +337,6 @@ class Machine:
             # Code generated without the hooks channel cannot see it.
             self._backend_impl.functions.pop(func_name, None)
 
-    def clear_hooks(self) -> None:
-        for cf in self.compiled.values():
-            cf.hooks.clear()
-            if cf.hook_slots is not None:
-                cf.hook_slots[:] = [None] * len(cf.hook_slots)
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------

@@ -14,17 +14,8 @@ from .instructions import (Branch, Call, GlobalLoad, GlobalStore, Jump, Load,
                            Ret, Store)
 
 
-def validate_function(func: Function, module: Module,
-                      extended: bool = False) -> list[str]:
-    """Return a list of problems found in ``func`` (empty when valid).
-
-    ``extended=True`` additionally runs the dataflow-backed checks from
-    :mod:`repro.analysis` — register use-before-def and shadowed or
-    duplicate names — reporting their warnings-and-up as problem
-    strings.  Off by default: those findings are advisory (registers
-    implicitly read 0), while this function's own checks are hard
-    errors.
-    """
+def validate_function(func: Function, module: Module) -> list[str]:
+    """Return a list of problems found in ``func`` (empty when valid)."""
     problems: list[str] = []
     if not func.sealed:
         problems.append(f"{func.name}: function not sealed")
@@ -82,25 +73,10 @@ def validate_function(func: Function, module: Module,
         problems.append(f"{func.name}.{name}: unreachable block")
     if cfg.exit not in live:
         problems.append(f"{func.name}: exit block unreachable")
-    if extended:
-        problems.extend(_extended_problems(func, module))
     return problems
 
 
-def _extended_problems(func: Function, module: Module) -> list[str]:
-    """Dataflow-backed advisory checks, as problem strings.
-
-    Imported lazily: :mod:`repro.analysis` sits above the IR layer.
-    """
-    from ..analysis.diagnostics import Severity
-    from ..analysis.lint import check_shadowed_names, check_use_before_def
-
-    diags = check_use_before_def(func) + check_shadowed_names(func, module)
-    return [f"{d.location()}: {d.message}" for d in diags
-            if d.severity >= Severity.WARNING]
-
-
-def validate_module(module: Module, extended: bool = False) -> list[str]:
+def validate_module(module: Module) -> list[str]:
     """Return all problems across the module (empty when valid)."""
     problems: list[str] = []
     if module.main not in module.functions:
@@ -111,7 +87,7 @@ def validate_module(module: Module, extended: bool = False) -> list[str]:
             problems.append(f"module {module.name!r}: global scalar and "
                             f"global array share the name {name!r}")
     for func in module.functions.values():
-        problems.extend(validate_function(func, module, extended=extended))
+        problems.extend(validate_function(func, module))
     return problems
 
 

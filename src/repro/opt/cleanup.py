@@ -270,15 +270,15 @@ def _merge_chains(blocks: dict[str, list[Instr]], entry: str,
 
 
 def cleanup_function(func: Function, module: Module,
-                     stats: CleanupStats,
-                     max_rounds: int = 8) -> Function:
-    """Iterate the passes to a fixed point and return a fresh function."""
+                     stats: CleanupStats) -> Function:
+    """Iterate the passes to a fixed point (at most 8 rounds) and return
+    a fresh function."""
     blocks = block_map(func)
     entry = func.cfg.entry
     assert entry is not None
     params = list(func.params)
     arrays = dict(func.arrays)
-    for _round in range(max_rounds):
+    for _round in range(8):
         before = stats.total
         for name in list(blocks):
             blocks[name] = _fold_block(blocks[name], stats)

@@ -17,9 +17,9 @@ from ..interp.machine import Machine
 from ..ir.function import Module
 from ..profiles.edge_profile import EdgeProfile
 from .cleanup import CleanupStats, cleanup_module
-from .inline import CODE_BLOAT, MAX_CALLEE_SIZE, InlineStats, inline_module
+from .inline import CODE_BLOAT, InlineStats, inline_module
 from .licm import licm_module
-from .unroll import UNROLL_FACTOR, UnrollStats, unroll_module
+from .unroll import UnrollStats, unroll_module
 
 
 def _scalar_opts(module: Module) -> tuple[Module, CleanupStats]:
@@ -61,30 +61,24 @@ class OptimizationResult:
 ModuleProfiler = Callable[[Module], tuple[EdgeProfile, object, float]]
 
 
-def _edge_profiled_run(module: Module, args: tuple, backend: str | None
+def _edge_profiled_run(module: Module, backend: str | None
                        ) -> tuple[EdgeProfile, object, float]:
     """Run the module once with edge profiling enabled.  Edge counting
     is not billed, so the run's cost is the plain run's cost."""
     machine = Machine(module, collect_edge_profile=True, backend=backend)
-    result = machine.run(args=args)
+    result = machine.run()
     assert result.edge_counts is not None and result.invocations is not None
     return (EdgeProfile.from_run(module, result.edge_counts,
                                  result.invocations),
             result.return_value, result.costs.base)
 
 
-def collect_edge_profile(module: Module, args: tuple = (),
-                         backend: str | None = None) -> EdgeProfile:
+def collect_edge_profile(module: Module) -> EdgeProfile:
     """Run the module once with edge profiling enabled."""
-    return _edge_profiled_run(module, args, backend)[0]
+    return _edge_profiled_run(module, None)[0]
 
 
-def expand_module(module: Module, args: tuple = (),
-                  code_bloat: float = CODE_BLOAT,
-                  max_callee_size: int = MAX_CALLEE_SIZE,
-                  unroll_factor: int = UNROLL_FACTOR,
-                  scalar_cleanup: bool = True,
-                  check_behaviour: bool = True,
+def expand_module(module: Module, code_bloat: float = CODE_BLOAT,
                   backend: str | None = None,
                   profile: Optional[ModuleProfiler] = None
                   ) -> OptimizationResult:
@@ -93,32 +87,26 @@ def expand_module(module: Module, args: tuple = (),
     Per the paper's Table 1 methodology, standard scalar optimizations
     run on *both* versions: the baseline is the scalar-optimized module,
     and the expanded module gets one more scalar pass after inlining and
-    unrolling.  When ``check_behaviour`` is set, the expanded module is
-    verified to produce the same return value as the original (profiling
-    transformations must never change semantics).  ``profile`` observes
-    the baseline, inlined and expanded modules; by default it is an
-    edge-profiled run on ``backend`` with ``args``.
+    unrolling.  The expanded module is verified to produce the same
+    return value as the original (profiling transformations must never
+    change semantics).  ``profile`` observes the baseline, inlined and
+    expanded modules; by default it is an edge-profiled run on
+    ``backend``.
     """
-    profile = profile or (lambda m: _edge_profiled_run(m, args, backend))
-    if scalar_cleanup:
-        baseline, cleanup_stats = _scalar_opts(module)
-    else:
-        baseline, cleanup_stats = module, CleanupStats()
+    profile = profile or (lambda m: _edge_profiled_run(m, backend))
+    baseline, cleanup_stats = _scalar_opts(module)
     base_profile, base_return, base_cost = profile(baseline)
-    inlined, inline_stats = inline_module(
-        baseline, base_profile, code_bloat=code_bloat,
-        max_callee_size=max_callee_size)
-    unrolled, unroll_stats = unroll_module(inlined, profile(inlined)[0],
-                                           factor=unroll_factor)
-    if scalar_cleanup:
-        unrolled, more_stats = _scalar_opts(unrolled)
-        cleanup_stats.constants_folded += more_stats.constants_folded
-        cleanup_stats.copies_propagated += more_stats.copies_propagated
-        cleanup_stats.dead_removed += more_stats.dead_removed
-        cleanup_stats.branches_resolved += more_stats.branches_resolved
-        cleanup_stats.blocks_threaded += more_stats.blocks_threaded
+    inlined, inline_stats = inline_module(baseline, base_profile,
+                                          code_bloat=code_bloat)
+    unrolled, unroll_stats = unroll_module(inlined, profile(inlined)[0])
+    unrolled, more_stats = _scalar_opts(unrolled)
+    cleanup_stats.constants_folded += more_stats.constants_folded
+    cleanup_stats.copies_propagated += more_stats.copies_propagated
+    cleanup_stats.dead_removed += more_stats.dead_removed
+    cleanup_stats.branches_resolved += more_stats.branches_resolved
+    cleanup_stats.blocks_threaded += more_stats.blocks_threaded
     _profile, opt_return, opt_cost = profile(unrolled)
-    if check_behaviour and opt_return != base_return:
+    if opt_return != base_return:
         raise AssertionError(
             f"inlining/unrolling changed behaviour of {module.name!r}: "
             f"{base_return!r} -> {opt_return!r}")

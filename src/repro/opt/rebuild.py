@@ -12,6 +12,18 @@ from ..ir.function import Function
 from ..ir.instructions import Branch, Instr, Jump
 
 
+def retarget(instr: Instr, mapping: dict[str, str]) -> Instr:
+    """``instr`` with its branch targets renamed through ``mapping``
+    (targets not in it are kept); non-branches are returned as is."""
+    if isinstance(instr, Jump):
+        return Jump(mapping.get(instr.target, instr.target))
+    if isinstance(instr, Branch):
+        return Branch(instr.cond,
+                      mapping.get(instr.then_target, instr.then_target),
+                      mapping.get(instr.else_target, instr.else_target))
+    return instr
+
+
 def prune_unreachable(blocks: dict[str, list[Instr]], entry: str
                       ) -> dict[str, list[Instr]]:
     """Keep only blocks reachable from ``entry`` by terminator targets."""

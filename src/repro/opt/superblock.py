@@ -26,10 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..ir.function import Function, Module
-from ..ir.instructions import Branch, Instr, Jump
+from ..ir.instructions import Branch, Jump
 from ..profiles.edge_profile import EdgeProfile
 from ..profiles.path_profile import PathKey
-from .rebuild import block_map, rebuild_function
+from .rebuild import block_map, rebuild_function, retarget
 
 DEFAULT_GROWTH_BUDGET = 0.5  # superblocks may grow a function by 50%
 
@@ -42,16 +42,6 @@ class SuperblockStats:
     blocks_duplicated: int = 0
     traces_skipped: int = 0
     formed: list[tuple[str, PathKey]] = field(default_factory=list)
-
-
-def _retarget(instr: Instr, mapping: dict[str, str]) -> Instr:
-    if isinstance(instr, Jump):
-        return Jump(mapping.get(instr.target, instr.target))
-    if isinstance(instr, Branch):
-        return Branch(instr.cond,
-                      mapping.get(instr.then_target, instr.then_target),
-                      mapping.get(instr.else_target, instr.else_target))
-    return instr
 
 
 class _Former:
@@ -113,7 +103,7 @@ class _Former:
             # Redirect the trace edge prev -> name onto the clone.
             self.blocks[prev] = (
                 self.blocks[prev][:-1]
-                + [_retarget(self.blocks[prev][-1], {name: clone})])
+                + [retarget(self.blocks[prev][-1], {name: clone})])
             prev = clone
         return True
 

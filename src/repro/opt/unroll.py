@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 
 from ..cfg.loops import Loop, find_loops, innermost_loops
 from ..ir.function import Function, Module
-from ..ir.instructions import Branch, Instr, Jump
+from ..ir.instructions import Instr
 from ..profiles.edge_profile import EdgeProfile, FunctionEdgeProfile
-from .rebuild import block_map, rebuild_function
+from .rebuild import block_map, rebuild_function, retarget
 
 UNROLL_FACTOR = 4        # Section 7.3
 MIN_TRIP_COUNT = 8.0     # Section 7.3: below this, unroll less or not at all
@@ -70,17 +70,6 @@ def _choose_factor(trips: float, size: int, factor: int) -> int:
     return 1
 
 
-def _retarget(instr: Instr, table: dict[str, str]) -> Instr:
-    if isinstance(instr, Jump):
-        target = table.get(instr.target, instr.target)
-        return Jump(target)
-    if isinstance(instr, Branch):
-        return Branch(instr.cond,
-                      table.get(instr.then_target, instr.then_target),
-                      table.get(instr.else_target, instr.else_target))
-    return instr
-
-
 def _unroll_loop(blocks: dict[str, list[Instr]], loop: Loop,
                  factor: int, tag: str) -> None:
     """Replicate the body ``factor - 1`` times and rechain back edges."""
@@ -104,10 +93,10 @@ def _unroll_loop(blocks: dict[str, list[Instr]], loop: Loop,
             if bname == latch:
                 retable[header] = next_header
             blocks[copy_name(bname, k)] = [
-                _retarget(instr, retable) for instr in blocks[bname]]
+                retarget(instr, retable) for instr in blocks[bname]]
     # Original latch now enters the first copy.
     blocks[latch] = [
-        _retarget(instr, {header: copy_name(header, 1)})
+        retarget(instr, {header: copy_name(header, 1)})
         for instr in blocks[latch]]
 
 

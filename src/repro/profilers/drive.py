@@ -79,7 +79,6 @@ def collect_profiles(machine: Machine,
 
 
 def execute_profilers(module: Module, profilers: Sequence[Profiler],
-                      args: Tuple[object, ...] = (),
                       cost_model: CostModel = DEFAULT_COSTS,
                       max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
                       backend: Optional[str] = None) -> ProfilersRun:
@@ -87,5 +86,5 @@ def execute_profilers(module: Module, profilers: Sequence[Profiler],
     machine, attached = build_machine(
         module, profilers, cost_model=cost_model,
         max_instructions=max_instructions, backend=backend)
-    result = machine.run(args=args)
+    result = machine.run()
     return ProfilersRun(result, collect_profiles(machine, attached))

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..cfg.dag import ProfilingDag, build_profiling_dag
+from ..cfg.dag import build_profiling_dag
 from ..ir.function import Function
 from .edge_profile import FunctionEdgeProfile
 from .flow import Metric
@@ -18,26 +18,19 @@ from .reconstruct import ReconstructedPath, reconstruct_hot_paths
 
 def definite_flow_sets(func: Function, profile: FunctionEdgeProfile,
                        metric: Metric = "branch",
-                       dag: Optional[ProfilingDag] = None,
                        cap: Optional[int] = 50_000) -> FlowSets:
     """Run the Figure 14 dynamic program for one function."""
-    if dag is None:
-        dag = build_profiling_dag(func.cfg)
-    return compute_flow_sets(dag, profile, "definite", metric=metric, cap=cap)
+    return compute_flow_sets(build_profiling_dag(func.cfg), profile,
+                             "definite", metric=metric, cap=cap)
 
 
-def definite_flow_total(func: Function, profile: FunctionEdgeProfile,
-                        metric: Metric = "branch",
-                        cap: Optional[int] = 50_000) -> float:
+def definite_flow_total(func: Function, profile: FunctionEdgeProfile
+                        ) -> float:
     """DF(P): the routine's total definite flow."""
-    return definite_flow_sets(func, profile, metric, cap=cap).total_flow()
+    return definite_flow_sets(func, profile).total_flow()
 
 
 def definite_flow_paths(func: Function, profile: FunctionEdgeProfile,
-                        cutoff: float, metric: Metric = "branch",
-                        max_paths: int = 5000,
-                        cap: Optional[int] = 50_000
-                        ) -> list[ReconstructedPath]:
+                        cutoff: float) -> list[ReconstructedPath]:
     """Paths with definite flow above ``cutoff`` with their flows."""
-    sets = definite_flow_sets(func, profile, metric, cap=cap)
-    return reconstruct_hot_paths(sets, cutoff, max_paths=max_paths)
+    return reconstruct_hot_paths(definite_flow_sets(func, profile), cutoff)

@@ -17,18 +17,12 @@ from __future__ import annotations
 
 from typing import Literal
 
-from ..cfg.graph import ControlFlowGraph
 from ..ir.function import Function
 
 Metric = Literal["unit", "branch"]
 
 UNIT: Metric = "unit"
 BRANCH: Metric = "branch"
-
-
-def is_branch_block(cfg: ControlFlowGraph, name: str) -> bool:
-    """True when the block has two or more outgoing CFG edges."""
-    return len(cfg.blocks[name].succ_edges) > 1
 
 
 def path_branches(func: Function, blocks: tuple[str, ...]) -> int:

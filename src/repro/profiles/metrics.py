@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .flow import Metric
 from .path_profile import PathKey, PathProfile
 
 # Estimated profiles are exchanged as {(function name, path blocks): flow}.
@@ -32,12 +31,10 @@ HOT_THRESHOLD = 0.00125  # the paper's primary hot threshold, 0.125%
 HOT_THRESHOLD_STRICT = 0.01
 
 
-def actual_hot_paths(actual: PathProfile,
-                     threshold: float = HOT_THRESHOLD,
-                     metric: Metric = "branch"
+def actual_hot_paths(actual: PathProfile
                      ) -> dict[tuple[str, PathKey], float]:
         """H_actual: actual paths above the hot threshold, with actual flows."""
-        hot = actual.hot_paths(threshold, metric)
+        hot = actual.hot_paths(HOT_THRESHOLD)
         return {(name, path): flow for name, path, flow in hot}
 
 
@@ -47,14 +44,12 @@ def select_top(estimated: EstimatedFlows, n: int) -> set[tuple[str, PathKey]]:
     return {key for key, _flow in ranked[:n]}
 
 
-def accuracy(actual: PathProfile, estimated: EstimatedFlows,
-             threshold: float = HOT_THRESHOLD,
-             metric: Metric = "branch") -> float:
+def accuracy(actual: PathProfile, estimated: EstimatedFlows) -> float:
     """Wall's weight-matching accuracy of an estimated profile.
 
     Returns 1.0 for programs with no hot paths (nothing to mispredict).
     """
-    hot = actual_hot_paths(actual, threshold, metric)
+    hot = actual_hot_paths(actual)
     if not hot:
         return 1.0
     chosen = select_top(estimated, len(hot))

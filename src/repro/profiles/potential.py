@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..cfg.dag import ProfilingDag, build_profiling_dag
+from ..cfg.dag import build_profiling_dag
 from ..ir.function import Function
 from .edge_profile import FunctionEdgeProfile
 from .flow import Metric
@@ -20,10 +20,7 @@ from .flowsets import FlowSets, compute_flow_sets
 
 def potential_flow_sets(func: Function, profile: FunctionEdgeProfile,
                         metric: Metric = "branch",
-                        dag: Optional[ProfilingDag] = None,
                         cap: Optional[int] = 50_000) -> FlowSets:
     """Run the Figure 15 dynamic program for one function."""
-    if dag is None:
-        dag = build_profiling_dag(func.cfg)
-    return compute_flow_sets(dag, profile, "potential", metric=metric,
-                             cap=cap)
+    return compute_flow_sets(build_profiling_dag(func.cfg), profile,
+                             "potential", metric=metric, cap=cap)

@@ -15,19 +15,18 @@ from conftest import SMALL_PROGRAM, diamond_cfg, fig8_function, \
 
 from repro.analysis import Severity
 from repro.analysis.conservation import (ConservationError, VIRTUAL_UID,
-                                         basis_flows, block_counts,
-                                         enumerate_walk_flows,
-                                         measured_edge_weights,
+                                         basis_flows, enumerate_walk_flows,
                                          plan_function_probes, plan_probes,
                                          reconstruct, static_placement)
 from repro.analysis.equiv import _CodegenChecker, standard_modes
 from repro.analysis.diagnostics import Report
 from repro.analysis.mutate import CONSERVATION_MUTATIONS, mutate_placement
 from repro.analysis.sampling import SAMPLE_TARGET, sample_ids, sample_stride
-from repro.analysis.verify import (verify_conservation,
+from repro.analysis.verify import (conserve_suite, verify_conservation,
                                    verify_conservation_function,
                                    verify_placement)
 from repro.cfg import ControlFlowGraph, build_cfg
+from repro.engine import ProfilingSession
 from repro.interp.codegen import ModeSpec, generate_source
 from repro.lang import compile_source
 from repro.profilers import create_profilers
@@ -76,8 +75,6 @@ def test_diamond_round_trip():
              cfg.edge("B", "D").uid: 1, cfg.edge("C", "D").uid: 1}
     probes = {uid: dense[uid] for uid in placement.probe_uids}
     assert reconstruct(placement, probes, entry_count=2) == dense
-    blocks = block_counts(cfg, dense, entry_count=2)
-    assert blocks == {"A": 2, "B": 1, "C": 1, "D": 2}
 
 
 def test_loop_round_trip_with_iterations():
@@ -141,17 +138,20 @@ def test_missing_entry_exit_rejected():
         plan_probes(cfg)
 
 
+def _measured_weights(profile):
+    return {e.uid: float(profile.freq(e)) for e in profile.func.cfg.edges()}
+
+
 def test_measured_weights_keep_hot_edges_probe_free():
     func = fig8_function()
-    profile = fig8_profile(func)
-    placement = plan_function_probes(func, profile)
+    weights = _measured_weights(fig8_profile(func))
     cfg = func.cfg
+    placement = plan_probes(cfg, weights, name=func.name)
     assert placement.num_probes == 2
     # The max-weight tree keeps the hot diamond arms; the probes land
     # on cold-side edges (deterministic given weights and uid ties).
     assert placement.probe_uids == {cfg.edge("C", "D").uid,
                                     cfg.edge("F", "G").uid}
-    weights = measured_edge_weights(profile)
     hottest = max(weights, key=weights.get)
     assert hottest in placement.tree_uids
     # The proof holds under measured weights too.
@@ -210,12 +210,31 @@ def test_suite_placements_prove_clean(name):
 
 
 def test_measured_profiles_prove_clean(small_module, small_truth):
+    # Placements weighted by a measured profile prove clean too.
     _actual, edge_profile, _result = small_truth
-    report = verify_conservation(small_module,
-                                 profiles=edge_profile.functions)
-    assert report.ok, report.format()
-    assert any("measured weights" in d.message for d in report
-               if d.code == "V600")
+    for name, func in small_module.functions.items():
+        weights = _measured_weights(edge_profile.functions[name])
+        placement = plan_probes(func.cfg, weights, name=name)
+        assert _errors(verify_placement(func, placement)) == []
+
+
+def test_proof_covers_the_static_placement_without_running(
+        tmp_path, capsys, monkeypatch):
+    # The gate proves the placement the counters use, so proving a file
+    # needs no execution, and every V600 note names static weights.
+    from repro.__main__ import main
+    from repro.interp import Machine
+
+    def no_run(*_args, **_kwargs):
+        raise AssertionError("conserve must not execute the program")
+
+    monkeypatch.setattr(Machine, "run", no_run)
+    assert main(["conserve", _write_program(tmp_path), "--verbose"]) == 0
+    assert "(static weights)" in capsys.readouterr().out
+    monkeypatch.undo()
+    report, = conserve_suite(ProfilingSession(), [get_workload("mcf")])
+    notes = [d.message for d in report if d.code == "V600"]
+    assert notes and all("(static weights)" in m for m in notes)
 
 
 def test_static_placement_memoised(small_module):
@@ -350,7 +369,7 @@ def test_sparse_profiler_matches_dense(backend):
 
 
 def test_sparse_matches_dense_through_session(tmp_path):
-    from repro.engine import ArtifactCache, ProfilingSession
+    from repro.engine import ArtifactCache
     workloads = [get_workload("vpr"), get_workload("mcf")]
 
     def check(session):

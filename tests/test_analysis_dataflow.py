@@ -10,8 +10,7 @@ from conftest import SMALL_PROGRAM, diamond_cfg, fig8_function, loop_cfg
 
 from repro.analysis import (DataflowProblem, Def, DefiniteAssignment,
                             DominatorSets, LiveRegisters,
-                            ReachingDefinitions, dominance_frontiers,
-                            solve)
+                            ReachingDefinitions, solve)
 from repro.cfg import DominatorTree, build_cfg
 from repro.ir import IRBuilder
 from repro.lang import compile_source
@@ -183,20 +182,3 @@ def test_dominator_sets_match_tree_loop():
 
 def test_dominator_sets_match_tree_fig8():
     _assert_dominators_match(fig8_function().cfg)
-
-
-def test_dominance_frontiers_diamond():
-    cfg = diamond_cfg()
-    df = dominance_frontiers(cfg)
-    assert df["B"] == {"D"}
-    assert df["C"] == {"D"}
-    assert df["A"] == set()
-    assert df["D"] == set()
-
-
-def test_dominance_frontiers_loop_header_in_own_frontier():
-    cfg = loop_cfg()
-    df = dominance_frontiers(cfg)
-    assert df["B"] == {"H"}  # back edge B->H
-    assert df["H"] == {"H"}  # H dominates B but not strictly itself
-    assert df["E"] == set()

@@ -4,8 +4,7 @@ workload's plan must be flagged, and pristine plans must verify clean
 
 import pytest
 
-from repro.analysis import (MUTATIONS, applicable_mutations, mutate_plan,
-                            verify_module_plan)
+from repro.analysis import MUTATIONS, mutate_plan, verify_module_plan
 from repro.core import plan_ppp, plan_tpp
 from repro.engine import ArtifactCache, ProfilingSession
 from repro.workloads import get_workload
@@ -32,7 +31,8 @@ def test_pristine_plan_has_zero_false_positives(vpr_plans, technique):
 @pytest.mark.parametrize("technique", ["tpp", "ppp"])
 def test_every_applicable_mutation_is_detected(vpr_plans, technique):
     plan = vpr_plans[technique]
-    kinds = applicable_mutations(plan)
+    kinds = [kind for kind in MUTATIONS
+             if mutate_plan(plan, kind) is not None]
     # The acceptance bar: at least ten distinct seeded corruptions.
     assert len(kinds) >= 10, kinds
     missed = []
@@ -67,7 +67,6 @@ def test_inapplicable_mutation_returns_none():
     func = module.add_function(b.finish("A"))
     mplan = ModulePlan(module, "tpp", DEFAULT_CONFIG,
                        {"main": FunctionPlan(func, instrumented=False)})
-    assert applicable_mutations(mplan) == []
     for kind in MUTATIONS:
         assert mutate_plan(mplan, kind) is None
 

@@ -48,7 +48,7 @@ class TestNaturalLoops:
         loop = loops[0]
         assert loop.header == "H"
         assert loop.body == {"H", "B"}
-        assert loop.tails == ["B"]
+        assert [e.src for e in loop.back_edges] == ["B"]
         assert loop.depth == 1
 
     def test_nested_loop_structure(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import HotPathTable, run_hpt
+from repro.core import HotPathTable, record_path_stream
 from repro.lang import compile_source
 
 from conftest import trace_module
@@ -72,13 +72,14 @@ class TestRunHpt:
     def test_execution_unperturbed(self):
         m = compile_source(self.SRC)
         _a, _p, truth = trace_module(m)
-        result = run_hpt(m)
+        result = HotPathTable().replay(record_path_stream(m))
         assert result.return_value == truth.return_value
 
     def test_large_table_matches_ground_truth(self):
         m = compile_source(self.SRC)
         actual, _p, _r = trace_module(m)
-        result = run_hpt(m, sets=256, ways=8)
+        result = HotPathTable(sets=256, ways=8).replay(
+            record_path_stream(m))
         assert result.evictions == 0
         counts = {(e.function, e.blocks): e.count for e in result.entries}
         for blocks, count in actual["main"].counts.items():
@@ -86,13 +87,15 @@ class TestRunHpt:
 
     def test_tiny_table_thrashes(self):
         m = compile_source(self.SRC)
-        result = run_hpt(m, sets=1, ways=1)
+        result = HotPathTable(sets=1, ways=1).replay(
+            record_path_stream(m))
         assert result.evictions > 0
         assert result.capacity_pressure > 0
 
     def test_estimated_flows_metrics(self):
         m = compile_source(self.SRC)
-        result = run_hpt(m, sets=64, ways=4)
+        result = HotPathTable(sets=64, ways=4).replay(
+            record_path_stream(m))
         branch = result.estimated_flows(m, "branch")
         unit = result.estimated_flows(m, "unit")
         assert set(branch) == set(unit)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import NetSelector, run_net
+from repro.core import NetSelector, record_path_stream
 from repro.lang import compile_source
 
 from conftest import trace_module
@@ -69,13 +69,13 @@ class TestRunNet:
     def test_execution_unperturbed(self):
         m = compile_source(DOMINANT)
         _a, _p, truth = trace_module(m)
-        net = run_net(m, threshold=10)
+        net = NetSelector(threshold=10).replay(record_path_stream(m))
         assert net.return_value == truth.return_value
 
     def test_dominant_path_found(self):
         m = compile_source(DOMINANT)
         actual, _p, _r = trace_module(m)
-        net = run_net(m, threshold=10)
+        net = NetSelector(threshold=10).replay(record_path_stream(m))
         # The loop head's trace must be the truly hottest path.
         hottest = max(actual["main"].counts.items(), key=lambda kv: kv[1])
         loop_traces = [t for t in net.traces if t.head != "entry"]
@@ -86,7 +86,7 @@ class TestRunNet:
         # 8 roughly-equal warm paths; NET keeps one trace per head.
         m = compile_source(WARM)
         actual, _p, _r = trace_module(m)
-        net = run_net(m, threshold=10)
+        net = NetSelector(threshold=10).replay(record_path_stream(m))
         selected = {t.blocks for t in net.traces}
         loop_paths = {p for p in actual["main"].counts
                       if p[0] not in ("entry",)}
@@ -97,7 +97,7 @@ class TestRunNet:
 
     def test_estimated_flows_weighted_by_branches(self):
         m = compile_source(DOMINANT)
-        net = run_net(m, threshold=10)
+        net = NetSelector(threshold=10).replay(record_path_stream(m))
         flows = net.estimated_flows(m, metric="branch")
         assert flows
         assert all(v >= 0 for v in flows.values())
@@ -106,5 +106,5 @@ class TestRunNet:
 
     def test_cold_program_selects_nothing(self):
         m = compile_source("func main() { return 3; }")
-        net = run_net(m, threshold=10)
+        net = NetSelector(threshold=10).replay(record_path_stream(m))
         assert net.traces == []

@@ -137,17 +137,6 @@ class TestRebuild:
 
 
 class TestMachineHooks:
-    def test_clear_hooks(self):
-        m = compile_source(
-            "func main() { if (1) { x = 1; } else { x = 2; } return x; }")
-        machine = Machine(m)
-        edge = m.functions["main"].cfg.out_edges("entry")[0]
-        fired = []
-        machine.set_edge_hook("main", edge.uid, lambda f: fired.append(1))
-        machine.clear_hooks()
-        machine.run()
-        assert fired == []
-
     def test_run_named_function_with_args(self):
         m = compile_source("""
             func add(a, b) { return a + b; }

@@ -5,7 +5,6 @@ import pytest
 
 from repro.harness.ablation import _normalise, select_benchmarks
 from repro.lang import compile_source
-from repro.profiles.flow import is_branch_block
 
 from conftest import SMALL_PROGRAM, trace_module
 
@@ -31,16 +30,6 @@ class TestEdgeProfileScale:
         for name in m.functions:
             assert plan.functions[name].instrumented == \
                 base.functions[name].instrumented
-
-
-class TestFlowHelpers:
-    def test_is_branch_block(self):
-        m = compile_source(
-            "func main() { if (1) { x = 1; } else { x = 2; } return x; }")
-        cfg = m.functions["main"].cfg
-        assert is_branch_block(cfg, "entry")
-        assert not is_branch_block(cfg, "then0")
-        assert not is_branch_block(cfg, cfg.exit)
 
 
 class TestAblationHelpers:

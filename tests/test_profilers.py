@@ -14,7 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import plan_pp, plan_ppp, run_with_plan, ProfilerConfig
-from repro.core.attach import HookContext, StepCompiler, attach_function
+from repro.core.attach import (HookContext, StepCompiler,
+                               attach_observations)
 from repro.core.ops import AddReg, CountConst, SetReg
 from repro.core.runtime import HashStore
 from repro.interp import DEFAULT_COSTS, Machine, MachineError
@@ -314,7 +315,8 @@ class TestHashStoreBackends:
         edge_ops = {e.uid: [CountConst(i * 37 + 1)]
                     for i, e in enumerate(sorted(func.cfg.edges(),
                                                  key=lambda e: e.uid))}
-        attach_function(machine, "main", edge_ops, store, checked=False)
+        ctx = HookContext(machine.cost_model, store=store, checked=False)
+        attach_observations(machine, "main", [(edge_ops, ctx)])
         result = machine.run()
         return store, result
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import (AddReg, CountConst, CountReg, SetReg, describe,
                         static_block_weights, static_edge_weights)
-from repro.harness import mean, pct, render_table
+from repro.harness import mean, render_table
 from repro.interp import CostCounter, CostModel, DEFAULT_COSTS
 from repro.lang import compile_source
 
@@ -100,9 +100,7 @@ class TestReport:
         text = render_table(["x"], [[1.23456]])
         assert "1.23" in text
 
-    def test_pct_and_mean(self):
-        assert pct(0.0534) == "5.3%"
-        assert pct(0.5, digits=0) == "50%"
+    def test_mean(self):
         assert mean([1.0, 2.0, 3.0]) == 2.0
         assert mean([]) == 0.0
 
