@@ -176,12 +176,12 @@ def _profiled_run(module, profiler_names: tuple[str, ...]
     one run of the module under the named profilers (compiled backend)."""
     from repro.profilers import build_machine, create_profilers
 
-    machine, _ = build_machine(module, create_profilers(profiler_names),
-                               backend="compiled")
+    machine, (account,) = build_machine(
+        module, [create_profilers(profiler_names)], backend="compiled")
     start = time.perf_counter()
     result = machine.run()
     elapsed = time.perf_counter() - start
-    return (elapsed, result.costs.base, result.costs.instrumentation,
+    return (elapsed, result.costs.base, account.costs.instrumentation,
             result.instructions_executed)
 
 

@@ -34,7 +34,7 @@ from typing import Optional
 
 from ..cfg.traversal import reachable
 from ..ir.function import Function, Module
-from ..ir.instructions import Branch, Call, Const, Instr
+from ..ir.instructions import Branch, Call, Const
 from .dataflow import DefiniteAssignment, LiveRegisters, \
     ReachingDefinitions
 from .diagnostics import Diagnostic, Report, Severity

@@ -6,7 +6,7 @@ never hit Python's recursion limit.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .graph import CFGError, ControlFlowGraph, Edge
 

@@ -5,7 +5,8 @@ Public entry points:
 * :func:`plan_pp` / :func:`plan_tpp` / :func:`plan_ppp` -- build an
   instrumentation plan for a module;
 * :func:`run_with_plan` -- execute the module with instrumentation
-  attached and collect counters + overhead;
+  attached and collect counters + overhead; :func:`run_with_plans`
+  does it for many plans of one module in one execution;
 * :func:`build_estimated_profile` and the ``evaluate_*`` functions --
   construct and score estimated path profiles (accuracy, coverage,
   instrumented fraction).
@@ -27,7 +28,7 @@ from .runtime import (HASH_SLOTS, HASH_THRESHOLD, HASH_TRIES, ArrayStore,
 from .pipeline import (DEFAULT_CONFIG, FunctionPlan, ModulePlan,
                        ProfileRun, ProfilerConfig, plan_pp, plan_ppp,
                        plan_tpp, ppp_config_only, ppp_config_without,
-                       run_with_plan)
+                       run_with_plan, run_with_plans)
 from .stream import PathStream, Recording, record_module, record_path_stream
 from .net import NET_HOT_THRESHOLD, NetResult, NetSelector, NetTrace
 from .hpt import HotPathTable, HptEntry, HptResult
@@ -52,7 +53,7 @@ __all__ = [
     "CounterStore", "HashStore", "make_store",
     "DEFAULT_CONFIG", "FunctionPlan", "ModulePlan", "ProfileRun",
     "ProfilerConfig", "plan_pp", "plan_ppp", "plan_tpp", "ppp_config_only",
-    "ppp_config_without", "run_with_plan",
+    "ppp_config_without", "run_with_plan", "run_with_plans",
     "PathStream", "Recording", "record_module", "record_path_stream",
     "NET_HOT_THRESHOLD", "NetResult", "NetSelector", "NetTrace",
     "HotPathTable", "HptEntry", "HptResult",

@@ -4,7 +4,9 @@ Planning turns a module (plus, for TPP/PPP, an edge profile) into a
 :class:`ModulePlan`: per function, the profiling DAG, cold-edge set, path
 numbering, event-counted increments, placed instrumentation, and counter
 geometry.  :func:`run_with_plan` then executes the module with the plan's
-instrumentation attached and returns the measured counters and overhead.
+instrumentation attached and returns the measured counters and overhead;
+:func:`run_with_plans` does the same for many plans of one module in a
+single execution.
 
 The three planners differ exactly as the paper describes:
 
@@ -25,7 +27,7 @@ poisoning              --       free (per Section 7.4)       free (check when FP
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..cfg.dag import ProfilingDag, build_profiling_dag
 from ..cfg.loops import find_loops
@@ -325,29 +327,51 @@ class ProfileRun:
         return self.run.costs.overhead
 
 
-def run_with_plan(plan: ModulePlan, cost_model: CostModel = DEFAULT_COSTS,
-                  max_instructions: int = 500_000_000,
-                  backend: str | None = None,
-                  profilers: tuple[str, ...] = ()) -> ProfileRun:
-    """Execute the module's main with the plan's instrumentation attached.
+def run_with_plans(plans: Sequence[ModulePlan],
+                   cost_model: CostModel = DEFAULT_COSTS,
+                   max_instructions: int = 500_000_000,
+                   backend: str | None = None,
+                   profilers: tuple[str, ...] = ()) -> list[ProfileRun]:
+    """Execute one module's main once with every plan's instrumentation
+    attached, each plan as its own account.
 
-    The plan's path counters run as the plan-bound ``path`` plugin;
-    ``profilers`` names any extra registered profilers to fuse into the
-    same execution (their ops share edge hooks with the plan's and bill
-    the same cost counter, so overhead measured here includes them).
+    ``plans`` must be non-empty and all of one module (the first plan's
+    module object runs).  A plan's account is what its lone
+    :func:`run_with_plan` would attach: the plan's path counters as the
+    plan-bound ``path`` plugin, plus fresh instances of the extra
+    registered ``profilers`` (their ops share the account's edge hooks
+    and cost counter, so its overhead includes them).  Each account
+    counts on its own path register and bills its own cost counter, so
+    every :class:`ProfileRun` equals the plan's lone run; the return
+    value, instruction count, invocations and base cost are shared.
     """
     # Imported lazily: repro.profilers imports this module for the plan
     # types, so a top-level import would be circular.
     from ..profilers import PathPlanProfiler, create_profilers
     from ..profilers.drive import execute_profilers
 
-    path = PathPlanProfiler(plan)
-    run = execute_profilers(
-        plan.module, [path, *create_profilers(profilers)],
+    runs = execute_profilers(
+        plans[0].module,
+        [[PathPlanProfiler(plan), *create_profilers(profilers)]
+         for plan in plans],
         cost_model=cost_model, max_instructions=max_instructions,
         backend=backend)
-    stores = dict(run.profiles.pop(PathPlanProfiler.name))
-    return ProfileRun(plan, run.result, stores, profiles=run.profiles)
+    out = []
+    for plan, run in zip(plans, runs):
+        stores = dict(run.profiles.pop(PathPlanProfiler.name))
+        out.append(ProfileRun(plan, run.result, stores, profiles=run.profiles))
+    return out
+
+
+def run_with_plan(plan: ModulePlan, cost_model: CostModel = DEFAULT_COSTS,
+                  max_instructions: int = 500_000_000,
+                  backend: str | None = None,
+                  profilers: tuple[str, ...] = ()) -> ProfileRun:
+    """Execute the module's main with the plan's instrumentation attached
+    (:func:`run_with_plans` with one plan)."""
+    return run_with_plans([plan], cost_model=cost_model,
+                          max_instructions=max_instructions,
+                          backend=backend, profilers=profilers)[0]
 
 
 def ppp_config_without(technique: str) -> ProfilerConfig:

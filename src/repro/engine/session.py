@@ -16,7 +16,8 @@ study drivers use:
   staleness / sampling studies re-plan under variant configs while
   reusing every upstream artifact.  Executions are keyed by the plan's
   identity instead of its label, so labels whose plans coincide score
-  one shared run;
+  one shared run, and a batch's new plans of one module share one
+  execution, each plan counting on its own path register;
 * :meth:`run_workload` / :meth:`run_suite` -- the composed per-benchmark
   methodology, with :meth:`run_suite` optionally fanning cold workloads
   out over a process pool (deterministic result ordering either way).
@@ -28,11 +29,12 @@ path: the stages are the same code, merely memoised.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from ..core import (DEFAULT_CONFIG, ModulePlan, PathStream, ProfileRun,
                     ProfilerConfig, Recording, record_module,
-                    run_with_plan)
+                    run_with_plans)
 from ..interp import resolve_backend
 from ..ir.function import Module
 from ..opt import OptimizationResult, expand_module
@@ -49,7 +51,39 @@ if TYPE_CHECKING:
     from ..analysis.diagnostics import Report
     from ..analysis.transfer import TransferResult
 
-__all__ = ["ProfilingSession"]
+__all__ = ["ProfilingSession", "ScoreRequest"]
+
+
+@dataclass
+class ScoreRequest:
+    """One technique for :meth:`ProfilingSession.plan_and_score` to plan,
+    execute and score.
+
+    ``actual`` must be the ground truth of ``module`` (it is derived
+    state, so it does not contribute to the key).  ``score_profile``
+    defaults to ``plan_profile``; the sampling study passes the true
+    profile there while planning from a degraded one.  ``label`` names
+    the result (default: the technique).
+    """
+
+    technique: str
+    module: Module
+    plan_profile: Optional[EdgeProfile]
+    actual: PathProfile
+    score_profile: Optional[EdgeProfile] = None
+    config: Optional[ProfilerConfig] = None
+    label: Optional[str] = None
+    expected_return: object = None
+
+    @property
+    def name(self) -> str:
+        return self.label if self.label is not None else self.technique
+
+    @property
+    def scoring(self) -> Optional[EdgeProfile]:
+        """The edge profile the result is scored against."""
+        return (self.score_profile if self.score_profile is not None
+                else self.plan_profile)
 
 
 class ProfilingSession:
@@ -204,8 +238,8 @@ class ProfilingSession:
                                ",".join(names), self.backend)
         return self.cache.get_or_compute(
             "profiles", key,
-            lambda: execute_profilers(module, create_profilers(names),
-                                      backend=self.backend).profiles)
+            lambda: execute_profilers(module, [create_profilers(names)],
+                                      backend=self.backend)[0].profiles)
 
     # ------------------------------------------------------------------
     # Back-half stages
@@ -251,49 +285,90 @@ class ProfilingSession:
         return self.cache.get_or_compute(
             "verifyreport", key, lambda: verify_module_plan(plan(), cap))
 
-    def plan_and_score(self, technique: str, module: Module,
-                       plan_profile: Optional[EdgeProfile],
-                       actual: PathProfile,
-                       score_profile: Optional[EdgeProfile] = None,
-                       config: Optional[ProfilerConfig] = None,
-                       label: Optional[str] = None,
-                       expected_return: object = None) -> TechniqueResult:
-        """Plan, execute, and score one technique (the cached unit the
-        studies share).
+    def plan_and_score(self, requests: Sequence[ScoreRequest]
+                       ) -> list[TechniqueResult]:
+        """Plan, execute, and score techniques (the cached unit the
+        studies share): one result per request, in order.
 
-        ``actual`` must be the ground truth of ``module`` (it is derived
-        state, so it does not contribute to the key).  ``score_profile``
-        defaults to ``plan_profile``; the sampling study passes the true
-        profile there while planning from a degraded one.
+        Each request is looked up under its own ``technique`` key.  The
+        misses are planned and de-duplicated by instrumentation identity
+        (the ``execution`` key: labels whose plans coincide share one
+        run), and each module's plans that have no run yet execute
+        together, once, through :func:`~repro.core.run_with_plans`.
         """
-        cfg = DEFAULT_CONFIG if config is None else config
-        name = label if label is not None else technique
-        score_fp = (fingerprint_edge_profile(score_profile)
-                    if score_profile is not None else "same")
-        scoring = score_profile if score_profile is not None else plan_profile
-        if scoring is None:
+        module_fps: dict[int, str] = {}
+        keys: list[tuple[str, str, str]] = []
+        for request in requests:
+            module_fp = module_fps.get(id(request.module))
+            if module_fp is None:
+                module_fp = fingerprint_module(request.module)
+                module_fps[id(request.module)] = module_fp
+            keys.append((*self._score_keys(request, module_fp), module_fp))
+        done: dict[str, TechniqueResult] = {}
+        misses: dict[str, tuple[ScoreRequest, str, str]] = {}
+        for request, (key, run_key, module_fp) in zip(requests, keys):
+            if key in done or key in misses:
+                continue
+            found = self.cache.lookup("technique", key)
+            if found is None:
+                misses[key] = (request, run_key, module_fp)
+            else:
+                done[key] = found
+        if misses:
+            done.update(self._score_misses(misses))
+        return [done[key] for key, _, _ in keys]
+
+    def _score_keys(self, request: ScoreRequest,
+                    module_fp: str) -> tuple[str, str]:
+        """The request's ``technique`` key and its run's ``execution``
+        key."""
+        if request.scoring is None:
             raise ValueError("scoring needs an edge profile")
-        # Labels whose plans coincide share one execution.
-        run_key = fingerprint_text("execution", technique,
-                                   fingerprint_module(module),
-                                   fingerprint_edge_profile(plan_profile),
-                                   fingerprint_config(cfg), self.backend,
-                                   ",".join(self.profilers))
-        key = fingerprint_text("technique", name, run_key, score_fp,
-                               repr(expected_return))
+        cfg = DEFAULT_CONFIG if request.config is None else request.config
+        score_fp = (fingerprint_edge_profile(request.score_profile)
+                    if request.score_profile is not None else "same")
+        run_key = fingerprint_text(
+            "execution", request.technique, module_fp,
+            fingerprint_edge_profile(request.plan_profile),
+            fingerprint_config(cfg), self.backend, ",".join(self.profilers))
+        key = fingerprint_text("technique", request.name, run_key, score_fp,
+                               repr(request.expected_return))
+        return key, run_key
 
-        def execute(plan: ModulePlan) -> ProfileRun:
-            return self.cache.get_or_compute(
-                "execution", run_key,
-                lambda: run_with_plan(plan, backend=self.backend,
-                                      profilers=self.profilers))
-
-        def compute() -> TechniqueResult:
-            plan = self.plan(technique, module, plan_profile, cfg)
-            return stages.score_technique(name, plan, actual, scoring,
-                                          expected_return, execute)
-
-        return self.cache.get_or_compute("technique", key, compute)
+    def _score_misses(self, misses: dict[str, tuple[ScoreRequest, str, str]]
+                      ) -> dict[str, TechniqueResult]:
+        """Plan, run (one fused execution per module) and score the
+        requests no cache held, storing each under its own key."""
+        plans = {key: self.plan(request.technique, request.module,
+                                request.plan_profile, request.config)
+                 for key, (request, _, _) in misses.items()}
+        runs: dict[str, ProfileRun] = {}
+        batches: dict[str, dict[str, ModulePlan]] = {}
+        for key, (_, run_key, module_fp) in misses.items():
+            batch = batches.get(module_fp, {})
+            if run_key in runs or run_key in batch:
+                continue
+            found = self.cache.lookup("execution", run_key)
+            if found is None:
+                batches.setdefault(module_fp, batch)[run_key] = plans[key]
+            else:
+                runs[run_key] = found
+        for batch in batches.values():
+            fused = run_with_plans(list(batch.values()),
+                                   backend=self.backend,
+                                   profilers=self.profilers)
+            for run_key, run in zip(batch, fused):
+                self.cache.store("execution", run_key, run)
+                runs[run_key] = run
+        scored: dict[str, TechniqueResult] = {}
+        for key, (request, run_key, _) in misses.items():
+            run = runs[run_key]
+            result = stages.score_technique(
+                request.name, plans[key], request.actual, request.scoring,
+                request.expected_return, lambda _plan, _run=run: _run)
+            self.cache.store("technique", key, result)
+            scored[key] = result
+        return scored
 
     # ------------------------------------------------------------------
     # Composed per-benchmark methodology
@@ -335,13 +410,12 @@ class ProfilingSession:
         # Table 1's "original code": scalar-optimized, not inlined/unrolled.
         actual_original, _profile0, _rv0 = self.trace(opt.baseline_module)
         actual, edge_profile, return_value = self.trace(expanded)
-        results: dict[str, TechniqueResult] = {}
-        for name in techniques:
-            results[name] = self.plan_and_score(
-                name, expanded,
-                None if name == "pp" else edge_profile,
-                actual, score_profile=edge_profile,
-                expected_return=return_value)
+        results = dict(zip(techniques, self.plan_and_score([
+            ScoreRequest(name, expanded,
+                         None if name == "pp" else edge_profile,
+                         actual, score_profile=edge_profile,
+                         expected_return=return_value)
+            for name in techniques])))
         result = stages.assemble_workload_result(
             workload, original, opt, actual_original, actual, edge_profile,
             return_value, results)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from ..core import ppp_config_only, ppp_config_without
-from ..engine import ProfilingSession, WorkloadResult
+from ..engine import ProfilingSession, ScoreRequest, WorkloadResult
 from .report import render_table
 
 TECHNIQUE_LABELS = ("SAC", "FP", "Push", "SPN", "LC")
@@ -61,22 +61,22 @@ def leave_one_out(results: dict[str, WorkloadResult],
     """
     chosen = benchmarks if benchmarks is not None \
         else select_benchmarks(results)
+    techs = iter(session.plan_and_score([
+        ScoreRequest("ppp", results[name].expanded,
+                     results[name].edge_profile, results[name].actual,
+                     config=ppp_config_without(technique),
+                     label=f"ppp-{technique}",
+                     expected_return=results[name].return_value)
+        for name in chosen for technique in TECHNIQUE_LABELS]))
     rows: list[AblationRow] = []
     for name in chosen:
         r = results[name]
-        without: dict[str, float] = {}
-        for technique in TECHNIQUE_LABELS:
-            config = ppp_config_without(technique)
-            tech = session.plan_and_score(
-                "ppp", r.expanded, r.edge_profile, r.actual,
-                config=config, label=f"ppp-{technique}",
-                expected_return=r.return_value)
-            without[technique] = tech.overhead
         rows.append(AblationRow(
             benchmark=name,
             tpp_overhead=r.techniques["tpp"].overhead,
             ppp_overhead=r.techniques["ppp"].overhead,
-            without=without,
+            without={technique: next(techs).overhead
+                     for technique in TECHNIQUE_LABELS},
         ))
     return rows
 
@@ -113,23 +113,17 @@ def one_at_a_time(results: dict[str, WorkloadResult],
     chosen = benchmarks if benchmarks is not None \
         else select_benchmarks(results)
     headers = ["Benchmark", "none"] + list(techniques)
+    labels = {"none": "ppp-none", **{t: f"ppp+{t}" for t in techniques}}
+    techs = iter(session.plan_and_score([
+        ScoreRequest("ppp", results[name].expanded,
+                     results[name].edge_profile, results[name].actual,
+                     config=ppp_config_only(technique), label=label,
+                     expected_return=results[name].return_value)
+        for name in chosen for technique, label in labels.items()]))
     cells = []
     for name in chosen:
-        r = results[name]
-        line: list[object] = [name]
-        base_tech = session.plan_and_score(
-            "ppp", r.expanded, r.edge_profile, r.actual,
-            config=ppp_config_only("none"), label="ppp-none",
-            expected_return=r.return_value)
-        line.append(f"{base_tech.overhead * 100:.1f}%")
-        for technique in techniques:
-            tech = session.plan_and_score(
-                "ppp", r.expanded, r.edge_profile, r.actual,
-                config=ppp_config_only(technique),
-                label=f"ppp+{technique}",
-                expected_return=r.return_value)
-            line.append(f"{tech.overhead * 100:.1f}%")
-        cells.append(line)
+        cells.append([name] + [f"{next(techs).overhead * 100:.1f}%"
+                               for _ in labels])
     if not cells:
         cells.append(["(no benchmark improves on TPP by > 5%)"] +
                      [""] * (len(headers) - 1))

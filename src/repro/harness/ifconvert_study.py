@@ -13,7 +13,7 @@ executing both arms.  This study reports both sides per workload:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from ..engine import ProfilingSession, WorkloadResult
+from ..engine import ProfilingSession, ScoreRequest, WorkloadResult
 from ..opt.ifconvert import if_convert_module
 from .report import render_table
 
@@ -37,8 +37,8 @@ def compare_ifconvert(result: WorkloadResult,
     actual_after, profile_after, rv = session.trace(converted)
     assert rv == result.return_value, \
         "if-conversion changed behaviour"
-    tech = session.plan_and_score("ppp", converted, profile_after,
-                                  actual_after, expected_return=rv)
+    [tech] = session.plan_and_score([ScoreRequest(
+        "ppp", converted, profile_after, actual_after, expected_return=rv)])
     assert tech.run is not None
     before_cost = result.techniques["ppp"].run.run.costs.base
     after_cost = tech.run.run.costs.base

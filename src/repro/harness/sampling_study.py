@@ -12,7 +12,7 @@ deployable in the setting the paper targets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from ..engine import ProfilingSession, WorkloadResult
+from ..engine import ProfilingSession, ScoreRequest, WorkloadResult
 from ..profiles.sampling import sample_edge_profile
 from .report import render_table
 
@@ -31,26 +31,21 @@ class SamplingRow:
 def sampling_study(result: WorkloadResult,
                    rates: tuple[float, ...] = DEFAULT_RATES,
                    *, session: ProfilingSession) -> list[SamplingRow]:
-    rows = []
-    for rate in rates:
-        profile = (result.edge_profile if rate >= 1.0
-                   else sample_edge_profile(result.edge_profile, rate,
-                                            seed=1))
-        # Scoring always uses the *true* edge profile and ground truth;
-        # only the planning input was degraded.
-        tech = session.plan_and_score(
-            "ppp", result.expanded, profile, result.actual,
-            score_profile=result.edge_profile,
-            label=f"ppp-sampled-1/{int(1 / rate):d}",
-            expected_return=result.return_value)
-        rows.append(SamplingRow(
-            benchmark=result.workload.name,
-            rate=rate,
-            accuracy=tech.accuracy,
-            coverage=tech.coverage,
-            overhead=tech.overhead,
-        ))
-    return rows
+    # Scoring always uses the *true* edge profile and ground truth;
+    # only the planning input was degraded.
+    techs = session.plan_and_score([
+        ScoreRequest("ppp", result.expanded,
+                     (result.edge_profile if rate >= 1.0
+                      else sample_edge_profile(result.edge_profile, rate,
+                                               seed=1)),
+                     result.actual, score_profile=result.edge_profile,
+                     label=f"ppp-sampled-1/{int(1 / rate):d}",
+                     expected_return=result.return_value)
+        for rate in rates])
+    return [SamplingRow(benchmark=result.workload.name, rate=rate,
+                        accuracy=tech.accuracy, coverage=tech.coverage,
+                        overhead=tech.overhead)
+            for rate, tech in zip(rates, techs)]
 
 
 def sampling_table(results: dict[str, WorkloadResult], *,

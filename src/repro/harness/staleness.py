@@ -11,7 +11,7 @@ the full-size run with it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from ..engine import ProfilingSession
+from ..engine import ProfilingSession, ScoreRequest
 from .report import render_table
 from ..workloads import Workload
 
@@ -45,20 +45,19 @@ def staleness_study(workload: Workload, *,
     # Transfer the small run's edge profile onto the big module.
     stale_profile = session.remap_profile(small_profile, big_module).profile
 
-    rows = {}
-    for label, profile in (("fresh", fresh_profile),
-                           ("stale", stale_profile)):
-        # Plan from the (possibly stale) advice; score everything against
-        # the big run's own ground truth and fresh profile.
-        tech = session.plan_and_score(
-            "ppp", big_module, profile, actual,
-            score_profile=fresh_profile, label=f"ppp-{label}-advice")
-        rows[label] = (tech.accuracy, tech.coverage, tech.overhead)
+    # Plan from the (possibly stale) advice; score everything against
+    # the big run's own ground truth and fresh profile.
+    fresh, stale = session.plan_and_score([
+        ScoreRequest("ppp", big_module, profile, actual,
+                     score_profile=fresh_profile,
+                     label=f"ppp-{label}-advice")
+        for label, profile in (("fresh", fresh_profile),
+                               ("stale", stale_profile))])
     return StalenessRow(
         benchmark=workload.name,
-        fresh_accuracy=rows["fresh"][0], stale_accuracy=rows["stale"][0],
-        fresh_coverage=rows["fresh"][1], stale_coverage=rows["stale"][1],
-        fresh_overhead=rows["fresh"][2], stale_overhead=rows["stale"][2],
+        fresh_accuracy=fresh.accuracy, stale_accuracy=stale.accuracy,
+        fresh_coverage=fresh.coverage, stale_coverage=stale.coverage,
+        fresh_overhead=fresh.overhead, stale_overhead=stale.overhead,
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..cfg.graph import CFGError, ControlFlowGraph, Edge
+from ..cfg.graph import ControlFlowGraph, Edge
 from .instructions import Branch, Call, Instr, Jump, Ret
 
 

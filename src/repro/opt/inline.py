@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..ir.function import Function, Module
+from ..ir.function import Module
 from ..ir.instructions import Branch, Call, Instr, Jump, Mov, Ret
 from ..profiles.edge_profile import EdgeProfile
 from .rebuild import block_map, rebuild_function

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import random
 
-from ..ir.function import Module
 from .edge_profile import EdgeProfile, FunctionEdgeProfile
 
 

@@ -3,9 +3,10 @@
 A session records each distinct module once (edge counting plus the
 path listener), and every view -- the expansion's edge profiles, ground
 truth, the path stream -- reads that recording.  Plan executions are
-shared by every label whose plan coincides.  The first test counts
-interpreter runs over a cold ``harness all``; the rest prove a
-recording observes exactly what each single-purpose run observes.
+shared by every label whose plan coincides, and each study's new plans
+of one module share one execution.  The first test counts interpreter
+runs over a cold ``harness all``; the rest prove a recording observes
+exactly what each single-purpose run observes.
 """
 
 from collections import Counter
@@ -46,24 +47,26 @@ def test_cold_harness_runs_each_execution_once(tmp_path, monkeypatch,
     depth = [0]
     real_execute = drive.execute_profilers
 
-    def execute_profilers(module, profilers, *args, **kwargs):
-        plans = [identity[id(p.plan)] for p in profilers
-                 if isinstance(p, PathPlanProfiler)]
+    def execute_profilers(module, accounts, *args, **kwargs):
+        plans = [identity[id(p.plan)] for profilers in accounts
+                 for p in profilers if isinstance(p, PathPlanProfiler)]
         executions.append((tuple(plans), fingerprint_module(module),
-                           tuple(p.name for p in profilers),
+                           tuple(tuple(p.name for p in profilers)
+                                 for profilers in accounts),
                            kwargs.get("backend")))
         depth[0] += 1
         try:
-            return real_execute(module, profilers, *args, **kwargs)
+            return real_execute(module, accounts, *args, **kwargs)
         finally:
             depth[0] -= 1
 
     modules: list[str] = []
+    hooked: list[str] = []
     real_run = Machine.run
 
     def run(machine, *args, **kwargs):
-        if not depth[0]:
-            modules.append(fingerprint_module(machine.module))
+        (hooked if depth[0] else modules).append(
+            fingerprint_module(machine.module))
         return real_run(machine, *args, **kwargs)
 
     monkeypatch.setattr(stages, "plan_stage", plan_stage)
@@ -82,12 +85,21 @@ def test_cold_harness_runs_each_execution_once(tmp_path, monkeypatch,
     assert any(plans for plans, *_ in executions)
     repeated = [e for e, n in Counter(executions).items() if n > 1]
     assert not repeated, repeated
+    # No plan identity executes twice, not even fused with others.
+    twice = [p for p, n in Counter(
+        plan for plans, *_ in executions for plan in plans).items() if n > 1]
+    assert not twice, twice
+    # Neither module clears Figure 13's gate, so each expanded module
+    # runs hooked three times: pp, tpp and ppp in one execution, the
+    # sampling study's two new plans in another, and the profiler
+    # study's plugins in a third.
+    assert sorted(Counter(hooked).values()) == [3, 3], Counter(hooked)
 
 
 def test_profilers_ride_on_the_technique_executions(monkeypatch, capsys):
-    # --profilers fuses the plugins into every pp/tpp/ppp execution, and
-    # the workload's profiles come from the first: mcf's expanded module
-    # runs under profilers once per technique, with no extra run.
+    # --profilers fuses the plugins into every pp/tpp/ppp account, and
+    # the workload's profiles come from the first: the three plans of
+    # mcf's expanded module share one run, with no extra run.
     import pickle
 
     from repro.engine import ProfilingSession
@@ -119,13 +131,15 @@ def test_profilers_ride_on_the_technique_executions(monkeypatch, capsys):
     assert main(["table2", "--quiet", "--benchmarks", "mcf",
                  "--profilers", "values", "--no-cache"]) == 0
     capsys.readouterr()
-    assert hooked.count(expanded) == 3
+    assert hooked.count(expanded) == 1
     monkeypatch.undo()
 
     session = ProfilingSession(profilers=("values",))
     result = session.run_workload(mcf)
-    alone = execute_profilers(result.expanded, create_profilers(["values"]),
-                              backend=session.backend).profiles
+    [alone_run] = execute_profilers(result.expanded,
+                                    [create_profilers(["values"])],
+                                    backend=session.backend)
+    alone = alone_run.profiles
     assert pickle.dumps(result.profiles) == pickle.dumps(alone)
 
 
@@ -142,8 +156,9 @@ def _check_recording(module, backend):
     assert recording.base_cost == plain.costs.base
     assert plain.costs.instrumentation == 0
 
-    edges = execute_profilers(module, [EdgeCountProfiler()],
-                              backend=backend).profiles["edges"]
+    [edges_run] = execute_profilers(module, [[EdgeCountProfiler()]],
+                                    backend=backend)
+    edges = edges_run.profiles["edges"]
     for name, fp in recording.edges.functions.items():
         assert fp.edge_freq == edges.get(name, {}), name
         assert fp.entry_count == plain.invocations[name], name

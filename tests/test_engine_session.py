@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.engine import (TECHNIQUES, ArtifactCache, ParallelRunner,
-                          ProfilingSession, WorkloadTask)
+                          ProfilingSession, ScoreRequest, WorkloadTask)
 from repro.harness import figure9, table2
 from repro.harness.json_export import workload_result_to_dict
 from repro.workloads import get_workload
@@ -137,10 +137,10 @@ def test_variant_config_does_not_hit_base_entries(serial_baseline):
     session = ProfilingSession(cache=ArtifactCache())
     base = session.run_workload(get_workload(NAMES[0]))
     recorded = session.cache.stats.of("record").misses
-    tech = session.plan_and_score(
+    [tech] = session.plan_and_score([ScoreRequest(
         "ppp", base.expanded, base.edge_profile, base.actual,
         config=ppp_config_without("LC"), label="ppp-LC",
-        expected_return=base.return_value)
+        expected_return=base.return_value)])
     assert tech.plan is not None and tech.run is not None
     # The variant planned fresh (different config fingerprint) but reused
     # the module and profiles without re-tracing anything.

@@ -146,25 +146,27 @@ class TestEdgeHooks:
         result = machine.run()
         assert len(fired) == result.edge_counts["main"][back.uid] == 5
 
-    def test_hook_sees_frame_path_reg(self):
-        m = compile_source("func main() { x = 1; return x; }")
-        machine = Machine(m)
-        # No edges in a straight-line single-block function; attach to a
-        # branchy one instead.
-        m2 = compile_source(
+    @pytest.mark.parametrize("backend", ["compiled", "tuple"])
+    def test_hook_sees_reserved_path_register(self, backend):
+        # A reserved register sits past the IR's own slots, starts at
+        # zero in every activation, and the program never touches it.
+        m = compile_source(
             "func main() { if (1) { x = 1; } else { x = 2; } return x; }")
-        machine = Machine(m2)
-        func = m2.functions["main"]
+        machine = Machine(m, backend=backend)
+        func = m.functions["main"]
+        first = machine.reserve_register("main")
+        second = machine.reserve_register("main")
+        assert (first, second) == (func.num_slots, func.num_slots + 1)
         edge = func.cfg.out_edges("entry")[0]
         seen = []
 
         def hook(frame):
-            frame.path_reg += 5
-            seen.append(frame.path_reg)
+            frame.regs[first] += 5
+            seen.append((frame.regs[first], frame.regs[second]))
 
         machine.set_edge_hook("main", edge.uid, hook)
-        machine.run()
-        assert seen == [5]
+        assert machine.run().return_value == 1
+        assert seen == [(5, 0)]
 
     def test_unknown_edge_uid_rejected(self):
         m = compile_source("func main() { return 0; }")
