@@ -26,9 +26,9 @@ from .placement import (CHECK_POISON_VALUE, PlacementResult,
 from .runtime import (HASH_SLOTS, HASH_THRESHOLD, HASH_TRIES, ArrayStore,
                       CounterStore, HashStore, make_store)
 from .pipeline import (DEFAULT_CONFIG, FunctionPlan, ModulePlan,
-                       ProfileRun, ProfilerConfig, plan_pp, plan_ppp,
-                       plan_tpp, ppp_config_only, ppp_config_without,
-                       run_with_plan, run_with_plans)
+                       ProfileRun, ProfilerConfig, plan_account, plan_pp,
+                       plan_ppp, plan_tpp, ppp_config_only,
+                       ppp_config_without, run_with_plan, run_with_plans)
 from .stream import PathStream, Recording, record_module, record_path_stream
 from .net import NET_HOT_THRESHOLD, NetResult, NetSelector, NetTrace
 from .hpt import HotPathTable, HptEntry, HptResult
@@ -52,8 +52,9 @@ __all__ = [
     "HASH_SLOTS", "HASH_THRESHOLD", "HASH_TRIES", "ArrayStore",
     "CounterStore", "HashStore", "make_store",
     "DEFAULT_CONFIG", "FunctionPlan", "ModulePlan", "ProfileRun",
-    "ProfilerConfig", "plan_pp", "plan_ppp", "plan_tpp", "ppp_config_only",
-    "ppp_config_without", "run_with_plan", "run_with_plans",
+    "ProfilerConfig", "plan_account", "plan_pp", "plan_ppp", "plan_tpp",
+    "ppp_config_only", "ppp_config_without", "run_with_plan",
+    "run_with_plans",
     "PathStream", "Recording", "record_module", "record_path_stream",
     "NET_HOT_THRESHOLD", "NetResult", "NetSelector", "NetTrace",
     "HotPathTable", "HptEntry", "HptResult",

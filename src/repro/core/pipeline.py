@@ -27,7 +27,7 @@ poisoning              --       free (per Section 7.4)       free (check when FP
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..cfg.dag import ProfilingDag, build_profiling_dag
 from ..cfg.loops import find_loops
@@ -46,6 +46,10 @@ from .obvious import (OBVIOUS_LOOP_MIN_TRIPS, all_paths_obvious,
                       obvious_loop_cold_edges)
 from .placement import PlacementResult, place_instrumentation
 from .runtime import HASH_THRESHOLD, CounterStore
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..profilers.base import Profiler
+    from ..profilers.drive import ProfilersRun
 
 
 @dataclass(frozen=True)
@@ -326,6 +330,31 @@ class ProfileRun:
         quantity under the deterministic cost model)."""
         return self.run.costs.overhead
 
+    @classmethod
+    def of_account(cls, plan: ModulePlan, run: "ProfilersRun"
+                   ) -> "ProfileRun":
+        """The plan's run, from the collection of its
+        :func:`plan_account`: the ``path`` plugin's counter stores, and
+        the other profilers' results."""
+        from ..profilers import PathPlanProfiler
+
+        stores = dict(run.profiles.pop(PathPlanProfiler.name))
+        return cls(plan, run.result, stores, profiles=run.profiles)
+
+
+def plan_account(plan: ModulePlan, profilers: tuple[str, ...] = ()
+                 ) -> list["Profiler"]:
+    """The account a plan's lone :func:`run_with_plan` attaches: the
+    plan's path counters as the plan-bound ``path`` plugin, plus fresh
+    instances of the extra registered ``profilers`` (their ops share the
+    account's edge hooks and cost counter, so its overhead includes
+    them)."""
+    # Imported lazily: repro.profilers imports this module for the plan
+    # types, so a top-level import would be circular.
+    from ..profilers import PathPlanProfiler, create_profilers
+
+    return [PathPlanProfiler(plan), *create_profilers(profilers)]
+
 
 def run_with_plans(plans: Sequence[ModulePlan],
                    cost_model: CostModel = DEFAULT_COSTS,
@@ -336,31 +365,19 @@ def run_with_plans(plans: Sequence[ModulePlan],
     attached, each plan as its own account.
 
     ``plans`` must be non-empty and all of one module (the first plan's
-    module object runs).  A plan's account is what its lone
-    :func:`run_with_plan` would attach: the plan's path counters as the
-    plan-bound ``path`` plugin, plus fresh instances of the extra
-    registered ``profilers`` (their ops share the account's edge hooks
-    and cost counter, so its overhead includes them).  Each account
-    counts on its own path register and bills its own cost counter, so
-    every :class:`ProfileRun` equals the plan's lone run; the return
-    value, instruction count, invocations and base cost are shared.
+    module object runs).  A plan's account is its :func:`plan_account`.
+    Each account counts on its own path register and bills its own cost
+    counter, so every :class:`ProfileRun` equals the plan's lone run; the
+    return value, instruction count, invocations and base cost are
+    shared.
     """
-    # Imported lazily: repro.profilers imports this module for the plan
-    # types, so a top-level import would be circular.
-    from ..profilers import PathPlanProfiler, create_profilers
     from ..profilers.drive import execute_profilers
 
     runs = execute_profilers(
-        plans[0].module,
-        [[PathPlanProfiler(plan), *create_profilers(profilers)]
-         for plan in plans],
+        plans[0].module, [plan_account(plan, profilers) for plan in plans],
         cost_model=cost_model, max_instructions=max_instructions,
         backend=backend)
-    out = []
-    for plan, run in zip(plans, runs):
-        stores = dict(run.profiles.pop(PathPlanProfiler.name))
-        out.append(ProfileRun(plan, run.result, stores, profiles=run.profiles))
-    return out
+    return [ProfileRun.of_account(plan, run) for plan, run in zip(plans, runs)]
 
 
 def run_with_plan(plan: ModulePlan, cost_model: CostModel = DEFAULT_COSTS,

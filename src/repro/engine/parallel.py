@@ -28,8 +28,10 @@ from typing import Optional, Sequence
 
 from ..workloads import Workload
 from . import faults
+from .cache import ArtifactCache
 from .results import (ExecutionRecord, SuiteExecutionReport, TECHNIQUES,
                       TaskFailure, WorkloadResult)
+from .session import NO_STUDIES, ProfilingSession, StudyRequests
 from .workers import PoolUnavailable, WorkerFault, WorkerPool, backoff_delay
 
 __all__ = ["ParallelRunner", "SuiteExecutionError", "WorkloadTask",
@@ -62,6 +64,9 @@ class WorkloadTask:
     verify_plans: bool = False
     # Extra registry profilers to run alongside the pipeline (names).
     profilers: tuple[str, ...] = ()
+    # What the parent's studies will ask of the workload (its build
+    # serves it; the results travel back in ``WorkloadResult.handoff``).
+    studies: StudyRequests = NO_STUDIES
 
 
 def run_task(task: WorkloadTask,
@@ -72,15 +77,15 @@ def run_task(task: WorkloadTask,
     a disk layer the worker shares it, so stage artifacts computed in
     workers warm future runs of any process.
     """
-    from .cache import ArtifactCache
-    from .session import ProfilingSession
-
     session = ProfilingSession(cache=ArtifactCache(disk_dir=disk_dir),
                                backend=task.backend,
                                verify_plans=task.verify_plans,
                                profilers=task.profilers)
-    return session.run_workload(task.workload, task.scale,
-                                techniques=task.techniques)
+    result = session.run_workload(task.workload, task.scale,
+                                  techniques=task.techniques,
+                                  studies=task.studies)
+    result.handoff = session.handoff
+    return result
 
 
 class ParallelRunner:

@@ -21,6 +21,11 @@ study drivers use:
 * :meth:`run_workload` / :meth:`run_suite` -- the composed per-benchmark
   methodology, with :meth:`run_suite` optionally fanning cold workloads
   out over a process pool (deterministic result ordering either way).
+  Told what the studies to be rendered will ask (:class:`StudyRequests`),
+  a cold workload's build scores their plans and collects their
+  profilers in its one execution of the expanded module, and hands the
+  results to the studies' own :meth:`plan_and_score` /
+  :meth:`profile_module` calls through :attr:`ProfilingSession.handoff`.
 
 ``run_workload``'s output is byte-identical to the historic monolithic
 path: the stages are the same code, merely memoised.
@@ -29,12 +34,13 @@ path: the stages are the same code, merely memoised.
 from __future__ import annotations
 
 import os
+import pickle
+import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from ..core import (DEFAULT_CONFIG, ModulePlan, PathStream, ProfileRun,
-                    ProfilerConfig, Recording, record_module,
-                    run_with_plans)
+                    ProfilerConfig, Recording, plan_account, record_module)
 from ..interp import resolve_backend
 from ..ir.function import Module
 from ..opt import OptimizationResult, expand_module
@@ -51,7 +57,7 @@ if TYPE_CHECKING:
     from ..analysis.diagnostics import Report
     from ..analysis.transfer import TransferResult
 
-__all__ = ["ProfilingSession", "ScoreRequest"]
+__all__ = ["ProfilingSession", "ScoreRequest", "StudyRequests"]
 
 
 @dataclass
@@ -84,6 +90,29 @@ class ScoreRequest:
         """The edge profile the result is scored against."""
         return (self.score_profile if self.score_profile is not None
                 else self.plan_profile)
+
+
+@dataclass(frozen=True)
+class StudyRequests:
+    """What the studies a caller will render ask of each workload's
+    expanded module, so that the workload's build serves it from its one
+    execution (see :meth:`ProfilingSession.run_workload`).
+
+    ``scores`` are module-level functions (a
+    :class:`~repro.engine.parallel.WorkloadTask` pickles them) of a
+    :class:`WorkloadResult` whose ``techniques`` are not filled in yet;
+    each returns the requests a study will pass to
+    :meth:`ProfilingSession.plan_and_score` for that workload.
+    ``profilers`` names the registry profilers a study will ask
+    :meth:`ProfilingSession.profile_module` to collect over the expanded
+    module.
+    """
+
+    scores: tuple[Callable[[WorkloadResult], list[ScoreRequest]], ...] = ()
+    profilers: tuple[str, ...] = ()
+
+
+NO_STUDIES = StudyRequests()
 
 
 class ProfilingSession:
@@ -122,6 +151,12 @@ class ProfilingSession:
         expanded module is :attr:`WorkloadResult.profiles`.  Part of every
         execution-stage cache key; the default (none) is byte-identical
         to the pre-plugin pipeline.
+
+    A cold workload build told of the studies to come
+    (:class:`StudyRequests`) leaves their results in :attr:`handoff`,
+    keyed like the cache.  The study's own call takes each one out and
+    stores it in the cache, as if it had computed it; the hand-off works
+    with no cache too, so ``--no-cache`` also scores every plan once.
     """
 
     def __init__(self, cache: Optional[ArtifactCache] = None, jobs: int = 1,
@@ -144,6 +179,9 @@ class ProfilingSession:
         self.retries = max(0, int(retries))
         # Per-task status of the most recent run_suite call.
         self.last_run_report: Optional[SuiteExecutionReport] = None
+        # Artifacts a workload build computed ahead for the studies, by
+        # (kind, key) (see the class docstring).
+        self.handoff: dict[tuple[str, str], object] = {}
 
     @property
     def stats(self):
@@ -226,7 +264,9 @@ class ProfilingSession:
                        profilers: Optional[Iterable[str]] = None
                        ) -> dict[str, object]:
         """Run registry profilers over a module once (cached); defaults
-        to the session's own ``profilers`` selection."""
+        to the session's own ``profilers`` selection.  A workload build
+        told of these profilers (:class:`StudyRequests`) collects them in
+        its own execution and hands them off."""
         from ..profilers import (create_profilers, execute_profilers,
                                  parse_profiler_names)
 
@@ -234,12 +274,17 @@ class ProfilingSession:
                  else parse_profiler_names(tuple(profilers)))
         if not names:
             return {}
-        key = fingerprint_text("profiles", fingerprint_module(module),
-                               ",".join(names), self.backend)
+        key = self._profiles_key(fingerprint_module(module), names)
+        packed = self.handoff.pop(("profiles", key), None)
         return self.cache.get_or_compute(
             "profiles", key,
-            lambda: execute_profilers(module, [create_profilers(names)],
-                                      backend=self.backend)[0].profiles)
+            lambda: (pickle.loads(zlib.decompress(packed)) if packed
+                     else execute_profilers(module, [create_profilers(names)],
+                                            backend=self.backend)[0].profiles))
+
+    def _profiles_key(self, module_fp: str, names: Sequence[str]) -> str:
+        return fingerprint_text("profiles", module_fp, ",".join(names),
+                                self.backend)
 
     # ------------------------------------------------------------------
     # Back-half stages
@@ -290,32 +335,64 @@ class ProfilingSession:
         """Plan, execute, and score techniques (the cached unit the
         studies share): one result per request, in order.
 
-        Each request is looked up under its own ``technique`` key.  The
-        misses are planned and de-duplicated by instrumentation identity
-        (the ``execution`` key: labels whose plans coincide share one
-        run), and each module's plans that have no run yet execute
-        together, once, through :func:`~repro.core.run_with_plans`.
+        Each request is looked up under its own ``technique`` key, in
+        the cache and then in the hand-off of a workload build that
+        scored it ahead (:class:`StudyRequests`).  The misses are
+        planned and de-duplicated by instrumentation identity (the
+        ``execution`` key: labels whose plans coincide share one run),
+        and each module's plans that have no run yet execute together,
+        once, each plan as its own account.
         """
+        return self._score(requests)
+
+    def _score(self, requests: Sequence[ScoreRequest],
+               ahead: Sequence[ScoreRequest] = (),
+               observe: Optional[tuple[Module, tuple[str, ...]]] = None
+               ) -> list[TechniqueResult]:
+        """:meth:`plan_and_score`, with the requests a study will make
+        later (``ahead``) and, when ``observe`` names a module and
+        registry profilers, those profilers' own account, joining the
+        same executions.  Their results go to the hand-off, not the
+        cache: the study's own call stores them."""
         module_fps: dict[int, str] = {}
-        keys: list[tuple[str, str, str]] = []
-        for request in requests:
-            module_fp = module_fps.get(id(request.module))
-            if module_fp is None:
-                module_fp = fingerprint_module(request.module)
-                module_fps[id(request.module)] = module_fp
-            keys.append((*self._score_keys(request, module_fp), module_fp))
+
+        def module_fp(module: Module) -> str:
+            found = module_fps.get(id(module))
+            if found is None:
+                found = module_fps[id(module)] = fingerprint_module(module)
+            return found
+
+        keys = [(*self._score_keys(request, module_fp(request.module)),
+                 module_fp(request.module)) for request in requests]
         done: dict[str, TechniqueResult] = {}
         misses: dict[str, tuple[ScoreRequest, str, str]] = {}
-        for request, (key, run_key, module_fp) in zip(requests, keys):
+        for request, (key, run_key, fp) in zip(requests, keys):
             if key in done or key in misses:
                 continue
             found = self.cache.lookup("technique", key)
             if found is None:
-                misses[key] = (request, run_key, module_fp)
+                found = self.handoff.pop(("technique", key), None)
+                if found is not None:
+                    self.cache.store("technique", key, found)
+            if found is None:
+                misses[key] = (request, run_key, fp)
             else:
                 done[key] = found
-        if misses:
-            done.update(self._score_misses(misses))
+        later: set[str] = set()
+        for request in ahead:
+            fp = module_fp(request.module)
+            key, run_key = self._score_keys(request, fp)
+            if (key in misses or key in done or key in later
+                    or ("technique", key) in self.handoff):
+                continue
+            if self.cache.lookup("technique", key) is None:
+                misses[key] = (request, run_key, fp)
+                later.add(key)
+        watch = None
+        if observe is not None:
+            watch = (module_fp(observe[0]), *observe)
+        if misses or watch is not None:
+            done.update(self._score_misses(misses, later, watch))
         return [done[key] for key, _, _ in keys]
 
     def _score_keys(self, request: ScoreRequest,
@@ -335,40 +412,74 @@ class ProfilingSession:
                                repr(request.expected_return))
         return key, run_key
 
-    def _score_misses(self, misses: dict[str, tuple[ScoreRequest, str, str]]
+    def _score_misses(self, misses: dict[str, tuple[ScoreRequest, str, str]],
+                      later: set[str],
+                      watch: Optional[tuple[str, Module, tuple[str, ...]]]
                       ) -> dict[str, TechniqueResult]:
-        """Plan, run (one fused execution per module) and score the
-        requests no cache held, storing each under its own key."""
+        """Plan, run (one execution per module) and score the requests
+        no cache held, storing each under its own key (the ``later``
+        ones, and the ``watch``ed profilers' collection, in the
+        hand-off)."""
         plans = {key: self.plan(request.technique, request.module,
                                 request.plan_profile, request.config)
                  for key, (request, _, _) in misses.items()}
         runs: dict[str, ProfileRun] = {}
         batches: dict[str, dict[str, ModulePlan]] = {}
-        for key, (_, run_key, module_fp) in misses.items():
+        modules: dict[str, Module] = {}
+        for key, (request, run_key, module_fp) in misses.items():
             batch = batches.get(module_fp, {})
             if run_key in runs or run_key in batch:
                 continue
             found = self.cache.lookup("execution", run_key)
             if found is None:
                 batches.setdefault(module_fp, batch)[run_key] = plans[key]
+                modules[module_fp] = request.module
             else:
                 runs[run_key] = found
-        for batch in batches.values():
-            fused = run_with_plans(list(batch.values()),
-                                   backend=self.backend,
-                                   profilers=self.profilers)
+        if watch is not None:
+            batches.setdefault(watch[0], {})
+            modules.setdefault(watch[0], watch[1])
+        for module_fp, batch in batches.items():
+            observe = watch[2] if watch and watch[0] == module_fp else ()
+            fused, profiles = self._execute(modules[module_fp],
+                                            list(batch.values()), observe)
             for run_key, run in zip(batch, fused):
                 self.cache.store("execution", run_key, run)
                 runs[run_key] = run
+            if observe:
+                # Packed: the study that reads them renders late, and
+                # until then they would sit in memory.
+                self.handoff[("profiles", self._profiles_key(
+                    module_fp, observe))] = zlib.compress(
+                        pickle.dumps(profiles), 1)
         scored: dict[str, TechniqueResult] = {}
         for key, (request, run_key, _) in misses.items():
             run = runs[run_key]
             result = stages.score_technique(
                 request.name, plans[key], request.actual, request.scoring,
                 request.expected_return, lambda _plan, _run=run: _run)
-            self.cache.store("technique", key, result)
+            if key in later:
+                self.handoff[("technique", key)] = result
+            else:
+                self.cache.store("technique", key, result)
             scored[key] = result
         return scored
+
+    def _execute(self, module: Module, plans: list[ModulePlan],
+                 observe: tuple[str, ...]
+                 ) -> tuple[list[ProfileRun], dict[str, object]]:
+        """Run ``module`` once: each plan as the account its lone run
+        would attach, and the ``observe`` profilers (if any) as one more
+        account; the plans' runs, and that account's collection."""
+        from ..profilers import create_profilers, execute_profilers
+
+        accounts = [plan_account(plan, self.profilers) for plan in plans]
+        if observe:
+            accounts.append(create_profilers(observe))
+        runs = execute_profilers(module, accounts, backend=self.backend)
+        return ([ProfileRun.of_account(plan, run)
+                 for plan, run in zip(plans, runs)],
+                runs[-1].profiles if observe else {})
 
     # ------------------------------------------------------------------
     # Composed per-benchmark methodology
@@ -390,38 +501,51 @@ class ProfilingSession:
             self._workload_key(w, scale, TECHNIQUES) for w in workloads))
 
     def run_workload(self, workload: Workload, scale: int = 1,
-                     techniques: Optional[Iterable[str]] = None
-                     ) -> WorkloadResult:
+                     techniques: Optional[Iterable[str]] = None,
+                     studies: StudyRequests = NO_STUDIES) -> WorkloadResult:
         """The full per-benchmark methodology under the default config,
         assembled from cached stages (and itself cached as a single
-        artifact)."""
+        artifact).
+
+        When the result is not cached, its build also serves
+        ``studies``: their requests and profilers join the expanded
+        module's one execution, and their results wait in the hand-off
+        for the studies' own calls.  They are not part of the workload's
+        key or entry.
+        """
         techs = TECHNIQUES if techniques is None else tuple(techniques)
         key = self._workload_key(workload, scale, techs)
         return self.cache.get_or_compute(
             "workload", key,
-            lambda: self._build_workload_result(workload, scale, techs))
+            lambda: self._build_workload_result(workload, scale, techs,
+                                                studies))
 
     def _build_workload_result(self, workload: Workload, scale: int,
-                               techniques: tuple[str, ...]
-                               ) -> WorkloadResult:
+                               techniques: tuple[str, ...],
+                               studies: StudyRequests) -> WorkloadResult:
         original = self.compile(workload, scale)
         opt = self.expand(workload, scale)
         expanded = opt.module
         # Table 1's "original code": scalar-optimized, not inlined/unrolled.
         actual_original, _profile0, _rv0 = self.trace(opt.baseline_module)
         actual, edge_profile, return_value = self.trace(expanded)
-        results = dict(zip(techniques, self.plan_and_score([
-            ScoreRequest(name, expanded,
-                         None if name == "pp" else edge_profile,
-                         actual, score_profile=edge_profile,
-                         expected_return=return_value)
-            for name in techniques])))
         result = stages.assemble_workload_result(
             workload, original, opt, actual_original, actual, edge_profile,
-            return_value, results)
-        if self.profilers and results:
+            return_value, {})
+        scored = self._score(
+            [ScoreRequest(name, expanded,
+                          None if name == "pp" else edge_profile,
+                          actual, score_profile=edge_profile,
+                          expected_return=return_value)
+             for name in techniques],
+            ahead=[request for build in studies.scores
+                   for request in build(result)],
+            observe=((expanded, studies.profilers) if studies.profilers
+                     else None))
+        result.techniques = dict(zip(techniques, scored))
+        if self.profilers and scored:
             # Every technique's execution fused the same profilers.
-            result.profiles = next(iter(results.values())).run.profiles
+            result.profiles = scored[0].run.profiles
         # Degradations the stages logged while building this result
         # (codegen fallbacks, cache quarantines) travel with it.
         result.execution.degradations.extend(faults.drain_degradations())
@@ -433,28 +557,34 @@ class ProfilingSession:
 
     def run_suite(self, workloads: Optional[list[Workload]] = None,
                   scale: int = 1, verbose: bool = False,
-                  jobs: Optional[int] = None) -> dict[str, WorkloadResult]:
+                  jobs: Optional[int] = None,
+                  studies: StudyRequests = NO_STUDIES
+                  ) -> dict[str, WorkloadResult]:
         """Run every workload under the default methodology; results
         keyed by benchmark name, in input order regardless of completion
-        order."""
+        order.  Each cold workload's build also serves ``studies`` (see
+        :meth:`run_workload`), in a worker too."""
         chosen = list(workloads) if workloads is not None else list(SUITE)
         jobs = self.jobs if jobs is None else max(1, int(jobs))
 
         if jobs > 1 and len(chosen) > 1:
-            return self._run_suite_parallel(chosen, scale, verbose, jobs)
+            return self._run_suite_parallel(chosen, scale, verbose, jobs,
+                                            studies)
         out: dict[str, WorkloadResult] = {}
         report = SuiteExecutionReport()
         for workload in chosen:
             if verbose:
                 print(f"  running {workload.name} ...", flush=True)
-            out[workload.name] = self.run_workload(workload, scale)
+            out[workload.name] = self.run_workload(workload, scale,
+                                                   studies=studies)
             report.records[workload.name] = out[workload.name].execution
         report.cache_quarantined = self.cache.stats.corrupt
         self.last_run_report = report
         return out
 
     def _run_suite_parallel(self, chosen: list[Workload], scale: int,
-                            verbose: bool, jobs: int
+                            verbose: bool, jobs: int,
+                            studies: StudyRequests
                             ) -> dict[str, WorkloadResult]:
         from .parallel import ParallelRunner, WorkloadTask
 
@@ -475,9 +605,13 @@ class ProfilingSession:
                                 timeout=self.timeout, retries=self.retries)
         tasks = [WorkloadTask(w, scale, backend=self.backend,
                               verify_plans=self.verify_plans,
-                              profilers=self.profilers)
+                              profilers=self.profilers, studies=studies)
                  for w in cold]
         for workload, result in zip(cold, runner.run(tasks)):
+            # What the worker's build scored for the studies waits here,
+            # outside the workload's entry.
+            self.handoff.update(result.handoff)
+            result.handoff = {}
             # A quarantined entry's event travels with its rebuild, as
             # on the serial path; then the session is warm for next time.
             result.execution.degradations[:0] = quarantines[workload.name]

@@ -23,13 +23,17 @@ import os
 import sys
 import time
 
-from ..engine import ArtifactCache, ProfilingSession, faults, fingerprint_text
+from ..engine import (ArtifactCache, ProfilingSession, StudyRequests,
+                      faults, fingerprint_text)
 from ..interp import VALID_BACKENDS
 from ..workloads import SUITE, Workload, get_workload
 from . import (figure9, figure10, figure11, figure12, figure13,
                hpt_table, ifconvert_table, matching_table, metrics_table,
                net_table, one_at_a_time, profiler_table, sampling_table,
                superblock_table, table1, table2)
+from .ablation import leave_one_out_requests, one_at_a_time_requests
+from .profiler_study import study_profilers
+from .sampling_study import sampling_requests
 
 EXPERIMENTS = ("table1", "table2", "fig9", "fig10", "fig11", "fig12",
                "fig13", "oaat", "net", "superblocks", "ifconvert",
@@ -37,6 +41,13 @@ EXPERIMENTS = ("table1", "table2", "fig9", "fig10", "fig11", "fig12",
                "all")
 
 DEFAULT_CACHE_DIR = "results/.cache"
+
+# The plans each study scores per workload.  Figure 13 and the
+# one-at-a-time view gate on the suite's own overheads, so they ask for
+# every workload: an unselected one costs accounts, never a run.
+STUDY_SCORES = {"fig13": leave_one_out_requests,
+                "oaat": one_at_a_time_requests,
+                "sampling": sampling_requests}
 
 
 class CliError(Exception):
@@ -202,14 +213,20 @@ def _run(args: argparse.Namespace) -> int:
     if not args.quiet:
         print(f"running {len(workloads)} workloads at scale "
               f"{args.scale} ...", flush=True)
-    results = session.run_suite(workloads, scale=args.scale,
-                                verbose=not args.quiet)
-
     wanted = ([args.experiment] if args.experiment != "all"
               else ["table1", "table2", "fig9", "fig10", "fig11", "fig12",
                     "fig13", "oaat", "net", "superblocks", "ifconvert",
                     "metrics", "sampling", "hpt", "profilers",
                     "matching"])
+    # Each cold workload's one execution of its expanded module also
+    # scores what the chosen studies will ask of it.
+    studies = StudyRequests(
+        scores=tuple(STUDY_SCORES[name] for name in wanted
+                     if name in STUDY_SCORES),
+        profilers=study_profilers(session) if "profilers" in wanted else ())
+    results = session.run_suite(workloads, scale=args.scale,
+                                verbose=not args.quiet, studies=studies)
+
     renderers = {
         "table1": table1,
         "table2": table2,

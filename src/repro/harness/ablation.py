@@ -50,24 +50,28 @@ def select_benchmarks(results: dict[str, WorkloadResult],
     return out
 
 
+def leave_one_out_requests(result: WorkloadResult) -> list[ScoreRequest]:
+    """One workload's Figure 13 plans: PPP with each technique disabled.
+
+    The variant configs key separate cache entries, while ground truth
+    and the edge profile come from the shared suite artifacts.
+    """
+    return [ScoreRequest("ppp", result.expanded, result.edge_profile,
+                         result.actual, config=ppp_config_without(technique),
+                         label=f"ppp-{technique}",
+                         expected_return=result.return_value)
+            for technique in TECHNIQUE_LABELS]
+
+
 def leave_one_out(results: dict[str, WorkloadResult],
                   benchmarks: list[str] | None = None,
                   *, session: ProfilingSession) -> list[AblationRow]:
-    """Re-plan and re-run PPP with each technique disabled.
-
-    Planning and scored execution go through the session: the variant
-    configs key separate cache entries, while ground truth and the edge
-    profile come from the shared suite artifacts.
-    """
+    """Re-plan and re-run PPP with each technique disabled."""
     chosen = benchmarks if benchmarks is not None \
         else select_benchmarks(results)
     techs = iter(session.plan_and_score([
-        ScoreRequest("ppp", results[name].expanded,
-                     results[name].edge_profile, results[name].actual,
-                     config=ppp_config_without(technique),
-                     label=f"ppp-{technique}",
-                     expected_return=results[name].return_value)
-        for name in chosen for technique in TECHNIQUE_LABELS]))
+        request for name in chosen
+        for request in leave_one_out_requests(results[name])]))
     rows: list[AblationRow] = []
     for name in chosen:
         r = results[name]
@@ -103,27 +107,36 @@ def figure13(results: dict[str, WorkloadResult], *,
                "(lower is better; 1.00 = TPP)."))
 
 
+ONE_AT_A_TIME = ("LC", "SPN")
+ONE_AT_A_TIME_LABELS = {"none": "ppp-none",
+                        **{t: f"ppp+{t}" for t in ONE_AT_A_TIME}}
+
+
+def one_at_a_time_requests(result: WorkloadResult) -> list[ScoreRequest]:
+    """One workload's one-at-a-time plans: the none-enabled config, then
+    that config plus each of LC and SPN."""
+    return [ScoreRequest("ppp", result.expanded, result.edge_profile,
+                         result.actual, config=ppp_config_only(technique),
+                         label=label, expected_return=result.return_value)
+            for technique, label in ONE_AT_A_TIME_LABELS.items()]
+
+
 def one_at_a_time(results: dict[str, WorkloadResult],
                   benchmarks: list[str] | None = None,
                   *, session: ProfilingSession) -> str:
     """Section 8.3's alternative view: TPP-equivalent PPP plus exactly one
     of LC and SPN, reported as overhead relative to the none-enabled
     config."""
-    techniques = ("LC", "SPN")
     chosen = benchmarks if benchmarks is not None \
         else select_benchmarks(results)
-    headers = ["Benchmark", "none"] + list(techniques)
-    labels = {"none": "ppp-none", **{t: f"ppp+{t}" for t in techniques}}
+    headers = ["Benchmark", "none"] + list(ONE_AT_A_TIME)
     techs = iter(session.plan_and_score([
-        ScoreRequest("ppp", results[name].expanded,
-                     results[name].edge_profile, results[name].actual,
-                     config=ppp_config_only(technique), label=label,
-                     expected_return=results[name].return_value)
-        for name in chosen for technique, label in labels.items()]))
+        request for name in chosen
+        for request in one_at_a_time_requests(results[name])]))
     cells = []
     for name in chosen:
         cells.append([name] + [f"{next(techs).overhead * 100:.1f}%"
-                               for _ in labels])
+                               for _ in ONE_AT_A_TIME_LABELS])
     if not cells:
         cells.append(["(no benchmark improves on TPP by > 5%)"] +
                      [""] * (len(headers) - 1))

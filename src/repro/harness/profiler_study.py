@@ -8,8 +8,9 @@ distribute (short episodes favour unrolling by the observed count).
 
 The study reuses profiles already carried on a
 :class:`~repro.engine.results.WorkloadResult` when the session ran with
-a ``--profilers`` selection; otherwise it computes them on the spot
-through the session's cached profile stage.
+a ``--profilers`` selection; otherwise it reads them from the session's
+profile stage, which the harness asks each workload's build to fill
+from the suite's own execution of the expanded module.
 """
 
 from __future__ import annotations
@@ -69,6 +70,15 @@ def _trip_stats(trips: TripProfile) -> tuple[int, int, float]:
             episodes += count
             weighted += mean_trips(cast(Histogram, hist)) * count
     return loops, episodes, (weighted / episodes if episodes else 0.0)
+
+
+def study_profilers(session: ProfilingSession) -> tuple[str, ...]:
+    """The plugins :func:`profiler_study` asks the session's profile
+    stage for: none when the session's own ``--profilers`` selection
+    already carries them on every result."""
+    if all(name in session.profilers for name in STUDY_PROFILERS):
+        return ()
+    return STUDY_PROFILERS
 
 
 def profiler_study(result: WorkloadResult,

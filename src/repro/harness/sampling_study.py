@@ -28,20 +28,26 @@ class SamplingRow:
     overhead: float
 
 
+def sampling_requests(result: WorkloadResult,
+                      rates: tuple[float, ...] = DEFAULT_RATES
+                      ) -> list[ScoreRequest]:
+    """One workload's sampled plans: PPP planned from the edge profile
+    sampled at each rate.  Scoring always uses the *true* edge profile
+    and ground truth; only the planning input was degraded."""
+    return [ScoreRequest("ppp", result.expanded,
+                         (result.edge_profile if rate >= 1.0
+                          else sample_edge_profile(result.edge_profile, rate,
+                                                   seed=1)),
+                         result.actual, score_profile=result.edge_profile,
+                         label=f"ppp-sampled-1/{int(1 / rate):d}",
+                         expected_return=result.return_value)
+            for rate in rates]
+
+
 def sampling_study(result: WorkloadResult,
                    rates: tuple[float, ...] = DEFAULT_RATES,
                    *, session: ProfilingSession) -> list[SamplingRow]:
-    # Scoring always uses the *true* edge profile and ground truth;
-    # only the planning input was degraded.
-    techs = session.plan_and_score([
-        ScoreRequest("ppp", result.expanded,
-                     (result.edge_profile if rate >= 1.0
-                      else sample_edge_profile(result.edge_profile, rate,
-                                               seed=1)),
-                     result.actual, score_profile=result.edge_profile,
-                     label=f"ppp-sampled-1/{int(1 / rate):d}",
-                     expected_return=result.return_value)
-        for rate in rates])
+    techs = session.plan_and_score(sampling_requests(result, rates))
     return [SamplingRow(benchmark=result.workload.name, rate=rate,
                         accuracy=tech.accuracy, coverage=tech.coverage,
                         overhead=tech.overhead)

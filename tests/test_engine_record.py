@@ -3,8 +3,9 @@
 A session records each distinct module once (edge counting plus the
 path listener), and every view -- the expansion's edge profiles, ground
 truth, the path stream -- reads that recording.  Plan executions are
-shared by every label whose plan coincides, and each study's new plans
-of one module share one execution.  The first test counts interpreter
+shared by every label whose plan coincides, and every plan the studies
+score on an expanded module, with the profiler study's plugins, rides
+the suite's one execution of it.  The first tests count interpreter
 runs over a cold ``harness all``; the rest prove a recording observes
 exactly what each single-purpose run observes.
 """
@@ -28,8 +29,11 @@ from repro.workloads import SUITE, get_workload
 DRAW = ("parser", "perlbmk", "gap", "wupwise", "applu", "apsi")
 
 
-def test_cold_harness_runs_each_execution_once(tmp_path, monkeypatch,
-                                               capsys):
+def _cold_harness(benchmarks, cache_dir, monkeypatch, capsys):
+    """Run a cold ``harness all --jobs 1`` in-process; its stdout, the
+    modules of its plain runs (recordings), the modules of its hooked
+    runs, and one ``(plan identities, module, account profiler names,
+    backend)`` entry per hooked execution."""
     from repro.harness.__main__ import main
 
     # A plan's identity is what it was planned from.
@@ -74,9 +78,10 @@ def test_cold_harness_runs_each_execution_once(tmp_path, monkeypatch,
         monkeypatch.setattr(home, "execute_profilers", execute_profilers)
     monkeypatch.setattr(Machine, "run", run)
     assert main(["all", "--quiet", "--jobs", "1",
-                 "--benchmarks", "applu,apsi",
-                 "--cache-dir", str(tmp_path / "cache")]) == 0
-    capsys.readouterr()
+                 "--benchmarks", benchmarks,
+                 "--cache-dir", str(cache_dir)]) == 0
+    out = capsys.readouterr().out
+    monkeypatch.undo()
 
     # Every run outside a plan or profiler execution is a recording,
     # and each distinct module is recorded once.
@@ -89,17 +94,55 @@ def test_cold_harness_runs_each_execution_once(tmp_path, monkeypatch,
     twice = [p for p, n in Counter(
         plan for plans, *_ in executions for plan in plans).items() if n > 1]
     assert not twice, twice
-    # Neither module clears Figure 13's gate, so each expanded module
-    # runs hooked three times: pp, tpp and ppp in one execution, the
-    # sampling study's two new plans in another, and the profiler
-    # study's plugins in a third.
-    assert sorted(Counter(hooked).values()) == [3, 3], Counter(hooked)
+    return out, modules, hooked, executions
+
+
+def test_cold_harness_runs_each_execution_once(tmp_path, monkeypatch,
+                                               capsys):
+    _out, _modules, hooked, _executions = _cold_harness(
+        "applu,apsi", tmp_path / "cache", monkeypatch, capsys)
+    # Each expanded module runs hooked once: the suite's pp, tpp and ppp
+    # with every plan the studies will score and the profiler study's
+    # plugins as accounts of the same execution.
+    assert sorted(Counter(hooked).values()) == [1, 1], Counter(hooked)
+
+    # The studies' results are not part of the workload entries, so a
+    # warm pass reads just the two workloads and the 16 tables.
+    from repro.harness.__main__ import main
+
+    assert main(["all", "--jobs", "1", "--benchmarks", "applu,apsi",
+                 "--cache-dir", str(tmp_path / "cache")]) == 0
+    warm = capsys.readouterr().out
+    assert "[cache: 18 hits, 0 misses, 18 from disk]" in warm, warm
+
+
+def test_cold_harness_fuses_every_study_into_one_execution(
+        tmp_path, monkeypatch, capsys):
+    from repro.engine import ProfilingSession
+
+    perlbmk = get_workload("perlbmk")
+    expanded = fingerprint_module(ProfilingSession().expand(perlbmk).module)
+    out, _modules, hooked, executions = _cold_harness(
+        "perlbmk", tmp_path / "cache", monkeypatch, capsys)
+    assert hooked.count(expanded) == 1, Counter(hooked)
+    [(plans, _fp, accounts, _backend)] = [
+        e for e in executions if e[1] == expanded]
+    # pp, tpp, ppp; 5 leave-one-out configs; the none-enabled config and
+    # LC and SPN alone; the plans from profiles sampled at 1/10 and 1/100
+    # (the 1/1 plan is ppp's own); and the profiler study's plugins.
+    assert len(plans) == 3 + 5 + 3 + 2
+    assert [p[0] for p in plans] == ["pp", "tpp"] + ["ppp"] * 11
+    assert accounts == (("path",),) * 13 + (("values", "tripcounts"),)
+    # perlbmk clears Figure 13's gate, so both views render its row.
+    for title in ("Figure 13.", "One-at-a-time"):
+        table = out[out.index(title):].split("\n\n")[0]
+        assert "\n  perlbmk " in table, table
 
 
 def test_profilers_ride_on_the_technique_executions(monkeypatch, capsys):
     # --profilers fuses the plugins into every pp/tpp/ppp account, and
     # the workload's profiles come from the first: the three plans of
-    # mcf's expanded module share one run, with no extra run.
+    # mcf's expanded module share one run, with no extra run or account.
     import pickle
 
     from repro.engine import ProfilingSession
@@ -113,10 +156,15 @@ def test_profilers_ride_on_the_technique_executions(monkeypatch, capsys):
     real_execute = drive.execute_profilers
     real_run = Machine.run
 
-    def execute_profilers(*args, **kwargs):
+    accounts: list[tuple] = []
+
+    def execute_profilers(module, profilers, *args, **kwargs):
+        if fingerprint_module(module) == expanded:
+            accounts.append(tuple(tuple(p.name for p in account)
+                                  for account in profilers))
         depth[0] += 1
         try:
-            return real_execute(*args, **kwargs)
+            return real_execute(module, profilers, *args, **kwargs)
         finally:
             depth[0] -= 1
 
@@ -131,7 +179,10 @@ def test_profilers_ride_on_the_technique_executions(monkeypatch, capsys):
     assert main(["table2", "--quiet", "--benchmarks", "mcf",
                  "--profilers", "values", "--no-cache"]) == 0
     capsys.readouterr()
+    # table2 asks nothing more of the module than the suite scores: its
+    # one execution carries exactly the pp, tpp and ppp accounts.
     assert hooked.count(expanded) == 1
+    assert accounts == [(("path", "values"),) * 3]
     monkeypatch.undo()
 
     session = ProfilingSession(profilers=("values",))

@@ -82,6 +82,45 @@ def test_run_suite_parallel_matches_serial(serial_baseline):
     assert session.cache.stats.of("workload").misses == len(NAMES)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_no_cache_suite_hands_study_results_to_the_studies(
+        jobs, serial_baseline, monkeypatch):
+    # With no cache at all, what each build (in a worker too) scored for
+    # the studies reaches the parent's session, and the studies run
+    # nothing again; the workload results carry none of it.
+    import repro.profilers
+    from repro.engine import StudyRequests
+    from repro.harness.profiler_study import STUDY_PROFILERS
+    from repro.harness.sampling_study import (sampling_requests,
+                                              sampling_study)
+    from repro.profilers import drive
+
+    workloads = [get_workload(n) for n in NAMES[:2]]
+    session = ProfilingSession(cache=ArtifactCache(memory=False))
+    results = session.run_suite(
+        workloads, jobs=jobs,
+        studies=StudyRequests(scores=(sampling_requests,),
+                              profilers=STUDY_PROFILERS))
+    # Three sampled results per workload (the 1/1 plan is ppp's own, so
+    # it scores ppp's run under its own label) and one profile
+    # collection.
+    assert sorted(kind for kind, _key in session.handoff) == \
+        ["profiles"] * 2 + ["technique"] * 6
+
+    def no_run(*_args, **_kwargs):
+        raise AssertionError("a study's request executed again")
+
+    for home in (drive, repro.profilers):
+        monkeypatch.setattr(home, "execute_profilers", no_run)
+    for workload in workloads:
+        result = results[workload.name]
+        assert result.handoff == {}
+        assert as_dict(result) == as_dict(serial_baseline[workload.name])
+        assert len(sampling_study(result, session=session)) == 3
+        assert session.profile_module(result.expanded, STUDY_PROFILERS)
+    assert not session.handoff
+
+
 def test_disk_cache_warms_fresh_session(tmp_path, serial_baseline):
     name = NAMES[0]
     first = ProfilingSession(cache=ArtifactCache(disk_dir=tmp_path))
