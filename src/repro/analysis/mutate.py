@@ -678,7 +678,7 @@ def _match_drop_repair(result: "TransferResult") -> bool:
                 continue
             fprofile.edge_freq[edge.uid] = \
                 fprofile.edge_freq.get(edge.uid, 0) + 1
-            fprofile._block_freq = None
+            fprofile.invalidate()
             return True
     return False
 
@@ -698,7 +698,7 @@ def _match_misscale(result: "TransferResult") -> bool:
             continue
         fprofile.edge_freq = {uid: 2 * count for uid, count
                               in fprofile.edge_freq.items()}
-        fprofile._block_freq = None
+        fprofile.invalidate()
         return True
     return False
 
@@ -710,7 +710,7 @@ def _match_entry_drift(result: "TransferResult") -> bool:
         if fprofile.func.cfg.entry == fprofile.func.cfg.exit:
             continue
         fprofile.entry_count += 1
-        fprofile._block_freq = None
+        fprofile.invalidate()
         return True
     return False
 

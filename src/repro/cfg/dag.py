@@ -20,6 +20,7 @@ corresponding back edge (Figure 1(g)).
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional
 
 from .graph import CFGError, ControlFlowGraph, Edge
@@ -135,3 +136,20 @@ class ProfilingDag:
 def build_profiling_dag(cfg: ControlFlowGraph) -> ProfilingDag:
     """Break back edges and return the profiling DAG for ``cfg``."""
     return ProfilingDag(cfg)
+
+
+# Sealed function -> its profiling DAG.  The DAG holds the CFG, not the
+# function, so an entry goes with its function.
+_SEALED_DAGS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def function_dag(func) -> ProfilingDag:
+    """The profiling DAG of an IR function's CFG, built once per sealed
+    function (sealing freezes the CFG); planners and flow
+    reconstruction only read it."""
+    if not func.sealed:
+        return ProfilingDag(func.cfg)
+    dag = _SEALED_DAGS.get(func)
+    if dag is None:
+        dag = _SEALED_DAGS[func] = ProfilingDag(func.cfg)
+    return dag

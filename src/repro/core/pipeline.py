@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from ..cfg.dag import ProfilingDag, build_profiling_dag
+from ..cfg.dag import ProfilingDag, function_dag
 from ..cfg.loops import find_loops
 from ..interp.costs import CostModel, DEFAULT_COSTS
 from ..interp.machine import RunResult
@@ -173,7 +173,7 @@ def plan_pp(module: Module,
     """Ball-Larus path profiling: instrument everything, static heuristics."""
     plans: dict[str, FunctionPlan] = {}
     for name, func in module.functions.items():
-        dag = build_profiling_dag(func.cfg)
+        dag = function_dag(func)
         plan = FunctionPlan(func, instrumented=True, dag=dag,
                             live={e.uid for e in dag.dag.edges()})
         plans[name] = _finish_plan(plan, config, None, smart=False,
@@ -199,7 +199,7 @@ def plan_tpp(module: Module, edge_profile: EdgeProfile,
         if not profile.executed():
             plans[name] = FunctionPlan(func, False, reason="unexecuted")
             continue
-        dag = build_profiling_dag(func.cfg)
+        dag = function_dag(func)
         all_live = {e.uid for e in dag.dag.edges()}
         full = number_paths(dag, live=all_live)
         cold_cfg: set[int] = set()
@@ -260,7 +260,7 @@ def plan_ppp(module: Module, edge_profile: EdgeProfile,
                     func, False, reason="high edge-profile coverage",
                     coverage_estimate=coverage_estimate)
                 continue
-        dag = build_profiling_dag(func.cfg)
+        dag = function_dag(func)
         loops = find_loops(func.cfg)
 
         def cold_set(global_fraction: Optional[float]) -> set[int]:

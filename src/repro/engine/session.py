@@ -157,6 +157,8 @@ class ProfilingSession:
     keyed like the cache.  The study's own call takes each one out and
     stores it in the cache, as if it had computed it; the hand-off works
     with no cache too, so ``--no-cache`` also scores every plan once.
+    Once a study has rendered, :meth:`release` drops what it left (the
+    requests for workloads it chose not to show).
     """
 
     def __init__(self, cache: Optional[ArtifactCache] = None, jobs: int = 1,
@@ -180,7 +182,8 @@ class ProfilingSession:
         # Per-task status of the most recent run_suite call.
         self.last_run_report: Optional[SuiteExecutionReport] = None
         # Artifacts a workload build computed ahead for the studies, by
-        # (kind, key) (see the class docstring).
+        # (kind, key) (see the class docstring); a technique result sits
+        # beside the builder whose request it answers.
         self.handoff: dict[tuple[str, str], object] = {}
 
     @property
@@ -346,11 +349,12 @@ class ProfilingSession:
         return self._score(requests)
 
     def _score(self, requests: Sequence[ScoreRequest],
-               ahead: Sequence[ScoreRequest] = (),
+               ahead: Sequence[tuple[Callable, ScoreRequest]] = (),
                observe: Optional[tuple[Module, tuple[str, ...]]] = None
                ) -> list[TechniqueResult]:
         """:meth:`plan_and_score`, with the requests a study will make
-        later (``ahead``) and, when ``observe`` names a module and
+        later (``ahead``, each beside the :attr:`StudyRequests.scores`
+        builder that made it) and, when ``observe`` names a module and
         registry profilers, those profilers' own account, joining the
         same executions.  Their results go to the hand-off, not the
         cache: the study's own call stores them."""
@@ -371,15 +375,16 @@ class ProfilingSession:
                 continue
             found = self.cache.lookup("technique", key)
             if found is None:
-                found = self.handoff.pop(("technique", key), None)
-                if found is not None:
+                ahead_of = self.handoff.pop(("technique", key), None)
+                if ahead_of is not None:
+                    found = ahead_of[1]
                     self.cache.store("technique", key, found)
             if found is None:
                 misses[key] = (request, run_key, fp)
             else:
                 done[key] = found
-        later: set[str] = set()
-        for request in ahead:
+        later: dict[str, Callable] = {}
+        for build, request in ahead:
             fp = module_fp(request.module)
             key, run_key = self._score_keys(request, fp)
             if (key in misses or key in done or key in later
@@ -387,13 +392,23 @@ class ProfilingSession:
                 continue
             if self.cache.lookup("technique", key) is None:
                 misses[key] = (request, run_key, fp)
-                later.add(key)
+                later[key] = build
         watch = None
         if observe is not None:
             watch = (module_fp(observe[0]), *observe)
         if misses or watch is not None:
             done.update(self._score_misses(misses, later, watch))
         return [done[key] for key, _, _ in keys]
+
+    def release(self, build: Callable) -> None:
+        """Drop the results workload builds scored ahead for ``build``
+        (one of :attr:`StudyRequests.scores`) that its study did not
+        take."""
+        for handoff_key in [handoff_key for handoff_key, value
+                            in self.handoff.items()
+                            if handoff_key[0] == "technique"
+                            and value[0] is build]:
+            del self.handoff[handoff_key]
 
     def _score_keys(self, request: ScoreRequest,
                     module_fp: str) -> tuple[str, str]:
@@ -413,7 +428,7 @@ class ProfilingSession:
         return key, run_key
 
     def _score_misses(self, misses: dict[str, tuple[ScoreRequest, str, str]],
-                      later: set[str],
+                      later: dict[str, Callable],
                       watch: Optional[tuple[str, Module, tuple[str, ...]]]
                       ) -> dict[str, TechniqueResult]:
         """Plan, run (one execution per module) and score the requests
@@ -459,7 +474,7 @@ class ProfilingSession:
                 request.name, plans[key], request.actual, request.scoring,
                 request.expected_return, lambda _plan, _run=run: _run)
             if key in later:
-                self.handoff[("technique", key)] = result
+                self.handoff[("technique", key)] = (later[key], result)
             else:
                 self.cache.store("technique", key, result)
             scored[key] = result
@@ -538,7 +553,7 @@ class ProfilingSession:
                           actual, score_profile=edge_profile,
                           expected_return=return_value)
              for name in techniques],
-            ahead=[request for build in studies.scores
+            ahead=[(build, request) for build in studies.scores
                    for request in build(result)],
             observe=((expanded, studies.profilers) if studies.profilers
                      else None))

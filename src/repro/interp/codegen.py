@@ -1,8 +1,10 @@
 """Python source generation for the compiled execution backend.
 
 Each sealed IR function is translated into generated Python source --
-compiled once with :func:`compile`/``exec`` -- and driven by the
-trampoline in :mod:`repro.interp.compiled`.  Register accesses become
+a ``_make`` header and one text per segment, each segment compiled with
+:func:`compile`/``exec`` the first time control enters it (see
+:meth:`CodegenResult.unit`) -- and driven by the trampoline in
+:mod:`repro.interp.compiled`.  Register accesses become
 constant-index list subscripts, block transitions become precomputed
 integer segment ids, and the observation channels (edge counting on
 the cotree probes, path tracing, edge hooks, the path listener) are
@@ -52,7 +54,7 @@ proves each generated module equivalent to its IR.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..cfg.dominators import compute_dominators
 from ..cfg.loops import find_back_edges, find_loops
@@ -91,19 +93,34 @@ class ModeSpec:
     hooks: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class CodegenResult:
-    """Generated source plus the tables the backend needs to wire it up."""
+    """Generated source plus the tables the backend needs to wire it up.
 
-    source: str
+    The source is a ``_make(...)`` header and one text per segment, each
+    a nested ``def _seg_K(frame, regs):``.  :meth:`unit` is what the
+    backend compiles for segment ``K``; :attr:`source` joins them all
+    for the translation validator."""
+
+    header: str
+    segments: tuple[str, ...]
     # Dense edge order: edge_keys[i] is the (block, target) counted by
     # slot i of the edge-counter list (probe edges only) and hooked by
     # slot i of ``_hk``.
     edge_keys: tuple[tuple[str, str], ...] = ()
     # Global array names in ``_g{i}`` parameter order.
     global_arrays: tuple[str, ...] = ()
-    num_segments: int = 0
-    block_entry_seg: dict = field(default_factory=dict)
+
+    @property
+    def source(self) -> str:
+        """The whole generated module: the header and every segment."""
+        return self.header + "".join(self.segments)
+
+    def unit(self, seg_id: int) -> str:
+        """A module whose ``_make`` returns just segment ``seg_id``'s
+        closure: the header, that segment, and the return."""
+        return (f"{self.header}{self.segments[seg_id]}"
+                f"    return _seg_{seg_id}\n")
 
 
 # Straight-line templates; {d}/{a}/{b} are pre-rendered ``regs[K]``
@@ -422,7 +439,7 @@ class _FunctionEmitter:
 
     # -- assembly ------------------------------------------------------
 
-    def emit_segment(self, seg_id: int) -> list[str]:
+    def emit_segment(self, seg_id: int) -> str:
         bname, start = self.segments[seg_id]
         self.lines = []
         self.used_locals = {}
@@ -438,31 +455,30 @@ class _FunctionEmitter:
             f"frame.arrays[{name!r}]" for name in self.used_locals)
         out.append("        while True:")
         out.extend(self.lines)
-        return out
+        out.append("")
+        return "\n".join(out)
 
-    def emit_module(self) -> str:
-        body: list[str] = []
-        for seg_id in range(len(self.segments)):
-            body.extend(self.emit_segment(seg_id))
+    def emit_module(self) -> tuple[str, tuple[str, ...]]:
+        """The ``_make`` header and every segment's text (the header
+        comes last: it lists the global arrays the segments named)."""
+        segments = tuple(self.emit_segment(seg_id)
+                         for seg_id in range(len(self.segments)))
         global_params = "".join(
             f", {self.global_names.names[n]}"
             for n in self.global_names.ordered())
         header = (f"def _make(_div, _mod, _err, _ic, _lim, _gs, _pc, _pl, "
-                  f"_ec, _hk{global_params}):")
-        footer = "    return ({})".format(
-            "".join(f"_seg_{i}, " for i in range(len(self.segments))))
-        return "\n".join([header, *body, footer, ""])
+                  f"_ec, _hk{global_params}):\n")
+        return header, segments
 
 
 def generate_source(func: Function, module: Module,
                     spec: ModeSpec) -> CodegenResult:
     """Translate one sealed function into a compilable Python module."""
     emitter = _FunctionEmitter(func, module, spec)
-    source = emitter.emit_module()
+    header, segments = emitter.emit_module()
     return CodegenResult(
-        source=source,
+        header=header,
+        segments=segments,
         edge_keys=tuple(emitter.edge_index),
         global_arrays=emitter.global_names.ordered(),
-        num_segments=len(emitter.segments),
-        block_entry_seg=emitter.block_entry,
     )

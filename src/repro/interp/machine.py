@@ -89,9 +89,10 @@ class MachineError(Exception):
     """Raised for runtime failures (unknown function, step limit, ...)."""
 
 
-# Execution backends: "compiled" translates each basic block to Python
-# source compiled once per machine (fast path); "tuple" is the original
-# tuple-dispatch interpreter, kept as the reference implementation.
+# Execution backends: "compiled" translates each function to Python
+# source, compiling each segment on first entry (fast path); "tuple" is
+# the original tuple-dispatch interpreter, kept as the reference
+# implementation.
 VALID_BACKENDS = ("compiled", "tuple")
 DEFAULT_BACKEND = "compiled"
 

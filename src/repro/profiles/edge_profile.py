@@ -30,6 +30,25 @@ class FunctionEdgeProfile:
         self.entry_count = entry_count
         self._block_freq: Optional[dict[str, int]] = None
         self._back_edge_uids: Optional[set[int]] = None
+        # Flow sets reconstructed from this profile (see
+        # :func:`~repro.profiles.flowsets.profile_flow_sets`), by
+        # (function, mode, metric, cap).  Not pickled.
+        self.flow_memo: dict = {}
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["flow_memo"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.flow_memo = {}
+
+    def invalidate(self) -> None:
+        """Drop what was derived from the counts, after editing them in
+        place."""
+        self._block_freq = None
+        self.flow_memo = {}
 
     def freq(self, edge: Edge) -> int:
         """Traversal count of a CFG edge."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Literal, Optional
 
-from ..cfg.dag import ProfilingDag
+from ..cfg.dag import ProfilingDag, function_dag
 from ..cfg.graph import Edge
 from ..cfg.traversal import reverse_topological_order
 from .edge_profile import FunctionEdgeProfile
@@ -198,3 +198,17 @@ def compute_flow_sets(dag: ProfilingDag, profile: FunctionEdgeProfile,
     """Run the Figure 14 (definite) or Figure 15 (potential) algorithm."""
     freqs = DagFrequencies(dag, profile)
     return FlowSets(dag, freqs, mode, metric=metric, cap=cap)
+
+
+def profile_flow_sets(func, profile: FunctionEdgeProfile, mode: Mode,
+                      metric: Metric = "branch",
+                      cap: Optional[int] = 50_000) -> FlowSets:
+    """:func:`compute_flow_sets` over ``func``'s profiling DAG, computed
+    once per profile (planning and every scoring of one profile ask for
+    the same sets)."""
+    key = (func, mode, metric, cap)
+    sets = profile.flow_memo.get(key)
+    if sets is None:
+        sets = profile.flow_memo[key] = compute_flow_sets(
+            function_dag(func), profile, mode, metric=metric, cap=cap)
+    return sets

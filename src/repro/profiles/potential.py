@@ -11,16 +11,16 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..cfg.dag import build_profiling_dag
 from ..ir.function import Function
 from .edge_profile import FunctionEdgeProfile
 from .flow import Metric
-from .flowsets import FlowSets, compute_flow_sets
+from .flowsets import FlowSets, profile_flow_sets
 
 
 def potential_flow_sets(func: Function, profile: FunctionEdgeProfile,
                         metric: Metric = "branch",
                         cap: Optional[int] = 50_000) -> FlowSets:
-    """Run the Figure 15 dynamic program for one function."""
-    return compute_flow_sets(build_profiling_dag(func.cfg), profile,
-                             "potential", metric=metric, cap=cap)
+    """Run the Figure 15 dynamic program for one function (once per
+    profile)."""
+    return profile_flow_sets(func, profile, "potential", metric=metric,
+                             cap=cap)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import re
+
 import pytest
 
 from repro.cfg import ControlFlowGraph, build_cfg
@@ -63,6 +66,15 @@ def fig8_profile(func):
         cfg.edge("F", "G").uid: 20,
     }
     return FunctionEdgeProfile(func, freqs, entry_count=80)
+
+
+def with_source(result, source: str):
+    """A :class:`~repro.interp.codegen.CodegenResult` whose generated
+    text is ``source``: split into the ``_make`` header and segments the
+    way the emitter joins them, so ``result.source == source``."""
+    header, *segments = re.split(r"(?m)^(?=    def _seg_)", source)
+    return dataclasses.replace(result, header=header,
+                               segments=tuple(segments))
 
 
 def trace_module(module, args=(), max_instructions=50_000_000):

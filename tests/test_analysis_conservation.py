@@ -4,14 +4,13 @@ placement corruptions all detected, probe counting equal to a hook on
 every edge on both backends and through the session, and the CLI entry
 points."""
 
-import dataclasses
 import json
 import re
 
 import pytest
 
 from conftest import SMALL_PROGRAM, diamond_cfg, fig8_function, \
-    fig8_profile, hook_edge_counts, loop_cfg, trace_module
+    fig8_profile, hook_edge_counts, loop_cfg, trace_module, with_source
 
 from repro.analysis import Severity
 from repro.analysis.conservation import (ConservationError, VIRTUAL_UID,
@@ -332,7 +331,7 @@ def test_dropped_probe_counter_is_caught(small_module):
     assert mutated is not None  # the code carries probe counters
     report = Report(title="sparse dropped probe")
     _CodegenChecker(func, small_module, spec,
-                    dataclasses.replace(result, source=mutated),
+                    with_source(result, mutated),
                     report).run()
     assert "E105" in {d.code for d in report.errors()}
 
@@ -348,7 +347,7 @@ def test_misplaced_probe_set_is_caught(small_module):
                     result.source, count=1)
     report = Report(title="probe moved to a tree edge")
     _CodegenChecker(func, small_module, spec,
-                    dataclasses.replace(result, source=source), report).run()
+                    with_source(result, source), report).run()
     assert "E105" in {d.code for d in report.errors()}
 
 

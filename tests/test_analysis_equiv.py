@@ -7,7 +7,6 @@ and every seeded corruption from ``analysis.mutate`` detected.
 """
 
 import ast
-import dataclasses
 import re
 
 import pytest
@@ -32,6 +31,7 @@ from repro.ir.function import Module
 from repro.lang import compile_source
 from repro.workloads import get_workload
 
+from conftest import with_source
 from test_irreducible import irreducible_module
 
 
@@ -93,7 +93,7 @@ def _detect_codegen(module, kind):
                 continue
             report = Report(title=f"mutated:{kind}")
             _CodegenChecker(func, module, spec,
-                            dataclasses.replace(result, source=mutated),
+                            with_source(result, mutated),
                             report).run()
             return True, not report.ok, [d.code for d in report.errors()]
     return False, False, []
@@ -142,7 +142,7 @@ def _hand_edit_codes(func, module, spec, result, source):
     """Error codes the codegen checker reports for edited source."""
     report = Report(title="hand-edited")
     _CodegenChecker(func, module, spec,
-                    dataclasses.replace(result, source=source),
+                    with_source(result, source),
                     report).run()
     return [d.code for d in report.errors()]
 
@@ -571,11 +571,11 @@ class TestRuntimeHook:
         real = compiled._compiled_code
 
         def corrupting(func, mod, spec):
-            code, result = real(func, mod, spec)
+            result, _codes = real(func, mod, spec)
             source = mutate_source(result.source, "cg-swap-arith")
             assert source is not None
-            bad = dataclasses.replace(result, source=source)
-            return compile(source, "<corrupt>", "exec"), bad
+            bad = with_source(result, source)
+            return bad, [None] * len(bad.segments)
 
         monkeypatch.setattr(compiled, "_compiled_code", corrupting)
         machine = Machine(module, validate_codegen=True,
@@ -593,8 +593,7 @@ class TestRuntimeHook:
         # Second call is served from the verdict cache: even a now-
         # corrupted result is not re-examined (per-process fail-fast
         # only pays once per function x mode).
-        bad = dataclasses.replace(
-            result, source="this is not python ((")
+        bad = with_source(result, "this is not python ((")
         check_generated(func, module, spec, bad)
 
 

@@ -32,9 +32,17 @@ DRAW = ("parser", "perlbmk", "gap", "wupwise", "applu", "apsi")
 def _cold_harness(benchmarks, cache_dir, monkeypatch, capsys):
     """Run a cold ``harness all --jobs 1`` in-process; its stdout, the
     modules of its plain runs (recordings), the modules of its hooked
-    runs, and one ``(plan identities, module, account profiler names,
-    backend)`` entry per hooked execution."""
+    runs, one ``(plan identities, module, account profiler names,
+    backend)`` entry per hooked execution, and its session."""
+    from repro.harness import __main__ as harness
     from repro.harness.__main__ import main
+
+    sessions = []
+    real_build_session = harness.build_session
+
+    def build_session(*args, **kwargs):
+        sessions.append(real_build_session(*args, **kwargs))
+        return sessions[-1]
 
     # A plan's identity is what it was planned from.
     identity: dict[int, tuple] = {}
@@ -77,6 +85,7 @@ def _cold_harness(benchmarks, cache_dir, monkeypatch, capsys):
     for home in (drive, repro.profilers):
         monkeypatch.setattr(home, "execute_profilers", execute_profilers)
     monkeypatch.setattr(Machine, "run", run)
+    monkeypatch.setattr(harness, "build_session", build_session)
     assert main(["all", "--quiet", "--jobs", "1",
                  "--benchmarks", benchmarks,
                  "--cache-dir", str(cache_dir)]) == 0
@@ -94,17 +103,22 @@ def _cold_harness(benchmarks, cache_dir, monkeypatch, capsys):
     twice = [p for p, n in Counter(
         plan for plans, *_ in executions for plan in plans).items() if n > 1]
     assert not twice, twice
-    return out, modules, hooked, executions
+    [session] = sessions
+    return out, modules, hooked, executions, session
 
 
 def test_cold_harness_runs_each_execution_once(tmp_path, monkeypatch,
                                                capsys):
-    _out, _modules, hooked, _executions = _cold_harness(
+    _out, _modules, hooked, _executions, session = _cold_harness(
         "applu,apsi", tmp_path / "cache", monkeypatch, capsys)
     # Each expanded module runs hooked once: the suite's pp, tpp and ppp
     # with every plan the studies will score and the profiler study's
     # plugins as accounts of the same execution.
     assert sorted(Counter(hooked).values()) == [1, 1], Counter(hooked)
+    # Neither workload clears Figure 13's gate; what the build scored
+    # ahead for it and the one-at-a-time view is released once they
+    # render, and every other study took its results.
+    assert not session.handoff, sorted(kind for kind, _ in session.handoff)
 
     # The studies' results are not part of the workload entries, so a
     # warm pass reads just the two workloads and the 16 tables.
@@ -122,7 +136,7 @@ def test_cold_harness_fuses_every_study_into_one_execution(
 
     perlbmk = get_workload("perlbmk")
     expanded = fingerprint_module(ProfilingSession().expand(perlbmk).module)
-    out, _modules, hooked, executions = _cold_harness(
+    out, _modules, hooked, executions, _session = _cold_harness(
         "perlbmk", tmp_path / "cache", monkeypatch, capsys)
     assert hooked.count(expanded) == 1, Counter(hooked)
     [(plans, _fp, accounts, _backend)] = [

@@ -121,3 +121,38 @@ class TestCapping:
         capped = definite_flow_sets(func, profile, "branch", cap=1)
         assert capped.truncated
         assert capped.total_flow() <= full.total_flow()
+
+
+class TestFlowMemo:
+    """Planning and every scoring of one profile share its flow sets."""
+
+    def test_sets_computed_once_per_profile(self):
+        func = fig8_function()
+        profile = fig8_profile(func)
+        sets = definite_flow_sets(func, profile)
+        assert definite_flow_sets(func, profile) is sets
+        assert potential_flow_sets(func, profile) is not sets
+        # Another profile of the same function shares only the DAG.
+        other = definite_flow_sets(func, fig8_profile(func))
+        assert other is not sets and other.dag is sets.dag
+
+    def test_edited_profile_recomputes_after_invalidate(self):
+        func = fig8_function()
+        profile = fig8_profile(func)
+        before = definite_flow_sets(func, profile).total_flow()
+        profile.edge_freq = {uid: 2 * count
+                             for uid, count in profile.edge_freq.items()}
+        profile.entry_count *= 2
+        profile.invalidate()
+        assert definite_flow_sets(func, profile).total_flow() == 2 * before
+
+    def test_memo_stays_out_of_pickles(self):
+        import pickle
+
+        func = fig8_function()
+        profile = fig8_profile(func)
+        bare = pickle.dumps(profile)
+        definite_flow_sets(func, profile)
+        assert pickle.dumps(profile) == bare
+        copy = pickle.loads(bare)
+        assert definite_flow_sets(copy.func, copy).total_flow() == 80
