@@ -5,8 +5,9 @@ Public entry points:
 * :func:`plan_pp` / :func:`plan_tpp` / :func:`plan_ppp` -- build an
   instrumentation plan for a module;
 * :func:`run_with_plan` -- execute the module with instrumentation
-  attached and collect counters + overhead; :func:`run_with_plans`
-  does it for many plans of one module in one execution;
+  attached and collect counters + overhead;
+* :func:`replay_plan` -- the same counters and overhead, read off the
+  module's :class:`Recording` without executing anything;
 * :func:`build_estimated_profile` and the ``evaluate_*`` functions --
   construct and score estimated path profiles (accuracy, coverage,
   instrumented fraction).
@@ -26,10 +27,11 @@ from .placement import (CHECK_POISON_VALUE, PlacementResult,
 from .runtime import (HASH_SLOTS, HASH_THRESHOLD, HASH_TRIES, ArrayStore,
                       CounterStore, HashStore, make_store)
 from .pipeline import (DEFAULT_CONFIG, FunctionPlan, ModulePlan,
-                       ProfileRun, ProfilerConfig, plan_account, plan_pp,
-                       plan_ppp, plan_tpp, ppp_config_only,
-                       ppp_config_without, run_with_plan, run_with_plans)
+                       ProfileRun, ProfilerConfig, plan_pp, plan_ppp,
+                       plan_tpp, ppp_config_only, ppp_config_without,
+                       run_with_plan)
 from .stream import PathStream, Recording, record_module, record_path_stream
+from .replay import ReplayError, replay_plan
 from .net import NET_HOT_THRESHOLD, NetResult, NetSelector, NetTrace
 from .hpt import HotPathTable, HptEntry, HptResult
 from .planreport import format_function_plan, format_plan
@@ -52,10 +54,10 @@ __all__ = [
     "HASH_SLOTS", "HASH_THRESHOLD", "HASH_TRIES", "ArrayStore",
     "CounterStore", "HashStore", "make_store",
     "DEFAULT_CONFIG", "FunctionPlan", "ModulePlan", "ProfileRun",
-    "ProfilerConfig", "plan_account", "plan_pp", "plan_ppp", "plan_tpp",
+    "ProfilerConfig", "plan_pp", "plan_ppp", "plan_tpp",
     "ppp_config_only", "ppp_config_without", "run_with_plan",
-    "run_with_plans",
     "PathStream", "Recording", "record_module", "record_path_stream",
+    "ReplayError", "replay_plan",
     "NET_HOT_THRESHOLD", "NetResult", "NetSelector", "NetTrace",
     "HotPathTable", "HptEntry", "HptResult",
     "format_function_plan", "format_plan",

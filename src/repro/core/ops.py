@@ -2,11 +2,11 @@
 
 :class:`ObservationOp` is the root of *every* operation any profiler may
 attach to an edge: it knows how to compile itself into a step closure
-(priced by the cost model, billed to its account's counter) and how to
-validate its own placement contract.  The Ball-Larus family below is
-the oldest op family; profiler plugins (:mod:`repro.profilers`) declare
-their own subclasses and the attachment layer (:mod:`repro.core.attach`)
-compiles all of them uniformly.
+(billed through the shared cost model) and how to validate its own
+placement contract.  The Ball-Larus family below is the oldest op
+family; profiler plugins (:mod:`repro.profilers`) declare their own
+subclasses and the attachment layer (:mod:`repro.core.attach`) compiles
+all of them uniformly.
 
 The Ball-Larus ops are the only operations PP/TPP/PPP ever insert
 (Section 3.1, Figure 1(e-g)):

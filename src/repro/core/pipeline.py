@@ -5,8 +5,8 @@ Planning turns a module (plus, for TPP/PPP, an edge profile) into a
 numbering, event-counted increments, placed instrumentation, and counter
 geometry.  :func:`run_with_plan` then executes the module with the plan's
 instrumentation attached and returns the measured counters and overhead;
-:func:`run_with_plans` does the same for many plans of one module in a
-single execution.
+:func:`~repro.core.replay.replay_plan` derives the same from the module's
+recording without executing anything.
 
 The three planners differ exactly as the paper describes:
 
@@ -27,7 +27,7 @@ poisoning              --       free (per Section 7.4)       free (check when FP
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional
 
 from ..cfg.dag import ProfilingDag, function_dag
 from ..cfg.loops import find_loops
@@ -46,10 +46,6 @@ from .obvious import (OBVIOUS_LOOP_MIN_TRIPS, all_paths_obvious,
                       obvious_loop_cold_edges)
 from .placement import PlacementResult, place_instrumentation
 from .runtime import HASH_THRESHOLD, CounterStore
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..profilers.base import Profiler
-    from ..profilers.drive import ProfilersRun
 
 
 @dataclass(frozen=True)
@@ -315,7 +311,9 @@ def plan_ppp(module: Module, edge_profile: EdgeProfile,
 
 @dataclass
 class ProfileRun:
-    """Result of executing a module with instrumentation attached."""
+    """A plan's counter stores and costs over one run of its module:
+    executed (:func:`run_with_plan`) or replayed from the module's
+    recording (:func:`~repro.core.replay.replay_plan`)."""
 
     plan: ModulePlan
     run: RunResult
@@ -330,65 +328,26 @@ class ProfileRun:
         quantity under the deterministic cost model)."""
         return self.run.costs.overhead
 
-    @classmethod
-    def of_account(cls, plan: ModulePlan, run: "ProfilersRun"
-                   ) -> "ProfileRun":
-        """The plan's run, from the collection of its
-        :func:`plan_account`: the ``path`` plugin's counter stores, and
-        the other profilers' results."""
-        from ..profilers import PathPlanProfiler
-
-        stores = dict(run.profiles.pop(PathPlanProfiler.name))
-        return cls(plan, run.result, stores, profiles=run.profiles)
-
-
-def plan_account(plan: ModulePlan, profilers: tuple[str, ...] = ()
-                 ) -> list["Profiler"]:
-    """The account a plan's lone :func:`run_with_plan` attaches: the
-    plan's path counters as the plan-bound ``path`` plugin, plus fresh
-    instances of the extra registered ``profilers`` (their ops share the
-    account's edge hooks and cost counter, so its overhead includes
-    them)."""
-    # Imported lazily: repro.profilers imports this module for the plan
-    # types, so a top-level import would be circular.
-    from ..profilers import PathPlanProfiler, create_profilers
-
-    return [PathPlanProfiler(plan), *create_profilers(profilers)]
-
-
-def run_with_plans(plans: Sequence[ModulePlan],
-                   cost_model: CostModel = DEFAULT_COSTS,
-                   max_instructions: int = 500_000_000,
-                   backend: str | None = None,
-                   profilers: tuple[str, ...] = ()) -> list[ProfileRun]:
-    """Execute one module's main once with every plan's instrumentation
-    attached, each plan as its own account.
-
-    ``plans`` must be non-empty and all of one module (the first plan's
-    module object runs).  A plan's account is its :func:`plan_account`.
-    Each account counts on its own path register and bills its own cost
-    counter, so every :class:`ProfileRun` equals the plan's lone run; the
-    return value, instruction count, invocations and base cost are
-    shared.
-    """
-    from ..profilers.drive import execute_profilers
-
-    runs = execute_profilers(
-        plans[0].module, [plan_account(plan, profilers) for plan in plans],
-        cost_model=cost_model, max_instructions=max_instructions,
-        backend=backend)
-    return [ProfileRun.of_account(plan, run) for plan, run in zip(plans, runs)]
-
 
 def run_with_plan(plan: ModulePlan, cost_model: CostModel = DEFAULT_COSTS,
                   max_instructions: int = 500_000_000,
                   backend: str | None = None,
                   profilers: tuple[str, ...] = ()) -> ProfileRun:
     """Execute the module's main with the plan's instrumentation attached
-    (:func:`run_with_plans` with one plan)."""
-    return run_with_plans([plan], cost_model=cost_model,
-                          max_instructions=max_instructions,
-                          backend=backend, profilers=profilers)[0]
+    (the plan-bound ``path`` plugin), plus fresh instances of the extra
+    registered ``profilers``: their ops share the edge hooks and the cost
+    counter, so the run's overhead includes them."""
+    # Imported lazily: repro.profilers imports this module for the plan
+    # types, so a top-level import would be circular.
+    from ..profilers import PathPlanProfiler, create_profilers
+    from ..profilers.drive import execute_profilers
+
+    run = execute_profilers(
+        plan.module, [PathPlanProfiler(plan), *create_profilers(profilers)],
+        cost_model=cost_model, max_instructions=max_instructions,
+        backend=backend)
+    stores = dict(run.profiles.pop(PathPlanProfiler.name))
+    return ProfileRun(plan, run.result, stores, profiles=run.profiles)
 
 
 def ppp_config_without(technique: str) -> ProfilerConfig:

@@ -29,6 +29,10 @@ class CounterStore:
     lost: int
 
     def bump(self, index: int) -> None:
+        self.add(index, 1)
+
+    def add(self, index: int, count: int) -> None:
+        """``count`` bumps of ``index`` at once."""
         raise NotImplementedError
 
     def bump_cold(self) -> None:
@@ -58,11 +62,11 @@ class ArrayStore(CounterStore):
         self.cold = 0
         self.lost = 0
 
-    def bump(self, index: int) -> None:
+    def add(self, index: int, count: int) -> None:
         if 0 <= index < self.span:
-            self.counts[index] += 1
+            self.counts[index] += count
         else:
-            self.lost += 1
+            self.lost += count
 
     def hot_items(self) -> list[tuple[int, int]]:
         return [(i, c) for i, c in enumerate(self.counts[:self.num_hot]) if c]
@@ -88,19 +92,19 @@ class HashStore(CounterStore):
         stride = 1 + (key % _HASH_STRIDE_MOD)
         return (key + attempt * stride) % self.slots
 
-    def bump(self, index: int) -> None:
+    def add(self, index: int, count: int) -> None:
         keys = self.keys
         for attempt in range(self.tries):
             slot = self._probe(index, attempt)
             stored = keys[slot]
             if stored is None:
                 keys[slot] = index
-                self.values[slot] = 1
+                self.values[slot] = count
                 return
             if stored == index:
-                self.values[slot] += 1
+                self.values[slot] += count
                 return
-        self.lost += 1
+        self.lost += count
 
     def hot_items(self) -> list[tuple[int, int]]:
         out = []

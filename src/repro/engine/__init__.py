@@ -20,7 +20,7 @@ from .parallel import (ParallelRunner, SuiteExecutionError, WorkloadTask,
                        run_task)
 from .results import (ExecutionRecord, SuiteExecutionReport, TECHNIQUES,
                       TaskFailure, TechniqueResult, WorkloadResult)
-from .session import ProfilingSession, ScoreRequest, StudyRequests
+from .session import ProfilingSession, ScoreRequest
 from .stages import (assemble_workload_result, ground_truth, plan_stage,
                      score_technique)
 
@@ -32,7 +32,7 @@ __all__ = [
     "ParallelRunner", "SuiteExecutionError", "WorkloadTask", "run_task",
     "ExecutionRecord", "SuiteExecutionReport", "TECHNIQUES",
     "TaskFailure", "TechniqueResult", "WorkloadResult",
-    "ProfilingSession", "ScoreRequest", "StudyRequests",
+    "ProfilingSession", "ScoreRequest",
     "assemble_workload_result", "ground_truth", "plan_stage",
     "score_technique",
 ]

@@ -2,7 +2,7 @@
 
 Artifacts are stored under a ``(kind, key)`` address where ``kind`` names
 the pipeline stage ("compile", "expand", "record", "profiles", "remap",
-"plan", "execution" (held in memory only), "technique", "workload",
+"plan", "technique", "workload",
 and "table" for a rendered harness table; "verifyreport" holds a plan's
 verifier report, shared by the session's ``verify_plans`` check and the
 proof passes, which add "conservereport", "matchreport" and "equiv")
@@ -125,9 +125,6 @@ class CacheStats:
 
 _MISSING = object()
 
-# Memory-only kinds: a warm pass reads the technique entries instead.
-_MEMORY_ONLY = frozenset({"execution"})
-
 
 class ArtifactCache:
     """Content-addressed cache for pipeline artifacts.
@@ -136,17 +133,12 @@ class ArtifactCache:
     ----------
     disk_dir:
         Directory for the persistent layer; ``None`` keeps the cache
-        purely in-memory.
-    memory:
-        Disable to make every lookup consult only the disk layer (used by
-        ``--no-cache`` together with ``disk_dir=None`` to turn caching
-        into pure pass-through while keeping the counters live).
+        purely in-memory (``--no-cache``: every artifact is computed once
+        per process, and nothing outlives it).
     """
 
-    def __init__(self, disk_dir: Optional[os.PathLike | str] = None,
-                 memory: bool = True):
+    def __init__(self, disk_dir: Optional[os.PathLike | str] = None):
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
-        self.memory = memory
         self._mem: dict[tuple[str, str], object] = {}
         self.stats = CacheStats()
 
@@ -171,25 +163,22 @@ class ArtifactCache:
 
     def store(self, kind: str, key: str, value: object) -> None:
         self.stats.of(kind).stores += 1
-        if self.memory:
-            self._mem[(kind, key)] = value
-        if self.disk_dir is not None and kind not in _MEMORY_ONLY:
+        self._mem[(kind, key)] = value
+        if self.disk_dir is not None:
             self._disk_store(kind, key, value)
 
     def _probe(self, kind: str, key: str) -> tuple[bool, object]:
         ks = self.stats.of(kind)
-        if self.memory:
-            value = self._mem.get((kind, key), _MISSING)
-            if value is not _MISSING:
-                ks.hits += 1
-                return True, value
-        if self.disk_dir is not None and kind not in _MEMORY_ONLY:
+        value = self._mem.get((kind, key), _MISSING)
+        if value is not _MISSING:
+            ks.hits += 1
+            return True, value
+        if self.disk_dir is not None:
             value = self._disk_load(kind, key)
             if value is not _MISSING:
                 ks.hits += 1
                 ks.disk_hits += 1
-                if self.memory:
-                    self._mem[(kind, key)] = value
+                self._mem[(kind, key)] = value
                 return True, value
         ks.misses += 1
         return False, None

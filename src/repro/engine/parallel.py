@@ -31,7 +31,7 @@ from . import faults
 from .cache import ArtifactCache
 from .results import (ExecutionRecord, SuiteExecutionReport, TECHNIQUES,
                       TaskFailure, WorkloadResult)
-from .session import NO_STUDIES, ProfilingSession, StudyRequests
+from .session import ProfilingSession
 from .workers import PoolUnavailable, WorkerFault, WorkerPool, backoff_delay
 
 __all__ = ["ParallelRunner", "SuiteExecutionError", "WorkloadTask",
@@ -64,9 +64,6 @@ class WorkloadTask:
     verify_plans: bool = False
     # Extra registry profilers to run alongside the pipeline (names).
     profilers: tuple[str, ...] = ()
-    # What the parent's studies will ask of the workload (its build
-    # serves it; the results travel back in ``WorkloadResult.handoff``).
-    studies: StudyRequests = NO_STUDIES
 
 
 def run_task(task: WorkloadTask,
@@ -81,11 +78,8 @@ def run_task(task: WorkloadTask,
                                backend=task.backend,
                                verify_plans=task.verify_plans,
                                profilers=task.profilers)
-    result = session.run_workload(task.workload, task.scale,
-                                  techniques=task.techniques,
-                                  studies=task.studies)
-    result.handoff = session.handoff
-    return result
+    return session.run_workload(task.workload, task.scale,
+                                techniques=task.techniques)
 
 
 class ParallelRunner:

@@ -153,11 +153,6 @@ class WorkloadResult:
     # (profiler name -> collected profile); empty unless the session ran
     # with a --profilers selection.
     profiles: dict[str, object] = field(default_factory=dict, repr=False)
-    # What a worker's build scored ahead for the parent's studies, by
-    # (kind, key); the parent moves it into its session's hand-off before
-    # caching the result, so no workload entry carries it.
-    handoff: dict[tuple[str, str], object] = field(
-        default_factory=dict, repr=False, compare=False)
     # Telemetry about the run that produced this result (retries,
     # degradation events); excluded from comparisons and JSON metrics so
     # faulty and fault-free runs stay byte-identical where it matters.

@@ -1,5 +1,4 @@
-"""The decomposed compile → optimize → profile → plan → execute → score
-pipeline.
+"""The decomposed compile → optimize → profile → plan → score pipeline.
 
 Each function here is one pure, independently-cacheable stage of the
 paper's per-benchmark methodology (compiling, expansion and recording
@@ -14,13 +13,11 @@ methodology.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from ..core import (DEFAULT_CONFIG, ModulePlan, ProfileRun, ProfilerConfig,
                     build_estimated_profile, edge_profile_estimate,
                     evaluate_accuracy, evaluate_coverage,
                     evaluate_edge_coverage, instrumented_fraction, plan_pp,
-                    plan_ppp, plan_tpp, record_module, run_with_plan)
+                    plan_ppp, plan_tpp, record_module)
 from ..ir.function import Module
 from ..opt import OptimizationResult
 from ..profiles import EdgeProfile, PathProfile
@@ -66,24 +63,14 @@ def plan_stage(technique: str, module: Module,
 
 
 # ----------------------------------------------------------------------
-# Stage: execute + score
+# Stage: score
 # ----------------------------------------------------------------------
 
-def score_technique(name: str, plan: ModulePlan, actual: PathProfile,
-                    edge_profile: EdgeProfile,
-                    expected_return: object = None,
-                    execute: Callable[[ModulePlan], ProfileRun] = run_with_plan
+def score_technique(name: str, plan: ModulePlan, run: ProfileRun,
+                    actual: PathProfile, edge_profile: EdgeProfile
                     ) -> TechniqueResult:
-    """Execute a plan (through ``execute``) and compute every
-    per-technique metric.  The session passes its shared execution, so
-    labels whose plans coincide score one run.
-    """
-    run = execute(plan)
-    if expected_return is not None \
-            and run.run.return_value != expected_return:
-        raise AssertionError(
-            f"{name} instrumentation changed behaviour: "
-            f"{expected_return!r} -> {run.run.return_value!r}")
+    """Every per-technique metric of a plan's run (executed or replayed)
+    against the module's ground truth and the scoring edge profile."""
     estimated = build_estimated_profile(run, edge_profile)
     fraction = instrumented_fraction(plan, actual)
     return TechniqueResult(

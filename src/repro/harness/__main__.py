@@ -12,8 +12,9 @@ is cached content-addressed under ``results/.cache/`` (see
 :meth:`~repro.engine.ProfilingSession.suite_key` for the chosen
 workloads, and every key is salted with a hash of the package source,
 so re-running an experiment renders nothing until the inputs or the
-code change.  ``--no-cache`` disables both cache layers; ``python -m
-repro cache`` manages the on-disk layer.
+code change.  ``--no-cache`` drops the on-disk layer (each artifact is
+still computed once per process); ``python -m repro cache`` manages
+the on-disk layer.
 """
 
 from __future__ import annotations
@@ -23,17 +24,13 @@ import os
 import sys
 import time
 
-from ..engine import (ArtifactCache, ProfilingSession, StudyRequests,
-                      faults, fingerprint_text)
+from ..engine import ArtifactCache, ProfilingSession, faults, fingerprint_text
 from ..interp import VALID_BACKENDS
 from ..workloads import SUITE, Workload, get_workload
 from . import (figure9, figure10, figure11, figure12, figure13,
                hpt_table, ifconvert_table, matching_table, metrics_table,
                net_table, one_at_a_time, profiler_table, sampling_table,
                superblock_table, table1, table2)
-from .ablation import leave_one_out_requests, one_at_a_time_requests
-from .profiler_study import study_profilers
-from .sampling_study import sampling_requests
 
 EXPERIMENTS = ("table1", "table2", "fig9", "fig10", "fig11", "fig12",
                "fig13", "oaat", "net", "superblocks", "ifconvert",
@@ -41,14 +38,6 @@ EXPERIMENTS = ("table1", "table2", "fig9", "fig10", "fig11", "fig12",
                "all")
 
 DEFAULT_CACHE_DIR = "results/.cache"
-
-# The plans each study scores per workload.  Figure 13 and the
-# one-at-a-time view gate on the suite's own overheads, so they ask for
-# every workload: an unselected one costs accounts, never a run, and
-# its results are released once the study has rendered.
-STUDY_SCORES = {"fig13": leave_one_out_requests,
-                "oaat": one_at_a_time_requests,
-                "sampling": sampling_requests}
 
 
 class CliError(Exception):
@@ -136,10 +125,7 @@ def build_session(jobs: int = 1, no_cache: bool = False,
     ``chaos`` spec is validated and installed first."""
     if chaos:
         _install_chaos(chaos)
-    if no_cache:
-        cache = ArtifactCache(memory=False)
-    else:
-        cache = ArtifactCache(disk_dir=cache_dir or None)
+    cache = ArtifactCache(disk_dir=None if no_cache else cache_dir or None)
     return ProfilingSession(cache=cache, jobs=jobs, backend=backend,
                             verify_plans=verify, timeout=timeout,
                             retries=retries, profilers=profilers)
@@ -158,7 +144,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="worker processes for cold workloads "
                              "(default 1 = serial)")
     parser.add_argument("--no-cache", action="store_true",
-                        help="disable the artifact cache (memory and disk)")
+                        help="keep no artifact on disk (each is still "
+                             "computed once per process)")
     _add_backend_option(parser)
     _add_profilers_option(parser)
     parser.add_argument("--verify", action="store_true",
@@ -219,14 +206,8 @@ def _run(args: argparse.Namespace) -> int:
                     "fig13", "oaat", "net", "superblocks", "ifconvert",
                     "metrics", "sampling", "hpt", "profilers",
                     "matching"])
-    # Each cold workload's one execution of its expanded module also
-    # scores what the chosen studies will ask of it.
-    studies = StudyRequests(
-        scores=tuple(STUDY_SCORES[name] for name in wanted
-                     if name in STUDY_SCORES),
-        profilers=study_profilers(session) if "profilers" in wanted else ())
     results = session.run_suite(workloads, scale=args.scale,
-                                verbose=not args.quiet, studies=studies)
+                                verbose=not args.quiet)
 
     renderers = {
         "table1": table1,
@@ -255,8 +236,6 @@ def _run(args: argparse.Namespace) -> int:
         text = session.cache.get_or_compute(
             "table", fingerprint_text("table", name, suite_key),
             lambda: renderers[name](results))
-        if name in STUDY_SCORES:
-            session.release(STUDY_SCORES[name])
         print()
         print(text)
         if args.save_dir:

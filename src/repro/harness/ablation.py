@@ -57,9 +57,8 @@ def leave_one_out_requests(result: WorkloadResult) -> list[ScoreRequest]:
     and the edge profile come from the shared suite artifacts.
     """
     return [ScoreRequest("ppp", result.expanded, result.edge_profile,
-                         result.actual, config=ppp_config_without(technique),
-                         label=f"ppp-{technique}",
-                         expected_return=result.return_value)
+                         config=ppp_config_without(technique),
+                         label=f"ppp-{technique}")
             for technique in TECHNIQUE_LABELS]
 
 
@@ -116,8 +115,7 @@ def one_at_a_time_requests(result: WorkloadResult) -> list[ScoreRequest]:
     """One workload's one-at-a-time plans: the none-enabled config, then
     that config plus each of LC and SPN."""
     return [ScoreRequest("ppp", result.expanded, result.edge_profile,
-                         result.actual, config=ppp_config_only(technique),
-                         label=label, expected_return=result.return_value)
+                         config=ppp_config_only(technique), label=label)
             for technique, label in ONE_AT_A_TIME_LABELS.items()]
 
 

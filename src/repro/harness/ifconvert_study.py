@@ -38,7 +38,7 @@ def compare_ifconvert(result: WorkloadResult,
     assert rv == result.return_value, \
         "if-conversion changed behaviour"
     [tech] = session.plan_and_score([ScoreRequest(
-        "ppp", converted, profile_after, actual_after, expected_return=rv)])
+        "ppp", converted, profile_after)])
     assert tech.run is not None
     before_cost = result.techniques["ppp"].run.run.costs.base
     after_cost = tech.run.run.costs.base

@@ -38,9 +38,8 @@ def sampling_requests(result: WorkloadResult,
                          (result.edge_profile if rate >= 1.0
                           else sample_edge_profile(result.edge_profile, rate,
                                                    seed=1)),
-                         result.actual, score_profile=result.edge_profile,
-                         label=f"ppp-sampled-1/{int(1 / rate):d}",
-                         expected_return=result.return_value)
+                         score_profile=result.edge_profile,
+                         label=f"ppp-sampled-1/{int(1 / rate):d}")
             for rate in rates]
 
 

@@ -40,7 +40,7 @@ def staleness_study(workload: Workload, *,
     small_module = session.compile(workload, 1)
     big_module = session.compile(workload, 2)
     _sa, small_profile, _sr = session.trace(small_module)
-    actual, fresh_profile, _rv = session.trace(big_module)
+    _actual, fresh_profile, _rv = session.trace(big_module)
 
     # Transfer the small run's edge profile onto the big module.
     stale_profile = session.remap_profile(small_profile, big_module).profile
@@ -48,7 +48,7 @@ def staleness_study(workload: Workload, *,
     # Plan from the (possibly stale) advice; score everything against
     # the big run's own ground truth and fresh profile.
     fresh, stale = session.plan_and_score([
-        ScoreRequest("ppp", big_module, profile, actual,
+        ScoreRequest("ppp", big_module, profile,
                      score_profile=fresh_profile,
                      label=f"ppp-{label}-advice")
         for label, profile in (("fresh", fresh_profile),

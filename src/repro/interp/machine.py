@@ -114,14 +114,12 @@ EdgeHook = Callable[["Frame"], None]
 class Frame:
     """One activation: registers, local arrays, and path-profiling state.
 
-    ``regs`` holds the IR's own registers followed by any slots reserved
-    through :meth:`Machine.reserve_register` -- one Ball-Larus path
-    register per profiling account, which instrumentation steps read and
-    write by index and the program never names.
+    ``path_reg`` is the Ball-Larus path register, which instrumentation
+    steps read and write and the program never names.
     """
 
     __slots__ = ("func_name", "regs", "arrays", "block", "ip", "ret_dst",
-                 "path_blocks", "pstate")
+                 "path_reg", "path_blocks", "pstate")
 
     def __init__(self, func_name: str, num_slots: int,
                  arrays: dict[str, list], entry: str):
@@ -131,11 +129,10 @@ class Frame:
         self.block = entry
         self.ip = 0
         self.ret_dst: Optional[int] = None  # caller slot for the return value
+        self.path_reg = 0  # Ball-Larus path register (per activation)
         self.path_blocks: Optional[list[str]] = None  # tracer state
         # Per-activation scratch for profiler plugins (e.g. live loop
         # trip counters); lazily allocated by the first op that needs it.
-        # Ops key their entries by their account's register slot, so
-        # accounts sharing a run never share an entry.
         self.pstate: Optional[dict] = None
 
 
@@ -262,10 +259,8 @@ class Machine:
     trace_paths:
         Record exact Ball-Larus path counts (slower; used as ground truth).
     cost_model:
-        Unit costs.  :attr:`costs` accumulates the base cost; hooks
-        attached through :mod:`repro.core.attach` bill their
-        instrumentation to the :class:`CostCounter` of their own
-        account instead.
+        Unit costs; instrumentation hooks share the same
+        :class:`CostCounter` through :attr:`costs`.
     max_instructions:
         Safety valve against runaway workloads.
     backend:
@@ -331,14 +326,6 @@ class Machine:
     # ------------------------------------------------------------------
     # Instrumentation attachment
     # ------------------------------------------------------------------
-
-    def reserve_register(self, func_name: str) -> int:
-        """One more register slot in every activation of ``func_name``,
-        past the IR's own; returns its index.  Reserve before running:
-        frames already alive keep their size."""
-        cf = self.compiled[func_name]
-        cf.num_slots += 1
-        return cf.num_slots - 1
 
     def set_edge_hook(self, func_name: str, edge_uid: int,
                       hook: EdgeHook) -> None:

@@ -10,7 +10,7 @@ from .base import (FunctionObservations, MachineChannels, ModuleObservations,
                    Profiler, block_exit_uids)
 from .builtin import (EdgeCountProfiler, InvocationProfiler, PathPlanProfiler,
                       PathTraceProfiler)
-from .drive import Account, ProfilersRun, build_machine, execute_profilers
+from .drive import ProfilersRun, build_machine, execute_profilers
 from .registry import (ProfilerInfo, available, conformance_errors,
                        create_profilers, get_profiler, parse_profiler_names,
                        register, registered_profilers)
@@ -18,7 +18,6 @@ from .tripcount import TripCountProfiler, TripFlush, TripIncr, mean_trips
 from .value_profile import RecordReg, ValueProfiler, top_values
 
 __all__ = [
-    "Account",
     "EdgeCountProfiler",
     "FunctionObservations",
     "InvocationProfiler",

@@ -5,10 +5,9 @@ watch (declared as observation ops on CFG edges, or as native machine
 channels) and how to harvest the result after a run.  The engine
 composes any number of profilers over one execution: their ops are
 fused into single per-edge hooks by
-:func:`repro.core.attach.attach_observations`, billed to the cost
-counter of the account they belong to, and -- on the compiled backend
--- folded into the generated segments exactly like the Ball-Larus
-instrumentation.
+:func:`repro.core.attach.attach_observations`, billed through the shared
+cost model, and -- on the compiled backend -- folded into the generated
+segments exactly like the Ball-Larus instrumentation.
 
 Observation kinds map onto the machine like this:
 

@@ -4,8 +4,7 @@ For every natural loop it records, per completed loop *episode* (entry
 to exit), the number of header executions -- one plus the back-edge
 traversals since entry -- into a per-loop histogram.  Live episode
 counters ride in the frame's ``pstate`` scratch slot (per activation,
-like the path register), keyed by the account's register slot and the
-loop header so plans sharing one run keep apart; histograms are global,
+like the path register), keyed by loop header; histograms are global,
 accumulated at exit.
 
 Placement: a :class:`TripIncr` on every back edge, a :class:`TripFlush`
@@ -51,7 +50,7 @@ class TripIncr(ObservationOp):
 
     def compile_step(self, ctx: HookContext
                      ) -> Tuple[Callable[["Frame"], None], float]:
-        key = (ctx.reg, self.header)
+        key = self.header
 
         def step(frame: "Frame") -> None:
             ps = frame.pstate
@@ -79,7 +78,7 @@ class TripFlush(ObservationOp):
                      ) -> Tuple[Callable[["Frame"], None], float]:
         state = cast(Dict[str, Histogram], ctx.state)
         hist = state.setdefault(self.header, {})
-        key = (ctx.reg, self.header)
+        key = self.header
 
         def step(frame: "Frame") -> None:
             ps = frame.pstate

@@ -358,9 +358,8 @@ def test_misplaced_probe_set_is_caught(small_module):
 @pytest.mark.parametrize("backend", ["tuple", "compiled"])
 def test_sparse_profiler_matches_dense(backend):
     module = get_workload("vpr").compile(1)
-    [counted_run] = execute_profilers(module, [create_profilers(["edges"])],
-                                      backend=backend)
-    counted = counted_run.profiles["edges"]
+    counted = execute_profilers(module, create_profilers(["edges"]),
+                                backend=backend).profiles["edges"]
     _result, dense = hook_edge_counts(module, backend=backend)
     assert counted == dense
     assert json.dumps({f: sorted(c.items()) for f, c in sorted(

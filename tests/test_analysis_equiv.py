@@ -726,8 +726,8 @@ class TestLatticeCompleteness:
         for n in range(len(names) + 1):
             for subset in itertools.combinations(names, n):
                 for hooked in (False, True):
-                    machine, _accounts = build_machine(
-                        module, [create_profilers(subset)],
+                    machine, _attached = build_machine(
+                        module, create_profilers(subset),
                         backend="compiled")
                     if hooked:
                         uid = next(iter(machine.compiled["main"].uid_edge))

@@ -78,13 +78,17 @@ def test_lookup_counts_hits_and_misses():
     assert (ks.hits, ks.misses, ks.stores) == (1, 1, 1)
 
 
-def test_memory_disabled_is_pass_through():
-    cache = ArtifactCache(memory=False)
+def test_diskless_cache_keeps_memory_only(tmp_path, monkeypatch):
+    # What --no-cache builds: entries live in this process alone.
+    monkeypatch.chdir(tmp_path)
+    cache = ArtifactCache()
     cache.store("plan", "k", "v")
-    assert cache.lookup("plan", "k") is None  # nothing retained
-    assert cache.entry_count() == 0
+    assert cache.lookup("plan", "k") == "v"
+    assert cache.entry_count() == 1
+    assert cache.disk_files() == [] and not list(tmp_path.iterdir())
+    assert ArtifactCache().lookup("plan", "k") is None  # nothing outlives it
     ks = cache.stats.of("plan")
-    assert ks.stores == 1 and ks.misses == 1
+    assert (ks.stores, ks.hits, ks.misses, ks.disk_hits) == (1, 1, 0, 0)
 
 
 def test_clear_memory():

@@ -1,13 +1,13 @@
-"""One recording per module, one execution per instrumentation identity.
+"""One recording per module, and no plan executes.
 
 A session records each distinct module once (edge counting plus the
 path listener), and every view -- the expansion's edge profiles, ground
-truth, the path stream -- reads that recording.  Plan executions are
-shared by every label whose plan coincides, and every plan the studies
-score on an expanded module, with the profiler study's plugins, rides
-the suite's one execution of it.  The first tests count interpreter
-runs over a cold ``harness all``; the rest prove a recording observes
-exactly what each single-purpose run observes.
+truth, the path stream -- reads that recording.  Every plan a session
+scores is replayed over its module's recording, so the only hooked runs
+left are registry profilers' (the profiler study, ``--profilers``), one
+per module.  The first tests count interpreter runs over a cold
+``harness all``; the rest prove a recording observes exactly what each
+single-purpose run observes.
 """
 
 from collections import Counter
@@ -15,10 +15,7 @@ from collections import Counter
 import pytest
 
 from repro.core import record_module, record_path_stream
-from repro.engine import stages
-from repro.engine.fingerprint import (fingerprint_config,
-                                      fingerprint_edge_profile,
-                                      fingerprint_module)
+from repro.engine.fingerprint import fingerprint_module
 import repro.profilers
 from repro.interp.machine import Machine
 from repro.profilers import EdgeCountProfiler, execute_profilers
@@ -29,99 +26,71 @@ from repro.workloads import SUITE, get_workload
 DRAW = ("parser", "perlbmk", "gap", "wupwise", "applu", "apsi")
 
 
-def _cold_harness(benchmarks, cache_dir, monkeypatch, capsys):
-    """Run a cold ``harness all --jobs 1`` in-process; its stdout, the
-    modules of its plain runs (recordings), the modules of its hooked
-    runs, one ``(plan identities, module, account profiler names,
-    backend)`` entry per hooked execution, and its session."""
-    from repro.harness import __main__ as harness
+def _counted_harness(argv, monkeypatch, capsys):
+    """Run ``harness`` in-process; its stdout, and one ``(module, hooked
+    profiler names or None)`` entry per ``Machine.run``, in order."""
     from repro.harness.__main__ import main
 
-    sessions = []
-    real_build_session = harness.build_session
-
-    def build_session(*args, **kwargs):
-        sessions.append(real_build_session(*args, **kwargs))
-        return sessions[-1]
-
-    # A plan's identity is what it was planned from.
-    identity: dict[int, tuple] = {}
-    real_plan_stage = stages.plan_stage
-
-    def plan_stage(technique, module, edge_profile=None, *args):
-        plan = real_plan_stage(technique, module, edge_profile, *args)
-        identity[id(plan)] = (technique, fingerprint_module(module),
-                              fingerprint_edge_profile(edge_profile),
-                              *map(fingerprint_config, args))
-        return plan
-
-    executions: list[tuple] = []
-    depth = [0]
+    runs: list[tuple] = []
+    profilers: list[tuple] = []
     real_execute = drive.execute_profilers
-
-    def execute_profilers(module, accounts, *args, **kwargs):
-        plans = [identity[id(p.plan)] for profilers in accounts
-                 for p in profilers if isinstance(p, PathPlanProfiler)]
-        executions.append((tuple(plans), fingerprint_module(module),
-                           tuple(tuple(p.name for p in profilers)
-                                 for profilers in accounts),
-                           kwargs.get("backend")))
-        depth[0] += 1
-        try:
-            return real_execute(module, accounts, *args, **kwargs)
-        finally:
-            depth[0] -= 1
-
-    modules: list[str] = []
-    hooked: list[str] = []
     real_run = Machine.run
 
+    def execute_profilers(module, selected, *args, **kwargs):
+        profilers.append(tuple(p.name for p in selected))
+        assert not any(isinstance(p, PathPlanProfiler) for p in selected)
+        try:
+            return real_execute(module, selected, *args, **kwargs)
+        finally:
+            profilers.pop()
+
     def run(machine, *args, **kwargs):
-        (hooked if depth[0] else modules).append(
-            fingerprint_module(machine.module))
+        runs.append((fingerprint_module(machine.module),
+                     profilers[-1] if profilers else None))
         return real_run(machine, *args, **kwargs)
 
-    monkeypatch.setattr(stages, "plan_stage", plan_stage)
     for home in (drive, repro.profilers):
         monkeypatch.setattr(home, "execute_profilers", execute_profilers)
     monkeypatch.setattr(Machine, "run", run)
-    monkeypatch.setattr(harness, "build_session", build_session)
-    assert main(["all", "--quiet", "--jobs", "1",
-                 "--benchmarks", benchmarks,
-                 "--cache-dir", str(cache_dir)]) == 0
+    assert main(argv) == 0
     out = capsys.readouterr().out
     monkeypatch.undo()
+    return out, runs
 
-    # Every run outside a plan or profiler execution is a recording,
-    # and each distinct module is recorded once.
-    assert modules and len(modules) == len(set(modules)), \
-        Counter(modules).most_common(3)
-    assert any(plans for plans, *_ in executions)
-    repeated = [e for e, n in Counter(executions).items() if n > 1]
-    assert not repeated, repeated
-    # No plan identity executes twice, not even fused with others.
-    twice = [p for p, n in Counter(
-        plan for plans, *_ in executions for plan in plans).items() if n > 1]
-    assert not twice, twice
-    [session] = sessions
-    return out, modules, hooked, executions, session
+
+def _expanded(names):
+    from repro.engine import ProfilingSession
+
+    session = ProfilingSession()
+    return {fingerprint_module(session.expand(get_workload(name)).module)
+            for name in names}
 
 
 def test_cold_harness_runs_each_execution_once(tmp_path, monkeypatch,
                                                capsys):
-    _out, _modules, hooked, _executions, session = _cold_harness(
-        "applu,apsi", tmp_path / "cache", monkeypatch, capsys)
-    # Each expanded module runs hooked once: the suite's pp, tpp and ppp
-    # with every plan the studies will score and the profiler study's
-    # plugins as accounts of the same execution.
-    assert sorted(Counter(hooked).values()) == [1, 1], Counter(hooked)
-    # Neither workload clears Figure 13's gate; what the build scored
-    # ahead for it and the one-at-a-time view is released once they
-    # render, and every other study took its results.
-    assert not session.handoff, sorted(kind for kind, _ in session.handoff)
+    argv = ["all", "--quiet", "--jobs", "1", "--benchmarks", "applu,apsi"]
+    cold_out, cold = _counted_harness(
+        argv + ["--cache-dir", str(tmp_path / "cache")], monkeypatch, capsys)
+    # Every plain run is a recording, and each distinct module is
+    # recorded once.
+    recorded = [module for module, hooked in cold if hooked is None]
+    assert recorded and len(recorded) == len(set(recorded)), \
+        Counter(recorded).most_common(3)
+    # Each expanded module runs hooked once, for the profiler study's
+    # plugins; no other module runs hooked.
+    hooked = [(module, names) for module, names in cold if names]
+    assert sorted(module for module, _ in hooked) == \
+        sorted(_expanded(["applu", "apsi"]))
+    assert {names for _, names in hooked} == {("values", "tripcounts")}
 
-    # The studies' results are not part of the workload entries, so a
-    # warm pass reads just the two workloads and the 16 tables.
+    # --no-cache keeps the memory layer: the same runs, in the same
+    # order, and the same output.
+    uncached_out, uncached = _counted_harness(
+        argv + ["--no-cache"], monkeypatch, capsys)
+    assert uncached == cold
+    assert uncached_out == cold_out
+
+    # A warm pass reads just the two workloads and the 16 tables.
     from repro.harness.__main__ import main
 
     assert main(["all", "--jobs", "1", "--benchmarks", "applu,apsi",
@@ -130,81 +99,44 @@ def test_cold_harness_runs_each_execution_once(tmp_path, monkeypatch,
     assert "[cache: 18 hits, 0 misses, 18 from disk]" in warm, warm
 
 
-def test_cold_harness_fuses_every_study_into_one_execution(
-        tmp_path, monkeypatch, capsys):
-    from repro.engine import ProfilingSession
-
-    perlbmk = get_workload("perlbmk")
-    expanded = fingerprint_module(ProfilingSession().expand(perlbmk).module)
-    out, _modules, hooked, executions, _session = _cold_harness(
-        "perlbmk", tmp_path / "cache", monkeypatch, capsys)
-    assert hooked.count(expanded) == 1, Counter(hooked)
-    [(plans, _fp, accounts, _backend)] = [
-        e for e in executions if e[1] == expanded]
-    # pp, tpp, ppp; 5 leave-one-out configs; the none-enabled config and
-    # LC and SPN alone; the plans from profiles sampled at 1/10 and 1/100
-    # (the 1/1 plan is ppp's own); and the profiler study's plugins.
-    assert len(plans) == 3 + 5 + 3 + 2
-    assert [p[0] for p in plans] == ["pp", "tpp"] + ["ppp"] * 11
-    assert accounts == (("path",),) * 13 + (("values", "tripcounts"),)
-    # perlbmk clears Figure 13's gate, so both views render its row.
+def test_cold_harness_scores_every_study_without_running_plans(
+        monkeypatch, capsys):
+    out, runs = _counted_harness(
+        ["all", "--quiet", "--no-cache", "--benchmarks", "perlbmk"],
+        monkeypatch, capsys)
+    # perlbmk clears Figure 13's gate, so every study scores plans on
+    # its expanded module -- yet it runs hooked once, for the profiler
+    # study, and the if-converted module only ever runs plain.
+    [expanded] = _expanded(["perlbmk"])
+    assert [names for module, names in runs if module == expanded] == \
+        [None, ("values", "tripcounts")]
+    assert [names for _, names in runs if names] == [("values", "tripcounts")]
     for title in ("Figure 13.", "One-at-a-time"):
         table = out[out.index(title):].split("\n\n")[0]
         assert "\n  perlbmk " in table, table
 
 
-def test_profilers_ride_on_the_technique_executions(monkeypatch, capsys):
-    # --profilers fuses the plugins into every pp/tpp/ppp account, and
-    # the workload's profiles come from the first: the three plans of
-    # mcf's expanded module share one run, with no extra run or account.
+def test_profilers_run_once_beside_replayed_plans(monkeypatch, capsys):
+    # With --profilers, the plans' overheads bill the plugins' ops from
+    # the recording, and the plugins themselves run once over the
+    # expanded module: its only hooked run.
     import pickle
 
     from repro.engine import ProfilingSession
     from repro.harness.__main__ import main
     from repro.profilers import create_profilers
 
-    mcf = get_workload("mcf")
-    expanded = fingerprint_module(ProfilingSession().expand(mcf).module)
-    hooked: list[str] = []
-    depth = [0]
-    real_execute = drive.execute_profilers
-    real_run = Machine.run
-
-    accounts: list[tuple] = []
-
-    def execute_profilers(module, profilers, *args, **kwargs):
-        if fingerprint_module(module) == expanded:
-            accounts.append(tuple(tuple(p.name for p in account)
-                                  for account in profilers))
-        depth[0] += 1
-        try:
-            return real_execute(module, profilers, *args, **kwargs)
-        finally:
-            depth[0] -= 1
-
-    def run(machine, *args, **kwargs):
-        if depth[0]:
-            hooked.append(fingerprint_module(machine.module))
-        return real_run(machine, *args, **kwargs)
-
-    for home in (drive, repro.profilers):
-        monkeypatch.setattr(home, "execute_profilers", execute_profilers)
-    monkeypatch.setattr(Machine, "run", run)
-    assert main(["table2", "--quiet", "--benchmarks", "mcf",
-                 "--profilers", "values", "--no-cache"]) == 0
-    capsys.readouterr()
-    # table2 asks nothing more of the module than the suite scores: its
-    # one execution carries exactly the pp, tpp and ppp accounts.
-    assert hooked.count(expanded) == 1
-    assert accounts == [(("path", "values"),) * 3]
-    monkeypatch.undo()
+    _out, runs = _counted_harness(
+        ["table2", "--quiet", "--benchmarks", "mcf", "--profilers",
+         "values", "--no-cache"], monkeypatch, capsys)
+    [expanded] = _expanded(["mcf"])
+    assert [(module, names) for module, names in runs if names] == \
+        [(expanded, ("values",))]
 
     session = ProfilingSession(profilers=("values",))
-    result = session.run_workload(mcf)
-    [alone_run] = execute_profilers(result.expanded,
-                                    [create_profilers(["values"])],
-                                    backend=session.backend)
-    alone = alone_run.profiles
+    result = session.run_workload(get_workload("mcf"))
+    alone = execute_profilers(result.expanded, create_profilers(["values"]),
+                              backend=session.backend).profiles
     assert pickle.dumps(result.profiles) == pickle.dumps(alone)
 
 
@@ -221,9 +153,8 @@ def _check_recording(module, backend):
     assert recording.base_cost == plain.costs.base
     assert plain.costs.instrumentation == 0
 
-    [edges_run] = execute_profilers(module, [[EdgeCountProfiler()]],
-                                    backend=backend)
-    edges = edges_run.profiles["edges"]
+    edges = execute_profilers(module, [EdgeCountProfiler()],
+                              backend=backend).profiles["edges"]
     for name, fp in recording.edges.functions.items():
         assert fp.edge_freq == edges.get(name, {}), name
         assert fp.entry_count == plain.invocations[name], name

@@ -17,6 +17,7 @@ import pytest
 from repro.engine import (TECHNIQUES, ArtifactCache, ParallelRunner,
                           ProfilingSession, ScoreRequest, WorkloadTask)
 from repro.harness import figure9, table2
+from repro.harness.__main__ import build_session
 from repro.harness.json_export import workload_result_to_dict
 from repro.workloads import get_workload
 
@@ -45,7 +46,7 @@ def test_warm_session_matches_cold_serial(serial_baseline):
     stats = session.cache.stats
     cold_traffic = {kind: (stats.of(kind).hits, stats.of(kind).misses)
                     for kind in ("compile", "expand", "record", "plan",
-                                 "execution", "technique")}
+                                 "technique")}
 
     warm = {n: session.run_workload(get_workload(n)) for n in NAMES}
     for name in NAMES:
@@ -83,42 +84,32 @@ def test_run_suite_parallel_matches_serial(serial_baseline):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_no_cache_suite_hands_study_results_to_the_studies(
+def test_no_cache_studies_score_without_running(
         jobs, serial_baseline, monkeypatch):
-    # With no cache at all, what each build (in a worker too) scored for
-    # the studies reaches the parent's session, and the studies run
-    # nothing again; the workload results carry none of it.
+    # With no disk cache, a suite run (in workers too) leaves the
+    # studies nothing to execute: their plans replay over the expanded
+    # modules' recordings, and the workload results match a serial run.
     import repro.profilers
-    from repro.engine import StudyRequests
-    from repro.harness.profiler_study import STUDY_PROFILERS
-    from repro.harness.sampling_study import (sampling_requests,
-                                              sampling_study)
+    from repro.harness.ablation import leave_one_out
+    from repro.harness.sampling_study import sampling_study
     from repro.profilers import drive
 
     workloads = [get_workload(n) for n in NAMES[:2]]
-    session = ProfilingSession(cache=ArtifactCache(memory=False))
-    results = session.run_suite(
-        workloads, jobs=jobs,
-        studies=StudyRequests(scores=(sampling_requests,),
-                              profilers=STUDY_PROFILERS))
-    # Three sampled results per workload (the 1/1 plan is ppp's own, so
-    # it scores ppp's run under its own label) and one profile
-    # collection.
-    assert sorted(kind for kind, _key in session.handoff) == \
-        ["profiles"] * 2 + ["technique"] * 6
+    session = build_session(jobs=jobs, no_cache=True)
+    results = session.run_suite(workloads)
 
     def no_run(*_args, **_kwargs):
-        raise AssertionError("a study's request executed again")
+        raise AssertionError("a study's request executed")
 
     for home in (drive, repro.profilers):
         monkeypatch.setattr(home, "execute_profilers", no_run)
     for workload in workloads:
         result = results[workload.name]
-        assert result.handoff == {}
         assert as_dict(result) == as_dict(serial_baseline[workload.name])
         assert len(sampling_study(result, session=session)) == 3
-        assert session.profile_module(result.expanded, STUDY_PROFILERS)
-    assert not session.handoff
+    rows = leave_one_out(results, [w.name for w in workloads],
+                         session=session)
+    assert [row.benchmark for row in rows] == [w.name for w in workloads]
 
 
 def test_disk_cache_warms_fresh_session(tmp_path, serial_baseline):
@@ -161,14 +152,23 @@ def test_parallel_suite_rebuilds_corrupt_workload_entry(tmp_path,
             for d in r.degradations] == ["cache-quarantine"]
 
 
-def test_uncached_session_still_correct(serial_baseline):
-    session = ProfilingSession(cache=ArtifactCache(memory=False))
+def test_uncached_session_still_correct(serial_baseline, tmp_path,
+                                       monkeypatch):
+    # --no-cache keeps artifacts in memory only: correct results, each
+    # computed once per process, and nothing written to or read from
+    # disk.
+    monkeypatch.chdir(tmp_path)
+    session = build_session(no_cache=True)
+    assert session.cache.disk_dir is None
     name = NAMES[0]
     first = session.run_workload(get_workload(name))
     again = session.run_workload(get_workload(name))
     assert as_dict(first) == as_dict(serial_baseline[name])
-    assert as_dict(again) == as_dict(serial_baseline[name])
-    assert session.cache.stats.hits == 0
+    assert again is first
+    stats = session.cache.stats
+    assert stats.of("workload").hits == 1
+    assert stats.disk_hits == 0
+    assert not list(tmp_path.rglob("*.pkl"))
 
 
 def test_variant_config_does_not_hit_base_entries(serial_baseline):
@@ -177,9 +177,8 @@ def test_variant_config_does_not_hit_base_entries(serial_baseline):
     base = session.run_workload(get_workload(NAMES[0]))
     recorded = session.cache.stats.of("record").misses
     [tech] = session.plan_and_score([ScoreRequest(
-        "ppp", base.expanded, base.edge_profile, base.actual,
-        config=ppp_config_without("LC"), label="ppp-LC",
-        expected_return=base.return_value)])
+        "ppp", base.expanded, base.edge_profile,
+        config=ppp_config_without("LC"), label="ppp-LC")])
     assert tech.plan is not None and tech.run is not None
     # The variant planned fresh (different config fingerprint) but reused
     # the module and profiles without re-tracing anything.

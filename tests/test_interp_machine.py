@@ -148,25 +148,22 @@ class TestEdgeHooks:
 
     @pytest.mark.parametrize("backend", ["compiled", "tuple"])
     def test_hook_sees_reserved_path_register(self, backend):
-        # A reserved register sits past the IR's own slots, starts at
-        # zero in every activation, and the program never touches it.
+        # Every activation reserves a path register beside the IR's own
+        # registers: it starts at zero, and the program never touches it.
         m = compile_source(
             "func main() { if (1) { x = 1; } else { x = 2; } return x; }")
         machine = Machine(m, backend=backend)
         func = m.functions["main"]
-        first = machine.reserve_register("main")
-        second = machine.reserve_register("main")
-        assert (first, second) == (func.num_slots, func.num_slots + 1)
         edge = func.cfg.out_edges("entry")[0]
         seen = []
 
         def hook(frame):
-            frame.regs[first] += 5
-            seen.append((frame.regs[first], frame.regs[second]))
+            frame.path_reg += 5
+            seen.append((frame.path_reg, len(frame.regs)))
 
         machine.set_edge_hook("main", edge.uid, hook)
         assert machine.run().return_value == 1
-        assert seen == [(5, 0)]
+        assert seen == [(5, func.num_slots)]
 
     def test_unknown_edge_uid_rejected(self):
         m = compile_source("func main() { return 0; }")

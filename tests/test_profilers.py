@@ -112,9 +112,9 @@ class TestBuiltinIdentity:
         return compile_source(LOOPY)
 
     def test_builtins_match_native_channels(self, module):
-        [run] = execute_profilers(
-            module, [[PathTraceProfiler(), EdgeCountProfiler(),
-                      InvocationProfiler()]], max_instructions=_LIMIT)
+        run = execute_profilers(
+            module, [PathTraceProfiler(), EdgeCountProfiler(),
+                     InvocationProfiler()], max_instructions=_LIMIT)
         machine = Machine(module, collect_edge_profile=True,
                           trace_paths=True, max_instructions=_LIMIT)
         native = machine.run()
@@ -129,7 +129,7 @@ class TestBuiltinIdentity:
 
     def test_duplicate_selection_rejected(self, module):
         with pytest.raises(ValueError, match="duplicate"):
-            execute_profilers(module, [[ValueProfiler(), ValueProfiler()]])
+            execute_profilers(module, [ValueProfiler(), ValueProfiler()])
 
 
 # ----------------------------------------------------------------------
@@ -140,8 +140,8 @@ class TestValueProfiler:
     @pytest.fixture(scope="class")
     def profile(self):
         module = compile_source(LOOPY)
-        [run] = execute_profilers(module, [[ValueProfiler()]],
-                                  max_instructions=_LIMIT)
+        run = execute_profilers(module, [ValueProfiler()],
+                                max_instructions=_LIMIT)
         return run.profiles["values"]
 
     def test_sites_observe_block_exit_values(self, profile):
@@ -168,8 +168,8 @@ class TestValueProfiler:
         }}
         """
         module = compile_source(src)
-        [run] = execute_profilers(module, [[ValueProfiler()]],
-                                  max_instructions=_LIMIT)
+        run = execute_profilers(module, [ValueProfiler()],
+                                max_instructions=_LIMIT)
         sites = run.profiles["values"]["main"]
         s_sites = [v for k, v in sites.items() if k.endswith(":s")
                    and len(v["values"]) == VALUE_CAP]
@@ -180,9 +180,9 @@ class TestValueProfiler:
 
     def test_backend_parity(self):
         module = compile_source(LOOPY)
-        runs = {backend: execute_profilers(module, [[ValueProfiler()]],
+        runs = {backend: execute_profilers(module, [ValueProfiler()],
                                            max_instructions=_LIMIT,
-                                           backend=backend)[0]
+                                           backend=backend)
                 for backend in ("tuple", "compiled")}
         assert runs["tuple"].profiles == runs["compiled"].profiles
         assert runs["tuple"].result.costs.instrumentation == \
@@ -196,8 +196,8 @@ class TestValueProfiler:
 class TestTripCountProfiler:
     def _trips(self, src):
         module = compile_source(src)
-        [run] = execute_profilers(module, [[TripCountProfiler()]],
-                                  max_instructions=_LIMIT)
+        run = execute_profilers(module, [TripCountProfiler()],
+                                max_instructions=_LIMIT)
         return run.profiles["tripcounts"]
 
     def test_nested_loop_histograms(self):
@@ -230,9 +230,9 @@ class TestTripCountProfiler:
 
     def test_backend_parity(self):
         module = compile_source(LOOPY)
-        runs = {backend: execute_profilers(module, [[TripCountProfiler()]],
+        runs = {backend: execute_profilers(module, [TripCountProfiler()],
                                            max_instructions=_LIMIT,
-                                           backend=backend)[0]
+                                           backend=backend)
                 for backend in ("tuple", "compiled")}
         assert runs["tuple"].profiles == runs["compiled"].profiles
 
@@ -316,8 +316,7 @@ class TestHashStoreBackends:
                     for i, e in enumerate(sorted(func.cfg.edges(),
                                                  key=lambda e: e.uid))}
         ctx = HookContext(machine.cost_model, store=store, checked=False)
-        attach_observations(machine, "main",
-                            [(machine.costs, [(edge_ops, ctx)])])
+        attach_observations(machine, "main", [(edge_ops, ctx)])
         result = machine.run()
         return store, result
 
@@ -389,8 +388,8 @@ class TestObservationVerification:
         # validated before it executes; a mismatch would raise.
         monkeypatch.setenv("REPRO_EQUIV", "1")
         module = compile_source(LOOPY)
-        [run] = execute_profilers(
-            module, [create_profilers(("values", "tripcounts"))],
+        run = execute_profilers(
+            module, create_profilers(("values", "tripcounts")),
             backend="compiled")
         assert set(run.profiles) == {"values", "tripcounts"}
 
@@ -401,10 +400,10 @@ class TestObservationVerification:
 
 def _observation_signature(module, backend):
     try:
-        [run] = execute_profilers(
-            module, [[PathTraceProfiler(), EdgeCountProfiler(),
-                      InvocationProfiler(), ValueProfiler(),
-                      TripCountProfiler()]],
+        run = execute_profilers(
+            module, [PathTraceProfiler(), EdgeCountProfiler(),
+                     InvocationProfiler(), ValueProfiler(),
+                     TripCountProfiler()],
             max_instructions=400_000, backend=backend)
     except MachineError:
         return ("machine-error",)
