@@ -14,9 +14,16 @@ symbolically evaluated as Python and (b) replayed over the IR blocks,
 driven by the leaf's billed instruction cost (which uniquely locates
 the point where the segment handed control back).  The two sides must
 agree on the ordered effect/observation stream (stores, global stores,
-edge counts, hooks, path-trace events), the final register state, every
+edge counts, hooks, path-id emits), the final register state, every
 branch decision's condition term, the billed cost, and the terminal
 (trampoline bounce, native ``continue``, call tuple, or frame return).
+Path ids are checked against the emitter's own numbering
+(:func:`~repro.interp.codegen.path_ids`): along the IR path, a chord
+adds its increment, a back edge emits the id and restarts it at the
+header's value, and a return emits it; the generated ``_t += K``,
+``_tr(_t)`` and ``_t = _tb + V`` must emit the same ids, and the id the
+segment leaves in ``frame.path_id`` (or in ``_t``, across a native
+``continue``) must be the IR path's.
 
 Registers appear only as ``regs[K]`` subscripts and branches only as
 ``if regs[K]:``; any other register or branch shape is an E101.
@@ -69,7 +76,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 from ..cfg.dominators import compute_dominators
 from ..cfg.graph import ControlFlowGraph
 from ..cfg.loops import find_back_edges
-from ..interp.codegen import CodegenResult, ModeSpec, generate_source
+from ..interp.codegen import (CodegenResult, ModeSpec, generate_source,
+                              path_ids)
 from ..ir.function import Function, Module
 from ..ir.instructions import Branch, Call, Instr, Jump, Ret
 from ..ir.printer import format_function
@@ -177,17 +185,17 @@ def _back_keys(func: Function) -> set[tuple[str, str]]:
 def standard_modes(func: Function) -> tuple[ModeSpec, ...]:
     """The observation-mode lattice every function is validated under:
     every channel combination the program can request.  Profiler
-    selections turn on edge counting (on the conservation probes) and
-    path tracing in any combination, plan and profiler edge ops add
-    hooks to any of those, and a recording adds the path listener to
-    edge counting and tracing.  Hooked code does not depend on the plan,
-    so one hooked mode per combination proves every plan's code."""
+    selections and recordings turn on edge counting (on the
+    conservation probes) and path tracing in any combination, and plan
+    and profiler edge ops add hooks to any of those.  Hooked code does
+    not depend on the plan, so one hooked mode per combination proves
+    every plan's code."""
     return tuple(
         ModeSpec(profile=profile, trace=trace, hooks=hooks)
         for hooks in (False, True)
         for trace in (False, True)
         for profile in (False, True)
-    ) + (ModeSpec(profile=True, trace=True, listener=True),)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +204,17 @@ def standard_modes(func: Function) -> tuple[ModeSpec, ...]:
 
 class _Unrecognized(Exception):
     """Generated code deviated from the emitter's published shapes."""
+
+
+# A path id during validation: (anchor, offset), where the anchor is
+# "id" (the live id when the segment's loop body starts), "tb" (the
+# function's base) or "stale" (``frame.path_id`` once ``_t`` holds the
+# live id: out of date after a native ``continue``).
+_Id = tuple[str, int]
+
+
+def _fmt_id(value: _Id) -> str:
+    return f"{value[0]}{value[1]:+d}"
 
 
 @dataclass
@@ -207,6 +226,10 @@ class _GenPath:
     cost: int
     terminal: tuple[object, ...]
     regs: dict[int, Term]
+    # The live path id where the path ends: ``_t`` in a segment that
+    # loads it, else ``frame.path_id``; and what ``frame.path_id`` holds.
+    live_id: Optional[_Id]
+    stored_id: _Id
 
 
 _AST_BIN = {
@@ -225,6 +248,23 @@ def _const_int(node: ast.expr, what: str) -> int:
     if isinstance(node, ast.Constant) and isinstance(node.value, int):
         return node.value
     raise _Unrecognized(f"expected integer constant for {what}")
+
+
+def _signed_int(node: ast.expr, what: str) -> int:
+    """An integer literal, possibly negated (``-3``)."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -_const_int(node.operand, what)
+    return _const_int(node, what)
+
+
+def _is_name(node: ast.expr, name: str) -> bool:
+    return isinstance(node, ast.Name) and node.id == name
+
+
+def _is_path_id_attr(node: ast.expr) -> bool:
+    """``frame.path_id``."""
+    return (isinstance(node, ast.Attribute) and node.attr == "path_id"
+            and _is_name(node.value, "frame"))
 
 
 def _reg_slot(node: ast.expr) -> Optional[int]:
@@ -316,13 +356,15 @@ class _SegmentParser:
 
     def __init__(self, func: Function, module: Module, spec: ModeSpec,
                  result: CodegenResult, factory: TermFactory,
-                 local_arrays: dict[str, str]):
+                 local_arrays: dict[str, str], loads_id: bool):
         self.func = func
         self.module = module
         self.spec = spec
         self.result = result
         self.factory = factory
         self.local_arrays = local_arrays  # mangled _lK -> IR array name
+        # The segment's prologue loads ``_t = frame.path_id``.
+        self.loads_id = loads_id
 
     def _fresh_state(self) -> SymState:
         fact = self.factory
@@ -336,8 +378,16 @@ class _SegmentParser:
         decisions: list[tuple[Term, bool]] = []
         cost = 0
         terminal: Optional[tuple[object, ...]] = None
-        rv: Optional[Term] = None
-        pending_flush = False
+        # ``_t`` and ``frame.path_id`` (see _Id).
+        live: Optional[_Id] = ("id", 0) if self.loads_id else None
+        stored: _Id = ("stale", 0) if self.loads_id else ("id", 0)
+
+        def read_id() -> _Id:
+            if not self.spec.trace:
+                raise _Unrecognized("path id code in an untraced mode")
+            if live is None:
+                raise _Unrecognized("_t read before it is set")
+            return live
 
         def eval_expr(node: ast.expr) -> Term:
             slot = _reg_slot(node)
@@ -428,7 +478,6 @@ class _SegmentParser:
             return fact.load(location, state.version(location), idx)
 
         def do_store(target: ast.Subscript, value: ast.expr) -> None:
-            nonlocal pending_flush
             base = target.value
             if isinstance(base, ast.Name) and base.id == "regs":
                 slot = _reg_slot(target)
@@ -441,14 +490,6 @@ class _SegmentParser:
                 ops.append(("gstore", name, eval_expr(value)))
                 state.write_mem(("gs", name))
                 return
-            if isinstance(base, ast.Name) and base.id == "_pc":
-                # `_pc[_p] = _pc.get(_p, 0) + 1` right after the
-                # `_p = tuple(frame.path_blocks)` snapshot: a flush.
-                if not pending_flush:
-                    raise _Unrecognized("_pc update without snapshot")
-                ops.append(("flush",))
-                pending_flush = False
-                return
             if isinstance(base, ast.Name):
                 location, length = array_location(base.id)
                 idx = eval_index(target.slice, length)
@@ -457,28 +498,45 @@ class _SegmentParser:
                 return
             raise _Unrecognized("store target")
 
+        def restart_id(value: ast.expr) -> _Id:
+            """``_tb`` or ``_tb + V``: a path restarting at a header."""
+            if _is_name(value, "_tb"):
+                return ("tb", 0)
+            if (isinstance(value, ast.BinOp)
+                    and isinstance(value.op, ast.Add)
+                    and _is_name(value.left, "_tb")):
+                return ("tb", _const_int(value.right, "restart value"))
+            raise _Unrecognized("path id restart shape")
+
         def do_stmt(node: ast.stmt) -> None:
-            nonlocal cost, rv, pending_flush, terminal
+            nonlocal cost, terminal, live, stored
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
                 target = node.targets[0]
                 if isinstance(target, ast.Subscript):
                     do_store(target, node.value)
                     return
-                if isinstance(target, ast.Name) and target.id == "_p":
-                    pending_flush = True
+                if _is_name(target, "_t"):
+                    # `_t = _tb + V`: a path restarts at its header
+                    if not self.spec.trace:
+                        raise _Unrecognized("path id code in an untraced "
+                                            "mode")
+                    live = restart_id(node.value)
                     return
-                if isinstance(target, ast.Name) and target.id == "_rv":
-                    rv = eval_expr(node.value)
-                    return
-                if (isinstance(target, ast.Attribute)
-                        and target.attr == "path_blocks"):
-                    # `frame.path_blocks = ['target']`
-                    elts = node.value.elts  # type: ignore[attr-defined]
-                    ops.append(("reset", elts[0].value))
+                if _is_path_id_attr(target):
+                    # `frame.path_id = _t`
+                    if not _is_name(node.value, "_t"):
+                        raise _Unrecognized("path id spill shape")
+                    stored = read_id()
                     return
                 raise _Unrecognized("assignment target")
             if isinstance(node, ast.AugAssign):
                 target = node.target
+                if _is_name(target, "_t") and isinstance(node.op, ast.Add):
+                    # `_t += K` on a chord
+                    anchor, offset = read_id()
+                    live = (anchor,
+                            offset + _signed_int(node.value, "increment"))
+                    return
                 if (isinstance(target, ast.Subscript)
                         and isinstance(target.value, ast.Name)):
                     if target.value.id == "_ic":
@@ -494,15 +552,11 @@ class _SegmentParser:
             if isinstance(node, ast.Expr) and isinstance(node.value,
                                                          ast.Call):
                 call = node.value
-                if (isinstance(call.func, ast.Name)
-                        and call.func.id == "_pl"):
-                    fname = call.args[0].value  # type: ignore
-                    ops.append(("listener", fname))
-                    return
-                if (isinstance(call.func, ast.Attribute)
-                        and call.func.attr == "append"):
-                    # `frame.path_blocks.append('target')`
-                    ops.append(("append", call.args[0].value))  # type: ignore
+                if (_is_name(call.func, "_tr") and len(call.args) == 1
+                        and _is_name(call.args[0], "_t")
+                        and not call.keywords):
+                    # `_tr(_t)`: a completed path's id
+                    ops.append(("emit", _fmt_id(read_id())))
                     return
                 raise _Unrecognized("expression statement")
             if isinstance(node, ast.Return):
@@ -519,12 +573,7 @@ class _SegmentParser:
                                                               int):
                 return ("goto", value.value)
             if isinstance(value, ast.Tuple) and len(value.elts) == 1:
-                elt = value.elts[0]
-                if isinstance(elt, ast.Name) and elt.id == "_rv":
-                    if rv is None:
-                        raise _Unrecognized("_rv returned before set")
-                    return ("ret", rv)
-                return ("ret", eval_expr(elt))
+                return ("ret", eval_expr(value.elts[0]))
             if isinstance(value, ast.Tuple) and len(value.elts) == 4:
                 fn_node, args_node, dst_node, seg_node = value.elts
                 if (not isinstance(fn_node, ast.Constant)
@@ -555,7 +604,9 @@ class _SegmentParser:
         if terminal is None:
             raise _Unrecognized("leaf path without terminal")
         return _GenPath(ops=ops, decisions=decisions, cost=cost,
-                        terminal=terminal, regs=dict(state.regs))
+                        terminal=terminal, regs=dict(state.regs),
+                        live_id=live if self.loads_id else stored,
+                        stored_id=stored)
 
 
 class _CodegenChecker:
@@ -573,6 +624,8 @@ class _CodegenChecker:
         self.range_seg = {key: i for i, key in enumerate(self.segments)}
         self.edge_index = _edge_index(func)
         self.back = _back_keys(func)
+        # The emitter's path numbering, which the decoder reads too.
+        self.ids = path_ids(func) if spec.trace else None
         # The edges whose traversal the generated code must count: the
         # function's cotree probes, derived here independently of the
         # emitter.
@@ -581,6 +634,8 @@ class _CodegenChecker:
             from .conservation import static_placement
             self.probes = static_placement(func).probe_keys
         self.context = ""
+        # Per segment: whether its prologue loads ``_t`` (set by run).
+        self.loads_ids: list[bool] = []
 
     def fail(self, code: str, message: str, hint: str = "") -> None:
         self.report.add(Diagnostic(
@@ -594,10 +649,9 @@ class _CodegenChecker:
     def run(self) -> None:
         mode = (f"profile={int(self.spec.profile)} "
                 f"trace={int(self.spec.trace)} "
-                f"listener={int(self.spec.listener)} "
                 f"hooks={int(self.spec.hooks)}")
         try:
-            seg_defs, local_maps = self._parse_module()
+            seg_defs, local_maps, self.loads_ids = self._parse_module()
         except _Unrecognized as exc:
             self.context = f"[{mode}]"
             self.fail("E101", str(exc))
@@ -608,17 +662,16 @@ class _CodegenChecker:
                               f"call boundaries imply "
                               f"{len(self.segments)}")
             return
-        for seg_id, (body, local_map) in enumerate(zip(seg_defs,
-                                                       local_maps)):
+        for seg_id, body in enumerate(seg_defs):
             bname, start = self.segments[seg_id]
             self.context = f"[{mode}] _seg_{seg_id} ({bname!r}+{start})"
             try:
-                self._check_segment(seg_id, body, local_map)
+                self._check_segment(seg_id, body, local_maps[seg_id])
             except _Unrecognized as exc:
                 self.fail("E101", str(exc))
 
     def _parse_module(self) -> tuple[list[list[ast.stmt]],
-                                     list[dict[str, str]]]:
+                                     list[dict[str, str]], list[bool]]:
         tree = ast.parse(self.result.source)
         if (len(tree.body) != 1
                 or not isinstance(tree.body[0], ast.FunctionDef)):
@@ -626,15 +679,22 @@ class _CodegenChecker:
         make = tree.body[0]
         bodies: list[list[ast.stmt]] = []
         local_maps: list[dict[str, str]] = []
+        loads_ids: list[bool] = []
         for node in make.body:
             if not isinstance(node, ast.FunctionDef):
                 continue
             if node.name != f"_seg_{len(bodies)}":
                 raise _Unrecognized(f"unexpected segment {node.name!r}")
             local_map: dict[str, str] = {}
+            loads_id = False
             loop: Optional[ast.While] = None
             for stmt in node.body:
                 if (isinstance(stmt, ast.Assign)
+                        and len(stmt.targets) == 1
+                        and _is_name(stmt.targets[0], "_t")
+                        and _is_path_id_attr(stmt.value)):
+                    loads_id = True  # `_t = frame.path_id`
+                elif (isinstance(stmt, ast.Assign)
                         and len(stmt.targets) == 1
                         and isinstance(stmt.targets[0], ast.Name)
                         and isinstance(stmt.value, ast.Subscript)):
@@ -652,14 +712,16 @@ class _CodegenChecker:
                 raise _Unrecognized("segment without while-loop wrapper")
             bodies.append(list(loop.body))
             local_maps.append(local_map)
-        return bodies, local_maps
+            loads_ids.append(loads_id)
+        return bodies, local_maps, loads_ids
 
     # -- one segment ----------------------------------------------------
 
     def _check_segment(self, seg_id: int, body: list[ast.stmt],
                        local_map: dict[str, str]) -> None:
         parser = _SegmentParser(self.func, self.module, self.spec,
-                                self.result, self.factory, local_map)
+                                self.result, self.factory, local_map,
+                                self.loads_ids[seg_id])
         for events in _leaf_paths(body, ()):
             self._replay(seg_id, parser.evaluate(events))
 
@@ -679,7 +741,8 @@ class _CodegenChecker:
         remaining = gen.cost
         decisions = list(gen.decisions)
         taken_decisions = 0
-        spec = self.spec
+        ids = self.ids
+        live: _Id = ("id", 0)
 
         while True:
             instrs = blocks[block].instructions
@@ -703,7 +766,8 @@ class _CodegenChecker:
                 dst = slots[instr.dst] if instr.dst is not None else None
                 expected = ("call", instr.func, args, dst,
                             self.range_seg[(block, idx + 1)])
-                self._finish(gen, ops, state, expected, taken_decisions)
+                self._finish(gen, ops, state, expected, taken_decisions,
+                             live)
                 return
             if isinstance(instr, Ret):
                 if remaining:
@@ -714,12 +778,10 @@ class _CodegenChecker:
                     value = state.get(slots[instr.src])
                 else:
                     value = fact.const(0)
-                if spec.trace:
-                    ops.append(("flush",))
-                    if spec.listener:
-                        ops.append(("listener", self.func.name))
+                if ids is not None:
+                    ops.append(("emit", _fmt_id(live)))
                 self._finish(gen, ops, state, ("ret", value),
-                             taken_decisions)
+                             taken_decisions, None)
                 return
             if isinstance(instr, Jump):
                 target = instr.target
@@ -745,16 +807,16 @@ class _CodegenChecker:
             key = (block, target)
             if key in self.probes:
                 ops.append(("count", self.edge_index[key]))
-            if spec.hooks:
+            if self.spec.hooks:
                 ops.append(("hook", self.edge_index[key]))
-            if spec.trace:
+            if ids is not None:
                 if key in self.back:
-                    ops.append(("flush",))
-                    if spec.listener:
-                        ops.append(("listener", self.func.name))
-                    ops.append(("reset", target))
+                    increment, restart = ids.back[key]
+                    ops.append(("emit", _fmt_id((live[0],
+                                                 live[1] + increment))))
+                    live = ("tb", restart)
                 else:
-                    ops.append(("append", target))
+                    live = (live[0], live[1] + ids.chords.get(key, 0))
 
             if remaining == 0:
                 if gen.terminal == ("continue",):
@@ -776,13 +838,16 @@ class _CodegenChecker:
                                       f"ends with {gen.terminal[0]!r}")
                     return
                 self._finish(gen, ops, state, gen.terminal,
-                             taken_decisions)
+                             taken_decisions, live)
                 return
             block, idx = target, 0
 
-    def _finish(self, gen: _GenPath, ops: list[tuple[object, ...]], state: SymState,
-                expected_terminal: tuple[object, ...],
-                used_decisions: int) -> None:
+    def _finish(self, gen: _GenPath, ops: list[tuple[object, ...]],
+                state: SymState, expected_terminal: tuple[object, ...],
+                used_decisions: int, live: Optional[_Id]) -> None:
+        """Compare the generated leaf path with the IR path; ``live`` is
+        the IR path's id where the frame stays live (None at a return,
+        whose id the emits already cover)."""
         if used_decisions != len(gen.decisions):
             self.fail("E103", f"generated path decides "
                               f"{len(gen.decisions)} branches, IR path "
@@ -801,6 +866,16 @@ class _CodegenChecker:
                               f"generated [{_fmt_ops(gen.ops)}], IR "
                               f"[{_fmt_ops(ops)}]")
             return
+        if self.ids is not None and live is not None:
+            # A bounce or call resumes from frame.path_id; a native
+            # continue keeps the live id where the loop body reads it.
+            got = (gen.live_id if gen.terminal == ("continue",)
+                   else gen.stored_id)
+            if got != live:
+                self.fail("E105", f"path id left for the next segment "
+                                  f"is {_fmt_id(got) if got else 'unset'}"
+                                  f", IR path leaves {_fmt_id(live)}")
+                return
         for key in set(gen.regs) | set(state.regs):
             mine = state.get(key)
             theirs = gen.regs.get(key)

@@ -270,10 +270,16 @@ def _cg_wrong_hook_slot(source: str) -> Optional[str]:
         source)
 
 
-def _cg_drop_append(source: str) -> Optional[str]:
-    """Drop one path-tracer block append."""
-    return _sub_first(r"^\s*frame\.path_blocks\.append\([^\n]*\)\n", "",
-                      source)
+def _cg_wrong_increment(source: str) -> Optional[str]:
+    """Add one more to one chord's path-id increment."""
+    return _sub_first(
+        r"^(\s*)_t \+= (-?\d+)$",
+        lambda m: f"{m.group(1)}_t += {int(m.group(2)) + 1}", source)
+
+
+def _cg_drop_emit(source: str) -> Optional[str]:
+    """Drop one completed path's id emit."""
+    return _sub_first(r"^\s*_tr\(_t\)\n", "", source)
 
 
 def _cg_drop_cost(source: str) -> Optional[str]:
@@ -307,7 +313,8 @@ _CODEGEN_MUTATORS: dict[str, Callable[[str], Optional[str]]] = {
     "cg-drop-count": _cg_drop_count,
     "cg-drop-hook": _cg_drop_hook,
     "cg-wrong-hook-slot": _cg_wrong_hook_slot,
-    "cg-drop-append": _cg_drop_append,
+    "cg-wrong-increment": _cg_wrong_increment,
+    "cg-drop-emit": _cg_drop_emit,
     "cg-drop-cost": _cg_drop_cost,
     "cg-swap-arith": _cg_swap_arith,
     "cg-wrong-slot": _cg_wrong_slot,

@@ -4,12 +4,12 @@ the path and edge profiles of the same run.
 The online path consumers (:mod:`repro.core.hpt`, :mod:`repro.core.net`)
 see nothing of an execution but the sequence of completed paths the
 interpreter's path listener delivers.  :func:`record_module` runs a
-module once with edge counting and the listener, and keeps exactly that
-sequence, compactly: the distinct ``(function, blocks)`` paths in
-first-seen order plus one array index per completion.  Replaying the
-stream into a consumer is equivalent to attaching the consumer as the
-machine's listener, so one recording serves every consumer and can be
-cached.
+module once with edge counting and path tracing, and keeps exactly that
+sequence as the machine logs it, compactly: the distinct ``(function,
+blocks)`` paths in first-seen order plus one array index per completion.
+Replaying the stream into a consumer is equivalent to attaching the
+consumer as the machine's listener, so one recording serves every
+consumer and can be cached.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class PathStream:
 
 @dataclass
 class Recording:
-    """Everything one edge-counted, path-listened run observed."""
+    """Everything one edge-counted, path-traced run observed."""
 
     paths: PathProfile  # ground truth: exact Ball-Larus path counts
     edges: EdgeProfile
@@ -53,22 +53,9 @@ class Recording:
 
 
 def record_module(module: Module, backend: str | None = None) -> Recording:
-    """Execute the module once with edge counting and the path listener,
+    """Execute the module once with edge counting and path tracing,
     recording every completed path."""
-    paths: list[tuple[str, PathKey]] = []
-    seen: dict[tuple[str, PathKey], int] = {}
-    events = array("I")
-    append = events.append
-
-    def listen(function: str, blocks: PathKey) -> None:
-        key = (function, blocks)
-        index = seen.get(key)
-        if index is None:
-            index = seen[key] = len(paths)
-            paths.append(key)
-        append(index)
-
-    machine = Machine(module, collect_edge_profile=True, path_listener=listen,
+    machine = Machine(module, collect_edge_profile=True, trace_paths=True,
                       backend=backend)
     result = machine.run()
     assert result.edge_counts is not None and result.path_counts is not None
@@ -76,8 +63,8 @@ def record_module(module: Module, backend: str | None = None) -> Recording:
         paths=PathProfile.from_trace(module, result.path_counts),
         edges=EdgeProfile.from_run(module, result.edge_counts,
                                    result.invocations),
-        distinct_paths=paths,
-        packed_events=zlib.compress(events.tobytes(), 1),
+        distinct_paths=machine.distinct_paths,
+        packed_events=zlib.compress(machine.path_events.tobytes(), 1),
         return_value=result.return_value,
         instructions_executed=result.instructions_executed,
         base_cost=result.costs.base)
@@ -85,5 +72,5 @@ def record_module(module: Module, backend: str | None = None) -> Recording:
 
 def record_path_stream(module: Module,
                        backend: str | None = None) -> PathStream:
-    """Execute the module once; its completed paths in listener order."""
+    """Execute the module once; its completed paths in order."""
     return record_module(module, backend).stream

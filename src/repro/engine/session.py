@@ -7,7 +7,7 @@ study drivers use:
 * :meth:`compile` / :meth:`expand` / :meth:`record` -- the front half,
   each content-addressed on the MiniC source (plus optimizer settings)
   or the canonical IR text.  :meth:`record` runs a module once with edge
-  counting and the path listener; :meth:`expand` profiles through it,
+  counting and path tracing; :meth:`expand` profiles through it,
   and :meth:`trace` and :meth:`path_stream` are views over it, so a
   cold pass runs each distinct module once;
 * :meth:`plan` / :meth:`plan_and_score` -- instrumentation planning and
@@ -176,7 +176,7 @@ class ProfilingSession:
                                   backend=self.backend, profile=profile))
 
     def record(self, module: Module) -> Recording:
-        """One run of a module with edge counting and the path listener
+        """One run of a module with edge counting and path tracing
         (cached per module and backend)."""
         key = fingerprint_text("record", fingerprint_module(module),
                                self.backend)
@@ -190,7 +190,7 @@ class ProfilingSession:
         return recording.paths, recording.edges, recording.return_value
 
     def path_stream(self, module: Module) -> PathStream:
-        """A module's completed paths in listener order (HPT/NET input)."""
+        """A module's completed paths in order (HPT/NET input)."""
         return self.record(module).stream
 
     def remap_profile(self, old: EdgeProfile, new_module: Module,

@@ -7,10 +7,18 @@ a ``_make`` header and one text per segment, each segment compiled with
 :mod:`repro.interp.compiled`.  Register accesses become
 constant-index list subscripts, block transitions become precomputed
 integer segment ids, and the observation channels (edge counting on
-the cotree probes, path tracing, edge hooks, the path listener) are
-*fused into the block-exit code only when enabled*: a machine built without
-profiling emits no counting code at all, so the common fast path carries
-zero per-instruction or per-edge conditionals.
+the cotree probes, path tracing, edge hooks) are *fused into the
+block-exit code only when enabled*: a machine built without profiling
+emits no counting code at all, so the common fast path carries zero
+per-instruction or per-edge conditionals.
+
+Path tracing numbers each function's Ball-Larus paths the way PP does
+(:class:`PathIds`): the path in progress is the integer ``_t``, a
+spanning-tree chord adds its increment (``_t += K``), and a back edge
+or return appends the finished id to the machine's raw id list
+(``_tr(_t)``); a back edge then restarts ``_t`` at its header's entry
+value.  Tree edges emit nothing.  The backend decodes the list when
+execution leaves the trampoline.
 
 The unit of generation is the *segment*: the run of instructions from a
 block start (or from a call-return point inside a block) up to the next
@@ -43,9 +51,13 @@ trampoline):
   segment ``seg``;
 * ``return (value,)``                 -- return ``value`` from the frame.
 
+A segment that touches ``_t`` loads it from ``frame.path_id`` on entry
+and stores it back before every ``return`` that leaves the frame live,
+so the id survives trampoline bounces and calls.
+
 Semantics are byte-identical to the tuple interpreter (same C-style
 division, index wrapping, 0/1 comparisons, instruction counting, and
-traversal order of probe count -> hook -> tracer); the differential
+traversal order of probe count -> hook -> path id); the differential
 tests in ``tests/test_interp_backends.py`` hold the backend to that
 contract across the whole workload suite, and :mod:`repro.analysis.equiv`
 proves each generated module equivalent to its IR.
@@ -63,7 +75,8 @@ from ..ir.instructions import (BinOp, Branch, Call, Const, GlobalLoad,
                                GlobalStore, Jump, Load, Mov, Ret, Select,
                                Store, UnOp)
 
-__all__ = ["ModeSpec", "CodegenResult", "generate_source", "INLINE_BUDGET"]
+__all__ = ["ModeSpec", "CodegenResult", "PathIds", "path_ids",
+           "generate_source", "INLINE_BUDGET"]
 
 # Extra instructions one segment may inline from successor blocks before
 # falling back to the trampoline.  Only single-predecessor blocks and
@@ -84,8 +97,8 @@ class ModeSpec:
     probe set is a property of the function, not of the mode."""
 
     profile: bool = False
+    # Ball-Larus path ids on the function's :class:`PathIds` chords.
     trace: bool = False
-    listener: bool = False
     # Edge hooks: every edge calls the hook in its slot of the per-
     # function ``_hk`` list (indexed like ``edge_keys``) when one is set.
     # The code does not depend on which edges carry hooks, so attaching,
@@ -152,6 +165,9 @@ _UN_TEMPLATES = {
 
 _LIMIT_CHECK = ("if _ic[0] > _lim[0]: "
                 "raise _err('instruction limit exceeded (%d)' % _lim[0])")
+
+# The path-id spill before a ``return`` that leaves the frame live.
+_ID_STORE = "frame.path_id = _t"
 
 
 class _Namer:
@@ -255,6 +271,74 @@ def function_geometry(func: Function) -> _Geometry:
     return geo
 
 
+class PathIds:
+    """The path tracer's numbering of one sealed function: the paper's
+    Section 3.1 Ball-Larus numbering of :func:`~repro.cfg.dag.function_dag`
+    (which breaks the same :func:`find_back_edges` the geometry does),
+    with the increments moved off a spanning tree weighted by the static
+    heuristics (:func:`~repro.core.events.event_count`).  A path starts
+    at 0 at the entry; ``chords`` maps each non-back edge ``(block,
+    target)`` with a nonzero increment to it; ``back`` maps each back
+    edge to ``(increment, restart)``: what the ending path adds before
+    its id is emitted, and where the path at its header starts.  Every
+    completed path's id lies in ``[0, total)``."""
+
+    __slots__ = ("numbering", "chords", "back", "total")
+
+    def __init__(self, func: Function):
+        # Deferred: the core package imports the interpreter.
+        from ..cfg.dag import function_dag
+        from ..core.events import dag_edge_weights, event_count
+        from ..core.heuristics import static_edge_weights
+        from ..core.numbering import PathNumbering
+
+        dag = function_dag(func)
+        numbering = PathNumbering(dag)
+        inc = event_count(dag, numbering.live, numbering.val,
+                          dag_edge_weights(dag,
+                                           static_edge_weights(func.cfg)))
+        self.numbering = numbering
+        self.total = numbering.total
+        self.chords: dict[tuple[str, str], int] = {}
+        for edge in dag.dag.edges():
+            cfg_edge = dag.cfg_edge_for(edge)
+            if cfg_edge is not None and inc[edge.uid]:
+                self.chords[(cfg_edge.src, cfg_edge.dst)] = inc[edge.uid]
+        self.back: dict[tuple[str, str], tuple[int, int]] = {}
+        for back in dag.back_edges:
+            head, tail = dag.dummies_for(back)
+            self.back[(back.src, back.dst)] = (
+                inc[tail.uid], inc[head.uid] if head is not None else 0)
+
+    def blocks(self, path_id: int) -> tuple[str, ...]:
+        """The block sequence the tuple interpreter's tracer records for
+        the path numbered ``path_id``."""
+        edges = self.numbering.decode(path_id)
+        if edges is None:
+            raise ValueError(f"path id {path_id} out of range "
+                             f"[0, {self.total})")
+        dag = self.numbering.dag
+        blocks = [dag.dag.entry]
+        for edge in edges:
+            if dag.is_entry_dummy(edge):
+                blocks = [edge.dst]  # the path restarts at a loop header
+            elif not dag.is_exit_dummy(edge):
+                blocks.append(edge.dst)
+        return tuple(blocks)
+
+
+_PATH_IDS: "weakref.WeakKeyDictionary[Function, PathIds]" = \
+    weakref.WeakKeyDictionary()
+
+
+def path_ids(func: Function) -> PathIds:
+    """The memoised :class:`PathIds` of a sealed function."""
+    ids = _PATH_IDS.get(func)
+    if ids is None:
+        ids = _PATH_IDS[func] = PathIds(func)
+    return ids
+
+
 class _FunctionEmitter:
     """Emits the generated module for one function under one mode."""
 
@@ -278,6 +362,7 @@ class _FunctionEmitter:
             self.probes = static_placement(func).probe_keys
         else:
             self.probes = frozenset()
+        self.ids = path_ids(func) if spec.trace else None
         self.local_names = _Namer("_l")
         self.global_names = _Namer("_g")
 
@@ -287,6 +372,8 @@ class _FunctionEmitter:
         self.budget = 0
         self.start_block = ""
         self.at_block_start = False
+        # Whether this segment reads or writes the path id ``_t``.
+        self.uses_id = False
         # Blocks of the loop this segment heads (empty unless it starts
         # at a loop header).
         self.own_loop: frozenset = frozenset()
@@ -342,7 +429,7 @@ class _FunctionEmitter:
 
     def emit_edge(self, key: tuple[str, str], indent: int) -> None:
         """The fused block-exit work for traversing one CFG edge, in the
-        tuple interpreter's order: probe count, hook, tracer.  The hook
+        tuple interpreter's order: probe count, hook, path id.  The hook
         is read from the edge's ``_hk`` slot at traversal time, so one
         hooked code object serves every hook placement."""
         spec, w = self.spec, self.w
@@ -351,16 +438,18 @@ class _FunctionEmitter:
         if spec.hooks:
             slot = self.edge_index[key]
             w(indent, f"if _hk[{slot}] is not None: _hk[{slot}](frame)")
-        if spec.trace:
-            target = key[1]
+        if self.ids is not None:
             if key in self.back_keys:
-                w(indent, "_p = tuple(frame.path_blocks)")
-                w(indent, "_pc[_p] = _pc.get(_p, 0) + 1")
-                if spec.listener:
-                    w(indent, f"_pl({self.func.name!r}, _p)")
-                w(indent, f"frame.path_blocks = [{target!r}]")
-            else:
-                w(indent, f"frame.path_blocks.append({target!r})")
+                increment, restart = self.ids.back[key]
+                if increment:
+                    w(indent, f"_t += {increment}")
+                w(indent, "_tr(_t)")
+                w(indent, f"_t = _tb + {restart}" if restart
+                          else "_t = _tb")
+                self.uses_id = True
+            elif key in self.ids.chords:
+                w(indent, f"_t += {self.ids.chords[key]}")
+                self.uses_id = True
 
     def emit_cost(self, cost: int, indent: int) -> None:
         """Bill ``cost`` executed instructions and re-check the limit
@@ -387,6 +476,7 @@ class _FunctionEmitter:
             args = "".join(f"{self.r(a)}, " for a in instr.args)
             dst = self.slot(instr.dst) if instr.dst is not None else None
             self.emit_cost(cost, indent)
+            self.emit_id_store(indent)
             self.w(indent, f"return ({instr.func!r}, ({args}), {dst}, "
                            f"{self.range_seg[(bname, i + 1)]})")
         elif isinstance(instr, Ret):
@@ -419,23 +509,22 @@ class _FunctionEmitter:
             # A join outside this segment's own loop, a cycle, or budget
             # exhausted: hand the transfer back to the trampoline.
             self.emit_cost(cost, indent)
+            self.emit_id_store(indent)
             self.w(indent, f"return {self.block_entry[target]}")
+
+    def emit_id_store(self, indent: int) -> None:
+        """Spill ``_t`` before a return that leaves the frame live (the
+        spills are dropped from a segment that never touches ``_t``)."""
+        if self.ids is not None:
+            self.w(indent, _ID_STORE)
 
     def emit_ret(self, instr: Ret, cost: int, indent: int) -> None:
         value = self.r(instr.src) if instr.src is not None else "0"
         self.emit_cost(cost, indent)
-        if self.spec.trace:
-            # Read the return value before the flush: a path listener
-            # runs during the flush and must observe the same state the
-            # tuple interpreter shows it.
-            self.w(indent, f"_rv = {value}")
-            self.w(indent, "_p = tuple(frame.path_blocks)")
-            self.w(indent, "_pc[_p] = _pc.get(_p, 0) + 1")
-            if self.spec.listener:
-                self.w(indent, f"_pl({self.func.name!r}, _p)")
-            self.w(indent, "return (_rv,)")
-        else:
-            self.w(indent, f"return ({value},)")
+        if self.ids is not None:
+            self.w(indent, "_tr(_t)")
+            self.uses_id = True
+        self.w(indent, f"return ({value},)")
 
     # -- assembly ------------------------------------------------------
 
@@ -448,13 +537,17 @@ class _FunctionEmitter:
         self.at_block_start = (start == 0)
         self.own_loop = (self.loop_body.get(bname, frozenset())
                          if self.at_block_start else frozenset())
+        self.uses_id = False
         self.emit_range(bname, start, 0, 3, frozenset({bname}))
         out = [f"    def _seg_{seg_id}(frame, regs):"]
         out.extend(
             f"        {self.local_names.get(name)} = "
             f"frame.arrays[{name!r}]" for name in self.used_locals)
+        if self.uses_id:
+            out.append("        _t = frame.path_id")
         out.append("        while True:")
-        out.extend(self.lines)
+        out.extend(line for line in self.lines
+                   if self.uses_id or not line.endswith(_ID_STORE))
         out.append("")
         return "\n".join(out)
 
@@ -466,7 +559,7 @@ class _FunctionEmitter:
         global_params = "".join(
             f", {self.global_names.names[n]}"
             for n in self.global_names.ordered())
-        header = (f"def _make(_div, _mod, _err, _ic, _lim, _gs, _pc, _pl, "
+        header = (f"def _make(_div, _mod, _err, _ic, _lim, _gs, _tr, _tb, "
                   f"_ec, _hk{global_params}):\n")
         return header, segments
 

@@ -25,6 +25,7 @@ matters because profiling must never change program behaviour.
 from __future__ import annotations
 
 import os
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -115,11 +116,14 @@ class Frame:
     """One activation: registers, local arrays, and path-profiling state.
 
     ``path_reg`` is the Ball-Larus path register, which instrumentation
-    steps read and write and the program never names.
+    steps read and write and the program never names.  ``path_id`` is
+    the ground-truth tracer's own id of the path in progress (compiled
+    backend; see :class:`~repro.interp.codegen.PathIds`), so tracing and
+    instrumentation never share a register.
     """
 
     __slots__ = ("func_name", "regs", "arrays", "block", "ip", "ret_dst",
-                 "path_reg", "path_blocks", "pstate")
+                 "path_reg", "path_id", "pstate")
 
     def __init__(self, func_name: str, num_slots: int,
                  arrays: dict[str, list], entry: str):
@@ -130,7 +134,7 @@ class Frame:
         self.ip = 0
         self.ret_dst: Optional[int] = None  # caller slot for the return value
         self.path_reg = 0  # Ball-Larus path register (per activation)
-        self.path_blocks: Optional[list[str]] = None  # tracer state
+        self.path_id = 0  # compiled tracer's path in progress
         # Per-activation scratch for profiler plugins (e.g. live loop
         # trip counters); lazily allocated by the first op that needs it.
         self.pstate: Optional[dict] = None
@@ -142,7 +146,7 @@ class _CompiledFunction:
     __slots__ = ("func", "blocks", "entry", "exit", "param_slots",
                  "num_slots", "array_sizes", "edge_uid", "uid_edge",
                  "is_back", "hooks", "edge_counters", "counter_uids",
-                 "hook_slots", "slot_index", "probe_keys")
+                 "hook_slots", "slot_index", "probe_keys", "trace_base")
 
     def __init__(self, func: Function, module: Module):
         if not func.sealed:
@@ -185,6 +189,9 @@ class _CompiledFunction:
         # The (block, target) keys of the cotree probes, the only edges
         # that carry a counter; empty unless the Machine counts edges.
         self.probe_keys: frozenset = frozenset()
+        # Compiled backend, traced: the offset of this function's path
+        # ids in the machine's id space, set when first generated.
+        self.trace_base: Optional[int] = None
 
     def _compile(self, instr, slots: dict[str, int], func: Function,
                  module: Module) -> tuple:
@@ -257,12 +264,24 @@ class Machine:
         (:attr:`probe_counts`); :attr:`edge_counts` reconstructs every
         edge's count from them and the always-on invocation counter.
     trace_paths:
-        Record exact Ball-Larus path counts (slower; used as ground truth).
+        Record exact Ball-Larus path counts (:attr:`path_counts`; the
+        ground truth) and every completed path in order
+        (:attr:`distinct_paths` and :attr:`path_events`).  The tuple
+        backend appends block names as it goes; the compiled backend
+        keeps one integer id per path in progress and decodes the
+        completed ids when execution leaves the trampoline.
     cost_model:
         Unit costs; instrumentation hooks share the same
         :class:`CostCounter` through :attr:`costs`.
     max_instructions:
         Safety valve against runaway workloads.
+    path_listener:
+        Called as ``listener(function, blocks)`` once per completed path,
+        in completion order; implies ``trace_paths``.  The tuple backend
+        calls it as each path completes.  The compiled backend calls it
+        with the decoded completions, in order, after the run (when
+        execution leaves the trampoline), so a listener must not expect
+        to observe the machine mid-run there.
     backend:
         ``"compiled"`` (generated-Python block execution; the default) or
         ``"tuple"`` (the reference tuple-dispatch interpreter).  ``None``
@@ -321,6 +340,11 @@ class Machine:
                                             in module.functions}
         self.path_counts: dict[str, dict[tuple[str, ...], int]] = {
             name: {} for name in module.functions}
+        # Completed paths in order: the distinct (function, blocks) pairs
+        # in first-seen order, and one index into them per completion.
+        self.distinct_paths: list[tuple[str, tuple[str, ...]]] = []
+        self.path_events = array("I")
+        self._path_index: dict[tuple[str, tuple[str, ...]], int] = {}
         self.instructions_executed = 0
 
     # ------------------------------------------------------------------
@@ -393,8 +417,8 @@ class Machine:
         frame = Frame(cf.func.name, cf.num_slots, arrays, cf.entry)
         for slot, value in zip(cf.param_slots, args):
             frame.regs[slot] = value
-        if self.trace_paths:
-            frame.path_blocks = [cf.entry]
+        if cf.trace_base is not None:
+            frame.path_id = cf.trace_base
         self.invocations[cf.func.name] += 1
         return frame
 
@@ -405,27 +429,47 @@ class Machine:
                 self._backend_impl = CompiledBackend(self)
             self._backend_impl.execute(name, args)
             return
-        self._execute_tuple(name, args)
+        self._execute_tuple(name, args, self._complete_path)
 
-    def _execute_tuple(self, name: str, args: tuple) -> None:
+    def _complete_path(self, function: str,
+                       blocks: tuple[str, ...]) -> None:
+        """Count one completed path, log it in order, and feed the
+        listener."""
+        per_func = self.path_counts[function]
+        per_func[blocks] = per_func.get(blocks, 0) + 1
+        path = (function, blocks)
+        i = self._path_index.get(path)
+        if i is None:
+            i = self._path_index[path] = len(self.distinct_paths)
+            self.distinct_paths.append(path)
+        self.path_events.append(i)
+        if self.path_listener is not None:
+            self.path_listener(function, blocks)
+
+    def _execute_tuple(self, name: str, args: tuple,
+                       complete: Callable[[str, tuple[str, ...]], None]
+                       ) -> None:
+        """The reference interpreter.  Its tracer keeps each activation's
+        path as a list of block names and hands each completed one to
+        ``complete`` (:meth:`_complete_path`, or the compiled backend's
+        raw list when a degraded function runs here)."""
         compiled = self.compiled
         cm = self.cost_model
         costs = self.costs
         probe_counts = self.probe_counts
-        path_counts = self.path_counts
         trace = self.trace_paths
-        listener = self.path_listener
         profile = self.collect_edge_profile
         limit = self.max_instructions
 
         cf = compiled[name]
         frame = self._new_frame(cf, args)
-        stack: list[tuple[Frame, _CompiledFunction]] = [(frame, cf)]
+        stack: list[tuple[Frame, _CompiledFunction, Optional[list[str]]]] = [
+            (frame, cf, [cf.entry] if trace else None)]
         executed_start = self.instructions_executed
         executed = executed_start
 
         while stack:
-            frame, cf = stack[-1]
+            frame, cf, blocks = stack[-1]
             code = cf.blocks[frame.block]
             regs = frame.regs
             ip = frame.ip
@@ -472,20 +516,17 @@ class Machine:
                     new_frame = self._new_frame(
                         callee, tuple(regs[a] for a in op[3]))
                     new_frame.ret_dst = op[1]
-                    stack.append((new_frame, callee))
+                    stack.append((new_frame, callee,
+                                  [callee.entry] if trace else None))
                     transfer = ""  # sentinel: switch to callee
                     break
                 elif kind == _RET:
                     value = regs[op[1]] if op[1] is not None else 0
-                    if trace and frame.path_blocks:
-                        key = tuple(frame.path_blocks)
-                        pc = path_counts[cf.func.name]
-                        pc[key] = pc.get(key, 0) + 1
-                        if listener is not None:
-                            listener(cf.func.name, key)
+                    if trace:
+                        complete(cf.func.name, tuple(blocks))
                     stack.pop()
                     if stack:
-                        caller, _ = stack[-1]
+                        caller = stack[-1][0]
                         if frame.ret_dst is not None:
                             caller.regs[frame.ret_dst] = value
                     else:
@@ -514,17 +555,9 @@ class Machine:
                 hook(frame)
             if trace:
                 if cf.is_back[key]:
-                    blocks = frame.path_blocks
-                    assert blocks is not None
-                    pkey = tuple(blocks)
-                    pc = path_counts[cf.func.name]
-                    pc[pkey] = pc.get(pkey, 0) + 1
-                    if listener is not None:
-                        listener(cf.func.name, pkey)
-                    frame.path_blocks = [transfer]
+                    complete(cf.func.name, tuple(blocks))
+                    blocks[:] = (transfer,)
                 else:
-                    blocks = frame.path_blocks
-                    assert blocks is not None
                     blocks.append(transfer)
             frame.block = transfer
             frame.ip = 0

@@ -112,10 +112,8 @@ class TestFunctionGeometry:
                 return s; }""")
         func = module.functions["main"]
         geo = function_geometry(func)
-        plain = ModeSpec(profile=False, trace=False, listener=False,
-                         hooks=False)
-        prof = ModeSpec(profile=True, trace=True, listener=False,
-                        hooks=True)
+        plain = ModeSpec(profile=False, trace=False, hooks=False)
+        prof = ModeSpec(profile=True, trace=True, hooks=True)
         generate_source(func, module, plain)
         generate_source(func, module, prof)
         # Emission reused (not rebuilt) the memoised geometry.

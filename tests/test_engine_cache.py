@@ -275,10 +275,23 @@ def package_copy(tmp_path):
     return root
 
 
+def _salt_drift() -> str:
+    """Why a copy's salt differs from ``CACHE_SALT``: whether the live
+    package's salt moved since ``CACHE_SALT`` was fixed at import."""
+    from repro.engine.fingerprint import PACKAGE_ROOT, source_salt
+    live = source_salt(PACKAGE_ROOT)
+    if live != CACHE_SALT:
+        return (f"the live {PACKAGE_ROOT} salt moved since CACHE_SALT was "
+                f"fixed at import ({CACHE_SALT:#x} -> {live:#x}): a source "
+                f"file changed while the tests ran")
+    return (f"the live {PACKAGE_ROOT} salt still equals CACHE_SALT "
+            f"({CACHE_SALT:#x}): the copy hashes unlike the package")
+
+
 def test_source_salt_follows_the_source(package_copy):
     from repro.engine.fingerprint import source_salt
     # The salt depends on the files, not on where the package lives.
-    assert source_salt(package_copy) == CACHE_SALT
+    assert source_salt(package_copy) == CACHE_SALT, _salt_drift()
     # The top bit keeps it clear of the legacy versions (5, 9) and the
     # census's 0 for corrupt entries.
     assert CACHE_SALT & 0x8000_0000
@@ -289,7 +302,7 @@ def test_source_salt_follows_the_source(package_copy):
     edited = source_salt(package_copy)
     assert edited != CACHE_SALT
     target.write_bytes(original)
-    assert source_salt(package_copy) == CACHE_SALT
+    assert source_salt(package_copy) == CACHE_SALT, _salt_drift()
 
     target.rename(target.with_name("cache_renamed.py"))
     assert source_salt(package_copy) not in (CACHE_SALT, edited)

@@ -279,9 +279,9 @@ class TestModeFusion:
         func, module = helper
         src = generate_source(func, module, ModeSpec()).source
         assert "_ec[" not in src
-        assert "path_blocks" not in src
+        assert "_tr(" not in src
+        assert "path_id" not in src
         assert "_hk[" not in src
-        assert "_pl(" not in src
 
     def test_profile_mode_counts_only_probes(self, helper):
         func, module = helper
@@ -291,19 +291,34 @@ class TestModeFusion:
         counted = {result.edge_keys[int(i)] for i in
                    re.findall(r"_ec\[(\d+)\] \+= 1", result.source)}
         assert counted == probes
-        assert "path_blocks" not in result.source
+        assert "_tr(" not in result.source
 
     def test_trace_mode_tracks_paths(self, helper):
         func, module = helper
         src = generate_source(func, module, ModeSpec(trace=True)).source
-        assert "path_blocks" in src
-        assert "_pc[" in src
-        assert "_pl(" not in src  # listener not enabled
+        assert "_tr(_t)" in src
+        assert "_t = frame.path_id" in src
+        # One integer per path: no block lists, path dicts or listener.
+        assert "path_blocks" not in src
+        assert "_pc" not in src
+        assert "_pl" not in src
 
-    def test_listener_fused_only_when_set(self, helper):
-        func, module = helper
-        spec = ModeSpec(trace=True, listener=True)
-        assert "_pl(" in generate_source(func, module, spec).source
+    def test_listener_rides_on_the_trace_code(self, small_module,
+                                              monkeypatch):
+        # The compiled backend feeds a listener after the run, so a
+        # listened machine asks for no code of its own: it runs the
+        # traced code.
+        specs = []
+        real = compiled._compiled_code
+        monkeypatch.setattr(
+            compiled, "_compiled_code",
+            lambda func, module, spec: (specs.append(spec)
+                                        or real(func, module, spec)))
+        heard = []
+        Machine(small_module, backend="compiled",
+                path_listener=lambda f, b: heard.append(f)).run()
+        assert heard
+        assert set(specs) == {ModeSpec(trace=True)}
 
     def test_hooks_fused_per_edge(self, helper):
         func, module = helper
