@@ -47,7 +47,7 @@ _HOME = {name: module for module, names in (
     ("mutate", "CODEGEN_MUTATIONS CONSERVATION_MUTATIONS MATCH_MUTATIONS "
      "MUTATIONS PASS_MUTATIONS mutate_module "
      "mutate_placement mutate_plan mutate_source mutate_transfer"),
-    ("sampling", "SAMPLE_TARGET sample_ids sample_stride"),
+    ("sampling", "SAMPLE_TARGET sample_ids"),
     ("symexec", "IRSymbolicExecutor SymState Term TermFactory format_term "
      "ops_equal"),
     ("transfer", "FunctionTransfer TransferResult TransferStats "

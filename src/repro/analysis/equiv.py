@@ -637,12 +637,12 @@ class _CodegenChecker:
         # Per segment: whether its prologue loads ``_t`` (set by run).
         self.loads_ids: list[bool] = []
 
-    def fail(self, code: str, message: str, hint: str = "") -> None:
+    def fail(self, code: str, message: str) -> None:
         self.report.add(Diagnostic(
             severity=Severity.ERROR, code=code,
             message=f"{self.context}: {message}" if self.context
             else message,
-            function=self.func.name, hint=hint))
+            function=self.func.name))
 
     # -- driving --------------------------------------------------------
 
@@ -929,7 +929,7 @@ def check_module_codegen(module: Module) -> Report:
     return report
 
 
-# The runtime fail-fast hook: Machine(validate_codegen=True) routes every
+# The runtime fail-fast hook: a Machine under REPRO_EQUIV routes every
 # compiled (function, mode) through here exactly once per process.
 _VALIDATED: "weakref.WeakKeyDictionary[Function, set]" = \
     weakref.WeakKeyDictionary()
@@ -1467,7 +1467,6 @@ def _check_pass_function(pass_name: str, pre_func: Function,
 
 def equiv_module(module: Module,
                  passes: Sequence[str] = PASS_NAMES,
-                 codegen: bool = True,
                  trace: Optional[Callable[[Module], tuple[
                      "PathProfile", "EdgeProfile", object]]] = None
                  ) -> list[tuple[str, Report]]:
@@ -1477,9 +1476,7 @@ def equiv_module(module: Module,
     ProfilingSession.trace` reads its recording; without one, a
     tuple-backend :func:`~repro.engine.stages.ground_truth` run).
     Returns ``[(label, report), ...]``."""
-    reports: list[tuple[str, Report]] = []
-    if codegen:
-        reports.append(("codegen", check_module_codegen(module)))
+    reports = [("codegen", check_module_codegen(module))]
     if passes:
         if trace is None:
             from ..engine.stages import ground_truth

@@ -41,11 +41,10 @@ from .diagnostics import Diagnostic, Report, Severity
 
 
 def _diag(func: Function, block: Optional[str], code: str, message: str,
-          hint: str, warn_synthetic: bool,
-          severity: Severity = Severity.WARNING) -> Diagnostic:
+          hint: str, warn_synthetic: bool) -> Diagnostic:
     synthetic = bool(block is not None and func.is_synthetic(block))
-    if synthetic and not warn_synthetic and severity > Severity.INFO:
-        severity = Severity.INFO
+    severity = (Severity.INFO if synthetic and not warn_synthetic
+                else Severity.WARNING)
     return Diagnostic(severity=severity, code=code, message=message,
                       function=func.name, block=block, hint=hint,
                       synthetic=synthetic)

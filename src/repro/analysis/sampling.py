@@ -21,13 +21,6 @@ from __future__ import annotations
 SAMPLE_TARGET = 997
 
 
-def sample_stride(total: int, target: int = SAMPLE_TARGET) -> int:
-    """The stride that visits about ``target`` ids out of ``total``."""
-    if target <= 0:
-        raise ValueError("sample target must be positive")
-    return max(1, total // target)
-
-
 def sample_ids(total: int) -> range:
     """Deterministic spread of about :data:`SAMPLE_TARGET` ids from
     ``range(total)``.
@@ -35,4 +28,4 @@ def sample_ids(total: int) -> range:
     When ``total <= SAMPLE_TARGET`` every id is produced, so callers need no
     separate exhaustive/sampled code paths.
     """
-    return range(0, total, sample_stride(total))
+    return range(0, total, max(1, total // SAMPLE_TARGET))

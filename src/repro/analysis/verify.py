@@ -125,10 +125,10 @@ class _FunctionVerifier:
     # -- diagnostics helpers -------------------------------------------
 
     def _add(self, severity: Severity, code: str, message: str,
-             hint: str = "", block: Optional[str] = None) -> None:
+             hint: str = "") -> None:
         self.diags.append(Diagnostic(
             severity=severity, code=code, message=message,
-            function=self.fname, block=block, hint=hint))
+            function=self.fname, hint=hint))
 
     def _add_path(self, code: str, message: str, hint: str = "") -> None:
         self._path_diags += 1

@@ -21,10 +21,8 @@ def _quote(name: str) -> str:
 
 def cfg_to_dot(cfg: ControlFlowGraph,
                edge_label: Optional[EdgeLabel] = None,
-               cold_edges: Optional[set[int]] = None,
                title: Optional[str] = None) -> str:
     """Render a CFG as a DOT digraph."""
-    cold = cold_edges or set()
     lines = [f"digraph {_quote(title or cfg.name)} {{",
              "  node [shape=box, fontname=monospace];"]
     for name in cfg.blocks:
@@ -43,8 +41,6 @@ def cfg_to_dot(cfg: ControlFlowGraph,
                 attrs.append(f"label={_quote(label)}")
         if edge.dummy:
             attrs.append("style=dotted")
-        elif edge.uid in cold:
-            attrs.append("style=dashed, color=gray")
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
         lines.append(f"  {_quote(edge.src)} -> {_quote(edge.dst)}{suffix};")
     lines.append("}")

@@ -6,23 +6,10 @@ never hit Python's recursion limit.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
-from .graph import CFGError, ControlFlowGraph, Edge
-
-EdgeFilter = Callable[[Edge], bool]
+from .graph import CFGError, ControlFlowGraph
 
 
-def _succ_edges(cfg: ControlFlowGraph, name: str,
-                edge_filter: Optional[EdgeFilter]) -> list[Edge]:
-    edges = cfg.blocks[name].succ_edges
-    if edge_filter is None:
-        return list(edges)
-    return [e for e in edges if edge_filter(e)]
-
-
-def depth_first_order(cfg: ControlFlowGraph,
-                      edge_filter: Optional[EdgeFilter] = None) -> list[str]:
+def depth_first_order(cfg: ControlFlowGraph) -> list[str]:
     """Blocks in depth-first preorder from the entry."""
     start = cfg.entry
     if start is None:
@@ -36,9 +23,8 @@ def depth_first_order(cfg: ControlFlowGraph,
             continue
         seen.add(name)
         order.append(name)
-        succs = [e.dst for e in _succ_edges(cfg, name, edge_filter)]
         # Reverse so the first successor is visited first.
-        stack.extend(reversed(succs))
+        stack.extend(reversed(cfg.succs(name)))
     return order
 
 
@@ -74,14 +60,12 @@ def reverse_postorder(cfg: ControlFlowGraph) -> list[str]:
     return order
 
 
-def reachable(cfg: ControlFlowGraph,
-              edge_filter: Optional[EdgeFilter] = None) -> set[str]:
+def reachable(cfg: ControlFlowGraph) -> set[str]:
     """Blocks reachable from the entry."""
-    return set(depth_first_order(cfg, edge_filter))
+    return set(depth_first_order(cfg))
 
 
-def topological_order(cfg: ControlFlowGraph,
-                      edge_filter: Optional[EdgeFilter] = None) -> list[str]:
+def topological_order(cfg: ControlFlowGraph) -> list[str]:
     """Topological order of an acyclic graph via Kahn's algorithm.
 
     Only blocks reachable from the entry are included.  Raises
@@ -90,12 +74,11 @@ def topological_order(cfg: ControlFlowGraph,
     """
     if cfg.entry is None:
         raise CFGError("graph has no entry block")
-    live = reachable(cfg, edge_filter=edge_filter)
+    live = reachable(cfg)
     indeg: dict[str, int] = {name: 0 for name in live}
     for name in live:
-        for edge in _succ_edges(cfg, name, edge_filter):
-            if edge.dst in live:
-                indeg[edge.dst] += 1
+        for dst in cfg.succs(name):
+            indeg[dst] += 1
     ready = [n for n, d in indeg.items() if d == 0]
     # Keep the order deterministic: entry first, then insertion order.
     ready.sort(key=lambda n: (n != cfg.entry, n))
@@ -103,12 +86,10 @@ def topological_order(cfg: ControlFlowGraph,
     while ready:
         name = ready.pop()
         order.append(name)
-        for edge in _succ_edges(cfg, name, edge_filter):
-            if edge.dst not in live:
-                continue
-            indeg[edge.dst] -= 1
-            if indeg[edge.dst] == 0:
-                ready.append(edge.dst)
+        for dst in cfg.succs(name):
+            indeg[dst] -= 1
+            if indeg[dst] == 0:
+                ready.append(dst)
     if len(order) != len(live):
         raise CFGError(f"cycle detected in {cfg.name!r}; not a DAG")
     return order
@@ -121,11 +102,10 @@ def reverse_topological_order(cfg: ControlFlowGraph) -> list[str]:
     return order
 
 
-def is_acyclic(cfg: ControlFlowGraph,
-               edge_filter: Optional[EdgeFilter] = None) -> bool:
+def is_acyclic(cfg: ControlFlowGraph) -> bool:
     """True when no cycle is reachable from the entry."""
     try:
-        topological_order(cfg, edge_filter)
+        topological_order(cfg)
     except CFGError:
         return False
     return True

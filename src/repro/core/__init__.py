@@ -30,7 +30,7 @@ from .pipeline import (DEFAULT_CONFIG, FunctionPlan, ModulePlan,
                        ProfileRun, ProfilerConfig, plan_pp, plan_ppp,
                        plan_tpp, ppp_config_only, ppp_config_without,
                        run_with_plan)
-from .stream import PathStream, Recording, record_module, record_path_stream
+from .stream import PathStream, Recording, record_module
 from .replay import ReplayError, replay_plan
 from .net import NET_HOT_THRESHOLD, NetResult, NetSelector, NetTrace
 from .hpt import HotPathTable, HptEntry, HptResult
@@ -56,7 +56,7 @@ __all__ = [
     "DEFAULT_CONFIG", "FunctionPlan", "ModulePlan", "ProfileRun",
     "ProfilerConfig", "plan_pp", "plan_ppp", "plan_tpp",
     "ppp_config_only", "ppp_config_without", "run_with_plan",
-    "PathStream", "Recording", "record_module", "record_path_stream",
+    "PathStream", "Recording", "record_module",
     "ReplayError", "replay_plan",
     "NET_HOT_THRESHOLD", "NetResult", "NetSelector", "NetTrace",
     "HotPathTable", "HptEntry", "HptResult",

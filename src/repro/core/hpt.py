@@ -14,8 +14,8 @@ branch-outcome shifter) indexes a set by a hash of (function, path);
 ways within a set are managed with smallest-count eviction, the policy
 the hardware uses to keep hot entries resident.  The paths arrive as a
 recorded :class:`~repro.core.stream.PathStream` that is replayed into
-the table, so one execution serves every table geometry; the table can
-equally be attached as a machine's path listener.
+the table in completion order, so one execution serves every table
+geometry.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import zlib
 from dataclasses import dataclass, field
 
 from ..ir.function import Module
-from ..profiles.flow import Metric, path_branches
+from ..profiles.flow import path_branches
 from ..profiles.metrics import EstimatedFlows
 from ..profiles.path_profile import PathKey
 from .stream import PathStream
@@ -54,21 +54,20 @@ class HptResult:
         total = self.hits + self.misses
         return self.evictions / total if total else 0.0
 
-    def estimated_flows(self, module: Module,
-                        metric: Metric = "branch") -> EstimatedFlows:
+    def estimated_flows(self, module: Module) -> EstimatedFlows:
+        """Each resident path's count weighted by its branches (the
+        paper's branch-flow metric)."""
         flows: EstimatedFlows = {}
         for entry in self.entries:
             func = module.functions[entry.function]
-            weight = float(entry.count)
-            if metric == "branch":
-                weight *= path_branches(func, entry.blocks)
+            weight = float(entry.count) * path_branches(func, entry.blocks)
             key = (entry.function, entry.blocks)
             flows[key] = flows.get(key, 0.0) + weight
         return flows
 
 
 class HotPathTable:
-    """The set-associative table; a path listener, or fed by replay."""
+    """The set-associative table, fed one completed path per call."""
 
     def __init__(self, sets: int = DEFAULT_SETS, ways: int = DEFAULT_WAYS):
         if sets <= 0 or ways <= 0:

@@ -13,8 +13,8 @@ This module implements NET faithfully enough to quantify that claim
 (:mod:`repro.harness.net_study`): per (function, path head) counters,
 one captured trace per head, first-execution-after-threshold semantics.
 The paths arrive as a recorded :class:`~repro.core.stream.PathStream`
-that is replayed into the selector, in the order the interpreter's path
-listener would have delivered them.
+that is replayed into the selector in completion order, the order of the
+machine's path log.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..ir.function import Module
-from ..profiles.flow import Metric, path_branches
+from ..profiles.flow import path_branches
 from ..profiles.metrics import EstimatedFlows
 from ..profiles.path_profile import PathKey
 from .stream import PathStream
@@ -47,27 +47,24 @@ class NetResult:
     head_counts: dict[tuple[str, str], int] = field(default_factory=dict)
     return_value: object = None
 
-    def estimated_flows(self, module: Module,
-                        metric: Metric = "branch") -> EstimatedFlows:
+    def estimated_flows(self, module: Module) -> EstimatedFlows:
         """Score each selected trace by its head's final execution count
-        (the only hotness signal NET has), weighted like the paper's flow
-        metric so accuracy comparisons are apples-to-apples."""
+        (the only hotness signal NET has), weighted like the paper's
+        branch-flow metric so accuracy comparisons are apples-to-apples."""
         flows: EstimatedFlows = {}
         for trace in self.traces:
             func = module.functions[trace.function]
-            weight = float(trace.head_count_at_end)
-            if metric == "branch":
-                weight *= path_branches(func, trace.blocks)
+            weight = float(trace.head_count_at_end) * path_branches(
+                func, trace.blocks)
             key = (trace.function, trace.blocks)
             flows[key] = max(flows.get(key, 0.0), weight)
         return flows
 
 
 class NetSelector:
-    """The online mechanism; a path listener, or fed by replay."""
+    """The online mechanism, fed one completed path per call."""
 
-    def __init__(self, threshold: int = NET_HOT_THRESHOLD):
-        self.threshold = threshold
+    def __init__(self) -> None:
         self.head_counts: dict[tuple[str, str], int] = {}
         self.pending: set[tuple[str, str]] = set()  # armed, capture next
         self.traces: dict[tuple[str, str], NetTrace] = {}
@@ -84,7 +81,7 @@ class NetSelector:
             self._order += 1
             self.traces[key] = NetTrace(function, head, blocks, self._order)
             return
-        if count == self.threshold and key not in self.traces:
+        if count == NET_HOT_THRESHOLD and key not in self.traces:
             self.pending.add(key)
 
     def replay(self, stream: PathStream) -> NetResult:

@@ -336,7 +336,9 @@ def run_with_plan(plan: ModulePlan, cost_model: CostModel = DEFAULT_COSTS,
     """Execute the module's main with the plan's instrumentation attached
     (the plan-bound ``path`` plugin), plus fresh instances of the extra
     registered ``profilers``: their ops share the edge hooks and the cost
-    counter, so the run's overhead includes them."""
+    counter, so the run's overhead includes them.  ``max_instructions``
+    is a test seam: it stops hypothesis-generated programs that loop for
+    too long."""
     # Imported lazily: repro.profilers imports this module for the plan
     # types, so a top-level import would be circular.
     from ..profilers import PathPlanProfiler, create_profilers

@@ -75,8 +75,7 @@ class PlacementResult:
 class _Placer:
     def __init__(self, dag: ProfilingDag, live: set[int],
                  increments: dict[int, int], num_hot: int,
-                 push_ignore_cold: bool, poison_style: str,
-                 enable_push: bool):
+                 push_ignore_cold: bool, poison_style: str):
         self.dag = dag
         self.graph = dag.dag
         self.live = live
@@ -84,7 +83,6 @@ class _Placer:
         self.num_hot = num_hot
         self.push_ignore_cold = push_ignore_cold
         self.poison_style = poison_style
-        self.enable_push = enable_push
         # state per live dag edge uid: (kind, value)
         self.state: dict[int, tuple[str, int]] = {}
         for e in self.graph.edges():
@@ -130,8 +128,6 @@ class _Placer:
         assert entry is not None and exit_ is not None
         for e in self._live_out(entry):
             self._seed_init(e)
-        if not self.enable_push:
-            return
         for w in topological_order(self.graph):
             if w in (entry, exit_):
                 continue
@@ -166,8 +162,6 @@ class _Placer:
         assert entry is not None and exit_ is not None
         for e in self._live_in(exit_):
             self._seed_count(e)
-        if not self.enable_push:
-            return
         for w in reverse_topological_order(self.graph):
             if w in (entry, exit_):
                 continue
@@ -281,11 +275,10 @@ class _Placer:
 def place_instrumentation(dag: ProfilingDag, live: set[int],
                           increments: dict[int, int], num_hot: int,
                           push_ignore_cold: bool = False,
-                          poison_style: str = "free",
-                          enable_push: bool = True) -> PlacementResult:
+                          poison_style: str = "free") -> PlacementResult:
     """Place, push, and combine instrumentation; see the module docstring."""
     if poison_style not in ("free", "check"):
         raise ValueError(f"unknown poison style {poison_style!r}")
     placer = _Placer(dag, live, increments, num_hot, push_ignore_cold,
-                     poison_style, enable_push)
+                     poison_style)
     return placer.place()

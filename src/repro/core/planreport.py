@@ -12,7 +12,7 @@ from .ops import describe
 from .pipeline import FunctionPlan, ModulePlan
 
 
-def format_function_plan(plan: FunctionPlan, show_edges: bool = True) -> str:
+def format_function_plan(plan: FunctionPlan) -> str:
     func = plan.func
     lines = [f"routine {func.name}:"]
     if not plan.instrumented:
@@ -33,20 +33,19 @@ def format_function_plan(plan: FunctionPlan, show_edges: bool = True) -> str:
         lines.append(f"  {plan.placement.static_ops} instrumentation ops "
                      f"on {len(plan.placement.edge_ops)} edges; counter "
                      f"span {plan.placement.counter_span}")
-        if show_edges:
-            by_pair = {}
-            for edge in func.cfg.edges():
-                ops = plan.placement.ops_for(edge)
-                if ops:
-                    by_pair[(edge.src, edge.dst)] = describe(ops)
-            width = max((len(f"{s} -> {d}") for s, d in by_pair), default=0)
-            for (src, dst), text in sorted(by_pair.items()):
-                label = f"{src} -> {dst}"
-                lines.append(f"    {label:<{width}}  {text}")
+        by_pair = {}
+        for edge in func.cfg.edges():
+            ops = plan.placement.ops_for(edge)
+            if ops:
+                by_pair[(edge.src, edge.dst)] = describe(ops)
+        width = max((len(f"{s} -> {d}") for s, d in by_pair), default=0)
+        for (src, dst), text in sorted(by_pair.items()):
+            label = f"{src} -> {dst}"
+            lines.append(f"    {label:<{width}}  {text}")
     return "\n".join(lines)
 
 
-def format_plan(plan: ModulePlan, show_edges: bool = True) -> str:
+def format_plan(plan: ModulePlan) -> str:
     """The whole module plan as text."""
     header = (f"{plan.technique.upper()} plan for module "
               f"{plan.module.name!r}: "
@@ -55,5 +54,5 @@ def format_plan(plan: ModulePlan, show_edges: bool = True) -> str:
               f"{plan.static_ops()} static ops")
     parts = [header]
     for fplan in plan.functions.values():
-        parts.append(format_function_plan(fplan, show_edges))
+        parts.append(format_function_plan(fplan))
     return "\n\n".join(parts)

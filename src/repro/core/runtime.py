@@ -76,7 +76,12 @@ class ArrayStore(CounterStore):
 
 
 class HashStore(CounterStore):
-    """The paper's 701-slot open-addressing table with 3 probe tries."""
+    """The paper's 701-slot open-addressing table with 3 probe tries.
+
+    ``slots`` and ``tries`` are test seams: a tiny table makes
+    collisions and lost counts that the real one only sees on functions
+    with hundreds of thousands of paths.
+    """
 
     def __init__(self, num_hot: int, slots: int = HASH_SLOTS,
                  tries: int = HASH_TRIES):

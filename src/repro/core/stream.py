@@ -2,14 +2,15 @@
 the path and edge profiles of the same run.
 
 The online path consumers (:mod:`repro.core.hpt`, :mod:`repro.core.net`)
-see nothing of an execution but the sequence of completed paths the
-interpreter's path listener delivers.  :func:`record_module` runs a
-module once with edge counting and path tracing, and keeps exactly that
-sequence as the machine logs it, compactly: the distinct ``(function,
-blocks)`` paths in first-seen order plus one array index per completion.
-Replaying the stream into a consumer is equivalent to attaching the
-consumer as the machine's listener, so one recording serves every
-consumer and can be cached.
+see nothing of an execution but the sequence of its completed paths.
+:func:`record_module` runs a module once with edge counting and path
+tracing, and keeps that sequence from the machine's ordered path log
+(:attr:`~repro.interp.machine.Machine.distinct_paths` and
+:attr:`~repro.interp.machine.Machine.path_events`), compactly: the
+distinct ``(function, blocks)`` paths in first-seen order plus one array
+index per completion.  Replaying the stream feeds a consumer every path
+in completion order, so one recording serves every consumer and can be
+cached.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from ..profiles.path_profile import PathKey, PathProfile
 
 @dataclass
 class PathStream:
-    """The listener's view of one run, in completion order."""
+    """The completed paths of one run, in completion order."""
 
     paths: list[tuple[str, PathKey]]  # distinct, in first-seen order
     events: array  # typecode "I": one index into ``paths`` per path
@@ -68,9 +69,3 @@ def record_module(module: Module, backend: str | None = None) -> Recording:
         return_value=result.return_value,
         instructions_executed=result.instructions_executed,
         base_cost=result.costs.base)
-
-
-def record_path_stream(module: Module,
-                       backend: str | None = None) -> PathStream:
-    """Execute the module once; its completed paths in order."""
-    return record_module(module, backend).stream

@@ -37,7 +37,8 @@ def source_salt(root: Path = PACKAGE_ROOT) -> int:
     renaming any file changes it.  The top bit is always set, so a salt
     can never equal a legacy schema version (at most 9) or the 0
     :meth:`~repro.engine.cache.ArtifactCache.schema_census` uses for
-    corrupt entries."""
+    corrupt entries.  ``root`` is a test seam: tests salt an edited copy
+    of the package."""
     files = sorted((p.relative_to(root).as_posix(), p)
                    for p in root.rglob("*.py"))
     digest = hashlib.sha256()

@@ -98,7 +98,8 @@ class ParallelRunner:
         Extra attempts per task after its first (pool attempts only; the
         final inline fallback is not counted here).
     backoff:
-        Base of the :func:`~repro.engine.workers.backoff_delay` ladder.
+        Base of the :func:`~repro.engine.workers.backoff_delay` ladder;
+        a test seam, so fault tests retry without waiting.
 
     A single-task run short-circuits to the serial path: no pool is
     worth spawning for a suite of one.

@@ -94,11 +94,8 @@ class SuiteExecutionReport:
     def degradations(self) -> int:
         return sum(len(r.degradations) for r in self.records.values())
 
-    def failures(self, kind: Optional[str] = None) -> list[TaskFailure]:
-        out = [f for r in self.records.values() for f in r.failures]
-        if kind is not None:
-            out = [f for f in out if f.kind == kind]
-        return out
+    def failures(self) -> list[TaskFailure]:
+        return [f for r in self.records.values() for f in r.failures]
 
     @property
     def clean(self) -> bool:

@@ -379,16 +379,14 @@ class ProfilingSession:
     # ------------------------------------------------------------------
 
     def run_suite(self, workloads: Optional[list[Workload]] = None,
-                  scale: int = 1, verbose: bool = False,
-                  jobs: Optional[int] = None) -> dict[str, WorkloadResult]:
-        """Run every workload under the default methodology; results
-        keyed by benchmark name, in input order regardless of completion
-        order."""
+                  scale: int = 1, verbose: bool = False
+                  ) -> dict[str, WorkloadResult]:
+        """Run every workload under the default methodology, across
+        :attr:`jobs` processes; results keyed by benchmark name, in input
+        order regardless of completion order."""
         chosen = list(workloads) if workloads is not None else list(SUITE)
-        jobs = self.jobs if jobs is None else max(1, int(jobs))
-
-        if jobs > 1 and len(chosen) > 1:
-            return self._run_suite_parallel(chosen, scale, verbose, jobs)
+        if self.jobs > 1 and len(chosen) > 1:
+            return self._run_suite_parallel(chosen, scale, verbose)
         out: dict[str, WorkloadResult] = {}
         report = SuiteExecutionReport()
         for workload in chosen:
@@ -401,8 +399,7 @@ class ProfilingSession:
         return out
 
     def _run_suite_parallel(self, chosen: list[Workload], scale: int,
-                            verbose: bool, jobs: int
-                            ) -> dict[str, WorkloadResult]:
+                            verbose: bool) -> dict[str, WorkloadResult]:
         from .parallel import ParallelRunner, WorkloadTask
 
         # Serve warm workloads from the cache first (one counted lookup
@@ -416,9 +413,9 @@ class ProfilingSession:
             quarantines[w.name] = faults.drain_degradations()
         cold = [w for w in chosen if out[w.name] is None]
         if cold and verbose:
-            print(f"  running {len(cold)} workloads across {jobs} "
+            print(f"  running {len(cold)} workloads across {self.jobs} "
                   f"processes ...", flush=True)
-        runner = ParallelRunner(jobs=jobs, disk_dir=self.cache.disk_dir,
+        runner = ParallelRunner(jobs=self.jobs, disk_dir=self.cache.disk_dir,
                                 timeout=self.timeout, retries=self.retries)
         tasks = [WorkloadTask(w, scale, backend=self.backend,
                               verify_plans=self.verify_plans,

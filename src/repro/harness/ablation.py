@@ -38,14 +38,14 @@ def _normalise(overhead: float, tpp_overhead: float) -> float:
     return overhead / tpp_overhead
 
 
-def select_benchmarks(results: dict[str, WorkloadResult],
-                      gate: float = IMPROVEMENT_GATE) -> list[str]:
-    """Benchmarks where PPP improves on TPP by more than ``gate``."""
+def select_benchmarks(results: dict[str, WorkloadResult]) -> list[str]:
+    """Benchmarks where PPP improves on TPP by more than
+    :data:`IMPROVEMENT_GATE`."""
     out = []
     for name, r in results.items():
         tpp = r.techniques["tpp"].overhead
         ppp = r.techniques["ppp"].overhead
-        if tpp > 0 and (tpp - ppp) / tpp > gate:
+        if tpp > 0 and (tpp - ppp) / tpp > IMPROVEMENT_GATE:
             out.append(name)
     return out
 

@@ -276,24 +276,26 @@ class Machine:
     max_instructions:
         Safety valve against runaway workloads.
     path_listener:
-        Called as ``listener(function, blocks)`` once per completed path,
-        in completion order; implies ``trace_paths``.  The tuple backend
-        calls it as each path completes.  The compiled backend calls it
-        with the decoded completions, in order, after the run (when
-        execution leaves the trampoline), so a listener must not expect
-        to observe the machine mid-run there.
+        A test seam (the package's own consumers replay the ordered path
+        log instead): called as ``listener(function, blocks)`` once per
+        completed path, in completion order; implies ``trace_paths``.
+        The tuple backend calls it as each path completes.  The compiled
+        backend calls it with the decoded completions, in order, after
+        the run (when execution leaves the trampoline), so a listener
+        must not expect to observe the machine mid-run there.
     backend:
         ``"compiled"`` (generated-Python block execution; the default) or
         ``"tuple"`` (the reference tuple-dispatch interpreter).  ``None``
         consults the ``REPRO_BACKEND`` environment variable.  Both
         backends produce identical :class:`RunResult`\\ s.
-    validate_codegen:
-        Run the translation validator from :mod:`repro.analysis.equiv`
-        over every piece of generated code before executing it, raising
-        :class:`~repro.analysis.equiv.CodegenValidationError` on any
-        mismatch.  ``None`` consults the ``REPRO_EQUIV`` environment
-        variable.  Only meaningful for the compiled backend; verdicts
-        are cached per function x mode, so steady state is free.
+
+    With ``REPRO_EQUIV`` set (and not ``0``; ``repro.harness --equiv``
+    sets it), :attr:`validate_codegen` is on: the compiled backend runs
+    the translation validator from :mod:`repro.analysis.equiv` over every
+    piece of generated code before executing it, raising
+    :class:`~repro.analysis.equiv.CodegenValidationError` on any
+    mismatch.  Verdicts are cached per function x mode, so steady state
+    is free.
     """
 
     def __init__(self, module: Module, collect_edge_profile: bool = False,
@@ -302,14 +304,11 @@ class Machine:
                  max_instructions: int = 500_000_000,
                  path_listener: Optional[
                      Callable[[str, tuple[str, ...]], None]] = None,
-                 backend: Optional[str] = None,
-                 validate_codegen: Optional[bool] = None):
+                 backend: Optional[str] = None):
         self.module = module
         self.backend = resolve_backend(backend)
-        if validate_codegen is None:
-            validate_codegen = os.environ.get(
-                "REPRO_EQUIV", "") not in ("", "0")
-        self.validate_codegen = validate_codegen
+        self.validate_codegen = os.environ.get(
+            "REPRO_EQUIV", "") not in ("", "0")
         self._backend_impl = None  # lazily-built CompiledBackend
         # DegradationEvents recorded when a function's codegen failed and
         # execution fell back to the tuple loop for it (compiled backend).
@@ -426,8 +425,8 @@ class Machine:
         if self.backend == "compiled":
             if self._backend_impl is None:
                 from .compiled import CompiledBackend
-                self._backend_impl = CompiledBackend(self)
-            self._backend_impl.execute(name, args)
+                self._backend_impl = CompiledBackend()
+            self._backend_impl.execute(self, name, args)
             return
         self._execute_tuple(name, args, self._complete_path)
 
@@ -565,13 +564,8 @@ class Machine:
         costs.base += (executed - executed_start) * cm.ir_instruction
 
 
-def run_module(module: Module, func: Optional[str] = None, args: tuple = (),
-               collect_edge_profile: bool = False, trace_paths: bool = False,
-               cost_model: CostModel = DEFAULT_COSTS,
-               max_instructions: int = 500_000_000,
+def run_module(module: Module, max_instructions: int = 500_000_000,
                backend: Optional[str] = None) -> RunResult:
-    """One-shot convenience wrapper around :class:`Machine`."""
-    machine = Machine(module, collect_edge_profile=collect_edge_profile,
-                      trace_paths=trace_paths, cost_model=cost_model,
-                      max_instructions=max_instructions, backend=backend)
-    return machine.run(func, args)
+    """Run the module's ``main`` once, with no observation channel."""
+    return Machine(module, max_instructions=max_instructions,
+                   backend=backend).run()

@@ -1,23 +1,19 @@
 """Human-readable IR dumps.
 
-``print_function``/``print_module`` render sealed IR in an
-assembly-like textual form, optionally annotated with an edge profile's
-frequencies — the format the examples and the CLI's ``disasm`` command
-show.  The output is stable (blocks in reverse-postorder, entry first) so
-it can be snapshot-tested.
+``format_function``/``format_module`` render sealed IR in an
+assembly-like textual form -- the format the examples and the CLI's
+``disasm`` command show.  The output is stable (blocks in
+reverse-postorder, entry first) so it can be snapshot-tested.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from ..cfg.traversal import reverse_postorder
 from .function import Function, Module
 
 
-def format_function(func: Function,
-                    block_freq: Optional[dict[str, float]] = None) -> str:
-    """One function as text; ``block_freq`` adds per-block frequencies."""
+def format_function(func: Function) -> str:
+    """One function as text."""
     if not func.sealed:
         raise ValueError(f"function {func.name!r} is not sealed")
     params = ", ".join(func.params)
@@ -28,15 +24,12 @@ def format_function(func: Function,
     # Append unreachable blocks (possible in hand-built IR) at the end.
     rest = [b for b in func.cfg.blocks if b not in set(order)]
     for bname in order + sorted(rest):
-        annot = ""
-        if block_freq is not None:
-            annot = f"    ; freq={block_freq.get(bname, 0):.0f}"
         marker = ""
         if bname == func.cfg.entry:
             marker = "  ; entry"
         elif bname == func.cfg.exit:
             marker = "  ; exit"
-        lines.append(f"{bname}:{marker}{annot}")
+        lines.append(f"{bname}:{marker}")
         for instr in func.cfg.blocks[bname].instructions:
             lines.append(f"    {instr!r}")
     lines.append("}")

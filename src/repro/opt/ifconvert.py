@@ -10,7 +10,7 @@ short and side-effect-free is folded into straight-line code --
     use x                    x = cond ? x.t : x.e
 
 guided by the edge profile: only *mispredictable* branches (taken
-probability within ``bias_window`` of 50/50) are converted, since biased
+probability within :data:`BIAS_WINDOW` of 50/50) are converted, since biased
 branches predict well and converting them just wastes work.
 
 The interaction with path profiling is the study's point
@@ -99,9 +99,7 @@ def _branch_bias(profile: FunctionEdgeProfile, func: Function,
 
 
 def if_convert_function(func: Function, profile: FunctionEdgeProfile,
-                        stats: IfConvertStats,
-                        max_arm: int = MAX_ARM_INSTRUCTIONS,
-                        bias_window: float = BIAS_WINDOW) -> Function:
+                        stats: IfConvertStats) -> Function:
     blocks = block_map(func)
     entry = func.cfg.entry
     assert entry is not None
@@ -132,11 +130,8 @@ def if_convert_function(func: Function, profile: FunctionEdgeProfile,
             if then_join != else_join:
                 stats.candidates_rejected_shape += 1
                 continue
-            if len(then_body) > max_arm or len(else_body) > max_arm:
-                stats.candidates_rejected_shape += 1
-                continue
             bias = _branch_bias(profile, func, name)
-            if bias is None or abs(bias - 0.5) > bias_window:
+            if bias is None or abs(bias - 0.5) > BIAS_WINDOW:
                 stats.candidates_rejected_bias += 1
                 continue
             counter += 1
@@ -159,9 +154,7 @@ def if_convert_function(func: Function, profile: FunctionEdgeProfile,
         synthetic=set(getattr(func, "synthetic_blocks", ())))
 
 
-def if_convert_module(module: Module, profile: EdgeProfile,
-                      max_arm: int = MAX_ARM_INSTRUCTIONS,
-                      bias_window: float = BIAS_WINDOW
+def if_convert_module(module: Module, profile: EdgeProfile
                       ) -> tuple[Module, IfConvertStats]:
     """If-convert every function's mispredictable small diamonds."""
     stats = IfConvertStats()
@@ -171,5 +164,5 @@ def if_convert_module(module: Module, profile: EdgeProfile,
     out.global_arrays = dict(module.global_arrays)
     for name, func in module.functions.items():
         out.functions[name] = if_convert_function(
-            func, profile[name], stats, max_arm, bias_window)
+            func, profile[name], stats)
     return out, stats

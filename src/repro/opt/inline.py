@@ -79,10 +79,9 @@ def _collect_sites(module: Module, profile: EdgeProfile) -> list[_Site]:
 
 class _Inliner:
     def __init__(self, module: Module, profile: EdgeProfile,
-                 code_bloat: float, max_callee_size: int):
+                 code_bloat: float):
         self.module = module
         self.profile = profile
-        self.max_callee_size = max_callee_size
         self.original_size = module.size()
         self.budget = int(self.original_size * (1 + code_bloat))
         # Working copies of every function's blocks.
@@ -133,7 +132,7 @@ class _Inliner:
         if site.callee == site.caller:
             return False  # no self-recursive inlining
         callee = self.module.functions[site.callee]
-        if callee.size() > self.max_callee_size:
+        if callee.size() > MAX_CALLEE_SIZE:
             return False
         if callee.arrays:
             return False  # fresh-array semantics would change
@@ -241,10 +240,9 @@ class _Inliner:
 
 
 def inline_module(module: Module, profile: EdgeProfile,
-                  code_bloat: float = CODE_BLOAT,
-                  max_callee_size: int = MAX_CALLEE_SIZE
+                  code_bloat: float = CODE_BLOAT
                   ) -> tuple[Module, InlineStats]:
     """Run profile-guided inlining; returns the new module and statistics."""
-    inliner = _Inliner(module, profile, code_bloat, max_callee_size)
+    inliner = _Inliner(module, profile, code_bloat)
     sites = _collect_sites(module, profile)
     return inliner.run(sites)

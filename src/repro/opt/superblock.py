@@ -31,7 +31,7 @@ from ..profiles.edge_profile import EdgeProfile
 from ..profiles.path_profile import PathKey
 from .rebuild import block_map, rebuild_function, retarget
 
-DEFAULT_GROWTH_BUDGET = 0.5  # superblocks may grow a function by 50%
+GROWTH_BUDGET = 0.5  # superblocks may grow a function by 50%
 
 
 @dataclass
@@ -136,8 +136,7 @@ class _Former:
 
 
 def form_superblocks(module: Module,
-                     hot_paths: list[tuple[str, PathKey, float]],
-                     growth_budget: float = DEFAULT_GROWTH_BUDGET
+                     hot_paths: list[tuple[str, PathKey, float]]
                      ) -> tuple[Module, SuperblockStats]:
     """Form superblocks for hot paths, hottest first, within a growth
     budget.  ``hot_paths`` is (function, path blocks, flow), as produced
@@ -157,7 +156,7 @@ def form_superblocks(module: Module,
         if not traces:
             out.functions[name] = func
             continue
-        budget = max(2, int(func.cfg.num_blocks * growth_budget))
+        budget = max(2, int(func.cfg.num_blocks * GROWTH_BUDGET))
         former = _Former(func, budget)
         for blocks, _flow in traces:
             if former.form(blocks):

@@ -61,8 +61,10 @@ def _loop_size(loop: Loop, func: Function) -> int:
     return sum(len(func.cfg.blocks[b].instructions) for b in loop.body)
 
 
-def _choose_factor(trips: float, size: int, factor: int) -> int:
-    """The largest factor <= requested that meets the paper's gates."""
+def _choose_factor(trips: float, size: int) -> int:
+    """The largest factor <= :data:`UNROLL_FACTOR` that meets the paper's
+    gates."""
+    factor = UNROLL_FACTOR
     while factor > 1:
         if trips >= MIN_TRIP_COUNT and size * factor <= MAX_UNROLLED_SIZE:
             return factor
@@ -100,8 +102,7 @@ def _unroll_loop(blocks: dict[str, list[Instr]], loop: Loop,
         for instr in blocks[latch]]
 
 
-def unroll_module(module: Module, profile: EdgeProfile,
-                  factor: int = UNROLL_FACTOR
+def unroll_module(module: Module, profile: EdgeProfile
                   ) -> tuple[Module, UnrollStats]:
     """Unroll hot inner loops; returns the new module and statistics."""
     stats = UnrollStats()
@@ -122,7 +123,7 @@ def unroll_module(module: Module, profile: EdgeProfile,
             iterations = float(sum(fprofile.freq(b)
                                    for b in loop.back_edges))
             size = _loop_size(loop, func)
-            chosen = _choose_factor(trips, size, factor)
+            chosen = _choose_factor(trips, size)
             stats.weighted.append((chosen, iterations))
             if chosen <= 1:
                 continue

@@ -6,22 +6,17 @@ Thin, intention-revealing wrappers over :mod:`repro.profiles.flowsets`
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..ir.function import Function
 from .edge_profile import FunctionEdgeProfile
-from .flow import Metric
 from .flowsets import FlowSets, profile_flow_sets
 from .reconstruct import ReconstructedPath, reconstruct_hot_paths
 
 
-def definite_flow_sets(func: Function, profile: FunctionEdgeProfile,
-                       metric: Metric = "branch",
-                       cap: Optional[int] = 50_000) -> FlowSets:
+def definite_flow_sets(func: Function,
+                       profile: FunctionEdgeProfile) -> FlowSets:
     """Run the Figure 14 dynamic program for one function (once per
     profile)."""
-    return profile_flow_sets(func, profile, "definite", metric=metric,
-                             cap=cap)
+    return profile_flow_sets(func, profile, "definite")
 
 
 def definite_flow_total(func: Function, profile: FunctionEdgeProfile

@@ -5,29 +5,29 @@ profiling DAG, a multiset of *flow values* ``[(f, b) -> delta]``: delta
 paths from here to the exit whose definite (resp. potential) frequency is
 ``f`` and which contain ``b`` branch edges.  The branch counter ``b`` is
 what upgrades Ball, Mataga & Sagiv's original unit-flow algorithms to the
-paper's branch-flow metric; running with ``metric="unit"`` recovers the
-originals (``b`` stays 0 everywhere).
+paper's branch-flow metric: an entry's branch flow is ``f * b``, and its
+unit flow, the originals' value, is ``f`` alone.
 
 *Definite flow* of a path is the minimum frequency the edge profile
 guarantees it; *potential flow* is the maximum frequency consistent with
 the edge profile (the min of its edge frequencies).
 
 The multisets can grow combinatorially (the paper's own accuracy tooling
-ran out of memory on gcc), so each set is optionally capped: only the
-``cap`` entries with the largest flow are kept.  Dropping low-flow entries
-can only shrink definite flow and hide cold estimated paths, i.e. the
-approximation is conservative for the coverage numbers built on top.
+ran out of memory on gcc), so each set is capped: only the
+:data:`FLOW_SET_CAP` entries with the largest flow are kept.  Dropping
+low-flow entries can only shrink definite flow and hide cold estimated
+paths, i.e. the approximation is conservative for the coverage numbers
+built on top.
 """
 
 from __future__ import annotations
 
-from typing import Literal, Optional
+from typing import Literal
 
 from ..cfg.dag import ProfilingDag, function_dag
 from ..cfg.graph import Edge
 from ..cfg.traversal import reverse_topological_order
 from .edge_profile import FunctionEdgeProfile
-from .flow import Metric
 
 FlowSet = dict[tuple[float, int], float]  # (f, b) -> delta
 
@@ -94,12 +94,16 @@ def dag_edge_is_branch(dag: ProfilingDag, edge: Edge) -> bool:
     return len(dag.cfg.blocks[cfg_edge.src].succ_edges) > 1
 
 
-def _capped(flow_set: FlowSet, cap: Optional[int]) -> tuple[FlowSet, bool]:
-    if cap is None or len(flow_set) <= cap:
+#: Most entries a flow set keeps.
+FLOW_SET_CAP = 50_000
+
+
+def _capped(flow_set: FlowSet) -> tuple[FlowSet, bool]:
+    if len(flow_set) <= FLOW_SET_CAP:
         return flow_set, False
     ranked = sorted(flow_set.items(),
                     key=lambda kv: (-(kv[0][0] * max(kv[0][1], 1)), kv[0]))
-    return dict(ranked[:cap]), True
+    return dict(ranked[:FLOW_SET_CAP]), True
 
 
 class FlowSets:
@@ -116,15 +120,12 @@ class FlowSets:
         underestimates).
     """
 
-    def __init__(self, dag: ProfilingDag, freqs: DagFrequencies, mode: Mode,
-                 metric: Metric = "branch", cap: Optional[int] = 50_000):
+    def __init__(self, dag: ProfilingDag, freqs: DagFrequencies, mode: Mode):
         if mode not in ("definite", "potential"):
             raise ValueError(f"unknown mode {mode!r}")
         self.dag = dag
         self.freqs = freqs
         self.mode = mode
-        self.metric = metric
-        self.cap = cap
         self.vertex: dict[str, FlowSet] = {}
         self.edge: dict[int, FlowSet] = {}
         self.is_branch: dict[int, bool] = {}
@@ -134,7 +135,6 @@ class FlowSets:
     def _compute(self) -> None:
         dag = self.dag.dag
         freqs = self.freqs
-        metric_branch = self.metric == "branch"
         exit_name = dag.exit
         assert exit_name is not None
         total = freqs.total
@@ -158,16 +158,16 @@ class FlowSets:
                     for (f, b), delta in tgt_set.items():
                         key = (min(f, fe), b)
                         es[key] = es.get(key, 0) + delta
-                es, cut = _capped(es, self.cap)
+                es, cut = _capped(es)
                 self.truncated = self.truncated or cut
                 self.edge[e.uid] = es
-                branchy = metric_branch and dag_edge_is_branch(self.dag, e)
+                branchy = dag_edge_is_branch(self.dag, e)
                 self.is_branch[e.uid] = branchy
                 shift = 1 if branchy else 0
                 for (f, b), delta in es.items():
                     key = (f, b + shift)
                     acc[key] = acc.get(key, 0) + delta
-            acc, cut = _capped(acc, self.cap)
+            acc, cut = _capped(acc)
             self.truncated = self.truncated or cut
             self.vertex[v] = acc
 
@@ -178,37 +178,30 @@ class FlowSets:
         assert entry is not None
         return self.vertex.get(entry, {})
 
-    def flow_value(self, f: float, b: int) -> float:
-        """The flow of one entry under this computation's metric."""
-        return f * b if self.metric == "branch" else f
-
     def total_flow(self) -> float:
-        """Total definite (or potential) flow of the routine.
+        """Total definite (or potential) branch flow of the routine.
 
         For definite flow this is DF(P), the numerator of edge-profile
         coverage (Section 6.2).
         """
-        return sum(self.flow_value(f, b) * delta
+        return sum(f * b * delta
                    for (f, b), delta in self.entry_set().items())
 
 
 def compute_flow_sets(dag: ProfilingDag, profile: FunctionEdgeProfile,
-                      mode: Mode, metric: Metric = "branch",
-                      cap: Optional[int] = 50_000) -> FlowSets:
+                      mode: Mode) -> FlowSets:
     """Run the Figure 14 (definite) or Figure 15 (potential) algorithm."""
-    freqs = DagFrequencies(dag, profile)
-    return FlowSets(dag, freqs, mode, metric=metric, cap=cap)
+    return FlowSets(dag, DagFrequencies(dag, profile), mode)
 
 
-def profile_flow_sets(func, profile: FunctionEdgeProfile, mode: Mode,
-                      metric: Metric = "branch",
-                      cap: Optional[int] = 50_000) -> FlowSets:
+def profile_flow_sets(func, profile: FunctionEdgeProfile,
+                      mode: Mode) -> FlowSets:
     """:func:`compute_flow_sets` over ``func``'s profiling DAG, computed
     once per profile (planning and every scoring of one profile ask for
     the same sets)."""
-    key = (func, mode, metric, cap)
+    key = (func, mode)
     sets = profile.flow_memo.get(key)
     if sets is None:
         sets = profile.flow_memo[key] = compute_flow_sets(
-            function_dag(func), profile, mode, metric=metric, cap=cap)
+            function_dag(func), profile, mode)
     return sets

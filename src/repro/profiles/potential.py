@@ -9,18 +9,13 @@ from potential flow, while *coverage* uses definite flow (Section 6).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..ir.function import Function
 from .edge_profile import FunctionEdgeProfile
-from .flow import Metric
 from .flowsets import FlowSets, profile_flow_sets
 
 
-def potential_flow_sets(func: Function, profile: FunctionEdgeProfile,
-                        metric: Metric = "branch",
-                        cap: Optional[int] = 50_000) -> FlowSets:
+def potential_flow_sets(func: Function,
+                        profile: FunctionEdgeProfile) -> FlowSets:
     """Run the Figure 15 dynamic program for one function (once per
     profile)."""
-    return profile_flow_sets(func, profile, "potential", metric=metric,
-                             cap=cap)
+    return profile_flow_sets(func, profile, "potential")

@@ -70,9 +70,9 @@ class _Enumerator:
         entry = self.dag.dag.entry
         assert entry is not None
         items = sorted(self.sets.entry_set().items(),
-                       key=lambda kv: (-self.sets.flow_value(*kv[0]), kv[0]))
+                       key=lambda kv: (-kv[0][0] * kv[0][1], kv[0]))
         for (f, b), delta in items:
-            if self.sets.flow_value(f, b) <= self.cutoff:
+            if f * b <= self.cutoff:
                 break  # sorted by decreasing flow
             if len(self.paths) >= self.max_paths:
                 break
@@ -146,21 +146,15 @@ class _Enumerator:
         blocks = dag_path_to_blocks(path)
         if blocks is None:
             return
-        total_b = sum(1 for e in path if self.sets.is_branch.get(e.uid)) \
-            if self.sets.metric == "branch" else self._branches_unit(path)
+        total_b = sum(1 for e in path if self.sets.is_branch.get(e.uid))
         self.paths.append(ReconstructedPath(blocks, freq, total_b))
-
-    def _branches_unit(self, path: list[Edge]) -> int:
-        """Branch count for unit-metric runs (not tracked in the sets)."""
-        from .flowsets import dag_edge_is_branch
-        return sum(1 for e in path if dag_edge_is_branch(self.dag, e))
 
 
 def reconstruct_hot_paths(sets: FlowSets, cutoff: float,
                           max_paths: int = 5000) -> list[ReconstructedPath]:
     """Enumerate paths with flow above ``cutoff`` from a flow-set computation.
 
-    ``cutoff`` is an absolute flow value under the computation's metric.
+    ``cutoff`` is an absolute flow value under the branch-flow metric.
     ``max_paths`` bounds the enumeration; hitting it is reported by simply
     returning that many of the hottest paths (entries are visited hottest
     first).

@@ -57,12 +57,10 @@ class AdmissionQueue:
 
     def __init__(self, limits: AdmissionLimits = AdmissionLimits(),
                  shards: int = 1,
-                 latency_hint: Optional[Callable[[], float]] = None,
-                 clock: Callable[[], float] = time.monotonic) -> None:
+                 latency_hint: Optional[Callable[[], float]] = None) -> None:
         self.limits = limits
         self.shards = max(1, shards)
         self._latency_hint = latency_hint
-        self._clock = clock
         self._outstanding: dict[str, int] = {}
         self._total = 0
         self._heap: list[tuple[float, int, Any]] = []
@@ -73,10 +71,8 @@ class AdmissionQueue:
 
     # -- slot accounting ------------------------------------------------
 
-    def outstanding(self, tenant: Optional[str] = None) -> int:
-        if tenant is None:
-            return self._total
-        return self._outstanding.get(tenant, 0)
+    def outstanding(self) -> int:
+        return self._total
 
     def suggest_retry_after(self) -> float:
         latency = 0.25
@@ -127,7 +123,7 @@ class AdmissionQueue:
         """Wait for (and remove) the earliest entry whose time has come."""
         async with self._cond:
             while True:
-                now = self._clock()
+                now = time.monotonic()
                 if self._heap and self._heap[0][0] <= now:
                     return heapq.heappop(self._heap)[2]
                 timeout = self._heap[0][0] - now if self._heap else None

@@ -24,9 +24,12 @@ HALF_OPEN = "half-open"
 
 
 class CircuitBreaker:
-    """A classic three-state breaker with single-probe half-open."""
+    """A classic three-state breaker with single-probe half-open.
 
-    def __init__(self, fail_threshold: int = 3, reset_after_s: float = 2.0,
+    ``clock`` is a test seam: tests step a fake clock past the reset.
+    """
+
+    def __init__(self, fail_threshold: int, reset_after_s: float = 2.0,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self.fail_threshold = max(1, fail_threshold)
         self.reset_after_s = reset_after_s

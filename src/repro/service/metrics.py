@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
-from typing import Any, Callable
+from typing import Any
 
 __all__ = ["ServiceMetrics", "TenantCounters"]
 
@@ -40,9 +40,8 @@ class TenantCounters:
 class ServiceMetrics:
     """Aggregated counters for the whole service plus per-tenant detail."""
 
-    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
-        self._clock = clock
-        self._started_at = clock()
+    def __init__(self) -> None:
+        self._started_at = time.monotonic()
         self._tenants: dict[str, TenantCounters] = {}
         self._latency_ewma = 0.0
         self._latency_samples = 0
@@ -76,7 +75,7 @@ class ServiceMetrics:
     def snapshot(self) -> dict[str, Any]:
         """The ``metrics`` endpoint's payload (JSON-able)."""
         return {
-            "uptime_s": round(self._clock() - self._started_at, 3),
+            "uptime_s": round(time.monotonic() - self._started_at, 3),
             "accepted": self._total("accepted"),
             "rejected": self._total("rejected"),
             "fresh": self._total("fresh"),

@@ -69,6 +69,9 @@ __all__ = ["ProfilingService"]
 _StaleEntry = tuple[Module, EdgeProfile, Optional[PathProfile]]
 Executor = Callable[[ProfileJob], JobOutcome]
 
+#: Consecutive dispatch failures that open the worker pool's breaker.
+BREAKER_THRESHOLD = 3
+
 
 @dataclass
 class _Entry:
@@ -92,15 +95,17 @@ class ProfilingService:
     ``task_timeout`` counts from the dispatch, waiting for a free worker
     included.  When no worker can start, jobs run in a thread, flagged
     ``pool-degraded``, and the pool is tried again at most once per
-    ``breaker_reset_s``.  ``executor`` lets tests replace the pool with a
-    plain callable ``ProfileJob -> JobOutcome`` (run in a thread).
+    ``breaker_reset_s``.  :data:`BREAKER_THRESHOLD` consecutive dispatch
+    failures open the breaker.
+
+    ``executor`` is a test seam: it replaces the pool with a plain
+    callable ``ProfileJob -> JobOutcome`` (run in a thread).
     """
 
     def __init__(self, jobs: int = 2, shards: int = 2,
                  queue_capacity: int = 64, tenant_quota: int = 8,
                  retries: int = 2, backoff_s: float = 0.1,
                  task_timeout: Optional[float] = None,
-                 breaker_threshold: int = 3,
                  breaker_reset_s: float = 1.0,
                  min_fresh_s: float = 0.0,
                  journal_path: Optional[Union[str, Path]] = None,
@@ -108,8 +113,7 @@ class ProfilingService:
                  backend: Optional[str] = None, seed: int = 0,
                  executor: Optional[Executor] = None,
                  on_response: Optional[
-                     Callable[[ServiceResponse], None]] = None,
-                 clock: Callable[[], float] = time.monotonic) -> None:
+                     Callable[[ServiceResponse], None]] = None) -> None:
         self.jobs = max(1, jobs)
         self.shards = max(1, shards)
         self.retries = max(0, retries)
@@ -123,17 +127,14 @@ class ProfilingService:
         # Observability hook: called with every terminal response,
         # including replayed requests whose original submitter is gone.
         self._on_response = on_response
-        self._clock = clock
         self.seed = seed
-        self.metrics = ServiceMetrics(clock=clock)
-        self.breaker = CircuitBreaker(fail_threshold=breaker_threshold,
-                                      reset_after_s=breaker_reset_s,
-                                      clock=clock)
+        self.metrics = ServiceMetrics()
+        self.breaker = CircuitBreaker(fail_threshold=BREAKER_THRESHOLD,
+                                      reset_after_s=breaker_reset_s)
         self._admission = AdmissionQueue(
             AdmissionLimits(capacity=queue_capacity,
                             tenant_quota=tenant_quota),
-            shards=self.shards, latency_hint=self.metrics.avg_latency,
-            clock=clock)
+            shards=self.shards, latency_hint=self.metrics.avg_latency)
         self._stale: dict[tuple[str, str], _StaleEntry] = {}
         self._ordinals = itertools.count()
         self._journal: Optional[WriteAheadJournal] = None
@@ -234,7 +235,7 @@ class ProfilingService:
                 self._admission.release(request.tenant)
                 raise ServiceError(f"journal append failed: {exc}") from exc
         self.metrics.tenant(request.tenant).accepted += 1
-        now = self._clock()
+        now = time.monotonic()
         future: "asyncio.Future[ServiceResponse]" = \
             asyncio.get_running_loop().create_future()
         entry = _Entry(
@@ -273,7 +274,7 @@ class ProfilingService:
                     entry, "internal", f"{type(exc).__name__}: {exc}"))
 
     async def _process(self, entry: _Entry) -> None:
-        now = self._clock()
+        now = time.monotonic()
         request = entry.request
         remaining = (entry.deadline_at - now
                      if entry.deadline_at is not None else None)
@@ -312,7 +313,7 @@ class ProfilingService:
             return
         job = ProfileJob(request=request, ordinal=entry.ordinal,
                          backend=self.backend)
-        started = self._clock()
+        started = time.monotonic()
         if entry.deadline_at is not None:
             remaining = entry.deadline_at - started
         limits = [t for t in (self.task_timeout, remaining) if t is not None]
@@ -321,7 +322,7 @@ class ProfilingService:
             outcome = await self._dispatch(job, attempt, timeout)
         except Exception as exc:
             self.breaker.record_failure()
-            elapsed = self._clock() - started
+            elapsed = time.monotonic() - started
             kind = exc.kind if isinstance(exc, WorkerFault) else "exception"
             if kind == "timeout" and remaining == timeout:  # the deadline's
                 self.metrics.tenant(request.tenant).deadline_misses += 1
@@ -344,7 +345,7 @@ class ProfilingService:
                         timeout: Optional[float]) -> JobOutcome:
         """One attempt of ``job`` on the pool; in a thread when no worker
         can start (flagged ``pool-degraded``) or under ``executor``."""
-        if self._pool is not None and self._clock() >= self._pool_retry_at:
+        if self._pool is not None and time.monotonic() >= self._pool_retry_at:
             try:
                 outcome: JobOutcome = await asyncio.to_thread(
                     self._pool.call, job.run, (self.cache_dir,),
@@ -352,7 +353,7 @@ class ProfilingService:
                 outcome.execution.where = "pool"
                 return outcome
             except PoolUnavailable:
-                self._pool_retry_at = (self._clock()
+                self._pool_retry_at = (time.monotonic()
                                        + self.breaker.reset_after_s)
         call = (functools.partial(self._executor, job)
                 if self._executor is not None
@@ -376,7 +377,7 @@ class ProfilingService:
 
     async def _retry_or_degrade(self, entry: _Entry, reason: str,
                                 detail: str) -> None:
-        now = self._clock()
+        now = time.monotonic()
         if entry.attempts <= self.retries:
             delay = backoff_delay(self.backoff_s, entry.attempts,
                                   self.seed, entry.ordinal)
@@ -482,7 +483,7 @@ class ProfilingService:
                 "re-admitted from the write-ahead journal after restart"))
 
     def _resolve(self, entry: _Entry, response: ServiceResponse) -> None:
-        response.elapsed_s = self._clock() - entry.admitted_at
+        response.elapsed_s = time.monotonic() - entry.admitted_at
         if self._journal is not None:
             try:
                 self._journal.done(entry.request.request_id, response.status)

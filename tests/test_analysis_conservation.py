@@ -20,7 +20,7 @@ from repro.analysis.conservation import (ConservationError, VIRTUAL_UID,
 from repro.analysis.equiv import _CodegenChecker, standard_modes
 from repro.analysis.diagnostics import Report
 from repro.analysis.mutate import CONSERVATION_MUTATIONS, mutate_placement
-from repro.analysis.sampling import SAMPLE_TARGET, sample_ids, sample_stride
+from repro.analysis.sampling import SAMPLE_TARGET, sample_ids
 from repro.analysis.verify import (conserve_suite, verify_conservation,
                                    verify_conservation_function,
                                    verify_placement)
@@ -393,14 +393,12 @@ def test_sparse_matches_dense_through_session(tmp_path):
 # ----------------------------------------------------------------------
 
 def test_sample_stride_and_ids():
-    assert sample_stride(10) == 1
-    assert sample_stride(SAMPLE_TARGET * 5) == 5
+    assert sample_ids(10).step == 1
+    assert sample_ids(SAMPLE_TARGET * 5).step == 5
     assert list(sample_ids(3)) == [0, 1, 2]
     ids = sample_ids(SAMPLE_TARGET * 4)
     assert len(ids) <= SAMPLE_TARGET + 1
     assert ids[0] == 0
-    with pytest.raises(ValueError):
-        sample_stride(100, target=0)
 
 
 # ----------------------------------------------------------------------

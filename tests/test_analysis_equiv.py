@@ -299,7 +299,7 @@ def counted_equiv():
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(equiv_impl, "_explore", counting)
                 patch.setattr(equiv_impl, "_replay", replaying)
-                reports = equiv_module(module, codegen=False)
+                reports = equiv_module(module)[1:]  # after codegen
             runs[name] = (module, reports, explored, replayed)
         return runs[name]
 
@@ -515,10 +515,12 @@ class TestDegenerateShapes:
         assert report.ok, report.format()
         assert any(d.code == "E001" for d in report)
 
-    def test_irreducible_runtime_validation_does_not_raise(self):
+    def test_irreducible_runtime_validation_does_not_raise(self,
+                                                           monkeypatch):
         module = irreducible_module()
+        monkeypatch.setenv("REPRO_EQUIV", "1")
         machine = Machine(module, collect_edge_profile=True,
-                          validate_codegen=True, backend="compiled")
+                          backend="compiled")
         machine.run()
 
     def test_single_block_codegen_validates(self):
@@ -540,14 +542,14 @@ class TestDegenerateShapes:
 # ----------------------------------------------------------------------
 
 class TestRuntimeHook:
-    def test_clean_module_runs_validated(self):
+    def test_clean_module_runs_validated(self, monkeypatch):
         module = compile_source("""
             func f(n) { s = 0;
                 while (n > 0) { s = s + n; n = n - 1; } return s; }
             func main() { return f(10); }""")
+        monkeypatch.setenv("REPRO_EQUIV", "1")
         machine = Machine(module, collect_edge_profile=True,
-                          trace_paths=True, validate_codegen=True,
-                          backend="compiled")
+                          trace_paths=True, backend="compiled")
         assert machine.run().return_value == 55
 
     def test_env_resolution(self, monkeypatch):
@@ -558,7 +560,6 @@ class TestRuntimeHook:
         assert not Machine(module).validate_codegen
         monkeypatch.delenv("REPRO_EQUIV")
         assert not Machine(module).validate_codegen
-        assert Machine(module, validate_codegen=True).validate_codegen
 
     def test_corrupt_generation_raises(self, monkeypatch):
         # Corrupt the generated source at the machine boundary and watch
@@ -578,8 +579,8 @@ class TestRuntimeHook:
             return bad, [None] * len(bad.segments)
 
         monkeypatch.setattr(compiled, "_compiled_code", corrupting)
-        machine = Machine(module, validate_codegen=True,
-                          backend="compiled")
+        monkeypatch.setenv("REPRO_EQUIV", "1")
+        machine = Machine(module, backend="compiled")
         with pytest.raises(CodegenValidationError) as excinfo:
             machine.run()
         assert not excinfo.value.report.ok

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core import HotPathTable, record_path_stream
+from repro.core import HotPathTable, record_module
 from repro.lang import compile_source
+from repro.profiles.flow import path_branches
 
 from conftest import trace_module
 
@@ -72,14 +73,14 @@ class TestRunHpt:
     def test_execution_unperturbed(self):
         m = compile_source(self.SRC)
         _a, _p, truth = trace_module(m)
-        result = HotPathTable().replay(record_path_stream(m))
+        result = HotPathTable().replay(record_module(m).stream)
         assert result.return_value == truth.return_value
 
     def test_large_table_matches_ground_truth(self):
         m = compile_source(self.SRC)
         actual, _p, _r = trace_module(m)
         result = HotPathTable(sets=256, ways=8).replay(
-            record_path_stream(m))
+            record_module(m).stream)
         assert result.evictions == 0
         counts = {(e.function, e.blocks): e.count for e in result.entries}
         for blocks, count in actual["main"].counts.items():
@@ -88,15 +89,16 @@ class TestRunHpt:
     def test_tiny_table_thrashes(self):
         m = compile_source(self.SRC)
         result = HotPathTable(sets=1, ways=1).replay(
-            record_path_stream(m))
+            record_module(m).stream)
         assert result.evictions > 0
         assert result.capacity_pressure > 0
 
     def test_estimated_flows_metrics(self):
         m = compile_source(self.SRC)
         result = HotPathTable(sets=64, ways=4).replay(
-            record_path_stream(m))
-        branch = result.estimated_flows(m, "branch")
-        unit = result.estimated_flows(m, "unit")
-        assert set(branch) == set(unit)
-        assert all(branch[k] >= unit[k] or branch[k] == 0 for k in branch)
+            record_module(m).stream)
+        flows = result.estimated_flows(m)
+        assert flows
+        for entry in result.entries:
+            branches = path_branches(m.functions["main"], entry.blocks)
+            assert flows[("main", entry.blocks)] == entry.count * branches

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core import NetSelector, record_path_stream
+from repro.core import NET_HOT_THRESHOLD, NetSelector, record_module
 from repro.lang import compile_source
+from repro.profiles.flow import path_branches
 
 from conftest import trace_module
 
@@ -32,8 +33,8 @@ func main() {
 
 class TestSelector:
     def test_threshold_then_capture_next(self):
-        selector = NetSelector(threshold=3)
-        for _ in range(3):
+        selector = NetSelector()
+        for _ in range(NET_HOT_THRESHOLD):
             selector("f", ("H", "A"))
         assert not selector.traces  # armed, not yet captured
         selector("f", ("H", "B"))   # the next executing tail
@@ -43,39 +44,40 @@ class TestSelector:
         assert result.traces[0].head == "H"
 
     def test_one_trace_per_head(self):
-        selector = NetSelector(threshold=2)
-        for _ in range(10):
+        selector = NetSelector()
+        for _ in range(NET_HOT_THRESHOLD * 2):
             selector("f", ("H", "A"))
             selector("f", ("H", "B"))
         result = selector.result()
         assert len(result.traces) == 1
 
     def test_heads_are_path_starts(self):
-        selector = NetSelector(threshold=1)
-        selector("f", ("entry", "X"))
+        selector = NetSelector()
+        for _ in range(NET_HOT_THRESHOLD):
+            selector("f", ("entry", "X"))
         selector("f", ("entry", "Y"))
         result = selector.result()
         assert result.traces[0].head == "entry"
 
     def test_head_count_recorded(self):
-        selector = NetSelector(threshold=2)
-        for _ in range(7):
+        selector = NetSelector()
+        for _ in range(NET_HOT_THRESHOLD + 5):
             selector("f", ("H",))
         result = selector.result()
-        assert result.traces[0].head_count_at_end == 7
+        assert result.traces[0].head_count_at_end == NET_HOT_THRESHOLD + 5
 
 
 class TestRunNet:
     def test_execution_unperturbed(self):
         m = compile_source(DOMINANT)
         _a, _p, truth = trace_module(m)
-        net = NetSelector(threshold=10).replay(record_path_stream(m))
+        net = NetSelector().replay(record_module(m).stream)
         assert net.return_value == truth.return_value
 
     def test_dominant_path_found(self):
         m = compile_source(DOMINANT)
         actual, _p, _r = trace_module(m)
-        net = NetSelector(threshold=10).replay(record_path_stream(m))
+        net = NetSelector().replay(record_module(m).stream)
         # The loop head's trace must be the truly hottest path.
         hottest = max(actual["main"].counts.items(), key=lambda kv: kv[1])
         loop_traces = [t for t in net.traces if t.head != "entry"]
@@ -86,7 +88,7 @@ class TestRunNet:
         # 8 roughly-equal warm paths; NET keeps one trace per head.
         m = compile_source(WARM)
         actual, _p, _r = trace_module(m)
-        net = NetSelector(threshold=10).replay(record_path_stream(m))
+        net = NetSelector().replay(record_module(m).stream)
         selected = {t.blocks for t in net.traces}
         loop_paths = {p for p in actual["main"].counts
                       if p[0] not in ("entry",)}
@@ -97,14 +99,15 @@ class TestRunNet:
 
     def test_estimated_flows_weighted_by_branches(self):
         m = compile_source(DOMINANT)
-        net = NetSelector(threshold=10).replay(record_path_stream(m))
-        flows = net.estimated_flows(m, metric="branch")
-        assert flows
-        assert all(v >= 0 for v in flows.values())
-        unit = net.estimated_flows(m, metric="unit")
-        assert set(unit) == set(flows)
+        net = NetSelector().replay(record_module(m).stream)
+        flows = net.estimated_flows(m)
+        assert set(flows) == {(t.function, t.blocks) for t in net.traces}
+        for t in net.traces:
+            branches = path_branches(m.functions[t.function], t.blocks)
+            assert flows[(t.function, t.blocks)] == \
+                t.head_count_at_end * branches
 
     def test_cold_program_selects_nothing(self):
         m = compile_source("func main() { return 3; }")
-        net = NetSelector(threshold=10).replay(record_path_stream(m))
+        net = NetSelector().replay(record_module(m).stream)
         assert net.traces == []

@@ -18,7 +18,7 @@ from repro.lang import compile_source
 
 
 def _place(func, cold_cfg_pairs=(), push_ignore_cold=False,
-           poison_style="free", enable_push=True):
+           poison_style="free"):
     dag = build_profiling_dag(func.cfg)
     cold_uids = set()
     for pair in cold_cfg_pairs:
@@ -31,8 +31,7 @@ def _place(func, cold_cfg_pairs=(), push_ignore_cold=False,
     increments = event_count(dag, live, numbering.val, weights)
     placement = place_instrumentation(
         dag, live, increments, numbering.total,
-        push_ignore_cold=push_ignore_cold, poison_style=poison_style,
-        enable_push=enable_push)
+        push_ignore_cold=push_ignore_cold, poison_style=poison_style)
     return dag, numbering, placement
 
 
@@ -84,11 +83,11 @@ class TestStructure:
 
     def test_pushing_reduces_dynamic_ops(self):
         func = fig8_function()
-        _d, _n, pushed = _place(func, enable_push=True)
-        _d2, _n2, unpushed = _place(func, enable_push=False)
-        # Pushing combines, so the pushed placement has ops on no more
-        # edges than the unpushed one.
-        assert len(pushed.edge_ops) <= len(unpushed.edge_ops)
+        _d, _n, pushed = _place(func)
+        # Unpushed, Figure 8 carries ops on five edges: two inits, one
+        # add and two counts.  Pushing combines the add into a count.
+        assert len(pushed.edge_ops) == 4
+        assert "AddReg" not in _op_kinds(pushed)
 
 
 class TestColdAndPoison:

@@ -40,13 +40,6 @@ class TestPlanReport:
         assert "not instrumented" in text
         assert skipped[0].reason in text
 
-    def test_edges_can_be_hidden(self, env):
-        m, profile = env
-        plan = plan_tpp(m, profile)
-        short = format_plan(plan, show_edges=False)
-        long = format_plan(plan, show_edges=True)
-        assert len(short) <= len(long)
-
     def test_cli_show_plan(self, tmp_path, capsys):
         from repro.__main__ import main
         path = tmp_path / "p.minic"

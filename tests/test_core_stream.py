@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.core import HotPathTable, NetSelector, record_path_stream
+from repro.core import HotPathTable, NetSelector, record_module
 from repro.interp import Machine
 from repro.lang import compile_source
 from repro.workloads import get_workload
@@ -26,7 +26,7 @@ def module(request):
 @pytest.mark.parametrize("backend", ["tuple", "compiled"])
 class TestReplayEqualsLive:
     def test_hot_path_table(self, module, backend):
-        stream = record_path_stream(module, backend=backend)
+        stream = record_module(module, backend).stream
         for sets, ways in GEOMETRIES:
             live = _live(module, HotPathTable(sets, ways), backend)
             replayed = HotPathTable(sets, ways).replay(stream)
@@ -34,7 +34,7 @@ class TestReplayEqualsLive:
             assert replayed.hits + replayed.misses == len(stream.events)
 
     def test_net_selector(self, module, backend):
-        stream = record_path_stream(module, backend=backend)
+        stream = record_module(module, backend).stream
         live = _live(module, NetSelector(), backend)
         replayed = NetSelector().replay(stream)
         assert live.traces
@@ -55,7 +55,7 @@ class TestStream:
         events = []
         m = compile_source(self.SRC)
         Machine(m, path_listener=lambda f, b: events.append((f, b))).run()
-        stream = record_path_stream(m)
+        stream = record_module(m).stream
         assert stream.return_value == 7
         assert [stream.paths[i] for i in stream.events] == events
         assert stream.paths == list(dict.fromkeys(events))

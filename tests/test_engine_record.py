@@ -14,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from repro.core import record_module, record_path_stream
+from repro.core import record_module
 from repro.engine.fingerprint import fingerprint_module
 import repro.profilers
 from repro.interp.machine import Machine
@@ -166,7 +166,7 @@ def _check_recording(module, backend):
         assert recorded == counts, name
         assert list(recorded) == list(counts), name  # insertion order
 
-    stream = record_path_stream(module, backend=backend)
+    stream = record_module(module, backend).stream
     assert recording.stream.paths == stream.paths
     assert recording.stream.events == stream.events
     assert recording.stream.return_value == stream.return_value

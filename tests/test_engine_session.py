@@ -75,8 +75,8 @@ def test_parallel_runner_matches_cold_serial(serial_baseline):
 
 
 def test_run_suite_parallel_matches_serial(serial_baseline):
-    session = ProfilingSession(cache=ArtifactCache())
-    results = session.run_suite([get_workload(n) for n in NAMES], jobs=2)
+    session = ProfilingSession(cache=ArtifactCache(), jobs=2)
+    results = session.run_suite([get_workload(n) for n in NAMES])
     assert list(results) == list(NAMES)
     for name in NAMES:
         assert as_dict(results[name]) == as_dict(serial_baseline[name]), name
@@ -131,15 +131,16 @@ def test_parallel_suite_rebuilds_corrupt_workload_entry(tmp_path,
     # A corrupt workload entry reads as one counted miss and is rebuilt;
     # it must not pass the warm/cold split and then vanish on lookup.
     workloads = [get_workload(n) for n in NAMES[:2]]
-    first = ProfilingSession(cache=ArtifactCache(disk_dir=tmp_path))
-    first.run_suite(workloads, jobs=2)
+    first = ProfilingSession(cache=ArtifactCache(disk_dir=tmp_path), jobs=2)
+    first.run_suite(workloads)
     victim = sorted(tmp_path.glob("workload-*.pkl"))[0]
     raw = bytearray(victim.read_bytes())
     raw[-1] ^= 0xFF
     victim.write_bytes(bytes(raw))
 
-    session = ProfilingSession(cache=ArtifactCache(disk_dir=tmp_path))
-    results = session.run_suite(workloads, jobs=2)
+    session = ProfilingSession(cache=ArtifactCache(disk_dir=tmp_path),
+                               jobs=2)
+    results = session.run_suite(workloads)
     for workload in workloads:
         assert as_dict(results[workload.name]) \
             == as_dict(serial_baseline[workload.name]), workload.name

@@ -89,8 +89,8 @@ def test_dp_matches_bruteforce(freqs):
     exact_max = {path: max(p[path] for p in profiles)
                  for path in profiles[0]}
 
-    d_sets = definite_flow_sets(func, profile, "branch", cap=None)
-    p_sets = potential_flow_sets(func, profile, "branch", cap=None)
+    d_sets = definite_flow_sets(func, profile)
+    p_sets = potential_flow_sets(func, profile)
     definite = {p.blocks: p.freq
                 for p in reconstruct_hot_paths(d_sets, -1.0,
                                                max_paths=1000)}

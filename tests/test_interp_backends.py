@@ -6,7 +6,9 @@ suite: same return values, instruction counts, costs, edge counts, path
 counts, invocation counts, and listener event streams.
 """
 
+import gc
 import re
+import weakref
 from collections import Counter
 
 import pytest
@@ -18,7 +20,7 @@ from repro.interp import (DEFAULT_BACKEND, VALID_BACKENDS, Machine,
                           MachineError, resolve_backend, run_module)
 from repro.interp.codegen import ModeSpec, generate_source
 from repro.lang import compile_source
-from repro.workloads import SUITE
+from repro.workloads import SUITE, get_workload
 
 from conftest import SMALL_PROGRAM, trace_module
 
@@ -86,14 +88,14 @@ def test_deep_recursion_on_compiled_backend():
 
 def test_unknown_function_on_compiled_backend(small_module):
     with pytest.raises(MachineError):
-        run_module(small_module, func="ghost", backend="compiled")
+        Machine(small_module, backend="compiled").run("ghost")
 
 
 def test_wrong_arity_on_compiled_backend():
     m = compile_source("func f(a) { return a; } "
                        "func main() { return f(1); }")
     with pytest.raises(MachineError):
-        run_module(m, func="f", args=(1, 2), backend="compiled")
+        Machine(m, backend="compiled").run("f", (1, 2))
 
 
 # ----------------------------------------------------------------------
@@ -326,3 +328,22 @@ class TestModeFusion:
         for slot in range(len(result.edge_keys)):
             assert (f"if _hk[{slot}] is not None: _hk[{slot}](frame)"
                     in result.source)
+
+
+def test_finished_compiled_machine_is_freed_without_the_cycle_collector():
+    # A recording's machine holds segment tables, probe counters and the
+    # path log: it must go when its last reference does, not whenever
+    # the cyclic collector next runs.
+    module = get_workload("mcf").compile()
+    gc.collect()
+    gc.disable()
+    try:
+        machine = Machine(module, collect_edge_profile=True,
+                          trace_paths=True, backend="compiled")
+        machine.run()
+        assert machine._backend_impl is not None
+        ref = weakref.ref(machine)
+        del machine
+        assert ref() is None
+    finally:
+        gc.enable()

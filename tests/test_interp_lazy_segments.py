@@ -87,11 +87,12 @@ def test_second_machine_compiles_nothing(compiles):
     assert again.instructions_executed == first.instructions_executed
 
 
-def test_compiled_units_are_the_validated_segments():
+def test_compiled_units_are_the_validated_segments(monkeypatch):
     # The validator parses the joined source; each unit the backend
     # compiled holds the same _seg_K def.
     module = compile_source(_program(102), name="units")
-    Machine(module, backend="compiled", validate_codegen=True).run()
+    monkeypatch.setenv("REPRO_EQUIV", "1")
+    Machine(module, backend="compiled").run()
     for func in module.functions.values():
         result, codes = _entry(func)
         validated = _segment_defs(result.source)
@@ -149,7 +150,8 @@ def test_equiv_validates_segments_never_entered(monkeypatch):
         return real(self, seg_id, body, local_map)
 
     monkeypatch.setattr(equiv._CodegenChecker, "_check_segment", recording)
-    Machine(module, backend="compiled", validate_codegen=True).run()
+    monkeypatch.setenv("REPRO_EQUIV", "1")
+    Machine(module, backend="compiled").run()
     for name, func in module.functions.items():
         result, codes = _entry(func)
         assert sorted(seg for fn, seg in checked if fn == name) == \

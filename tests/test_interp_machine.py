@@ -22,18 +22,18 @@ class TestExecution:
 
     def test_unknown_function(self, small_module):
         with pytest.raises(MachineError):
-            run_module(small_module, func="ghost")
+            Machine(small_module).run("ghost")
 
     def test_argument_passing(self):
         m = compile_source("func f(a, b) { return a * 10 + b; } "
                            "func main() { return f(1, 2); }")
-        assert run_module(m, func="f", args=(7, 3)).return_value == 73
+        assert Machine(m).run("f", (7, 3)).return_value == 73
 
     def test_wrong_arity(self):
         m = compile_source("func f(a) { return a; } "
                            "func main() { return f(1); }")
         with pytest.raises(MachineError):
-            run_module(m, func="f", args=(1, 2))
+            Machine(m).run("f", (1, 2))
 
     def test_registers_zero_initialised(self):
         m = compile_source("func main() { return never_assigned; }")

@@ -6,8 +6,8 @@ from repro.interp import Machine, run_module
 from repro.lang import compile_source
 
 
-def run(src, **kwargs):
-    return run_module(compile_source(src), **kwargs).return_value
+def run(src):
+    return run_module(compile_source(src)).return_value
 
 
 class TestNumericModel:

@@ -7,8 +7,8 @@ from repro.lang import LowerError, compile_source
 from repro.ir import validate_module
 
 
-def run(src: str, **kwargs):
-    return run_module(compile_source(src), **kwargs).return_value
+def run(src: str):
+    return run_module(compile_source(src)).return_value
 
 
 class TestBasics:

@@ -31,11 +31,11 @@ func main() {
 """
 
 
-def _convert(src, **kwargs):
+def _convert(src):
     m = compile_source(src)
     before = run_module(m)
     profile = collect_edge_profile(m)
-    converted, stats = if_convert_module(m, profile, **kwargs)
+    converted, stats = if_convert_module(m, profile)
     assert validate_module(converted) == []
     after = run_module(converted)
     assert after.return_value == before.return_value
@@ -55,10 +55,6 @@ class TestConversion:
         _m, _converted, stats = _convert(BIASED)
         assert stats.diamonds_converted == 0
         assert stats.candidates_rejected_bias >= 1
-
-    def test_bias_window_configurable(self):
-        _m, _c, stats = _convert(BIASED, bias_window=0.49)
-        assert stats.diamonds_converted == 1
 
     def test_path_population_shrinks(self):
         m, converted, _s = _convert(UNBIASED)

@@ -5,6 +5,7 @@ import pytest
 from repro.interp import run_module
 from repro.lang import compile_source
 from repro.opt import collect_edge_profile, inline_module
+from repro.opt.inline import MAX_CALLEE_SIZE
 
 from conftest import trace_module
 
@@ -69,9 +70,17 @@ class TestBasicInlining:
         assert stats.sites_inlined == 0
 
     def test_large_callee_never_inlined(self):
-        _m, _i, stats = _inline(CALLS, code_bloat=5.0, max_callee_size=10)
-        callees = {c for _, _, c in stats.inlined_sites}
-        assert "big" not in callees
+        huge = f"""
+            func huge(x) {{ {"x = x + 1; " * MAX_CALLEE_SIZE} return x; }}
+            func main() {{
+                s = 0;
+                for (i = 0; i < 50; i = i + 1) {{ s = s + huge(i); }}
+                return s;
+            }}
+        """
+        m, _i, stats = _inline(huge, code_bloat=5.0)
+        assert m.functions["huge"].size() > MAX_CALLEE_SIZE
+        assert stats.sites_inlined == 0
 
     def test_percent_dynamic_calls(self):
         _m, _i, stats = _inline(CALLS, code_bloat=5.0)

@@ -6,6 +6,7 @@ from repro.interp import run_module
 from repro.ir import validate_module
 from repro.lang import compile_source
 from repro.opt import form_superblocks, merge_crossings
+from repro.opt.superblock import GROWTH_BUDGET
 
 from conftest import trace_module
 
@@ -21,11 +22,11 @@ func main() {
 """
 
 
-def _form(src, top_n=3, growth=1.0):
+def _form(src, top_n=3):
     m = compile_source(src)
     actual, profile, before = trace_module(m)
     hot = actual.hot_paths(0.00125)[:top_n]
-    formed, stats = form_superblocks(m, hot, growth_budget=growth)
+    formed, stats = form_superblocks(m, hot)
     assert validate_module(formed) == []
     after = run_module(formed)
     assert after.return_value == before.return_value
@@ -57,9 +58,23 @@ class TestFormation:
         assert after < before
 
     def test_growth_budget_respected(self):
-        m, formed, stats, _a, _p = _form(DIAMONDS, top_n=3, growth=0.1)
-        budget = max(2, int(m.functions["main"].cfg.num_blocks * 0.1))
+        src = """
+        func main() {
+            s = 0;
+            for (i = 0; i < 300; i = i + 1) {
+                if (i % 4 == 0) { s = s + 3; } else { s = s + 1; }
+                if (i % 3 == 1) { s = s - 1; } else { s = s + 2; }
+                if (i % 5 == 2) { s = s - 4; } else { s = s + 5; }
+            }
+            return s;
+        }
+        """
+        m, formed, stats, _a, _p = _form(src, top_n=10)
+        budget = max(2, int(m.functions["main"].cfg.num_blocks
+                            * GROWTH_BUDGET))
         assert stats.blocks_duplicated <= budget
+        # Unbounded, three traces form and duplicate 15 blocks.
+        assert stats.traces_formed == 1
 
     def test_exit_block_never_cloned(self):
         src = """
@@ -94,7 +109,7 @@ class TestFormation:
         hot = actual.hot_paths(0.00125)
         # Feed the same hottest path twice: second formation must skip.
         doubled = [hot[0], hot[0]] + hot[1:3]
-        formed, stats = form_superblocks(m, doubled, growth_budget=2.0)
+        formed, stats = form_superblocks(m, doubled)
         assert stats.traces_skipped >= 1
         assert run_module(formed).return_value == before.return_value
 

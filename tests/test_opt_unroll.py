@@ -22,11 +22,11 @@ func main() {
 """
 
 
-def _unroll(src, factor=4):
+def _unroll(src):
     m = compile_source(src)
     before = run_module(m).return_value
     profile = collect_edge_profile(m)
-    unrolled, stats = unroll_module(m, profile, factor=factor)
+    unrolled, stats = unroll_module(m, profile)
     after = run_module(unrolled).return_value
     assert after == before, "unrolling changed behaviour"
     return m, unrolled, stats

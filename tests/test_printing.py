@@ -47,12 +47,6 @@ class TestPrinter:
         assert "global buf[8]" in text
         assert "func helper(x)" in text and "func main()" in text
 
-    def test_block_frequency_annotations(self):
-        m = compile_source(SRC)
-        text = format_function(m.functions["main"],
-                               block_freq={"entry": 1})
-        assert "freq=1" in text
-
     def test_unsealed_rejected(self):
         from repro.ir import Function
         with pytest.raises(ValueError):
@@ -72,12 +66,6 @@ class TestDot:
         assert '"E"' in dot and '"H" -> "B"' in dot
         assert "peripheries=2" in dot  # exit marking
         assert dot.rstrip().endswith("}")
-
-    def test_cold_edges_dashed(self):
-        cfg = loop_cfg()
-        cold = {cfg.edge("H", "X").uid}
-        dot = cfg_to_dot(cfg, cold_edges=cold)
-        assert "dashed" in dot
 
     def test_edge_labels(self):
         cfg = loop_cfg()

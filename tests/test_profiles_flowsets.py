@@ -6,6 +6,7 @@ import pytest
 from repro.cfg import build_profiling_dag
 from repro.profiles import (DagFrequencies, definite_flow_sets,
                             potential_flow_sets, reconstruct_hot_paths)
+from repro.profiles import flowsets
 from repro.profiles.flowsets import dag_edge_is_branch
 
 from conftest import fig8_function, fig8_profile, trace_module
@@ -25,12 +26,12 @@ class TestFigure8Definite:
 
     def test_total_definite_flow_is_80(self, fig8):
         func, profile = fig8
-        sets = definite_flow_sets(func, profile, "branch")
+        sets = definite_flow_sets(func, profile)
         assert sets.total_flow() == 80
 
     def test_per_path_definite_flows(self, fig8):
         func, profile = fig8
-        sets = definite_flow_sets(func, profile, "branch")
+        sets = definite_flow_sets(func, profile)
         paths = {p.blocks: p for p in reconstruct_hot_paths(sets, 0.0)}
         assert paths[("A", "B", "D", "E", "G")].freq == 30
         assert paths[("A", "B", "D", "E", "G")].flow() == 60
@@ -42,9 +43,10 @@ class TestFigure8Definite:
 
     def test_unit_metric_definite(self, fig8):
         func, profile = fig8
-        sets = definite_flow_sets(func, profile, "unit")
+        sets = definite_flow_sets(func, profile)
         # Unit definite flow: 30 + 10 = 40 (same freqs, no branch weight).
-        assert sets.total_flow() == 40
+        assert sum(f * delta for (f, _b), delta
+                   in sets.entry_set().items()) == 40
 
     def test_total_branch_flow_is_160(self, fig8):
         func, profile = fig8
@@ -54,7 +56,7 @@ class TestFigure8Definite:
 class TestFigure8Potential:
     def test_potential_flows_are_edge_minima(self, fig8):
         func, profile = fig8
-        sets = potential_flow_sets(func, profile, "branch")
+        sets = potential_flow_sets(func, profile)
         paths = {p.blocks: p.freq for p in reconstruct_hot_paths(sets, 0.0)}
         assert paths == {
             ("A", "B", "D", "E", "G"): 50,
@@ -65,8 +67,8 @@ class TestFigure8Potential:
 
     def test_potential_bounds_definite(self, fig8):
         func, profile = fig8
-        d = definite_flow_sets(func, profile, "branch").total_flow()
-        p = potential_flow_sets(func, profile, "branch").total_flow()
+        d = definite_flow_sets(func, profile).total_flow()
+        p = potential_flow_sets(func, profile).total_flow()
         assert d <= p
 
 
@@ -115,11 +117,12 @@ class TestDagFrequencies:
 
 
 class TestCapping:
-    def test_cap_truncates_conservatively(self, fig8):
+    def test_cap_truncates_conservatively(self, fig8, monkeypatch):
         func, profile = fig8
-        full = definite_flow_sets(func, profile, "branch", cap=None)
-        capped = definite_flow_sets(func, profile, "branch", cap=1)
-        assert capped.truncated
+        full = definite_flow_sets(func, profile)
+        monkeypatch.setattr(flowsets, "FLOW_SET_CAP", 1)
+        capped = definite_flow_sets(func, fig8_profile(func))
+        assert not full.truncated and capped.truncated
         assert capped.total_flow() <= full.total_flow()
 
 

@@ -89,8 +89,8 @@ def test_definite_le_actual_le_potential(seed):
         if not fprofile.executed():
             continue
         truth = actual[name].counts
-        d_sets = definite_flow_sets(func, fprofile, "branch", cap=None)
-        p_sets = potential_flow_sets(func, fprofile, "branch", cap=None)
+        d_sets = definite_flow_sets(func, fprofile)
+        p_sets = potential_flow_sets(func, fprofile)
         # cutoff is strict (flow > cutoff), and zero-branch paths have
         # branch-flow 0, so enumerate exhaustively with cutoff -1.
         definite = {p.blocks: p.freq

@@ -24,6 +24,7 @@ from repro.service import (AdmissionError, AdmissionLimits, AdmissionQueue,
                            CircuitBreaker, JobOutcome, ProfileRequest,
                            ProfilingServer, ProfilingService, ServiceError,
                            WriteAheadJournal)
+from repro.service.service import BREAKER_THRESHOLD
 
 SOURCE = """
     func main() { s = 0;
@@ -159,7 +160,6 @@ class TestAdmissionQueue:
         queue.admit("a")
         queue.release("a")
         queue.admit("a")  # does not raise
-        assert queue.outstanding("a") == 1
         assert queue.outstanding() == 1
 
     def test_pop_orders_by_ready_time(self):
@@ -354,16 +354,16 @@ class TestRetriesAndDegradation:
         async def scenario():
             executor = StubExecutor(corpus)
             async with make_service(corpus, executor=executor, retries=0,
-                                    breaker_threshold=1,
                                     breaker_reset_s=60.0) as service:
                 fresh = await service.request(
                     svc_request(module, request_id="seed"))
                 assert fresh.status == "fresh"
                 executor.always_fail = True
-                broken = await service.request(
-                    svc_request(module, request_id="broken"))
-                assert broken.status == "degraded"
-                assert broken.degradation.kind == "stale-remap"
+                for attempt in range(BREAKER_THRESHOLD):
+                    broken = await service.request(
+                        svc_request(module, request_id=f"broken{attempt}"))
+                    assert broken.status == "degraded"
+                    assert broken.degradation.kind == "stale-remap"
                 assert service.breaker.state == "open"
                 calls_so_far = len(executor.calls)
                 # Breaker open: served from stale without touching the pool.
@@ -375,7 +375,8 @@ class TestRetriesAndDegradation:
                 # profile for the requested module.
                 assert shed.payload["functions"]["main"]["edges"]
                 snap = service.metrics_snapshot()
-                assert snap["tenants"]["acme"]["degraded"] == 2
+                assert snap["tenants"]["acme"]["degraded"] == \
+                    BREAKER_THRESHOLD + 1
                 assert snap["breaker_trips"] == 1
         asyncio.run(scenario())
 
@@ -385,14 +386,15 @@ class TestRetriesAndDegradation:
         async def scenario():
             executor = StubExecutor(corpus)
             async with make_service(corpus, executor=executor, retries=0,
-                                    breaker_threshold=1,
                                     breaker_reset_s=0.05) as service:
                 executor.always_fail = True
-                # No stale profile yet, so the breaker-open request
-                # fails outright (never silently buffered).
-                broken = await service.request(
-                    svc_request(module, request_id="broken"))
-                assert broken.status == "failed"
+                # No stale profile yet, so each failed request fails
+                # outright (never silently buffered).
+                for attempt in range(BREAKER_THRESHOLD):
+                    broken = await service.request(
+                        svc_request(module, request_id=f"broken{attempt}"))
+                    assert broken.status == "failed"
+                assert service.breaker.state == "open"
                 executor.always_fail = False
                 await asyncio.sleep(0.06)  # past reset: half-open probe
                 probe = await service.request(
@@ -442,7 +444,6 @@ class TestRetriesAndDegradation:
         async def scenario():
             executor = StubExecutor(corpus)
             async with make_service(corpus, executor=executor, retries=0,
-                                    breaker_threshold=1,
                                     breaker_reset_s=60.0) as service:
                 fresh = await service.request(
                     svc_request(module, request_id="seed"))
