@@ -100,22 +100,15 @@ import argparse
 import sys
 import time
 
-from .core import (build_estimated_profile, evaluate_accuracy,
-                   measured_paths, run_with_plan)
-from .engine.stages import plan_stage
-from .harness import ground_truth
 from .harness.__main__ import (DEFAULT_CACHE_DIR, CliError,
                                _add_backend_option, _add_chaos_option,
                                _add_fault_options, _add_profilers_option,
                                _chosen_workloads, _install_chaos,
                                _selected_profilers, build_session)
-from .interp import run_module
-from .lang import compile_source
-from .profiles import save_edge_profile
 
 
 def _load(path: str):
-    from .lang import MiniCError
+    from .lang import MiniCError, compile_source
     try:
         with open(path) as handle:
             source = handle.read()
@@ -130,6 +123,8 @@ def _load(path: str):
 
 
 def cmd_run(args) -> int:
+    from .interp import run_module
+
     module = _load(args.file)
     result = run_module(module, max_instructions=args.max_instructions,
                         backend=args.backend)
@@ -141,7 +136,11 @@ def cmd_run(args) -> int:
 def cmd_profile(args) -> int:
     import json
 
-    from .profiles import edge_profile_from_dict_or_remap
+    from .core import (build_estimated_profile, evaluate_accuracy,
+                       measured_paths, run_with_plan)
+    from .engine.stages import ground_truth, plan_stage
+    from .profiles import (edge_profile_from_dict_or_remap,
+                           save_edge_profile)
 
     module = _load(args.file)
     actual, fresh_profile, _rv = ground_truth(module, backend=args.backend)
@@ -377,6 +376,7 @@ def _report(args, command: str, noun: str, compute) -> int:
 
 def cmd_verify(args) -> int:
     from .analysis import DEFAULT_PATH_CAP, verify_module_plan, verify_suite
+    from .engine.stages import ground_truth, plan_stage
 
     path_cap = DEFAULT_PATH_CAP if args.path_cap is None else args.path_cap
 
@@ -524,6 +524,7 @@ def cmd_match(args) -> int:
     from .analysis import verify_match, verify_transfer
     from .analysis.match import match_modules
     from .analysis.transfer import remap_edge_profile
+    from .engine.stages import ground_truth
 
     old_module = _load(args.old)
     new_module = _load(args.new)
@@ -581,7 +582,7 @@ def cmd_profiles(args) -> int:
 
     from .profiles import (diff_edge_profiles,
                            edge_profile_from_dict_or_remap,
-                           format_edge_diff)
+                           format_edge_diff, save_edge_profile)
 
     module = _load(args.file)
 

@@ -8,31 +8,28 @@ on-disk layer for cross-process warmth) and a
 :class:`~repro.engine.parallel.ParallelRunner` that fans independent
 workloads over a process pool.  ``repro.harness`` drives everything
 through an explicit session.
+
+Each export imports its module on first use (:mod:`repro.lazy`), so the
+cache layer (:mod:`~repro.engine.cache`, :mod:`~repro.engine.fingerprint`,
+:mod:`~repro.engine.faults`) loads without the pipeline.
 """
 
-from .cache import ArtifactCache, CacheStats, KindStats
-from .faults import (CodegenFault, DegradationEvent, FaultPlan,
-                     FaultSpecError)
-from .fingerprint import (CACHE_SALT, fingerprint_config,
-                          fingerprint_edge_profile, fingerprint_module,
-                          fingerprint_text)
-from .parallel import (ParallelRunner, SuiteExecutionError, WorkloadTask,
-                       run_task)
-from .results import (ExecutionRecord, SuiteExecutionReport, TECHNIQUES,
-                      TaskFailure, TechniqueResult, WorkloadResult)
-from .session import ProfilingSession, ScoreRequest
-from .stages import (assemble_workload_result, ground_truth, plan_stage,
-                     score_technique)
+from ..lazy import lazy_exports
 
-__all__ = [
-    "ArtifactCache", "CacheStats", "KindStats",
-    "CodegenFault", "DegradationEvent", "FaultPlan", "FaultSpecError",
-    "CACHE_SALT", "fingerprint_config",
-    "fingerprint_edge_profile", "fingerprint_module", "fingerprint_text",
-    "ParallelRunner", "SuiteExecutionError", "WorkloadTask", "run_task",
-    "ExecutionRecord", "SuiteExecutionReport", "TECHNIQUES",
-    "TaskFailure", "TechniqueResult", "WorkloadResult",
-    "ProfilingSession", "ScoreRequest",
-    "assemble_workload_result", "ground_truth", "plan_stage",
-    "score_technique",
-]
+_EXPORTS = {
+    ".cache": ("ArtifactCache", "CacheStats", "KindStats"),
+    ".faults": ("CodegenFault", "DegradationEvent", "FaultPlan",
+                "FaultSpecError"),
+    ".fingerprint": ("CACHE_SALT", "fingerprint_config",
+                     "fingerprint_edge_profile", "fingerprint_module",
+                     "fingerprint_text"),
+    ".parallel": ("ParallelRunner", "SuiteExecutionError", "WorkloadTask",
+                  "run_task"),
+    ".results": ("ExecutionRecord", "SuiteExecutionReport", "TECHNIQUES",
+                 "TaskFailure", "TechniqueResult", "WorkloadResult"),
+    ".session": ("ProfilingSession", "ScoreRequest"),
+    ".stages": ("assemble_workload_result", "ground_truth", "plan_stage",
+                "score_technique"),
+}
+__all__ = [name for names in _EXPORTS.values() for name in names]
+lazy_exports(__name__, _EXPORTS)

@@ -3,7 +3,8 @@
 Artifacts are stored under a ``(kind, key)`` address where ``kind`` names
 the pipeline stage ("compile", "expand", "record", "profiles", "remap",
 "plan", "technique", "workload",
-and "table" for a rendered harness table; "verifyreport" holds a plan's
+"table" for a rendered harness table and "suitereport" for whether a
+suite run's execution report was clean; "verifyreport" holds a plan's
 verifier report, shared by the session's ``verify_plans`` check and the
 proof passes, which add "conservereport", "matchreport" and "equiv")
 and ``key`` is a content hash from :mod:`repro.engine.fingerprint`.

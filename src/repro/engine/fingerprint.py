@@ -18,12 +18,11 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from ..ir.function import Module
-from ..ir.printer import format_module
-from ..profiles.edge_profile import EdgeProfile
-from ..profiles.serialize import edge_profile_to_dict
+if TYPE_CHECKING:
+    from ..ir.function import Module
+    from ..profiles.edge_profile import EdgeProfile
 
 # Every key is salted with a hash of the package's own source, so any
 # edit to the code that derives an artifact retires every cached entry
@@ -67,6 +66,8 @@ def fingerprint_module(module: Module) -> str:
     postorder with globals sorted, so structurally identical modules hash
     identically regardless of construction order.
     """
+    from ..ir.printer import format_module
+
     return fingerprint_text("module", module.name, module.main,
                             format_module(module))
 
@@ -75,6 +76,8 @@ def fingerprint_edge_profile(profile: Optional[EdgeProfile]) -> str:
     """Hash of the name-keyed serialized form (uid-independent)."""
     if profile is None:
         return "no-profile"
+    from ..profiles.serialize import edge_profile_to_dict
+
     payload = json.dumps(edge_profile_to_dict(profile), sort_keys=True)
     return fingerprint_text("edge-profile", payload)
 

@@ -9,14 +9,16 @@ cycles; :mod:`repro.harness` re-exports them unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from ..core import ModulePlan, ProfileRun
-from ..ir.function import Module
-from ..opt import OptimizationResult
-from ..profiles import EdgeProfile, PathProfile
-from ..workloads import Workload
 from .faults import DegradationEvent
+
+if TYPE_CHECKING:
+    from ..core import ModulePlan, ProfileRun
+    from ..ir.function import Module
+    from ..opt import OptimizationResult
+    from ..profiles import EdgeProfile, PathProfile
+    from ..workloads import Workload
 
 TECHNIQUES = ("pp", "tpp", "ppp")
 

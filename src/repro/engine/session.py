@@ -31,25 +31,32 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
-from ..core import (DEFAULT_CONFIG, ModulePlan, PathStream, ProfilerConfig,
-                    Recording, record_module, replay_plan)
-from ..interp import resolve_backend
-from ..ir.function import Module
-from ..opt import OptimizationResult, expand_module
-from ..profiles import EdgeProfile, PathProfile
+from ..backends import resolve_backend
 from ..workloads import SUITE, Workload
 from .cache import ArtifactCache
 from .fingerprint import (fingerprint_config, fingerprint_edge_profile,
                           fingerprint_module, fingerprint_text)
 from .results import (SuiteExecutionReport, TECHNIQUES, TechniqueResult,
                       WorkloadResult)
-from . import faults, stages
+from . import faults
 
 if TYPE_CHECKING:
     from ..analysis.diagnostics import Report
     from ..analysis.transfer import TransferResult
+    from ..core import (ModulePlan, PathStream, ProfilerConfig,
+                        Recording)
+    from ..ir.function import Module
+    from ..opt import OptimizationResult
+    from ..profiles import EdgeProfile, PathProfile
 
 __all__ = ["ProfilingSession", "ScoreRequest"]
+
+
+def _or_default(config: Optional[ProfilerConfig]) -> ProfilerConfig:
+    """``config``, or the default methodology's when it is ``None``."""
+    from ..core import DEFAULT_CONFIG
+
+    return DEFAULT_CONFIG if config is None else config
 
 
 @dataclass
@@ -124,12 +131,13 @@ class ProfilingSession:
                  verify_plans: Optional[bool] = None,
                  timeout: Optional[float] = None, retries: int = 2,
                  profilers: Iterable[str] = ()):
-        from ..profilers import parse_profiler_names
-
         self.cache = cache if cache is not None else ArtifactCache()
         self.jobs = max(1, int(jobs))
         self.backend = resolve_backend(backend)
-        self.profilers = parse_profiler_names(tuple(profilers))
+        self.profilers = tuple(profilers)
+        if self.profilers:
+            from ..profilers import parse_profiler_names
+            self.profilers = parse_profiler_names(self.profilers)
         if verify_plans is None:
             verify_plans = os.environ.get(
                 "REPRO_VERIFY", "").strip().lower() in ("1", "true", "yes",
@@ -160,6 +168,8 @@ class ProfilingSession:
                ) -> OptimizationResult:
         """Edge-profile-guided expansion of a workload's module, profiled
         through :meth:`record`."""
+        from ..opt import expand_module
+
         key = fingerprint_text("expand", workload.name, str(scale),
                                repr(workload.code_bloat),
                                workload.source(scale), self.backend)
@@ -178,6 +188,8 @@ class ProfilingSession:
     def record(self, module: Module) -> Recording:
         """One run of a module with edge counting and path tracing
         (cached per module and backend)."""
+        from ..core import record_module
+
         key = fingerprint_text("record", fingerprint_module(module),
                                self.backend)
         return self.cache.get_or_compute(
@@ -245,7 +257,7 @@ class ProfilingSession:
                  config: Optional[ProfilerConfig] = None) -> str:
         """The cache fingerprint of a plan; everything derived from a
         plan (the plan itself, verifier verdicts) is keyed off this."""
-        cfg = DEFAULT_CONFIG if config is None else config
+        cfg = _or_default(config)
         return fingerprint_text("plan", technique,
                                 fingerprint_module(module),
                                 fingerprint_edge_profile(edge_profile),
@@ -255,7 +267,9 @@ class ProfilingSession:
              edge_profile: Optional[EdgeProfile] = None,
              config: Optional[ProfilerConfig] = None) -> ModulePlan:
         """A cached PP/TPP/PPP instrumentation plan."""
-        cfg = DEFAULT_CONFIG if config is None else config
+        from . import stages
+
+        cfg = _or_default(config)
         key = self.plan_key(technique, module, edge_profile, cfg)
         plan = self.cache.get_or_compute(
             "plan", key,
@@ -304,7 +318,7 @@ class ProfilingSession:
     def _technique_key(self, request: ScoreRequest, module_fp: str) -> str:
         if request.scoring is None:
             raise ValueError("scoring needs an edge profile")
-        cfg = DEFAULT_CONFIG if request.config is None else request.config
+        cfg = _or_default(request.config)
         score_fp = (fingerprint_edge_profile(request.score_profile)
                     if request.score_profile is not None else "same")
         return fingerprint_text(
@@ -314,6 +328,9 @@ class ProfilingSession:
             ",".join(self.profilers))
 
     def _score(self, request: ScoreRequest) -> TechniqueResult:
+        from ..core import replay_plan
+        from . import stages
+
         recording = self.record(request.module)
         plan = self.plan(request.technique, request.module,
                          request.plan_profile, request.config)
@@ -354,6 +371,8 @@ class ProfilingSession:
 
     def _build_workload_result(self, workload: Workload, scale: int,
                                techniques: tuple[str, ...]) -> WorkloadResult:
+        from . import stages
+
         original = self.compile(workload, scale)
         opt = self.expand(workload, scale)
         expanded = opt.module

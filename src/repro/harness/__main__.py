@@ -15,6 +15,14 @@ so re-running an experiment renders nothing until the inputs or the
 code change.  ``--no-cache`` drops the on-disk layer (each artifact is
 still computed once per process); ``python -m repro cache`` manages
 the on-disk layer.
+
+A warm pass reads the cached tables and prints them, and loads no
+workload result: the suite's results load on the first table miss, or
+when ``--json``, ``--chaos`` or an unclean execution report needs them.
+A suite run caches whether its report was clean (kind ``suitereport``,
+under the suite key) so a warm pass knows whether it has one to print.
+Module-level imports stay within the cache layer and the workload
+sources; the renderers import their studies when a table is rendered.
 """
 
 from __future__ import annotations
@@ -23,19 +31,47 @@ import argparse
 import os
 import sys
 import time
+from typing import TYPE_CHECKING
 
+from ..backends import VALID_BACKENDS
 from ..engine import ArtifactCache, ProfilingSession, faults, fingerprint_text
-from ..interp import VALID_BACKENDS
 from ..workloads import SUITE, Workload, get_workload
-from . import (figure9, figure10, figure11, figure12, figure13,
-               hpt_table, ifconvert_table, matching_table, metrics_table,
-               net_table, one_at_a_time, profiler_table, sampling_table,
-               superblock_table, table1, table2)
+
+if TYPE_CHECKING:
+    from . import (figure9, figure10, figure11, figure12, figure13,
+                   hpt_table, ifconvert_table, matching_table,
+                   metrics_table, net_table, one_at_a_time, profiler_table,
+                   sampling_table, superblock_table, table1, table2)
 
 EXPERIMENTS = ("table1", "table2", "fig9", "fig10", "fig11", "fig12",
                "fig13", "oaat", "net", "superblocks", "ifconvert",
                "metrics", "sampling", "hpt", "profilers", "matching",
                "all")
+
+# The renderers are bound here when a pass first has to render a table,
+# so a warm pass never imports the studies; a caller may replace one
+# before that (perfbench's tracer, the tests).
+RENDERERS = ("table1", "table2", "figure9", "figure10", "figure11",
+             "figure12", "figure13", "one_at_a_time", "net_table",
+             "superblock_table", "ifconvert_table", "metrics_table",
+             "sampling_table", "hpt_table", "profiler_table",
+             "matching_table")
+
+
+def _bind_renderers() -> None:
+    from .. import harness
+
+    for name in RENDERERS:
+        globals().setdefault(name, getattr(harness, name))
+
+
+def __getattr__(name: str) -> object:
+    """A renderer, bound on first use (see ``RENDERERS``)."""
+    if name not in RENDERERS:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    _bind_renderers()
+    return globals()[name]
 
 DEFAULT_CACHE_DIR = "results/.cache"
 
@@ -83,6 +119,8 @@ def _add_profilers_option(parser: argparse.ArgumentParser) -> None:
 def _selected_profilers(args: argparse.Namespace) -> tuple[str, ...]:
     """The ``--profilers`` names; an unknown name is a
     :class:`CliError`."""
+    if not args.profilers:
+        return ()
     from ..profilers import parse_profiler_names
     try:
         return parse_profiler_names(args.profilers)
@@ -202,40 +240,61 @@ def _run(args: argparse.Namespace) -> int:
         print(f"running {len(workloads)} workloads at scale "
               f"{args.scale} ...", flush=True)
     wanted = ([args.experiment] if args.experiment != "all"
-              else ["table1", "table2", "fig9", "fig10", "fig11", "fig12",
-                    "fig13", "oaat", "net", "superblocks", "ifconvert",
-                    "metrics", "sampling", "hpt", "profilers",
-                    "matching"])
-    results = session.run_suite(workloads, scale=args.scale,
-                                verbose=not args.quiet)
-
-    renderers = {
-        "table1": table1,
-        "table2": table2,
-        "fig9": figure9,
-        "fig10": figure10,
-        "fig11": figure11,
-        "fig12": figure12,
-        "fig13": lambda r: figure13(r, session=session),
-        "oaat": lambda r: one_at_a_time(r, session=session),
-        "net": lambda r: net_table(r, session=session),
-        "superblocks": lambda r: superblock_table(r, session=session),
-        "ifconvert": lambda r: ifconvert_table(r, session=session),
-        "metrics": metrics_table,
-        "sampling": lambda r: sampling_table(r, session=session),
-        "hpt": lambda r: hpt_table(r, session=session),
-        "profilers": lambda r: profiler_table(r, session=session),
-        "matching": lambda r: matching_table(
-            [get_workload(n) for n in r], session=session,
-            scale=args.scale),
-    }
+              else list(EXPERIMENTS[:-1]))
     # A table depends on nothing but the suite's results (and the code,
-    # which salts every key), so a warm pass renders nothing.
+    # which salts every key), so a warm pass renders nothing; and it
+    # loads no result unless it has an execution report to print.
     suite_key = session.suite_key(workloads, args.scale)
+    clean = session.cache.lookup("suitereport", suite_key)
+    results = None
+    verbose = not args.quiet
+
+    def suite() -> dict:
+        nonlocal results
+        if results is None:
+            results = session.run_suite(workloads, scale=args.scale,
+                                        verbose=verbose)
+            now_clean = session.last_run_report.clean
+            if now_clean is not clean:
+                session.cache.store("suitereport", suite_key, now_clean)
+        return results
+
+    def render(name: str) -> str:
+        _bind_renderers()
+        renderers = {
+            "table1": table1,
+            "table2": table2,
+            "fig9": figure9,
+            "fig10": figure10,
+            "fig11": figure11,
+            "fig12": figure12,
+            "fig13": lambda r: figure13(r, session=session),
+            "oaat": lambda r: one_at_a_time(r, session=session),
+            "net": lambda r: net_table(r, session=session),
+            "superblocks": lambda r: superblock_table(r, session=session),
+            "ifconvert": lambda r: ifconvert_table(r, session=session),
+            "metrics": metrics_table,
+            "sampling": lambda r: sampling_table(r, session=session),
+            "hpt": lambda r: hpt_table(r, session=session),
+            "profilers": lambda r: profiler_table(r, session=session),
+            "matching": lambda r: matching_table(
+                [get_workload(n) for n in r], session=session,
+                scale=args.scale),
+        }
+        return renderers[name](suite())
+
+    if args.chaos or args.json or not clean:
+        suite()
+    elif verbose and (session.jobs == 1 or len(workloads) == 1):
+        # The progress a serial run_suite prints, warm or cold; a later
+        # table miss runs the suite without repeating it.
+        for workload in workloads:
+            print(f"  running {workload.name} ...", flush=True)
+        verbose = False
     for name in wanted:
         text = session.cache.get_or_compute(
             "table", fingerprint_text("table", name, suite_key),
-            lambda: renderers[name](results))
+            lambda: render(name))
         print()
         print(text)
         if args.save_dir:
@@ -251,7 +310,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.json:
         from .json_export import save_suite_json
         with open(args.json, "w") as handle:
-            save_suite_json(results, handle, execution=report)
+            save_suite_json(suite(), handle, execution=report)
         if not args.quiet:
             print(f"\n[metrics written to {args.json}]")
     if not args.quiet:

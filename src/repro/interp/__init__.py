@@ -8,10 +8,10 @@ compiled backend falls back to the tuple loop, per function, when code
 generation fails.
 """
 
+from ..backends import (DEFAULT_BACKEND, VALID_BACKENDS, MachineError,
+                        resolve_backend)
 from .costs import DEFAULT_COSTS, CostCounter, CostModel
-from .machine import (DEFAULT_BACKEND, VALID_BACKENDS, EdgeHook, Frame,
-                      Machine, MachineError, RunResult, resolve_backend,
-                      run_module)
+from .machine import EdgeHook, Frame, Machine, RunResult, run_module
 
 __all__ = [
     "DEFAULT_BACKEND", "VALID_BACKENDS", "resolve_backend",

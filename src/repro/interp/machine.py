@@ -33,6 +33,7 @@ from ..ir.function import Function, Module
 from ..ir.instructions import (BinOp, Branch, Call, Const, GlobalLoad,
                                GlobalStore, Jump, Load, Mov, Ret, Select,
                                Store, UnOp)
+from ..backends import MachineError, resolve_backend
 from ..cfg.loops import find_back_edges
 from .costs import CostCounter, CostModel, DEFAULT_COSTS
 
@@ -84,29 +85,6 @@ _UN_FNS: dict[str, Callable] = {
     "!": lambda a: 1 if a == 0 else 0,
     "~": lambda a: ~int(a),
 }
-
-
-class MachineError(Exception):
-    """Raised for runtime failures (unknown function, step limit, ...)."""
-
-
-# Execution backends: "compiled" translates each function to Python
-# source, compiling each segment on first entry (fast path); "tuple" is
-# the original tuple-dispatch interpreter, kept as the reference
-# implementation.
-VALID_BACKENDS = ("compiled", "tuple")
-DEFAULT_BACKEND = "compiled"
-
-
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Pick the execution backend: explicit argument, else the
-    ``REPRO_BACKEND`` environment variable, else the default."""
-    chosen = backend or os.environ.get("REPRO_BACKEND") or DEFAULT_BACKEND
-    if chosen not in VALID_BACKENDS:
-        raise MachineError(
-            f"unknown backend {chosen!r}; expected one of "
-            f"{', '.join(VALID_BACKENDS)}")
-    return chosen
 
 
 EdgeHook = Callable[["Frame"], None]

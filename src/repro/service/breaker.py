@@ -29,7 +29,7 @@ class CircuitBreaker:
     ``clock`` is a test seam: tests step a fake clock past the reset.
     """
 
-    def __init__(self, fail_threshold: int, reset_after_s: float = 2.0,
+    def __init__(self, fail_threshold: int, reset_after_s: float,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self.fail_threshold = max(1, fail_threshold)
         self.reset_after_s = reset_after_s

@@ -12,11 +12,12 @@ cross-module inlining disabled or no calls to inline).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from ..ir.function import Module
-from ..lang import compile_source
 from . import programs
+
+if TYPE_CHECKING:
+    from ..ir.function import Module
 
 INT = "INT"
 FP = "FP"
@@ -34,6 +35,8 @@ class Workload:
 
     def compile(self, scale: int = 1) -> Module:
         """Compile the workload at the given scale to a validated module."""
+        from ..lang import compile_source
+
         return compile_source(self.source(scale), name=self.name)
 
 
